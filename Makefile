@@ -1,18 +1,22 @@
 # Tree-SVD developer targets. `make ci` is the full gate: vet, build,
 # tests, the race-detector pass over the concurrency-sensitive packages
 # (the public facade and everything under internal/), the short-mode
-# differential fuzz of the correctness harness, and the fault-injection
+# differential fuzz of the correctness harness, ten seconds of coverage
+# fuzzing on each decoder of untrusted bytes, and the fault-injection
 # crash matrix of the durable wrapper.
 
 GO ?= go
+
+# Per-target budget for `make fuzz-decoders`.
+FUZZTIME ?= 10s
 
 # Seed count for `make fuzz`; each seed is one adversarial churn stream
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build test race differential crash chaos fuzz bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short serve-race fmt docs
+.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short serve-race fmt docs
 
-ci: vet build test race differential crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short
+ci: vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short
 
 vet:
 	$(GO) vet ./...
@@ -29,8 +33,11 @@ build:
 test:
 	$(GO) test ./...
 
+# -short keeps internal/sparse's model-based property test at a few
+# hundred steps per shape; `make test` runs it at full size.
 race:
-	$(GO) test -race ./internal/... ./server/... ./client/... .
+	$(GO) test -race -short ./internal/sparse
+	$(GO) test -race $$($(GO) list ./internal/... | grep -v /internal/sparse$$) ./server/... ./client/... .
 
 # Differential correctness harness at the default seed count, under the
 # race detector — the CI gate for the dynamic path. Includes the
@@ -54,6 +61,16 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestNetFault|TestOverload|TestIngestSheds|TestTimeoutHeader|TestHealthAndReadiness|TestDegradedEndToEnd|TestShutdownDrops' ./server/
 	$(GO) test -race -count=1 ./internal/netfault/
 	$(GO) test -race -count=1 -run TestDiskFullDegradedReopen .
+
+# Coverage-guided fuzzing of the decoders that read bytes the process did
+# not write: the event-stream parser and the proximity matrix's gob codec
+# (a decode returns an error or a matrix that passes its audit, never a
+# panic). go test takes one -fuzz target per run. Minimizing a new input
+# is capped well below the budget — the seeds are kilobytes long and the
+# default cap (60s) would spend the whole run shrinking the first find.
+fuzz-decoders:
+	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzDynRowGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sparse
 
 # Configurable-depth fuzz: make fuzz SEEDS=64
 fuzz:

@@ -555,7 +555,7 @@ func (t *Tree) Matrix() *sparse.DynRow { return t.m }
 // observable counterpart of the Theorem 3.2 guarantee (tests and
 // diagnostics; materializes an n×d dense intermediate). ‖M‖_F comes from
 // DynRow's incrementally maintained block norms (O(nblocks)), and Mᵀ·U is
-// read straight off the live row maps — no CSR materialization, so the
+// read straight off the live cells — no CSR materialization, so the
 // whole routine is one O(nnz·d) pass.
 func (t *Tree) ReconstructionError() float64 {
 	root := t.Root()

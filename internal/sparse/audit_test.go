@@ -30,6 +30,30 @@ func churnedDynRow(t *testing.T, seed int64) *DynRow {
 	return m
 }
 
+// firstEntry returns the first non-empty cell of block j.
+func firstEntry(t *testing.T, m *DynRow, j int) *cell {
+	t.Helper()
+	for r := 0; r < m.rows; r++ {
+		if cl := m.cell(r, j); len(cl.cols) > 0 {
+			return cl
+		}
+	}
+	t.Fatalf("block %d is empty", j)
+	return nil
+}
+
+// pairCell returns the first cell holding at least two entries.
+func pairCell(t *testing.T, m *DynRow) *cell {
+	t.Helper()
+	for i := range m.cells {
+		if cl := &m.cells[i]; len(cl.cols) >= 2 {
+			return cl
+		}
+	}
+	t.Fatal("no cell with two entries")
+	return nil
+}
+
 func TestAuditRecountClean(t *testing.T) {
 	m := churnedDynRow(t, 1)
 	if err := m.AuditRecount(); err != nil {
@@ -61,21 +85,30 @@ func TestAuditRecountDetectsCorruption(t *testing.T) {
 			"total nnz",
 		},
 		"stored zero": {
-			func(m *DynRow) { m.data[3][1][int32(10)] = 0 },
+			func(m *DynRow) { firstEntry(t, m, 1).vals[0] = 0 },
 			"stored zero",
 		},
 		"non-finite entry": {
-			func(m *DynRow) {
-				for c := range m.data[2][1] {
-					m.data[2][1][c] = math.NaN()
-					return
-				}
-			},
+			func(m *DynRow) { firstEntry(t, m, 1).vals[0] = math.NaN() },
 			"non-finite",
 		},
 		"entry outside block range": {
-			func(m *DynRow) { m.data[0][1][int32(0)] = 1.5 },
+			func(m *DynRow) { firstEntry(t, m, 1).cols[0] = 0 },
 			"stored in block",
+		},
+		"cell out of order": {
+			func(m *DynRow) {
+				cl := pairCell(t, m)
+				cl.cols[0], cl.cols[1] = cl.cols[1], cl.cols[0]
+			},
+			"out of order",
+		},
+		"duplicate column in a cell": {
+			func(m *DynRow) {
+				cl := pairCell(t, m)
+				cl.cols[1] = cl.cols[0]
+			},
+			"out of order",
 		},
 		"baseline key outside matrix": {
 			func(m *DynRow) { m.base[1][int64(99)<<32|int64(uint32(9))] = 1 },

@@ -3,7 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
 )
@@ -26,8 +26,11 @@ type DynRow struct {
 	width      int // columns per block (last block may be narrower)
 	nblocks    int
 
-	// data[r][j] maps global column index → value within block j of row r.
-	data [][]map[int32]float64
+	// cells[r*nblocks+j] holds row r's entries inside block j in ascending
+	// column order. Blocks are contiguous column ranges, so a row's cells
+	// read in block order are globally sorted: ToCSR and BlockCSR append,
+	// they never sort.
+	cells []cell
 
 	frobSq  []float64 // per block: Σ v², maintained incrementally
 	deltaSq []float64 // per block: Σ (v − baseline)², maintained incrementally
@@ -40,6 +43,20 @@ type DynRow struct {
 	totalNNZ int
 }
 
+// cell is one (row, block) intersection: parallel column/value slices,
+// columns global and strictly ascending, no stored zeros. A cell is at
+// most one block wide, so an insert or delete moves at most that many
+// entries however large the row is.
+type cell struct {
+	cols []int32
+	vals []float64
+}
+
+func (m *DynRow) cell(r, j int) *cell { return &m.cells[r*m.nblocks+j] }
+
+// rowCells returns row r's cells in block order.
+func (m *DynRow) rowCells(r int) []cell { return m.cells[r*m.nblocks : (r+1)*m.nblocks] }
+
 // NewDynRow creates a rows×cols matrix partitioned into nblocks column
 // blocks of near-equal width. The realized block count (NumBlocks) can be
 // smaller than requested when cols < nblocks.
@@ -47,23 +64,26 @@ func NewDynRow(rows, cols, nblocks int) *DynRow {
 	if rows < 0 || cols <= 0 || nblocks <= 0 {
 		panic(fmt.Sprintf("sparse: NewDynRow invalid shape %d×%d / %d blocks", rows, cols, nblocks))
 	}
-	width := (cols + nblocks - 1) / nblocks
-	nb := (cols + width - 1) / width
+	width, nb := blockLayout(cols, nblocks)
 	m := &DynRow{
 		rows: rows, cols: cols, width: width, nblocks: nb,
-		data:    make([][]map[int32]float64, rows),
+		cells:   make([]cell, rows*nb),
 		frobSq:  make([]float64, nb),
 		deltaSq: make([]float64, nb),
 		base:    make([]map[int64]float64, nb),
 		nnz:     make([]int, nb),
 	}
-	for r := range m.data {
-		m.data[r] = make([]map[int32]float64, nb)
-	}
 	for j := range m.base {
 		m.base[j] = make(map[int64]float64)
 	}
 	return m
+}
+
+// blockLayout returns the block width and the realized block count for
+// cols columns split into at most nblocks near-equal blocks.
+func blockLayout(cols, nblocks int) (width, nb int) {
+	width = (cols + nblocks - 1) / nblocks
+	return width, (cols + width - 1) / width
 }
 
 // Rows returns the number of rows.
@@ -96,11 +116,11 @@ func (m *DynRow) BlockNNZ(j int) int { return m.nnz[j] }
 
 // Get returns the (r,c) element.
 func (m *DynRow) Get(r, c int) float64 {
-	blk := m.data[r][c/m.width]
-	if blk == nil {
-		return 0
+	cl := m.cell(r, c/m.width)
+	if i, ok := slices.BinarySearch(cl.cols, int32(c)); ok {
+		return cl.vals[i]
 	}
-	return blk[int32(c)]
+	return 0
 }
 
 func packKey(r, c int) int64 { return int64(r)<<32 | int64(int32(c)) }
@@ -111,17 +131,14 @@ func (m *DynRow) Set(r, c int, v float64) {
 		panic(fmt.Sprintf("sparse: Set (%d,%d) out of %d×%d", r, c, m.rows, m.cols))
 	}
 	j := c / m.width
-	blk := m.data[r][j]
+	cl := m.cell(r, j)
+	i, stored := slices.BinarySearch(cl.cols, int32(c))
 	var old float64
-	if blk != nil {
-		old = blk[int32(c)]
+	if stored {
+		old = cl.vals[i]
 	}
 	if old == v {
 		return
-	}
-	if blk == nil {
-		blk = make(map[int32]float64)
-		m.data[r][j] = blk
 	}
 	// Record the baseline the first time this entry moves after a rebuild.
 	key := packKey(r, c)
@@ -134,17 +151,25 @@ func (m *DynRow) Set(r, c int, v float64) {
 	dNew := v - baseVal
 	m.deltaSq[j] += dNew*dNew - dOld*dOld
 	m.frobSq[j] += v*v - old*old
-	if old == 0 {
-		m.nnz[j]++
-		m.totalNNZ++
-	}
-	if v == 0 {
-		delete(blk, int32(c))
+	switch {
+	case v == 0:
+		cl.cols = slices.Delete(cl.cols, i, i+1)
+		cl.vals = slices.Delete(cl.vals, i, i+1)
 		m.nnz[j]--
 		m.totalNNZ--
-	} else {
-		blk[int32(c)] = v
+	case stored:
+		cl.vals[i] = v
+	default:
+		m.insert(cl, j, i, int32(c), v)
 	}
+}
+
+// insert stores a new entry at position i of block j's cell cl.
+func (m *DynRow) insert(cl *cell, j, i int, c int32, v float64) {
+	cl.cols = slices.Insert(cl.cols, i, c)
+	cl.vals = slices.Insert(cl.vals, i, v)
+	m.nnz[j]++
+	m.totalNNZ++
 }
 
 // BlockFrobNorm returns ‖B_{1,j}^t‖_F, the live Frobenius norm of block j.
@@ -186,7 +211,7 @@ func (m *DynRow) MarkRebuilt(j int) {
 	m.deltaSq[j] = 0
 	var f float64
 	for r := 0; r < m.rows; r++ {
-		for _, v := range m.data[r][j] {
+		for _, v := range m.cell(r, j).vals {
 			f += v * v
 		}
 	}
@@ -199,32 +224,23 @@ func (m *DynRow) BlockCSR(j int) *CSR {
 	out := &CSR{Rows: m.rows, Cols: hi - lo, RowPtr: make([]int32, m.rows+1)}
 	out.ColIdx = make([]int32, 0, m.nnz[j])
 	out.Val = make([]float64, 0, m.nnz[j])
-	cols := make([]int32, 0, 64)
 	for r := 0; r < m.rows; r++ {
-		blk := m.data[r][j]
-		if len(blk) > 0 {
-			cols = cols[:0]
-			for c := range blk {
-				cols = append(cols, c)
-			}
-			sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-			for _, c := range cols {
-				out.ColIdx = append(out.ColIdx, c-int32(lo))
-				out.Val = append(out.Val, blk[c])
-			}
+		cl := m.cell(r, j)
+		for _, c := range cl.cols {
+			out.ColIdx = append(out.ColIdx, c-int32(lo))
 		}
+		out.Val = append(out.Val, cl.vals...)
 		out.RowPtr[r+1] = int32(len(out.Val))
 	}
 	return out
 }
 
-// RowColumns returns the columns with stored entries in row r, unsorted.
+// RowColumns returns a copy of the columns with stored entries in row r,
+// ascending.
 func (m *DynRow) RowColumns(r int) []int32 {
 	var out []int32
-	for j := 0; j < m.nblocks; j++ {
-		for c := range m.data[r][j] {
-			out = append(out, c)
-		}
+	for _, cl := range m.rowCells(r) {
+		out = append(out, cl.cols...)
 	}
 	return out
 }
@@ -232,33 +248,25 @@ func (m *DynRow) RowColumns(r int) []int32 {
 // ToCSR materializes the whole matrix as a CSR.
 func (m *DynRow) ToCSR() *CSR {
 	out := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int32, m.rows+1)}
-	out.ColIdx = make([]int32, 0, m.totalNNZ)
-	out.Val = make([]float64, 0, m.totalNNZ)
-	cols := make([]int32, 0, 256)
+	colIdx := make([]int32, 0, m.totalNNZ)
+	val := make([]float64, 0, m.totalNNZ)
 	for r := 0; r < m.rows; r++ {
-		cols = cols[:0]
-		for j := 0; j < m.nblocks; j++ {
-			for c := range m.data[r][j] {
-				cols = append(cols, c)
-			}
+		row := m.rowCells(r)
+		for i := range row {
+			colIdx = append(colIdx, row[i].cols...)
+			val = append(val, row[i].vals...)
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-		for _, c := range cols {
-			out.ColIdx = append(out.ColIdx, c)
-			out.Val = append(out.Val, m.data[r][int(c)/m.width][c])
-		}
-		out.RowPtr[r+1] = int32(len(out.Val))
+		out.RowPtr[r+1] = int32(len(val))
 	}
+	out.ColIdx, out.Val = colIdx, val
 	return out
 }
 
 // TMulDense returns mᵀ·b for a dense b (rows×k) directly from the live
-// row maps — no CSR materialization (ToCSR costs O(nnz·log) in sorts and
-// a full copy, which dominated ReconstructionError before this existed).
-// Each output row c accumulates its contributions in ascending input-row
-// order, so the result is deterministic despite map iteration: entries of
-// a given column c within one row map are unique, and rows are visited in
-// order.
+// cells, sparing the O(nnz) copy a ToCSR would make first. Entries are
+// visited in (row, column) order, so each output row c accumulates its
+// contributions in ascending input-row order — the same sums, in the same
+// order, as ToCSR().TMulDense(b).
 func (m *DynRow) TMulDense(b *linalg.Dense) *linalg.Dense {
 	if b.Rows != m.rows {
 		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%d×%d)ᵀ · %d×%d", m.rows, m.cols, b.Rows, b.Cols))
@@ -266,9 +274,9 @@ func (m *DynRow) TMulDense(b *linalg.Dense) *linalg.Dense {
 	out := linalg.NewDense(m.cols, b.Cols)
 	for r := 0; r < m.rows; r++ {
 		brow := b.Row(r)
-		for j := 0; j < m.nblocks; j++ {
-			for c, v := range m.data[r][j] {
-				axpyRow(out.Row(int(c)), v, brow)
+		for _, cl := range m.rowCells(r) {
+			for i, c := range cl.cols {
+				axpyRow(out.Row(int(c)), cl.vals[i], brow)
 			}
 		}
 	}
@@ -294,44 +302,46 @@ func (m *DynRow) FrobNorm() float64 {
 // seed and compare against the cached factorization.
 func (m *DynRow) BaselineBlockCSR(j int) *CSR {
 	lo, hi := m.BlockRange(j)
-	rows := make([]map[int32]float64, m.rows)
-	for r := 0; r < m.rows; r++ {
-		if blk := m.data[r][j]; len(blk) > 0 {
-			mm := make(map[int32]float64, len(blk))
-			for c, v := range blk {
-				mm[c] = v
-			}
-			rows[r] = mm
-		}
-	}
-	for key, bv := range m.base[j] {
-		r, c := int(key>>32), int32(key)
-		if rows[r] == nil {
-			rows[r] = make(map[int32]float64)
-		}
-		if bv == 0 {
-			delete(rows[r], c)
-		} else {
-			rows[r][c] = bv
-		}
-	}
 	out := &CSR{Rows: m.rows, Cols: hi - lo, RowPtr: make([]int32, m.rows+1)}
-	cols := make([]int32, 0, 64)
+	emit := func(c int32, v float64) {
+		if v != 0 {
+			out.ColIdx = append(out.ColIdx, c-int32(lo))
+			out.Val = append(out.Val, v)
+		}
+	}
+	// Merge each row's live cell with the row's run of baseline keys; both
+	// ascend by column, and a baseline value overrides the live one.
+	keys := m.sortedBaseKeys(j)
 	for r := 0; r < m.rows; r++ {
-		if len(rows[r]) > 0 {
-			cols = cols[:0]
-			for c := range rows[r] {
-				cols = append(cols, c)
+		cl := m.cell(r, j)
+		i := 0
+		for ; len(keys) > 0 && int(keys[0]>>32) == r; keys = keys[1:] {
+			c := int32(keys[0])
+			for ; i < len(cl.cols) && cl.cols[i] < c; i++ {
+				emit(cl.cols[i], cl.vals[i])
 			}
-			sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-			for _, c := range cols {
-				out.ColIdx = append(out.ColIdx, c-int32(lo))
-				out.Val = append(out.Val, rows[r][c])
+			if i < len(cl.cols) && cl.cols[i] == c {
+				i++
 			}
+			emit(c, m.base[j][keys[0]])
+		}
+		for ; i < len(cl.cols); i++ {
+			emit(cl.cols[i], cl.vals[i])
 		}
 		out.RowPtr[r+1] = int32(len(out.Val))
 	}
 	return out
+}
+
+// sortedBaseKeys returns block j's baseline keys ascending, which is
+// (row, column) order: the row sits in the high half of a packed key.
+func (m *DynRow) sortedBaseKeys(j int) []int64 {
+	keys := make([]int64, 0, len(m.base[j]))
+	for key := range m.base[j] {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // BlockDelta is the row-factored sparse delta D_j = B_live − B_baseline of
@@ -339,8 +349,8 @@ func (m *DynRow) BaselineBlockCSR(j int) *CSR {
 // whose live value still differs from its baseline, grouped by row.
 // Columns are block-local (rebased to start at 0, matching BlockCSR).
 // Rows and the columns within each row are sorted ascending, so extraction
-// is deterministic despite map iteration order — the incremental SVD
-// updater consuming it produces run-to-run identical factorizations.
+// is deterministic although the baselines live in a map — the incremental
+// SVD updater consuming it produces run-to-run identical factorizations.
 type BlockDelta struct {
 	Rows []int       // touched row indices, ascending
 	Cols [][]int32   // per touched row: block-local column indices, ascending
@@ -362,29 +372,17 @@ func (d *BlockDelta) NNZ() int {
 // the block is marked dirty. O(touched·log touched).
 func (m *DynRow) BlockDelta(j int) *BlockDelta {
 	lo, _ := m.BlockRange(j)
-	byRow := make(map[int][]int32, len(m.base[j]))
-	for key := range m.base[j] {
-		r := int(key >> 32)
-		byRow[r] = append(byRow[r], int32(key))
-	}
 	d := &BlockDelta{}
-	rows := make([]int, 0, len(byRow))
-	for r := range byRow {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	for _, r := range rows {
-		cols := byRow[r]
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+	for keys := m.sortedBaseKeys(j); len(keys) > 0; {
+		r := int(keys[0] >> 32)
 		var cc []int32
 		var vv []float64
-		for _, c := range cols {
-			dv := m.Get(r, int(c)) - m.base[j][packKey(r, int(c))]
-			if dv == 0 {
-				continue
+		for ; len(keys) > 0 && int(keys[0]>>32) == r; keys = keys[1:] {
+			c := int(int32(keys[0]))
+			if dv := m.Get(r, c) - m.base[j][keys[0]]; dv != 0 {
+				cc = append(cc, int32(c-lo))
+				vv = append(vv, dv)
 			}
-			cc = append(cc, c-int32(lo))
-			vv = append(vv, dv)
 		}
 		if len(cc) > 0 {
 			d.Rows = append(d.Rows, r)
@@ -397,10 +395,11 @@ func (m *DynRow) BlockDelta(j int) *BlockDelta {
 
 // AuditRecount verifies the incrementally maintained bookkeeping against
 // an exact recount: per-block squared Frobenius norm, squared delta norm,
-// nnz counters, baseline key validity, and the no-stored-zero/no-NaN
-// storage invariants. Floating-point accumulators are compared within a
-// scale-aware tolerance; the integer counters must match exactly. O(nnz),
-// intended for the correctness harness and debug builds, not hot paths.
+// nnz counters, baseline key validity, and the storage invariants (every
+// cell strictly ascending inside its block, no stored zero or NaN).
+// Floating-point accumulators are compared within a scale-aware tolerance;
+// the integer counters must match exactly. O(nnz): the correctness
+// harness, debug builds and GobDecode run it, hot paths do not.
 func (m *DynRow) AuditRecount() error {
 	const tol = 1e-7
 	total := 0
@@ -409,10 +408,17 @@ func (m *DynRow) AuditRecount() error {
 		var frob float64
 		nnz := 0
 		for r := 0; r < m.rows; r++ {
-			for c, v := range m.data[r][j] {
+			cl := m.cell(r, j)
+			if len(cl.cols) != len(cl.vals) {
+				return fmt.Errorf("sparse: audit: row %d block %d holds %d columns but %d values", r, j, len(cl.cols), len(cl.vals))
+			}
+			for i, c := range cl.cols {
+				v := cl.vals[i]
 				switch {
 				case int(c) < lo || int(c) >= hi:
 					return fmt.Errorf("sparse: audit: entry (%d,%d) stored in block %d [%d,%d)", r, c, j, lo, hi)
+				case i > 0 && cl.cols[i-1] >= c:
+					return fmt.Errorf("sparse: audit: row %d block %d out of order: column %d follows %d", r, j, c, cl.cols[i-1])
 				case v == 0:
 					return fmt.Errorf("sparse: audit: stored zero at (%d,%d)", r, c)
 				case math.IsNaN(v) || math.IsInf(v, 0):
@@ -428,16 +434,19 @@ func (m *DynRow) AuditRecount() error {
 			if r < 0 || r >= m.rows || c < lo || c >= hi {
 				return fmt.Errorf("sparse: audit: baseline key (%d,%d) outside block %d of %d×%d", r, c, j, m.rows, m.cols)
 			}
+			if math.IsNaN(bv) || math.IsInf(bv, 0) {
+				return fmt.Errorf("sparse: audit: non-finite baseline %g at (%d,%d)", bv, r, c)
+			}
 			d := m.Get(r, c) - bv
 			delta += d * d
 		}
 		if nnz != m.nnz[j] {
 			return fmt.Errorf("sparse: audit: block %d nnz counter %d, recount %d", j, m.nnz[j], nnz)
 		}
-		if got := m.frobSq[j]; abs(got-frob) > tol*(1+frob) {
+		if got := m.frobSq[j]; !(abs(got-frob) <= tol*(1+frob)) { // negated: a NaN must fail
 			return fmt.Errorf("sparse: audit: block %d frobSq drifted: maintained %g, recount %g", j, got, frob)
 		}
-		if got := m.deltaSq[j]; abs(got-delta) > tol*(1+delta) {
+		if got := m.deltaSq[j]; !(abs(got-delta) <= tol*(1+delta)) {
 			return fmt.Errorf("sparse: audit: block %d deltaSq drifted: maintained %g, recount %g", j, got, delta)
 		}
 		total += nnz
@@ -460,9 +469,9 @@ func (m *DynRow) ToDense() *linalg.Dense {
 	out := linalg.NewDense(m.rows, m.cols)
 	for r := 0; r < m.rows; r++ {
 		row := out.Row(r)
-		for j := 0; j < m.nblocks; j++ {
-			for c, v := range m.data[r][j] {
-				row[c] = v
+		for _, cl := range m.rowCells(r) {
+			for i, c := range cl.cols {
+				row[c] = cl.vals[i]
 			}
 		}
 	}

@@ -202,7 +202,7 @@ func bruteRecommend(snap *Snapshot, src int32, k int) []Recommendation {
 	xs := snap.xMat().Row(row)
 	y := snap.right()
 	exclude := map[int32]bool{src: true}
-	for _, v := range snap.outNbrs[src] {
+	for _, v := range snap.excluded[snap.excludedOff[row]:snap.excludedOff[row+1]] {
 		exclude[v] = true
 	}
 	var all []Recommendation

@@ -3,12 +3,14 @@ package treesvd
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/tree-svd/treesvd/internal/core"
+	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/sparse"
@@ -28,8 +30,13 @@ type Snapshot struct {
 	x       *linalg.Dense // frozen U√Σ
 	root    *linalg.SVDResult
 	m       *sparse.CSR // proximity matrix frozen at publish time (unsharded)
-	outNbrs map[int32][]int32
-	stats   Stats
+	// excluded[excludedOff[i]:excludedOff[i+1]] lists the nodes Recommend
+	// never returns for subset row i: the source and its out-neighbors at
+	// publish time, ascending without duplicates, all rows in one backing
+	// array.
+	excluded    []int32
+	excludedOff []int32
+	stats       Stats
 	// numNodes is the graph's node count at publish time. The right
 	// embedding is MaxNodes rows wide, so candidate iteration must stop
 	// here: rows past it are zero-score placeholders for ids that did not
@@ -187,10 +194,17 @@ func (h *recHeap) Pop() interface{} {
 // strict-greater replacement keeps the smallest node ids among ties, so
 // the returned heap holds exactly the range's top k under that order —
 // which makes per-range results mergeable without losing exactness.
-func scanTopK(xs []float64, y *linalg.Dense, lo, hi int, exclude map[int32]bool, k int) recHeap {
+// exclude lists the nodes to skip in ascending order; a cursor walks it
+// beside the candidate scan, so skipping costs a compare per candidate
+// instead of a hash probe.
+func scanTopK(xs []float64, y *linalg.Dense, lo, hi int, exclude []int32, k int) recHeap {
 	top := make(recHeap, 0, k)
+	next, _ := slices.BinarySearch(exclude, int32(lo))
 	for v := lo; v < hi; v++ {
-		if exclude[int32(v)] {
+		for next < len(exclude) && exclude[next] < int32(v) {
+			next++
+		}
+		if next < len(exclude) && exclude[next] == int32(v) {
 			continue
 		}
 		score := dot(xs, y.Row(v))
@@ -257,11 +271,7 @@ func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	}
 	y := s.right()
 	xs := s.xMat().Row(row)
-	exclude := make(map[int32]bool, len(s.outNbrs[src])+1)
-	exclude[src] = true
-	for _, v := range s.outNbrs[src] {
-		exclude[v] = true
-	}
+	exclude := s.excluded[s.excludedOff[row]:s.excludedOff[row+1]]
 	// y has MaxNodes rows; only the first numNodes are real nodes of this
 	// snapshot's graph — the rest would surface as zero-score ghosts.
 	limit := min(y.Rows, s.numNodes)
@@ -276,10 +286,32 @@ func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	return mergeTopK(tops, k), nil
 }
 
+// exclusionLists returns, for every subset node in row order, the nodes
+// Recommend must skip — the node and its current out-neighbors, ascending
+// without duplicates — as slices excluded[off[i]:off[i+1]] of one array.
+func exclusionLists(g *graph.Graph, subset []int32) (excluded, off []int32) {
+	total := len(subset)
+	for _, s := range subset {
+		total += g.OutDeg(s)
+	}
+	excluded = make([]int32, 0, total)
+	off = make([]int32, 1, len(subset)+1)
+	for _, s := range subset {
+		start := len(excluded)
+		excluded = append(append(excluded, s), g.OutNeighbors(s)...)
+		slices.Sort(excluded[start:])
+		// The graph rejects parallel edges: only a self-loop repeats s.
+		excluded = excluded[:start+len(slices.Compact(excluded[start:]))]
+		off = append(off, int32(len(excluded)))
+	}
+	return excluded, off
+}
+
 func dot(a, b []float64) float64 {
+	b = b[:len(a)] // one bounds check instead of one per element
 	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+	for i, x := range a {
+		s += x * b[i]
 	}
 	return s
 }
@@ -287,22 +319,22 @@ func dot(a, b []float64) float64 {
 // publishLocked freezes the current pipeline state into a new immutable
 // snapshot and publishes it. Caller holds e.mu; every shard's tree must
 // be built. Proximity rows are captured as per-shard CSR copies (the
-// DynRows keep mutating afterwards) and subset out-neighbor lists are
-// copied out of the graph for the same reason. An unsharded embedder
-// freezes its factors directly; a sharded one freezes the per-shard
-// parts and defers the coordinator merge to the first global read.
+// DynRows keep mutating afterwards; the copy is two appends per stored
+// cell, no sort) and each subset node's exclusion list — itself and its
+// out-neighbors, sorted — is copied out of the graph for the same reason,
+// all lists into one array. An unsharded embedder freezes its factors
+// directly; a sharded one freezes the per-shard parts and defers the
+// coordinator merge to the first global read.
 func (e *Embedder) publishLocked() {
 	g := e.g
-	nbrs := make(map[int32][]int32, len(e.subset))
-	for _, s := range e.subset {
-		nbrs[s] = append([]int32(nil), g.OutNeighbors(s)...)
-	}
+	excluded, off := exclusionLists(g, e.subset)
 	snap := &Snapshot{
-		version:  e.version.Add(1),
-		subset:   e.subset,
-		rowOf:    e.rowOf,
-		outNbrs:  nbrs,
-		numNodes: g.NumNodes(),
+		version:     e.version.Add(1),
+		subset:      e.subset,
+		rowOf:       e.rowOf,
+		excluded:    excluded,
+		excludedOff: off,
+		numNodes:    g.NumNodes(),
 	}
 	if len(e.shards) == 1 {
 		s := e.shards[0]

@@ -418,11 +418,12 @@ func (e *Embedder) ApplyEvents(ctx context.Context, events []Event) (int, error)
 }
 
 // applyEventsLocked is the body of ApplyEvents. Caller holds e.mu.
-// publish=false skips the snapshot publication (an O(nnz) copy), letting
-// WAL replay fold many batches and publish once at the end. It wraps the
-// batch in the trace bracket (one TraceBatchStart, one TraceBatchEnd —
-// including on error) and records the facade-level batch metrics; the
-// pipeline work itself runs in applyBatchLocked.
+// publish=false skips the snapshot publication (a sort-free copy of the
+// proximity matrix's nnz entries plus the subset's exclusion lists),
+// letting WAL replay fold many batches and publish once at the end. It
+// wraps the batch in the trace bracket (one TraceBatchStart, one
+// TraceBatchEnd — including on error) and records the facade-level batch
+// metrics; the pipeline work itself runs in applyBatchLocked.
 func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publish bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
