@@ -14,9 +14,9 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short serve-race fmt docs
+.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short bench-recommend-short serve-race fmt docs
 
-ci: vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short
+ci: vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short
 
 vet:
 	$(GO) vet ./...
@@ -117,6 +117,12 @@ bench-dynamic:
 bench-dynamic-short:
 	BENCH_DYNAMIC_OUT=$(CURDIR)/.bench-dynamic-ci.json BENCH_DYNAMIC_SHORT=1 $(GO) test -run TestEmitDynamicBench -count=1 .
 	@rm -f $(CURDIR)/.bench-dynamic-ci.json
+
+# Smoke for `make ci`: one iteration of the fresh/warm Recommend
+# benchmarks on both sides of the nnz(M) = n·d crossover (DESIGN.md §5),
+# so they cannot rot. For numbers: -benchtime 5000x -count 5.
+bench-recommend-short:
+	$(GO) test -run '^$$' -bench 'BenchmarkRecommend(Fresh|Warm)$$' -benchtime 1x .
 
 # Emits BENCH_SERVE.json: open-loop serving latency (p50/p99/p999) at
 # three or more offered-load points against an in-process HTTP server,

@@ -53,8 +53,7 @@ func ShardRanges(n, k int) [][2]int {
 //
 // Mix[i] holds Q_i, the d_i×d block of rows of Q belonging to shard i.
 // It lets the coordinator evaluate projections of M without touching M:
-// Mᵀ·U_g = Σ_i W_i·Q_i, which drives both the reconstruction-error
-// identity and the right embedding.
+// Mᵀ·U_g = Σ_i W_i·Q_i, which drives the reconstruction-error identity.
 type MergedRoot struct {
 	// Root is the merged factorization {U_g, Σ_g, V_g} with V_g = P.
 	Root *linalg.SVDResult
@@ -137,20 +136,6 @@ func (mr *MergedRoot) Projection(ws []*linalg.Dense, workers int) *linalg.Dense 
 		}
 	}
 	return acc
-}
-
-// RightEmbedding recovers Y = Ṽ_d·√Σ for the merged root, matching
-// RightEmbeddingOfW applied to the full matrix: Mᵀ·U_g scaled per
-// column by 1/√σ (zero where σ is numerically zero).
-func (mr *MergedRoot) RightEmbedding(ws []*linalg.Dense, workers int) *linalg.Dense {
-	y := mr.Projection(ws, workers)
-	scale := make([]float64, len(mr.Root.S))
-	for i, s := range mr.Root.S {
-		if s > 0 {
-			scale[i] = 1 / math.Sqrt(s)
-		}
-	}
-	return y.MulDiag(scale)
 }
 
 // ReconstructionError returns ‖M − U_g·U_gᵀ·M‖_F via the projection

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
-	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
 func TestShardRanges(t *testing.T) {
@@ -80,10 +79,8 @@ func TestMergeShardRootsExact(t *testing.T) {
 	if got := mr.ReconstructionError(ws, m.FrobNorm(), 1); got > 1e-5 {
 		t.Fatalf("exact merge has reconstruction error %g", got)
 	}
-	yWant := RightEmbeddingOfW(mr.Root, denseToCSR(m), 1)
-	yGot := mr.RightEmbedding(ws, 1)
-	if d := linalg.MaxAbsDiff(yGot, yWant); d > 1e-9 {
-		t.Fatalf("right embedding off by %g", d)
+	if d := linalg.MaxAbsDiff(mr.Projection(ws, 1), linalg.TMul(m, mr.Root.U)); d > 1e-9 {
+		t.Fatalf("projection Mᵀ·U_g off by %g", d)
 	}
 }
 
@@ -153,18 +150,4 @@ func TestMergeShardRootsMismatch(t *testing.T) {
 	if _, err := MergeShardRoots(nil, nil, 2, 1); err == nil {
 		t.Fatal("want error on empty merge")
 	}
-}
-
-// denseToCSR round-trips a dense matrix through a DynRow so the test can
-// call the CSR-based full-matrix routines.
-func denseToCSR(m *linalg.Dense) *sparse.CSR {
-	dr := sparse.NewDynRow(m.Rows, m.Cols, 1)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if v := m.At(i, j); v != 0 {
-				dr.Set(i, j, v)
-			}
-		}
-	}
-	return dr.ToCSR()
 }

@@ -1,6 +1,7 @@
 package treesvd
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -8,34 +9,30 @@ import (
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/graph"
-	"github.com/tree-svd/treesvd/internal/linalg"
 )
 
-// scanFixture is a right embedding with many tied scores (a few distinct
-// rows repeated), so the node-id tie-break is exercised on every case.
-func scanFixture(n, d int) (xs []float64, y *linalg.Dense) {
+// scanFixture is a score row with many tied scores (five distinct values
+// repeated), so the node-id tie-break is exercised on every case.
+func scanFixture(n int) []float64 {
 	rng := rand.New(rand.NewSource(7))
-	xs = make([]float64, d)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
+	distinct := make([]float64, 5)
+	for i := range distinct {
+		distinct[i] = rng.NormFloat64()
 	}
-	y = linalg.NewDense(n, d)
-	for v := 0; v < n; v++ {
-		proto := rand.New(rand.NewSource(int64(v % 5)))
-		for i := 0; i < d; i++ {
-			y.Set(v, i, proto.NormFloat64())
-		}
+	scores := make([]float64, n)
+	for v := range scores {
+		scores[v] = distinct[v%len(distinct)]
 	}
-	return xs, y
+	return scores
 }
 
-// bruteTopK is the specification: score [lo,hi) minus the excluded set,
+// bruteTopK is the specification: every candidate minus the excluded set,
 // full sort by (score desc, node asc), truncate.
-func bruteTopK(xs []float64, y *linalg.Dense, lo, hi int, exclude []int32, k int) []Recommendation {
+func bruteTopK(scores []float64, exclude []int32, k int) []Recommendation {
 	var all []Recommendation
-	for v := lo; v < hi; v++ {
+	for v, score := range scores {
 		if !slices.Contains(exclude, int32(v)) {
-			all = append(all, Recommendation{Node: int32(v), Score: dot(xs, y.Row(v))})
+			all = append(all, Recommendation{Node: int32(v), Score: score})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -48,27 +45,27 @@ func bruteTopK(xs []float64, y *linalg.Dense, lo, hi int, exclude []int32, k int
 }
 
 func TestScanTopKExclusions(t *testing.T) {
-	xs, y := scanFixture(60, 4)
+	scores := scanFixture(60)
 	cases := map[string]struct {
-		lo, hi  int
+		n       int
 		exclude []int32
 	}{
-		"none":               {0, 60, nil},
-		"at lo":              {10, 40, []int32{10}},
-		"at hi-1":            {10, 40, []int32{39}},
-		"at lo and hi-1":     {10, 40, []int32{10, 39}},
-		"outside the range":  {10, 40, []int32{3, 9, 40, 55}},
-		"straddling":         {10, 40, []int32{0, 9, 10, 11, 25, 39, 40, 59}},
-		"duplicated":         {0, 60, []int32{4, 4, 4, 17, 17, 59, 59}},
-		"duplicated at lo":   {17, 60, []int32{4, 17, 17, 18}},
-		"the source itself":  {0, 60, []int32{0}},
-		"a whole range":      {20, 23, []int32{20, 21, 22}},
-		"everything but one": {20, 23, []int32{20, 22}},
+		"none":               {60, nil},
+		"at 0":               {40, []int32{0}},
+		"at n-1":             {40, []int32{39}},
+		"at 0 and n-1":       {40, []int32{0, 39}},
+		"outside the range":  {40, []int32{40, 55}},
+		"straddling":         {40, []int32{0, 1, 25, 39, 40, 59}},
+		"duplicated":         {60, []int32{4, 4, 4, 17, 17, 59, 59}},
+		"duplicated at 0":    {60, []int32{0, 0, 1}},
+		"a whole range":      {3, []int32{0, 1, 2}},
+		"everything but one": {3, []int32{0, 2}},
+		"no candidates":      {0, []int32{3}},
 	}
 	for name, tc := range cases {
-		for _, k := range []int{1, 5, 100} {
-			got := mergeTopK([]recHeap{scanTopK(xs, y, tc.lo, tc.hi, tc.exclude, k)}, k)
-			want := bruteTopK(xs, y, tc.lo, tc.hi, tc.exclude, k)
+		for _, k := range []int{1, 5, 100, math.MaxInt} {
+			got := scanTopK(scores[:tc.n], tc.exclude, k)
+			want := bruteTopK(scores[:tc.n], tc.exclude, k)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Errorf("%s, k=%d:\n got %v\nwant %v", name, k, got, want)
 			}
@@ -93,14 +90,14 @@ func TestExclusionListsSortedAndDeduplicated(t *testing.T) {
 	}
 }
 
-// BenchmarkScanTopK is one warm Recommend at the benchmark's shape: 9 000
-// candidates, dimension 16, k = 10, a source with five out-neighbors.
+// BenchmarkScanTopK is the top-k half of one Recommend at the benchmark's
+// shape: 9 000 candidates, k = 10, a source with five out-neighbors.
 func BenchmarkScanTopK(b *testing.B) {
-	xs, y := scanFixture(9000, 16)
+	scores := scanFixture(9000)
 	exclude := []int32{12, 700, 701, 4400, 8100, 8999}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanTopK(xs, y, 0, 9000, exclude, 10)
+		scanTopK(scores, exclude, 10)
 	}
 }

@@ -129,9 +129,13 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 			writeError(sw, err)
 		} else {
 			s.met.inflight.Add(1)
+			// Deferred: a handler panic unwinds to net/http, which recovers
+			// it per connection — the slot and the gauge must not leak.
+			defer func() {
+				s.met.inflight.Add(-1)
+				release()
+			}()
 			h(sw, r)
-			s.met.inflight.Add(-1)
-			release()
 		}
 		em.requests.Inc()
 		if sw.status >= 400 {
@@ -141,13 +145,10 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 	}
 }
 
-// intParam parses a required (or defaulted) integer query parameter.
-func intParam(r *http.Request, name string, def int, required bool) (int, error) {
+// intParam parses an optional integer query parameter, def when absent.
+func intParam(r *http.Request, name string, def int) (int, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		if required {
-			return 0, badRequest("missing required query parameter %q", name)
-		}
 		return def, nil
 	}
 	v, err := strconv.Atoi(raw)
@@ -155,6 +156,21 @@ func intParam(r *http.Request, name string, def int, required bool) (int, error)
 		return 0, badRequest("query parameter %q: %v", name, err)
 	}
 	return v, nil
+}
+
+// nodeParam parses a required node-id query parameter. Node ids are
+// int32; a value outside that range is malformed, never wrapped around
+// into some other node's id.
+func nodeParam(r *http.Request, name string) (int32, error) {
+	raw := r.URL.Query().Get(name)
+	if raw == "" {
+		return 0, badRequest("missing required query parameter %q", name)
+	}
+	v, err := strconv.ParseInt(raw, 10, 32)
+	if err != nil {
+		return 0, badRequest("query parameter %q: %v", name, err)
+	}
+	return int32(v), nil
 }
 
 // handleVersion serves the published snapshot version plus the live
@@ -175,18 +191,18 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // handleRecommend serves top-k candidates for one subset source, JSON or
 // binary, entirely from one pinned snapshot.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	src, err := intParam(r, "source", 0, true)
+	src, err := nodeParam(r, "source")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	k, err := intParam(r, "k", 10, false)
+	k, err := intParam(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	snap := s.e.Snapshot()
-	recs, err := snap.Recommend(int32(src), k)
+	recs, err := snap.Recommend(src, k)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -196,12 +212,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		for i, rc := range recs {
 			wrecs[i] = wire.Rec{Node: rc.Node, Score: rc.Score}
 		}
-		writeFrame(w, wire.EncodeRecs(snap.Version(), int32(src), wrecs))
+		writeFrame(w, wire.EncodeRecs(snap.Version(), src, wrecs))
 		return
 	}
 	dto := wire.RecommendDTO{
 		Version:         snap.Version(),
-		Source:          int32(src),
+		Source:          src,
 		Recommendations: make([]wire.RecDTO, len(recs)),
 	}
 	for i, rc := range recs {
@@ -215,18 +231,18 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 	snap := s.e.Snapshot()
 	if raw := r.URL.Query().Get("node"); raw != "" {
-		node, err := intParam(r, "node", 0, true)
+		node, err := nodeParam(r, "node")
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		row, ok := s.rowOf[int32(node)]
+		row, ok := s.rowOf[node]
 		if !ok {
-			writeError(w, &treesvd.NotInSubsetError{Node: int32(node), Subset: len(s.subset)})
+			writeError(w, &treesvd.NotInSubsetError{Node: node, Subset: len(s.subset)})
 			return
 		}
 		rows := snap.Embedding()[row : row+1]
-		s.writeMatrix(w, r, snap.Version(), []int32{int32(node)}, rows)
+		s.writeMatrix(w, r, snap.Version(), []int32{node}, rows)
 		return
 	}
 	s.writeMatrix(w, r, snap.Version(), snap.Subset(), snap.Embedding())
@@ -245,16 +261,16 @@ func (s *Server) handleRightEmbedding(w http.ResponseWriter, r *http.Request) {
 		y = y[:n]
 	}
 	if raw := r.URL.Query().Get("node"); raw != "" {
-		node, err := intParam(r, "node", 0, true)
+		node, err := nodeParam(r, "node")
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		if node < 0 || node >= len(y) {
-			writeError(w, &treesvd.NodeRangeError{Node: int32(node), MaxNodes: len(y)})
+		if node < 0 || int(node) >= len(y) {
+			writeError(w, &treesvd.NodeRangeError{Node: node, MaxNodes: len(y)})
 			return
 		}
-		s.writeMatrix(w, r, snap.Version(), []int32{int32(node)}, y[node:node+1])
+		s.writeMatrix(w, r, snap.Version(), []int32{node}, y[node:node+1])
 		return
 	}
 	nodes := make([]int32, len(y))

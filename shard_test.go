@@ -1,16 +1,18 @@
 // Sharding acceptance tests (ISSUE 6): configuration validation, the
 // Shards=1 bit-identity guarantee, trajectory parity between shard
-// counts, sharded persistence, and the scatter-gather Recommend
-// property — per-shard top-k merge must equal the single full scan on
-// the same snapshot, including under concurrent updates (-race).
+// counts, sharded persistence, and the Recommend property — on one and
+// on four shards the result must equal the reference ranking of
+// (U·Uᵀ·M)[row,:] on the same snapshot, including under concurrent
+// updates (-race).
 package treesvd
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -193,109 +195,112 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// bruteRecommend recomputes Recommend by full scan over the snapshot's
-// own cached factors, mirroring the documented semantics: score
-// dot(X[s], Y[v]) over existing nodes, excluding s and its frozen
-// out-neighbors, ordered by (score desc, node asc), truncated to k.
-func bruteRecommend(snap *Snapshot, src int32, k int) []Recommendation {
-	row := snap.rowOf[src]
-	xs := snap.xMat().Row(row)
-	y := snap.right()
-	exclude := map[int32]bool{src: true}
-	for _, v := range snap.excluded[snap.excludedOff[row]:snap.excludedOff[row+1]] {
-		exclude[v] = true
-	}
-	var all []Recommendation
-	for v := 0; v < min(y.Rows, snap.numNodes); v++ {
-		if exclude[int32(v)] {
-			continue
-		}
-		all = append(all, Recommendation{Node: int32(v), Score: dot(xs, y.Row(v))})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Node < all[j].Node
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// TestScatterGatherRecommendProperty is the satellite property test: on
-// a sharded snapshot, the scatter-gather Recommend (per-shard top-k
-// heaps merged above the shard boundary) must equal the brute-force full
-// scan exactly — same nodes, same scores, same tie order — while
-// ApplyEvents runs concurrently underneath. Run under -race via `make
-// race`.
-func TestScatterGatherRecommendProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 90
-	g := buildGraph(rng, n, 360)
-	subset := []int32{2, 5, 9, 14, 23, 31, 47, 58, 66, 71}
-	emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2, Shards: 4}))
-
-	batches := make([][]Event, 6)
-	for i := range batches {
-		batches[i] = insertBatch(rng, n, 25)
-	}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-		default:
-		}
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			src := subset[r%len(subset)]
-			for iter := 0; ; iter++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				snap := emb.Snapshot()
-				for _, k := range []int{1, 3, 10, n} {
-					got, err := snap.Recommend(src, k)
-					if err != nil {
-						fail(err)
-						return
-					}
-					want := bruteRecommend(snap, src, k)
-					if len(got) != len(want) {
-						fail(errors.New("scatter-gather length diverged from full scan"))
-						return
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							fail(errors.New("scatter-gather result diverged from full scan"))
-							return
-						}
-					}
+// referenceScores is the specification of Recommend's score row,
+// (U·Uᵀ·M)[row, :], accumulated in Recommend's own row order from
+// Embedding-independent inputs: the snapshot's (merged) root and its
+// frozen CSR parts.
+func referenceScores(snap *Snapshot, row int) []float64 {
+	root := snap.rootSVD()
+	scores := make([]float64, snap.parts[0].m.Cols)
+	for _, p := range snap.parts {
+		for i := 0; i < p.m.Rows; i++ {
+			var w float64
+			for j, sigma := range root.S {
+				if sigma > 0 {
+					w += root.U.At(row, j) * root.U.At(p.lo+i, j)
 				}
 			}
-		}(r)
-	}
-	for _, b := range batches {
-		if _, err := emb.ApplyEvents(bgt, b); err != nil {
-			close(done)
-			wg.Wait()
-			t.Fatal(err)
+			for q := p.m.RowPtr[i]; q < p.m.RowPtr[i+1]; q++ {
+				scores[p.m.ColIdx[q]] += w * p.m.Val[q]
+			}
 		}
 	}
-	close(done)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
+	return scores
+}
+
+// bruteRecommend is the specification of Recommend: the reference scores
+// of the nodes that exist, minus the source's frozen exclusion list, fully
+// sorted by (score desc, node asc) and truncated to k.
+func bruteRecommend(snap *Snapshot, src int32, k int) []Recommendation {
+	row := snap.rowOf[src]
+	scores := referenceScores(snap, row)
+	return bruteTopK(scores[:min(len(scores), snap.numNodes)],
+		snap.excluded[snap.excludedOff[row]:snap.excludedOff[row+1]], k)
+}
+
+// checkRecommend compares one Recommend answer with the specification:
+// it equals the brute-force ranking of the reference scores exactly —
+// nodes, scores, tie order — and every score is within rounding of
+// dot(X[s], Y[v]) from the public Embedding/RightEmbedding.
+func checkRecommend(snap *Snapshot, src int32, k int) error {
+	got, err := snap.Recommend(src, k)
+	if err != nil {
+		return err
+	}
+	want := bruteRecommend(snap, src, k)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("Recommend(%d, %d) = %v, reference ranking %v", src, k, got, want)
+	}
+	xs := snap.Embedding()[snap.rowOf[src]]
+	y := snap.RightEmbedding()
+	for _, rec := range got {
+		if xy := dot(xs, y[rec.Node]); math.Abs(rec.Score-xy) > 1e-12*(1+math.Abs(xy)) {
+			return fmt.Errorf("Recommend(%d, %d): node %d scores %g, dot(X[s], Y[v]) = %g", src, k, rec.Node, rec.Score, xy)
+		}
+	}
+	return nil
+}
+
+// TestScatterGatherRecommendProperty is the Recommend property test: on
+// unsharded and sharded snapshots alike, the result of scattering wᵀM
+// over the frozen CSR rows and gathering the top k must equal the
+// specification (checkRecommend) while ApplyEvents runs concurrently
+// underneath. Run under -race via `make race`.
+func TestScatterGatherRecommendProperty(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			const n = 90
+			g := buildGraph(rng, n, 360)
+			subset := []int32{2, 5, 9, 14, 23, 31, 47, 58, 66, 71}
+			emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2, Shards: shards}))
+
+			batches := make([][]Event, 6)
+			for i := range batches {
+				batches[i] = insertBatch(rng, n, 25)
+			}
+
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					src := subset[r%len(subset)]
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						snap := emb.Snapshot()
+						for _, k := range []int{1, 3, 10, n} {
+							if err := checkRecommend(snap, src, k); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(r)
+			}
+			for _, b := range batches {
+				if _, err := emb.ApplyEvents(bgt, b); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(done)
+			wg.Wait()
+		})
 	}
 }

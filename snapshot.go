@@ -1,10 +1,8 @@
 package treesvd
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +27,6 @@ type Snapshot struct {
 	rowOf   map[int32]int // shared with Embedder; immutable after New
 	x       *linalg.Dense // frozen U√Σ
 	root    *linalg.SVDResult
-	m       *sparse.CSR // proximity matrix frozen at publish time (unsharded)
 	// excluded[excludedOff[i]:excludedOff[i+1]] lists the nodes Recommend
 	// never returns for subset row i: the source and its out-neighbors at
 	// publish time, ascending without duplicates, all rows in one backing
@@ -37,33 +34,34 @@ type Snapshot struct {
 	excluded    []int32
 	excludedOff []int32
 	stats       Stats
-	// numNodes is the graph's node count at publish time. The right
-	// embedding is MaxNodes rows wide, so candidate iteration must stop
-	// here: rows past it are zero-score placeholders for ids that did not
-	// exist yet (ISSUE 3, ghost recommendations).
+	// numNodes is the graph's node count at publish time. The proximity
+	// matrix is MaxNodes columns wide, so candidate iteration must stop
+	// here: columns past it are zero-score placeholders for ids that did
+	// not exist yet (ISSUE 3, ghost recommendations).
 	numNodes int
 
-	// parts holds the frozen per-shard factorizations of a sharded
-	// embedder (nil when unsharded). x, root and y are then materialized
-	// at most once by mergeOnce: the coordinator merge above the shard
-	// boundary runs lazily, on the first read that needs global factors.
+	// parts holds the frozen root factorization and proximity rows of
+	// every shard, in subset row order (one part when unsharded). With one
+	// part, x and root are frozen at publish; with several they are
+	// materialized at most once by mergeOnce: the coordinator merge above
+	// the shard boundary runs lazily, on the first read that needs global
+	// factors.
 	parts     []snapPart
 	rank      int // Config.Dim, the merge truncation rank
 	workers   int // resolved worker budget for the lazy merge
 	mergeOnce sync.Once
 
 	// y is the right embedding Ṽ√Σ, materialized at most once per
-	// snapshot on first use and reused by every later RightEmbedding/
-	// Recommend on this version. yComputes counts materializations
+	// snapshot, by the first RightEmbedding call on this version;
+	// Recommend never reads it. yComputes counts materializations
 	// (observable by tests: it must never exceed 1).
 	yOnce     sync.Once
 	y         *linalg.Dense
 	yComputes atomic.Int32
 }
 
-// snapPart is one shard's contribution to a sharded snapshot: its frozen
-// root factorization and proximity rows, plus the subset row range they
-// cover.
+// snapPart is one shard's contribution to a snapshot: its frozen root
+// factorization and proximity rows, plus the subset row range they cover.
 type snapPart struct {
 	root   *linalg.SVDResult
 	m      *sparse.CSR
@@ -71,12 +69,11 @@ type snapPart struct {
 }
 
 // ensureMerged materializes the global factors of a sharded snapshot
-// exactly once: per-shard projections W_i = M_iᵀU_i, the coordinator
-// merge above the shard boundary, and (in the same pass, while the
-// projections are in hand) the right embedding. Unsharded snapshots are
-// published with x/root already frozen, so this is a no-op for them.
+// exactly once: per-shard projections W_i = M_iᵀU_i and the coordinator
+// merge above the shard boundary. Unsharded snapshots are published with
+// x/root already frozen, so this is a no-op for them.
 func (s *Snapshot) ensureMerged() {
-	if s.parts == nil {
+	if len(s.parts) == 1 {
 		return
 	}
 	s.mergeOnce.Do(func() {
@@ -94,8 +91,6 @@ func (s *Snapshot) ensureMerged() {
 		}
 		s.root = mr.Root
 		s.x = mr.Root.USqrtS()
-		s.yComputes.Add(1)
-		s.y = mr.RightEmbedding(ws, s.workers)
 	})
 }
 
@@ -134,21 +129,31 @@ func (s *Snapshot) Spectrum() []float64 { return append([]float64(nil), s.rootSV
 func (s *Snapshot) Embedding() [][]float64 { return toRows(s.xMat()) }
 
 // RightEmbedding returns the n×d right-factor embedding Y = Ṽ√Σ of this
-// snapshot (row v embeds graph node v). Y is computed once per snapshot
-// and cached; repeated calls (and Recommend) reuse it.
+// snapshot (row v embeds graph node v). Y is computed by the first call
+// on a snapshot and cached for later ones; Recommend does not need it, so
+// a snapshot that only serves recommendations never holds the matrix.
 func (s *Snapshot) RightEmbedding() [][]float64 { return toRows(s.right()) }
 
 // right materializes Y = Σ^{-1/2}·Uᵀ·M at most once (Theorem 3.2's
-// recovery of the right factor from the frozen proximity matrix). For
-// sharded snapshots Y falls out of the coordinator merge instead.
+// recovery of the right factor from the frozen proximity matrix), at
+// O(nnz·d): M's rows are partitioned over the parts, so Y is the sum of
+// each part's recovery against its own rows of the (merged) U.
 func (s *Snapshot) right() *linalg.Dense {
-	if s.parts != nil {
-		s.ensureMerged()
-		return s.y
-	}
 	s.yOnce.Do(func() {
 		s.yComputes.Add(1)
-		s.y = core.RightEmbeddingOf(s.root, s.m)
+		root := s.rootSVD()
+		d := root.U.Cols
+		for _, p := range s.parts {
+			up := linalg.NewDenseData(p.hi-p.lo, d, root.U.Data[p.lo*d:p.hi*d])
+			yp := core.RightEmbeddingOfW(&linalg.SVDResult{U: up, S: root.S}, p.m, s.workers)
+			if s.y == nil {
+				s.y = yp
+				continue
+			}
+			for i, v := range yp.Data {
+				s.y.Data[i] += v
+			}
+		}
 	})
 	return s.y
 }
@@ -167,77 +172,84 @@ type Recommendation struct {
 	Score float64
 }
 
-// recHeap is a min-heap keyed by (Score asc, Node desc): the root is the
-// weakest kept candidate, so top-k selection peeks and replaces it in
-// O(log k) instead of re-sorting the slice on every improvement.
-type recHeap []Recommendation
-
-func (h recHeap) Len() int { return len(h) }
-func (h recHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
+// ranksBefore is the result order: descending score, ties by ascending
+// node id.
+func ranksBefore(a, b Recommendation) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return h[i].Node > h[j].Node
-}
-func (h recHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *recHeap) Push(x interface{}) { *h = append(*h, x.(Recommendation)) }
-func (h *recHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.Node < b.Node
 }
 
-// scanTopK scores candidates v ∈ [lo, hi) against xs and keeps the top k
-// under the (score desc, node asc) total order. Ascending iteration plus
-// strict-greater replacement keeps the smallest node ids among ties, so
-// the returned heap holds exactly the range's top k under that order —
-// which makes per-range results mergeable without losing exactness.
-// exclude lists the nodes to skip in ascending order; a cursor walks it
-// beside the candidate scan, so skipping costs a compare per candidate
-// instead of a hash probe.
-func scanTopK(xs []float64, y *linalg.Dense, lo, hi int, exclude []int32, k int) recHeap {
-	top := make(recHeap, 0, k)
-	next, _ := slices.BinarySearch(exclude, int32(lo))
-	for v := lo; v < hi; v++ {
-		for next < len(exclude) && exclude[next] < int32(v) {
-			next++
+// scanTopK keeps the top k of the candidates v ∈ [0, len(scores)), node v
+// scoring scores[v], and returns them ranked. The kept candidates form a
+// binary heap whose root is the weakest, so an improvement replaces it in
+// O(log k); ascending iteration plus strict-greater replacement keeps the
+// smallest node ids among ties. The heap sifts on the concrete slice, so
+// the scan allocates nothing but its result. exclude lists the nodes to
+// skip in ascending order (repeats allowed): the scan runs over the gaps
+// between them, so skipping costs nothing per candidate.
+func scanTopK(scores []float64, exclude []int32, k int) []Recommendation {
+	top := make([]Recommendation, 0, min(k, len(scores)))
+	for lo, next := 0, 0; lo < len(scores); next++ {
+		hi := len(scores)
+		if next < len(exclude) {
+			hi = min(hi, int(exclude[next]))
 		}
-		if next < len(exclude) && exclude[next] == int32(v) {
-			continue
+		for v := lo; v < hi; v++ {
+			switch score := scores[v]; {
+			case len(top) < cap(top):
+				top = append(top, Recommendation{Node: int32(v), Score: score})
+				siftUp(top)
+			case score > top[0].Score:
+				top[0] = Recommendation{Node: int32(v), Score: score}
+				siftDown(top)
+			}
 		}
-		score := dot(xs, y.Row(v))
-		switch {
-		case len(top) < k:
-			heap.Push(&top, Recommendation{Node: int32(v), Score: score})
-		case score > top[0].Score:
-			top[0] = Recommendation{Node: int32(v), Score: score}
-			heap.Fix(&top, 0)
-		}
+		lo = max(lo, hi+1)
 	}
+	slices.SortFunc(top, func(a, b Recommendation) int {
+		if ranksBefore(a, b) {
+			return -1
+		}
+		return 1 // node ids are distinct: no two candidates compare equal
+	})
 	return top
 }
 
-// mergeTopK gathers per-range top-k heaps into one ranked result:
-// descending score, ties by ascending node id — the same order a single
-// full scan produces.
-func mergeTopK(tops []recHeap, k int) []Recommendation {
-	var all []Recommendation
-	for _, t := range tops {
-		all = append(all, t...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+// siftUp restores the weakest-at-root heap after an append.
+func siftUp(h []Recommendation) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !ranksBefore(h[parent], h[i]) {
+			break
 		}
-		return all[i].Node < all[j].Node
-	})
-	if len(all) > k {
-		all = all[:k]
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return all
 }
+
+// siftDown restores the weakest-at-root heap after the root was replaced.
+func siftDown(h []Recommendation) {
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && ranksBefore(h[child], h[child+1]) {
+			child++
+		}
+		if !ranksBefore(h[i], h[child]) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
+// scorePool recycles Recommend's score rows (one float per proximity
+// column) across reads and snapshots.
+var scorePool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Recommend returns the top-k candidate targets for subset node s, ranked
 // by the factorization score dot(X[s], Y[v]) — the paper's motivating
@@ -254,10 +266,13 @@ func mergeTopK(tops []recHeap, k int) []Recommendation {
 // *NotInSubsetError. Both are deterministic input errors (a serving layer
 // maps them to HTTP 400 and 404); anything else is a real failure.
 //
-// On a sharded snapshot the scan scatters across contiguous candidate
-// ranges (one per shard, scored in parallel under the snapshot's worker
-// budget) and gathers the per-range top-k heaps into one ranked merge;
-// the result is provably identical to the single full scan.
+// The scores are computed from the frozen proximity matrix, not from Y:
+// with X = U√Σ and Y = Σ^{-1/2}·Uᵀ·M the √Σ cancels, so the score row is
+// (U·Uᵀ·M)[s,:] = wᵀM with w = U·U[s,:]ᵀ — O(|S|·d + nnz(M) + n) per
+// read, with nothing to build first (DESIGN.md §5). It is the one scoring
+// formula of a snapshot, sharded or not: the same pinned snapshot returns
+// bit-identical results on every call. Against dot(X[s], Y[v]) from
+// Embedding/RightEmbedding the scores agree to rounding, not bit for bit.
 func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	if k <= 0 {
 		return nil, &InvalidKError{K: k}
@@ -266,24 +281,42 @@ func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	if !ok {
 		return nil, &NotInSubsetError{Node: src, Subset: len(s.subset)}
 	}
-	if s.rootSVD().Rank() == 0 {
+	root := s.rootSVD()
+	if root.Rank() == 0 {
 		return nil, fmt.Errorf("treesvd: empty factorization")
 	}
-	y := s.right()
-	xs := s.xMat().Row(row)
-	exclude := s.excluded[s.excludedOff[row]:s.excludedOff[row+1]]
-	// y has MaxNodes rows; only the first numNodes are real nodes of this
-	// snapshot's graph — the rest would surface as zero-score ghosts.
-	limit := min(y.Rows, s.numNodes)
-	if s.parts == nil {
-		return mergeTopK([]recHeap{scanTopK(xs, y, 0, limit, exclude, k)}, k), nil
+	// Directions with σ = 0 carry no score, as in Y; S is descending, so
+	// they are a suffix.
+	r := root.Rank()
+	for r > 0 && root.S[r-1] <= 0 {
+		r--
 	}
-	ranges := core.ShardRanges(limit, len(s.parts))
-	tops := make([]recHeap, len(ranges))
-	par.For(len(ranges), s.workers, func(i int) {
-		tops[i] = scanTopK(xs, y, ranges[i][0], ranges[i][1], exclude, k)
-	})
-	return mergeTopK(tops, k), nil
+	us := root.U.Row(row)[:r]
+
+	cols := s.parts[0].m.Cols
+	buf := scorePool.Get().(*[]float64)
+	if cap(*buf) < cols {
+		*buf = make([]float64, cols)
+	}
+	scores := (*buf)[:cols]
+	clear(scores)
+	for _, p := range s.parts {
+		m := p.m
+		for i := 0; i < m.Rows; i++ {
+			w := dot(us, root.U.Row(p.lo+i))
+			vals := m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+			for q, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
+				scores[c] += w * vals[q]
+			}
+		}
+	}
+	// The matrix has MaxNodes columns; only the first numNodes are real
+	// nodes of this snapshot's graph — the rest would surface as
+	// zero-score ghosts.
+	exclude := s.excluded[s.excludedOff[row]:s.excludedOff[row+1]]
+	recs := scanTopK(scores[:min(cols, s.numNodes)], exclude, k)
+	scorePool.Put(buf)
+	return recs, nil
 }
 
 // exclusionLists returns, for every subset node in row order, the nodes
@@ -322,9 +355,9 @@ func dot(a, b []float64) float64 {
 // DynRows keep mutating afterwards; the copy is two appends per stored
 // cell, no sort) and each subset node's exclusion list — itself and its
 // out-neighbors, sorted — is copied out of the graph for the same reason,
-// all lists into one array. An unsharded embedder freezes its factors
-// directly; a sharded one freezes the per-shard parts and defers the
-// coordinator merge to the first global read.
+// all lists into one array. An unsharded embedder's one part is its
+// global factorization, frozen here; a sharded one defers the coordinator
+// merge to the first global read.
 func (e *Embedder) publishLocked() {
 	g := e.g
 	excluded, off := exclusionLists(g, e.subset)
@@ -336,29 +369,21 @@ func (e *Embedder) publishLocked() {
 		excludedOff: off,
 		numNodes:    g.NumNodes(),
 	}
-	if len(e.shards) == 1 {
-		s := e.shards[0]
-		root := s.tree.Root()
+	snap.parts = make([]snapPart, len(e.shards))
+	for i, s := range e.shards {
+		snap.parts[i] = snapPart{root: s.tree.Root(), m: s.prox.M.ToCSR(), lo: s.lo, hi: s.hi}
 		ts := s.tree.Stats()
-		snap.x = root.USqrtS()
-		snap.root = root
-		snap.m = s.prox.M.ToCSR()
-		snap.stats = Stats{
-			Level1Rebuilt: ts.Level1Rebuilt, Level1Updated: ts.Level1Updated,
-			Skipped: ts.Skipped, UpperRebuilt: ts.UpperRebuilt,
-		}
+		snap.stats.Level1Rebuilt += ts.Level1Rebuilt
+		snap.stats.Level1Updated += ts.Level1Updated
+		snap.stats.Skipped += ts.Skipped
+		snap.stats.UpperRebuilt += ts.UpperRebuilt
+	}
+	if len(e.shards) == 1 {
+		snap.root = snap.parts[0].root
+		snap.x = snap.root.USqrtS()
 	} else {
-		snap.parts = make([]snapPart, len(e.shards))
 		snap.rank = e.cfg.Dim
 		snap.workers = par.Workers(e.cfg.Workers)
-		for i, s := range e.shards {
-			snap.parts[i] = snapPart{root: s.tree.Root(), m: s.prox.M.ToCSR(), lo: s.lo, hi: s.hi}
-			ts := s.tree.Stats()
-			snap.stats.Level1Rebuilt += ts.Level1Rebuilt
-			snap.stats.Level1Updated += ts.Level1Updated
-			snap.stats.Skipped += ts.Skipped
-			snap.stats.UpperRebuilt += ts.UpperRebuilt
-		}
 	}
 	e.snap.Store(snap)
 	e.met.snapshots.Inc()

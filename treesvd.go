@@ -114,12 +114,11 @@ type Config struct {
 	// Shards splits the subset into this many contiguous row shards, each
 	// owning its sources' PPR states, its slice of the proximity matrix
 	// and its own Tree-SVD; the coordinator fans event batches out to
-	// every shard in parallel (bounded by Workers overall), merges the
-	// per-shard factorizations above the shard boundary, and serves
-	// Recommend by scatter-gather over per-shard top-k heaps. 0 and 1 mean
-	// unsharded (bit-identical to builds predating this knob). Negative
-	// values and counts exceeding the subset size are rejected with a
-	// *ShardConfigError.
+	// every shard in parallel (bounded by Workers overall) and merges the
+	// per-shard factorizations above the shard boundary on the first read
+	// that needs global factors. 0 and 1 mean unsharded (bit-identical to
+	// builds predating this knob). Negative values and counts exceeding
+	// the subset size are rejected with a *ShardConfigError.
 	Shards int
 	// SVDUpdate enables the Brand-style incremental factorization path for
 	// the dynamic updates: a violating level-1 block whose accumulated
