@@ -80,7 +80,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 50x .
 
 # Emits BENCH_KERNELS.json: ns/op, allocs/op and B/op for every hot
-# linear-algebra kernel across worker budgets (see internal/linalg/bench_test.go).
+# linear-algebra kernel across worker budgets, and the upper-level merge
+# SVD stage by stage (SVDTruncMerge/* rows: gram, reduce, eigenvalues,
+# vectors, backproject, whole, and the full solver's whole beside it) at
+# the two merge shapes (see internal/linalg/bench_test.go).
 bench-kernels:
 	BENCH_KERNELS_OUT=$(CURDIR)/BENCH_KERNELS.json $(GO) test -run TestEmitKernelBench -v ./internal/linalg
 

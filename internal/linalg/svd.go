@@ -3,6 +3,8 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 )
 
 // SVDResult holds a (possibly truncated) singular value decomposition
@@ -93,10 +95,10 @@ func SVDW(a *Dense, workers int) *SVDResult {
 	return svdLimited(a, -1, workers)
 }
 
-// SVDTrunc computes the top-d thin SVD. The full eigensystem of the Gram
-// matrix is still computed (exactness), but only the top d singular
-// vectors of the larger side are recovered, which dominates the cost for
-// d ≪ min(rows, cols).
+// SVDTrunc computes the top-d thin SVD. It is exact, not sketched: the
+// Gram matrix's whole spectrum is computed and cut at d, but for d well
+// below min(rows, cols) only the d kept eigenvectors are (see gramEig),
+// and only the top d singular vectors of the larger side are recovered.
 func SVDTrunc(a *Dense, d int) *SVDResult {
 	return svdLimited(a, d, 1)
 }
@@ -107,64 +109,145 @@ func SVDTruncW(a *Dense, d, workers int) *SVDResult {
 }
 
 // svdLimited is the shared Gram-route implementation; maxRank < 0 keeps
-// every numerically non-zero triplet. The Gram matrix is pooled scratch:
-// SymEigW clones it internally, so it is released before the routine
-// returns and every tree merge reuses the same storage.
+// every numerically non-zero triplet. The Gram matrix of the smaller side
+// is pooled scratch that the eigensolver reduces in place, so every tree
+// merge reuses the same storage. Signs are normalized here, in one place
+// for both eigensolver routes: the largest-magnitude component of each
+// left singular vector (lowest index on ties) is positive.
 func svdLimited(a *Dense, maxRank, workers int) *SVDResult {
 	m, n := a.Rows, a.Cols
 	if m == 0 || n == 0 {
 		return &SVDResult{U: NewDense(m, 0), S: nil, V: NewDense(n, 0)}
 	}
-	if n <= m {
-		g := GetDense(n, n)
+	wide := n > m
+	g := GetDense(min(m, n), min(m, n))
+	if wide {
+		gramTInto(g, a, workers)
+	} else {
 		gramInto(g, a, workers)
-		lambda, v := SymEigW(g, workers)
-		PutDense(g)
-		s, rank := sigmaFromLambda(lambda)
-		if maxRank >= 0 && rank > maxRank {
-			rank = maxRank
-			s = s[:rank]
-		}
-		vk := v.SliceCols(0, rank)
-		// U = A·V·Σ⁻¹
-		u := MulW(a, vk, workers)
-		invScaleCols(u, s)
-		return &SVDResult{U: u, S: s, V: vk}
 	}
-	g := GetDense(m, m)
-	gramTInto(g, a, workers)
-	lambda, u := SymEigW(g, workers)
+	s, small := gramEig(g, maxRank, workers)
 	PutDense(g)
-	s, rank := sigmaFromLambda(lambda)
-	if maxRank >= 0 && rank > maxRank {
-		rank = maxRank
-		s = s[:rank]
+	// The other side from the eigenvectors: U = A·V·Σ⁻¹ or V = Aᵀ·U·Σ⁻¹.
+	var large *Dense
+	if wide {
+		large = TMulW(a, small, workers)
+	} else {
+		large = MulW(a, small, workers)
 	}
-	uk := u.SliceCols(0, rank)
-	// V = Aᵀ·U·Σ⁻¹
-	v := TMulW(a, uk, workers)
-	invScaleCols(v, s)
-	return &SVDResult{U: uk, S: s, V: v}
+	invScaleCols(large, s)
+	res := &SVDResult{U: large, S: s, V: small}
+	if wide {
+		res.U, res.V = small, large
+	}
+	fixSigns(res.U, res.V)
+	return res
 }
 
-func sigmaFromLambda(lambda []float64) ([]float64, int) {
-	if len(lambda) == 0 {
-		return nil, 0
+// Rows of gramEig's scratch slab.
+const (
+	rowH    = iota // reflector scales; the full route's eigenvalues
+	rowE           // subdiagonal of the tridiagonal T
+	rowDiag        // diagonal of T
+	rowLam         // eigenvalues, descending
+	rowE2          // the eigenvalue-only QL's copy of e
+	rowLU          // 5 rows: tridiagVectors' factorization
+	rowVecs = rowLU + 5
+)
+
+// gramEig returns the singular values s (descending, cut at svdRankTol
+// and at maxRank when maxRank ≥ 0) of a matrix from its Gram matrix g,
+// and the len(s) matching eigenvectors of g as columns. g is destroyed.
+//
+// Both routes start from one Householder reduction of g. When few
+// eigenpairs are wanted (maxRank·partialEigRatio ≤ n) the top-d route
+// of topeig.go computes only those; should one of its vectors fail the
+// residual gate, the call continues from the same reduction into the
+// full solver (accumulate, rotating QL), as it does when many or all
+// pairs are wanted. The eigenvalues are the same bits either way. All
+// scratch is one slab: the rows named above, then the d×n panel the
+// top-d route builds its vectors in. It is allocated per call, not
+// pooled: the pool hands any buffer to any request, and a small request
+// on every level-1 SVD beside the merges' large ones drove every pooled
+// buffer to the largest size (+3 MB live heap on ingest-churn).
+func gramEig(g *Dense, maxRank, workers int) ([]float64, *Dense) {
+	n := g.Rows
+	partial := maxRank >= 0 && maxRank*partialEigRatio <= n && !ForceFullEig.Load()
+	panel := 0
+	if partial {
+		panel = maxRank
 	}
-	max := lambda[0]
-	if max <= 0 {
-		return nil, 0
+	ws := NewDense(rowVecs+panel, n)
+	h, e := ws.Row(rowH), ws.Row(rowE)
+	tred2Reduce(g, h, e, workers)
+	if partial {
+		diag, lam, e2 := ws.Row(rowDiag), ws.Row(rowLam), ws.Row(rowE2)
+		for i := range diag {
+			diag[i] = g.Data[i*n+i]
+		}
+		copy(lam, diag)
+		copy(e2, e)
+		tql2(nil, lam, e2, 1)
+		sort.Float64s(lam)
+		slices.Reverse(lam)
+		s := sigmaFromLambda(lam, maxRank)
+		vt := NewDenseData(len(s), n, ws.Data[rowVecs*n:][:len(s)*n])
+		if tridiagVectors(vt, diag, e, lam, ws.Data[rowLU*n:rowVecs*n]) {
+			backTransform(vt, g, h, workers)
+			return s, vt.T()
+		}
+		eigFallbacks.Inc()
 	}
-	rank := 0
+	tred2Accumulate(g, h, workers)
+	tql2(g, h, e, workers)
+	v := g.T()
+	sortEig(h, v)
+	s := sigmaFromLambda(h, maxRank)
+	return s, v.SliceCols(0, len(s))
+}
+
+// sigmaFromLambda turns the descending spectrum of a Gram matrix into
+// singular values, dropping the numerically zero tail and everything
+// past maxRank (when maxRank ≥ 0).
+func sigmaFromLambda(lambda []float64, maxRank int) []float64 {
+	if len(lambda) == 0 || lambda[0] <= 0 {
+		return nil
+	}
+	if maxRank >= 0 && maxRank < len(lambda) {
+		lambda = lambda[:maxRank]
+	}
 	s := make([]float64, 0, len(lambda))
 	for _, l := range lambda {
-		if l <= svdRankTol*max {
+		if l <= svdRankTol*lambda[0] {
 			break
 		}
 		s = append(s, math.Sqrt(l))
-		rank++
 	}
-	return s, rank
+	return s
+}
+
+// fixSigns flips singular pairs (column j of u and of v) so that the
+// largest-magnitude entry of every u column, the first such on ties, is
+// positive.
+func fixSigns(u, v *Dense) {
+	big := make([]float64, u.Cols) // signed extreme entry per column
+	for i := 0; i < u.Rows; i++ {
+		for j, x := range u.Row(i) {
+			if math.Abs(x) > math.Abs(big[j]) {
+				big[j] = x
+			}
+		}
+	}
+	for _, m := range []*Dense{u, v} {
+		for i := 0; i < m.Rows; i++ {
+			row := m.Row(i)
+			for j := range row {
+				if big[j] < 0 {
+					row[j] = -row[j]
+				}
+			}
+		}
+	}
 }
 
 func invScaleCols(m *Dense, s []float64) {

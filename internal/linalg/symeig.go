@@ -39,28 +39,32 @@ func SymEigW(a *Dense, workers int) (lambda []float64, v *Dense) {
 	vt := a.Clone()
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(vt, d, e, workers)
+	tred2Reduce(vt, d, e, workers)
+	tred2Accumulate(vt, d, workers)
 	tql2(vt, d, e, workers)
 	v = vt.T()
 	sortEig(d, v)
 	return d, v
 }
 
-// tred2 reduces a symmetric matrix to tridiagonal form, overwriting zt
-// with the accumulated orthogonal transformation (transposed: row j of zt
-// is transform column j), d with the diagonal and e with the subdiagonal
-// (e[0] unused). The textbook V[a][b] maps to zt.Row(b)[a], which makes
-// every inner loop a contiguous slice walk.
+// tred2Reduce reduces the symmetric matrix zt to tridiagonal form
+// T = Qᵀ·A·Q, Q = H_{n-1}···H_1 with H_i = I − u_i·u_iᵀ/h_i acting on the
+// first i coordinates. On return the diagonal of T is the diagonal of
+// zt, e[1:] its subdiagonal, row i of zt holds u_i in columns [0, i) and
+// d[i] holds h_i (0: H_i = I; d[0] unused) — everything either solver
+// needs: tred2Accumulate forms Q from it, backTransform applies Q to a
+// few vectors without forming it. The textbook V[a][b] maps to
+// zt.Row(b)[a], which makes every inner loop a contiguous slice walk.
 //
-// The two O(l²) passes per step — the symmetric rank-2 update and the
-// transform accumulation — touch one zt row per j index and read only
-// shared state written before the pass, so they fan out over j-panels;
-// the deferred d[j] writes keep the parallel schedule identical to the
-// serial one. The symmetric matrix-vector product stays serial: it
-// accumulates into e across j, and only the upper triangle of the active
-// submatrix is valid, so splitting it would need per-worker reduction
-// buffers for a loop that is at most a third of the step.
-func tred2(zt *Dense, d, e []float64, workers int) {
+// The O(l²) symmetric rank-2 update of each step touches one zt row per
+// j index and reads only shared state written before the pass, so it
+// fans out over j-panels; the deferred d[j] writes keep the parallel
+// schedule identical to the serial one. The symmetric matrix-vector
+// product stays serial: it accumulates into e across j, and only the
+// upper triangle of the active submatrix is valid, so splitting it
+// would need per-worker reduction buffers for a loop that is at most a
+// third of the step.
+func tred2Reduce(zt *Dense, d, e []float64, workers int) {
 	n := zt.Rows
 	copy(d, zt.Row(n-1)) // symmetric input: row n-1 == column n-1
 	// The parallel pass closures are hoisted out of the O(n) step loops and
@@ -76,14 +80,6 @@ func tred2(zt *Dense, d, e []float64, workers int) {
 				rowJ[k] -= fj*e[k] + gj*d[k]
 			}
 			rowJ[ci] = 0
-		}
-	}
-	accumulate := func(jlo, jhi int) {
-		rowL := zt.Row(cl)
-		for j := jlo; j < jhi; j++ {
-			rowJ := zt.Row(j)[:cl]
-			g := Dot(rowL[:cl], rowJ)
-			axpy(rowJ, -g, d[:cl])
 		}
 	}
 	for i := n - 1; i > 0; i-- {
@@ -149,7 +145,24 @@ func tred2(zt *Dense, d, e []float64, workers int) {
 		}
 		d[i] = h
 	}
-	// Accumulate transformations.
+	e[0] = 0
+}
+
+// tred2Accumulate turns tred2Reduce's output into the explicit transform:
+// zt becomes Qᵀ (row j is column j of Q) and d the diagonal of T. Each
+// step applies one reflector to the rows accumulated so far; the rows
+// are independent, so the pass fans out over j-panels.
+func tred2Accumulate(zt *Dense, d []float64, workers int) {
+	n := zt.Rows
+	var cl int // current step, read by the hoisted closure (see tred2Reduce)
+	accumulate := func(jlo, jhi int) {
+		rowL := zt.Row(cl)
+		for j := jlo; j < jhi; j++ {
+			rowJ := zt.Row(j)[:cl]
+			g := Dot(rowL[:cl], rowJ)
+			axpy(rowJ, -g, d[:cl])
+		}
+	}
 	for i := 0; i < n-1; i++ {
 		rowI := zt.Row(i)
 		rowI[n-1] = rowI[i]
@@ -173,12 +186,14 @@ func tred2(zt *Dense, d, e []float64, workers int) {
 		rowJ[n-1] = 0
 	}
 	zt.Row(n - 1)[n-1] = 1
-	e[0] = 0
 }
 
 // tql2 diagonalizes the tridiagonal matrix (d, e) with implicit-shift QL
-// iterations, rotating the eigenvector matrix alongside. zt holds the
-// eigenvector matrix transposed: row i of zt is eigenvector column i. The
+// iterations, leaving the eigenvalues (unsorted) in d. With zt non-nil it
+// rotates the eigenvector matrix alongside: zt holds it transposed, row i
+// of zt is eigenvector column i. With zt nil only the scalar recurrence
+// runs — eigenvalues alone, O(n²), and bit-identical to the ones the
+// rotating run produces, since the recurrence never reads zt. The
 // routine is a port of the EISPACK/JAMA tql2, whose shift strategy and
 // global deflation test are robust to the clustered and near-zero
 // eigenvalues that Gram matrices of nearly low-rank blocks produce.
@@ -189,16 +204,19 @@ func tred2(zt *Dense, d, e []float64, workers int) {
 // chunk, every chunk applying the chain in the same order, so it fans
 // out across the worker budget with a bit-identical result.
 func tql2(zt *Dense, d, e []float64, workers int) {
-	n := zt.Rows
+	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
 	e[n-1] = 0
-	cs := make([]float64, n)
-	sn := make([]float64, n)
-	// Hoisted out of the QL iteration (see the matching comment in tred2):
-	// replays the rotation chain recorded in cs/sn for rows cl..cm-1 on one
-	// column chunk of the eigenvector matrix.
+	var cs, sn []float64
+	if zt != nil {
+		cs = make([]float64, n)
+		sn = make([]float64, n)
+	}
+	// Hoisted out of the QL iteration (see the matching comment in
+	// tred2Reduce): replays the rotation chain recorded in cs/sn for rows
+	// cl..cm-1 on one column chunk of the eigenvector matrix.
 	var cm, cll int
 	replay := func(klo, khi int) {
 		for i := cm - 1; i >= cll; i-- {
@@ -211,7 +229,6 @@ func tql2(zt *Dense, d, e []float64, workers int) {
 			}
 		}
 	}
-	const eps = 2.220446049250313e-16 // 2^-52
 	var f, tst1 float64
 	for l := 0; l < n; l++ {
 		if s := math.Abs(d[l]) + math.Abs(e[l]); s > tst1 {
@@ -219,7 +236,7 @@ func tql2(zt *Dense, d, e []float64, workers int) {
 		}
 		m := l
 		for m < n {
-			if math.Abs(e[m]) <= eps*tst1 {
+			if math.Abs(e[m]) <= eps52*tst1 {
 				break
 			}
 			m++
@@ -232,7 +249,7 @@ func tql2(zt *Dense, d, e []float64, workers int) {
 				// Compute the implicit shift.
 				g := d[l]
 				p := (d[l+1] - g) / (2 * e[l])
-				r := math.Hypot(p, 1)
+				r := hypot(p, 1)
 				if p < 0 {
 					r = -r
 				}
@@ -254,22 +271,26 @@ func tql2(zt *Dense, d, e []float64, workers int) {
 					c3, c2, s2 = c2, c, s
 					g = c * e[i]
 					h = c * p
-					r = math.Hypot(p, e[i])
+					r = hypot(p, e[i])
 					e[i+1] = s * r
 					s = e[i] / r
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					cs[i], sn[i] = c, s
+					if zt != nil {
+						cs[i], sn[i] = c, s
+					}
 				}
 				// ...then replay the chain on the eigenvector rows, split
 				// over column chunks.
-				cm, cll = m, l
-				par.ForChunks(n, kernelWorkers(workers, n, 6*(m-l)*n), replay)
+				if zt != nil {
+					cm, cll = m, l
+					par.ForChunks(n, kernelWorkers(workers, n, 6*(m-l)*n), replay)
+				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
 				d[l] = c * p
-				if math.Abs(e[l]) <= eps*tst1 {
+				if math.Abs(e[l]) <= eps52*tst1 {
 					break
 				}
 			}
@@ -277,6 +298,19 @@ func tql2(zt *Dense, d, e []float64, workers int) {
 		d[l] += f
 		e[l] = 0
 	}
+}
+
+// hypot is math.Hypot, which pays a division and several branches on
+// every call to be safe where p² + q² would overflow or underflow, with
+// the plain form for the sums that cannot: one inside [2⁻⁹⁰⁰, 2⁹⁰⁰] had
+// each term either exact to rounding or below 2⁻¹²² of the other. The QL
+// recurrence calls it once per rotation, and in the eigenvalue-only run
+// it was 45 % of the time.
+func hypot(p, q float64) float64 {
+	if s := p*p + q*q; s >= 0x1p-900 && s <= 0x1p900 {
+		return math.Sqrt(s)
+	}
+	return math.Hypot(p, q)
 }
 
 // JacobiSymEig is the cyclic Jacobi eigensolver — slower than SymEig but

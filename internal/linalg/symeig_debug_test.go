@@ -17,8 +17,9 @@ func TestTred2Internal(t *testing.T) {
 		zt := a.Clone()
 		d := make([]float64, n)
 		e := make([]float64, n)
-		tred2(zt, d, e, 1)
-		z := zt.T() // tred2 returns the transform transposed
+		tred2Reduce(zt, d, e, 1)
+		tred2Accumulate(zt, d, 1)
+		z := zt.T() // the transform comes back transposed
 		checkOrthonormalCols(t, z, 1e-10, "tred2 Q")
 		tri := Mul(z.T(), Mul(a, z))
 		for i := 0; i < n; i++ {
