@@ -1,9 +1,10 @@
-# Tree-SVD developer targets. `make ci` is the full gate: vet, build,
-# tests, the race-detector pass over the concurrency-sensitive packages
-# (the public facade and everything under internal/), the short-mode
-# differential fuzz of the correctness harness, ten seconds of coverage
-# fuzzing on each decoder of untrusted bytes, and the fault-injection
-# crash matrix of the durable wrapper.
+# Tree-SVD developer targets. `make ci` is the full gate: gofmt, vet,
+# build, tests, the race-detector pass over the concurrency-sensitive
+# packages (the public facade, everything under internal/, and the
+# binaries under cmd/, which have no tests but build and vet under it),
+# the short-mode differential fuzz of the correctness harness, ten
+# seconds of coverage fuzzing on each decoder of untrusted bytes, and the
+# fault-injection crash matrix of the durable wrapper.
 
 GO ?= go
 
@@ -16,7 +17,7 @@ SEEDS ?= 16
 
 .PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short bench-recommend-short serve-race fmt docs
 
-ci: vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short
+ci: fmt vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short
 
 vet:
 	$(GO) vet ./...
@@ -37,7 +38,7 @@ test:
 # hundred steps per shape; `make test` runs it at full size.
 race:
 	$(GO) test -race -short ./internal/sparse
-	$(GO) test -race $$($(GO) list ./internal/... | grep -v /internal/sparse$$) ./server/... ./client/... .
+	$(GO) test -race $$($(GO) list ./internal/... | grep -v /internal/sparse$$) ./server/... ./client/... ./cmd/... .
 
 # Differential correctness harness at the default seed count, under the
 # race detector — the CI gate for the dynamic path. Includes the
@@ -63,14 +64,16 @@ chaos:
 	$(GO) test -race -count=1 -run TestDiskFullDegradedReopen .
 
 # Coverage-guided fuzzing of the decoders that read bytes the process did
-# not write: the event-stream parser and the proximity matrix's gob codec
-# (a decode returns an error or a matrix that passes its audit, never a
-# panic). go test takes one -fuzz target per run. Minimizing a new input
+# not write: the event-stream parser, the proximity matrix's gob codec and
+# Load — the whole save format, graph and PPR-state gob decoders included,
+# behind a re-sealed checksum (a decode returns an error or a value that
+# passes its audit, never a panic). go test takes one -fuzz target per run. Minimizing a new input
 # is capped well below the budget — the seeds are kilobytes long and the
 # default cap (60s) would spend the whole run shrinking the first find.
 fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzDynRowGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Configurable-depth fuzz: make fuzz SEEDS=64
 fuzz:
@@ -151,5 +154,6 @@ bench-serve-short:
 serve-race:
 	$(GO) test -race -count=1 ./server/... ./client/...
 
+# Formatting gate: lists unformatted files and fails when there are any.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/wal"
 )
 
@@ -220,13 +219,13 @@ func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg Durabl
 	if err != nil {
 		return nil, err
 	}
-	manifest, shards, err := e.checkpointPayloads()
+	payload, err := e.saveBytes()
 	if err != nil {
 		return nil, err
 	}
 	// Batches are numbered from 1; checkpoint seq 0 is "nothing applied
 	// beyond the initial build".
-	if err := writeCheckpointSet(fsys, dir, 0, manifest, shards); err != nil {
+	if err := wal.WriteCheckpoint(fsys, dir, 0, payload); err != nil {
 		return nil, err
 	}
 	dm := &durableMetrics{}
@@ -258,27 +257,28 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 
 	// Newest checkpoint that verifies and decodes wins; corrupt ones are
 	// bypassed. The WAL is only ever pruned up to the oldest kept
-	// checkpoint, so every batch a fallback needs is still logged.
+	// checkpoint, so every batch a fallback needs is still logged. Anything
+	// that is not damage — an I/O failure, a checkpoint written at another
+	// format version — stops the open instead of being masked.
 	var (
 		e       *Embedder
-		ckSeq   uint64
-		skipped int
+		info    RecoveryInfo
 		lastErr error
 	)
-	for i := len(cks) - 1; i >= 0 && e == nil; i-- {
+	for i := len(cks) - 1; i >= 0; i-- {
 		seq, payload, err := wal.ReadCheckpoint(fsys, dir, cks[i].Name)
 		if err == nil {
-			var cand *Embedder
-			if cand, err = restoreCheckpoint(fsys, dir, cks[i].Name, seq, payload); err == nil {
-				e, ckSeq = cand, seq
-				break
-			}
+			e, err = decodeEmbedder(payload, filepath.Join(dir, cks[i].Name))
+		}
+		if err == nil {
+			info.CheckpointSeq = seq
+			break
 		}
 		var corrupt *CorruptStateError
 		if !errors.As(err, &corrupt) && !isWALCorrupt(err) {
-			return nil, err // I/O failure, not damage — don't mask it
+			return nil, err
 		}
-		skipped++
+		info.SkippedCheckpoints++
 		lastErr = asCorruptState(err)
 	}
 	if e == nil {
@@ -292,54 +292,35 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	if err := wal.RemoveTempFiles(fsys, dir); err != nil {
 		return nil, err
 	}
-	// Shard payload files whose manifest never landed (a crash between the
-	// shard writes and the manifest rename) are dead weight; collect them.
-	if err := wal.PruneShardCheckpoints(fsys, dir); err != nil {
+	info.TornTail, info.DroppedBatches, info.DropReason = rec.TornTail, rec.Dropped, rec.DropReason
+
+	next := info.CheckpointSeq + 1
+	replay := func() error {
+		for _, r := range rec.Records {
+			if r.Seq <= info.CheckpointSeq {
+				continue // already folded into the checkpoint
+			}
+			if r.Seq != next {
+				return &CorruptStateError{Path: dir, Offset: -1,
+					Reason: fmt.Sprintf("log resumes at batch %d after checkpoint %d: missing batches", r.Seq, info.CheckpointSeq)}
+			}
+			events, err := wal.DecodeEvents(r.Payload)
+			if err != nil {
+				return &CorruptStateError{Path: dir, Offset: -1,
+					Reason: fmt.Sprintf("logged batch %d does not decode", r.Seq), Err: err}
+			}
+			if _, err := e.applyEventsLocked(context.Background(), events, false); err != nil {
+				return &CorruptStateError{Path: dir, Offset: -1,
+					Reason: fmt.Sprintf("replay of logged batch %d failed", r.Seq), Err: err}
+			}
+			next++
+			info.ReplayedBatches++
+		}
+		return nil
+	}
+	if err := e.finishRestore(dir, replay); err != nil {
 		return nil, err
 	}
-
-	info := RecoveryInfo{
-		CheckpointSeq:      ckSeq,
-		SkippedCheckpoints: skipped,
-		TornTail:           rec.TornTail,
-		DroppedBatches:     rec.Dropped,
-		DropReason:         rec.DropReason,
-	}
-	ctx := context.Background()
-	next := ckSeq + 1
-	e.mu.Lock()
-	for _, r := range rec.Records {
-		if r.Seq <= ckSeq {
-			continue // already folded into the checkpoint
-		}
-		if r.Seq != next {
-			e.mu.Unlock()
-			return nil, &CorruptStateError{Path: dir, Offset: -1,
-				Reason: fmt.Sprintf("log resumes at batch %d after checkpoint %d: missing batches", r.Seq, ckSeq)}
-		}
-		events, err := wal.DecodeEvents(r.Payload)
-		if err != nil {
-			e.mu.Unlock()
-			return nil, &CorruptStateError{Path: dir, Offset: -1,
-				Reason: fmt.Sprintf("logged batch %d does not decode", r.Seq), Err: err}
-		}
-		if _, err := e.applyEventsLocked(ctx, events, false); err != nil {
-			e.mu.Unlock()
-			return nil, &CorruptStateError{Path: dir, Offset: -1,
-				Reason: fmt.Sprintf("replay of logged batch %d failed", r.Seq), Err: err}
-		}
-		next++
-		info.ReplayedBatches++
-	}
-	// Audit before anything becomes readable: a recovered state that fails
-	// the invariant checkers must never serve a query.
-	if err := e.auditLocked(); err != nil {
-		e.mu.Unlock()
-		return nil, &CorruptStateError{Path: dir, Offset: -1,
-			Reason: "recovered state failed the invariant audit", Err: err}
-	}
-	e.publishLocked()
-	e.mu.Unlock()
 
 	dm := &durableMetrics{}
 	w, err := wal.NewWriter(fsys, dir, next, cfg.walOptions(&dm.wal))
@@ -351,64 +332,10 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	// one TraceRecovery instead of a batch bracket per replayed record.
 	if cfg.Trace != nil {
 		e.SetTraceHook(cfg.Trace)
-		cfg.Trace(TraceEvent{Kind: TraceRecovery, Seq: ckSeq, Block: -1,
+		cfg.Trace(TraceEvent{Kind: TraceRecovery, Seq: info.CheckpointSeq, Block: -1,
 			Rebuilt: info.ReplayedBatches})
 	}
 	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm, recovery: info}, nil
-}
-
-// restoreCheckpoint decodes one verified checkpoint payload into an
-// embedder. An unsharded (or inline-sharded) payload is a complete save;
-// a sharded manifest instead references ShardFiles sibling payload
-// files, which are read and verified here and decoded in parallel under
-// the saved worker budget. A missing or damaged shard file classifies as
-// corruption — never an I/O error — so the caller's fallback loop moves
-// on to an older checkpoint whose shard set is intact.
-func restoreCheckpoint(fsys wal.FS, dir, name string, seq uint64, payload []byte) (*Embedder, error) {
-	path := filepath.Join(dir, name)
-	saved, err := decodeSaved(payload, path)
-	if err != nil {
-		return nil, err
-	}
-	if saved.ShardFiles > 0 {
-		shards := make([]savedShard, saved.ShardFiles)
-		err := par.ForErr(context.Background(), saved.ShardFiles, par.Workers(saved.Config.Workers), func(i int) error {
-			shardPath := filepath.Join(dir, wal.ShardCheckpointName(seq, i))
-			data, err := wal.ReadShardCheckpoint(fsys, dir, seq, i)
-			if err != nil {
-				if errors.Is(err, os.ErrNotExist) {
-					return corruptErr(shardPath, "manifest %s references a missing shard payload", name)
-				}
-				return err
-			}
-			sh, err := decodeShardPayload(data, shardPath)
-			if err != nil {
-				return err
-			}
-			shards[i] = *sh
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		saved.Shards = shards
-		saved.ShardFiles = 0
-	}
-	return embedderFromSaved(saved, path)
-}
-
-// writeCheckpointSet commits one checkpoint: every shard payload file is
-// written and made durable first, sequentially, and only then the
-// manifest, whose rename is the commit point. A crash anywhere in the
-// sequence leaves at worst orphan shard files — never a listed
-// checkpoint with missing payloads.
-func writeCheckpointSet(fsys wal.FS, dir string, seq uint64, manifest []byte, shards [][]byte) error {
-	for i, p := range shards {
-		if err := wal.WriteShardCheckpoint(fsys, dir, seq, i, p); err != nil {
-			return err
-		}
-	}
-	return wal.WriteCheckpoint(fsys, dir, seq, manifest)
 }
 
 // isWALCorrupt reports whether err is the WAL layer's corruption type.
@@ -612,10 +539,10 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	if busy {
 		return nil // one in flight; the next batch re-triggers
 	}
-	// Capture the state synchronously — checkpointPayloads takes e.mu,
-	// which is free here — so the checkpoint is exactly the state after
-	// batch seq; only the file I/O runs in the background.
-	manifest, shards, err := d.e.checkpointPayloads()
+	// Capture the state synchronously — saveBytes takes e.mu, which is
+	// free here — so the checkpoint is exactly the state after batch seq;
+	// only the file I/O runs in the background.
+	payload, err := d.e.saveBytes()
 	if err != nil {
 		d.ckptMu.Lock()
 		d.ckptBusy = false
@@ -626,7 +553,7 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	d.ckptWG.Add(1)
 	go func() {
 		defer d.ckptWG.Done()
-		err := d.commitCheckpoint(seq, manifest, shards)
+		err := d.commitCheckpoint(seq, payload)
 		d.ckptMu.Lock()
 		d.ckptErr = err
 		d.ckptBusy = false
@@ -639,11 +566,11 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 // batch seq. Caller holds d.mu.
 func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 	d.ckptWG.Wait() // never two checkpoint writers at once
-	manifest, shards, err := d.e.checkpointPayloads()
+	payload, err := d.e.saveBytes()
 	if err != nil {
 		return err
 	}
-	if err := d.commitCheckpoint(seq, manifest, shards); err != nil {
+	if err := d.commitCheckpoint(seq, payload); err != nil {
 		return err
 	}
 	d.sinceCkpt = 0
@@ -656,9 +583,9 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 // touches checkpoint files and sealed segments. It records the commit in
 // the checkpoint metrics and fires TraceCheckpoint (from the background
 // checkpoint goroutine unless SyncCheckpoints is set).
-func (d *DurableEmbedder) commitCheckpoint(seq uint64, manifest []byte, shards [][]byte) error {
+func (d *DurableEmbedder) commitCheckpoint(seq uint64, payload []byte) error {
 	start := time.Now()
-	err := d.writeCheckpointFiles(seq, manifest, shards)
+	err := d.writeCheckpointFiles(seq, payload)
 	if err == nil {
 		d.met.checkpoints.Inc()
 		d.met.ckptNanos.ObserveSince(start)
@@ -670,17 +597,13 @@ func (d *DurableEmbedder) commitCheckpoint(seq uint64, manifest []byte, shards [
 }
 
 // writeCheckpointFiles is the I/O body of commitCheckpoint: commit the
-// set (shard payloads, then manifest), retire old manifests, collect the
-// shard payloads those manifests stranded, and prune covered WAL
-// segments.
-func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, manifest []byte, shards [][]byte) error {
-	if err := writeCheckpointSet(d.fs, d.dir, seq, manifest, shards); err != nil {
+// checkpoint (its rename is the commit point), retire old ones, and prune
+// covered WAL segments.
+func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error {
+	if err := wal.WriteCheckpoint(d.fs, d.dir, seq, payload); err != nil {
 		return err
 	}
 	if err := wal.PruneCheckpoints(d.fs, d.dir, d.cfg.KeepCheckpoints); err != nil {
-		return err
-	}
-	if err := wal.PruneShardCheckpoints(d.fs, d.dir); err != nil {
 		return err
 	}
 	cks, err := wal.ListCheckpoints(d.fs, d.dir)

@@ -218,47 +218,48 @@ func TestDurableCheckpointPrunesWAL(t *testing.T) {
 	}
 }
 
+// TestOpenFallsBackPastCorruptCheckpoint flips a byte inside the newest
+// checkpoint's payload, unsharded and 3-shard alike (one file either way):
+// Open must bypass it, restore the previous one and replay the WAL to the
+// full stream.
 func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
-	fx := newDurableFixture(t)
-	dir := t.TempDir()
-	if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fx := newShardedDurableFixture(t, shards)
+			dir := t.TempDir()
+			if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+				t.Fatal(err)
+			}
+			cks, err := wal.ListCheckpoints(wal.OS, dir)
+			if err != nil || len(cks) < 2 {
+				t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
+			}
+			path := filepath.Join(dir, cks[len(cks)-1].Name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x20
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Open(dir, fx.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			info := d.Recovery()
+			if info.SkippedCheckpoints != 1 {
+				t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
+			}
+			// The fallback checkpoint plus WAL replay must land on the full
+			// stream: segments are only pruned up to the oldest kept checkpoint.
+			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
+				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
+			}
+			requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
+		})
 	}
-	// Flip a byte inside the newest checkpoint's payload.
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest := ""
-	for _, n := range names {
-		if strings.HasSuffix(n.Name(), ".ckpt") && n.Name() > newest {
-			newest = n.Name()
-		}
-	}
-	path := filepath.Join(dir, newest)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(dir, fx.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	info := d.Recovery()
-	if info.SkippedCheckpoints != 1 {
-		t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
-	}
-	// The fallback checkpoint plus WAL replay must land on the full stream:
-	// segments are only pruned up to the oldest kept checkpoint.
-	if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
-		t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
-	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
 }
 
 func TestOpenRejectsFullyCorruptStore(t *testing.T) {
@@ -366,12 +367,10 @@ func TestCrashPointMatrix(t *testing.T) {
 }
 
 // TestCrashPointMatrixSharded re-runs the full crash-point sweep with a
-// 3-shard embedder. Every checkpoint now commits as a multi-file set —
-// three shard payloads, fsynced in order, then the manifest whose rename
-// is the commit point — so the sweep additionally kills the store
-// between shard writes, between the last shard write and the manifest,
-// and during orphan pruning. The recovery contract is unchanged: an
-// audit-clean committed prefix, never shorter than what was
+// 3-shard embedder. A checkpoint is one file at every shard count, so the
+// sweep visits the same fault points as the unsharded one; what differs
+// is the state that must come back: three shards' PPR states, proximity
+// rows and trees, audit-clean and never shorter than what was
 // acknowledged under per-batch fsync.
 func TestCrashPointMatrixSharded(t *testing.T) {
 	runCrashMatrix(t, newShardedDurableFixture(t, 3))
@@ -595,9 +594,9 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 }
 
 // TestShardedDurableRoundTrip is the sharded create/run/reopen parity
-// check: the recovered 3-shard state (manifest + shard payload files +
-// WAL replay) must match the sharded shadow at the persistence
-// tolerance.
+// check: the recovered 3-shard state (checkpoint + WAL replay) must match
+// the sharded shadow at the persistence tolerance, and the store must
+// hold nothing but checkpoint and WAL segment files.
 func TestShardedDurableRoundTrip(t *testing.T) {
 	fx := newShardedDurableFixture(t, 3)
 	dir := t.TempDir()
@@ -618,56 +617,16 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 		t.Fatalf("recovered prefix %d, want %d", got, len(fx.batches))
 	}
 	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened sharded embedding")
-}
-
-// TestOpenFallsBackPastDamagedShardFile damages one shard payload file
-// of the newest committed checkpoint — a bit flip in one run, deletion
-// in the other — and requires Open to classify the whole checkpoint as
-// corrupt, fall back to the previous one, and replay the WAL to the full
-// stream.
-func TestOpenFallsBackPastDamagedShardFile(t *testing.T) {
-	for _, damage := range []string{"bitflip", "missing"} {
-		damage := damage
-		t.Run(damage, func(t *testing.T) {
-			fx := newShardedDurableFixture(t, 3)
-			dir := t.TempDir()
-			if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
-				t.Fatal(err)
-			}
-			cks, err := wal.ListCheckpoints(wal.OS, dir)
-			if err != nil || len(cks) < 2 {
-				t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
-			}
-			target := filepath.Join(dir, wal.ShardCheckpointName(cks[len(cks)-1].Seq, 1))
-			switch damage {
-			case "bitflip":
-				data, err := os.ReadFile(target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[len(data)/2] ^= 0x20
-				if err := os.WriteFile(target, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			case "missing":
-				if err := os.Remove(target); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := Open(dir, fx.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			info := d.Recovery()
-			if info.SkippedCheckpoints != 1 {
-				t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
-			}
-			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
-				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
-			}
-			requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback sharded embedding")
-		})
+	names, err := wal.OS.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		ck, _ := filepath.Match("checkpoint-????????????????.ckpt", n)
+		seg, _ := filepath.Match("wal-*.log", n)
+		if !ck && !seg {
+			t.Errorf("3-shard store holds %q: neither a checkpoint nor a WAL segment", n)
+		}
 	}
 }
 

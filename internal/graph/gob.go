@@ -52,6 +52,15 @@ func (g *Graph) GobDecode(data []byte) error {
 	if wire.Version != gobGraphVersion {
 		return fmt.Errorf("graph: gob version %d, want %d", wire.Version, gobGraphVersion)
 	}
+	if wire.N < 0 {
+		return fmt.Errorf("graph: gob node count %d", wire.N)
+	}
+	if err := checkAdj("out", wire.N, wire.OutPtr, wire.OutAdj); err != nil {
+		return err
+	}
+	if err := checkAdj("in", wire.N, wire.InPtr, wire.InAdj); err != nil {
+		return err
+	}
 	*g = *New(wire.N)
 	for v := 0; v < wire.N; v++ {
 		g.out[v] = append([]int32(nil), wire.OutAdj[wire.OutPtr[v]:wire.OutPtr[v+1]]...)
@@ -61,6 +70,26 @@ func (g *Graph) GobDecode(data []byte) error {
 		for _, v := range g.out[u] {
 			g.edges[edgeKey(u, v)] = struct{}{}
 			g.m++
+		}
+	}
+	return nil
+}
+
+// checkAdj validates one flattened adjacency direction before GobDecode
+// slices it: n+1 offsets that start at 0, never decrease and end at
+// len(adj), and every neighbour a node id in [0, n).
+func checkAdj(dir string, n int, ptr, adj []int32) error {
+	if len(ptr) != n+1 || ptr[0] != 0 || int(ptr[n]) != len(adj) {
+		return fmt.Errorf("graph: gob %s-offsets do not span %d nodes and %d neighbours", dir, n, len(adj))
+	}
+	for v := 0; v < n; v++ {
+		if ptr[v] > ptr[v+1] {
+			return fmt.Errorf("graph: gob %s-offsets decrease at node %d", dir, v)
+		}
+	}
+	for _, w := range adj {
+		if w < 0 || int(w) >= n {
+			return fmt.Errorf("graph: gob %s-neighbour %d outside [0, %d)", dir, w, n)
 		}
 	}
 	return nil

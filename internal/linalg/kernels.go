@@ -144,7 +144,7 @@ func mulPanel(out, a, b *Dense, rlo, rhi int) {
 				orow := out.Row(i)[jb:jh]
 				k := kb
 				for ; k+1 < kh; k += 2 {
-					axpyPair(orow, arow[k], b.Row(k)[jb:jh], arow[k+1], b.Row(k+1)[jb:jh])
+					axpyPair(orow, arow[k], b.Row(k)[jb:jh], arow[k+1], b.Row(k + 1)[jb:jh])
 				}
 				if k < kh {
 					if av := arow[k]; av != 0 {

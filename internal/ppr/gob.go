@@ -3,6 +3,7 @@ package ppr
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"github.com/tree-svd/treesvd/internal/graph"
 )
@@ -47,6 +48,10 @@ func (st *State) GobDecode(data []byte) error {
 	var wire gobState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 		return err
+	}
+	if len(wire.PKeys) != len(wire.PVals) || len(wire.RKeys) != len(wire.RVals) {
+		return fmt.Errorf("ppr: gob state has %d/%d estimate and %d/%d residue keys/values",
+			len(wire.PKeys), len(wire.PVals), len(wire.RKeys), len(wire.RVals))
 	}
 	st.Source = wire.Source
 	st.Dir = graph.Direction(wire.Dir)

@@ -31,17 +31,7 @@ const (
 	ckptPrefix = "checkpoint-"
 	ckptSuffix = ".ckpt"
 	tmpSuffix  = ".tmp"
-	shardInfix = ".shard-"
 )
-
-// Sharded checkpoints split one logical checkpoint across files: one
-// payload file per shard, named checkpoint-<seq>.shard-<i>.ckpt, written
-// (and fsynced) before the plain checkpoint-<seq>.ckpt manifest. The
-// manifest rename is the commit point — shard names fail parseCkptName
-// (their hex part is not exactly 16 chars), so ListCheckpoints,
-// HasState and PruneCheckpoints never observe a checkpoint whose shard
-// payloads are not already durable. A crash between shard writes and
-// the manifest leaves orphans that PruneShardCheckpoints collects.
 
 // CheckpointInfo names one checkpoint file and the batch seq it covers.
 type CheckpointInfo struct {
@@ -66,52 +56,11 @@ func parseCkptName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// shardCkptName names shard i's payload file of the checkpoint at seq.
-func shardCkptName(seq uint64, shard int) string {
-	return fmt.Sprintf("%s%016x%s%d%s", ckptPrefix, seq, shardInfix, shard, ckptSuffix)
-}
-
-// parseShardCkptName inverts shardCkptName.
-func parseShardCkptName(name string) (seq uint64, shard int, ok bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	hexpart, shardpart, found := strings.Cut(mid, shardInfix)
-	if !found || len(hexpart) != 16 {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(hexpart, "%016x", &seq); err != nil {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(shardpart, "%d", &shard); err != nil || shard < 0 {
-		return 0, 0, false
-	}
-	return seq, shard, true
-}
-
 // WriteCheckpoint atomically publishes payload as the checkpoint covering
-// batches up to and including seq. For a sharded checkpoint this is the
-// manifest — write every shard payload with WriteShardCheckpoint first.
+// batches up to and including seq: tmp write, fsync, rename (the commit
+// point), directory fsync.
 func WriteCheckpoint(fs FS, dir string, seq uint64, payload []byte) error {
-	return writeCkptFile(fs, dir, ckptName(seq), seq, payload)
-}
-
-// ShardCheckpointName returns the file name of shard i's payload of the
-// checkpoint at seq, for error reporting and fault-injection targeting.
-func ShardCheckpointName(seq uint64, shard int) string { return shardCkptName(seq, shard) }
-
-// WriteShardCheckpoint atomically publishes one shard's payload of the
-// checkpoint covering seq. The file is durable on return but carries no
-// commit semantics of its own: the checkpoint exists only once its
-// manifest (WriteCheckpoint at the same seq) lands.
-func WriteShardCheckpoint(fs FS, dir string, seq uint64, shard int, payload []byte) error {
-	return writeCkptFile(fs, dir, shardCkptName(seq, shard), seq, payload)
-}
-
-// writeCkptFile is the shared tmp-write/fsync/rename/dirsync body.
-func writeCkptFile(fs FS, dir, name string, seq uint64, payload []byte) error {
-	final := filepath.Join(dir, name)
+	final := filepath.Join(dir, ckptName(seq))
 	tmp := final + tmpSuffix
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -182,22 +131,6 @@ func ReadCheckpoint(fs FS, dir, name string) (uint64, []byte, error) {
 	return seq, data[ckptHdrLen:], nil
 }
 
-// ReadShardCheckpoint loads and verifies one shard's payload of the
-// checkpoint at seq. Integrity failures — including a header that claims
-// a different seq than the file name — come back as a *CorruptError.
-func ReadShardCheckpoint(fs FS, dir string, seq uint64, shard int) ([]byte, error) {
-	name := shardCkptName(seq, shard)
-	got, payload, err := ReadCheckpoint(fs, dir, name)
-	if err != nil {
-		return nil, err
-	}
-	if got != seq {
-		return nil, &CorruptError{Path: filepath.Join(dir, name), Offset: 8,
-			Reason: fmt.Sprintf("shard checkpoint header seq %d disagrees with file name seq %d", got, seq)}
-	}
-	return payload, nil
-}
-
 // ListCheckpoints returns the checkpoints in dir, ascending by seq.
 // Temporary and foreign files are ignored.
 func ListCheckpoints(fs FS, dir string) ([]CheckpointInfo, error) {
@@ -232,39 +165,6 @@ func PruneCheckpoints(fs FS, dir string, keep int) error {
 			return err
 		}
 		removed = true
-	}
-	if removed {
-		return fs.SyncDir(dir)
-	}
-	return nil
-}
-
-// PruneShardCheckpoints removes shard payload files whose seq has no
-// surviving manifest: orphans of a crash between shard writes and the
-// manifest rename, or leftovers of a manifest PruneCheckpoints already
-// removed. Call it after PruneCheckpoints (and during recovery, after
-// RemoveTempFiles).
-func PruneShardCheckpoints(fs FS, dir string) error {
-	cks, err := ListCheckpoints(fs, dir)
-	if err != nil {
-		return err
-	}
-	live := make(map[uint64]bool, len(cks))
-	for _, ck := range cks {
-		live[ck.Seq] = true
-	}
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	removed := false
-	for _, n := range names {
-		if seq, _, ok := parseShardCkptName(n); ok && !live[seq] {
-			if err := fs.Remove(filepath.Join(dir, n)); err != nil {
-				return err
-			}
-			removed = true
-		}
 	}
 	if removed {
 		return fs.SyncDir(dir)

@@ -13,27 +13,20 @@ import (
 
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/graph"
-	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/ppr"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
 // persistVersion guards the save format; bump on incompatible changes.
-// Version 2 appends an integrity footer — the 4-byte magic "TSV2"
-// followed by a little-endian CRC32C of the entire gob payload — so bit
-// rot that still decodes as structurally plausible gob is rejected
-// deterministically. Version-1 saves (no footer) remain loadable.
-//
-// Version 3 is the sharded form: per-shard PPR/proximity/tree state in
-// Shards (single-stream saves) or in sibling shard checkpoint files
-// referenced by ShardFiles (durable checkpoints). Unsharded embedders
-// keep writing version 2, so their saves stay loadable by builds
-// predating sharding.
+// Load, LoadFile and Open accept this version only — there is no upgrade
+// reader. Every save ends in an integrity footer — the 4-byte magic
+// "TSV2" followed by a little-endian CRC32C of the entire gob payload —
+// so bit rot that still decodes as structurally plausible gob is
+// rejected deterministically.
 const (
-	persistVersion        = 2
-	persistVersionSharded = 3
-	persistMagic          = "TSV2"
-	footerLen             = 8
+	persistVersion = 4
+	persistMagic   = "TSV2"
+	footerLen      = 8
 )
 
 // persistCRC is the CRC32C (Castagnoli) table shared by the save footer
@@ -51,30 +44,16 @@ type savedShard struct {
 }
 
 // savedEmbedder is the gob wire form of an Embedder: configuration,
-// subset, the dynamic graph, every PPR state, the proximity matrix with
-// its lazy-update bookkeeping, and the tree's cached factorizations.
-// Loading restores the exact maintenance state — subsequent ApplyEvents
-// behave as if the process had never restarted.
-//
-// Three layouts share the struct: version ≤ 2 carries one shard's state
-// in the flat Fwd/Rev/M/Tree fields; a version-3 single-stream save
-// carries every shard in Shards; a version-3 durable checkpoint
-// manifest carries only Config/Subset/Graph plus ShardFiles — the
-// count of sibling shard checkpoint files holding the savedShard
-// payloads (the manifest is the checkpoint's commit point).
+// subset, the shared dynamic graph, and one savedShard per shard (a
+// single element when unsharded). Loading restores the exact
+// maintenance state — subsequent ApplyEvents behave as if the process
+// had never restarted. A durable checkpoint carries the same bytes.
 type savedEmbedder struct {
 	Version int
 	Config  Config
 	Subset  []int32
 	Graph   *graph.Graph
-	Fwd     []*ppr.State
-	Rev     []*ppr.State
-	M       *sparse.DynRow
-	Tree    *core.TreeSnapshot
 	Shards  []savedShard
-	// ShardFiles > 0 marks a checkpoint manifest: the shard payloads
-	// live in that many sibling files, not in this stream.
-	ShardFiles int
 }
 
 // crcWriter tees writes into a running CRC32C.
@@ -89,10 +68,44 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeFooted gob-encodes v to w followed by the integrity footer.
-func writeFooted(w io.Writer, v any) error {
+// splitFooted verifies and strips the integrity footer, returning the
+// gob payload.
+func splitFooted(data []byte, path string) ([]byte, error) {
+	if len(data) < footerLen || string(data[len(data)-footerLen:len(data)-4]) != persistMagic {
+		return nil, corruptErr(path, "save is missing its integrity footer")
+	}
+	payload := data[:len(data)-footerLen]
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(payload, persistCRC); got != want {
+		return nil, corruptErr(path, "save checksum mismatch: computed %08x, footer %08x", got, want)
+	}
+	return payload, nil
+}
+
+// Save serializes the embedder's complete state to w: a gob payload
+// followed by the integrity footer. It takes the update lock, so it is
+// safe to call concurrently with ApplyEvents/Rebuild and always writes a
+// fully committed state.
+//
+// Save alone is not crash-atomic: a crash mid-write leaves a truncated
+// stream that Load will reject but nothing will repair. Use SaveFile for
+// an atomically replaced on-disk checkpoint, or Open for continuous
+// WAL-backed durability.
+func (e *Embedder) Save(w io.Writer) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	saved := savedEmbedder{
+		Version: persistVersion,
+		Config:  e.cfg,
+		Subset:  e.subset,
+		Graph:   e.g,
+		Shards:  make([]savedShard, len(e.shards)),
+	}
+	for i, s := range e.shards {
+		saved.Shards[i] = savedShard{Fwd: s.prox.Sub.Fwd, Rev: s.prox.Sub.Rev, M: s.prox.M, Tree: s.tree.Snapshot()}
+	}
 	cw := &crcWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(v); err != nil {
+	if err := gob.NewEncoder(cw).Encode(&saved); err != nil {
 		return fmt.Errorf("treesvd: encode: %w", err)
 	}
 	var footer [footerLen]byte
@@ -102,141 +115,58 @@ func writeFooted(w io.Writer, v any) error {
 	return err
 }
 
-// splitFooted verifies and strips the integrity footer, returning the
-// gob payload and whether a footer was present (version-1 saves carry
-// none).
-func splitFooted(data []byte, path string) (payload []byte, hasFooter bool, err error) {
-	if len(data) >= footerLen && string(data[len(data)-footerLen:len(data)-4]) == persistMagic {
-		payload = data[:len(data)-footerLen]
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.Checksum(payload, persistCRC); got != want {
-			return nil, false, corruptErr(path, "save checksum mismatch: computed %08x, footer %08x", got, want)
-		}
-		return payload, true, nil
-	}
-	return data, false, nil
-}
-
-// Save serializes the embedder's complete state to w: a gob payload
-// followed by the integrity footer (version 2 unsharded, version 3
-// sharded). It takes the update lock, so it is safe to call concurrently
-// with ApplyEvents/Rebuild and always writes a fully committed state.
-//
-// Save alone is not crash-atomic: a crash mid-write leaves a truncated
-// stream that Load will reject but nothing will repair. Use SaveFile for
-// an atomically replaced on-disk checkpoint, or Open for continuous
-// WAL-backed durability.
-func (e *Embedder) Save(w io.Writer) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.saveLocked(w)
-}
-
-// saveLocked writes the versioned payload and footer. Caller holds e.mu.
-func (e *Embedder) saveLocked(w io.Writer) error {
-	saved := savedEmbedder{
-		Config: e.cfg,
-		Subset: e.subset,
-		Graph:  e.g,
-	}
-	if len(e.shards) == 1 {
-		s := e.shards[0]
-		saved.Version = persistVersion
-		saved.Fwd = s.prox.Sub.Fwd
-		saved.Rev = s.prox.Sub.Rev
-		saved.M = s.prox.M
-		saved.Tree = s.tree.Snapshot()
-	} else {
-		saved.Version = persistVersionSharded
-		saved.Shards = make([]savedShard, len(e.shards))
-		for i, s := range e.shards {
-			saved.Shards[i] = savedShard{
-				Fwd:  s.prox.Sub.Fwd,
-				Rev:  s.prox.Sub.Rev,
-				M:    s.prox.M,
-				Tree: s.tree.Snapshot(),
-			}
-		}
-	}
-	return writeFooted(w, &saved)
-}
-
-// checkpointPayloads is checkpointPayloadsLocked under e.mu: the durable
-// layer's state-capture entry point.
-func (e *Embedder) checkpointPayloads() (manifest []byte, shards [][]byte, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.checkpointPayloadsLocked()
-}
-
-// checkpointPayloadsLocked builds the durable checkpoint payloads for
-// the current state. An unsharded embedder checkpoints as one full save
-// (shards nil — the layout builds predating sharding recover from); a
-// sharded one returns a slim manifest referencing len(shards) sibling
-// payloads, each the footed gob of one savedShard. Caller holds e.mu.
-func (e *Embedder) checkpointPayloadsLocked() (manifest []byte, shards [][]byte, err error) {
-	if len(e.shards) == 1 {
-		var buf bytes.Buffer
-		if err := e.saveLocked(&buf); err != nil {
-			return nil, nil, err
-		}
-		return buf.Bytes(), nil, nil
-	}
-	var mb bytes.Buffer
-	saved := savedEmbedder{
-		Version:    persistVersionSharded,
-		Config:     e.cfg,
-		Subset:     e.subset,
-		Graph:      e.g,
-		ShardFiles: len(e.shards),
-	}
-	if err := writeFooted(&mb, &saved); err != nil {
-		return nil, nil, err
-	}
-	shards = make([][]byte, len(e.shards))
-	for i, s := range e.shards {
-		var sb bytes.Buffer
-		sh := savedShard{Fwd: s.prox.Sub.Fwd, Rev: s.prox.Sub.Rev, M: s.prox.M, Tree: s.tree.Snapshot()}
-		if err := writeFooted(&sb, &sh); err != nil {
-			return nil, nil, err
-		}
-		shards[i] = sb.Bytes()
-	}
-	return mb.Bytes(), shards, nil
-}
-
-// decodeShardPayload verifies and decodes one shard checkpoint payload.
-func decodeShardPayload(data []byte, path string) (*savedShard, error) {
-	payload, hasFooter, err := splitFooted(data, path)
-	if err != nil {
+// saveBytes is Save into memory: the payload of a durable checkpoint.
+func (e *Embedder) saveBytes() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
 		return nil, err
 	}
-	if !hasFooter {
-		return nil, corruptErr(path, "shard payload is missing its integrity footer")
-	}
-	var sh savedShard
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sh); err != nil {
-		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "shard gob decode failed", Err: err}
-	}
-	return &sh, nil
+	return buf.Bytes(), nil
 }
 
-// Load restores an Embedder previously written by Save (any format
-// version). Integrity and structural-consistency failures are reported
-// as a *CorruptStateError.
+// Load restores an Embedder previously written by Save at the current
+// format version; any other version is refused with an error naming both.
+// Integrity, structural-consistency and invariant-audit failures are
+// reported as a *CorruptStateError.
 func Load(r io.Reader) (*Embedder, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("treesvd: read save: %w", err)
 	}
-	e, err := decodeEmbedder(data, "")
+	return load(data, "")
+}
+
+// load is the shared body of Load and LoadFile.
+func load(data []byte, path string) (*Embedder, error) {
+	e, err := decodeEmbedder(data, path)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	e.publishLocked()
-	e.mu.Unlock()
+	if err := e.finishRestore(path, nil); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// finishRestore is the tail every restore shares — Load, LoadFile and the
+// durable Open: replay (Open's WAL tail; nil otherwise) advances the
+// decoded state, the invariant auditors run over the result, and only
+// then does the first snapshot become readable. A state that fails the
+// audit never serves a query.
+func (e *Embedder) finishRestore(path string, replay func() error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if replay != nil {
+		if err := replay(); err != nil {
+			return err
+		}
+	}
+	if err := e.auditLocked(); err != nil {
+		return &CorruptStateError{Path: path, Offset: -1,
+			Reason: "restored state failed the invariant audit", Err: err}
+	}
+	e.publishLocked()
+	return nil
 }
 
 // SaveFile writes the embedder's state to path crash-atomically: the
@@ -282,14 +212,7 @@ func LoadFile(path string) (*Embedder, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := decodeEmbedder(data, path)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.publishLocked()
-	e.mu.Unlock()
-	return e, nil
+	return load(data, path)
 }
 
 // syncDir fsyncs a directory, making a rename inside it durable.
@@ -307,29 +230,16 @@ func corruptErr(path, format string, args ...any) error {
 	return &CorruptStateError{Path: path, Offset: -1, Reason: fmt.Sprintf(format, args...)}
 }
 
-// decodeEmbedder verifies, decodes and structurally validates a
-// self-contained save (flat or with inline Shards), returning a fully
-// wired but unpublished embedder. Checkpoint manifests are rejected —
-// their shard payloads live in sibling files only the durable layer
-// knows how to find.
+// decodeEmbedder verifies the footer, decodes the gob payload, checks
+// the version and structurally validates the result, returning a fully
+// wired but unpublished embedder (see finishRestore). The checksum only
+// guarantees the bytes, not that the pieces agree with each other, so the
+// cross-field invariants New establishes are re-checked before anything
+// is assembled: a hand-edited save errors here instead of panicking on
+// first use. RestoreSubset and RestoreTree re-check their own pieces
+// (state shapes, tree cache dims) per shard.
 func decodeEmbedder(data []byte, path string) (*Embedder, error) {
-	saved, err := decodeSaved(data, path)
-	if err != nil {
-		return nil, err
-	}
-	if saved.ShardFiles > 0 {
-		return nil, corruptErr(path, "checkpoint manifest references %d external shard files; open the durable directory instead",
-			saved.ShardFiles)
-	}
-	return embedderFromSaved(saved, path)
-}
-
-// decodeSaved verifies the footer, decodes the gob payload and applies
-// the version rules. It performs no structural validation — that is
-// embedderFromSaved's job, after manifests have resolved their external
-// shard payloads.
-func decodeSaved(data []byte, path string) (*savedEmbedder, error) {
-	payload, hasFooter, err := splitFooted(data, path)
+	payload, err := splitFooted(data, path)
 	if err != nil {
 		return nil, err
 	}
@@ -338,27 +248,8 @@ func decodeSaved(data []byte, path string) (*savedEmbedder, error) {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "gob decode failed", Err: err}
 	}
 	switch {
-	case saved.Version >= persistVersion && !hasFooter:
-		return nil, corruptErr(path, "version %d save is missing its integrity footer", saved.Version)
-	case saved.Version == 1 && hasFooter:
-		return nil, corruptErr(path, "version 1 payload carries a version 2 footer")
-	case saved.Version != 1 && saved.Version != persistVersion && saved.Version != persistVersionSharded:
-		return nil, fmt.Errorf("treesvd: save format version %d, want at most %d", saved.Version, persistVersionSharded)
-	}
-	return &saved, nil
-}
-
-// embedderFromSaved structurally validates a decoded save and wires the
-// embedder: the checksum only guarantees the bytes, not that the pieces
-// agree with each other, so the cross-field invariants New establishes
-// are re-checked before anything is assembled (a hand-edited or v1
-// checksum-less save errors here instead of panicking on first use).
-// RestoreSubset and RestoreTree re-check their own pieces (state shapes,
-// tree cache dims) per shard. The returned embedder is unpublished: no
-// snapshot exists until the caller runs publishLocked, which lets WAL
-// recovery replay and audit before anything becomes readable.
-func embedderFromSaved(saved *savedEmbedder, path string) (*Embedder, error) {
-	switch {
+	case saved.Version != persistVersion:
+		return nil, fmt.Errorf("treesvd: save format version %d, want %d", saved.Version, persistVersion)
 	case saved.Graph == nil:
 		return nil, corruptErr(path, "missing graph")
 	case len(saved.Subset) == 0:
@@ -379,19 +270,12 @@ func embedderFromSaved(saved *savedEmbedder, path string) (*Embedder, error) {
 		return nil, corruptErr(path, "saved configuration asks for %d shards over %d subset nodes",
 			cfg.Shards, len(saved.Subset))
 	}
-	// Normalize the two payload layouts into one per-shard slice.
-	parts := saved.Shards
-	if len(parts) == 0 {
-		if cfg.Shards != 1 {
-			return nil, corruptErr(path, "save declares %d shards but carries a single-shard payload", cfg.Shards)
-		}
-		parts = []savedShard{{Fwd: saved.Fwd, Rev: saved.Rev, M: saved.M, Tree: saved.Tree}}
-	} else if len(parts) != cfg.Shards {
+	if len(saved.Shards) != cfg.Shards {
 		return nil, corruptErr(path, "save carries %d shard payloads for a %d-shard configuration",
-			len(parts), cfg.Shards)
+			len(saved.Shards), cfg.Shards)
 	}
 	ranges := core.ShardRanges(len(saved.Subset), cfg.Shards)
-	for i, sh := range parts {
+	for i, sh := range saved.Shards {
 		switch {
 		case sh.M == nil:
 			return nil, corruptErr(path, "shard %d: missing proximity matrix", i)
@@ -403,33 +287,24 @@ func embedderFromSaved(saved *savedEmbedder, path string) (*Embedder, error) {
 		case sh.M.Cols() < saved.Graph.NumNodes():
 			return nil, corruptErr(path, "shard %d: proximity matrix %d columns narrower than the %d-node graph",
 				i, sh.M.Cols(), saved.Graph.NumNodes())
-		case sh.M.Cols() != parts[0].M.Cols() || sh.M.NumBlocks() != parts[0].M.NumBlocks():
+		case sh.M.Cols() != saved.Shards[0].M.Cols() || sh.M.NumBlocks() != saved.Shards[0].M.NumBlocks():
 			return nil, corruptErr(path, "shard %d: proximity geometry differs from shard 0", i)
 		}
 	}
-	sw := par.SplitBudget(cfg.Workers, cfg.Shards)
-	params := ppr.Params{Alpha: cfg.Alpha, RMax: cfg.RMax, Workers: sw, Met: &ppr.Metrics{},
-		Accel: cfg.PushAccel == PushSOR}
-	if err := params.Validate(); err != nil {
+	params, tcfg, err := cfg.pipeline()
+	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "invalid saved configuration", Err: err}
 	}
-	tcfg := core.Config{
-		Rank: cfg.Dim, Branch: cfg.Branch, Levels: cfg.Levels,
-		Delta: cfg.Delta, Seed: cfg.Seed, Workers: sw,
-		SVDUpdate: cfg.SVDUpdate, UpdateMaxRel: cfg.UpdateMaxRel, UpdateTailFrac: cfg.UpdateTailFrac,
-	}
 	treeMet := &core.Metrics{}
-	shards := make([]*shard, len(parts))
-	for i, sh := range parts {
+	shards := make([]*shard, len(saved.Shards))
+	for i, sh := range saved.Shards {
 		lo, hi := ranges[i][0], ranges[i][1]
 		sub, err := ppr.RestoreSubset(saved.Graph, saved.Subset[lo:hi], params, sh.Fwd, sh.Rev)
 		if err != nil {
 			return nil, &CorruptStateError{Path: path, Offset: -1,
 				Reason: fmt.Sprintf("shard %d: inconsistent PPR state", i), Err: err}
 		}
-		scfg := tcfg
-		scfg.Seed = tcfg.Seed + int64(i)*shardSeedStride
-		tree, err := core.RestoreTree(sh.M, scfg, sh.Tree)
+		tree, err := core.RestoreTree(sh.M, shardTreeConfig(tcfg, i), sh.Tree)
 		if err != nil {
 			return nil, &CorruptStateError{Path: path, Offset: -1,
 				Reason: fmt.Sprintf("shard %d: inconsistent tree snapshot", i), Err: err}

@@ -4,13 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/tree-svd/treesvd/internal/core"
+	"github.com/tree-svd/treesvd/internal/sparse"
+	"github.com/tree-svd/treesvd/internal/wal"
 )
 
-// appendFooter seals buf's gob payload with the v2 integrity footer.
+// appendFooter seals buf's gob payload with the integrity footer.
 func appendFooter(buf *bytes.Buffer) {
 	var footer [footerLen]byte
 	copy(footer[:4], persistMagic)
@@ -18,25 +25,73 @@ func appendFooter(buf *bytes.Buffer) {
 	buf.Write(footer[:])
 }
 
-// corruptSave builds a healthy embedder, decodes its save into the wire
-// struct, lets mutate corrupt it, and re-encodes. The result is a
-// structurally valid gob stream carrying inconsistent state — exactly
-// what a hand-edited or partially overwritten save file looks like.
-func corruptSave(t *testing.T, mutate func(*savedEmbedder)) *bytes.Reader {
-	t.Helper()
+// rawGob carries a GobEncoder field's bytes through a decode/encode round
+// trip untouched, so a test can edit the wire form of a type whose own
+// encoder only ever emits well-formed bytes.
+type rawGob []byte
+
+func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
+func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
+
+// edit decodes the carried bytes into wire, lets mutate change it, and
+// carries the re-encoded result instead.
+func (r *rawGob) edit(wire any, mutate func()) {
+	must0tb(gob.NewDecoder(bytes.NewReader(*r)).Decode(wire))
+	mutate()
+	var buf bytes.Buffer
+	must0tb(gob.NewEncoder(&buf).Encode(wire))
+	*r = buf.Bytes()
+}
+
+// rawSaved is savedEmbedder with the graph and the PPR states left as
+// their encoders' bytes.
+type rawSaved struct {
+	Version int
+	Config  Config
+	Subset  []int32
+	Graph   rawGob
+	Shards  []struct {
+		Fwd, Rev []rawGob
+		M        *sparse.DynRow
+		Tree     *core.TreeSnapshot
+	}
+}
+
+// rawGraph and rawState mirror the wire structs of graph.Graph and
+// ppr.State (gob matches fields by name).
+type rawGraph struct {
+	Version                      uint8
+	N                            int
+	OutPtr, OutAdj, InPtr, InAdj []int32
+}
+
+type rawState struct {
+	Source              int32
+	Dir                 uint8
+	PKeys, RKeys, TKeys []int32
+	PVals, RVals        []float64
+}
+
+// healthySave is the save of a small embedder one batch past its build.
+func healthySave(shards int) []byte {
 	rng := rand.New(rand.NewSource(9))
 	g := buildGraph(rng, 30, 120)
-	emb, err := New(g, []int32{1, 3, 5, 7}, Config{Dim: 4, MaxNodes: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	emb := mustTB(New(g, []int32{1, 3, 5, 7}, Config{Dim: 4, MaxNodes: 40, Shards: shards}))
 	mustTB(emb.ApplyEvents(bgt, []Event{{U: 0, V: 9, Type: Insert}, {U: 2, V: 11, Type: Insert}}))
 	var buf bytes.Buffer
-	if err := emb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var saved savedEmbedder
-	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+	must0tb(emb.Save(&buf))
+	return buf.Bytes()
+}
+
+// corruptSave decodes a healthy embedder's save into the wire
+// struct W (savedEmbedder, or rawSaved to reach below the nested
+// encoders), lets mutate corrupt it, and re-encodes. The result is a
+// structurally valid gob stream carrying inconsistent state — exactly
+// what a hand-edited or partially overwritten save file looks like.
+func corruptSave[W any](t *testing.T, mutate func(*W)) []byte {
+	t.Helper()
+	var saved W
+	if err := gob.NewDecoder(bytes.NewReader(healthySave(1))).Decode(&saved); err != nil {
 		t.Fatal(err)
 	}
 	mutate(&saved)
@@ -48,7 +103,7 @@ func corruptSave(t *testing.T, mutate func(*savedEmbedder)) *bytes.Reader {
 	// that a checksum cannot catch, so the integrity layer must pass and
 	// the structural validation must do the rejecting.
 	appendFooter(&out)
-	return bytes.NewReader(out.Bytes())
+	return out.Bytes()
 }
 
 // TestLoadRejectsCorruptedSaves is the ISSUE 3 regression for Load
@@ -56,7 +111,22 @@ func corruptSave(t *testing.T, mutate func(*savedEmbedder)) *bytes.Reader {
 // panic on first use (or corrupt results silently). All must now be
 // rejected at Load with a descriptive error.
 func TestLoadRejectsCorruptedSaves(t *testing.T) {
-	cases := []struct {
+	check := func(name string, data []byte, wantSub string, wantCorrupt bool) {
+		t.Run(name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(data))
+			if err == nil {
+				t.Fatal("Load accepted the corrupted save")
+			}
+			if !strings.Contains(err.Error(), wantSub) {
+				t.Errorf("error %q does not mention %q", err, wantSub)
+			}
+			var corrupt *CorruptStateError
+			if got := errors.As(err, &corrupt); got != wantCorrupt {
+				t.Errorf("error %q: *CorruptStateError = %v, want %v", err, got, wantCorrupt)
+			}
+		})
+	}
+	for _, tc := range []struct {
 		name    string
 		mutate  func(*savedEmbedder)
 		wantSub string // substring expected in the error
@@ -65,34 +135,82 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		{"negative subset id", func(s *savedEmbedder) { s.Subset[1] = -2 }, "subset node -2"},
 		{"duplicate subset ids", func(s *savedEmbedder) { s.Subset[1] = s.Subset[0] }, "duplicate subset node"},
 		{"missing graph", func(s *savedEmbedder) { s.Graph = nil }, "missing graph"},
-		{"missing proximity matrix", func(s *savedEmbedder) { s.M = nil }, "missing proximity"},
-		{"missing tree snapshot", func(s *savedEmbedder) { s.Tree = nil }, "missing tree"},
+		{"missing proximity matrix", func(s *savedEmbedder) { s.Shards[0].M = nil }, "missing proximity"},
+		{"missing tree snapshot", func(s *savedEmbedder) { s.Shards[0].Tree = nil }, "missing tree"},
 		{"empty subset", func(s *savedEmbedder) { s.Subset = nil }, "empty subset"},
-		{"forward state count mismatch", func(s *savedEmbedder) { s.Fwd = s.Fwd[:2] }, "states for a subset"},
-		{"state source mismatch", func(s *savedEmbedder) { s.Fwd[0], s.Fwd[1] = s.Fwd[1], s.Fwd[0] }, "source"},
-		{"state direction mismatch", func(s *savedEmbedder) { s.Rev[0] = s.Fwd[0] }, "direction"},
-		{"estimate key out of range", func(s *savedEmbedder) { s.Fwd[0].P[500] = 0.1 }, "estimate key 500"},
-		{"residue key out of range", func(s *savedEmbedder) { s.Rev[1].R[-3] = 0.1 }, "residue key -3"},
+		{"forward state count mismatch", func(s *savedEmbedder) { s.Shards[0].Fwd = s.Shards[0].Fwd[:2] }, "states for a subset"},
+		{"state source mismatch", func(s *savedEmbedder) {
+			f := s.Shards[0].Fwd
+			f[0], f[1] = f[1], f[0]
+		}, "source"},
+		{"state direction mismatch", func(s *savedEmbedder) { s.Shards[0].Rev[0] = s.Shards[0].Fwd[0] }, "direction"},
+		{"estimate key out of range", func(s *savedEmbedder) { s.Shards[0].Fwd[0].P[500] = 0.1 }, "estimate key 500"},
+		{"residue key out of range", func(s *savedEmbedder) { s.Shards[0].Rev[1].R[-3] = 0.1 }, "residue key -3"},
 		{"tree block count mismatch", func(s *savedEmbedder) {
-			s.Tree.Level1US = s.Tree.Level1US[:1]
-			s.Tree.Level1Tail = s.Tree.Level1Tail[:1]
+			tr := s.Shards[0].Tree
+			tr.Level1US = tr.Level1US[:1]
+			tr.Level1Tail = tr.Level1Tail[:1]
 		}, "level-1 blocks"},
-		{"tail/cache length mismatch", func(s *savedEmbedder) { s.Tree.Level1Tail = s.Tree.Level1Tail[:1] }, "tail energies"},
-		{"built without root", func(s *savedEmbedder) { s.Tree.RootU = nil }, "without a root"},
-		{"root rank mismatch", func(s *savedEmbedder) { s.Tree.RootS = s.Tree.RootS[:1] }, "singular values"},
-		{"version mismatch", func(s *savedEmbedder) { s.Version = 99 }, "version 99"},
+		{"tail/cache length mismatch", func(s *savedEmbedder) {
+			s.Shards[0].Tree.Level1Tail = s.Shards[0].Tree.Level1Tail[:1]
+		}, "tail energies"},
+		{"built without root", func(s *savedEmbedder) { s.Shards[0].Tree.RootU = nil }, "without a root"},
+		{"root rank mismatch", func(s *savedEmbedder) { s.Shards[0].Tree.RootS = s.Shards[0].Tree.RootS[:1] }, "singular values"},
+		{"shard count mismatch", func(s *savedEmbedder) { s.Config.Shards = 2 }, "1 shard payloads for a 2-shard"},
+		{"no shard payloads", func(s *savedEmbedder) { s.Shards = nil }, "0 shard payloads"},
+		// A residue the decoders accept but the auditors do not: Load audits
+		// before it publishes, as Open always has.
+		{"NaN residue", func(s *savedEmbedder) {
+			st := s.Shards[0].Fwd[0]
+			st.R[st.Source] = math.NaN()
+		}, "invariant audit"},
+	} {
+		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Load(corruptSave(t, tc.mutate))
-			if err == nil {
-				t.Fatal("Load accepted the corrupted save")
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not mention %q", err, tc.wantSub)
-			}
-		})
+	// The decoder panics fuzzing found: wire forms no encoder emits.
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*rawSaved)
+		wantSub string
+	}{
+		{"graph offsets out of range", func(s *rawSaved) {
+			var w rawGraph
+			s.Graph.edit(&w, func() { w.OutPtr[1] = -26 })
+		}, "out-offsets"},
+		{"graph negative node count", func(s *rawSaved) {
+			var w rawGraph
+			s.Graph.edit(&w, func() { w.N = -1 })
+		}, "node count -1"},
+		{"graph neighbour out of range", func(s *rawSaved) {
+			var w rawGraph
+			s.Graph.edit(&w, func() { w.InAdj[0] = int32(w.N) })
+		}, "in-neighbour"},
+		{"state values shorter than keys", func(s *rawSaved) {
+			var w rawState
+			s.Shards[0].Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })
+		}, "keys/values"},
+	} {
+		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
+	// Another format version is a refusal, not damage: a plain error that
+	// names both versions.
+	older := func(s *savedEmbedder) { s.Version = persistVersion - 1 }
+	bothVersions := fmt.Sprintf("version %d, want %d", persistVersion-1, persistVersion)
+	check("version mismatch", corruptSave(t, func(s *savedEmbedder) { s.Version = 99 }), "version 99", false)
+	check("older version", corruptSave(t, older), bothVersions, false)
+	// The same refusal through Open: a store whose only checkpoint carries
+	// another format version is not "no state" and not damage to fall back
+	// past — the version error comes back as is.
+	t.Run("open older version checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		must0tb(wal.WriteCheckpoint(wal.OS, dir, 0, corruptSave(t, older)))
+		_, err := Open(dir, DurableConfig{})
+		var corrupt *CorruptStateError
+		if err == nil || !strings.Contains(err.Error(), bothVersions) ||
+			errors.Is(err, ErrNoState) || errors.As(err, &corrupt) {
+			t.Fatalf("Open = %v, want the plain %q error", err, bothVersions)
+		}
+	})
 }
 
 // TestLoadRejectsTruncatedStream: a save cut off mid-stream must fail at
@@ -114,4 +232,28 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 			t.Errorf("Load accepted a stream truncated to 1/%d", frac)
 		}
 	}
+}
+
+// FuzzLoad is the decoder property over the one save format: for any
+// payload whose checksum verifies, Load returns an error or an embedder
+// whose Audit is clean — never a panic. The seeds are a 1-shard and a
+// 2-shard save without their footers; every mutated payload is re-sealed
+// with a valid one, since otherwise the CRC would reject them all and
+// nothing behind it would run.
+func FuzzLoad(f *testing.F) {
+	for _, shards := range []int{1, 2} {
+		save := healthySave(shards)
+		f.Add(save[:len(save)-footerLen])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		buf := bytes.NewBuffer(append([]byte(nil), payload...))
+		appendFooter(buf)
+		emb, err := Load(buf)
+		if err != nil {
+			return
+		}
+		if err := emb.Audit(); err != nil {
+			t.Fatalf("Load accepted a state that fails its audit: %v", err)
+		}
+	})
 }

@@ -116,9 +116,10 @@ type Config struct {
 	// and its own Tree-SVD; the coordinator fans event batches out to
 	// every shard in parallel (bounded by Workers overall) and merges the
 	// per-shard factorizations above the shard boundary on the first read
-	// that needs global factors. 0 and 1 mean unsharded (bit-identical to
-	// builds predating this knob). Negative values and counts exceeding
-	// the subset size are rejected with a *ShardConfigError.
+	// that needs global factors. 0 and 1 mean unsharded: the one-shard case
+	// of the same pipeline, save format and checkpoint. Negative values and
+	// counts exceeding the subset size are rejected with a
+	// *ShardConfigError.
 	Shards int
 	// SVDUpdate enables the Brand-style incremental factorization path for
 	// the dynamic updates: a violating level-1 block whose accumulated
@@ -274,15 +275,39 @@ type shard struct {
 }
 
 // shardSeedStride separates the randomized-factorization seed streams of
-// neighboring shards; shard 0 keeps Config.Seed exactly, so an unsharded
-// embedder is bit-identical to builds predating sharding.
+// neighboring shards; shard 0 keeps Config.Seed exactly.
 const shardSeedStride = 611_953_393
+
+// shardTreeConfig is tcfg with shard i's seed stream.
+func shardTreeConfig(tcfg core.Config, i int) core.Config {
+	tcfg.Seed += int64(i) * shardSeedStride
+	return tcfg
+}
+
+// pipeline derives the per-shard PPR parameters and tree configuration
+// from a defaulted Config, validating both (used by New and Load). Each
+// shard's pipeline runs under an equal share of the worker budget; the
+// outer fan-out is capped at Workers, so the product stays within the
+// global budget (the par.SplitBudget contract).
+func (c Config) pipeline() (ppr.Params, core.Config, error) {
+	sw := par.SplitBudget(c.Workers, c.Shards)
+	params := ppr.Params{Alpha: c.Alpha, RMax: c.RMax, Workers: sw, Met: &ppr.Metrics{},
+		Accel: c.PushAccel == PushSOR}
+	tcfg := core.Config{
+		Rank: c.Dim, Branch: c.Branch, Levels: c.Levels,
+		Delta: c.Delta, Seed: c.Seed, Workers: sw,
+		SVDUpdate: c.SVDUpdate, UpdateMaxRel: c.UpdateMaxRel, UpdateTailFrac: c.UpdateTailFrac,
+	}
+	if err := params.Validate(); err != nil {
+		return params, tcfg, err
+	}
+	return params, tcfg, tcfg.Validate()
+}
 
 // forEachShard runs f over every shard, concurrently when there is more
 // than one (bounded by the coordinator's Workers budget; each shard's
 // own pipeline runs under its SplitBudget share, keeping the product
-// within the global budget). The single-shard path calls f inline so an
-// unsharded embedder keeps the exact pre-sharding execution shape.
+// within the global budget). The single-shard path calls f inline.
 func (e *Embedder) forEachShard(ctx context.Context, f func(s *shard) error) error {
 	if len(e.shards) == 1 {
 		return f(e.shards[0])
@@ -314,21 +339,8 @@ func New(g *Graph, subset []int32, cfg Config) (*Embedder, error) {
 	if cfg.Shards > len(subset) {
 		return nil, &ShardConfigError{Shards: cfg.Shards, Subset: len(subset)}
 	}
-	// Each shard's pipeline runs under an equal share of the worker
-	// budget; the outer fan-out is capped at Workers, so the product stays
-	// within the global budget (the par.SplitBudget contract).
-	sw := par.SplitBudget(cfg.Workers, cfg.Shards)
-	params := ppr.Params{Alpha: cfg.Alpha, RMax: cfg.RMax, Workers: sw, Met: &ppr.Metrics{},
-		Accel: cfg.PushAccel == PushSOR}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	tcfg := core.Config{
-		Rank: cfg.Dim, Branch: cfg.Branch, Levels: cfg.Levels,
-		Delta: cfg.Delta, Seed: cfg.Seed, Workers: sw,
-		SVDUpdate: cfg.SVDUpdate, UpdateMaxRel: cfg.UpdateMaxRel, UpdateTailFrac: cfg.UpdateTailFrac,
-	}
-	if err := tcfg.Validate(); err != nil {
+	params, tcfg, err := cfg.pipeline()
+	if err != nil {
 		return nil, err
 	}
 	maxNodes := cfg.MaxNodes
@@ -339,14 +351,12 @@ func New(g *Graph, subset []int32, cfg Config) (*Embedder, error) {
 	shards := make([]*shard, len(ranges))
 	treeMet := &core.Metrics{}
 	if err := par.ForErr(context.Background(), len(ranges), par.Workers(cfg.Workers), func(i int) error {
-		scfg := tcfg
-		scfg.Seed = tcfg.Seed + int64(i)*shardSeedStride
 		sub, err := ppr.NewSubset(g, subset[ranges[i][0]:ranges[i][1]], params)
 		if err != nil {
 			return err
 		}
 		prox := ppr.NewProximity(sub, maxNodes, tcfg.Blocks())
-		tree, err := core.NewTree(prox.M, scfg)
+		tree, err := core.NewTree(prox.M, shardTreeConfig(tcfg, i))
 		if err != nil {
 			return err
 		}
