@@ -15,9 +15,9 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short bench-recommend-short serve-race fmt docs
+.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short bench-recommend-short bench-repair-short serve-race fmt docs
 
-ci: fmt vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short
+ci: fmt vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short bench-repair-short
 
 vet:
 	$(GO) vet ./...
@@ -129,6 +129,12 @@ bench-dynamic-short:
 # so they cannot rot. For numbers: -benchtime 5000x -count 5.
 bench-recommend-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecommend(Fresh|Warm)$$' -benchtime 1x .
+
+# Smoke for `make ci`: 200 batches of PPR repair + proximity refresh at
+# the system benchmark's shape, 4-event and 48-event, with allocations
+# and reached_states/batch. For numbers: -benchtime 2000x -count 5.
+bench-repair-short:
+	$(GO) test ./internal/ppr -run xxx -bench Repair -benchtime 200x
 
 # Emits BENCH_SERVE.json: open-loop serving latency (p50/p99/p999) at
 # three or more offered-load points against an in-process HTTP server,

@@ -90,7 +90,8 @@ func main() {
 
 	m := d.Metrics()
 	fmt.Println("\ncumulative metrics (the Theorem 3.7 cost terms, observed):")
-	fmt.Printf("  PPR: %d pushes, %d adjusts, %d source rebuilds\n", m.Pushes, m.Adjusts, m.SourceRebuilds)
+	fmt.Printf("  PPR: %d pushes, %d adjusts over %d repaired states (of %d per batch), %d source rebuilds\n",
+		m.Pushes, m.Adjusts, m.StatesRepaired, 2*len(subset), m.SourceRebuilds)
 	fmt.Printf("  tree: %d builds, %d updates; blocks %d rebuilt / %d skipped (skip rate %.0f%%); %d upper merges\n",
 		m.TreeBuilds, m.TreeUpdates, m.BlocksRebuilt, m.BlocksSkipped,
 		100*float64(m.BlocksSkipped)/float64(m.BlocksRebuilt+m.BlocksSkipped), m.UpperMerges)

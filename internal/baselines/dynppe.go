@@ -75,7 +75,7 @@ func (d *DynPPE) rehashRow(i int) {
 	st := d.Sub.Fwd[i]
 	rmax := d.Sub.Engine.Params.RMax
 	row := d.emb.Row(i)
-	for v := range st.Touched {
+	for _, v := range st.Touched { // a repeat re-derives the same contrib: adds 0
 		dim, sign := d.hash(v)
 		var contrib float64
 		if arg := st.P[v] / rmax; arg > 1 {
@@ -88,7 +88,7 @@ func (d *DynPPE) rehashRow(i int) {
 			d.shadow[i][v] = contrib
 		}
 	}
-	st.Touched = make(map[int32]struct{})
+	st.Touched = st.Touched[:0]
 }
 
 // ApplyEvents advances the graph, incrementally repairs every PPR vector,

@@ -83,6 +83,21 @@ func TestPPRStateDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestPPRStateDetectsUnmarkedKey: an estimate written behind the engine's
+// back, at a live node the state never reached, keeps every other invariant
+// (ids, finiteness, threshold, mass) and must still fail — Subset.Repair
+// would skip the corrections that node is owed.
+func TestPPRStateDetectsUnmarkedKey(t *testing.T) {
+	sub := checkedSubset(t)
+	sub.Engine.G.EnsureNode(20) // isolated, so outside every membership set
+	st := sub.Fwd[0]
+	st.P[20] = st.P[st.Source]
+	delete(st.P, st.Source)
+	if err := PPRSubset(sub); err == nil || !strings.Contains(err.Error(), "membership set") {
+		t.Fatalf("PPRSubset = %v, want a membership-set violation", err)
+	}
+}
+
 // TestPPRExactDetectsEstimateDrift: an estimate moved away from ground
 // truth with mass accounting kept internally consistent slips past
 // PPRState (the bug class the ground-truth auditor exists for) but must

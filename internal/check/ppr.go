@@ -19,13 +19,17 @@ const rmaxSlack = 1e-9
 
 // PPRState audits one PPR state against the graph it was computed over:
 //
-//  1. every estimate/residue key is a live node id and every value finite,
+//  1. every estimate/residue key is a live node id inside the state's
+//     membership set (the index Subset.Repair skips by) and every value
+//     finite,
 //  2. the push invariant |r(u)| ≤ r_max·deg(u) holds everywhere (deg
 //     under the engine's dangling-node self-loop convention), and
 //  3. the mass accounting Σp + Σr = 1 holds within float tolerance — the
 //     residue is exactly the mass the estimates have not settled yet.
 //
-// Violations of (2) mean a mutation forgot to mark a residue dirty before
+// A key outside the membership set means a write to P or R bypassed the
+// marking and a later Repair may skip a correction it owes. Violations of
+// (2) mean a mutation forgot to mark a residue dirty before
 // the repair push; violations of (3) mean a correction moved estimate and
 // residue mass inconsistently (the self-loop bug class of ISSUE 3).
 func PPRState(g *graph.Graph, params ppr.Params, st *ppr.State) error {
@@ -41,6 +45,9 @@ func PPRState(g *graph.Graph, params ppr.Params, st *ppr.State) error {
 		if u < 0 || u >= n {
 			return fmt.Errorf("check: source %d %v: estimate key %d outside graph with %d nodes", st.Source, st.Dir, u, n)
 		}
+		if !st.Member(u) {
+			return fmt.Errorf("check: source %d %v: estimate key %d outside the membership set", st.Source, st.Dir, u)
+		}
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			return fmt.Errorf("check: source %d %v: non-finite estimate p(%d) = %g", st.Source, st.Dir, u, p)
 		}
@@ -49,6 +56,9 @@ func PPRState(g *graph.Graph, params ppr.Params, st *ppr.State) error {
 	for u, r := range st.R {
 		if u < 0 || u >= n {
 			return fmt.Errorf("check: source %d %v: residue key %d outside graph with %d nodes", st.Source, st.Dir, u, n)
+		}
+		if !st.Member(u) {
+			return fmt.Errorf("check: source %d %v: residue key %d outside the membership set", st.Source, st.Dir, u)
 		}
 		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return fmt.Errorf("check: source %d %v: non-finite residue r(%d) = %g", st.Source, st.Dir, u, r)

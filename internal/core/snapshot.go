@@ -129,8 +129,9 @@ func RestoreTree(m *sparse.DynRow, cfg Config, snap *TreeSnapshot) (*Tree, error
 	return t, nil
 }
 
-// validate shape-checks a decoded snapshot against the matrix it is being
-// rewired onto and the tree geometry cfg implies.
+// validate checks a decoded snapshot against the matrix it is being
+// rewired onto and the tree geometry cfg implies: shapes first, then that
+// every cached factor is finite.
 func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 	if len(snap.Level1Tail) != len(snap.Level1US) {
 		return fmt.Errorf("core: snapshot has %d tail energies for %d level-1 blocks",
@@ -220,6 +221,33 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		for i, s := range snap.RootS {
 			if math.IsNaN(s) || s < 0 {
 				return fmt.Errorf("core: snapshot root singular value %d is %g", i, s)
+			}
+		}
+	}
+	// Values, not only shapes: a NaN or Inf in a cached factor passes every
+	// check above and every auditor (none reads the factors' entries), then
+	// poisons the first merge over it — on a sharded embedder that is
+	// tql2's convergence panic on the first global read.
+	type group struct {
+		what string
+		ds   []*linalg.Dense
+	}
+	groups := []group{
+		{"level-1 cache", snap.Level1US}, {"level-1 factor U", snap.Level1U}, {"level-1 factor V", snap.Level1V},
+		{"root factor", []*linalg.Dense{snap.RootU, snap.RootV}},
+	}
+	for _, level := range snap.Upper {
+		groups = append(groups, group{"upper cache", level})
+	}
+	for _, g := range groups {
+		for j, d := range g.ds {
+			if d == nil {
+				continue
+			}
+			for _, v := range d.Data {
+				if v-v != 0 { // NaN and ±Inf are the values v−v is not 0 for
+					return fmt.Errorf("core: snapshot %s %d holds a non-finite value", g.what, j)
+				}
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/obs"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
@@ -220,5 +222,38 @@ func TestConfigValidateUpdateKnobs(t *testing.T) {
 	c.UpdateMaxRel, c.UpdateTailFrac = 0.3, 0.1
 	if c.updateMaxRel() != 0.3 || c.updateTailFrac() != 0.1 {
 		t.Fatal("explicit knobs not honored")
+	}
+}
+
+// TestRestoreTreeRejectsNonFiniteFactors is the regression for ROADMAP
+// item 6's reproduced defect: a snapshot whose shapes are right but whose
+// cached factors hold a NaN or Inf used to restore (and audit) cleanly and
+// blow up in the first merge over it. Every dense factor is covered, the
+// retained level-1 U/V of the update path included.
+func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
+	cfg := testConfig(6)
+	cfg.SVDUpdate = true
+	tr, m, _ := churnTree(t, cfg)
+	snap := tr.Snapshot()
+	if _, err := RestoreTree(m, cfg, snap); err != nil {
+		t.Fatalf("healthy snapshot refused: %v", err)
+	}
+	last := len(snap.Level1US) - 1
+	for name, d := range map[string]*linalg.Dense{
+		"Level1US": snap.Level1US[0], "Level1U": snap.Level1U[last], "Level1V": snap.Level1V[0],
+		"Upper": snap.Upper[0][1], "RootU": snap.RootU, "RootV": snap.RootV,
+	} {
+		if d == nil {
+			t.Fatalf("%s: snapshot does not carry the factor under test", name)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+			at := len(d.Data) / 2
+			keep := d.Data[at]
+			d.Data[at] = bad
+			if _, err := RestoreTree(m, cfg, snap); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s holding %g: RestoreTree = %v, want a non-finite refusal", name, bad, err)
+			}
+			d.Data[at] = keep
+		}
 	}
 }

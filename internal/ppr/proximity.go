@@ -3,6 +3,7 @@ package ppr
 import (
 	"context"
 	"math"
+	"slices"
 
 	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/sparse"
@@ -76,40 +77,42 @@ func NewProximityWith(sub *Subset, maxNodes, nblocks int, fn Transform) *Proximi
 }
 
 // refreshRowFull recomputes row i from scratch: every column currently in
-// the row or in either estimate vector.
+// the row or in either estimate vector, in ascending column order.
 func (pr *Proximity) refreshRowFull(i int) {
-	// Clear stale columns first.
-	touched := make(map[int32]struct{})
-	for v := range pr.Sub.Fwd[i].P {
-		touched[v] = struct{}{}
-	}
-	for v := range pr.Sub.Rev[i].P {
-		touched[v] = struct{}{}
-	}
-	for v := range touched {
+	fwd, rev := pr.Sub.Fwd[i], pr.Sub.Rev[i]
+	cols := append(sortedKeys(fwd.P), sortedKeys(rev.P)...)
+	// Columns that held a value before but may have no estimate mass now.
+	cols = append(cols, pr.M.RowColumns(i)...)
+	slices.Sort(cols)
+	for _, v := range slices.Compact(cols) {
 		pr.M.Set(i, int(v), pr.value(i, v))
 	}
-	// Columns that held a value before but have no estimate mass now.
-	for _, v := range pr.M.RowColumns(i) {
-		if _, ok := touched[v]; !ok {
-			pr.M.Set(i, int(v), 0)
-		}
-	}
-	pr.drainTouched(i)
+	fwd.Touched, rev.Touched = fwd.Touched[:0], rev.Touched[:0]
 }
 
 // Refresh folds the estimate changes accumulated in the states' Touched
-// sets into M and clears them. Call after Subset.ApplyEvents.
+// lists into M and drains them. Call after Subset.ApplyEvents. A state
+// the batch did not reach has an empty list, so only reached rows are
+// walked.
 func (pr *Proximity) Refresh() {
 	for i := range pr.Sub.S {
-		for v := range pr.Sub.Fwd[i].Touched {
-			pr.M.Set(i, int(v), pr.value(i, v))
-		}
-		for v := range pr.Sub.Rev[i].Touched {
-			pr.M.Set(i, int(v), pr.value(i, v))
-		}
-		pr.drainTouched(i)
+		pr.refreshTouched(i, pr.Sub.Fwd[i])
+		pr.refreshTouched(i, pr.Sub.Rev[i])
 	}
+}
+
+// refreshTouched recomputes row i of M at every node st touched, in
+// ascending node order — M's incremental block norms then do not depend
+// on the order the pushes ran in — and drains the list.
+func (pr *Proximity) refreshTouched(i int, st *State) {
+	if len(st.Touched) == 0 {
+		return
+	}
+	slices.Sort(st.Touched)
+	for _, v := range slices.Compact(st.Touched) {
+		pr.M.Set(i, int(v), pr.value(i, v))
+	}
+	st.Touched = st.Touched[:0]
 }
 
 // RefreshAll recomputes every row from scratch; pair with Subset.Rebuild.
@@ -119,13 +122,9 @@ func (pr *Proximity) RefreshAll() {
 	}
 }
 
-func (pr *Proximity) drainTouched(i int) {
-	pr.Sub.Fwd[i].Touched = make(map[int32]struct{})
-	pr.Sub.Rev[i].Touched = make(map[int32]struct{})
-}
-
 // ApplyEvents advances the graph and the proximity matrix through a batch
-// of edge events: Algorithm 2 on every state, then incremental M refresh.
+// of edge events: Algorithm 2 on the states they reach, then incremental M
+// refresh of those rows.
 // On error (context cancellation mid-repair) M has not absorbed the
 // changes; callers must recover with Sub.Rebuild + RefreshAll before
 // trusting the matrix again.

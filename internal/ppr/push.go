@@ -8,7 +8,7 @@ package ppr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/tree-svd/treesvd/internal/graph"
 )
@@ -73,33 +73,61 @@ func (p Params) Validate() error {
 }
 
 // State holds the estimate vector p_s and residue vector r_s of one source
-// in one traversal direction, plus the set of nodes whose estimate changed
-// since the last Proximity refresh.
+// in one traversal direction, plus the nodes whose estimate changed since
+// the last Proximity refresh. P and R are canonical: a key is present iff
+// its value is non-zero.
 type State struct {
 	Source int32
 	Dir    graph.Direction
 	P      map[int32]float64
 	R      map[int32]float64
-	// Touched collects nodes whose P entry changed since the caller last
+	// Touched lists nodes whose P entry changed since the caller last
 	// drained it (used to refresh proximity-matrix entries incrementally).
-	Touched map[int32]struct{}
-	// dirtyR collects nodes whose residue (or traversal degree) changed
-	// since the last Push, so re-pushing seeds in O(changed) instead of
-	// scanning the whole residue map. The push invariant guarantees no
-	// other node can violate the threshold.
-	dirtyR map[int32]struct{}
+	// A node may repeat; drain with Touched = Touched[:0] to keep the
+	// backing array.
+	Touched []int32
+	// dirtyR lists nodes (repeats allowed) whose residue or traversal
+	// degree changed since the last Push, so re-pushing seeds in
+	// O(changed) instead of scanning the whole residue map. The push
+	// invariant guarantees no other node can violate the threshold.
+	dirtyR []int32
+	// member is a bitset over node ids that is a superset of
+	// supp(P) ∪ supp(R): a bit is set wherever a P or R key can be created
+	// and never cleared, so an unset bit proves P[u] == 0 ∧ R[u] == 0.
+	// Subset.Repair tests it to skip the events that cannot change this
+	// state. Rebuilt on decode, never persisted.
+	member []uint64
 }
 
 // NewState initializes a state with the one-hot residue r_s = 1_s.
 func NewState(source int32, dir graph.Direction) *State {
-	return &State{
-		Source:  source,
-		Dir:     dir,
-		P:       make(map[int32]float64),
-		R:       map[int32]float64{source: 1},
-		Touched: make(map[int32]struct{}),
-		dirtyR:  map[int32]struct{}{source: {}},
+	st := &State{
+		Source: source,
+		Dir:    dir,
+		P:      make(map[int32]float64),
+		R:      map[int32]float64{source: 1},
+		dirtyR: []int32{source},
 	}
+	st.mark(source)
+	return st
+}
+
+// mark adds u to the membership set, growing it on demand — to the exact
+// size, not append's doubling: a state grows its set a handful of times in
+// its life and keeps it, so slack would be held 2·|S| times over.
+func (st *State) mark(u int32) {
+	w := int(u >> 6)
+	if w >= len(st.member) {
+		st.member = append(make([]uint64, 0, w+1), st.member...)[:w+1]
+	}
+	st.member[w] |= 1 << (uint(u) & 63)
+}
+
+// Member reports whether u is in the membership set; false proves
+// P[u] == 0 and R[u] == 0. The converse does not hold (bits outlive keys).
+func (st *State) Member(u int32) bool {
+	w := int(u >> 6)
+	return w < len(st.member) && st.member[w]&(1<<(uint(u)&63)) != 0
 }
 
 // Engine runs push operations for states over a shared graph, reusing
@@ -165,23 +193,23 @@ func (e *Engine) Push(st *State) {
 	// Seed the queue with the violating nodes among those whose residue
 	// or degree changed since the last Push; the push invariant ensures
 	// no other node can have crossed the threshold. The seeds are sorted
-	// so results do not depend on map iteration order — pushes are
-	// reproducible run-to-run and across worker counts.
+	// so results do not depend on the order they were marked dirty —
+	// pushes are reproducible run-to-run and across worker counts.
 	e.queue = e.queue[:0]
-	for u := range st.dirtyR {
-		if abs(st.R[u]) > rmax*e.degOrOne(u, st.Dir) {
+	for _, u := range st.dirtyR {
+		if !e.inQueue[u] && abs(st.R[u]) > rmax*e.degOrOne(u, st.Dir) {
 			e.queue = append(e.queue, u)
 			e.inQueue[u] = true
 		}
 	}
-	sort.Slice(e.queue, func(a, b int) bool { return e.queue[a] < e.queue[b] })
-	st.dirtyR = make(map[int32]struct{})
+	slices.Sort(e.queue)
+	st.dirtyR = st.dirtyR[:0]
 	// pushed is accumulated locally and folded into Met with one atomic
 	// add at the end — the loop body stays free of shared-memory traffic.
+	// The queue is popped by head index so its backing array is reused.
 	pushed := uint64(0)
-	for len(e.queue) > 0 {
-		u := e.queue[0]
-		e.queue = e.queue[1:]
+	for head := 0; head < len(e.queue); head++ {
+		u := e.queue[head]
 		e.inQueue[u] = false
 		ru := st.R[u]
 		if ru == 0 {
@@ -214,6 +242,7 @@ func (e *Engine) Push(st *State) {
 				delete(st.R, u)
 			} else {
 				st.R[u] = rem
+				st.mark(u)
 			}
 			if abs(rem) > rmax {
 				e.enqueue(u)
@@ -224,6 +253,7 @@ func (e *Engine) Push(st *State) {
 			delete(st.R, u)
 		} else {
 			st.R[u] = left
+			st.mark(u)
 			if abs(left) > rmax*deg {
 				e.enqueue(u)
 			}
@@ -235,6 +265,7 @@ func (e *Engine) Push(st *State) {
 				delete(st.R, v)
 			} else {
 				st.R[v] = rv
+				st.mark(v)
 			}
 			if abs(rv) > rmax*e.degOrOne(v, st.Dir) {
 				e.enqueue(v)
@@ -261,8 +292,9 @@ func (st *State) bumpP(u int32, delta float64) {
 		delete(st.P, u)
 	} else {
 		st.P[u] = nv
+		st.mark(u)
 	}
-	st.Touched[u] = struct{}{}
+	st.Touched = append(st.Touched, u)
 }
 
 // AdjustEvent applies the estimate/residue corrections of Algorithm 2
@@ -299,7 +331,7 @@ func (e *Engine) AdjustEvent(st *State, ev graph.Event) {
 func (e *Engine) adjustWithDeg(st *State, a, b int32, typ graph.EventType, d float64) {
 	// a's traversal degree changed, so its existing residue may now
 	// violate the push threshold even if no estimate mass moves.
-	st.dirtyR[a] = struct{}{}
+	st.dirtyR = append(st.dirtyR, a)
 	pa := st.P[a]
 	if pa == 0 {
 		return
@@ -388,8 +420,9 @@ func (st *State) setP(u int32, v float64) {
 		delete(st.P, u)
 	} else {
 		st.P[u] = v
+		st.mark(u)
 	}
-	st.Touched[u] = struct{}{}
+	st.Touched = append(st.Touched, u)
 }
 
 func (st *State) addR(u int32, delta float64) {
@@ -398,8 +431,9 @@ func (st *State) addR(u int32, delta float64) {
 		delete(st.R, u)
 	} else {
 		st.R[u] = nv
+		st.mark(u)
 	}
-	st.dirtyR[u] = struct{}{}
+	st.dirtyR = append(st.dirtyR, u)
 }
 
 // ResidueL1 returns Σ|r|, an upper bound on the pointwise estimate error

@@ -10,8 +10,10 @@ import (
 
 // Subset maintains forward and reverse PPR states for every node of a
 // subset S over one shared dynamic graph, implementing the per-snapshot
-// update loop of the paper: per edge event, adjust every state (Algorithm 2
-// lines 1-7), then re-push all violating residues (lines 8-11).
+// update loop of the paper: per edge event, adjust the states the event can
+// change (Algorithm 2 lines 1-7 are a no-op where p_s and r_s vanish at the
+// event's tail; see Repair), then re-push all violating residues (lines
+// 8-11).
 //
 // Per-source work (initial pushes, event replay, repair pushes) is
 // embarrassingly parallel; with Params.Workers > 1 it fans out across a
@@ -25,6 +27,12 @@ type Subset struct {
 	Rev    []*State // reverse-graph PPR p⊤_s, one per subset node (nil if disabled)
 
 	engines []*Engine // per-worker scratch engines sharing Engine.G
+
+	// batch is the applied slice of the Repair in flight and repairFn the
+	// per-source task that reads it, bound once so a Repair allocates no
+	// closure.
+	batch    []Applied
+	repairFn func(worker, i int) error
 }
 
 // NewSubset builds forward and reverse PPR states for every s ∈ S on the
@@ -74,8 +82,9 @@ func NewSubsetDirs(g *graph.Graph, s []int32, params Params, fwd, rev bool) (*Su
 // Unlike NewSubsetDirs it receives states from an untrusted decode, so it
 // re-runs the structural checks a fresh build guarantees by construction:
 // subset ids inside the graph, one state per subset node in matching
-// order and direction, and every estimate/residue key a valid node id. A
-// corrupted save errors here instead of panicking on first use.
+// order and direction, and every estimate/residue key a valid node id
+// (and a member of the state's rebuilt membership set). A corrupted save
+// errors here instead of panicking on first use.
 func RestoreSubset(g *graph.Graph, s []int32, params Params, fwd, rev []*State) (*Subset, error) {
 	for _, v := range s {
 		if int(v) >= g.NumNodes() || v < 0 {
@@ -98,7 +107,8 @@ func RestoreSubset(g *graph.Graph, s []int32, params Params, fwd, rev []*State) 
 }
 
 // validateStates checks one direction's restored state slice against the
-// subset and the graph. A nil slice is valid (direction disabled).
+// subset and the graph, rebuilding each state's membership set from its
+// checked keys. A nil slice is valid (direction disabled).
 func validateStates(g *graph.Graph, s []int32, states []*State, dir graph.Direction) error {
 	if states == nil {
 		return nil
@@ -118,14 +128,24 @@ func validateStates(g *graph.Graph, s []int32, states []*State, dir graph.Direct
 		case st.P == nil || st.R == nil:
 			return fmt.Errorf("ppr: restore: %v state for subset node %d has nil maps", dir, s[i])
 		}
+		// The membership set is not persisted: rebuild it from the keys as
+		// each passes its range check, so a corrupt key never sizes it.
+		st.member = nil
 		for u := range st.P {
 			if u < 0 || u >= n {
 				return fmt.Errorf("ppr: restore: estimate key %d of source %d outside graph with %d nodes", u, st.Source, n)
 			}
+			st.mark(u)
 		}
 		for u := range st.R {
 			if u < 0 || u >= n {
 				return fmt.Errorf("ppr: restore: residue key %d of source %d outside graph with %d nodes", u, st.Source, n)
+			}
+			st.mark(u)
+		}
+		for _, u := range st.Touched {
+			if u < 0 || u >= n {
+				return fmt.Errorf("ppr: restore: touched key %d of source %d outside graph with %d nodes", u, st.Source, n)
 			}
 		}
 	}
@@ -146,6 +166,7 @@ func newSubsetShell(g *graph.Graph, s []int32, params Params) (*Subset, error) {
 		sp.engines[i], _ = NewEngine(g, params) // params already validated
 		sp.engines[i].Met = eng.Met             // one shared counter set per subset
 	}
+	sp.repairFn = sp.repairSource
 	return sp, nil
 }
 
@@ -183,8 +204,9 @@ func ApplyAll(g *graph.Graph, events []graph.Event) []Applied {
 }
 
 // ApplyEvents advances the shared graph through the events and
-// incrementally repairs every state. Cost O(|S|·(τ + 1/r_max)) per
-// Theorem 3.7's first term. The graph mutation is sequential (event order
+// incrementally repairs the states they reach. Cost O(|S|·(τ + 1/r_max))
+// per Theorem 3.7's first term, of which an unreached state pays τ bit
+// tests. The graph mutation is sequential (event order
 // matters); the per-source corrections and repair pushes run on the
 // worker pool with ctx-aware cancellation. On a non-nil error the graph
 // has already advanced but some sources may not have been repaired —
@@ -194,44 +216,63 @@ func (sp *Subset) ApplyEvents(ctx context.Context, events []graph.Event) error {
 }
 
 // Repair replays the Algorithm 2 corrections for an already-applied
-// event slice (see ApplyAll) on every state and re-pushes the violating
-// residues. The graph must already reflect the events; it is only read
-// here, so several Subsets sharing one graph (the sharded layout) may
-// Repair the same slice concurrently. On a non-nil error some sources
-// may not have been repaired — recover with Rebuild.
+// event slice (see ApplyAll) and re-pushes the violating residues, on the
+// states the batch can change. An event whose tail a is outside a state's
+// membership set has p_s(a) = r_s(a) = 0 there: its correction would only
+// mark a dirty and return, and Push would then find r_s(a) = 0 and seed
+// nothing, so skipping the call changes no bit of the state. Membership
+// is tested live per (state, event), so an event that makes a later tail
+// reachable within the same batch (its addR marks the node) is honoured;
+// a state with no executed correction and no pending dirty residue is
+// not pushed. The graph must already reflect the events; it is only read
+// here, and each worker writes only its own states, so several Subsets
+// sharing one graph (the sharded layout) may Repair the same slice
+// concurrently. On a non-nil error some sources may not have been
+// repaired — recover with Rebuild.
 func (sp *Subset) Repair(ctx context.Context, applied []Applied) error {
 	if len(applied) == 0 {
 		return nil
 	}
-	// The correction count is a closed form — one Algorithm 2 adjustment
-	// per (applied event, source, enabled direction) — so the τ cost term
-	// is recorded with a single atomic add instead of per-call counting.
-	dirs := uint64(0)
+	sp.batch = applied
+	err := par.ForWorkerErr(ctx, len(sp.S), par.Workers(sp.Engine.Params.Workers), sp.repairFn)
+	sp.batch = nil
+	return err
+}
+
+// repairSource repairs both states of subset node i against sp.batch.
+func (sp *Subset) repairSource(worker, i int) error {
+	eng := sp.engines[worker]
 	if sp.Fwd != nil {
-		dirs++
+		eng.repair(sp.Fwd[i], sp.batch)
 	}
 	if sp.Rev != nil {
-		dirs++
+		eng.repair(sp.Rev[i], sp.batch)
 	}
-	sp.Engine.Met.Adjusts.Add(uint64(len(applied)) * uint64(len(sp.S)) * dirs)
-	return par.ForWorkerErr(ctx, len(sp.S), par.Workers(sp.Engine.Params.Workers), func(worker, i int) error {
-		eng := sp.engines[worker]
-		if sp.Fwd != nil {
-			st := sp.Fwd[i]
-			for _, ae := range applied {
-				eng.adjustWithDeg(st, ae.Ev.U, ae.Ev.V, ae.Ev.Type, ae.OutDegU)
-			}
-			eng.Push(st)
+	return nil
+}
+
+// repair runs the batch's corrections whose tail st's membership set
+// holds, then pushes if any ran or a residue is still marked dirty (the
+// first repair after a load).
+func (e *Engine) repair(st *State, applied []Applied) {
+	adjusts := uint64(0)
+	for _, ae := range applied {
+		a, b, d := ae.Ev.U, ae.Ev.V, ae.OutDegU
+		if st.Dir == graph.Reverse {
+			a, b, d = ae.Ev.V, ae.Ev.U, ae.InDegV
 		}
-		if sp.Rev != nil {
-			st := sp.Rev[i]
-			for _, ae := range applied {
-				eng.adjustWithDeg(st, ae.Ev.V, ae.Ev.U, ae.Ev.Type, ae.InDegV)
-			}
-			eng.Push(st)
+		if !st.Member(a) {
+			continue
 		}
-		return nil
-	})
+		e.adjustWithDeg(st, a, b, ae.Ev.Type, d)
+		adjusts++
+	}
+	if adjusts == 0 && len(st.dirtyR) == 0 {
+		return
+	}
+	e.Push(st)
+	e.Met.Adjusts.Add(adjusts)
+	e.Met.StatesRepaired.Add(1)
 }
 
 // Rebuild recomputes every state from scratch on the current graph, the

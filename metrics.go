@@ -104,10 +104,13 @@ type WALMetrics struct {
 // struct as a whole is approximately consistent with concurrent updates.
 type Metrics struct {
 	// Pushes counts Forward-Push PUSH operations (the O(1/r_max) term of
-	// Theorem 3.7); Adjusts the per-event Algorithm 2 corrections (the τ
-	// term); SourceRebuilds per-source from-scratch PPR rebuilds (the
+	// Theorem 3.7); Adjusts the Algorithm 2 corrections executed (the τ
+	// term: one per event and PPR state whose estimate or residue the
+	// event's tail touches, so it tracks reach, not |S|); StatesRepaired
+	// the PPR states a batch adjusted or pushed (per batch, of 2·|S|);
+	// SourceRebuilds per-source from-scratch PPR rebuilds (the
 	// O(|S|/r_max) fallback).
-	Pushes, Adjusts, SourceRebuilds uint64
+	Pushes, Adjusts, StatesRepaired, SourceRebuilds uint64
 	// TreeBuilds counts full Build passes, TreeUpdates lazy Update
 	// passes. BlocksRebuilt/BlocksSkipped accumulate the per-pass Eqn. 2
 	// outcomes (their ratio is the lazy skip rate); UpperMerges counts
@@ -208,7 +211,9 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 	r.Counter("treesvd_ppr_pushes_total", "ops",
 		"Forward-Push PUSH operations (Theorem 3.7's 1/r_max term)", &pm.Pushes)
 	r.Counter("treesvd_ppr_adjusts_total", "ops",
-		"Algorithm 2 per-event estimate corrections (the tau term)", &pm.Adjusts)
+		"Algorithm 2 estimate corrections executed (the tau term; tracks reach, not |S|)", &pm.Adjusts)
+	r.Counter("treesvd_ppr_states_repaired_total", "states",
+		"PPR states a batch's repair adjusted or pushed (of 2|S| per batch)", &pm.StatesRepaired)
 	r.Counter("treesvd_ppr_source_rebuilds_total", "sources",
 		"Per-source from-scratch PPR rebuilds (the |S|/r_max fallback)", &pm.SourceRebuilds)
 	tm := e.shards[0].tree.Metrics()
@@ -322,6 +327,7 @@ func (e *Embedder) Metrics() Metrics {
 	m := Metrics{
 		Pushes:             pm.Pushes.Load(),
 		Adjusts:            pm.Adjusts.Load(),
+		StatesRepaired:     pm.StatesRepaired.Load(),
 		SourceRebuilds:     pm.SourceRebuilds.Load(),
 		TreeBuilds:         tm.Builds.Load(),
 		TreeUpdates:        tm.Updates.Load(),

@@ -49,6 +49,9 @@ func TestMetricsAfterChurn(t *testing.T) {
 	if m.Adjusts == 0 {
 		t.Fatal("Adjusts = 0 after incremental batches")
 	}
+	if states := uint64(2 * len(emb.Subset())); m.StatesRepaired == 0 || m.StatesRepaired > 4*states {
+		t.Fatalf("StatesRepaired = %d after 4 batches over %d states", m.StatesRepaired, states)
+	}
 	if m.TreeUpdates != 4 {
 		t.Fatalf("TreeUpdates = %d, want 4", m.TreeUpdates)
 	}
@@ -103,6 +106,7 @@ func TestMetricsRegistryServesBothFormats(t *testing.T) {
 	for _, name := range []string{
 		"treesvd_ppr_pushes_total",
 		"treesvd_ppr_adjusts_total",
+		"treesvd_ppr_states_repaired_total",
 		"treesvd_tree_blocks_rebuilt_total",
 		"treesvd_tree_blocks_skipped_total",
 		"treesvd_batches_applied_total",

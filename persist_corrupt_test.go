@@ -72,6 +72,22 @@ type rawState struct {
 	PVals, RVals        []float64
 }
 
+// nonCanonicalStates are the wire forms of a PPR state that no encoder
+// emits and the decoder must refuse, because the repair skip reads an
+// unset membership bit as "estimate and residue are zero here": a key
+// stored twice, a stored zero, a non-finite value.
+var nonCanonicalStates = []struct {
+	name    string
+	mutate  func(*rawState)
+	wantSub string
+}{
+	{"state key stored twice", func(w *rawState) {
+		w.PKeys, w.PVals = append(w.PKeys, w.PKeys[0]), append(w.PVals, w.PVals[0])
+	}, "repeats 1 of its"},
+	{"state stores a zero", func(w *rawState) { w.RVals[0] = 0 }, "non-canonical residue value 0"},
+	{"state stores an infinity", func(w *rawState) { w.PVals[0] = math.Inf(1) }, "non-canonical estimate value +Inf"},
+}
+
 // healthySave is the save of a small embedder one batch past its build.
 func healthySave(shards int) []byte {
 	rng := rand.New(rand.NewSource(9))
@@ -88,7 +104,7 @@ func healthySave(shards int) []byte {
 // encoders), lets mutate corrupt it, and re-encodes. The result is a
 // structurally valid gob stream carrying inconsistent state — exactly
 // what a hand-edited or partially overwritten save file looks like.
-func corruptSave[W any](t *testing.T, mutate func(*W)) []byte {
+func corruptSave[W any](t testing.TB, mutate func(*W)) []byte {
 	t.Helper()
 	var saved W
 	if err := gob.NewDecoder(bytes.NewReader(healthySave(1))).Decode(&saved); err != nil {
@@ -158,12 +174,21 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		{"root rank mismatch", func(s *savedEmbedder) { s.Shards[0].Tree.RootS = s.Shards[0].Tree.RootS[:1] }, "singular values"},
 		{"shard count mismatch", func(s *savedEmbedder) { s.Config.Shards = 2 }, "1 shard payloads for a 2-shard"},
 		{"no shard payloads", func(s *savedEmbedder) { s.Shards = nil }, "0 shard payloads"},
-		// A residue the decoders accept but the auditors do not: Load audits
-		// before it publishes, as Open always has.
 		{"NaN residue", func(s *savedEmbedder) {
 			st := s.Shards[0].Fwd[0]
 			st.R[st.Source] = math.NaN()
+		}, "non-canonical residue value NaN"},
+		// A residue the decoders accept but the auditors do not: Load audits
+		// before it publishes, as Open always has.
+		{"residue above the push threshold", func(s *savedEmbedder) {
+			st := s.Shards[0].Fwd[0]
+			st.R[st.Source] += 0.5
+			st.P[st.Source] -= 0.5
 		}, "invariant audit"},
+		// Cached factors with the right shapes and a non-finite entry.
+		{"NaN in a level-1 cache", func(s *savedEmbedder) { s.Shards[0].Tree.Level1US[0].Data[0] = math.NaN() }, "non-finite"},
+		{"Inf in an upper cache", func(s *savedEmbedder) { s.Shards[0].Tree.Upper[0][0].Data[0] = math.Inf(1) }, "non-finite"},
+		{"NaN in the root factor", func(s *savedEmbedder) { s.Shards[0].Tree.RootU.Data[1] = math.NaN() }, "non-finite"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
@@ -191,6 +216,12 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		}, "keys/values"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
+	}
+	for _, tc := range nonCanonicalStates {
+		check(tc.name, corruptSave(t, func(s *rawSaved) {
+			var w rawState
+			s.Shards[0].Fwd[0].edit(&w, func() { tc.mutate(&w) })
+		}), tc.wantSub, true)
 	}
 	// Another format version is a refusal, not damage: a plain error that
 	// names both versions.
@@ -236,13 +267,21 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 
 // FuzzLoad is the decoder property over the one save format: for any
 // payload whose checksum verifies, Load returns an error or an embedder
-// whose Audit is clean — never a panic. The seeds are a 1-shard and a
-// 2-shard save without their footers; every mutated payload is re-sealed
-// with a valid one, since otherwise the CRC would reject them all and
-// nothing behind it would run.
+// whose Audit is clean and that serves a read — one Recommend and the
+// whole Embedding, which on a sharded save runs the root merge over every
+// cached factor — never a panic. The seeds are a 1-shard and a 2-shard
+// save and the three non-canonical PPR states, without their footers;
+// every mutated payload is re-sealed with a valid one, since otherwise
+// the CRC would reject them all and nothing behind it would run.
 func FuzzLoad(f *testing.F) {
-	for _, shards := range []int{1, 2} {
-		save := healthySave(shards)
+	seeds := [][]byte{healthySave(1), healthySave(2)}
+	for _, tc := range nonCanonicalStates {
+		seeds = append(seeds, corruptSave(f, func(s *rawSaved) {
+			var w rawState
+			s.Shards[0].Rev[1].edit(&w, func() { tc.mutate(&w) })
+		}))
+	}
+	for _, save := range seeds {
 		f.Add(save[:len(save)-footerLen])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -255,5 +294,9 @@ func FuzzLoad(f *testing.F) {
 		if err := emb.Audit(); err != nil {
 			t.Fatalf("Load accepted a state that fails its audit: %v", err)
 		}
+		if _, err := emb.Recommend(emb.Subset()[0], 3); err != nil {
+			t.Fatalf("Load accepted a state that cannot serve a read: %v", err)
+		}
+		emb.Embedding()
 	})
 }

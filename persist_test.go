@@ -65,14 +65,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if r1 != r2 {
 		t.Fatalf("rebuild counts diverge after load: %d vs %d", r1, r2)
 	}
-	// Incremental Frobenius bookkeeping accumulates in map-iteration
-	// order, so post-update states can differ by float reassociation
-	// (~1 ulp); anything beyond that is real state loss.
+	// The proximity refresh walks touched nodes in ascending order, so the
+	// incremental Frobenius bookkeeping — and everything downstream — is
+	// the same float computation on both sides.
 	a, b = emb.Embedding(), loaded.Embedding()
 	for i := range a {
 		for j := range a[i] {
-			if d := a[i][j] - b[i][j]; d > 1e-9 || d < -1e-9 {
+			if a[i][j] != b[i][j] {
 				t.Fatalf("post-update embedding differs at (%d,%d): %g vs %g", i, j, a[i][j], b[i][j])
+			}
+		}
+	}
+}
+
+// TestSaveIsByteDeterministic: a save is a function of the embedder's
+// state. Two saves of one embedder, and a save of the embedder loaded from
+// the first, are the same bytes — the PPR states encode their maps in key
+// order — at one shard and at two, before and after a further batch.
+func TestSaveIsByteDeterministic(t *testing.T) {
+	save := func(e *Embedder) []byte {
+		var buf bytes.Buffer
+		must0tb(e.Save(&buf))
+		return buf.Bytes()
+	}
+	for _, shards := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(21))
+		emb := mustTB(New(buildGraph(rng, 60, 240), []int32{2, 4, 8, 16, 32, 48}, Config{Dim: 8, MaxNodes: 80, Shards: shards}))
+		for round := 0; round < 2; round++ {
+			var events []Event
+			for len(events) < 30 {
+				if u, v := int32(rng.Intn(70)), int32(rng.Intn(70)); u != v {
+					events = append(events, Event{U: u, V: v, Type: Insert}, Event{U: v, V: u, Type: Delete})
+				}
+			}
+			mustTB(emb.ApplyEvents(bgt, events))
+			first := save(emb)
+			if !bytes.Equal(first, save(emb)) {
+				t.Fatalf("shards=%d round %d: two saves of one embedder differ", shards, round)
+			}
+			loaded := mustTB(Load(bytes.NewReader(first)))
+			if !bytes.Equal(first, save(loaded)) {
+				t.Fatalf("shards=%d round %d: Save → Load → Save changed the bytes", shards, round)
 			}
 		}
 	}
