@@ -3,8 +3,10 @@
 # packages (the public facade, everything under internal/, and the
 # binaries under cmd/, which have no tests but build and vet under it),
 # the short-mode differential fuzz of the correctness harness, ten
-# seconds of coverage fuzzing on each decoder of untrusted bytes, and the
-# fault-injection crash matrix of the durable wrapper.
+# seconds of coverage fuzzing on each decoder of untrusted bytes, the
+# fault-injection crash matrix of the durable wrapper, the chaos suite,
+# doclint, and one-iteration smokes of the serve, apply, recommend and
+# repair benchmarks.
 
 GO ?= go
 
@@ -15,9 +17,9 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-recovery bench-shards bench-shards-short bench-serve bench-serve-short bench-dynamic bench-dynamic-short bench-recommend-short bench-repair-short serve-race fmt docs
+.PHONY: ci vet build test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-serve bench-serve-short bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
 
-ci: fmt vet build test race differential fuzz-decoders crash chaos docs bench-shards-short bench-serve-short bench-dynamic-short bench-recommend-short bench-repair-short
+ci: fmt vet build test race differential fuzz-decoders crash chaos docs bench-serve-short bench-apply-short bench-recommend-short bench-repair-short
 
 vet:
 	$(GO) vet ./...
@@ -90,39 +92,11 @@ bench:
 bench-kernels:
 	BENCH_KERNELS_OUT=$(CURDIR)/BENCH_KERNELS.json $(GO) test -run TestEmitKernelBench -v ./internal/linalg
 
-# Emits BENCH_RECOVERY.json: checkpoint commit cost, WAL append overhead
-# per fsync policy (acceptance: <10% at fsync=batch), and cold-start
-# replay time vs WAL length (see recovery_bench_test.go).
-bench-recovery:
-	BENCH_RECOVERY_OUT=$(CURDIR)/BENCH_RECOVERY.json $(GO) test -run TestEmitRecoveryBench -count=1 -v .
-
-# Emits BENCH_SHARDS.json: ApplyEvents throughput (events/sec and
-# speedup vs 1 shard) and Recommend p50/p99 latency at Shards ∈ {1,2,4,8}
-# on the churnstress stream (see shard_bench_test.go).
-bench-shards:
-	BENCH_SHARDS_OUT=$(CURDIR)/BENCH_SHARDS.json $(GO) test -run TestEmitShardBench -count=1 -v .
-
-# Short smoke variant for `make ci`: a tiny stream and a throwaway
-# output file — it gates that the shard bench harness still runs end to
-# end, not the machine-dependent numbers.
-bench-shards-short:
-	BENCH_SHARDS_OUT=$(CURDIR)/.bench-shards-ci.json BENCH_SHARDS_SHORT=1 $(GO) test -run TestEmitShardBench -count=1 .
-	@rm -f $(CURDIR)/.bench-shards-ci.json
-
-# Emits BENCH_DYNAMIC.json: per-batch ApplyEvents latency (p50/p99) on
-# the churnstress stream with the Brand-style incremental update path
-# off vs on, plus the update hit rate, fallback rate and the p99 speedup
-# (see dynamic_bench_test.go). README's "Dynamic path" section quotes
-# these.
-bench-dynamic:
-	BENCH_DYNAMIC_OUT=$(CURDIR)/BENCH_DYNAMIC.json $(GO) test -run TestEmitDynamicBench -count=1 -v .
-
-# Short smoke variant for `make ci`: a tiny stream and a throwaway
-# output file — it gates that the dynamic bench harness still runs end
-# to end, not the machine-dependent numbers.
-bench-dynamic-short:
-	BENCH_DYNAMIC_OUT=$(CURDIR)/.bench-dynamic-ci.json BENCH_DYNAMIC_SHORT=1 $(GO) test -run TestEmitDynamicBench -count=1 .
-	@rm -f $(CURDIR)/.bench-dynamic-ci.json
+# Smoke for `make ci`: one batch of each row of BenchmarkApplyEvents
+# (4- and 48-event batches at the system benchmark's shape, Shards 1/2/4;
+# ms/batch and first-read-us). For numbers: -benchtime 300x -count 5.
+bench-apply-short:
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyEvents$$' -benchtime 1x .
 
 # Smoke for `make ci`: one iteration of the fresh/warm Recommend
 # benchmarks on both sides of the nnz(M) = n·d crossover (DESIGN.md §5),

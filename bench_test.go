@@ -7,9 +7,12 @@ package treesvd
 // the core primitives (push, block SVD, tree build/update) follow.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/tree-svd/treesvd/internal/bench"
 	"github.com/tree-svd/treesvd/internal/core"
@@ -139,25 +142,48 @@ func BenchmarkFullMatrixFRPCA(b *testing.B) {
 	}
 }
 
-func BenchmarkEmbedderApplyEvents(b *testing.B) {
-	ds := dataset.Generate(dataset.ScaleProfile(dataset.Patent(), 0.25))
-	g := ds.SnapshotGraph(ds.Stream.NumSnapshots() / 2)
-	s := ds.SampleSubset(1, 100, 1)
-	cfg := Defaults()
-	cfg.MaxNodes = ds.Stream.NumNodes
-	emb, err := New(g, s, cfg)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkApplyEvents applies churn batches at the system benchmark's
+// shape (benchmark/plan.go: 8 000 nodes growing toward 9 000, degree 5,
+// |S| = 128, d = 16, r_max = 1e-3, two workers) in its two batch sizes
+// across shard counts, and times the first Recommend on every snapshot
+// beside the apply: sharding moves the root merge from the batch to that
+// read, and a warm-read median cannot see the trade.
+func BenchmarkApplyEvents(b *testing.B) {
+	const nodes, warm = 8000, 16
+	subset := make([]int32, 128)
+	for i, v := range rand.New(rand.NewSource(1)).Perm(nodes)[:len(subset)] {
+		subset[i] = int32(v)
 	}
-	rest := ds.Stream.Events[ds.Stream.Ends[ds.Stream.NumSnapshots()/2-1]:]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := (i * 100) % len(rest)
-		hi := lo + 100
-		if hi > len(rest) {
-			hi = len(rest)
+	slices.Sort(subset)
+	for _, batch := range []int{4, 48} {
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("batch=%d/shards=%d", batch, shards), func(b *testing.B) {
+				g, batches := dataset.GenerateChurn(dataset.ChurnProfile{
+					Nodes: nodes, MaxNodes: 9000, Degree: 5,
+					Batches: warm + b.N, BatchSize: batch,
+					DeleteFrac: 0.2, GrowFrac: 0.02, BigBatch: -1,
+					Protect: subset, Seed: 1,
+				})
+				cfg := Defaults()
+				cfg.Dim, cfg.RMax, cfg.MaxNodes, cfg.Workers, cfg.Shards = 16, 1e-3, 9000, 2, shards
+				emb := mustTB(New(g, subset, cfg))
+				for _, ev := range batches[:warm] {
+					mustTB(emb.ApplyEvents(bgt, ev))
+				}
+				var apply, read time.Duration
+				b.ResetTimer()
+				for i, ev := range batches[warm:] {
+					t0 := time.Now()
+					mustTB(emb.ApplyEvents(bgt, ev))
+					t1 := time.Now()
+					mustTB(emb.Recommend(subset[i%len(subset)], 10))
+					apply += t1.Sub(t0)
+					read += time.Since(t1)
+				}
+				b.ReportMetric(apply.Seconds()*1e3/float64(b.N), "ms/batch")
+				b.ReportMetric(read.Seconds()*1e6/float64(b.N), "first-read-us")
+			})
 		}
-		mustTB(emb.ApplyEvents(bgt, rest[lo:hi]))
 	}
 }
 

@@ -1,13 +1,9 @@
 // Command doclint enforces the repository's documentation bar, beyond
 // what go vet checks: every package (root, internal/..., cmd/...) must
-// carry a package comment; every exported identifier of the public
-// root package and of the exported-surface internal packages listed in
-// exportedSurface — types, funcs, methods, consts, vars — must have a
-// doc comment; and no doc comment or markdown document may contain a
-// wording from the known-stale list (claims that were once true, were
-// fixed, and must not creep back in a merge or a copy-paste). It prints
-// one line per violation and exits non-zero if any were found;
-// `make docs` runs it together with go vet.
+// carry a package comment, and every exported identifier of the public
+// root package — types, funcs, methods, consts, vars — must have a doc
+// comment. It prints one line per violation and exits non-zero if any
+// were found; `make docs` runs it together with go vet.
 package main
 
 import (
@@ -22,33 +18,10 @@ import (
 	"strings"
 )
 
-// exportedSurface lists the directories whose exported identifiers must
-// all carry doc comments: the public root package plus internal packages
-// that the documentation chapters present as named building blocks.
-var exportedSurface = []string{".", "internal/svdupd"}
-
-// staleWordings are phrases that were once accurate, got invalidated by
-// a later change, and were rewritten — each entry records the fix so the
-// old claim cannot quietly reappear. Matching is case-insensitive over
-// .go comments and .md files.
-var staleWordings = []struct{ phrase, fix string }{
-	// ApplyEvents' return value counts updated blocks too since the
-	// incremental SVD path landed; the contract wording is "refreshed".
-	{"level-1 blocks re-factored across", "say \"refreshed\" and point at LastStats for the split"},
-	// The provenance chapter tracks five BENCH_*.json artifacts.
-	{"two json artifacts", "the artifact list grew; count it again"},
-	// The serving bench runs an 8k-node synthetic graph (BENCH_SERVE.json).
-	{"4k-node graph", "BENCH_SERVE.json says nodes: 8000"},
-	{"4k-node synthetic graph", "BENCH_SERVE.json says nodes: 8000"},
-}
-
 func main() {
 	problems := 0
 	problems += checkPackageDocs(".")
-	for _, dir := range exportedSurface {
-		problems += checkExported(dir)
-	}
-	problems += checkStaleWordings(".")
+	problems += checkExported(".")
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", problems)
 		os.Exit(1)
@@ -184,55 +157,5 @@ func checkExported(dir string) int {
 			}
 		}
 	}
-	return problems
-}
-
-// checkStaleWordings scans every markdown document and every .go comment
-// under root for the known-stale phrases. cmd/doclint itself is exempt:
-// the list lives here.
-func checkStaleWordings(root string) int {
-	problems := 0
-	scan := func(path, text string) {
-		lower := strings.ToLower(text)
-		for _, w := range staleWordings {
-			if strings.Contains(lower, w.phrase) {
-				fmt.Fprintf(os.Stderr, "doclint: %s: stale wording %q (%s)\n", path, w.phrase, w.fix)
-				problems++
-			}
-		}
-	}
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			if filepath.ToSlash(path) == "cmd/doclint" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		switch {
-		case strings.HasSuffix(path, ".md"):
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			scan(path, string(data))
-		case strings.HasSuffix(path, ".go"):
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil // a build gate's job, not doclint's
-			}
-			for _, cg := range f.Comments {
-				scan(path, cg.Text())
-			}
-		}
-		return nil
-	})
 	return problems
 }

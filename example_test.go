@@ -99,51 +99,6 @@ func ExampleEmbedder_Metrics() {
 	// Output: batches=3 events=96 builds=1 snapshots=4 pushes>0=true
 }
 
-func ExampleConfig_dynamicUpdates() {
-	g := ringGraph(32)
-	cfg := treesvd.Config{
-		Dim:    4,
-		Branch: 4, Levels: 2, // 4 wide blocks, so every block has mass
-		Delta: 1e-3, // tight trigger: every batch below violates it
-		// Enable the Brand-style incremental path and let every violating
-		// block attempt it; the UpdateTailFrac budget still bounds the
-		// accumulated truncation error.
-		SVDUpdate:    true,
-		UpdateMaxRel: 1e6,
-	}
-	emb, err := treesvd.New(g, []int32{0, 8}, cfg)
-	if err != nil {
-		panic(err)
-	}
-	for round := int32(0); round < 4; round++ {
-		events := []treesvd.Event{{U: round, V: (16 + 3*round) % 32, Type: treesvd.Insert}}
-		if _, err := emb.ApplyEvents(context.Background(), events); err != nil {
-			panic(err)
-		}
-	}
-	m := emb.Metrics()
-	fmt.Printf("blocks updated > 0: %t, fallbacks: %d\n", m.BlocksUpdated > 0, m.UpdateFallbacks)
-	// Output: blocks updated > 0: true, fallbacks: 0
-}
-
-func ExampleConfig_pushAccel() {
-	subset := []int32{0, 8}
-	build := func(accel treesvd.PushAccel) *treesvd.Embedder {
-		emb, err := treesvd.New(ringGraph(32), subset, treesvd.Config{Dim: 4, PushAccel: accel})
-		if err != nil {
-			panic(err)
-		}
-		return emb
-	}
-	classic := build(treesvd.PushClassic) // the default: Algorithm 1 exactly
-	sor := build(treesvd.PushSOR)         // over-relaxed steps, same residue bound
-	a, b := classic.ProximityFrobNorm(), sor.ProximityFrobNorm()
-	fmt.Printf("both engines pushed: %t, proximity norms within 5%%: %t\n",
-		classic.Metrics().Pushes > 0 && sor.Metrics().Pushes > 0,
-		(a-b)/a < 0.05 && (b-a)/a < 0.05)
-	// Output: both engines pushed: true, proximity norms within 5%: true
-}
-
 func ExampleEmbedder_SetTraceHook() {
 	g := ringGraph(32)
 	emb, err := treesvd.New(g, []int32{0, 8}, treesvd.Config{Dim: 4})

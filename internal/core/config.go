@@ -38,24 +38,10 @@ type Config struct {
 	// Workers parallelizes per-block factorization and per-level merges
 	// (0 or 1 = sequential).
 	Workers int
-	// SVDUpdate enables the Brand-style incremental path (internal/svdupd):
-	// a violating level-1 block whose delta is small absorbs D_j into the
-	// cached (U, Σ, V) instead of re-running the randomized SVD, falling
-	// back to the full recompute when the thresholds below say no. Off by
-	// default; when off, behavior and memory use are bit-identical to
-	// before the knob existed (the caches do not retain right factors).
-	SVDUpdate bool
-	// UpdateMaxRel is the update path's eligibility threshold: a dirty
-	// block is updated in place only while ‖D_j‖_F ≤ UpdateMaxRel·√2·δ·
-	// ‖B_j‖_F (the same trigger quantity as Eqn. 2). Bigger deltas carry
-	// enough new spectrum that a fresh randomized SVD is both cheaper and
-	// tighter. Zero means the default 0.5.
-	UpdateMaxRel float64
-	// UpdateTailFrac budgets the error the update path may accumulate: the
-	// discarded spectral mass since the block's last full factorization
-	// must stay within UpdateTailFrac·√2·δ·‖B_j‖_F or the block falls back
-	// to a full recompute (which resets the budget). Zero means the
-	// default 0.25.
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
+	// seam. Validate rejects any non-zero value.
+	SVDUpdate      bool
+	UpdateMaxRel   float64
 	UpdateTailFrac float64
 }
 
@@ -88,34 +74,9 @@ func (c Config) Validate() error {
 	if c.Delta < 0 {
 		return fmt.Errorf("core: delta %g must be non-negative", c.Delta)
 	}
-	if c.UpdateMaxRel < 0 {
-		return fmt.Errorf("core: update max-rel threshold %g must be non-negative", c.UpdateMaxRel)
-	}
-	if c.UpdateTailFrac < 0 {
-		return fmt.Errorf("core: update tail fraction %g must be non-negative", c.UpdateTailFrac)
+	if c.SVDUpdate || c.UpdateMaxRel != 0 || c.UpdateTailFrac != 0 {
+		return fmt.Errorf("core: SVDUpdate/UpdateMaxRel/UpdateTailFrac (%t/%g/%g) were removed: the incremental block update was slower than re-factoring on every benchmark workload",
+			c.SVDUpdate, c.UpdateMaxRel, c.UpdateTailFrac)
 	}
 	return nil
-}
-
-// Tuning defaults for the incremental-update thresholds; see UpdateMaxRel
-// and UpdateTailFrac.
-const (
-	DefaultUpdateMaxRel   = 0.5
-	DefaultUpdateTailFrac = 0.25
-)
-
-// updateMaxRel resolves the zero-means-default eligibility threshold.
-func (c Config) updateMaxRel() float64 {
-	if c.UpdateMaxRel == 0 {
-		return DefaultUpdateMaxRel
-	}
-	return c.UpdateMaxRel
-}
-
-// updateTailFrac resolves the zero-means-default error budget.
-func (c Config) updateTailFrac() float64 {
-	if c.UpdateTailFrac == 0 {
-		return DefaultUpdateTailFrac
-	}
-	return c.UpdateTailFrac
 }

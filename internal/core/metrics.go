@@ -17,37 +17,23 @@ type Metrics struct {
 	// Updates counts lazy Update passes (including ones that rebuilt
 	// nothing).
 	Builds, Updates obs.Counter
-	// BlocksRebuilt and BlocksSkipped accumulate the per-pass recompute
-	// and cache-hit counts: their ratio is the lazy update's skip rate,
-	// the quantity Fig. 13 sweeps δ against. With Config.SVDUpdate on,
-	// BlocksRebuilt counts only full recomputes; violating blocks served
-	// by the incremental path land in BlocksUpdated instead, so
-	// BlocksRebuilt + BlocksUpdated is the per-pass |Z|.
+	// BlocksRebuilt and BlocksSkipped accumulate the per-pass |Z| and
+	// cache-hit counts: their ratio is the lazy update's skip rate, the
+	// quantity Fig. 13 sweeps δ against.
 	BlocksRebuilt, BlocksSkipped obs.Counter
-	// BlocksUpdated counts violating level-1 blocks absorbed by the
-	// Brand-style incremental path; UpdateFallbacks counts blocks that
-	// were eligible for it (small delta, cached factors present) but fell
-	// back to a recompute — the updater errored or the accumulated
-	// truncation error would exceed its Config.UpdateTailFrac budget. The
-	// update hit rate is BlocksUpdated/(BlocksUpdated+BlocksRebuilt).
-	BlocksUpdated, UpdateFallbacks obs.Counter
 	// UpperMerges accumulates SVD merges at levels ≥ 2 (affected
 	// ancestors plus the root, per pass).
 	UpperMerges obs.Counter
 	// BlockFactorNanos records one observation per level-1 block
-	// factorization (the rsvd.Sparse call); BlockUpdateNanos one per
-	// successful incremental block update (svdupd.Update) — comparing the
-	// two distributions is the observable form of the update path's win;
-	// MergeNanos one per upper merge pass; PassNanos one per whole
-	// Build/Update.
-	BlockFactorNanos, BlockUpdateNanos, MergeNanos, PassNanos obs.Histogram
+	// factorization (the rsvd.Sparse call); MergeNanos one per upper
+	// merge pass; PassNanos one per whole Build/Update.
+	BlockFactorNanos, MergeNanos, PassNanos obs.Histogram
 }
 
 // observeCommit folds one committed pass's Stats into the cumulative
 // counters.
 func (m *Metrics) observeCommit(s Stats) {
 	m.BlocksRebuilt.Add(uint64(s.Level1Rebuilt))
-	m.BlocksUpdated.Add(uint64(s.Level1Updated))
 	m.BlocksSkipped.Add(uint64(s.Skipped))
 	m.UpperMerges.Add(uint64(s.UpperRebuilt))
 }

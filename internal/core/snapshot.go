@@ -20,23 +20,12 @@ type TreeSnapshot struct {
 	// older versions — gob leaves the slice nil and Restore falls back to
 	// the "no provenance" sentinel, keeping old saves loadable.
 	Level1Seq []int64
-	// Level1U/Level1S/Level1V and Level1UpdErr carry the full per-block
-	// factors and accumulated update error retained when Config.SVDUpdate
-	// is on, so a restored tree keeps serving the incremental path with
-	// its exact pre-save state. All nil when the update path is off (and
-	// in saves from older versions — gob leaves them nil and Restore
-	// simply rebuilds caches without factors, which the recompute path
-	// handles as before).
-	Level1U      []*linalg.Dense
-	Level1S      [][]float64
-	Level1V      []*linalg.Dense
-	Level1UpdErr []float64
-	Upper        [][]*linalg.Dense
-	RootU        *linalg.Dense
-	RootS        []float64
-	RootV        *linalg.Dense
-	Seq          int64
-	Built        bool
+	Upper     [][]*linalg.Dense
+	RootU     *linalg.Dense
+	RootS     []float64
+	RootV     *linalg.Dense
+	Seq       int64
+	Built     bool
 }
 
 // Snapshot captures the tree's cached state for persistence.
@@ -45,30 +34,11 @@ func (t *Tree) Snapshot() *TreeSnapshot {
 	snap.Level1US = make([]*linalg.Dense, len(t.level1))
 	snap.Level1Tail = make([]float64, len(t.level1))
 	snap.Level1Seq = make([]int64, len(t.level1))
-	hasFac := false
-	for _, c := range t.level1 {
-		if c != nil && c.fac != nil {
-			hasFac = true
-			break
-		}
-	}
-	if hasFac {
-		snap.Level1U = make([]*linalg.Dense, len(t.level1))
-		snap.Level1S = make([][]float64, len(t.level1))
-		snap.Level1V = make([]*linalg.Dense, len(t.level1))
-		snap.Level1UpdErr = make([]float64, len(t.level1))
-	}
 	for j, c := range t.level1 {
 		if c != nil {
 			snap.Level1US[j] = c.us
 			snap.Level1Tail[j] = c.tail
 			snap.Level1Seq[j] = c.seq
-			if hasFac && c.fac != nil {
-				snap.Level1U[j] = c.fac.U
-				snap.Level1S[j] = c.fac.S
-				snap.Level1V[j] = c.fac.V
-				snap.Level1UpdErr[j] = c.updErr
-			}
 		} else {
 			snap.Level1Seq[j] = -1
 		}
@@ -112,12 +82,7 @@ func RestoreTree(m *sparse.DynRow, cfg Config, snap *TreeSnapshot) (*Tree, error
 			if len(snap.Level1Seq) == len(snap.Level1US) {
 				seq = snap.Level1Seq[j]
 			}
-			c := &blockCache{us: us, tail: snap.Level1Tail[j], seq: seq}
-			if len(snap.Level1U) == len(snap.Level1US) && snap.Level1U[j] != nil {
-				c.fac = &linalg.SVDResult{U: snap.Level1U[j], S: snap.Level1S[j], V: snap.Level1V[j]}
-				c.updErr = snap.Level1UpdErr[j]
-			}
-			t.level1[j] = c
+			t.level1[j] = &blockCache{us: us, tail: snap.Level1Tail[j], seq: seq}
 		}
 	}
 	t.upper = snap.Upper
@@ -146,42 +111,6 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		}
 		if tail := snap.Level1Tail[j]; math.IsNaN(tail) || tail < 0 {
 			return fmt.Errorf("core: snapshot block %d has invalid tail energy %g", j, tail)
-		}
-	}
-	// Retained per-block factors, when present, come as four aligned
-	// slices (all-or-nothing) whose shapes must agree entry-wise.
-	if len(snap.Level1U) != 0 || len(snap.Level1S) != 0 || len(snap.Level1V) != 0 || len(snap.Level1UpdErr) != 0 {
-		b := len(snap.Level1US)
-		if len(snap.Level1U) != b || len(snap.Level1S) != b || len(snap.Level1V) != b || len(snap.Level1UpdErr) != b {
-			return fmt.Errorf("core: snapshot factor slices are %d/%d/%d/%d long for %d level-1 blocks",
-				len(snap.Level1U), len(snap.Level1S), len(snap.Level1V), len(snap.Level1UpdErr), b)
-		}
-		for j := 0; j < b; j++ {
-			u, s, v := snap.Level1U[j], snap.Level1S[j], snap.Level1V[j]
-			blo, bhi := m.BlockRange(j)
-			width := bhi - blo
-			if u == nil {
-				if s != nil || v != nil {
-					return fmt.Errorf("core: snapshot block %d has partial factors", j)
-				}
-				continue
-			}
-			switch {
-			case snap.Level1US[j] == nil:
-				return fmt.Errorf("core: snapshot block %d has factors without a cache", j)
-			case u.Rows != m.Rows() || u.Cols != len(s):
-				return fmt.Errorf("core: snapshot block %d factor U is %d×%d for %d singular values",
-					j, u.Rows, u.Cols, len(s))
-			case v == nil || v.Rows != width || v.Cols != len(s):
-				return fmt.Errorf("core: snapshot block %d factor V missing or mis-shaped", j)
-			case math.IsNaN(snap.Level1UpdErr[j]) || snap.Level1UpdErr[j] < 0:
-				return fmt.Errorf("core: snapshot block %d has invalid update error %g", j, snap.Level1UpdErr[j])
-			}
-			for i, sv := range s {
-				if math.IsNaN(sv) || sv < 0 {
-					return fmt.Errorf("core: snapshot block %d singular value %d is %g", j, i, sv)
-				}
-			}
 		}
 	}
 	// Geometry of the cached upper levels: counts[l] nodes at level l+1,
@@ -233,8 +162,7 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		ds   []*linalg.Dense
 	}
 	groups := []group{
-		{"level-1 cache", snap.Level1US}, {"level-1 factor U", snap.Level1U}, {"level-1 factor V", snap.Level1V},
-		{"root factor", []*linalg.Dense{snap.RootU, snap.RootV}},
+		{"level-1 cache", snap.Level1US}, {"root factor", []*linalg.Dense{snap.RootU, snap.RootV}},
 	}
 	for _, level := range snap.Upper {
 		groups = append(groups, group{"upper cache", level})

@@ -12,7 +12,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/rsvd"
 	"github.com/tree-svd/treesvd/internal/sparse"
-	"github.com/tree-svd/treesvd/internal/svdupd"
 )
 
 // blockCache is the per-level-1-block state kept between updates: the
@@ -25,33 +24,14 @@ type blockCache struct {
 	// seq is the tree's factorization counter when this cache was built; it
 	// pins the randomized draw, so the correctness harness can re-factor
 	// the block's baseline at the same seed and demand an identical result.
-	// -1 marks caches that are not seed-replayable: restored from a
-	// snapshot without provenance, or produced by the incremental update
-	// path (which is deterministic but not a fresh randomized draw —
-	// AuditBlock switches to a residual-bound check when fac is present).
+	// -1 marks caches restored from a snapshot without seed provenance.
 	seq int64
-	// fac retains the full (U, Σ, V) factorization when Config.SVDUpdate
-	// is on, so a later delta can be absorbed by internal/svdupd instead
-	// of re-factoring the block. Nil when the update path is disabled.
-	fac *linalg.SVDResult
-	// updErr accumulates the spectral mass discarded by incremental
-	// updates since the block's last full factorization; tail includes it
-	// (tail = exact residual at the last full factorization + updErr), and
-	// the update path falls back to a recompute — which resets it to zero —
-	// once it exhausts the Config.UpdateTailFrac budget.
-	updErr float64
 }
 
 // Stats counts the work done by the last Build or Update call.
 type Stats struct {
-	// Level1Rebuilt is how many violating level-1 blocks were re-factored
-	// from scratch with the randomized SVD. Level1Rebuilt + Level1Updated
-	// is |Z|, the violating-block count of the pass.
+	// Level1Rebuilt is |Z|: how many level-1 blocks were re-factored.
 	Level1Rebuilt int
-	// Level1Updated is how many violating level-1 blocks absorbed their
-	// delta through the incremental update path instead (always 0 unless
-	// Config.SVDUpdate is on).
-	Level1Updated int
 	// UpperRebuilt counts SVDs at levels ≥ 2 (affected ancestors + root).
 	UpperRebuilt int
 	// Skipped counts level-1 blocks served from cache.
@@ -85,9 +65,8 @@ type Tree struct {
 	built bool
 
 	// met accumulates lifetime work counters and timing spans (always
-	// non-nil); trace, when set, receives a TraceBlockRecompute or
-	// TraceBlockUpdate event for every level-1 block a lazy Update
-	// refreshes, telling the two paths apart.
+	// non-nil); trace, when set, receives a TraceBlockRecompute event for
+	// every level-1 block a lazy Update re-factors.
 	met   *Metrics
 	trace obs.TraceHook
 }
@@ -121,8 +100,7 @@ func (t *Tree) ShareMetrics(m *Metrics) {
 }
 
 // SetTrace installs (or clears, with nil) the hook that receives a
-// TraceBlockRecompute or TraceBlockUpdate event for every violating block
-// a lazy Update refreshes (recomputed vs incrementally updated). The
+// TraceBlockRecompute event for every block a lazy Update re-factors. The
 // hook fires from worker goroutines; it must be fast and concurrency-safe.
 // Not safe to call concurrently with Build/Update — the facade serializes
 // it behind the update lock.
@@ -174,62 +152,7 @@ func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (
 	if err != nil {
 		return nil, fmt.Errorf("core: block %d: %w", j, err)
 	}
-	c := &blockCache{us: res.US(), tail: res.TailEnergy(frob, t.cfg.Rank), seq: seq}
-	if t.cfg.SVDUpdate {
-		// Retain the full factors so the incremental path can absorb the
-		// next delta; the extra memory is one n_j×d V per block, paid only
-		// when the knob is on.
-		c.fac = res
-	}
-	return c, nil
-}
-
-// tryUpdateBlock attempts the incremental path on violating block j:
-// absorb its sparse delta into the cached factorization via svdupd.Update.
-// It reports false — recompute instead — when the path is disabled, the
-// cache lacks right factors, the delta is too large relative to the Eqn. 2
-// trigger (Config.UpdateMaxRel), the updater errors (delta touches more
-// rows than the block has columns), or absorbing it would blow the
-// accumulated-error budget (Config.UpdateTailFrac). Only the last two
-// count as fallbacks in the metrics: the block was eligible and the
-// update path gave up.
-func (t *Tree) tryUpdateBlock(j, kernelWorkers int) (*blockCache, bool) {
-	c := t.level1[j]
-	if !t.cfg.SVDUpdate || c == nil || c.fac == nil {
-		return nil, false
-	}
-	trigger := math.Sqrt2 * t.cfg.Delta * t.m.BlockFrobNorm(j)
-	if t.m.DeltaFrobNorm(j) > t.cfg.updateMaxRel()*trigger {
-		return nil, false
-	}
-	d := t.m.BlockDelta(j)
-	if d.NNZ() == 0 {
-		// Every touched entry returned exactly to baseline; the violation
-		// came from numeric residue in the delta norm. Recompute to reset
-		// the bookkeeping.
-		return nil, false
-	}
-	start := time.Now()
-	res, err := svdupd.Update(c.fac, d, svdupd.Options{Rank: t.cfg.Rank, Workers: kernelWorkers})
-	if err != nil {
-		t.met.UpdateFallbacks.Inc()
-		return nil, false
-	}
-	if c.updErr+res.Discarded > t.cfg.updateTailFrac()*trigger {
-		// The truncation error since the last full factorization would
-		// exceed its budget: discard the update and pay for a recompute,
-		// which resets updErr to zero.
-		t.met.UpdateFallbacks.Inc()
-		return nil, false
-	}
-	t.met.BlockUpdateNanos.ObserveSince(start)
-	return &blockCache{
-		us:     res.Fac.US(),
-		tail:   c.tail + res.Discarded,
-		seq:    -1, // not a fresh randomized draw: audit by residual bound
-		fac:    res.Fac,
-		updErr: c.updErr + res.Discarded,
-	}, true
+	return &blockCache{us: res.US(), tail: res.TailEnergy(frob, t.cfg.Rank), seq: seq}, nil
 }
 
 // splitBudget divides the tree's worker budget across tasks concurrent
@@ -296,11 +219,9 @@ func (t *Tree) violates(j int) bool {
 }
 
 // Update runs the lazy update (Algorithm 4): re-factor only the level-1
-// blocks violating Eqn. 2 — incrementally when Config.SVDUpdate allows it
-// (see tryUpdateBlock), from scratch otherwise — then recompute the
-// affected ancestors. Call it after the proximity matrix absorbed a batch
-// of edge events. It returns the number of violating level-1 blocks
-// refreshed (updated + recomputed). On error (including context
+// blocks violating Eqn. 2, then recompute the affected ancestors. Call it
+// after the proximity matrix absorbed a batch of edge events. It returns
+// the number of level-1 blocks re-factored. On error (including context
 // cancellation) the committed factorization and the DynRow baselines are
 // untouched, so the pending blocks still violate and a retry picks them up.
 func (t *Tree) Update(ctx context.Context) (int, error) {
@@ -330,19 +251,10 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 	}
 	w := par.Workers(t.cfg.Workers)
 	fresh := append([]*blockCache(nil), t.level1...)
-	updated := make([]bool, len(z))
 	kb := splitBudget(w, len(z))
 	if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
 		return par.ForErr(ctx, len(z), w, func(i int) error {
 			bstart := time.Now()
-			if c, ok := t.tryUpdateBlock(z[i], kb); ok {
-				fresh[z[i]] = c
-				updated[i] = true
-				if h := t.trace; h != nil {
-					h(obs.TraceEvent{Kind: obs.TraceBlockUpdate, Block: z[i], Dur: time.Since(bstart)})
-				}
-				return nil
-			}
 			c, err := t.factorBlock(z[i], kb)
 			if err != nil {
 				return err
@@ -356,12 +268,6 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 	}); err != nil {
 		return 0, err
 	}
-	nupd := 0
-	for _, u := range updated {
-		if u {
-			nupd++
-		}
-	}
 	dirty := make(map[int]bool, len(z))
 	for _, j := range z {
 		dirty[j] = true
@@ -371,7 +277,7 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	t.commit(fresh, upper, root, dirty,
-		Stats{Level1Rebuilt: len(z) - nupd, Level1Updated: nupd, Skipped: skipped, UpperRebuilt: merges})
+		Stats{Level1Rebuilt: len(z), Skipped: skipped, UpperRebuilt: merges})
 	t.met.Updates.Inc()
 	t.met.PassNanos.ObserveSince(start)
 	return len(z), nil
@@ -546,6 +452,25 @@ func (t *Tree) Embedding() *linalg.Dense {
 // nodes. Net per-column scaling is 1/√σ, computed in one sparse pass.
 func (t *Tree) RightEmbedding() *linalg.Dense {
 	return RightEmbeddingOfW(t.Root(), t.m.ToCSR(), par.Workers(t.cfg.Workers))
+}
+
+// RightEmbeddingOf recovers Y = Ṽ√Σ (Ṽ = Σ⁻¹UᵀM, rows indexed by the n
+// matrix columns) for an externally held root SVD over matrix m.
+func RightEmbeddingOf(root *linalg.SVDResult, m *sparse.CSR) *linalg.Dense {
+	return RightEmbeddingOfW(root, m, 1)
+}
+
+// RightEmbeddingOfW is RightEmbeddingOf with a worker budget for the
+// O(nnz·d) sparse transpose-product.
+func RightEmbeddingOfW(root *linalg.SVDResult, m *sparse.CSR, workers int) *linalg.Dense {
+	y := m.TMulDenseW(root.U, workers)
+	scale := make([]float64, len(root.S))
+	for i, s := range root.S {
+		if s > 0 {
+			scale[i] = 1 / math.Sqrt(s)
+		}
+	}
+	return y.MulDiag(scale)
 }
 
 // Matrix exposes the underlying proximity DynRow.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
@@ -56,6 +57,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if DefaultConfig(64).Validate() != nil {
 		t.Fatal("default config invalid")
+	}
+}
+
+// TestConfigValidateUpdateKnobs: the retired incremental-update knobs are
+// each rejected by name.
+func TestConfigValidateUpdateKnobs(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"SVDUpdate":      func(c *Config) { c.SVDUpdate = true },
+		"UpdateMaxRel":   func(c *Config) { c.UpdateMaxRel = 0.5 },
+		"UpdateTailFrac": func(c *Config) { c.UpdateTailFrac = 0.25 },
+	} {
+		c := DefaultConfig(64)
+		set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s set: got %v, want an error naming it", name, err)
+		}
 	}
 }
 
@@ -115,26 +132,6 @@ func TestExactLowRankRecovery(t *testing.T) {
 	for i := range exact.S {
 		if math.Abs(root.S[i]-exact.S[i]) > 1e-6*exact.S[0] {
 			t.Fatalf("σ%d = %g, want %g", i, root.S[i], exact.S[i])
-		}
-	}
-}
-
-func TestStaticFactorizeMatchesTreeBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	cfg := testConfig(4)
-	m := sparse.NewDynRow(11, 44, cfg.Blocks())
-	fillLowRank(rng, m, 5, 0.1, 0.7)
-	tr := mustCore(NewTree(m, cfg))
-	must0t(tr.Build(bgt))
-	// The standalone Factorize splits columns the same way (same widths)
-	// and uses the same per-block seeds on the first pass.
-	res := mustCore(Factorize(m.ToCSR(), cfg))
-	rootSeq := tr.Root()
-	for i := range res.S {
-		// Level-1 seeds differ by the tree's seq counter, so compare only
-		// singular values (subspace quality), loosely.
-		if math.Abs(res.S[i]-rootSeq.S[i]) > 0.05*res.S[0] {
-			t.Fatalf("σ%d static %g vs tree %g", i, res.S[i], rootSeq.S[i])
 		}
 	}
 }
@@ -444,17 +441,49 @@ func TestRestoreTreeRejectsMismatchedBlocks(t *testing.T) {
 	}
 }
 
+// TestRestoreTreeRejectsNonFiniteFactors: a NaN or Inf in any cached
+// factor passes every shape check, so RestoreTree must look at the values.
+func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
+	cfg := testConfig(6)
+	m := sparse.NewDynRow(40, 64, cfg.Blocks())
+	fillLowRank(rand.New(rand.NewSource(5)), m, cfg.Rank, 0.01, 0.5)
+	tr := mustCore(NewTree(m, cfg))
+	must0t(tr.Build(bgt))
+	snap := tr.Snapshot()
+	if _, err := RestoreTree(m, cfg, snap); err != nil {
+		t.Fatalf("healthy snapshot refused: %v", err)
+	}
+	for name, d := range map[string]*linalg.Dense{
+		"Level1US": snap.Level1US[0], "Upper": snap.Upper[0][1], "RootU": snap.RootU, "RootV": snap.RootV,
+	} {
+		if d == nil {
+			t.Fatalf("%s: snapshot does not carry the factor under test", name)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+			at := len(d.Data) / 2
+			keep := d.Data[at]
+			d.Data[at] = bad
+			if _, err := RestoreTree(m, cfg, snap); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s holding %g: RestoreTree = %v, want a non-finite refusal", name, bad, err)
+			}
+			d.Data[at] = keep
+		}
+	}
+}
+
 func TestStaticEmbeddingHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	cfg := testConfig(3)
 	m := sparse.NewDynRow(8, 48, cfg.Blocks())
 	fillLowRank(rng, m, 3, 0, 1.0)
 	csr := m.ToCSR()
-	x := mustCore(Embedding(csr, cfg))
+	tr := mustCore(NewTree(m, cfg))
+	must0t(tr.Build(bgt))
+	x := tr.Embedding()
 	if x.Rows != 8 || x.Cols != 3 {
 		t.Fatalf("static embedding shape %d×%d", x.Rows, x.Cols)
 	}
-	root := mustCore(Factorize(csr, cfg))
+	root := tr.Root()
 	y := RightEmbeddingOf(root, csr)
 	if y.Rows != 48 || y.Cols != root.Rank() {
 		t.Fatalf("right embedding shape %d×%d", y.Rows, y.Cols)

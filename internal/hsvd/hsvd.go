@@ -25,7 +25,7 @@ type Config struct {
 	// Branch is the merge fan-in k; b/k blocks remain after each level.
 	Branch int
 	// Workers is the worker budget (0 or 1 = sequential), split across the
-	// level-1 blocks and the merge sweep exactly like core.Factorize's.
+	// level-1 blocks and the merge sweep exactly like core.Tree.Build's.
 	Workers int
 }
 

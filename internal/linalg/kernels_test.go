@@ -199,33 +199,6 @@ func TestSymEigWMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestJacobiSymEigWParallel validates the tournament-ordered parallel
-// Jacobi against the tred2/tql2 solver: same spectrum (to tolerance), an
-// orthonormal V, and an accurate reconstruction. Bit-equality with the
-// cyclic order is not expected — the pivot schedule differs.
-func TestJacobiSymEigWParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	n := 80 // ≥ jacobiParMinN so workers>1 takes the tournament path
-	b := sparseRandDense(rng, n, n)
-	a := Add(b, b.T())
-	ref, _ := SymEig(a)
-	for _, w := range []int{2, 4} {
-		lam, v := JacobiSymEigW(a, w)
-		scale := math.Abs(ref[0]) + 1
-		for i := range ref {
-			if math.Abs(lam[i]-ref[i]) > 1e-8*scale {
-				t.Fatalf("workers=%d: eigenvalue %d: %g vs %g", w, i, lam[i], ref[i])
-			}
-		}
-		checkOrthonormalCols(t, v, 1e-9, "parallel Jacobi V")
-		vt := v.T()
-		recon := Mul(v.MulDiag(lam), vt) // v is a fresh matrix per call
-		if d := MaxAbsDiff(recon, a); d > 1e-8*scale {
-			t.Fatalf("workers=%d: reconstruction off by %g", w, d)
-		}
-	}
-}
-
 func TestQRThinWMatchesSerial(t *testing.T) {
 	lowerFlopGate(t)
 	rng := rand.New(rand.NewSource(23))

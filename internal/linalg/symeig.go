@@ -315,38 +315,10 @@ func hypot(p, q float64) float64 {
 
 // JacobiSymEig is the cyclic Jacobi eigensolver — slower than SymEig but
 // algorithmically independent; tests cross-validate the two.
-func JacobiSymEig(a *Dense) (lambda []float64, v *Dense) { return JacobiSymEigW(a, 1) }
-
-// jacobiParMinN is the matrix size below which JacobiSymEigW ignores the
-// worker budget: a round's rotation phases are O(n²) and only amortize
-// goroutine dispatch for reasonably large n.
-const jacobiParMinN = 64
-
-// JacobiSymEigW is JacobiSymEig with a worker budget. With workers ≤ 1
-// (or tiny matrices) it runs the classic serial cyclic sweep. Otherwise
-// it switches to the round-robin ("chess tournament") pivot ordering:
-// each round pairs every index with a distinct partner, the ⌊n/2⌋
-// rotations of a round commute (their index pairs are disjoint), and the
-// rotation application — the entire O(n) cost of a pivot — fans out
-// across the worker budget in three barrier-separated phases (column
-// update, row update, eigenvector update). Angles are computed before
-// any application, which is equivalent to applying the round's rotations
-// serially in any order, so the parallel result is deterministic for a
-// fixed worker count.
-func JacobiSymEigW(a *Dense, workers int) (lambda []float64, v *Dense) {
-	n := a.Rows
-	if a.Cols != n {
-		panic(fmt.Sprintf("linalg: JacobiSymEig requires a square matrix, got %d×%d", n, a.Cols))
+func JacobiSymEig(a *Dense) (lambda []float64, v *Dense) {
+	if a.Cols != a.Rows {
+		panic(fmt.Sprintf("linalg: JacobiSymEig requires a square matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	workers = par.Workers(workers)
-	if workers > 1 && n >= jacobiParMinN {
-		return jacobiSymEigRounds(a, workers)
-	}
-	return jacobiSymEigCyclic(a)
-}
-
-// jacobiSymEigCyclic is the historical serial implementation.
-func jacobiSymEigCyclic(a *Dense) (lambda []float64, v *Dense) {
 	n := a.Rows
 	w := a.Clone()
 	v = Identity(n)
@@ -403,124 +375,6 @@ func jacobiSymEigCyclic(a *Dense) (lambda []float64, v *Dense) {
 					v.Set(k, q, s*vkp+c*vkq)
 				}
 			}
-		}
-	}
-	lambda = make([]float64, n)
-	for i := 0; i < n; i++ {
-		lambda[i] = w.At(i, i)
-	}
-	sortEig(lambda, v)
-	return lambda, v
-}
-
-// planeRot is one recorded Jacobi rotation of a tournament round.
-type planeRot struct {
-	p, q int
-	c, s float64
-}
-
-// jacobiSymEigRounds runs cyclic-by-rounds Jacobi: m−1 rounds of ⌊m/2⌋
-// disjoint pivot pairs per sweep (the circle-method tournament schedule),
-// with each round's rotations applied in three parallel phases.
-func jacobiSymEigRounds(a *Dense, workers int) (lambda []float64, v *Dense) {
-	n := a.Rows
-	w := a.Clone()
-	v = Identity(n)
-	total := w.FrobNorm()
-	if total == 0 {
-		return make([]float64, n), v
-	}
-	skipTol := symEigTol * total / float64(n*n)
-	// Circle-method schedule over m players (bye = m-1 when n is odd).
-	m := n
-	if m%2 == 1 {
-		m++
-	}
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	rots := make([]planeRot, 0, m/2)
-	for sweep := 0; sweep < symEigMaxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			row := w.Row(i)
-			for j := i + 1; j < n; j++ {
-				off += 2 * row[j] * row[j]
-			}
-		}
-		if math.Sqrt(off) <= symEigTol*total {
-			break
-		}
-		for round := 0; round < m-1; round++ {
-			// Phase 0: angles, from the pre-round matrix. Disjoint pairs
-			// never read each other's (p,p), (q,q), (p,q) entries, so the
-			// round equals a serial application of the same rotations.
-			rots = rots[:0]
-			for i := 0; i < m/2; i++ {
-				p, q := perm[i], perm[m-1-i]
-				if p >= n || q >= n {
-					continue // bye slot
-				}
-				if p > q {
-					p, q = q, p
-				}
-				apq := w.At(p, q)
-				if math.Abs(apq) <= skipTol {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				rots = append(rots, planeRot{p: p, q: q, c: c, s: t * c})
-			}
-			if len(rots) > 0 {
-				// Phase 1: column updates W ← W·J — disjoint column pairs.
-				par.ForChunks(n, workers, func(klo, khi int) {
-					for _, r := range rots {
-						for k := klo; k < khi; k++ {
-							row := w.Row(k)
-							wkp, wkq := row[r.p], row[r.q]
-							row[r.p] = r.c*wkp - r.s*wkq
-							row[r.q] = r.s*wkp + r.c*wkq
-						}
-					}
-				})
-				// Phase 2: row updates W ← Jᵀ·W — disjoint row pairs,
-				// split over column chunks.
-				par.ForChunks(n, workers, func(klo, khi int) {
-					for _, r := range rots {
-						rp, rq := w.Row(r.p), w.Row(r.q)
-						for k := klo; k < khi; k++ {
-							wpk, wqk := rp[k], rq[k]
-							rp[k] = r.c*wpk - r.s*wqk
-							rq[k] = r.s*wpk + r.c*wqk
-						}
-					}
-				})
-				// Phase 3: eigenvector updates V ← V·J.
-				par.ForChunks(n, workers, func(klo, khi int) {
-					for _, r := range rots {
-						for k := klo; k < khi; k++ {
-							row := v.Row(k)
-							vkp, vkq := row[r.p], row[r.q]
-							row[r.p] = r.c*vkp - r.s*vkq
-							row[r.q] = r.s*vkp + r.c*vkq
-						}
-					}
-				})
-			}
-			// Rotate the schedule: fix perm[0], cycle the rest.
-			last := perm[m-1]
-			copy(perm[2:], perm[1:m-1])
-			perm[1] = last
 		}
 	}
 	lambda = make([]float64, n)

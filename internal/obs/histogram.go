@@ -34,7 +34,6 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		old := h.minP1.Load()
@@ -55,6 +54,9 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.ring[(h.pos.Add(1)-1)%ringSize].Store(v)
+	// Counted last: a Snapshot that sees Count > 0 then loads a Min, Max
+	// and ring that hold at least one whole observation.
+	h.count.Add(1)
 }
 
 // ObserveSince records the nanoseconds elapsed since start.
@@ -102,13 +104,17 @@ func (h *Histogram) Snapshot() HistStats {
 		window[i] = h.ring[i].Load()
 	}
 	sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
-	s.P50 = quantile(window, 0.50)
-	s.P90 = quantile(window, 0.90)
-	s.P99 = quantile(window, 0.99)
+	// A concurrent Observe may have taken a ring slot it has not stored
+	// yet, or stored a sample beyond the Min/Max loaded above: keep the
+	// window's quantiles inside the lifetime bounds.
+	q := func(p float64) int64 { return min(max(quantile(window, p), s.Min), s.Max) }
+	s.P50 = q(0.50)
+	s.P90 = q(0.90)
+	s.P99 = q(0.99)
 	// With a 512-slot window the p999 is effectively the window max; it
 	// exists so latency SLOs (the serving layer's p999 target) read from
 	// the same surface as the rest of the quantiles.
-	s.P999 = quantile(window, 0.999)
+	s.P999 = q(0.999)
 	return s
 }
 

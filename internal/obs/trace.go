@@ -40,11 +40,8 @@ const (
 	// and reopening (Err nil). Seq is the WAL sequence the transition
 	// happened at.
 	TraceDegraded
-	// TraceBlockUpdate fires once per level-1 block served by the
-	// incremental (Brand-style) update path instead of a recompute, from
-	// the worker goroutine that updated it. Block is the block index, Dur
-	// the update time. Mutually exclusive with TraceBlockRecompute for a
-	// given block within one batch.
+	// TraceBlockUpdate is retired and never fired; named by
+	// benchmark/trace.go, delete with ROADMAP item 3's seam.
 	TraceBlockUpdate
 )
 
@@ -67,8 +64,6 @@ func (k TraceKind) String() string {
 		return "shed"
 	case TraceDegraded:
 		return "degraded"
-	case TraceBlockUpdate:
-		return "block-update"
 	}
 	return "unknown"
 }
@@ -79,8 +74,8 @@ func (k TraceKind) String() string {
 type TraceEvent struct {
 	Kind     TraceKind
 	Seq      uint64        // snapshot version / batch or checkpoint sequence
-	Block    int           // block index (TraceBlockRecompute/TraceBlockUpdate), else -1
-	Shard    int           // owning shard (TraceBlockRecompute/TraceBlockUpdate); 0 unsharded
+	Block    int           // block index (TraceBlockRecompute), else -1
+	Shard    int           // owning shard (TraceBlockRecompute); 0 unsharded
 	Events   int           // batch size (TraceBatchStart)
 	Rebuilt  int           // blocks re-factored / batches replayed
 	Endpoint string        // shedding admission gate (TraceShed), else ""
@@ -95,7 +90,7 @@ type TraceEvent struct {
 // so implementations must be fast and safe for concurrent use.
 //
 // Ordering contract per update: exactly one TraceBatchStart, then zero or
-// more TraceBlockRecompute/TraceBlockUpdate (concurrently), then exactly
-// one TraceBatchEnd. TraceCheckpoint and TraceRecovery are emitted by the
+// more TraceBlockRecompute (concurrently), then exactly one
+// TraceBatchEnd. TraceCheckpoint and TraceRecovery are emitted by the
 // durable layer outside that bracket.
 type TraceHook func(TraceEvent)

@@ -7,7 +7,6 @@ package ppr
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -21,44 +20,14 @@ import (
 // reports into — a sharded embedder passes one instance to every shard's
 // Subset so the counts aggregate across shards; nil allocates a private
 // set per NewEngine.
-//
-// Accel switches Push to the successive-over-relaxation step (the
-// momentum-accelerated Forward-Push of arXiv 2306.02102): each push moves
-// ω·r(u) instead of r(u), with ω the SOR optimum 2/(1+√(α(2−α))) capped
-// by the stability bound 2/(2−α) — see omega for why the cap, not the
-// optimum, is what keeps the sweep convergent on a directed P̃. Every push —
-// classic or over-relaxed, by any amount — preserves the invariant
-// π = p + Σ_v r(v)·π_v exactly, so the accelerated variant satisfies the
-// same error bound |π(u) − p(u)| ≤ Σ|r| at termination and passes the
-// same exact-PPR audits; only the number of pushes to get there changes.
-// Off by default; when off, Push is bit-identical to the classic step.
 type Params struct {
 	Alpha   float64
 	RMax    float64
 	Workers int
 	Met     *Metrics
-	Accel   bool
-}
-
-// omega returns the over-relaxation factor Push uses: 1 (the classic
-// step) unless Accel is set. The accelerated factor is the classic SOR
-// optimum 2/(1+√(α(2−α))) capped by the mass-safe bound 2/(2−α): a push
-// of d = ω·r(u) removes |r(u)| of residue mass, leaves (ω−1)|r(u)|
-// behind and spreads at most (1−α)·ω·|r(u)|, so Σ|r| scales by at worst
-// ω(2−α)−1 per push — above 2/(2−α) that factor exceeds 1 and the sweep
-// can diverge on adversarial graphs (oscillating residues grow without
-// bound, and once estimates reach ~1e11 float cancellation destroys the
-// push invariant itself; the 64-seed differential fuzz caught exactly
-// this). At or below the cap Σ|r| is non-increasing, so the residue
-// bound |π−p| ≤ Σ|r| can only tighten and divergence is impossible; the
-// push budget in Push still guards termination in the neutral worst
-// case. The optimum formula assumes a consistently-ordered symmetric
-// system — a directed P̃ is neither, hence the separate stability cap.
-func (p Params) omega() float64 {
-	if !p.Accel {
-		return 1
-	}
-	return min(2/(1+math.Sqrt(p.Alpha*(2-p.Alpha))), 2/(2-p.Alpha))
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
+	// seam. Validate rejects true.
+	Accel bool
 }
 
 // Validate reports whether the parameters are usable.
@@ -68,6 +37,9 @@ func (p Params) Validate() error {
 	}
 	if p.RMax <= 0 {
 		return fmt.Errorf("ppr: rmax %g must be positive", p.RMax)
+	}
+	if p.Accel {
+		return fmt.Errorf("ppr: Accel was removed: the over-relaxed push did more pushes than the classic step on every benchmark stream")
 	}
 	return nil
 }
@@ -176,20 +148,9 @@ func (e *Engine) degOrOne(u int32, dir graph.Direction) float64 {
 // counterpart of Algorithm 2 lines 8-11) until no node's |residue|/degree
 // exceeds r_max. It pushes positive and negative residues alike, so it
 // serves both the static build and the dynamic repair phase.
-//
-// With Params.Accel the loop over-relaxes: each push moves ω·r(u)
-// (ω > 1, see Params), leaving a small negative counter-residue at u.
-// Asynchronous over-relaxation has no termination guarantee in general,
-// so a safeguard bounds the accelerated phase: past a generous per-call
-// push budget the loop reverts to the classic ω = 1 step, whose
-// termination argument applies to whatever residue vector the
-// accelerated phase left behind (every push preserves the estimate
-// identity, so the switch is seamless).
 func (e *Engine) Push(st *State) {
 	e.ensureScratch()
 	alpha, rmax := e.Params.Alpha, e.Params.RMax
-	omega := e.Params.omega()
-	budget := uint64(1024 + 32*e.G.NumNodes())
 	// Seed the queue with the violating nodes among those whose residue
 	// or degree changed since the last Push; the push invariant ensures
 	// no other node can have crossed the threshold. The seeds are sorted
@@ -219,28 +180,14 @@ func (e *Engine) Push(st *State) {
 		if abs(ru) <= rmax*max(deg, 1) {
 			continue
 		}
-		// PUSH(u): move d = ω·r(u) — settle α·d at u, spread (1−α)·d
-		// across neighbors, leave r(u) − d behind (exactly zero at ω = 1,
-		// where d is computed as r(u) itself so the classic bit pattern is
-		// preserved).
+		// PUSH(u): settle α·r at u, spread (1−α)·r across neighbors.
 		pushed++
-		if omega != 1 && pushed > budget {
-			// Safeguard: the accelerated phase overstayed its budget;
-			// finish with the terminating classic step.
-			omega = 1
-		}
-		d := ru
-		if omega != 1 {
-			d = omega * ru
-		}
-		st.bumpP(u, alpha*d)
+		st.bumpP(u, alpha*ru)
+		delete(st.R, u)
 		if deg == 0 {
-			// Dangling sink: the (1−α) share self-loops back to u, joining
-			// whatever the over-relaxed step left behind.
-			rem := (1-alpha)*d + (ru - d)
-			if rem == 0 {
-				delete(st.R, u)
-			} else {
+			// Dangling sink: the (1−α) share self-loops back to u.
+			rem := (1 - alpha) * ru
+			if rem != 0 {
 				st.R[u] = rem
 				st.mark(u)
 			}
@@ -249,16 +196,7 @@ func (e *Engine) Push(st *State) {
 			}
 			continue
 		}
-		if left := ru - d; left == 0 {
-			delete(st.R, u)
-		} else {
-			st.R[u] = left
-			st.mark(u)
-			if abs(left) > rmax*deg {
-				e.enqueue(u)
-			}
-		}
-		share := (1 - alpha) * d / deg
+		share := (1 - alpha) * ru / deg
 		for _, v := range e.G.Neighbors(u, st.Dir) {
 			rv := st.R[v] + share
 			if rv == 0 {

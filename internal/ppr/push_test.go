@@ -3,6 +3,7 @@ package ppr
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -320,6 +321,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if (Params{Alpha: 0.15, RMax: 1e-5}).Validate() != nil {
 		t.Fatal("rejected good params")
+	}
+	// The retired over-relaxed push: rejected by name.
+	if err := (Params{Alpha: 0.15, RMax: 1e-5, Accel: true}).Validate(); err == nil || !strings.Contains(err.Error(), "Accel") {
+		t.Fatalf("Accel: true gave %v, want an error naming Accel", err)
 	}
 }
 

@@ -344,55 +344,6 @@ func (m *DynRow) sortedBaseKeys(j int) []int64 {
 	return keys
 }
 
-// BlockDelta is the row-factored sparse delta D_j = B_live − B_baseline of
-// one column block: every entry touched since the block's last rebuild
-// whose live value still differs from its baseline, grouped by row.
-// Columns are block-local (rebased to start at 0, matching BlockCSR).
-// Rows and the columns within each row are sorted ascending, so extraction
-// is deterministic although the baselines live in a map — the incremental
-// SVD updater consuming it produces run-to-run identical factorizations.
-type BlockDelta struct {
-	Rows []int       // touched row indices, ascending
-	Cols [][]int32   // per touched row: block-local column indices, ascending
-	Vals [][]float64 // per touched row: live − baseline, aligned with Cols
-}
-
-// NNZ returns the number of changed entries in the delta.
-func (d *BlockDelta) NNZ() int {
-	n := 0
-	for _, v := range d.Vals {
-		n += len(v)
-	}
-	return n
-}
-
-// BlockDelta extracts block j's sparse delta since its last rebuild (see
-// the BlockDelta type). Entries that moved and then returned exactly to
-// their baseline value are dropped, so the result can be empty even while
-// the block is marked dirty. O(touched·log touched).
-func (m *DynRow) BlockDelta(j int) *BlockDelta {
-	lo, _ := m.BlockRange(j)
-	d := &BlockDelta{}
-	for keys := m.sortedBaseKeys(j); len(keys) > 0; {
-		r := int(keys[0] >> 32)
-		var cc []int32
-		var vv []float64
-		for ; len(keys) > 0 && int(keys[0]>>32) == r; keys = keys[1:] {
-			c := int(int32(keys[0]))
-			if dv := m.Get(r, c) - m.base[j][keys[0]]; dv != 0 {
-				cc = append(cc, int32(c-lo))
-				vv = append(vv, dv)
-			}
-		}
-		if len(cc) > 0 {
-			d.Rows = append(d.Rows, r)
-			d.Cols = append(d.Cols, cc)
-			d.Vals = append(d.Vals, vv)
-		}
-	}
-	return d
-}
-
 // AuditRecount verifies the incrementally maintained bookkeeping against
 // an exact recount: per-block squared Frobenius norm, squared delta norm,
 // nnz counters, baseline key validity, and the storage invariants (every

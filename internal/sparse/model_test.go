@@ -97,31 +97,6 @@ func (mod *dynRowModel) check(m *DynRow, rng *rand.Rand) error {
 		if !equalCSR(m.BaselineBlockCSR(j), mod.csrOf(mod.base[j], lo, hi)) {
 			return fmt.Errorf("BaselineBlockCSR(%d) differs from model", j)
 		}
-		delta := map[[2]int]float64{}
-		for k, v := range mod.live {
-			if k[1] >= lo && k[1] < hi {
-				delta[k] = v
-			}
-		}
-		for k, v := range mod.base[j] {
-			if delta[k] -= v; delta[k] == 0 {
-				delete(delta, k)
-			}
-		}
-		d := m.BlockDelta(j)
-		if !slices.IsSorted(d.Rows) || d.NNZ() != len(delta) {
-			return fmt.Errorf("BlockDelta(%d): rows %v, %d entries, model %d", j, d.Rows, d.NNZ(), len(delta))
-		}
-		for i, r := range d.Rows {
-			if !slices.IsSorted(d.Cols[i]) {
-				return fmt.Errorf("BlockDelta(%d) row %d columns unsorted", j, r)
-			}
-			for k, c := range d.Cols[i] {
-				if want := delta[[2]int{r, lo + int(c)}]; d.Vals[i][k] != want {
-					return fmt.Errorf("BlockDelta(%d)[%d,%d] = %g, model %g", j, r, c, d.Vals[i][k], want)
-				}
-			}
-		}
 	}
 	b := linalg.NewDense(mod.rows, 3)
 	for i := range b.Data {

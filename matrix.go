@@ -1,6 +1,7 @@
 package treesvd
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/tree-svd/treesvd/internal/core"
@@ -54,17 +55,25 @@ func FactorizeMatrix(m *SparseMatrix, cfg Config) (*SVDResult, error) {
 		Rank: cfg.Dim, Branch: cfg.Branch, Levels: cfg.Levels,
 		Delta: cfg.Delta, Seed: cfg.Seed, Workers: cfg.Workers,
 	}
-	if err := tcfg.Validate(); err != nil {
-		return nil, err
-	}
 	csr := m.b.Build()
 	if csr.NNZ() == 0 {
 		return nil, fmt.Errorf("treesvd: matrix is empty")
 	}
-	root, err := core.Factorize(csr, tcfg)
+	// The static scheme is one Build of the dynamic tree over the matrix.
+	dyn := sparse.NewDynRow(csr.Rows, csr.Cols, tcfg.Blocks())
+	for r := 0; r < csr.Rows; r++ {
+		for p := csr.RowPtr[r]; p < csr.RowPtr[r+1]; p++ {
+			dyn.Set(r, int(csr.ColIdx[p]), csr.Val[p])
+		}
+	}
+	tree, err := core.NewTree(dyn, tcfg)
 	if err != nil {
 		return nil, err
 	}
+	if err := tree.Build(context.Background()); err != nil {
+		return nil, err
+	}
+	root := tree.Root()
 	out := &SVDResult{S: append([]float64(nil), root.S...)}
 	out.U = make([][]float64, root.U.Rows)
 	for i := range out.U {

@@ -30,9 +30,9 @@ type TraceHook = obs.TraceHook
 
 // TraceEvent is the payload handed to a TraceHook. Per update the hook
 // sees exactly one TraceBatchStart, then zero or more concurrent
-// TraceBlockRecompute and TraceBlockUpdate, then exactly one
-// TraceBatchEnd (Err non-nil on failure); TraceRebuild, TraceCheckpoint
-// and TraceRecovery fire outside that bracket.
+// TraceBlockRecompute, then exactly one TraceBatchEnd (Err non-nil on
+// failure); TraceRebuild, TraceCheckpoint and TraceRecovery fire outside
+// that bracket.
 type TraceEvent = obs.TraceEvent
 
 // TraceKind identifies which pipeline event a TraceEvent reports.
@@ -48,7 +48,9 @@ const (
 	TraceRecovery       = obs.TraceRecovery
 	TraceShed           = obs.TraceShed
 	TraceDegraded       = obs.TraceDegraded
-	TraceBlockUpdate    = obs.TraceBlockUpdate
+	// TraceBlockUpdate is retired and never fired; named by
+	// benchmark/trace.go, delete with ROADMAP item 3's seam.
+	TraceBlockUpdate = obs.TraceBlockUpdate
 )
 
 // StageLabel is the pprof label key the pipeline sets around every stage
@@ -118,16 +120,12 @@ type Metrics struct {
 	TreeBuilds, TreeUpdates      uint64
 	BlocksRebuilt, BlocksSkipped uint64
 	UpperMerges                  uint64
-	// BlocksUpdated counts violating blocks absorbed by the incremental
-	// Brand update instead of a recompute (always 0 unless
-	// Config.SVDUpdate is on); UpdateFallbacks counts eligible blocks
-	// that attempted the update but fell back to a recompute. The update
-	// hit rate is BlocksUpdated / (BlocksUpdated + BlocksRebuilt).
-	BlocksUpdated, UpdateFallbacks uint64
-	// BlockFactor spans one level-1 block factorization, BlockUpdate one
-	// successful incremental update, Merge one upper merge sweep,
-	// TreePass one whole Build/Update.
-	BlockFactor, BlockUpdate, Merge, TreePass DurationStats
+	// BlocksUpdated is retired and always 0; named by benchmark/layers.go,
+	// delete with ROADMAP item 3's seam.
+	BlocksUpdated uint64
+	// BlockFactor spans one level-1 block factorization, Merge one upper
+	// merge sweep, TreePass one whole Build/Update.
+	BlockFactor, Merge, TreePass DurationStats
 	// BatchesApplied counts successful ApplyEvents batches and
 	// EventsApplied their events; Rebuilds counts successful full
 	// Rebuild calls. Batch spans each ApplyEvents attempt end to end.
@@ -223,16 +221,10 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		"Level-1 blocks re-factored by the Eqn. 2 trigger", &tm.BlocksRebuilt)
 	r.Counter("treesvd_tree_blocks_skipped_total", "blocks",
 		"Level-1 blocks served from cache", &tm.BlocksSkipped)
-	r.Counter("treesvd_tree_blocks_updated_total", "blocks",
-		"Violating level-1 blocks absorbed by the incremental SVD update", &tm.BlocksUpdated)
-	r.Counter("treesvd_tree_update_fallbacks_total", "blocks",
-		"Eligible blocks that fell back from the incremental update to a recompute", &tm.UpdateFallbacks)
 	r.Counter("treesvd_tree_upper_merges_total", "merges",
 		"SVD merges above level 1 (affected ancestors plus root)", &tm.UpperMerges)
 	r.Histogram("treesvd_tree_block_factor_nanos", "ns",
 		"Wall time per level-1 block factorization", &tm.BlockFactorNanos)
-	r.Histogram("treesvd_tree_block_update_nanos", "ns",
-		"Wall time per successful incremental block update", &tm.BlockUpdateNanos)
 	r.Histogram("treesvd_tree_merge_nanos", "ns",
 		"Wall time per upper merge sweep", &tm.MergeNanos)
 	r.Histogram("treesvd_tree_pass_nanos", "ns",
@@ -334,10 +326,7 @@ func (e *Embedder) Metrics() Metrics {
 		BlocksRebuilt:      tm.BlocksRebuilt.Load(),
 		BlocksSkipped:      tm.BlocksSkipped.Load(),
 		UpperMerges:        tm.UpperMerges.Load(),
-		BlocksUpdated:      tm.BlocksUpdated.Load(),
-		UpdateFallbacks:    tm.UpdateFallbacks.Load(),
 		BlockFactor:        durStats(tm.BlockFactorNanos.Snapshot()),
-		BlockUpdate:        durStats(tm.BlockUpdateNanos.Snapshot()),
 		Merge:              durStats(tm.MergeNanos.Snapshot()),
 		TreePass:           durStats(tm.PassNanos.Snapshot()),
 		BatchesApplied:     e.met.batches.Load(),

@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/core"
+	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/sparse"
 	"github.com/tree-svd/treesvd/internal/wal"
 )
@@ -265,16 +267,76 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	}
 }
 
+// legacyTreeSave is a healthy 1-shard save whose tree snapshot is encoded
+// from a struct that still has the four per-block factor fields the
+// removed update path persisted, populated — the wire form of a save
+// written before their removal.
+func legacyTreeSave(t testing.TB) []byte {
+	type legacyTree struct {
+		Level1US         []*linalg.Dense
+		Level1Tail       []float64
+		Level1Seq        []int64
+		Level1U, Level1V []*linalg.Dense
+		Level1S          [][]float64
+		Level1UpdErr     []float64
+		Upper            [][]*linalg.Dense
+		RootU            *linalg.Dense
+		RootS            []float64
+		RootV            *linalg.Dense
+		Seq              int64
+		Built            bool
+	}
+	type legacySaved struct {
+		Version int
+		Config  Config
+		Subset  []int32
+		Graph   rawGob
+		Shards  []struct {
+			Fwd, Rev []rawGob
+			M        *sparse.DynRow
+			Tree     *legacyTree
+		}
+	}
+	return corruptSave(t, func(s *legacySaved) {
+		tr := s.Shards[0].Tree
+		b := len(tr.Level1US)
+		tr.Level1U, tr.Level1V = tr.Level1US, tr.Level1US
+		tr.Level1S, tr.Level1UpdErr = make([][]float64, b), make([]float64, b)
+		for j := range tr.Level1S {
+			tr.Level1S[j], tr.Level1UpdErr[j] = []float64{2, 1}, 0.5
+		}
+	})
+}
+
+// TestLoadIgnoresRetiredTreeFields: gob drops the fields the snapshot no
+// longer declares, so such a save loads to the same embedder as one
+// without them and persistVersion did not have to move.
+func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
+	legacy := legacyTreeSave(t)
+	if plain := healthySave(1); len(legacy) <= len(plain) {
+		t.Fatalf("legacy save is %d bytes, plain %d: the retired fields were not encoded", len(legacy), len(plain))
+	}
+	got := mustTB(Load(bytes.NewReader(legacy)))
+	want := mustTB(Load(bytes.NewReader(healthySave(1))))
+	if !reflect.DeepEqual(got.Embedding(), want.Embedding()) {
+		t.Fatal("embedding differs from the save without the retired fields")
+	}
+	if err := got.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzLoad is the decoder property over the one save format: for any
 // payload whose checksum verifies, Load returns an error or an embedder
 // whose Audit is clean and that serves a read — one Recommend and the
 // whole Embedding, which on a sharded save runs the root merge over every
 // cached factor — never a panic. The seeds are a 1-shard and a 2-shard
-// save and the three non-canonical PPR states, without their footers;
+// save, one carrying the retired tree-snapshot fields and the three
+// non-canonical PPR states, without their footers;
 // every mutated payload is re-sealed with a valid one, since otherwise
 // the CRC would reject them all and nothing behind it would run.
 func FuzzLoad(f *testing.F) {
-	seeds := [][]byte{healthySave(1), healthySave(2)}
+	seeds := [][]byte{healthySave(1), healthySave(2), legacyTreeSave(f)}
 	for _, tc := range nonCanonicalStates {
 		seeds = append(seeds, corruptSave(f, func(s *rawSaved) {
 			var w rawState

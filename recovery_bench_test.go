@@ -1,39 +1,20 @@
-// Recovery benchmark suite (durability ISSUE satellite). `make
-// bench-recovery` runs TestEmitRecoveryBench, which measures the durable
-// wrapper's three cost centers with testing.Benchmark and writes
-// BENCH_RECOVERY.json:
-//
-//   - checkpoint: one full synchronous checkpoint commit (state
-//     serialization + tmp-write + fsync + rename + prune),
-//   - apply/<policy>: ApplyEvents through the WAL under each fsync
-//     policy, against the plain in-memory embedder as the baseline —
-//     the acceptance bar is <10% overhead at fsync=batch,
-//   - open/<n>: cold-start Open as a function of WAL length (replay of n
-//     logged batches from checkpoint 0).
-//
-// The B-prefixed functions are plain `go test -bench` entry points for
-// ad-hoc profiling of the same paths.
+// Recovery benchmarks: `go test -bench` entry points for profiling the
+// durable wrapper's three cost centers — one synchronous checkpoint
+// commit, ApplyEvents through the WAL under each fsync policy, and
+// cold-start Open as a function of WAL length. The system benchmark
+// (benchmark/, workload durable-trickle) is what measures them end to end.
 package treesvd
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/dataset"
-	"github.com/tree-svd/treesvd/internal/wal"
 )
 
-// recoveryBenchStream builds the benchmark workload: a mid-size churn
-// stream whose per-batch apply cost is representative (PPR pushes plus
-// occasional block re-factorizations), so WAL overhead is measured
-// against real update work rather than no-ops. The sizing matters for
-// the fsync=batch acceptance bar: a batch must carry enough maintenance
-// work (~ms) that one fsync (~100µs) amortizes, which is the paper's
-// operating regime — per-batch fsync against toy batches measures the
-// disk, not the log.
+// recoveryBenchStream builds the benchmarks' workload: a mid-size churn
+// stream whose batches carry real update work (PPR pushes plus occasional
+// block re-factorizations).
 func recoveryBenchStream(nbatches int) (*Graph, []int32, [][]Event, Config) {
 	subset := []int32{0, 7, 19, 42, 77, 123, 256, 391, 477, 512}
 	initial, batches := dataset.GenerateChurn(dataset.ChurnProfile{
@@ -121,152 +102,5 @@ func BenchmarkOpenReplay(b *testing.B) {
 				d.Close()
 			}
 		})
-	}
-}
-
-// recoveryRecord is one row of BENCH_RECOVERY.json.
-type recoveryRecord struct {
-	Op           string  `json:"op"`
-	Detail       string  `json:"detail,omitempty"`
-	WALBatches   int     `json:"wal_batches,omitempty"`
-	NsOp         int64   `json:"ns_op"`
-	AllocsOp     int64   `json:"allocs_op"`
-	BytesOp      int64   `json:"bytes_op"`
-	OverheadFrac float64 `json:"overhead_frac,omitempty"` // vs the plain embedder baseline
-	CPUs         int     `json:"cpus"`
-}
-
-// TestEmitRecoveryBench writes the machine-readable recovery benchmark
-// table when BENCH_RECOVERY_OUT names an output path (it is a no-op under
-// plain `go test`). It also enforces the durability acceptance bar: the
-// per-batch WAL overhead at fsync=batch must stay under 10% of the plain
-// in-memory ApplyEvents cost.
-func TestEmitRecoveryBench(t *testing.T) {
-	out := os.Getenv("BENCH_RECOVERY_OUT")
-	if out == "" {
-		t.Skip("set BENCH_RECOVERY_OUT=path to emit BENCH_RECOVERY.json")
-	}
-	cpus := runtime.NumCPU()
-	var recs []recoveryRecord
-	add := func(op, detail string, walBatches int, fn func(b *testing.B)) *recoveryRecord {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		recs = append(recs, recoveryRecord{
-			Op: op, Detail: detail, WALBatches: walBatches,
-			NsOp: r.NsPerOp(), AllocsOp: r.AllocsPerOp(), BytesOp: r.AllocedBytesPerOp(),
-			CPUs: cpus,
-		})
-		rec := &recs[len(recs)-1]
-		t.Logf("%-12s %-10s %12d ns/op  %8d allocs/op  %12d B/op",
-			op, detail, rec.NsOp, rec.AllocsOp, rec.BytesOp)
-		return rec
-	}
-
-	// Baseline: the plain in-memory embedder on the identical stream.
-	initial, subset, batches, cfg := recoveryBenchStream(16)
-	plainEmb, err := New(initial.Clone(), subset, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := add("apply", "plain", 0, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := plainEmb.ApplyEvents(bgt, batches[i%len(batches)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// WAL overhead per fsync policy: the append path alone (encode +
-	// checksummed write + policy fsync), measured directly on a log writer
-	// rather than as the difference of two ApplyEvents runs — the apply
-	// cost evolves with the graph state, so a subtraction of two
-	// independently-sized benchmark runs is noise of the same order as the
-	// quantity being measured. The overhead fraction is append cost over
-	// the plain per-batch apply cost above.
-	for _, p := range []SyncPolicy{SyncBatch, SyncInterval, SyncNone} {
-		w, err := wal.NewWriter(wal.OS, t.TempDir(), 1, wal.Options{Sync: wal.SyncPolicy(p)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := add("wal-append", p.String(), 0, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Append(wal.EncodeEvents(batches[i%len(batches)])); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rec.OverheadFrac = float64(rec.NsOp) / float64(plain.NsOp)
-		t.Logf("wal-append %-10s overhead vs plain apply: %.2f%%", p, rec.OverheadFrac*100)
-		if p == SyncBatch && rec.OverheadFrac > 0.10 {
-			t.Errorf("WAL overhead at fsync=batch is %.1f%%, acceptance bar is 10%%",
-				rec.OverheadFrac*100)
-		}
-	}
-
-	// One synchronous checkpoint commit.
-	{
-		d, err := Create(t.TempDir(), initial.Clone(), subset, DurableConfig{
-			Config: cfg, CheckpointEvery: -1, SyncCheckpoints: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range batches {
-			if _, err := d.ApplyEvents(bgt, batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		add("checkpoint", "", 0, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := d.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		d.Close()
-	}
-
-	// Cold-start Open as a function of WAL length.
-	for _, n := range []int{16, 64, 128} {
-		initial, subset, batches, cfg := recoveryBenchStream(n)
-		dcfg := DurableConfig{Config: cfg, CheckpointEvery: -1}
-		dir := t.TempDir()
-		d, err := Create(dir, initial, subset, dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range batches {
-			if _, err := d.ApplyEvents(bgt, batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		add("open", "replay", n, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d, err := Open(dir, dcfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := d.Recovery().ReplayedBatches; got != n {
-					b.Fatalf("replayed %d batches, want %d", got, n)
-				}
-				d.Close()
-			}
-		})
-	}
-
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -374,7 +374,6 @@ func (e *Embedder) publishLocked() {
 		snap.parts[i] = snapPart{root: s.tree.Root(), m: s.prox.M.ToCSR(), lo: s.lo, hi: s.hi}
 		ts := s.tree.Stats()
 		snap.stats.Level1Rebuilt += ts.Level1Rebuilt
-		snap.stats.Level1Updated += ts.Level1Updated
 		snap.stats.Skipped += ts.Skipped
 		snap.stats.UpperRebuilt += ts.UpperRebuilt
 	}

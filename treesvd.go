@@ -19,8 +19,7 @@
 // incrementally: dynamic Forward-Push repairs the PPR estimates, the
 // proximity matrix absorbs the changes with per-block Frobenius
 // bookkeeping, and only blocks violating the Lemma 3.4 trigger are
-// refreshed (Algorithm 4) — re-factored from scratch or, with
-// Config.SVDUpdate, incrementally updated in place.
+// re-factored (Algorithm 4).
 //
 // # Concurrency
 //
@@ -121,52 +120,19 @@ type Config struct {
 	// counts exceeding the subset size are rejected with a
 	// *ShardConfigError.
 	Shards int
-	// SVDUpdate enables the Brand-style incremental factorization path for
-	// the dynamic updates: a violating level-1 block whose accumulated
-	// delta is small relative to the Eqn. 2 trigger absorbs it directly
-	// into the cached (U, Σ, V) instead of re-running the randomized SVD,
-	// falling back to a full recompute when UpdateMaxRel/UpdateTailFrac
-	// say no. Off by default; when off, every update is bit-identical to
-	// builds predating this knob. Watch treesvd_tree_blocks_updated_total
-	// vs treesvd_tree_blocks_rebuilt_total to see the path working.
-	SVDUpdate bool
-	// UpdateMaxRel caps how large a block's delta may be, relative to the
-	// Eqn. 2 trigger √2·δ·‖B_j‖_F, for the incremental path to attempt it
-	// (0 means the default 0.5). Raising it makes more blocks eligible at
-	// the cost of larger truncation error per update; negative values are
-	// rejected. Only meaningful with SVDUpdate.
-	UpdateMaxRel float64
-	// UpdateTailFrac budgets the truncation error the incremental path may
-	// accumulate per block, as a fraction of the Eqn. 2 trigger, before it
-	// must fall back to a full recompute (0 means the default 0.25).
-	// Lowering it trades update hit rate for a tighter factorization;
-	// negative values are rejected. Only meaningful with SVDUpdate.
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
+	// seam. New, FactorizeMatrix and Load reject any non-zero value.
+	SVDUpdate      bool
+	UpdateMaxRel   float64
 	UpdateTailFrac float64
-	// PushAccel selects the Forward-Push variant used for PPR maintenance:
-	// PushClassic (the default, Algorithm 1/2 exactly as before) or
-	// PushSOR, the successive-over-relaxation accelerated step. Both
-	// satisfy the same |π − p| ≤ Σ|r| contract and pass the same exact-PPR
-	// audits; PushSOR reaches the r_max threshold in fewer pushes.
-	PushAccel PushAccel
+	PushAccel      PushAccel
 }
 
-// PushAccel enumerates the Forward-Push variants of Config.PushAccel.
+// PushAccel and PushSOR are retired with Config.PushAccel (see there).
 type PushAccel int
 
-// Forward-Push variants.
-const (
-	// PushClassic is the paper's push step: settle α·r(u), spread the
-	// (1−α) remainder, clear the residue. The zero value, and bit-exact
-	// with builds predating the knob.
-	PushClassic PushAccel = iota
-	// PushSOR over-relaxes each push by ω = min(2/(1+√(α(2−α))), 2/(2−α))
-	// — the momentum-accelerated Forward-Push of arXiv 2306.02102, capped
-	// at the factor that keeps total residue mass non-increasing on any
-	// graph. A per-call safeguard reverts to the classic step if the
-	// accelerated phase ever overstays its push budget, preserving
-	// guaranteed termination.
-	PushSOR
-)
+// PushSOR is retired; see PushAccel.
+const PushSOR PushAccel = 1
 
 // Defaults returns the paper's configuration (scaled d).
 func Defaults() Config {
@@ -187,12 +153,9 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("treesvd: negative Delta %g", c.Delta)
 	case c.Shards < 0:
 		return c, &ShardConfigError{Shards: c.Shards}
-	case c.UpdateMaxRel < 0:
-		return c, fmt.Errorf("treesvd: negative UpdateMaxRel %g", c.UpdateMaxRel)
-	case c.UpdateTailFrac < 0:
-		return c, fmt.Errorf("treesvd: negative UpdateTailFrac %g", c.UpdateTailFrac)
-	case c.PushAccel != PushClassic && c.PushAccel != PushSOR:
-		return c, fmt.Errorf("treesvd: unknown PushAccel %d", c.PushAccel)
+	case c.SVDUpdate || c.UpdateMaxRel != 0 || c.UpdateTailFrac != 0 || c.PushAccel != 0:
+		return c, fmt.Errorf("treesvd: SVDUpdate/UpdateMaxRel/UpdateTailFrac/PushAccel (%t/%g/%g/%d) were removed: on the system benchmark the incremental block update was 2-13x slower per batch than re-factoring and the SOR push did more pushes than the classic step",
+			c.SVDUpdate, c.UpdateMaxRel, c.UpdateTailFrac, c.PushAccel)
 	}
 	d := Defaults()
 	if c.Dim == 0 {
@@ -291,12 +254,10 @@ func shardTreeConfig(tcfg core.Config, i int) core.Config {
 // global budget (the par.SplitBudget contract).
 func (c Config) pipeline() (ppr.Params, core.Config, error) {
 	sw := par.SplitBudget(c.Workers, c.Shards)
-	params := ppr.Params{Alpha: c.Alpha, RMax: c.RMax, Workers: sw, Met: &ppr.Metrics{},
-		Accel: c.PushAccel == PushSOR}
+	params := ppr.Params{Alpha: c.Alpha, RMax: c.RMax, Workers: sw, Met: &ppr.Metrics{}}
 	tcfg := core.Config{
 		Rank: c.Dim, Branch: c.Branch, Levels: c.Levels,
 		Delta: c.Delta, Seed: c.Seed, Workers: sw,
-		SVDUpdate: c.SVDUpdate, UpdateMaxRel: c.UpdateMaxRel, UpdateTailFrac: c.UpdateTailFrac,
 	}
 	if err := params.Validate(); err != nil {
 		return params, tcfg, err
@@ -399,10 +360,9 @@ func (e *Embedder) Subset() []int32 { return append([]int32(nil), e.subset...) }
 
 // ApplyEvents advances the graph through a batch of edge events and
 // lazily refreshes the factorization, publishing a new snapshot on
-// success. It returns the number of level-1 blocks refreshed across all
-// shards — re-factored from scratch plus, with Config.SVDUpdate,
-// incrementally updated (0 when every block stayed within the Eqn. 2
-// tolerance); LastStats splits the two paths apart.
+// success. It returns the number of level-1 blocks that were re-factored
+// across all shards (0 when every block stayed within the Eqn. 2
+// tolerance).
 //
 // Cancelling ctx aborts the update with ctx's error; the last published
 // snapshot stays intact and readable, and the embedder recovers on the
@@ -720,12 +680,9 @@ func (e *Embedder) Recommend(s int32, k int) ([]Recommendation, error) {
 
 // Stats reports the work done by the last ApplyEvents/Rebuild.
 type Stats struct {
-	// Level1Rebuilt counts level-1 blocks re-factored from scratch;
-	// Level1Updated counts violating blocks served by the incremental
-	// update path instead (always 0 unless Config.SVDUpdate is on);
-	// Skipped counts blocks served from cache; UpperRebuilt counts merges
-	// above level 1.
-	Level1Rebuilt, Level1Updated, Skipped, UpperRebuilt int
+	// Level1Rebuilt counts re-factored level-1 blocks; Skipped counts
+	// blocks served from cache; UpperRebuilt counts merges above level 1.
+	Level1Rebuilt, Skipped, UpperRebuilt int
 }
 
 // LastStats returns the factorization work counters of the update that
