@@ -112,7 +112,6 @@ type Version struct {
 	NumNodes   int
 	NumEdges   int
 	SubsetSize int
-	Shards     int
 }
 
 // Recommendations is one Recommend result: the ranked candidates and the
@@ -151,7 +150,6 @@ func (c *Client) Version(ctx context.Context) (Version, error) {
 		NumNodes:   dto.NumNodes,
 		NumEdges:   dto.NumEdges,
 		SubsetSize: dto.SubsetSize,
-		Shards:     dto.Shards,
 	}, nil
 }
 

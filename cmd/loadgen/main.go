@@ -118,7 +118,6 @@ func main() {
 		edges    = flag.Int("edges", 20000, "in-process: initial edge count")
 		subset   = flag.Int("subset", 128, "in-process: subset size")
 		dim      = flag.Int("dim", 16, "in-process: embedding dimension")
-		shards   = flag.Int("shards", 1, "in-process: subset row shards")
 		short    = flag.Bool("short", false, "CI smoke: tiny graph, short windows, low rates")
 		overload = flag.Bool("overload", true, "after the sweep, run one point at 2x the observed knee and report accepted/shed split")
 		readSlot = flag.Int("read-slots", 0, "in-process: admission slots per read endpoint (0 = server default, -1 = no gate)")
@@ -145,7 +144,7 @@ func main() {
 	var subsetIDs []int32
 	var capacity int
 	if target == "" {
-		emb, err := buildSynthetic(*nodes, *edges, *subset, *dim, *shards, *seed)
+		emb, err := buildSynthetic(*nodes, *edges, *subset, *dim, *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -449,7 +448,7 @@ func parseRates(s string) ([]float64, error) {
 
 // buildSynthetic mirrors cmd/serve's generator: a random graph with a
 // uniformly sampled subset and 2x node-capacity headroom for the writes.
-func buildSynthetic(nodes, edges, subsetSize, dim, shards int, seed int64) (*treesvd.Embedder, error) {
+func buildSynthetic(nodes, edges, subsetSize, dim int, seed int64) (*treesvd.Embedder, error) {
 	rng := rand.New(rand.NewSource(seed))
 	g := treesvd.NewGraphN(nodes)
 	for v := int32(0); int(v) < nodes; v++ {
@@ -473,7 +472,6 @@ func buildSynthetic(nodes, edges, subsetSize, dim, shards int, seed int64) (*tre
 	cfg := treesvd.Defaults()
 	cfg.Dim = dim
 	cfg.RMax = 1e-3
-	cfg.Shards = shards
 	cfg.Seed = seed
 	cfg.MaxNodes = 2 * nodes
 	return treesvd.New(g, subset, cfg)

@@ -42,7 +42,6 @@ func main() {
 		subset    = flag.Int("subset", 256, "synthetic: subset size |S|")
 		dim       = flag.Int("dim", 32, "synthetic: embedding dimension d")
 		rmax      = flag.Float64("rmax", 1e-3, "synthetic: Forward-Push threshold")
-		shards    = flag.Int("shards", 1, "synthetic: subset row shards")
 		workers   = flag.Int("workers", 0, "synthetic: worker pool size (0 = sequential)")
 		maxNodes  = flag.Int("maxnodes", 0, "synthetic: node capacity headroom (0 = 2x initial)")
 		seed      = flag.Int64("seed", 1, "synthetic: graph + subset seed")
@@ -60,7 +59,7 @@ func main() {
 			fail(err)
 		}
 	case *synthetic:
-		emb, err = buildSynthetic(*nodes, *edges, *subset, *dim, *rmax, *shards, *workers, *maxNodes, *seed)
+		emb, err = buildSynthetic(*nodes, *edges, *subset, *dim, *rmax, *workers, *maxNodes, *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -69,8 +68,8 @@ func main() {
 		os.Exit(2)
 	}
 	g := emb.Graph()
-	fmt.Printf("serve: embedder ready: %d nodes, %d edges, |S|=%d, %d shard(s), version %d\n",
-		g.NumNodes(), g.NumEdges(), len(emb.Subset()), emb.NumShards(), emb.Version())
+	fmt.Printf("serve: embedder ready: %d nodes, %d edges, |S|=%d, version %d\n",
+		g.NumNodes(), g.NumEdges(), len(emb.Subset()), emb.Version())
 
 	srv := server.New(emb, server.Options{MaxBatchEvents: *batchCap})
 	if err := srv.Start(*addr); err != nil {
@@ -104,7 +103,7 @@ func main() {
 
 // buildSynthetic generates a connected-ish random graph and embeds a
 // sampled subset, mirroring the cmd/treesvd bootstrap but self-contained.
-func buildSynthetic(nodes, edges, subsetSize, dim int, rmax float64, shards, workers, maxNodes int, seed int64) (*treesvd.Embedder, error) {
+func buildSynthetic(nodes, edges, subsetSize, dim int, rmax float64, workers, maxNodes int, seed int64) (*treesvd.Embedder, error) {
 	rng := rand.New(rand.NewSource(seed))
 	g := treesvd.NewGraphN(nodes)
 	for v := int32(0); int(v) < nodes; v++ {
@@ -129,7 +128,6 @@ func buildSynthetic(nodes, edges, subsetSize, dim int, rmax float64, shards, wor
 	cfg := treesvd.Defaults()
 	cfg.Dim = dim
 	cfg.RMax = rmax
-	cfg.Shards = shards
 	cfg.Workers = workers
 	cfg.Seed = seed
 	if maxNodes <= 0 {

@@ -28,12 +28,7 @@ type durableFixture struct {
 	shadow  [][][]float64 // shadow[i] = embedding after batches[:i]
 }
 
-func newDurableFixture(t testing.TB) *durableFixture { return newShardedDurableFixture(t, 1) }
-
-// newShardedDurableFixture is the fixture at an explicit shard count;
-// the shadow trajectory is computed under the same sharding so recovered
-// states compare at the persistence tolerance.
-func newShardedDurableFixture(t testing.TB, shards int) *durableFixture {
+func newDurableFixture(t testing.TB) *durableFixture {
 	t.Helper()
 	subset := []int32{0, 3, 5, 9}
 	initial, batches := dataset.GenerateChurn(dataset.ChurnProfile{
@@ -49,7 +44,7 @@ func newShardedDurableFixture(t testing.TB, shards int) *durableFixture {
 		subset:  subset,
 		batches: batches,
 		cfg: DurableConfig{
-			Config:          Config{Dim: 4, Branch: 4, Levels: 2, MaxNodes: 24, Seed: 5, Shards: shards},
+			Config:          Config{Dim: 4, Branch: 4, Levels: 2, MaxNodes: 24, Seed: 5},
 			CheckpointEvery: 2,
 			KeepCheckpoints: 2,
 			SyncCheckpoints: true,
@@ -129,6 +124,17 @@ func TestDurableCreateOpenRoundTrip(t *testing.T) {
 			got, info.CheckpointSeq, info.ReplayedBatches, len(fx.batches))
 	}
 	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened embedding")
+	names, err := wal.OS.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		ck, _ := filepath.Match("checkpoint-????????????????.ckpt", n)
+		seg, _ := filepath.Match("wal-*.log", n)
+		if !ck && !seg {
+			t.Errorf("store holds %q: neither a checkpoint nor a WAL segment", n)
+		}
+	}
 }
 
 func TestOpenWithoutStateFails(t *testing.T) {
@@ -219,47 +225,46 @@ func TestDurableCheckpointPrunesWAL(t *testing.T) {
 }
 
 // TestOpenFallsBackPastCorruptCheckpoint flips a byte inside the newest
-// checkpoint's payload, unsharded and 3-shard alike (one file either way):
-// Open must bypass it, restore the previous one and replay the WAL to the
-// full stream.
+// checkpoint's payload: Open must bypass it, restore the previous one and
+// replay the WAL to the full stream. The one leg left of the former
+// 1-and-3-shard pair sets the retired Shards 1, which still means one tree.
 func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			fx := newShardedDurableFixture(t, shards)
-			dir := t.TempDir()
-			if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
-				t.Fatal(err)
-			}
-			cks, err := wal.ListCheckpoints(wal.OS, dir)
-			if err != nil || len(cks) < 2 {
-				t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
-			}
-			path := filepath.Join(dir, cks[len(cks)-1].Name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x20
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			d, err := Open(dir, fx.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			info := d.Recovery()
-			if info.SkippedCheckpoints != 1 {
-				t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
-			}
-			// The fallback checkpoint plus WAL replay must land on the full
-			// stream: segments are only pruned up to the oldest kept checkpoint.
-			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
-				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
-			}
-			requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
-		})
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		fx := newDurableFixture(t)
+		fx.cfg.Config.Shards = 1
+		dir := t.TempDir()
+		if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+			t.Fatal(err)
+		}
+		cks, err := wal.ListCheckpoints(wal.OS, dir)
+		if err != nil || len(cks) < 2 {
+			t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
+		}
+		path := filepath.Join(dir, cks[len(cks)-1].Name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x20
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir, fx.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		info := d.Recovery()
+		if info.SkippedCheckpoints != 1 {
+			t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
+		}
+		// The fallback checkpoint plus WAL replay must land on the full
+		// stream: segments are only pruned up to the oldest kept checkpoint.
+		if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
+			t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
+		}
+		requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
+	})
 }
 
 func TestOpenRejectsFullyCorruptStore(t *testing.T) {
@@ -364,16 +369,6 @@ func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
 // per-batch fsync policy), and the store must accept further updates.
 func TestCrashPointMatrix(t *testing.T) {
 	runCrashMatrix(t, newDurableFixture(t))
-}
-
-// TestCrashPointMatrixSharded re-runs the full crash-point sweep with a
-// 3-shard embedder. A checkpoint is one file at every shard count, so the
-// sweep visits the same fault points as the unsharded one; what differs
-// is the state that must come back: three shards' PPR states, proximity
-// rows and trees, audit-clean and never shorter than what was
-// acknowledged under per-batch fsync.
-func TestCrashPointMatrixSharded(t *testing.T) {
-	runCrashMatrix(t, newShardedDurableFixture(t, 3))
 }
 
 func runCrashMatrix(t *testing.T, fx *durableFixture) {
@@ -593,13 +588,23 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 	t.Logf("diskfull: %d fault points verified, %d sealed into degraded mode", points, degradedPoints)
 }
 
-// TestShardedDurableRoundTrip is the sharded create/run/reopen parity
-// check: the recovered 3-shard state (checkpoint + WAL replay) must match
-// the sharded shadow at the persistence tolerance, and the store must
-// hold nothing but checkpoint and WAL segment files.
+// TestShardedDurableRoundTrip: with subset sharding removed, Create with
+// the retired Shards 3 is refused before it commits anything, so the
+// directory holds no state; the retired Shards 1 still means one tree and
+// its create/run/reopen recovers the unsharded shadow.
 func TestShardedDurableRoundTrip(t *testing.T) {
-	fx := newShardedDurableFixture(t, 3)
+	fx := newDurableFixture(t)
 	dir := t.TempDir()
+	cfg := fx.cfg
+	cfg.Config.Shards = 3
+	if _, err := Create(dir, fx.initial.Clone(), fx.subset, cfg); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("Create with Shards 3: %v, want an error saying sharding was removed", err)
+	}
+	if _, err := Open(dir, cfg); !errors.Is(err, ErrNoState) {
+		t.Fatalf("Open after a refused Create: %v, want ErrNoState", err)
+	}
+
+	fx.cfg.Config.Shards = 1
 	acked, createFailed, err := fx.runWorkload(wal.OS, dir)
 	if err != nil || createFailed || acked != len(fx.batches) {
 		t.Fatalf("workload: acked %d, createFailed %v, err %v", acked, createFailed, err)
@@ -609,25 +614,11 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if got := d.Embedder().NumShards(); got != 3 {
-		t.Fatalf("recovered NumShards = %d, want 3", got)
-	}
 	info := d.Recovery()
 	if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
 		t.Fatalf("recovered prefix %d, want %d", got, len(fx.batches))
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened sharded embedding")
-	names, err := wal.OS.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		ck, _ := filepath.Match("checkpoint-????????????????.ckpt", n)
-		seg, _ := filepath.Match("wal-*.log", n)
-		if !ck && !seg {
-			t.Errorf("3-shard store holds %q: neither a checkpoint nor a WAL segment", n)
-		}
-	}
+	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened Shards 1 embedding")
 }
 
 func (fx *durableFixture) verifyRecovery(t *testing.T, dir string, k, acked int, createFailed bool, mode faultfs.Mode) {

@@ -63,32 +63,6 @@ func (e *InvalidKError) Error() string {
 	return fmt.Sprintf("treesvd: non-positive top-k request k=%d (k must be >= 1; oversized k truncates to the candidate count)", e.K)
 }
 
-// ShardConfigError reports a Config.Shards value the embedder cannot
-// honor: a negative count, or more shards than subset sources (every
-// shard must own at least one source row — an empty shard would publish
-// a degenerate factorization). New and Load return it before any state
-// is built, so the caller can clamp the count and retry:
-//
-//	var sce *treesvd.ShardConfigError
-//	if errors.As(err, &sce) { cfg.Shards = sce.Subset; ... }
-type ShardConfigError struct {
-	// Shards is the rejected Config.Shards value.
-	Shards int
-	// Subset is the subset size the count was checked against; 0 when the
-	// count was rejected as negative before the subset was known.
-	Subset int
-}
-
-// Error describes the rejected shard count and the valid range.
-func (e *ShardConfigError) Error() string {
-	if e.Shards < 0 {
-		return fmt.Sprintf("treesvd: negative Shards %d (0 means the default of 1)", e.Shards)
-	}
-	return fmt.Sprintf(
-		"treesvd: %d shards for a subset of %d sources; every shard must own at least one source (set Config.Shards in [1, %d])",
-		e.Shards, e.Subset, e.Subset)
-}
-
 // OverloadError reports a request the serving layer's admission control
 // refused: every in-flight slot for the endpoint was taken and the wait
 // queue was full (or the request's remaining deadline budget could not

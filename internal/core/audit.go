@@ -24,7 +24,7 @@ func (t *Tree) AuditShapes() error {
 		if c.us == nil || c.us.Rows != t.m.Rows() {
 			return fmt.Errorf("core: audit: level-1 cache %d has wrong shape (want %d rows)", j, t.m.Rows())
 		}
-		if math.IsNaN(c.tail) || c.tail < 0 {
+		if !finiteNonNegative(c.tail) {
 			return fmt.Errorf("core: audit: level-1 cache %d has invalid tail energy %g", j, c.tail)
 		}
 	}
@@ -57,7 +57,7 @@ func (t *Tree) AuditShapes() error {
 		return fmt.Errorf("core: audit: root rank %d exceeds configured rank %d", root.Rank(), t.cfg.Rank)
 	}
 	for i, s := range root.S {
-		if math.IsNaN(s) || s < 0 {
+		if !finiteNonNegative(s) {
 			return fmt.Errorf("core: audit: root singular value %d is %g", i, s)
 		}
 		if i > 0 && s > root.S[i-1] {

@@ -38,7 +38,7 @@ type Config struct {
 	// Workers parallelizes per-block factorization and per-level merges
 	// (0 or 1 = sequential).
 	Workers int
-	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 1's
 	// seam. Validate rejects any non-zero value.
 	SVDUpdate      bool
 	UpdateMaxRel   float64

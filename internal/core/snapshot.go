@@ -109,7 +109,7 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		if us.Rows != m.Rows() {
 			return fmt.Errorf("core: snapshot block %d cache has %d rows, matrix has %d", j, us.Rows, m.Rows())
 		}
-		if tail := snap.Level1Tail[j]; math.IsNaN(tail) || tail < 0 {
+		if tail := snap.Level1Tail[j]; !finiteNonNegative(tail) {
 			return fmt.Errorf("core: snapshot block %d has invalid tail energy %g", j, tail)
 		}
 	}
@@ -148,15 +148,14 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 				snap.RootV.Cols, len(snap.RootS))
 		}
 		for i, s := range snap.RootS {
-			if math.IsNaN(s) || s < 0 {
+			if !finiteNonNegative(s) {
 				return fmt.Errorf("core: snapshot root singular value %d is %g", i, s)
 			}
 		}
 	}
 	// Values, not only shapes: a NaN or Inf in a cached factor passes every
 	// check above and every auditor (none reads the factors' entries), then
-	// poisons the first merge over it — on a sharded embedder that is
-	// tql2's convergence panic on the first global read.
+	// poisons the first merge over it or every score read from the root.
 	type group struct {
 		what string
 		ds   []*linalg.Dense
@@ -181,3 +180,7 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a valid energy or singular value:
+// NaN, ±Inf and negatives are not.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }

@@ -88,17 +88,6 @@ func (t *Tree) Config() Config { return t.cfg }
 // Metrics returns the tree's cumulative work counters; see Metrics.
 func (t *Tree) Metrics() *Metrics { return t.met }
 
-// ShareMetrics replaces the tree's counter set with m, so several trees
-// (one per shard) aggregate into a single Metrics. Call right after
-// NewTree/RestoreTree, before any Build/Update — the counters are
-// updated concurrently from worker goroutines once work starts. A nil m
-// is ignored.
-func (t *Tree) ShareMetrics(m *Metrics) {
-	if m != nil {
-		t.met = m
-	}
-}
-
 // SetTrace installs (or clears, with nil) the hook that receives a
 // TraceBlockRecompute event for every block a lazy Update re-factors. The
 // hook fires from worker goroutines; it must be fast and concurrency-safe.

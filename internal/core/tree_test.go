@@ -469,6 +469,16 @@ func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
 			d.Data[at] = keep
 		}
 	}
+	// The scalar factors: a +Inf tail energy or singular value is refused
+	// like a NaN or negative one.
+	for name, v := range map[string]*float64{"Level1Tail": &snap.Level1Tail[0], "RootS": &snap.RootS[0]} {
+		keep := *v
+		*v = math.Inf(1)
+		if _, err := RestoreTree(m, cfg, snap); err == nil {
+			t.Errorf("%s holding +Inf: RestoreTree accepted it", name)
+		}
+		*v = keep
+	}
 }
 
 func TestStaticEmbeddingHelpers(t *testing.T) {

@@ -38,7 +38,7 @@ func (k Kind) String() string {
 
 // Value is one registered metric's point-in-time reading, produced by
 // Registry.Snapshot. Exactly one of Counter/Gauge/Hist is meaningful,
-// selected by Kind. Labels is the rendered label pairs (`shard="0"`),
+// selected by Kind. Labels is the rendered label pairs (`endpoint="ingest"`),
 // empty for unlabeled series.
 type Value struct {
 	Name, Labels, Unit, Help string
@@ -113,7 +113,7 @@ func (r *Registry) Counter(name, unit, help string, c *Counter) {
 
 // CounterWith registers a counter under name with label pairs — one
 // series per distinct label set, sharing the base name's HELP/TYPE (used
-// for per-shard series).
+// for per-endpoint series).
 func (r *Registry) CounterWith(name string, labels []Label, unit, help string, c *Counter) {
 	ls := renderLabels(labels)
 	r.add(name, ls, unit, help, KindCounter, func() Value {
@@ -145,14 +145,8 @@ func (r *Registry) GaugeWith(name string, labels []Label, unit, help string, g *
 // GaugeFunc registers a gauge computed by f at read time (derived values
 // such as the age of the current snapshot).
 func (r *Registry) GaugeFunc(name, unit, help string, f func() float64) {
-	r.GaugeFuncWith(name, nil, unit, help, f)
-}
-
-// GaugeFuncWith is GaugeFunc with label pairs (see CounterWith).
-func (r *Registry) GaugeFuncWith(name string, labels []Label, unit, help string, f func() float64) {
-	ls := renderLabels(labels)
-	r.add(name, ls, unit, help, KindGauge, func() Value {
-		return Value{Name: name, Labels: ls, Unit: unit, Help: help, Kind: KindGauge, Gauge: f()}
+	r.add(name, "", unit, help, KindGauge, func() Value {
+		return Value{Name: name, Unit: unit, Help: help, Kind: KindGauge, Gauge: f()}
 	})
 }
 

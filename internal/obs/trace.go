@@ -41,7 +41,7 @@ const (
 	// happened at.
 	TraceDegraded
 	// TraceBlockUpdate is retired and never fired; named by
-	// benchmark/trace.go, delete with ROADMAP item 3's seam.
+	// benchmark/trace.go, delete with ROADMAP item 1's seam.
 	TraceBlockUpdate
 )
 
@@ -75,7 +75,6 @@ type TraceEvent struct {
 	Kind     TraceKind
 	Seq      uint64        // snapshot version / batch or checkpoint sequence
 	Block    int           // block index (TraceBlockRecompute), else -1
-	Shard    int           // owning shard (TraceBlockRecompute); 0 unsharded
 	Events   int           // batch size (TraceBatchStart)
 	Rebuilt  int           // blocks re-factored / batches replayed
 	Endpoint string        // shedding admission gate (TraceShed), else ""

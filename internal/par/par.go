@@ -26,17 +26,16 @@ func Workers(w int) int {
 // SplitBudget divides a worker budget across tasks concurrent tasks so
 // nested parallelism composes instead of oversubscribing. It is the
 // single budget resolver for every fan-out that runs parallel kernels
-// inside parallel tasks — per-block factorizations inside a tree pass,
-// per-parent merges inside a level sweep, and per-shard pipelines inside
-// a sharded embedder.
+// inside parallel tasks — per-block factorizations inside a tree pass and
+// per-parent merges inside a level sweep.
 //
 // Contract: with T concurrent tasks each running its kernels at
 // SplitBudget(w, T) workers, the total concurrency is at most
 // Workers(w) whenever the outer fan-out itself is capped at Workers(w)
 // runnable tasks (For/ForErr guarantee that cap). In particular
-// Shards × SplitBudget(w, Shards) ≤ max(w, Shards), and the excess over
-// w is goroutine count only, never runnable parallelism, because the
-// outer loop schedules at most w tasks at once. SplitBudget(w, 1) ==
+// T × SplitBudget(w, T) ≤ max(w, T), and the excess over w is goroutine
+// count only, never runnable parallelism, because the outer loop
+// schedules at most w tasks at once. SplitBudget(w, 1) ==
 // Workers(w): a single task (e.g. the root merge, the serial bottleneck
 // of an update pass) gets the whole budget.
 func SplitBudget(w, tasks int) int {

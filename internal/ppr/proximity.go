@@ -136,11 +136,10 @@ func (pr *Proximity) ApplyEvents(ctx context.Context, events []graph.Event) erro
 	return nil
 }
 
-// RepairApplied is ApplyEvents for an already-advanced graph: the
-// coordinator of a sharded embedder applies the batch to the shared
-// graph once (ppr.ApplyAll) and hands the applied slice to every shard's
-// proximity, which repairs its own states and refreshes its own rows.
-// Error semantics match ApplyEvents.
+// RepairApplied is ApplyEvents for an already-advanced graph: the caller
+// applies the batch once (ppr.ApplyAll) and hands over the applied slice,
+// which repairs the states and refreshes the rows. Error semantics match
+// ApplyEvents.
 func (pr *Proximity) RepairApplied(ctx context.Context, applied []Applied) error {
 	if err := pr.Sub.Repair(ctx, applied); err != nil {
 		return err

@@ -16,16 +16,14 @@ import (
 // r_max (Table 2). Smaller r_max means more accurate estimates at
 // O(1/r_max) push cost. Workers parallelizes per-source work (0 or 1 =
 // sequential; each worker gets its own push scratch). Met, when non-nil,
-// is the shared work-counter set every engine built from these params
-// reports into — a sharded embedder passes one instance to every shard's
-// Subset so the counts aggregate across shards; nil allocates a private
-// set per NewEngine.
+// is the work-counter set every engine built from these params reports
+// into; nil allocates a private set per NewEngine.
 type Params struct {
 	Alpha   float64
 	RMax    float64
 	Workers int
 	Met     *Metrics
-	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 1's
 	// seam. Validate rejects true.
 	Accel bool
 }

@@ -175,9 +175,8 @@ func (sp *Subset) Metrics() *Metrics { return sp.Engine.Met }
 
 // Applied records one effective graph mutation together with the
 // post-event degrees the Algorithm 2 corrections need, so the per-source
-// replay can run after (and independent of) the graph mutation. A
-// sharded embedder's coordinator advances the shared graph once with
-// ApplyAll and fans the resulting slice out to every shard's Repair.
+// replay can run after (and independent of) the graph mutation: ApplyAll
+// advances the graph once and Repair replays the resulting slice.
 type Applied struct {
 	Ev      graph.Event
 	OutDegU float64 // post-event out-degree of U (forward adjustment)
@@ -225,10 +224,8 @@ func (sp *Subset) ApplyEvents(ctx context.Context, events []graph.Event) error {
 // reachable within the same batch (its addR marks the node) is honoured;
 // a state with no executed correction and no pending dirty residue is
 // not pushed. The graph must already reflect the events; it is only read
-// here, and each worker writes only its own states, so several Subsets
-// sharing one graph (the sharded layout) may Repair the same slice
-// concurrently. On a non-nil error some sources may not have been
-// repaired — recover with Rebuild.
+// here, and each worker writes only its own states. On a non-nil error
+// some sources may not have been repaired — recover with Rebuild.
 func (sp *Subset) Repair(ctx context.Context, applied []Applied) error {
 	if len(applied) == 0 {
 		return nil

@@ -219,9 +219,11 @@ func FuzzDynRowGobDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Keep an exec cheap: a shape the decoder would accept but that
 		// costs hundreds of megabytes of empty cells is not what is fuzzed.
+		// Return, not Skip: the seeds come from a map, so a skip would land
+		// on a different seed#N every run.
 		var w gobDynRow
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&w) == nil && w.Blocks > 0 && w.Rows > (1<<16)/w.Blocks {
-			t.Skip()
+			return
 		}
 		var m DynRow
 		if err := m.GobDecode(data); err != nil {

@@ -75,7 +75,6 @@ type VersionDTO struct {
 	NumNodes   int    `json:"num_nodes"`
 	NumEdges   int    `json:"num_edges"`
 	SubsetSize int    `json:"subset_size"`
-	Shards     int    `json:"shards"`
 }
 
 // RecDTO is one ranked recommendation in JSON form.

@@ -2,7 +2,6 @@ package treesvd
 
 import (
 	"context"
-	"strconv"
 	"time"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
@@ -49,7 +48,7 @@ const (
 	TraceShed           = obs.TraceShed
 	TraceDegraded       = obs.TraceDegraded
 	// TraceBlockUpdate is retired and never fired; named by
-	// benchmark/trace.go, delete with ROADMAP item 3's seam.
+	// benchmark/trace.go, delete with ROADMAP item 1's seam.
 	TraceBlockUpdate = obs.TraceBlockUpdate
 )
 
@@ -121,7 +120,7 @@ type Metrics struct {
 	BlocksRebuilt, BlocksSkipped uint64
 	UpperMerges                  uint64
 	// BlocksUpdated is retired and always 0; named by benchmark/layers.go,
-	// delete with ROADMAP item 3's seam.
+	// delete with ROADMAP item 1's seam.
 	BlocksUpdated uint64
 	// BlockFactor spans one level-1 block factorization, Merge one upper
 	// merge sweep, TreePass one whole Build/Update.
@@ -152,29 +151,7 @@ type pipelineMetrics struct {
 	batchNanos       obs.Histogram
 	snapshots        obs.Counter
 	lastPublishNanos obs.Gauge // unix nanos of the last publish, 0 before
-	shards           []*shardMetrics
 	reg              *obs.Registry
-}
-
-// shardMetrics is one shard's slice of the facade instrumentation,
-// registered in the registry under shard="<id>" labels. The pipeline
-// counter sets (PPR pushes, tree blocks, ...) are shared across shards
-// and stay aggregate; these series carve the per-shard view the
-// aggregate cannot recover.
-type shardMetrics struct {
-	updates       obs.Counter   // completed tree Update passes
-	blocksRebuilt obs.Counter   // level-1 blocks the shard re-factored
-	updateNanos   obs.Histogram // wall time per shard tree Update
-}
-
-// observeShard records one shard's completed tree update: n re-factored
-// blocks since start. Called from the coordinator fan-out, one goroutine
-// per shard.
-func (p *pipelineMetrics) observeShard(id, n int, start time.Time) {
-	sm := p.shards[id]
-	sm.updates.Inc()
-	sm.blocksRebuilt.Add(uint64(n))
-	sm.updateNanos.ObserveSince(start)
 }
 
 // durableMetrics is the durability layer's instrumentation, owned by one
@@ -205,7 +182,7 @@ func (p *pipelineMetrics) ageNanos() int64 {
 func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 	p := &pipelineMetrics{reg: obs.NewRegistry()}
 	r := p.reg
-	pm := e.shards[0].prox.Sub.Metrics()
+	pm := e.prox.Sub.Metrics()
 	r.Counter("treesvd_ppr_pushes_total", "ops",
 		"Forward-Push PUSH operations (Theorem 3.7's 1/r_max term)", &pm.Pushes)
 	r.Counter("treesvd_ppr_adjusts_total", "ops",
@@ -214,7 +191,7 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		"PPR states a batch's repair adjusted or pushed (of 2|S| per batch)", &pm.StatesRepaired)
 	r.Counter("treesvd_ppr_source_rebuilds_total", "sources",
 		"Per-source from-scratch PPR rebuilds (the |S|/r_max fallback)", &pm.SourceRebuilds)
-	tm := e.shards[0].tree.Metrics()
+	tm := e.tree.Metrics()
 	r.Counter("treesvd_tree_builds_total", "passes", "Full Tree-SVD Build passes", &tm.Builds)
 	r.Counter("treesvd_tree_updates_total", "passes", "Lazy Update passes (Algorithm 4)", &tm.Updates)
 	r.Counter("treesvd_tree_blocks_rebuilt_total", "blocks",
@@ -260,24 +237,6 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		"Process-wide count-sketch SVD factorizations", func() uint64 {
 			return rsvd.Stats().CountSketch
 		})
-	r.GaugeFunc("treesvd_shards", "shards", "Configured subset shards", func() float64 {
-		return float64(len(e.shards))
-	})
-	p.shards = make([]*shardMetrics, len(e.shards))
-	for i, s := range e.shards {
-		s := s
-		sm := &shardMetrics{}
-		p.shards[i] = sm
-		ls := []obs.Label{{Key: "shard", Value: strconv.Itoa(i)}}
-		r.GaugeFuncWith("treesvd_shard_sources", ls, "sources",
-			"Subset sources owned by the shard", func() float64 { return float64(s.hi - s.lo) })
-		r.CounterWith("treesvd_shard_updates_total", ls, "passes",
-			"Completed tree Update passes on the shard", &sm.updates)
-		r.CounterWith("treesvd_shard_blocks_rebuilt_total", ls, "blocks",
-			"Level-1 blocks the shard re-factored", &sm.blocksRebuilt)
-		r.HistogramWith("treesvd_shard_update_nanos", ls, "ns",
-			"Wall time per shard tree Update", &sm.updateNanos)
-	}
 	return p
 }
 
@@ -313,8 +272,8 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 // counters. Safe from any goroutine, any time; see Metrics for what each
 // field means and MetricsRegistry for the HTTP form of the same data.
 func (e *Embedder) Metrics() Metrics {
-	pm := e.shards[0].prox.Sub.Metrics()
-	tm := e.shards[0].tree.Metrics()
+	pm := e.prox.Sub.Metrics()
+	tm := e.tree.Metrics()
 	hits, misses := linalg.PoolStats()
 	m := Metrics{
 		Pushes:             pm.Pushes.Load(),
@@ -376,17 +335,7 @@ func (e *Embedder) SetTraceHook(h TraceHook) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.trace = h
-	for i, s := range e.shards {
-		if h == nil {
-			s.tree.SetTrace(nil)
-			continue
-		}
-		i := i
-		s.tree.SetTrace(func(ev obs.TraceEvent) {
-			ev.Shard = i
-			h(ev)
-		})
-	}
+	e.tree.SetTrace(h)
 }
 
 // stage runs f under an obs pprof stage label, returning its error.

@@ -24,7 +24,7 @@ import (
 // so bit rot that still decodes as structurally plausible gob is
 // rejected deterministically.
 const (
-	persistVersion = 4
+	persistVersion = 5
 	persistMagic   = "TSV2"
 	footerLen      = 8
 )
@@ -33,27 +33,21 @@ const (
 // and the WAL/checkpoint formats.
 var persistCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// savedShard is the gob wire form of one shard: its PPR states, its
-// rows of the proximity matrix with the lazy-update bookkeeping, and
-// its tree's cached factorizations.
-type savedShard struct {
-	Fwd  []*ppr.State
-	Rev  []*ppr.State
-	M    *sparse.DynRow
-	Tree *core.TreeSnapshot
-}
-
 // savedEmbedder is the gob wire form of an Embedder: configuration,
-// subset, the shared dynamic graph, and one savedShard per shard (a
-// single element when unsharded). Loading restores the exact
-// maintenance state — subsequent ApplyEvents behave as if the process
-// had never restarted. A durable checkpoint carries the same bytes.
+// subset, the dynamic graph, the subset's forward/reverse PPR states, the
+// proximity matrix with its lazy-update bookkeeping, and the tree's
+// cached factorizations. Loading restores the exact maintenance state —
+// subsequent ApplyEvents behave as if the process had never restarted. A
+// durable checkpoint carries the same bytes.
 type savedEmbedder struct {
 	Version int
 	Config  Config
 	Subset  []int32
 	Graph   *graph.Graph
-	Shards  []savedShard
+	Fwd     []*ppr.State
+	Rev     []*ppr.State
+	M       *sparse.DynRow
+	Tree    *core.TreeSnapshot
 }
 
 // crcWriter tees writes into a running CRC32C.
@@ -99,10 +93,10 @@ func (e *Embedder) Save(w io.Writer) error {
 		Config:  e.cfg,
 		Subset:  e.subset,
 		Graph:   e.g,
-		Shards:  make([]savedShard, len(e.shards)),
-	}
-	for i, s := range e.shards {
-		saved.Shards[i] = savedShard{Fwd: s.prox.Sub.Fwd, Rev: s.prox.Sub.Rev, M: s.prox.M, Tree: s.tree.Snapshot()}
+		Fwd:     e.prox.Sub.Fwd,
+		Rev:     e.prox.Sub.Rev,
+		M:       e.prox.M,
+		Tree:    e.tree.Snapshot(),
 	}
 	cw := &crcWriter{w: w}
 	if err := gob.NewEncoder(cw).Encode(&saved); err != nil {
@@ -237,7 +231,7 @@ func corruptErr(path, format string, args ...any) error {
 // cross-field invariants New establishes are re-checked before anything
 // is assembled: a hand-edited save errors here instead of panicking on
 // first use. RestoreSubset and RestoreTree re-check their own pieces
-// (state shapes, tree cache dims) per shard.
+// (state shapes, tree cache dims).
 func decodeEmbedder(data []byte, path string) (*Embedder, error) {
 	payload, err := splitFooted(data, path)
 	if err != nil {
@@ -266,61 +260,36 @@ func decodeEmbedder(data []byte, path string) (*Embedder, error) {
 	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "invalid saved configuration", Err: err}
 	}
-	if cfg.Shards > len(saved.Subset) {
-		return nil, corruptErr(path, "saved configuration asks for %d shards over %d subset nodes",
-			cfg.Shards, len(saved.Subset))
-	}
-	if len(saved.Shards) != cfg.Shards {
-		return nil, corruptErr(path, "save carries %d shard payloads for a %d-shard configuration",
-			len(saved.Shards), cfg.Shards)
-	}
-	ranges := core.ShardRanges(len(saved.Subset), cfg.Shards)
-	for i, sh := range saved.Shards {
-		switch {
-		case sh.M == nil:
-			return nil, corruptErr(path, "shard %d: missing proximity matrix", i)
-		case sh.Tree == nil:
-			return nil, corruptErr(path, "shard %d: missing tree snapshot", i)
-		case sh.M.Rows() != ranges[i][1]-ranges[i][0]:
-			return nil, corruptErr(path, "shard %d: proximity matrix has %d rows for %d subset nodes",
-				i, sh.M.Rows(), ranges[i][1]-ranges[i][0])
-		case sh.M.Cols() < saved.Graph.NumNodes():
-			return nil, corruptErr(path, "shard %d: proximity matrix %d columns narrower than the %d-node graph",
-				i, sh.M.Cols(), saved.Graph.NumNodes())
-		case sh.M.Cols() != saved.Shards[0].M.Cols() || sh.M.NumBlocks() != saved.Shards[0].M.NumBlocks():
-			return nil, corruptErr(path, "shard %d: proximity geometry differs from shard 0", i)
-		}
+	switch {
+	case saved.M == nil:
+		return nil, corruptErr(path, "missing proximity matrix")
+	case saved.Tree == nil:
+		return nil, corruptErr(path, "missing tree snapshot")
+	case saved.M.Rows() != len(saved.Subset):
+		return nil, corruptErr(path, "proximity matrix has %d rows for %d subset nodes",
+			saved.M.Rows(), len(saved.Subset))
+	case saved.M.Cols() < saved.Graph.NumNodes():
+		return nil, corruptErr(path, "proximity matrix %d columns narrower than the %d-node graph",
+			saved.M.Cols(), saved.Graph.NumNodes())
 	}
 	params, tcfg, err := cfg.pipeline()
 	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "invalid saved configuration", Err: err}
 	}
-	treeMet := &core.Metrics{}
-	shards := make([]*shard, len(saved.Shards))
-	for i, sh := range saved.Shards {
-		lo, hi := ranges[i][0], ranges[i][1]
-		sub, err := ppr.RestoreSubset(saved.Graph, saved.Subset[lo:hi], params, sh.Fwd, sh.Rev)
-		if err != nil {
-			return nil, &CorruptStateError{Path: path, Offset: -1,
-				Reason: fmt.Sprintf("shard %d: inconsistent PPR state", i), Err: err}
-		}
-		tree, err := core.RestoreTree(sh.M, shardTreeConfig(tcfg, i), sh.Tree)
-		if err != nil {
-			return nil, &CorruptStateError{Path: path, Offset: -1,
-				Reason: fmt.Sprintf("shard %d: inconsistent tree snapshot", i), Err: err}
-		}
-		tree.ShareMetrics(treeMet)
-		shards[i] = &shard{id: i, lo: lo, hi: hi, prox: ppr.RestoreProximity(sub, sh.M), tree: tree}
+	sub, err := ppr.RestoreSubset(saved.Graph, saved.Subset, params, saved.Fwd, saved.Rev)
+	if err != nil {
+		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "inconsistent PPR state", Err: err}
 	}
-	e := newEmbedder(cfg, saved.Subset, saved.Graph, shards)
-	for _, s := range e.shards {
-		if !s.tree.Built() {
-			// Defensive: a snapshot saved before any Build (not reachable via
-			// New+Save, but cheap to repair here).
-			if err := s.tree.Build(context.Background()); err != nil {
-				return nil, err
-			}
+	tree, err := core.RestoreTree(saved.M, tcfg, saved.Tree)
+	if err != nil {
+		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "inconsistent tree snapshot", Err: err}
+	}
+	if !tree.Built() {
+		// Defensive: a snapshot saved before any Build (not reachable via
+		// New+Save, but cheap to repair here).
+		if err := tree.Build(context.Background()); err != nil {
+			return nil, err
 		}
 	}
-	return e, nil
+	return newEmbedder(cfg, saved.Subset, saved.Graph, ppr.RestoreProximity(sub, saved.M), tree), nil
 }

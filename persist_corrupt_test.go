@@ -52,11 +52,10 @@ type rawSaved struct {
 	Config  Config
 	Subset  []int32
 	Graph   rawGob
-	Shards  []struct {
-		Fwd, Rev []rawGob
-		M        *sparse.DynRow
-		Tree     *core.TreeSnapshot
-	}
+	Fwd     []rawGob
+	Rev     []rawGob
+	M       *sparse.DynRow
+	Tree    *core.TreeSnapshot
 }
 
 // rawGraph and rawState mirror the wire structs of graph.Graph and
@@ -91,10 +90,10 @@ var nonCanonicalStates = []struct {
 }
 
 // healthySave is the save of a small embedder one batch past its build.
-func healthySave(shards int) []byte {
+func healthySave() []byte {
 	rng := rand.New(rand.NewSource(9))
 	g := buildGraph(rng, 30, 120)
-	emb := mustTB(New(g, []int32{1, 3, 5, 7}, Config{Dim: 4, MaxNodes: 40, Shards: shards}))
+	emb := mustTB(New(g, []int32{1, 3, 5, 7}, Config{Dim: 4, MaxNodes: 40}))
 	mustTB(emb.ApplyEvents(bgt, []Event{{U: 0, V: 9, Type: Insert}, {U: 2, V: 11, Type: Insert}}))
 	var buf bytes.Buffer
 	must0tb(emb.Save(&buf))
@@ -109,7 +108,7 @@ func healthySave(shards int) []byte {
 func corruptSave[W any](t testing.TB, mutate func(*W)) []byte {
 	t.Helper()
 	var saved W
-	if err := gob.NewDecoder(bytes.NewReader(healthySave(1))).Decode(&saved); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(healthySave())).Decode(&saved); err != nil {
 		t.Fatal(err)
 	}
 	mutate(&saved)
@@ -153,44 +152,45 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		{"negative subset id", func(s *savedEmbedder) { s.Subset[1] = -2 }, "subset node -2"},
 		{"duplicate subset ids", func(s *savedEmbedder) { s.Subset[1] = s.Subset[0] }, "duplicate subset node"},
 		{"missing graph", func(s *savedEmbedder) { s.Graph = nil }, "missing graph"},
-		{"missing proximity matrix", func(s *savedEmbedder) { s.Shards[0].M = nil }, "missing proximity"},
-		{"missing tree snapshot", func(s *savedEmbedder) { s.Shards[0].Tree = nil }, "missing tree"},
+		{"missing proximity matrix", func(s *savedEmbedder) { s.M = nil }, "missing proximity"},
+		{"missing tree snapshot", func(s *savedEmbedder) { s.Tree = nil }, "missing tree"},
 		{"empty subset", func(s *savedEmbedder) { s.Subset = nil }, "empty subset"},
-		{"forward state count mismatch", func(s *savedEmbedder) { s.Shards[0].Fwd = s.Shards[0].Fwd[:2] }, "states for a subset"},
+		{"forward state count mismatch", func(s *savedEmbedder) { s.Fwd = s.Fwd[:2] }, "states for a subset"},
 		{"state source mismatch", func(s *savedEmbedder) {
-			f := s.Shards[0].Fwd
+			f := s.Fwd
 			f[0], f[1] = f[1], f[0]
 		}, "source"},
-		{"state direction mismatch", func(s *savedEmbedder) { s.Shards[0].Rev[0] = s.Shards[0].Fwd[0] }, "direction"},
-		{"estimate key out of range", func(s *savedEmbedder) { s.Shards[0].Fwd[0].P[500] = 0.1 }, "estimate key 500"},
-		{"residue key out of range", func(s *savedEmbedder) { s.Shards[0].Rev[1].R[-3] = 0.1 }, "residue key -3"},
+		{"state direction mismatch", func(s *savedEmbedder) { s.Rev[0] = s.Fwd[0] }, "direction"},
+		{"estimate key out of range", func(s *savedEmbedder) { s.Fwd[0].P[500] = 0.1 }, "estimate key 500"},
+		{"residue key out of range", func(s *savedEmbedder) { s.Rev[1].R[-3] = 0.1 }, "residue key -3"},
 		{"tree block count mismatch", func(s *savedEmbedder) {
-			tr := s.Shards[0].Tree
+			tr := s.Tree
 			tr.Level1US = tr.Level1US[:1]
 			tr.Level1Tail = tr.Level1Tail[:1]
 		}, "level-1 blocks"},
 		{"tail/cache length mismatch", func(s *savedEmbedder) {
-			s.Shards[0].Tree.Level1Tail = s.Shards[0].Tree.Level1Tail[:1]
+			s.Tree.Level1Tail = s.Tree.Level1Tail[:1]
 		}, "tail energies"},
-		{"built without root", func(s *savedEmbedder) { s.Shards[0].Tree.RootU = nil }, "without a root"},
-		{"root rank mismatch", func(s *savedEmbedder) { s.Shards[0].Tree.RootS = s.Shards[0].Tree.RootS[:1] }, "singular values"},
-		{"shard count mismatch", func(s *savedEmbedder) { s.Config.Shards = 2 }, "1 shard payloads for a 2-shard"},
-		{"no shard payloads", func(s *savedEmbedder) { s.Shards = nil }, "0 shard payloads"},
+		{"built without root", func(s *savedEmbedder) { s.Tree.RootU = nil }, "without a root"},
+		{"root rank mismatch", func(s *savedEmbedder) { s.Tree.RootS = s.Tree.RootS[:1] }, "singular values"},
 		{"NaN residue", func(s *savedEmbedder) {
-			st := s.Shards[0].Fwd[0]
+			st := s.Fwd[0]
 			st.R[st.Source] = math.NaN()
 		}, "non-canonical residue value NaN"},
 		// A residue the decoders accept but the auditors do not: Load audits
 		// before it publishes, as Open always has.
 		{"residue above the push threshold", func(s *savedEmbedder) {
-			st := s.Shards[0].Fwd[0]
+			st := s.Fwd[0]
 			st.R[st.Source] += 0.5
 			st.P[st.Source] -= 0.5
 		}, "invariant audit"},
 		// Cached factors with the right shapes and a non-finite entry.
-		{"NaN in a level-1 cache", func(s *savedEmbedder) { s.Shards[0].Tree.Level1US[0].Data[0] = math.NaN() }, "non-finite"},
-		{"Inf in an upper cache", func(s *savedEmbedder) { s.Shards[0].Tree.Upper[0][0].Data[0] = math.Inf(1) }, "non-finite"},
-		{"NaN in the root factor", func(s *savedEmbedder) { s.Shards[0].Tree.RootU.Data[1] = math.NaN() }, "non-finite"},
+		{"NaN in a level-1 cache", func(s *savedEmbedder) { s.Tree.Level1US[0].Data[0] = math.NaN() }, "non-finite"},
+		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.Upper[0][0].Data[0] = math.Inf(1) }, "non-finite"},
+		{"NaN in the root factor", func(s *savedEmbedder) { s.Tree.RootU.Data[1] = math.NaN() }, "non-finite"},
+		// The scalar factors: +Inf passed a NaN-or-negative check and the audit.
+		{"Inf tail energy", func(s *savedEmbedder) { s.Tree.Level1Tail[0] = math.Inf(1) }, "tail energy +Inf"},
+		{"Inf root singular value", func(s *savedEmbedder) { s.Tree.RootS[0] = math.Inf(1) }, "singular value 0 is +Inf"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
@@ -214,7 +214,7 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		}, "in-neighbour"},
 		{"state values shorter than keys", func(s *rawSaved) {
 			var w rawState
-			s.Shards[0].Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })
+			s.Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })
 		}, "keys/values"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
@@ -222,7 +222,7 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 	for _, tc := range nonCanonicalStates {
 		check(tc.name, corruptSave(t, func(s *rawSaved) {
 			var w rawState
-			s.Shards[0].Fwd[0].edit(&w, func() { tc.mutate(&w) })
+			s.Fwd[0].edit(&w, func() { tc.mutate(&w) })
 		}), tc.wantSub, true)
 	}
 	// Another format version is a refusal, not damage: a plain error that
@@ -267,7 +267,7 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	}
 }
 
-// legacyTreeSave is a healthy 1-shard save whose tree snapshot is encoded
+// legacyTreeSave is a healthy save whose tree snapshot is encoded
 // from a struct that still has the four per-block factor fields the
 // removed update path persisted, populated — the wire form of a save
 // written before their removal.
@@ -291,14 +291,13 @@ func legacyTreeSave(t testing.TB) []byte {
 		Config  Config
 		Subset  []int32
 		Graph   rawGob
-		Shards  []struct {
-			Fwd, Rev []rawGob
-			M        *sparse.DynRow
-			Tree     *legacyTree
-		}
+		Fwd     []rawGob
+		Rev     []rawGob
+		M       *sparse.DynRow
+		Tree    *legacyTree
 	}
 	return corruptSave(t, func(s *legacySaved) {
-		tr := s.Shards[0].Tree
+		tr := s.Tree
 		b := len(tr.Level1US)
 		tr.Level1U, tr.Level1V = tr.Level1US, tr.Level1US
 		tr.Level1S, tr.Level1UpdErr = make([][]float64, b), make([]float64, b)
@@ -313,11 +312,11 @@ func legacyTreeSave(t testing.TB) []byte {
 // without them and persistVersion did not have to move.
 func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 	legacy := legacyTreeSave(t)
-	if plain := healthySave(1); len(legacy) <= len(plain) {
+	if plain := healthySave(); len(legacy) <= len(plain) {
 		t.Fatalf("legacy save is %d bytes, plain %d: the retired fields were not encoded", len(legacy), len(plain))
 	}
 	got := mustTB(Load(bytes.NewReader(legacy)))
-	want := mustTB(Load(bytes.NewReader(healthySave(1))))
+	want := mustTB(Load(bytes.NewReader(healthySave())))
 	if !reflect.DeepEqual(got.Embedding(), want.Embedding()) {
 		t.Fatal("embedding differs from the save without the retired fields")
 	}
@@ -329,18 +328,18 @@ func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 // FuzzLoad is the decoder property over the one save format: for any
 // payload whose checksum verifies, Load returns an error or an embedder
 // whose Audit is clean and that serves a read — one Recommend and the
-// whole Embedding, which on a sharded save runs the root merge over every
-// cached factor — never a panic. The seeds are a 1-shard and a 2-shard
-// save, one carrying the retired tree-snapshot fields and the three
-// non-canonical PPR states, without their footers;
-// every mutated payload is re-sealed with a valid one, since otherwise
-// the CRC would reject them all and nothing behind it would run.
+// whole Embedding — never a panic. The seeds are a healthy save, one
+// carrying the retired tree-snapshot fields, one with an infinite root
+// singular value and the three non-canonical PPR states, without their
+// footers; every mutated payload is re-sealed with a valid one, since
+// otherwise the CRC would reject them all and nothing behind it would run.
 func FuzzLoad(f *testing.F) {
-	seeds := [][]byte{healthySave(1), healthySave(2), legacyTreeSave(f)}
+	seeds := [][]byte{healthySave(), legacyTreeSave(f),
+		corruptSave(f, func(s *savedEmbedder) { s.Tree.RootS[0] = math.Inf(1) })}
 	for _, tc := range nonCanonicalStates {
 		seeds = append(seeds, corruptSave(f, func(s *rawSaved) {
 			var w rawState
-			s.Shards[0].Rev[1].edit(&w, func() { tc.mutate(&w) })
+			s.Rev[1].edit(&w, func() { tc.mutate(&w) })
 		}))
 	}
 	for _, save := range seeds {

@@ -1,10 +1,12 @@
 // Recommend scores from the frozen proximity matrix (ISSUE 14): no read
-// materializes the right embedding, the edge cases of the score row
-// against the reference in shard_test.go, and the fresh/warm benchmarks
-// on both sides of the nnz(M) = n·d crossover (DESIGN.md §5).
+// materializes the right embedding, the result equals the reference
+// ranking of (U·Uᵀ·M)[row,:] on the same snapshot — on hand-made edge
+// cases and under concurrent updates (-race) — and the fresh/warm
+// benchmarks on both sides of the nnz(M) = n·d crossover (DESIGN.md §5).
 package treesvd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,36 +19,34 @@ import (
 )
 
 // TestRecommendNeverMaterializesY: any number of Recommend calls, on
-// fresh snapshots of both shapes, leave the right embedding unbuilt; the
-// first RightEmbedding builds it, once, and changes no Recommend result.
+// fresh snapshots, leave the right embedding unbuilt; the first
+// RightEmbedding builds it, once, and changes no Recommend result.
 func TestRecommendNeverMaterializesY(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		rng := rand.New(rand.NewSource(5))
-		g := buildGraph(rng, 60, 240)
-		subset := []int32{2, 4, 6, 8, 10, 12}
-		emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Shards: shards}))
-		for batch := 0; batch < 3; batch++ {
-			snap := emb.Snapshot()
-			var before [][]Recommendation
-			for _, src := range subset {
-				before = append(before, mustTB(snap.Recommend(src, 7)))
-				mustTB(snap.Recommend(src, 60))
-			}
-			if got := snap.yComputes.Load(); got != 0 {
-				t.Fatalf("shards=%d: Recommend materialized the right embedding %d times", shards, got)
-			}
-			snap.RightEmbedding()
-			snap.RightEmbedding()
-			if got := snap.yComputes.Load(); got != 1 {
-				t.Fatalf("shards=%d: right embedding materialized %d times, want 1", shards, got)
-			}
-			for i, src := range subset {
-				if after := mustTB(snap.Recommend(src, 7)); !slices.Equal(after, before[i]) {
-					t.Fatalf("shards=%d: Recommend(%d) changed after RightEmbedding:\n%v\n%v", shards, src, before[i], after)
-				}
-			}
-			mustTB(emb.ApplyEvents(bgt, insertBatch(rng, 60, 10)))
+	rng := rand.New(rand.NewSource(5))
+	g := buildGraph(rng, 60, 240)
+	subset := []int32{2, 4, 6, 8, 10, 12}
+	emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3}))
+	for batch := 0; batch < 3; batch++ {
+		snap := emb.Snapshot()
+		var before [][]Recommendation
+		for _, src := range subset {
+			before = append(before, mustTB(snap.Recommend(src, 7)))
+			mustTB(snap.Recommend(src, 60))
 		}
+		if got := snap.yComputes.Load(); got != 0 {
+			t.Fatalf("Recommend materialized the right embedding %d times", got)
+		}
+		snap.RightEmbedding()
+		snap.RightEmbedding()
+		if got := snap.yComputes.Load(); got != 1 {
+			t.Fatalf("right embedding materialized %d times, want 1", got)
+		}
+		for i, src := range subset {
+			if after := mustTB(snap.Recommend(src, 7)); !slices.Equal(after, before[i]) {
+				t.Fatalf("Recommend(%d) changed after RightEmbedding:\n%v\n%v", src, before[i], after)
+			}
+		}
+		mustTB(emb.ApplyEvents(bgt, insertBatch(rng, 60, 10)))
 	}
 }
 
@@ -71,13 +71,12 @@ func TestRecommendOversizedK(t *testing.T) {
 	}
 }
 
-// handSnapshot is an unsharded snapshot over hand-made factors: subset
-// node i is graph node i, nothing but the source is excluded.
+// handSnapshot is a snapshot over hand-made factors: subset node i is
+// graph node i, nothing but the source is excluded.
 func handSnapshot(u *linalg.Dense, sigma []float64, m *sparse.CSR, numNodes int) *Snapshot {
 	root := &linalg.SVDResult{U: u, S: sigma}
 	snap := &Snapshot{
-		rowOf: map[int32]int{}, root: root, x: root.USqrtS(), numNodes: numNodes,
-		parts:       []snapPart{{root: root, m: m, lo: 0, hi: u.Rows}},
+		rowOf: map[int32]int{}, root: root, x: root.USqrtS(), m: m, numNodes: numNodes,
 		excludedOff: []int32{0},
 	}
 	for i := 0; i < u.Rows; i++ {
@@ -168,32 +167,136 @@ func TestRecommendEdgeCases(t *testing.T) {
 // every call exactly what a lone reader got — the pooled buffer is
 // cleared per read and never shared. Run under -race via `make race`.
 func TestRecommendConcurrentReadersBitIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(77))
-		g := buildGraph(rng, 120, 480)
-		subset := []int32{3, 8, 15, 29, 41, 57, 66, 90}
-		emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2, Shards: shards}))
-		snap := emb.Snapshot()
-		want := make([][]Recommendation, len(subset))
-		for i, src := range subset {
-			want[i] = mustTB(snap.Recommend(src, 20))
+	rng := rand.New(rand.NewSource(77))
+	g := buildGraph(rng, 120, 480)
+	subset := []int32{3, 8, 15, 29, 41, 57, 66, 90}
+	emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2}))
+	snap := emb.Snapshot()
+	want := make([][]Recommendation, len(subset))
+	for i, src := range subset {
+		want[i] = mustTB(snap.Recommend(src, 20))
+	}
+	var wg sync.WaitGroup
+	for r := range subset {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for iter := 0; iter < 200; iter++ {
+				got, err := snap.Recommend(subset[r], 20)
+				if err != nil || !slices.Equal(got, want[r]) {
+					t.Errorf("source %d, call %d: %v (err %v), want %v", subset[r], iter, got, err, want[r])
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// referenceScores is the specification of Recommend's score row,
+// (U·Uᵀ·M)[row, :], accumulated in Recommend's own row order from
+// Embedding-independent inputs: the snapshot's root and its frozen CSR.
+func referenceScores(snap *Snapshot, row int) []float64 {
+	root, m := snap.root, snap.m
+	scores := make([]float64, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		var w float64
+		for j, sigma := range root.S {
+			if sigma > 0 {
+				w += root.U.At(row, j) * root.U.At(i, j)
+			}
 		}
+		for q := m.RowPtr[i]; q < m.RowPtr[i+1]; q++ {
+			scores[m.ColIdx[q]] += w * m.Val[q]
+		}
+	}
+	return scores
+}
+
+// bruteRecommend is the specification of Recommend: the reference scores
+// of the nodes that exist, minus the source's frozen exclusion list, fully
+// sorted by (score desc, node asc) and truncated to k.
+func bruteRecommend(snap *Snapshot, src int32, k int) []Recommendation {
+	row := snap.rowOf[src]
+	scores := referenceScores(snap, row)
+	return bruteTopK(scores[:min(len(scores), snap.numNodes)],
+		snap.excluded[snap.excludedOff[row]:snap.excludedOff[row+1]], k)
+}
+
+// checkRecommend compares one Recommend answer with the specification:
+// it equals the brute-force ranking of the reference scores exactly —
+// nodes, scores, tie order — and every score is within rounding of
+// dot(X[s], Y[v]) from the public Embedding/RightEmbedding.
+func checkRecommend(snap *Snapshot, src int32, k int) error {
+	got, err := snap.Recommend(src, k)
+	if err != nil {
+		return err
+	}
+	want := bruteRecommend(snap, src, k)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("Recommend(%d, %d) = %v, reference ranking %v", src, k, got, want)
+	}
+	xs := snap.Embedding()[snap.rowOf[src]]
+	y := snap.RightEmbedding()
+	for _, rec := range got {
+		if xy := dot(xs, y[rec.Node]); math.Abs(rec.Score-xy) > 1e-12*(1+math.Abs(xy)) {
+			return fmt.Errorf("Recommend(%d, %d): node %d scores %g, dot(X[s], Y[v]) = %g", src, k, rec.Node, rec.Score, xy)
+		}
+	}
+	return nil
+}
+
+// TestScatterGatherRecommendProperty is the Recommend property test: the
+// result of scattering wᵀM over the frozen CSR rows and gathering the top
+// k must equal the specification (checkRecommend) while ApplyEvents runs
+// concurrently underneath. Run under -race via `make race`. The one leg
+// left of the former 1-and-4-shard pair sets the retired Shards 1, which
+// still means one tree.
+func TestScatterGatherRecommendProperty(t *testing.T) {
+	t.Run("shards=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		const n = 90
+		g := buildGraph(rng, n, 360)
+		subset := []int32{2, 5, 9, 14, 23, 31, 47, 58, 66, 71}
+		emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2, Shards: 1}))
+
+		batches := make([][]Event, 6)
+		for i := range batches {
+			batches[i] = insertBatch(rng, n, 25)
+		}
+
+		done := make(chan struct{})
 		var wg sync.WaitGroup
-		for r := range subset {
+		for r := 0; r < 4; r++ {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				for iter := 0; iter < 200; iter++ {
-					got, err := snap.Recommend(subset[r], 20)
-					if err != nil || !slices.Equal(got, want[r]) {
-						t.Errorf("shards=%d source %d, call %d: %v (err %v), want %v", shards, subset[r], iter, got, err, want[r])
+				src := subset[r%len(subset)]
+				for {
+					select {
+					case <-done:
 						return
+					default:
+					}
+					snap := emb.Snapshot()
+					for _, k := range []int{1, 3, 10, n} {
+						if err := checkRecommend(snap, src, k); err != nil {
+							t.Error(err)
+							return
+						}
 					}
 				}
 			}(r)
 		}
+		for _, b := range batches {
+			if _, err := emb.ApplyEvents(bgt, b); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(done)
 		wg.Wait()
-	}
+	})
 }
 
 // recommendBenchSnapshot publishes a snapshot on one side of Recommend's
@@ -214,7 +317,7 @@ func recommendBenchSnapshot(b *testing.B, shape string) (emb *Embedder, fill flo
 		subset[i] = int32(i * 7)
 	}
 	emb = mustTB(New(g, subset, Config{Dim: 16, RMax: rmax}))
-	return emb, float64(emb.Snapshot().parts[0].m.NNZ()) / float64(n*16)
+	return emb, float64(emb.Snapshot().m.NNZ()) / float64(n*16)
 }
 
 // BenchmarkRecommendFresh measures the first Recommend on a snapshot —

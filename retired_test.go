@@ -2,15 +2,22 @@ package treesvd
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/tree-svd/treesvd/internal/core"
+	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
-// TestRetiredOptionsRejected: the four knobs of the removed dynamic path
-// still compile (benchmark/ names them) but every entry point that takes
-// a Config — New, FactorizeMatrix, and Load of a save whose gob Config
-// carries the value — refuses a non-zero one with an error that names it.
+// TestRetiredOptionsRejected: the knobs of the removed dynamic path and
+// of the removed subset sharding still compile (benchmark/ names them)
+// but every entry point that takes a Config — New, FactorizeMatrix, and
+// Load of a save whose gob Config carries the value — refuses a set one
+// with an error that names it. TestShardConfigErrors checks that Shards 1,
+// which always meant one tree, is still accepted.
 func TestRetiredOptionsRejected(t *testing.T) {
 	g := buildGraph(rand.New(rand.NewSource(9)), 30, 120)
 	m := NewSparseMatrix(2, 8)
@@ -20,6 +27,7 @@ func TestRetiredOptionsRejected(t *testing.T) {
 		"UpdateMaxRel":   func(c *Config) { c.UpdateMaxRel = 0.5 },
 		"UpdateTailFrac": func(c *Config) { c.UpdateTailFrac = 0.25 },
 		"PushAccel":      func(c *Config) { c.PushAccel = PushSOR },
+		"Shards":         func(c *Config) { c.Shards = 2 },
 	} {
 		cfg := Config{Dim: 4}
 		set(&cfg)
@@ -29,6 +37,71 @@ func TestRetiredOptionsRejected(t *testing.T) {
 		for entry, err := range map[string]error{"New": errNew, "FactorizeMatrix": errMat, "Load": errLoad} {
 			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "removed") {
 				t.Errorf("%s with %s set: error %v, want one saying %s was removed", entry, name, err, name)
+			}
+		}
+	}
+
+	// A save in the sharded layout persistVersion 4 wrote — the payloads
+	// in a per-shard slice — is refused with the plain version error.
+	type v4Shard struct {
+		Fwd, Rev []rawGob
+		M        *sparse.DynRow
+		Tree     *core.TreeSnapshot
+	}
+	type v4Saved struct {
+		Version  int
+		Config   Config
+		Subset   []int32
+		Graph    rawGob
+		Fwd, Rev []rawGob
+		M        *sparse.DynRow
+		Tree     *core.TreeSnapshot
+		Shards   []v4Shard
+	}
+	v4 := corruptSave(t, func(s *v4Saved) {
+		s.Version, s.Config.Shards = 4, 1
+		s.Shards = []v4Shard{{s.Fwd, s.Rev, s.M, s.Tree}}
+		s.Fwd, s.Rev, s.M, s.Tree = nil, nil, nil, nil
+	})
+	_, err := Load(bytes.NewReader(v4))
+	want := fmt.Sprintf("version 4, want %d", persistVersion)
+	var corrupt *CorruptStateError
+	if err == nil || !strings.Contains(err.Error(), want) || errors.As(err, &corrupt) {
+		t.Errorf("Load of a version-4 save = %v, want the plain %q error", err, want)
+	}
+}
+
+// TestShardConfigErrors: Config.Shards is a retired stub. Defaults no
+// longer sets it; any value but 0 and 1 is refused with an error that
+// names it; and 1, which like 0 always meant one tree, builds the same
+// embedder as 0 bit for bit.
+func TestShardConfigErrors(t *testing.T) {
+	g := buildGraph(rand.New(rand.NewSource(3)), 30, 90)
+	subset := []int32{1, 4, 9, 15}
+
+	for _, shards := range []int{-2, 2, 5} {
+		_, err := New(g.Clone(), subset, Config{Dim: 4, Shards: shards})
+		if want := fmt.Sprintf("Shards %d", shards); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("Shards=%d: error %v, want one naming %q and saying it was removed", shards, err, want)
+		}
+	}
+
+	if d := Defaults(); d.Shards != 0 {
+		t.Fatalf("Defaults().Shards = %d, want 0", d.Shards)
+	}
+	e0 := mustTB(New(g.Clone(), subset, Config{Dim: 4}))
+	e1, err := New(g.Clone(), subset, Config{Dim: 4, Shards: 1})
+	if err != nil {
+		t.Fatalf("New with Shards 1: %v", err)
+	}
+	x0, x1 := e0.Embedding(), e1.Embedding()
+	if len(x0) != len(x1) {
+		t.Fatalf("Shards 1 embeds %d rows, Shards 0 embeds %d", len(x1), len(x0))
+	}
+	for i := range x0 {
+		for j := range x0[i] {
+			if x0[i][j] != x1[i][j] {
+				t.Fatalf("embedding (%d,%d): Shards 1 gives %g, Shards 0 gives %g", i, j, x1[i][j], x0[i][j])
 			}
 		}
 	}

@@ -184,7 +184,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 		NumNodes:   snap.NumNodes(),
 		NumEdges:   g.NumEdges(),
 		SubsetSize: len(s.subset),
-		Shards:     s.e.NumShards(),
 	})
 }
 

@@ -94,9 +94,9 @@ func roundTrip(t *testing.T, binary bool) {
 		t.Fatal(err)
 	}
 	if ver.Version != snap.Version() || ver.NumNodes != snap.NumNodes() ||
-		ver.SubsetSize != len(testSubset) || ver.Shards != emb.NumShards() {
-		t.Fatalf("version = %+v, want snapshot version=%d nodes=%d subset=%d shards=%d",
-			ver, snap.Version(), snap.NumNodes(), len(testSubset), emb.NumShards())
+		ver.SubsetSize != len(testSubset) {
+		t.Fatalf("version = %+v, want snapshot version=%d nodes=%d subset=%d",
+			ver, snap.Version(), snap.NumNodes(), len(testSubset))
 	}
 	if ver.NumEdges != emb.Graph().NumEdges() {
 		t.Errorf("version.NumEdges = %d, want %d", ver.NumEdges, emb.Graph().NumEdges())

@@ -10,7 +10,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/linalg"
-	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
@@ -27,6 +26,7 @@ type Snapshot struct {
 	rowOf   map[int32]int // shared with Embedder; immutable after New
 	x       *linalg.Dense // frozen U√Σ
 	root    *linalg.SVDResult
+	m       *sparse.CSR // frozen proximity matrix
 	// excluded[excludedOff[i]:excludedOff[i+1]] lists the nodes Recommend
 	// never returns for subset row i: the source and its out-neighbors at
 	// publish time, ascending without duplicates, all rows in one backing
@@ -40,17 +40,6 @@ type Snapshot struct {
 	// not exist yet (ISSUE 3, ghost recommendations).
 	numNodes int
 
-	// parts holds the frozen root factorization and proximity rows of
-	// every shard, in subset row order (one part when unsharded). With one
-	// part, x and root are frozen at publish; with several they are
-	// materialized at most once by mergeOnce: the coordinator merge above
-	// the shard boundary runs lazily, on the first read that needs global
-	// factors.
-	parts     []snapPart
-	rank      int // Config.Dim, the merge truncation rank
-	workers   int // resolved worker budget for the lazy merge
-	mergeOnce sync.Once
-
 	// y is the right embedding Ṽ√Σ, materialized at most once per
 	// snapshot, by the first RightEmbedding call on this version;
 	// Recommend never reads it. yComputes counts materializations
@@ -58,52 +47,6 @@ type Snapshot struct {
 	yOnce     sync.Once
 	y         *linalg.Dense
 	yComputes atomic.Int32
-}
-
-// snapPart is one shard's contribution to a snapshot: its frozen root
-// factorization and proximity rows, plus the subset row range they cover.
-type snapPart struct {
-	root   *linalg.SVDResult
-	m      *sparse.CSR
-	lo, hi int
-}
-
-// ensureMerged materializes the global factors of a sharded snapshot
-// exactly once: per-shard projections W_i = M_iᵀU_i and the coordinator
-// merge above the shard boundary. Unsharded snapshots are published with
-// x/root already frozen, so this is a no-op for them.
-func (s *Snapshot) ensureMerged() {
-	if len(s.parts) == 1 {
-		return
-	}
-	s.mergeOnce.Do(func() {
-		roots := make([]*linalg.SVDResult, len(s.parts))
-		ws := make([]*linalg.Dense, len(s.parts))
-		for i, p := range s.parts {
-			roots[i] = p.root
-			ws[i] = p.m.TMulDenseW(p.root.U, s.workers)
-		}
-		mr, err := core.MergeShardRoots(roots, ws, s.rank, s.workers)
-		if err != nil {
-			// Shapes come from the publishing embedder; a mismatch is a
-			// programming error, not a runtime condition.
-			panic(err)
-		}
-		s.root = mr.Root
-		s.x = mr.Root.USqrtS()
-	})
-}
-
-// rootSVD returns the snapshot's (merged) root factorization.
-func (s *Snapshot) rootSVD() *linalg.SVDResult {
-	s.ensureMerged()
-	return s.root
-}
-
-// xMat returns the snapshot's (merged) subset embedding X = U√Σ.
-func (s *Snapshot) xMat() *linalg.Dense {
-	s.ensureMerged()
-	return s.x
 }
 
 // Version returns the snapshot's version counter; it increases by one
@@ -122,11 +65,11 @@ func (s *Snapshot) NumNodes() int { return s.numNodes }
 
 // Spectrum returns the singular values of this snapshot's root
 // factorization, descending (a copy; the snapshot stays immutable).
-func (s *Snapshot) Spectrum() []float64 { return append([]float64(nil), s.rootSVD().S...) }
+func (s *Snapshot) Spectrum() []float64 { return append([]float64(nil), s.root.S...) }
 
 // Embedding returns the |S|×d subset embedding X = U√Σ of this snapshot
 // as a row-major matrix: row i embeds Subset()[i].
-func (s *Snapshot) Embedding() [][]float64 { return toRows(s.xMat()) }
+func (s *Snapshot) Embedding() [][]float64 { return toRows(s.x) }
 
 // RightEmbedding returns the n×d right-factor embedding Y = Ṽ√Σ of this
 // snapshot (row v embeds graph node v). Y is computed by the first call
@@ -136,24 +79,11 @@ func (s *Snapshot) RightEmbedding() [][]float64 { return toRows(s.right()) }
 
 // right materializes Y = Σ^{-1/2}·Uᵀ·M at most once (Theorem 3.2's
 // recovery of the right factor from the frozen proximity matrix), at
-// O(nnz·d): M's rows are partitioned over the parts, so Y is the sum of
-// each part's recovery against its own rows of the (merged) U.
+// O(nnz·d).
 func (s *Snapshot) right() *linalg.Dense {
 	s.yOnce.Do(func() {
 		s.yComputes.Add(1)
-		root := s.rootSVD()
-		d := root.U.Cols
-		for _, p := range s.parts {
-			up := linalg.NewDenseData(p.hi-p.lo, d, root.U.Data[p.lo*d:p.hi*d])
-			yp := core.RightEmbeddingOfW(&linalg.SVDResult{U: up, S: root.S}, p.m, s.workers)
-			if s.y == nil {
-				s.y = yp
-				continue
-			}
-			for i, v := range yp.Data {
-				s.y.Data[i] += v
-			}
-		}
+		s.y = core.RightEmbeddingOf(s.root, s.m)
 	})
 	return s.y
 }
@@ -269,10 +199,10 @@ var scorePool = sync.Pool{New: func() any { return new([]float64) }}
 // The scores are computed from the frozen proximity matrix, not from Y:
 // with X = U√Σ and Y = Σ^{-1/2}·Uᵀ·M the √Σ cancels, so the score row is
 // (U·Uᵀ·M)[s,:] = wᵀM with w = U·U[s,:]ᵀ — O(|S|·d + nnz(M) + n) per
-// read, with nothing to build first (DESIGN.md §5). It is the one scoring
-// formula of a snapshot, sharded or not: the same pinned snapshot returns
-// bit-identical results on every call. Against dot(X[s], Y[v]) from
-// Embedding/RightEmbedding the scores agree to rounding, not bit for bit.
+// read, with nothing to build first (DESIGN.md §5). The same pinned
+// snapshot returns bit-identical results on every call. Against
+// dot(X[s], Y[v]) from Embedding/RightEmbedding the scores agree to
+// rounding, not bit for bit.
 func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	if k <= 0 {
 		return nil, &InvalidKError{K: k}
@@ -281,7 +211,7 @@ func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	if !ok {
 		return nil, &NotInSubsetError{Node: src, Subset: len(s.subset)}
 	}
-	root := s.rootSVD()
+	root := s.root
 	if root.Rank() == 0 {
 		return nil, fmt.Errorf("treesvd: empty factorization")
 	}
@@ -293,21 +223,19 @@ func (s *Snapshot) Recommend(src int32, k int) ([]Recommendation, error) {
 	}
 	us := root.U.Row(row)[:r]
 
-	cols := s.parts[0].m.Cols
+	m := s.m
+	cols := m.Cols
 	buf := scorePool.Get().(*[]float64)
 	if cap(*buf) < cols {
 		*buf = make([]float64, cols)
 	}
 	scores := (*buf)[:cols]
 	clear(scores)
-	for _, p := range s.parts {
-		m := p.m
-		for i := 0; i < m.Rows; i++ {
-			w := dot(us, root.U.Row(p.lo+i))
-			vals := m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
-			for q, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
-				scores[c] += w * vals[q]
-			}
+	for i := 0; i < m.Rows; i++ {
+		w := dot(us, root.U.Row(i))
+		vals := m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+		for q, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
+			scores[c] += w * vals[q]
 		}
 	}
 	// The matrix has MaxNodes columns; only the first numNodes are real
@@ -350,39 +278,28 @@ func dot(a, b []float64) float64 {
 }
 
 // publishLocked freezes the current pipeline state into a new immutable
-// snapshot and publishes it. Caller holds e.mu; every shard's tree must
-// be built. Proximity rows are captured as per-shard CSR copies (the
-// DynRows keep mutating afterwards; the copy is two appends per stored
-// cell, no sort) and each subset node's exclusion list — itself and its
-// out-neighbors, sorted — is copied out of the graph for the same reason,
-// all lists into one array. An unsharded embedder's one part is its
-// global factorization, frozen here; a sharded one defers the coordinator
-// merge to the first global read.
+// snapshot and publishes it. Caller holds e.mu; the tree must be built.
+// The proximity matrix is captured as a CSR copy (the DynRow keeps
+// mutating afterwards; the copy is two appends per stored cell, no sort)
+// and each subset node's exclusion list — itself and its out-neighbors,
+// sorted — is copied out of the graph for the same reason, all lists into
+// one array.
 func (e *Embedder) publishLocked() {
 	g := e.g
 	excluded, off := exclusionLists(g, e.subset)
+	root := e.tree.Root()
+	ts := e.tree.Stats()
 	snap := &Snapshot{
 		version:     e.version.Add(1),
 		subset:      e.subset,
 		rowOf:       e.rowOf,
+		x:           root.USqrtS(),
+		root:        root,
+		m:           e.prox.M.ToCSR(),
 		excluded:    excluded,
 		excludedOff: off,
+		stats:       Stats{Level1Rebuilt: ts.Level1Rebuilt, Skipped: ts.Skipped, UpperRebuilt: ts.UpperRebuilt},
 		numNodes:    g.NumNodes(),
-	}
-	snap.parts = make([]snapPart, len(e.shards))
-	for i, s := range e.shards {
-		snap.parts[i] = snapPart{root: s.tree.Root(), m: s.prox.M.ToCSR(), lo: s.lo, hi: s.hi}
-		ts := s.tree.Stats()
-		snap.stats.Level1Rebuilt += ts.Level1Rebuilt
-		snap.stats.Skipped += ts.Skipped
-		snap.stats.UpperRebuilt += ts.UpperRebuilt
-	}
-	if len(e.shards) == 1 {
-		snap.root = snap.parts[0].root
-		snap.x = snap.root.USqrtS()
-	} else {
-		snap.rank = e.cfg.Dim
-		snap.workers = par.Workers(e.cfg.Workers)
 	}
 	e.snap.Store(snap)
 	e.met.snapshots.Inc()

@@ -35,7 +35,6 @@ package treesvd
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +42,7 @@ import (
 	"github.com/tree-svd/treesvd/internal/check"
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/graph"
-	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/obs"
-	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/ppr"
 )
 
@@ -110,18 +107,10 @@ type Config struct {
 	// factorizations (0 or 1 = sequential). Results are identical for any
 	// worker count.
 	Workers int
-	// Shards splits the subset into this many contiguous row shards, each
-	// owning its sources' PPR states, its slice of the proximity matrix
-	// and its own Tree-SVD; the coordinator fans event batches out to
-	// every shard in parallel (bounded by Workers overall) and merges the
-	// per-shard factorizations above the shard boundary on the first read
-	// that needs global factors. 0 and 1 mean unsharded: the one-shard case
-	// of the same pipeline, save format and checkpoint. Negative values and
-	// counts exceeding the subset size are rejected with a
-	// *ShardConfigError.
-	Shards int
-	// Retired; named by benchmark/trace.go, delete with ROADMAP item 3's
-	// seam. New, FactorizeMatrix and Load reject any non-zero value.
+	// Retired; named by benchmark/trace.go, delete with ROADMAP item 1's
+	// seam. New, FactorizeMatrix and Load reject any non-zero value, except
+	// Shards 1, which like 0 always meant one tree over the whole subset.
+	Shards         int
 	SVDUpdate      bool
 	UpdateMaxRel   float64
 	UpdateTailFrac float64
@@ -136,7 +125,7 @@ const PushSOR PushAccel = 1
 
 // Defaults returns the paper's configuration (scaled d).
 func Defaults() Config {
-	return Config{Dim: 32, Alpha: 0.15, RMax: 1e-4, Branch: 8, Levels: 3, Delta: 0.65, Seed: 1, Shards: 1}
+	return Config{Dim: 32, Alpha: 0.15, RMax: 1e-4, Branch: 8, Levels: 3, Delta: 0.65, Seed: 1}
 }
 
 // withDefaults fills zero values from Defaults and rejects negative knobs
@@ -151,8 +140,8 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("treesvd: negative RMax %g", c.RMax)
 	case c.Delta < 0:
 		return c, fmt.Errorf("treesvd: negative Delta %g", c.Delta)
-	case c.Shards < 0:
-		return c, &ShardConfigError{Shards: c.Shards}
+	case c.Shards != 0 && c.Shards != 1:
+		return c, fmt.Errorf("treesvd: Shards %d: subset sharding was removed; an embedder runs one tree over the whole subset (Shards 0 and 1 both mean that)", c.Shards)
 	case c.SVDUpdate || c.UpdateMaxRel != 0 || c.UpdateTailFrac != 0 || c.PushAccel != 0:
 		return c, fmt.Errorf("treesvd: SVDUpdate/UpdateMaxRel/UpdateTailFrac/PushAccel (%t/%g/%g/%d) were removed: on the system benchmark the incremental block update was 2-13x slower per batch than re-factoring and the SOR push did more pushes than the classic step",
 			c.SVDUpdate, c.UpdateMaxRel, c.UpdateTailFrac, c.PushAccel)
@@ -179,9 +168,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
+	c.Shards = 0
 	return c, nil
 }
 
@@ -200,14 +187,12 @@ type Embedder struct {
 	rowOf  map[int32]int
 
 	mu sync.Mutex // serializes updates (ApplyEvents/Rebuild/Save)
-	// g is the shared graph substrate: one copy of the topology, advanced
-	// exactly once per batch by the coordinator and read concurrently by
-	// every shard's repair pass.
-	g *graph.Graph
-	// shards partitions the subset into contiguous row ranges; shards[0]
-	// additionally holds the metric sets shared by every shard. Unsharded
-	// embedders are the len(shards)==1 special case of the same layout.
-	shards []*shard
+	// g is the live graph; prox holds the subset's forward/reverse PPR
+	// states over it and the proximity matrix they fill, and tree is the
+	// Tree-SVD over that matrix.
+	g    *graph.Graph
+	prox *ppr.Proximity
+	tree *core.Tree
 	// stale is set when a cancelled/failed update left the PPR estimates
 	// out of sync with the already-advanced graph; the next update then
 	// takes the full-rebuild path to recover.
@@ -223,59 +208,18 @@ type Embedder struct {
 	snap    atomic.Pointer[Snapshot]
 }
 
-// shard is the first-class unit of scale-out: a contiguous slice of
-// subset rows [lo, hi) together with everything derived from them — the
-// forward/reverse PPR states, the shard's rows of the proximity matrix
-// (its own DynRow, so level-1 block caches and norms are per-shard), and
-// a full Tree-SVD over that slice. Shards share the graph substrate and
-// the aggregate metric sets but own no cross-shard state; the
-// coordinator (Embedder) merges factorizations above the shard boundary.
-type shard struct {
-	id     int
-	lo, hi int // subset row range [lo, hi)
-	prox   *ppr.Proximity
-	tree   *core.Tree
-}
-
-// shardSeedStride separates the randomized-factorization seed streams of
-// neighboring shards; shard 0 keeps Config.Seed exactly.
-const shardSeedStride = 611_953_393
-
-// shardTreeConfig is tcfg with shard i's seed stream.
-func shardTreeConfig(tcfg core.Config, i int) core.Config {
-	tcfg.Seed += int64(i) * shardSeedStride
-	return tcfg
-}
-
-// pipeline derives the per-shard PPR parameters and tree configuration
-// from a defaulted Config, validating both (used by New and Load). Each
-// shard's pipeline runs under an equal share of the worker budget; the
-// outer fan-out is capped at Workers, so the product stays within the
-// global budget (the par.SplitBudget contract).
+// pipeline derives the PPR parameters and tree configuration from a
+// defaulted Config, validating both (used by New and Load).
 func (c Config) pipeline() (ppr.Params, core.Config, error) {
-	sw := par.SplitBudget(c.Workers, c.Shards)
-	params := ppr.Params{Alpha: c.Alpha, RMax: c.RMax, Workers: sw, Met: &ppr.Metrics{}}
+	params := ppr.Params{Alpha: c.Alpha, RMax: c.RMax, Workers: c.Workers, Met: &ppr.Metrics{}}
 	tcfg := core.Config{
 		Rank: c.Dim, Branch: c.Branch, Levels: c.Levels,
-		Delta: c.Delta, Seed: c.Seed, Workers: sw,
+		Delta: c.Delta, Seed: c.Seed, Workers: c.Workers,
 	}
 	if err := params.Validate(); err != nil {
 		return params, tcfg, err
 	}
 	return params, tcfg, tcfg.Validate()
-}
-
-// forEachShard runs f over every shard, concurrently when there is more
-// than one (bounded by the coordinator's Workers budget; each shard's
-// own pipeline runs under its SplitBudget share, keeping the product
-// within the global budget). The single-shard path calls f inline.
-func (e *Embedder) forEachShard(ctx context.Context, f func(s *shard) error) error {
-	if len(e.shards) == 1 {
-		return f(e.shards[0])
-	}
-	return par.ForErr(ctx, len(e.shards), par.Workers(e.cfg.Workers), func(i int) error {
-		return f(e.shards[i])
-	})
 }
 
 // New builds the initial embedding state for subset over g and publishes
@@ -297,9 +241,6 @@ func New(g *Graph, subset []int32, cfg Config) (*Embedder, error) {
 			return nil, fmt.Errorf("treesvd: subset node %d has no out-edges; PPR from it is degenerate", v)
 		}
 	}
-	if cfg.Shards > len(subset) {
-		return nil, &ShardConfigError{Shards: cfg.Shards, Subset: len(subset)}
-	}
 	params, tcfg, err := cfg.pipeline()
 	if err != nil {
 		return nil, err
@@ -308,41 +249,32 @@ func New(g *Graph, subset []int32, cfg Config) (*Embedder, error) {
 	if maxNodes < g.NumNodes() {
 		maxNodes = g.NumNodes()
 	}
-	ranges := core.ShardRanges(len(subset), cfg.Shards)
-	shards := make([]*shard, len(ranges))
-	treeMet := &core.Metrics{}
-	if err := par.ForErr(context.Background(), len(ranges), par.Workers(cfg.Workers), func(i int) error {
-		sub, err := ppr.NewSubset(g, subset[ranges[i][0]:ranges[i][1]], params)
-		if err != nil {
-			return err
-		}
-		prox := ppr.NewProximity(sub, maxNodes, tcfg.Blocks())
-		tree, err := core.NewTree(prox.M, shardTreeConfig(tcfg, i))
-		if err != nil {
-			return err
-		}
-		tree.ShareMetrics(treeMet)
-		if err := tree.Build(context.Background()); err != nil {
-			return err
-		}
-		shards[i] = &shard{id: i, lo: ranges[i][0], hi: ranges[i][1], prox: prox, tree: tree}
-		return nil
-	}); err != nil {
+	sub, err := ppr.NewSubset(g, subset, params)
+	if err != nil {
 		return nil, err
 	}
-	e := newEmbedder(cfg, subset, g, shards)
+	prox := ppr.NewProximity(sub, maxNodes, tcfg.Blocks())
+	tree, err := core.NewTree(prox.M, tcfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := tree.Build(context.Background()); err != nil {
+		return nil, err
+	}
+	e := newEmbedder(cfg, subset, g, prox, tree)
 	e.publishLocked()
 	return e, nil
 }
 
-// newEmbedder wires the shared fields (used by New and Load).
-func newEmbedder(cfg Config, subset []int32, g *graph.Graph, shards []*shard) *Embedder {
+// newEmbedder wires the fields New and Load share.
+func newEmbedder(cfg Config, subset []int32, g *graph.Graph, prox *ppr.Proximity, tree *core.Tree) *Embedder {
 	e := &Embedder{
 		cfg:    cfg,
 		subset: append([]int32(nil), subset...),
 		rowOf:  make(map[int32]int, len(subset)),
 		g:      g,
-		shards: shards,
+		prox:   prox,
+		tree:   tree,
 	}
 	for i, v := range e.subset {
 		e.rowOf[v] = i
@@ -351,18 +283,13 @@ func newEmbedder(cfg Config, subset []int32, g *graph.Graph, shards []*shard) *E
 	return e
 }
 
-// NumShards returns the number of subset shards the embedder runs
-// (Config.Shards after defaulting; 1 for unsharded embedders).
-func (e *Embedder) NumShards() int { return len(e.shards) }
-
 // Subset returns the embedded node ids in row order.
 func (e *Embedder) Subset() []int32 { return append([]int32(nil), e.subset...) }
 
 // ApplyEvents advances the graph through a batch of edge events and
 // lazily refreshes the factorization, publishing a new snapshot on
 // success. It returns the number of level-1 blocks that were re-factored
-// across all shards (0 when every block stayed within the Eqn. 2
-// tolerance).
+// (0 when every block stayed within the Eqn. 2 tolerance).
 //
 // Cancelling ctx aborts the update with ctx's error; the last published
 // snapshot stays intact and readable, and the embedder recovers on the
@@ -427,31 +354,20 @@ func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publis
 // its pprof stage label. Caller holds e.mu.
 func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish bool) (int, error) {
 	if err := stage(ctx, "ppr.apply", func(ctx context.Context) error {
-		if e.stale || e.shards[0].prox.Sub.RebuildThreshold(len(events)) {
+		if e.stale || e.prox.Sub.RebuildThreshold(len(events)) {
 			// Large batch (the Theorem 3.7 fallback) or recovery from an
 			// interrupted update: advance the graph, then recompute PPR and
 			// proximity from scratch.
 			e.g.ApplyAll(events)
 			e.stale = true // graph is ahead of the estimates until Rebuild lands
-			if err := e.forEachShard(ctx, func(s *shard) error {
-				if err := s.prox.Sub.Rebuild(ctx); err != nil {
-					return err
-				}
-				s.prox.RefreshAll()
-				return nil
-			}); err != nil {
+			if err := e.prox.Sub.Rebuild(ctx); err != nil {
 				return err
 			}
+			e.prox.RefreshAll()
 			e.stale = false
 			return nil
 		}
-		// The coordinator advances the shared graph exactly once; every
-		// shard then repairs its own sources from the recorded applied
-		// slice, reading the (now quiescent) graph concurrently.
-		applied := ppr.ApplyAll(e.g, events)
-		if err := e.forEachShard(ctx, func(s *shard) error {
-			return s.prox.RepairApplied(ctx, applied)
-		}); err != nil {
+		if err := e.prox.ApplyEvents(ctx, events); err != nil {
 			e.stale = true
 			return err
 		}
@@ -459,26 +375,12 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 	}); err != nil {
 		return 0, err
 	}
-	counts := make([]int, len(e.shards))
-	if err := e.forEachShard(ctx, func(s *shard) error {
-		start := time.Now()
-		n, err := s.tree.Update(ctx)
-		if err != nil {
-			// The tree commit is transactional: its caches and the DynRow
-			// baselines are untouched, so the violating blocks re-trigger on
-			// the next update. No stale flag needed — shards that already
-			// committed simply report zero work on the retry.
-			return err
-		}
-		counts[s.id] = n
-		e.met.observeShard(s.id, n, start)
-		return nil
-	}); err != nil {
+	// The tree commit is transactional: on error its caches and the DynRow
+	// baselines are untouched, so the violating blocks re-trigger on the
+	// next update. No stale flag needed.
+	rebuilt, err := e.tree.Update(ctx)
+	if err != nil {
 		return 0, err
-	}
-	rebuilt := 0
-	for _, n := range counts {
-		rebuilt += n
 	}
 	if err := stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
 		return 0, err
@@ -494,7 +396,7 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 // New, so this needs no lock; the durable layer calls it before logging
 // a batch so nothing unreplayable ever reaches the WAL.
 func (e *Embedder) validateEvents(events []Event) error {
-	capacity := e.shards[0].prox.M.Cols()
+	capacity := e.prox.M.Cols()
 	for i, ev := range events {
 		if ev.U < 0 || int(ev.U) >= capacity {
 			return &NodeRangeError{Index: i, Node: ev.U, MaxNodes: capacity}
@@ -534,21 +436,16 @@ func (e *Embedder) Rebuild(ctx context.Context) error {
 func (e *Embedder) rebuildLocked(ctx context.Context) error {
 	if err := stage(ctx, "ppr.apply", func(ctx context.Context) error {
 		e.stale = true
-		if err := e.forEachShard(ctx, func(s *shard) error {
-			if err := s.prox.Sub.Rebuild(ctx); err != nil {
-				return err
-			}
-			s.prox.RefreshAll()
-			return nil
-		}); err != nil {
+		if err := e.prox.Sub.Rebuild(ctx); err != nil {
 			return err
 		}
+		e.prox.RefreshAll()
 		e.stale = false
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := e.forEachShard(ctx, func(s *shard) error { return s.tree.Build(ctx) }); err != nil {
+	if err := e.tree.Build(ctx); err != nil {
 		return err
 	}
 	if err := stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
@@ -574,23 +471,15 @@ func (e *Embedder) selfCheckLocked() error {
 }
 
 // auditLocked runs the cheap internal/check auditors over every pipeline
-// layer of every shard, then the cross-shard consistency audit. Caller
-// holds e.mu.
+// layer. Caller holds e.mu.
 func (e *Embedder) auditLocked() error {
-	views := make([]check.ShardView, len(e.shards))
-	for i, s := range e.shards {
-		if err := check.PPRSubset(s.prox.Sub); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if err := check.DynRow(s.prox.M); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if err := check.Tree(s.tree); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		views[i] = check.ShardView{Lo: s.lo, Hi: s.hi, Sub: s.prox.Sub, M: s.prox.M}
+	if err := check.PPRSubset(e.prox.Sub); err != nil {
+		return err
 	}
-	return check.Shards(e.g, e.subset, views)
+	if err := check.DynRow(e.prox.M); err != nil {
+		return err
+	}
+	return check.Tree(e.tree)
 }
 
 // Audit verifies the pipeline's internal invariants (PPR push invariant
@@ -610,25 +499,7 @@ func (e *Embedder) Audit() error {
 func (e *Embedder) ReconstructionError() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.shards) == 1 {
-		return e.shards[0].tree.ReconstructionError()
-	}
-	// Merge the live per-shard roots above the shard boundary and apply
-	// the same projection identity over the row-stacked matrix.
-	w := par.Workers(e.cfg.Workers)
-	roots := make([]*linalg.SVDResult, len(e.shards))
-	ws := make([]*linalg.Dense, len(e.shards))
-	for i, s := range e.shards {
-		roots[i] = s.tree.Root()
-		ws[i] = s.prox.M.TMulDense(roots[i].U)
-	}
-	mr, err := core.MergeShardRoots(roots, ws, e.cfg.Dim, w)
-	if err != nil {
-		// Shapes come straight from the live trees; a mismatch is a
-		// programming error, not a runtime condition.
-		panic(err)
-	}
-	return mr.ReconstructionError(ws, e.proximityFrobLocked(), w)
+	return e.tree.ReconstructionError()
 }
 
 // ProximityFrobNorm returns ‖M‖_F of the live proximity matrix, the
@@ -637,22 +508,7 @@ func (e *Embedder) ReconstructionError() float64 {
 func (e *Embedder) ProximityFrobNorm() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.proximityFrobLocked()
-}
-
-// proximityFrobLocked returns ‖M‖_F over the row-stacked per-shard
-// matrices: rows partition M, so ‖M‖²_F = Σ_i ‖M_i‖²_F. Caller holds
-// e.mu.
-func (e *Embedder) proximityFrobLocked() float64 {
-	if len(e.shards) == 1 {
-		return e.shards[0].prox.M.FrobNorm()
-	}
-	sq := 0.0
-	for _, s := range e.shards {
-		f := s.prox.M.FrobNorm()
-		sq += f * f
-	}
-	return math.Sqrt(sq)
+	return e.prox.M.FrobNorm()
 }
 
 // Snapshot returns the currently published immutable snapshot. Safe from
