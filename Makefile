@@ -27,7 +27,7 @@ vet:
 
 # Documentation gate: go vet's doc-adjacent checks plus cmd/doclint,
 # which requires a package comment on every package and a doc comment on
-# every exported identifier of the public root package.
+# every exported identifier of the public packages (root, server, client).
 docs: vet
 	$(GO) run ./cmd/doclint
 

@@ -70,11 +70,12 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // retried.
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
-// WithBackoff sets the base and cap of the exponential retry backoff
-// (defaults 50ms and 1s): attempt i sleeps min(base<<i, max).
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Client) { c.backoff, c.maxBackoff = base, max }
-}
+// The exponential retry backoff: retry i sleeps min(backoffBase<<i,
+// backoffCap), floored by a shed response's Retry-After hint.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = time.Second
+)
 
 // WithBinary switches bulk reads (Recommend, Embedding, RightEmbedding)
 // to the compact binary frame codec.
@@ -82,23 +83,19 @@ func WithBinary(on bool) Option { return func(c *Client) { c.binary = on } }
 
 // Client talks to one treesvd server. It is safe for concurrent use.
 type Client struct {
-	base       string
-	hc         *http.Client
-	retries    int
-	backoff    time.Duration
-	maxBackoff time.Duration
-	binary     bool
+	base    string
+	hc      *http.Client
+	retries int
+	binary  bool
 }
 
 // New returns a client for the server at baseURL (e.g.
 // "http://127.0.0.1:8080").
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
-		base:       strings.TrimRight(baseURL, "/"),
-		hc:         &http.Client{Timeout: 30 * time.Second},
-		retries:    2,
-		backoff:    50 * time.Millisecond,
-		maxBackoff: time.Second,
+		base:    strings.TrimRight(baseURL, "/"),
+		hc:      &http.Client{Timeout: 30 * time.Second},
+		retries: 2,
 	}
 	for _, o := range opts {
 		o(c)
@@ -325,7 +322,7 @@ func (c *Client) get(ctx context.Context, path, accept string, decode func(io.Re
 			if !hasDeadline && attempt > c.retries {
 				break
 			}
-			wait := c.backoffFor(attempt - 1)
+			wait := backoffFor(attempt - 1)
 			var ove *treesvd.OverloadError
 			if errors.As(lastErr, &ove) && ove.RetryAfter > wait {
 				wait = ove.RetryAfter // the server's shed hint floors the backoff
@@ -384,10 +381,10 @@ func (c *Client) get(ctx context.Context, path, accept string, decode func(io.Re
 }
 
 // backoffFor returns the sleep before retry i (exponential, capped).
-func (c *Client) backoffFor(i int) time.Duration {
-	d := c.backoff << i
-	if d > c.maxBackoff || d <= 0 {
-		d = c.maxBackoff
+func backoffFor(i int) time.Duration {
+	d := backoffBase << i
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	return d
 }

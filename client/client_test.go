@@ -38,7 +38,7 @@ func versionHandler(w http.ResponseWriter, r *http.Request) {
 
 func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 	ts, attempts := fakeServer(t, 2, http.StatusInternalServerError, versionHandler)
-	c := New(ts.URL, WithRetries(2), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	c := New(ts.URL, WithRetries(2))
 	ver, err := c.Version(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 
 func TestRetriesExhausted(t *testing.T) {
 	ts, attempts := fakeServer(t, 100, http.StatusServiceUnavailable, versionHandler)
-	c := New(ts.URL, WithRetries(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(2))
 	_, err := c.Version(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
@@ -71,7 +71,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 		json.NewEncoder(w).Encode(wire.ErrorDTO{Error: "bad k", Kind: wire.KindInvalidK, K: -3})
 	}))
 	defer ts.Close()
-	c := New(ts.URL, WithRetries(5), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(5))
 	_, err := c.Recommend(context.Background(), 0, -3)
 	var ike *treesvd.InvalidKError
 	if !errors.As(err, &ike) || ike.K != -3 {
@@ -91,7 +91,7 @@ func TestNoRetryOnWrite(t *testing.T) {
 		json.NewEncoder(w).Encode(wire.ErrorDTO{Error: "boom", Kind: wire.KindInternal})
 	}))
 	defer ts.Close()
-	c := New(ts.URL, WithRetries(5), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(5))
 	_, err := c.ApplyEvents(context.Background(), []treesvd.Event{{U: 0, V: 1, Type: treesvd.Insert}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
@@ -165,8 +165,8 @@ func TestUnparsableErrorBody(t *testing.T) {
 // burning the remaining budget waiting for a retry it cannot make.
 func TestDeadlineCutsBackoffShort(t *testing.T) {
 	ts, attempts := fakeServer(t, 100, http.StatusInternalServerError, versionHandler)
-	c := New(ts.URL, WithRetries(10), WithBackoff(time.Hour, time.Hour))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	c := New(ts.URL, WithRetries(10))
+	ctx, cancel := context.WithTimeout(context.Background(), backoffBase/2)
 	defer cancel()
 	start := time.Now()
 	_, err := c.Version(ctx)
@@ -175,7 +175,7 @@ func TestDeadlineCutsBackoffShort(t *testing.T) {
 		t.Fatalf("want the last *APIError 500, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("took %v: the 1h backoff was slept instead of skipped", elapsed)
+		t.Fatalf("took %v: the backoff was slept instead of skipped", elapsed)
 	}
 	if attempts.Load() != 1 {
 		t.Fatalf("attempts = %d, want 1 before the deadline", attempts.Load())
@@ -186,7 +186,7 @@ func TestDeadlineCutsBackoffShort(t *testing.T) {
 // past the configured retry count while backoffs still fit.
 func TestDeadlineExtendsAttempts(t *testing.T) {
 	ts, attempts := fakeServer(t, 4, http.StatusInternalServerError, versionHandler)
-	c := New(ts.URL, WithRetries(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	ver, err := c.Version(ctx)
@@ -236,7 +236,7 @@ func TestOverloadRetryAfterHonored(t *testing.T) {
 		versionHandler(w, r)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, WithRetries(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(2))
 	ver, err := c.Version(context.Background())
 	if err != nil || ver.Version != 42 {
 		t.Fatalf("version=%d err=%v, want a clean retry", ver.Version, err)
@@ -278,7 +278,7 @@ func TestNoRetryOnDegraded(t *testing.T) {
 		})
 	}))
 	defer ts.Close()
-	c := New(ts.URL, WithRetries(5), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(5))
 	_, err := c.Version(context.Background())
 	var dge *treesvd.DegradedError
 	if !errors.As(err, &dge) || dge.Reason != "wal append failed" {
@@ -302,7 +302,7 @@ func TestRetryOnTornResponse(t *testing.T) {
 		versionHandler(w, r)
 	}))
 	defer ts.Close()
-	c := New(ts.URL, WithRetries(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	c := New(ts.URL, WithRetries(2))
 	ver, err := c.Version(context.Background())
 	if err != nil || ver.Version != 42 {
 		t.Fatalf("version=%d err=%v attempts=%d, want a clean retry", ver.Version, err, attempts.Load())
@@ -310,15 +310,14 @@ func TestRetryOnTornResponse(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	c := New("http://unused", WithBackoff(50*time.Millisecond, 400*time.Millisecond))
-	want := []time.Duration{50, 100, 200, 400, 400, 400}
+	want := []time.Duration{50, 100, 200, 400, 800, 1000, 1000}
 	for i, w := range want {
-		if got := c.backoffFor(i); got != w*time.Millisecond {
+		if got := backoffFor(i); got != w*time.Millisecond {
 			t.Errorf("backoffFor(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
 	// Shift overflow saturates at the cap rather than going negative.
-	if got := c.backoffFor(62); got != 400*time.Millisecond {
+	if got := backoffFor(62); got != backoffCap {
 		t.Errorf("backoffFor(62) = %v, want cap", got)
 	}
 }

@@ -1,9 +1,10 @@
 // Command doclint enforces the repository's documentation bar, beyond
 // what go vet checks: every package (root, internal/..., cmd/...) must
 // carry a package comment, and every exported identifier of the public
-// root package — types, funcs, methods, consts, vars — must have a doc
-// comment. It prints one line per violation and exits non-zero if any
-// were found; `make docs` runs it together with go vet.
+// packages (the root, server and client) — types, funcs, methods, consts,
+// vars — must have a doc comment. It prints one line per violation and
+// exits non-zero if any were found; `make docs` runs it together with go
+// vet.
 package main
 
 import (
@@ -21,7 +22,9 @@ import (
 func main() {
 	problems := 0
 	problems += checkPackageDocs(".")
-	problems += checkExported(".")
+	for _, dir := range []string{".", "server", "client"} {
+		problems += checkExported(dir)
+	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", problems)
 		os.Exit(1)

@@ -67,9 +67,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve: need -load <state> or -synthetic")
 		os.Exit(2)
 	}
-	g := emb.Graph()
+	snap := emb.Snapshot()
 	fmt.Printf("serve: embedder ready: %d nodes, %d edges, |S|=%d, version %d\n",
-		g.NumNodes(), g.NumEdges(), len(emb.Subset()), emb.Version())
+		snap.NumNodes(), snap.NumEdges(), len(snap.Subset()), snap.Version())
 
 	srv := server.New(emb, server.Options{MaxBatchEvents: *batchCap})
 	if err := srv.Start(*addr); err != nil {

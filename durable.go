@@ -58,12 +58,6 @@ type DurableConfig struct {
 	// (default 64); negative disables automatic checkpoints (use the
 	// Checkpoint method).
 	CheckpointEvery int
-	// KeepCheckpoints retains this many committed checkpoints (default 2,
-	// minimum 1). Keeping more than one lets recovery fall back past a
-	// checkpoint that fails verification; the WAL is pruned only up to the
-	// oldest kept checkpoint so the fallback can always be replayed
-	// forward.
-	KeepCheckpoints int
 	// SyncCheckpoints takes checkpoints synchronously inside ApplyEvents
 	// instead of in a background goroutine. Deterministic and slower; the
 	// fault-injection harness depends on it.
@@ -82,12 +76,15 @@ type DurableConfig struct {
 	Trace TraceHook
 }
 
+// keepCheckpoints is how many committed checkpoints a store retains. Two
+// let recovery fall back past a checkpoint that fails verification; the
+// WAL is pruned only up to the oldest kept checkpoint so the fallback can
+// always be replayed forward.
+const keepCheckpoints = 2
+
 func (c DurableConfig) withDefaults() DurableConfig {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
-	}
-	if c.KeepCheckpoints < 1 {
-		c.KeepCheckpoints = 2
 	}
 	return c
 }
@@ -359,6 +356,10 @@ func asCorruptState(err error) error {
 // DurableEmbedder contract.
 func (d *DurableEmbedder) Embedder() *Embedder { return d.e }
 
+// Snapshot returns the wrapped embedder's published snapshot; see
+// Embedder.Snapshot.
+func (d *DurableEmbedder) Snapshot() *Snapshot { return d.e.Snapshot() }
+
 // Recovery reports what Open found and repaired; the zero value after
 // Create.
 func (d *DurableEmbedder) Recovery() RecoveryInfo { return d.recovery }
@@ -578,7 +579,7 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 }
 
 // commitCheckpoint publishes one checkpoint and prunes: older checkpoints
-// beyond KeepCheckpoints first, then WAL segments covered by the oldest
+// beyond keepCheckpoints first, then WAL segments covered by the oldest
 // checkpoint that remains. Safe to run concurrently with Append — it only
 // touches checkpoint files and sealed segments. It records the commit in
 // the checkpoint metrics and fires TraceCheckpoint (from the background
@@ -603,7 +604,7 @@ func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error
 	if err := wal.WriteCheckpoint(d.fs, d.dir, seq, payload); err != nil {
 		return err
 	}
-	if err := wal.PruneCheckpoints(d.fs, d.dir, d.cfg.KeepCheckpoints); err != nil {
+	if err := wal.PruneCheckpoints(d.fs, d.dir, keepCheckpoints); err != nil {
 		return err
 	}
 	cks, err := wal.ListCheckpoints(d.fs, d.dir)

@@ -46,7 +46,6 @@ func newDurableFixture(t testing.TB) *durableFixture {
 		cfg: DurableConfig{
 			Config:          Config{Dim: 4, Branch: 4, Levels: 2, MaxNodes: 24, Seed: 5},
 			CheckpointEvery: 2,
-			KeepCheckpoints: 2,
 			SyncCheckpoints: true,
 			SegmentSize:     256, // a few records per segment: rotation is on every crash path
 		},
@@ -213,8 +212,8 @@ func TestDurableCheckpointPrunesWAL(t *testing.T) {
 			segs = append(segs, n.Name())
 		}
 	}
-	if len(ckpts) != fx.cfg.KeepCheckpoints {
-		t.Fatalf("store holds %d checkpoints %v, want %d", len(ckpts), ckpts, fx.cfg.KeepCheckpoints)
+	if len(ckpts) != keepCheckpoints {
+		t.Fatalf("store holds %d checkpoints %v, want %d", len(ckpts), ckpts, keepCheckpoints)
 	}
 	// 6 batches ≈ 106 bytes each against 256-byte segments is ≥3 segments;
 	// pruning up to the oldest kept checkpoint (seq 4) must have removed

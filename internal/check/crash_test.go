@@ -69,7 +69,6 @@ func runCrashSeed(t *testing.T, seed int64) {
 			MaxNodes: maxNodes, Seed: seed + 1, SelfCheck: true,
 		},
 		CheckpointEvery: 2,
-		KeepCheckpoints: 2,
 		SyncCheckpoints: true,
 		SegmentSize:     256, // a few records per segment: rotation is on the crash path
 	}

@@ -60,7 +60,7 @@ func Factorize(m *sparse.CSR, cfg Config) *linalg.SVDResult {
 	w := par.Workers(cfg.Workers)
 	kb := splitBudget(w, nb)
 	level := make([]*linalg.Dense, nb)
-	par.For(nb, w, func(j int) {
+	mustFor(nb, w, func(j int) {
 		lo := j * width
 		hi := lo + width
 		if hi > m.Cols {
@@ -87,7 +87,7 @@ func FactorizeDense(m *linalg.Dense, cfg Config) *linalg.SVDResult {
 	w := par.Workers(cfg.Workers)
 	kb := splitBudget(w, nb)
 	level := make([]*linalg.Dense, nb)
-	par.For(nb, w, func(j int) {
+	mustFor(nb, w, func(j int) {
 		lo := j * width
 		hi := lo + width
 		if hi > m.Cols {
@@ -97,6 +97,14 @@ func FactorizeDense(m *linalg.Dense, cfg Config) *linalg.SVDResult {
 	})
 	level1SVDs.Add(uint64(nb))
 	return mergeLevels(level, cfg)
+}
+
+// mustFor runs fn(i) for every i in [0,n) across at most w workers,
+// re-raising a task's panic on the calling goroutine.
+func mustFor(n, w int, fn func(i int)) {
+	if err := par.ForErr(nil, n, w, func(i int) error { fn(i); return nil }); err != nil {
+		panic(err)
+	}
 }
 
 // splitBudget divides the worker budget across concurrent tasks via the
@@ -122,7 +130,7 @@ func mergeLevels(level []*linalg.Dense, cfg Config) *linalg.SVDResult {
 		}
 		next := make([]*linalg.Dense, parents)
 		lv := level
-		par.For(parents, w, func(pi int) {
+		mustFor(parents, w, func(pi int) {
 			lo := pi * cfg.Branch
 			hi := lo + cfg.Branch
 			if hi > len(lv) {

@@ -75,8 +75,9 @@ type entry struct {
 
 // Registry is a named collection of metrics that can be snapshotted and
 // served over HTTP (expvar-style JSON and Prometheus text format). Every
-// embedder owns one; registration happens at construction time, reads at
-// any time. All methods are safe for concurrent use.
+// embedder owns one, and so does every HTTP server; registration happens
+// at construction time, reads at any time. All methods are safe for
+// concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	entries []entry
@@ -166,13 +167,19 @@ func (r *Registry) HistogramWith(name string, labels []Label, unit, help string,
 // Snapshot reads every registered metric, sorted by name. Each metric is
 // read atomically; the set as a whole is approximately consistent (see
 // the package comment).
-func (r *Registry) Snapshot() []Value {
-	r.mu.RLock()
-	vals := make([]Value, len(r.entries))
-	for i, e := range r.entries {
-		vals[i] = e.read()
+func (r *Registry) Snapshot() []Value { return gather(r) }
+
+// gather reads every metric of every registry in regs into one list,
+// sorted by name, then labels.
+func gather(regs ...*Registry) []Value {
+	var vals []Value
+	for _, r := range regs {
+		r.mu.RLock()
+		for _, e := range r.entries {
+			vals = append(vals, e.read())
+		}
+		r.mu.RUnlock()
 	}
-	r.mu.RUnlock()
 	sort.Slice(vals, func(i, j int) bool {
 		if vals[i].Name != vals[j].Name {
 			return vals[i].Name < vals[j].Name
@@ -204,10 +211,12 @@ func (v Value) quantileSeries(q string) string {
 // name → number, histograms → an object with count/sum/min/max/mean and
 // the window quantiles. The output is deterministic (sorted by name) and
 // built by hand so the write path stays dependency-free.
-func (r *Registry) WriteExpvar(w io.Writer) error {
+func (r *Registry) WriteExpvar(w io.Writer) error { return writeExpvar(w, r.Snapshot()) }
+
+func writeExpvar(w io.Writer, vals []Value) error {
 	var b strings.Builder
 	b.WriteString("{\n")
-	for i, v := range r.Snapshot() {
+	for i, v := range vals {
 		if i > 0 {
 			b.WriteString(",\n")
 		}
@@ -232,10 +241,12 @@ func (r *Registry) WriteExpvar(w io.Writer) error {
 // format. Histograms are exported as summaries: <name>{quantile="..."}
 // series plus <name>_sum and <name>_count. Units are appended to HELP, not
 // encoded in the metric name — names are chosen by the caller.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error { return writePrometheus(w, r.Snapshot()) }
+
+func writePrometheus(w io.Writer, vals []Value) error {
 	var b strings.Builder
 	prevName := ""
-	for _, v := range r.Snapshot() {
+	for _, v := range vals {
 		if v.Name != prevName {
 			// HELP/TYPE once per base name: labeled series under one name
 			// share a single header (the exposition-format requirement).
@@ -269,18 +280,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// ServeHTTP serves the registry: Prometheus text format when the request
-// has ?format=prometheus (or an Accept header preferring text/plain),
-// expvar-style JSON otherwise. Mount it wherever the operator wants the
-// endpoint, e.g. http.Handle("/metrics", emb.MetricsRegistry()).
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+// ServeHTTP serves the registry (see Serve). Mount it wherever the
+// operator wants the endpoint, e.g. http.Handle("/metrics",
+// emb.MetricsRegistry()).
+func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) { Serve(w, req, r) }
+
+// Serve writes the metrics of every registry in regs as one page, sorted
+// by name across them: Prometheus text format when the request has
+// ?format=prometheus (or an Accept header preferring text/plain),
+// expvar-style JSON otherwise. The registries must not share a series.
+func Serve(w http.ResponseWriter, req *http.Request, regs ...*Registry) {
+	vals := gather(regs...)
 	prom := req.URL.Query().Get("format") == "prometheus" ||
 		strings.Contains(req.Header.Get("Accept"), "text/plain")
 	if prom {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		writePrometheus(w, vals)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	r.WriteExpvar(w)
+	writeExpvar(w, vals)
 }

@@ -1,7 +1,7 @@
 // Package par provides the tiny worker-pool primitives used to
 // parallelize the pipeline at two granularities: task parallelism over
 // independent items (per-source PPR pushes, per-block level-1
-// factorizations, per-parent tree merges) via For/ForErr, and data
+// factorizations, per-parent tree merges) via ForErr, and data
 // parallelism over contiguous index ranges inside the linear-algebra
 // kernels via ForChunks. The paper's reference setup uses 64 threads;
 // this library mirrors that with a Workers knob threaded through the
@@ -32,7 +32,7 @@ func Workers(w int) int {
 // Contract: with T concurrent tasks each running its kernels at
 // SplitBudget(w, T) workers, the total concurrency is at most
 // Workers(w) whenever the outer fan-out itself is capped at Workers(w)
-// runnable tasks (For/ForErr guarantee that cap). In particular
+// runnable tasks (ForErr guarantees that cap). In particular
 // T × SplitBudget(w, T) ≤ max(w, T), and the excess over w is goroutine
 // count only, never runnable parallelism, because the outer loop
 // schedules at most w tasks at once. SplitBudget(w, 1) ==
@@ -43,38 +43,6 @@ func SplitBudget(w, tasks int) int {
 		tasks = 1
 	}
 	return max(1, Workers(w)/tasks)
-}
-
-// For runs fn(i) for every i in [0,n) across at most w workers. With one
-// worker (or n ≤ 1) it degenerates to a plain loop — no goroutines, no
-// overhead, fully deterministic ordering.
-func For(n, w int, fn func(i int)) {
-	w = Workers(w)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ForErr runs fn(i) for every i in [0,n) across at most w workers, with
@@ -90,7 +58,9 @@ func ForErr(ctx context.Context, n, w int, fn func(i int) error) error {
 	return ForWorkerErr(ctx, n, w, func(_, i int) error { return fn(i) })
 }
 
-// ForWorkerErr is ForErr with the worker index passed to fn (see ForWorker).
+// ForWorkerErr is ForErr with the worker index passed to fn, so callers
+// can use per-worker scratch state (e.g. one push engine per worker).
+// Worker ids are in [0, Workers(w)) and stable within one call.
 func ForWorkerErr(ctx context.Context, n, w int, fn func(worker, i int) error) error {
 	w = Workers(w)
 	if w > n {
@@ -217,38 +187,6 @@ func ForChunks(n, w int, fn func(lo, hi int)) {
 				fn(lo, hi)
 			}
 		}()
-	}
-	wg.Wait()
-}
-
-// ForWorker is For with the worker index passed to fn, so callers can use
-// per-worker scratch state (e.g. one push engine per worker). Worker ids
-// are in [0, Workers(w)) and stable within one call.
-func ForWorker(n, w int, fn func(worker, i int)) {
-	w = Workers(w)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(g)
 	}
 	wg.Wait()
 }

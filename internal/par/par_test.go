@@ -16,7 +16,13 @@ func TestForCoversAllIndices(t *testing.T) {
 		n := int(seed%50) + 1
 		w := int(seed%7) + 1
 		seen := make([]int32, n)
-		For(n, w, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		// A nil ctx is the form the hierarchical SVD calls it in.
+		if err := ForErr(nil, n, w, func(i int) error {
+			atomic.AddInt32(&seen[i], 1)
+			return nil
+		}); err != nil {
+			return false
+		}
 		for _, c := range seen {
 			if c != 1 {
 				return false
@@ -31,7 +37,7 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForZeroItems(t *testing.T) {
 	called := false
-	For(0, 4, func(int) { called = true })
+	ForErr(nil, 0, 4, func(int) error { called = true; return nil })
 	if called {
 		t.Fatal("fn called for n=0")
 	}
@@ -39,10 +45,10 @@ func TestForZeroItems(t *testing.T) {
 
 func TestForSingleWorkerOrdered(t *testing.T) {
 	var order []int
-	For(10, 1, func(i int) { order = append(order, i) })
+	ForErr(nil, 10, 1, func(i int) error { order = append(order, i); return nil })
 	for i, v := range order {
 		if v != i {
-			t.Fatal("single-worker For not sequential")
+			t.Fatal("single-worker ForErr not sequential")
 		}
 	}
 }
@@ -138,7 +144,7 @@ func TestForParallelActuallyParallel(t *testing.T) {
 		t.Skip("single-core machine")
 	}
 	var concurrent, peak int32
-	For(64, 8, func(int) {
+	ForErr(nil, 64, 8, func(int) error {
 		c := atomic.AddInt32(&concurrent, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -147,6 +153,7 @@ func TestForParallelActuallyParallel(t *testing.T) {
 			}
 		}
 		atomic.AddInt32(&concurrent, -1)
+		return nil
 	})
 	if peak < 2 {
 		t.Skip("no observed concurrency (scheduler-dependent)")
@@ -162,9 +169,10 @@ func TestForWorkerCoversAllIndices(t *testing.T) {
 		w := int(seed%5) + 1
 		seen := make([]int32, n)
 		workers := make([]int32, n)
-		ForWorker(n, w, func(worker, i int) {
+		ForWorkerErr(nil, n, w, func(worker, i int) error {
 			atomic.AddInt32(&seen[i], 1)
 			atomic.StoreInt32(&workers[i], int32(worker))
+			return nil
 		})
 		resolved := Workers(w)
 		if resolved > n {
@@ -186,19 +194,21 @@ func TestForWorkerCoversAllIndices(t *testing.T) {
 }
 
 func TestForWorkerSequentialIsWorkerZero(t *testing.T) {
-	ForWorker(8, 1, func(worker, i int) {
+	ForWorkerErr(nil, 8, 1, func(worker, i int) error {
 		if worker != 0 {
-			t.Fatalf("sequential ForWorker used worker %d", worker)
+			t.Fatalf("sequential ForWorkerErr used worker %d", worker)
 		}
+		return nil
 	})
-	ForWorker(0, 4, func(worker, i int) { t.Fatal("fn called for n=0") })
+	ForWorkerErr(nil, 0, 4, func(worker, i int) error { t.Fatal("fn called for n=0"); return nil })
 }
 
 func TestForWorkerStableIDsWithinCall(t *testing.T) {
 	// Worker ids must stay in range even when w exceeds n.
-	ForWorker(3, 16, func(worker, i int) {
+	ForWorkerErr(nil, 3, 16, func(worker, i int) error {
 		if worker < 0 || worker >= 3 {
 			t.Fatalf("worker id %d out of range for n=3", worker)
 		}
+		return nil
 	})
 }

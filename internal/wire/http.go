@@ -69,7 +69,7 @@ type HealthDTO struct {
 }
 
 // VersionDTO is the GET /v1/version response: the published snapshot
-// version plus the live graph/topology shape.
+// version plus the graph shape and subset size as of Version.
 type VersionDTO struct {
 	Version    uint64 `json:"version"`
 	NumNodes   int    `json:"num_nodes"`

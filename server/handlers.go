@@ -106,7 +106,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // propagation, the per-endpoint request counter, latency histogram,
 // error counter and the shared in-flight gauge.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	em := s.met.endpoint(endpoint)
+	em := s.met.endpoints[endpoint]
 	g := s.gates[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -173,17 +173,15 @@ func nodeParam(r *http.Request, name string) (int32, error) {
 	return int32(v), nil
 }
 
-// handleVersion serves the published snapshot version plus the live
-// graph shape (via the race-safe GraphView — the reason that view
-// exists).
+// handleVersion serves the published snapshot version and the graph shape
+// as of that version.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	snap := s.e.Snapshot()
-	g := s.e.Graph()
+	snap := s.b.Snapshot()
 	writeJSON(w, http.StatusOK, wire.VersionDTO{
 		Version:    snap.Version(),
 		NumNodes:   snap.NumNodes(),
-		NumEdges:   g.NumEdges(),
-		SubsetSize: len(s.subset),
+		NumEdges:   snap.NumEdges(),
+		SubsetSize: len(snap.Subset()),
 	})
 }
 
@@ -200,7 +198,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	snap := s.e.Snapshot()
+	snap := s.b.Snapshot()
 	recs, err := snap.Recommend(src, k)
 	if err != nil {
 		writeError(w, err)
@@ -228,20 +226,19 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 // handleEmbedding serves the |S|×d subset embedding, or one row with
 // ?node=S (404 with a typed body when S is not a subset node).
 func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
-	snap := s.e.Snapshot()
+	snap := s.b.Snapshot()
 	if raw := r.URL.Query().Get("node"); raw != "" {
 		node, err := nodeParam(r, "node")
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		row, ok := s.rowOf[node]
-		if !ok {
-			writeError(w, &treesvd.NotInSubsetError{Node: node, Subset: len(s.subset)})
+		row, err := snap.EmbeddingRow(node)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
-		rows := snap.Embedding()[row : row+1]
-		s.writeMatrix(w, r, snap.Version(), []int32{node}, rows)
+		s.writeMatrix(w, r, snap.Version(), []int32{node}, [][]float64{row})
 		return
 	}
 	s.writeMatrix(w, r, snap.Version(), snap.Subset(), snap.Embedding())
@@ -253,7 +250,7 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 // addressable — asking for one is a *NodeRangeError (400), matching the
 // ingest-side capacity contract.
 func (s *Server) handleRightEmbedding(w http.ResponseWriter, r *http.Request) {
-	snap := s.e.Snapshot()
+	snap := s.b.Snapshot()
 	y := snap.RightEmbedding()
 	n := snap.NumNodes()
 	if n < len(y) {
@@ -303,7 +300,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res, err = s.ingestJSON(r)
 	}
-	res.Version = s.e.Version()
+	res.Version = s.b.Snapshot().Version()
 	if err != nil {
 		writeError(w, err)
 		return
@@ -341,7 +338,7 @@ func (s *Server) ingestJSON(r *http.Request) (wire.ApplyResult, error) {
 			return res, badRequest("event %d: unknown type %q (want \"insert\" or \"delete\")", i, ev.Type)
 		}
 	}
-	rebuilt, err := s.ingest.ApplyEvents(r.Context(), events)
+	rebuilt, err := s.b.ApplyEvents(r.Context(), events)
 	if err != nil {
 		return res, err
 	}
@@ -368,7 +365,7 @@ func (s *Server) ingestFrames(r *http.Request) (wire.ApplyResult, error) {
 			return res, badRequest("frame %d: batch of %d events exceeds the per-batch cap of %d",
 				res.Batches, len(events), s.maxBatch)
 		}
-		rebuilt, err := s.ingest.ApplyEvents(r.Context(), events)
+		rebuilt, err := s.b.ApplyEvents(r.Context(), events)
 		if err != nil {
 			return res, err
 		}

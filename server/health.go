@@ -22,22 +22,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe: 200 only while the server should
-// receive new traffic — a snapshot is published, Shutdown has not begun,
-// and the ingest path is not sealed in degraded mode. The body always
-// says why not, so an operator curling the endpoint needs no logs.
+// receive new traffic — Shutdown has not begun and the ingest path is not
+// sealed in degraded mode. (A backend always has a published snapshot:
+// New and Open publish before they return.) The body always says why
+// not, so an operator curling the endpoint needs no logs.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	dto := wire.HealthDTO{Status: "ready"}
 	status := http.StatusOK
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		dto.Status, status = "draining", http.StatusServiceUnavailable
-	case s.e.Snapshot() == nil:
-		dto.Status, status = "no snapshot", http.StatusServiceUnavailable
-	default:
-		if d, ok := s.ingest.(degrader); ok {
-			if err := d.Degraded(); err != nil {
-				dto.Status, dto.Reason, status = "degraded", err.Error(), http.StatusServiceUnavailable
-			}
+	} else if d, ok := s.b.(degrader); ok {
+		if err := d.Degraded(); err != nil {
+			dto.Status, dto.Reason, status = "degraded", err.Error(), http.StatusServiceUnavailable
 		}
 	}
 	writeJSON(w, status, dto)

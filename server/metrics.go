@@ -1,15 +1,9 @@
 package server
 
-import (
-	"sync"
-
-	"github.com/tree-svd/treesvd/internal/obs"
-)
+import "github.com/tree-svd/treesvd/internal/obs"
 
 // endpointMetrics is one endpoint's request instrumentation, registered
-// under treesvd_http_*{endpoint="..."} labels in the embedder's own
-// registry — the serving layer shows up on the same /metrics page as the
-// pipeline it fronts.
+// under treesvd_http_*{endpoint="..."} labels.
 type endpointMetrics struct {
 	requests obs.Counter
 	errors   obs.Counter
@@ -18,39 +12,25 @@ type endpointMetrics struct {
 	nanos    obs.Histogram
 }
 
-// metrics is the server-side metric set for one embedder.
+// metrics is one Server's HTTP metric set, registered in a registry the
+// server owns: /metrics serves it next to the backend's registry, and a
+// new Server starts every series at zero.
 type metrics struct {
 	inflight      obs.Gauge
 	ingestBatches obs.Counter
 	ingestEvents  obs.Counter
-
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-	reg       *obs.Registry
+	endpoints     map[string]*endpointMetrics // read-only after newMetrics
+	reg           *obs.Registry
 }
 
 // endpoints the server instruments; registered eagerly so the series
 // exist (at zero) before the first request.
 var endpointNames = []string{"version", "recommend", "embedding", "rightembedding", "ingest"}
 
-// registryMetrics caches one metrics set per obs.Registry. Registration
-// into a registry is permanent and duplicate registration panics, so a
-// server restart on the same embedder — the storm test's shutdown/
-// restart cycle, or any reconfigure-and-relisten — must reuse the set
-// registered by the first server rather than re-register.
-var registryMetrics sync.Map // *obs.Registry -> *metrics
-
-// metricsFor returns the (single) server metric set for reg, creating
-// and registering it on first use.
-func metricsFor(reg *obs.Registry) *metrics {
-	if m, ok := registryMetrics.Load(reg); ok {
-		return m.(*metrics)
-	}
+// newMetrics builds and registers one server's metric set.
+func newMetrics() *metrics {
+	reg := obs.NewRegistry()
 	m := &metrics{endpoints: make(map[string]*endpointMetrics, len(endpointNames)), reg: reg}
-	actual, loaded := registryMetrics.LoadOrStore(reg, m)
-	if loaded {
-		return actual.(*metrics)
-	}
 	reg.Gauge("treesvd_http_inflight", "requests", "HTTP requests currently being served", &m.inflight)
 	reg.Counter("treesvd_http_ingest_batches_total", "batches",
 		"Event batches accepted over HTTP ingest", &m.ingestBatches)
@@ -72,18 +52,4 @@ func metricsFor(reg *obs.Registry) *metrics {
 			"Server-side wall time per HTTP request, by endpoint", &em.nanos)
 	}
 	return m
-}
-
-// endpoint returns the named endpoint's metric set.
-func (m *metrics) endpoint(name string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	em, ok := m.endpoints[name]
-	if !ok {
-		// Unknown endpoints get an unregistered set rather than a panic;
-		// the named ones are all registered eagerly above.
-		em = &endpointMetrics{}
-		m.endpoints[name] = em
-	}
-	return em
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -138,21 +139,15 @@ func TestIngestShedsWhenSaturated(t *testing.T) {
 
 // TestTimeoutHeaderPropagates asserts X-Timeout-Ms becomes the handler
 // context's deadline: the SDK stamps it from the caller's context, the
-// server folds it in, and the ingestor observes it.
+// server folds it in, and the backend observes it.
 func TestTimeoutHeaderPropagates(t *testing.T) {
 	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
 	emb, err := treesvd.New(g, testSubset, treesvd.Config{Dim: 4, MaxNodes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawDeadline atomic.Bool
-	capture := ingestorFunc(func(ctx context.Context, events []treesvd.Event) (int, error) {
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) > 0 && time.Until(dl) <= 5*time.Second {
-			sawDeadline.Store(true)
-		}
-		return emb.ApplyEvents(ctx, events)
-	})
-	srv := server.New(emb, server.Options{Ingest: capture})
+	capture := &deadlineCapture{Embedder: emb}
+	srv := server.New(capture, server.Options{})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +159,35 @@ func TestTimeoutHeaderPropagates(t *testing.T) {
 	if _, err := c.ApplyEvents(ctx, []treesvd.Event{{U: 1, V: 2, Type: treesvd.Insert}}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawDeadline.Load() {
+	if !capture.sawDeadline.Load() {
 		t.Fatal("the handler context never carried the caller's deadline")
 	}
 }
 
-// ingestorFunc adapts a function to server.Ingestor.
-type ingestorFunc func(context.Context, []treesvd.Event) (int, error)
+// deadlineCapture is a backend that records whether an ingest context
+// carried the caller's deadline.
+type deadlineCapture struct {
+	*treesvd.Embedder
+	sawDeadline atomic.Bool
+}
 
-func (f ingestorFunc) ApplyEvents(ctx context.Context, events []treesvd.Event) (int, error) {
-	return f(ctx, events)
+func (d *deadlineCapture) ApplyEvents(ctx context.Context, events []treesvd.Event) (int, error) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) > 0 && time.Until(dl) <= 5*time.Second {
+		d.sawDeadline.Store(true)
+	}
+	return d.Embedder.ApplyEvents(ctx, events)
+}
+
+// slowBackend is a backend whose every batch takes a fixed service time
+// before it applies.
+type slowBackend struct {
+	*treesvd.Embedder
+	serviceTime time.Duration
+}
+
+func (s slowBackend) ApplyEvents(ctx context.Context, events []treesvd.Event) (int, error) {
+	time.Sleep(s.serviceTime)
+	return s.Embedder.ApplyEvents(ctx, events)
 }
 
 // TestHealthAndReadiness walks /healthz and /readyz through the ready →
@@ -247,7 +261,7 @@ func TestDegradedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	srv := server.New(d.Embedder(), server.Options{Ingest: d})
+	srv := server.New(d, server.Options{})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +315,61 @@ func TestDegradedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDurableIngestReplaysAfterClose serves a durable store through the
+// one handle: batches ingested over HTTP reach the WAL before they apply,
+// so Open after Close replays them.
+func TestDurableIngestReplaysAfterClose(t *testing.T) {
+	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
+	dir := t.TempDir()
+	// No automatic checkpoint: everything ingested must come back from the WAL.
+	cfg := treesvd.DurableConfig{Config: treesvd.Config{Dim: 4, MaxNodes: 256}, CheckpointEvery: -1}
+	d, err := treesvd.Create(dir, g, testSubset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(d, server.Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(srv.URL(), client.WithRetries(0))
+	res, err := c.ApplyEventBatches(context.Background(), [][]treesvd.Event{
+		{{U: 40, V: 3, Type: treesvd.Insert}},
+		{{U: 3, V: 41, Type: treesvd.Insert}, {U: 41, V: 0, Type: treesvd.Insert}},
+	})
+	if err != nil || res.Batches != 2 {
+		t.Fatalf("ingest = %+v, %v; want 2 batches", res, err)
+	}
+	served := d.Snapshot()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := treesvd.Open(dir, treesvd.DurableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got := d2.Recovery().ReplayedBatches; got != res.Batches {
+		t.Fatalf("Open replayed %d batches, want the %d ingested over HTTP", got, res.Batches)
+	}
+	got := d2.Snapshot()
+	if got.NumNodes() != served.NumNodes() || got.NumEdges() != served.NumEdges() {
+		t.Fatalf("reopened graph %d nodes / %d edges, served %d / %d",
+			got.NumNodes(), got.NumEdges(), served.NumNodes(), served.NumEdges())
+	}
+	want := served.Embedding()
+	for i, row := range got.Embedding() {
+		for j, x := range row {
+			if math.Abs(x-want[i][j]) > 1e-9*(1+math.Abs(want[i][j])) {
+				t.Fatalf("reopened embedding [%d][%d] = %g, served %g", i, j, x, want[i][j])
+			}
+		}
+	}
+}
+
 // TestOverloadAtTwiceKnee is the overload characterization (run by
 // `make chaos` alongside the netfault storm). The ingest handler is
 // given a fixed service time, which puts the knee at exactly
@@ -319,12 +388,7 @@ func TestOverloadAtTwiceKnee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := ingestorFunc(func(ctx context.Context, events []treesvd.Event) (int, error) {
-		time.Sleep(serviceTime)
-		return emb.ApplyEvents(ctx, events)
-	})
-	srv := server.New(emb, server.Options{
-		Ingest: slow,
+	srv := server.New(slowBackend{Embedder: emb, serviceTime: serviceTime}, server.Options{
 		Admission: server.AdmissionConfig{
 			IngestSlots: 2, QueueDepth: 2, QueueWait: queueWait, RetryAfter: 20 * time.Millisecond,
 		},

@@ -1,7 +1,8 @@
-// Package server exposes a treesvd.Embedder over HTTP: the snapshot-
-// isolated read path (Recommend, Embedding, RightEmbedding, Version) plus
-// a streaming ApplyEvents ingest endpoint, with the embedder's metric
-// registry and net/http/pprof mounted on the same mux. Responses are JSON
+// Package server exposes a treesvd.Embedder (or a DurableEmbedder) over
+// HTTP: the snapshot-isolated read path (Recommend, Embedding,
+// RightEmbedding, Version) plus a streaming ApplyEvents ingest endpoint,
+// with the embedder's metric registry, the server's own HTTP series and
+// net/http/pprof mounted on the same mux. Responses are JSON
 // by default and switch to the compact binary frame codec (internal/wire)
 // by content negotiation, which matters for bulk embedding reads and
 // high-rate ingest.
@@ -15,14 +16,14 @@
 //	POST /v1/events                       ingest: one JSON batch, or a
 //	                                      stream of binary event frames
 //	                                      (each frame = one batch)
-//	GET  /metrics                         obs registry (expvar JSON /
-//	                                      Prometheus text)
+//	GET  /metrics                         embedder + server registries
+//	                                      (expvar JSON / Prometheus text)
 //	GET  /debug/pprof/...                 pprof handlers
 //
 // Reads are lock-free: every request pins the currently published
-// Snapshot once and serves entirely from it, so a response is always
-// internally consistent (its version matches its payload) even while
-// ingest runs. Graceful shutdown stops the listener and drains in-flight
+// Snapshot once and serves entirely from it — the server keeps no copy
+// of embedder state — so a response is always internally consistent (its
+// version matches its payload) and never waits on ingest. Graceful shutdown stops the listener and drains in-flight
 // requests — each keeps serving against the snapshot it pinned.
 //
 // Typed errors cross the wire: *treesvd.InvalidKError maps to 400,
@@ -43,27 +44,28 @@ import (
 	"time"
 
 	treesvd "github.com/tree-svd/treesvd"
+	"github.com/tree-svd/treesvd/internal/obs"
 )
 
-// Ingestor accepts event batches; both *treesvd.Embedder and
-// *treesvd.DurableEmbedder satisfy it. The server validates nothing
-// itself — the embedder's up-front batch validation (Config.MaxNodes)
-// is the contract, and its *NodeRangeError maps to HTTP 400.
-type Ingestor interface {
+// Backend is the one handle a Server fronts: *treesvd.Embedder, or a
+// *treesvd.DurableEmbedder to log every ingested batch to the WAL before
+// it applies. Reads answer from Snapshot alone. The server validates no
+// batch itself — the backend's up-front validation (Config.MaxNodes) is
+// the contract, and its *NodeRangeError maps to HTTP 400.
+type Backend interface {
+	Snapshot() *treesvd.Snapshot
 	ApplyEvents(ctx context.Context, events []treesvd.Event) (int, error)
+	MetricsRegistry() *treesvd.Registry
 }
+
+// readHeaderTimeout bounds header parsing per request.
+const readHeaderTimeout = 10 * time.Second
 
 // Options configures a Server. The zero value is usable.
 type Options struct {
-	// Ingest handles POST /v1/events. Nil means the embedder itself;
-	// pass the *treesvd.DurableEmbedder wrapping it to log batches to
-	// the WAL before they apply.
-	Ingest Ingestor
 	// MaxBatchEvents caps the events accepted per ingest batch (one JSON
 	// body or one binary frame). 0 means the default of 1<<20.
 	MaxBatchEvents int
-	// ReadHeaderTimeout bounds header parsing per request; 0 means 10s.
-	ReadHeaderTimeout time.Duration
 	// Admission bounds per-endpoint concurrency; see AdmissionConfig.
 	// The zero value applies the defaults.
 	Admission AdmissionConfig
@@ -73,13 +75,10 @@ type Options struct {
 	Trace treesvd.TraceHook
 }
 
-// Server serves one Embedder. Create with New, start with Start (or
+// Server serves one Backend. Create with New, start with Start (or
 // mount Handler on infrastructure you own), stop with Shutdown.
 type Server struct {
-	e        *treesvd.Embedder
-	ingest   Ingestor
-	rowOf    map[int32]int
-	subset   []int32
+	b        Backend
 	maxBatch int
 
 	met   *metrics
@@ -99,35 +98,24 @@ type Server struct {
 	stopErr  error
 }
 
-// New wires a server around e. The embedder keeps working as usual —
+// New wires a server around b. The backend keeps working as usual —
 // in-process ApplyEvents/Recommend callers and the HTTP surface share
-// the same snapshots and metrics registry.
-func New(e *treesvd.Embedder, opts Options) *Server {
-	ingest := opts.Ingest
-	if ingest == nil {
-		ingest = e
-	}
+// the same snapshots, and /metrics serves the backend's registry next to
+// the server's own treesvd_http_* series.
+func New(b Backend, opts Options) *Server {
 	maxBatch := opts.MaxBatchEvents
 	if maxBatch <= 0 {
 		maxBatch = 1 << 20
 	}
-	subset := e.Subset()
-	rowOf := make(map[int32]int, len(subset))
-	for i, v := range subset {
-		rowOf[v] = i
-	}
 	s := &Server{
-		e:        e,
-		ingest:   ingest,
-		rowOf:    rowOf,
-		subset:   subset,
+		b:        b,
 		maxBatch: maxBatch,
-		met:      metricsFor(e.MetricsRegistry()),
+		met:      newMetrics(),
 		trace:    opts.Trace,
 	}
 	s.gates = make(map[string]*gate, len(endpointNames))
 	for _, name := range endpointNames {
-		s.gates[name] = newGate(name, opts.Admission, &s.met.endpoint(name).queued)
+		s.gates[name] = newGate(name, opts.Admission, &s.met.endpoints[name].queued)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/version", s.instrument("version", s.handleVersion))
@@ -137,26 +125,17 @@ func New(e *treesvd.Embedder, opts Options) *Server {
 	mux.HandleFunc("POST /v1/events", s.instrument("ingest", s.handleIngest))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("/metrics", e.MetricsRegistry())
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		obs.Serve(w, r, b.MetricsRegistry(), s.met.reg)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux = mux
-	s.hs = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: cmpOr(opts.ReadHeaderTimeout, 10*time.Second),
-	}
+	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
-}
-
-// cmpOr returns v, or def when v is zero.
-func cmpOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // Handler returns the server's mux, for mounting under a listener the

@@ -9,7 +9,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,8 +100,8 @@ func roundTrip(t *testing.T, binary bool) {
 		t.Fatalf("version = %+v, want snapshot version=%d nodes=%d subset=%d",
 			ver, snap.Version(), snap.NumNodes(), len(testSubset))
 	}
-	if ver.NumEdges != emb.Graph().NumEdges() {
-		t.Errorf("version.NumEdges = %d, want %d", ver.NumEdges, emb.Graph().NumEdges())
+	if ver.NumEdges != snap.NumEdges() {
+		t.Errorf("version.NumEdges = %d, want %d", ver.NumEdges, snap.NumEdges())
 	}
 
 	// Recommend matches the in-process result exactly.
@@ -297,6 +299,7 @@ func TestMetricsAndPprofMounted(t *testing.T) {
 		`treesvd_http_requests_total{endpoint="version"}`,
 		"treesvd_http_inflight",
 		"treesvd_http_request_nanos",
+		"treesvd_batches_applied_total", // the embedder's registry, same page
 	} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
@@ -315,8 +318,8 @@ func TestMetricsAndPprofMounted(t *testing.T) {
 }
 
 // TestShutdownAndRestart closes a server and brings a fresh one up on the
-// same embedder: the second New must reuse the registered metric set (a
-// re-registration would panic) and serve normally.
+// same embedder: the second server serves normally, with its own HTTP
+// series starting from zero.
 func TestShutdownAndRestart(t *testing.T) {
 	emb, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
 	c := client.New(srv.URL(), client.WithRetries(0))
@@ -347,6 +350,86 @@ func TestShutdownAndRestart(t *testing.T) {
 	}
 	if _, err := c2.ApplyEvents(context.Background(), []treesvd.Event{{U: 40, V: 0, Type: treesvd.Insert}}); err != nil {
 		t.Fatalf("ingest after restart: %v", err)
+	}
+	rr := httptest.NewRecorder()
+	srv2.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
+	if want := `treesvd_http_requests_total{endpoint="version"} 1` + "\n"; !strings.Contains(rr.Body.String(), want) {
+		t.Fatalf("restarted server's /metrics lacks %q: its counters must start at zero", want)
+	}
+}
+
+// TestVersionDoesNotWaitForIngest holds a batch inside the update lock
+// (its trace hook blocks at TraceBatchStart) and asks for the version:
+// the answer comes from the pinned snapshot, so it must not wait for the
+// batch.
+func TestVersionDoesNotWaitForIngest(t *testing.T) {
+	emb, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	emb.SetTraceHook(func(ev treesvd.TraceEvent) {
+		if ev.Kind == treesvd.TraceBatchStart {
+			once.Do(func() { close(entered); <-release })
+		}
+	})
+	applied := make(chan error, 1)
+	go func() {
+		_, err := emb.ApplyEvents(context.Background(), []treesvd.Event{{U: 40, V: 3, Type: treesvd.Insert}})
+		applied <- err
+	}()
+	<-entered
+	defer func() {
+		close(release)
+		if err := <-applied; err != nil {
+			t.Errorf("held batch: %v", err)
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	ver, err := client.New(srv.URL(), client.WithRetries(0)).Version(ctx)
+	if err != nil {
+		t.Fatalf("version while a batch holds the update lock: %v", err)
+	}
+	if snap := emb.Snapshot(); ver.Version != snap.Version() || ver.NumEdges != snap.NumEdges() {
+		t.Fatalf("version = %+v, want the published snapshot's version %d / %d edges",
+			ver, snap.Version(), snap.NumEdges())
+	}
+}
+
+// TestVersionReportsItsOwnEdgeCount cancels a batch after the graph has
+// advanced (the hook cancels its ctx at TraceBatchStart, so the PPR
+// repair aborts and nothing is published): /v1/version must still report
+// the edge count of the version it names, not the live graph's.
+func TestVersionReportsItsOwnEdgeCount(t *testing.T) {
+	emb, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
+	c := client.New(srv.URL(), client.WithRetries(0))
+	before, err := c.Version(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	emb.SetTraceHook(func(ev treesvd.TraceEvent) {
+		if ev.Kind == treesvd.TraceBatchStart {
+			cancel()
+		}
+	})
+	batch := []treesvd.Event{{U: 40, V: 3, Type: treesvd.Insert}, {U: 3, V: 41, Type: treesvd.Insert}}
+	if _, err := emb.ApplyEvents(ctx, batch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	if got := emb.Graph().NumEdges(); got != before.NumEdges+len(batch) {
+		t.Fatalf("live graph has %d edges, want %d: the cancelled batch must have advanced it", got, before.NumEdges+len(batch))
+	}
+
+	after, err := c.Version(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Version != before.Version || after.NumEdges != before.NumEdges || after.NumNodes != before.NumNodes {
+		t.Fatalf("after a cancelled batch /v1/version = %+v, want version %d as published: %d nodes, %d edges",
+			after, before.Version, before.NumNodes, before.NumEdges)
 	}
 }
 

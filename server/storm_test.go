@@ -164,8 +164,8 @@ func TestServingStorm(t *testing.T) {
 	}()
 
 	// Restart cycler: bring up the next generation, repoint clients, then
-	// drain the old one. The embedder (and its metric registry) is shared
-	// across generations, exercising the metricsFor reuse path every time.
+	// drain the old one. The embedder is shared across generations; each
+	// generation registers its HTTP series in a registry of its own.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

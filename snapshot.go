@@ -39,6 +39,8 @@ type Snapshot struct {
 	// here: columns past it are zero-score placeholders for ids that did
 	// not exist yet (ISSUE 3, ghost recommendations).
 	numNodes int
+	// numEdges is the graph's edge count at publish time.
+	numEdges int
 
 	// y is the right embedding Ṽ√Σ, materialized at most once per
 	// snapshot, by the first RightEmbedding call on this version;
@@ -63,6 +65,9 @@ func (s *Snapshot) Stats() Stats { return s.stats }
 // NumNodes returns the graph's node count as of this snapshot's version.
 func (s *Snapshot) NumNodes() int { return s.numNodes }
 
+// NumEdges returns the graph's edge count as of this snapshot's version.
+func (s *Snapshot) NumEdges() int { return s.numEdges }
+
 // Spectrum returns the singular values of this snapshot's root
 // factorization, descending (a copy; the snapshot stays immutable).
 func (s *Snapshot) Spectrum() []float64 { return append([]float64(nil), s.root.S...) }
@@ -70,6 +75,16 @@ func (s *Snapshot) Spectrum() []float64 { return append([]float64(nil), s.root.S
 // Embedding returns the |S|×d subset embedding X = U√Σ of this snapshot
 // as a row-major matrix: row i embeds Subset()[i].
 func (s *Snapshot) Embedding() [][]float64 { return toRows(s.x) }
+
+// EmbeddingRow returns a copy of subset node v's row of Embedding, or a
+// *NotInSubsetError when v is not a subset node.
+func (s *Snapshot) EmbeddingRow(v int32) ([]float64, error) {
+	row, ok := s.rowOf[v]
+	if !ok {
+		return nil, &NotInSubsetError{Node: v, Subset: len(s.subset)}
+	}
+	return append([]float64(nil), s.x.Row(row)...), nil
+}
 
 // RightEmbedding returns the n×d right-factor embedding Y = Ṽ√Σ of this
 // snapshot (row v embeds graph node v). Y is computed by the first call
@@ -300,6 +315,7 @@ func (e *Embedder) publishLocked() {
 		excludedOff: off,
 		stats:       Stats{Level1Rebuilt: ts.Level1Rebuilt, Skipped: ts.Skipped, UpperRebuilt: ts.UpperRebuilt},
 		numNodes:    g.NumNodes(),
+		numEdges:    g.NumEdges(),
 	}
 	e.snap.Store(snap)
 	e.met.snapshots.Inc()
