@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -83,8 +82,8 @@ const svdRankTol = 1e-13
 // the Gram matrix of the smaller side. For an m×n matrix with n ≤ m it
 // eigendecomposes AᵀA (n×n); otherwise AAᵀ. This squares the condition
 // number, which is acceptable for embedding workloads (singular values
-// below √ε·σ₁ carry no embedding signal); JacobiSVD provides a slower
-// one-sided route used to cross-validate in tests.
+// below √ε·σ₁ carry no embedding signal); tests cross-validate it
+// against a one-sided Jacobi SVD, which does not.
 func SVD(a *Dense) *SVDResult {
 	return svdLimited(a, -1, 1)
 }
@@ -256,112 +255,4 @@ func invScaleCols(m *Dense, s []float64) {
 		inv[i] = 1 / v
 	}
 	m.MulDiag(inv)
-}
-
-// JacobiSVD computes the thin SVD of an m×n matrix (m ≥ n required;
-// transpose first otherwise) using the one-sided Jacobi method: rotate
-// column pairs of A until they are mutually orthogonal, accumulate the
-// rotations in V, then read σ and U off the column norms. Slower than the
-// Gram route but does not square the condition number.
-func JacobiSVD(a *Dense) *SVDResult {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		panic(fmt.Sprintf("linalg: JacobiSVD requires rows ≥ cols, got %d×%d", m, n))
-	}
-	w := a.Clone()
-	v := Identity(n)
-	const tol = 1e-14
-	for sweep := 0; sweep < symEigMaxSweeps; sweep++ {
-		rotated := false
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					xp := w.At(i, p)
-					xq := w.At(i, q)
-					app += xp * xp
-					aqq += xq * xq
-					apq += xp * xq
-				}
-				if math.Abs(apq) <= tol*math.Sqrt(app*aqq) {
-					continue
-				}
-				rotated = true
-				tau := (aqq - app) / (2 * apq)
-				var t float64
-				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
-				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				for i := 0; i < m; i++ {
-					xp := w.At(i, p)
-					xq := w.At(i, q)
-					w.Set(i, p, c*xp-s*xq)
-					w.Set(i, q, s*xp+c*xq)
-				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
-			}
-		}
-		if !rotated {
-			break
-		}
-	}
-	// Singular values are column norms of the rotated matrix.
-	sig := make([]float64, n)
-	for j := 0; j < n; j++ {
-		var ss float64
-		for i := 0; i < m; i++ {
-			x := w.At(i, j)
-			ss += x * x
-		}
-		sig[j] = math.Sqrt(ss)
-	}
-	// Sort descending, permuting w's and v's columns alongside.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 0; i < n; i++ { // selection sort: n is small here
-		best := i
-		for j := i + 1; j < n; j++ {
-			if sig[order[j]] > sig[order[best]] {
-				best = j
-			}
-		}
-		order[i], order[best] = order[best], order[i]
-	}
-	maxSig := 0.0
-	if n > 0 {
-		maxSig = sig[order[0]]
-	}
-	rank := 0
-	for _, j := range order {
-		if sig[j] <= svdRankTol*maxSig || sig[j] == 0 {
-			break
-		}
-		rank++
-	}
-	u := NewDense(m, rank)
-	vOut := NewDense(n, rank)
-	sOut := make([]float64, rank)
-	for to := 0; to < rank; to++ {
-		from := order[to]
-		sOut[to] = sig[from]
-		inv := 1 / sig[from]
-		for i := 0; i < m; i++ {
-			u.Set(i, to, w.At(i, from)*inv)
-		}
-		for i := 0; i < n; i++ {
-			vOut.Set(i, to, v.At(i, from))
-		}
-	}
-	return &SVDResult{U: u, S: sOut, V: vOut}
 }

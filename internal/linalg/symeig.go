@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/tree-svd/treesvd/internal/par"
 )
@@ -22,8 +23,8 @@ func SymEig(a *Dense) (lambda []float64, v *Dense) { return SymEigW(a, 1) }
 // operation order, so the result is identical for every worker count.
 //
 // It is O(n³) with a small constant — an order of magnitude faster than
-// the cyclic Jacobi method kept in JacobiSymEig, which tests use as an
-// independent cross-check.
+// the cyclic Jacobi method, which tests use as an independent
+// cross-check.
 func SymEigW(a *Dense, workers int) (lambda []float64, v *Dense) {
 	n := a.Rows
 	if a.Cols != n {
@@ -313,74 +314,22 @@ func hypot(p, q float64) float64 {
 	return math.Hypot(p, q)
 }
 
-// JacobiSymEig is the cyclic Jacobi eigensolver — slower than SymEig but
-// algorithmically independent; tests cross-validate the two.
-func JacobiSymEig(a *Dense) (lambda []float64, v *Dense) {
-	if a.Cols != a.Rows {
-		panic(fmt.Sprintf("linalg: JacobiSymEig requires a square matrix, got %d×%d", a.Rows, a.Cols))
+// sortEig reorders eigenpairs so eigenvalues are descending.
+func sortEig(lambda []float64, v *Dense) {
+	n := len(lambda)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	n := a.Rows
-	w := a.Clone()
-	v = Identity(n)
-	if n == 0 {
-		return nil, v
-	}
-	total := w.FrobNorm()
-	if total == 0 {
-		return make([]float64, n), v
-	}
-	for sweep := 0; sweep < symEigMaxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += 2 * w.At(i, j) * w.At(i, j)
-			}
-		}
-		if math.Sqrt(off) <= symEigTol*total {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) <= symEigTol*total/float64(n*n) {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				for k := 0; k < n; k++ {
-					wkp := w.At(k, p)
-					wkq := w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
-				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
+	sort.SliceStable(idx, func(a, b int) bool { return lambda[idx[a]] > lambda[idx[b]] })
+	newL := make([]float64, n)
+	newV := NewDense(v.Rows, v.Cols)
+	for to, from := range idx {
+		newL[to] = lambda[from]
+		for r := 0; r < v.Rows; r++ {
+			newV.Set(r, to, v.At(r, from))
 		}
 	}
-	lambda = make([]float64, n)
-	for i := 0; i < n; i++ {
-		lambda[i] = w.At(i, i)
-	}
-	sortEig(lambda, v)
-	return lambda, v
+	copy(lambda, newL)
+	copy(v.Data, newV.Data)
 }

@@ -41,6 +41,12 @@ type DynRow struct {
 
 	nnz      []int // per block live nnz
 	totalNNZ int
+
+	// frozen is the CSR the last ToCSR returned, and dirty[r] marks row r
+	// as changed since then: the next ToCSR copies every clean row out of
+	// frozen and gathers only the dirty ones from their cells.
+	frozen *CSR
+	dirty  []bool
 }
 
 // cell is one (row, block) intersection: parallel column/value slices,
@@ -72,6 +78,7 @@ func NewDynRow(rows, cols, nblocks int) *DynRow {
 		deltaSq: make([]float64, nb),
 		base:    make([]map[int64]float64, nb),
 		nnz:     make([]int, nb),
+		dirty:   make([]bool, rows),
 	}
 	for j := range m.base {
 		m.base[j] = make(map[int64]float64)
@@ -140,6 +147,7 @@ func (m *DynRow) Set(r, c int, v float64) {
 	if old == v {
 		return
 	}
+	m.dirty[r] = true
 	// Record the baseline the first time this entry moves after a rebuild.
 	key := packKey(r, c)
 	baseVal, seen := m.base[j][key]
@@ -245,20 +253,44 @@ func (m *DynRow) RowColumns(r int) []int32 {
 	return out
 }
 
-// ToCSR materializes the whole matrix as a CSR.
+// ToCSR materializes the whole matrix as a new CSR, which the caller may
+// keep: later writes never touch it. Only rows written since the previous
+// ToCSR are gathered from their cells; every run of unchanged rows is one
+// copy out of the previous result, which holds them contiguously. The
+// output is the same as a full gather's, bit for bit. ToCSR updates that
+// bookkeeping, so like Set it must not run concurrently with other calls
+// on m.
 func (m *DynRow) ToCSR() *CSR {
 	out := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int32, m.rows+1)}
 	colIdx := make([]int32, 0, m.totalNNZ)
 	val := make([]float64, 0, m.totalNNZ)
-	for r := 0; r < m.rows; r++ {
+	prev := m.frozen
+	for r := 0; r < m.rows; {
+		if prev != nil && !m.dirty[r] {
+			end := r + 1
+			for end < m.rows && !m.dirty[end] {
+				end++
+			}
+			lo, hi := prev.RowPtr[r], prev.RowPtr[end]
+			shift := int32(len(val)) - lo
+			colIdx = append(colIdx, prev.ColIdx[lo:hi]...)
+			val = append(val, prev.Val[lo:hi]...)
+			for ; r < end; r++ {
+				out.RowPtr[r+1] = prev.RowPtr[r+1] + shift
+			}
+			continue
+		}
 		row := m.rowCells(r)
 		for i := range row {
 			colIdx = append(colIdx, row[i].cols...)
 			val = append(val, row[i].vals...)
 		}
-		out.RowPtr[r+1] = int32(len(val))
+		m.dirty[r] = false
+		r++
+		out.RowPtr[r] = int32(len(val))
 	}
 	out.ColIdx, out.Val = colIdx, val
+	m.frozen = out
 	return out
 }
 

@@ -152,6 +152,78 @@ func TestDynRowMatchesModel(t *testing.T) {
 	}
 }
 
+func cloneCSR(a *CSR) *CSR {
+	return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: slices.Clone(a.RowPtr),
+		ColIdx: slices.Clone(a.ColIdx), Val: slices.Clone(a.Val)}
+}
+
+// TestDynRowToCSRIncremental runs 0–8 random writes between ToCSR calls —
+// overwrites, deletes to zero, inserts, same-value no-ops — with
+// MarkRebuilt mixed in and one gob round trip mid-stream. Every ToCSR must
+// equal the model's CSR, and every CSR returned earlier must still equal
+// the copy taken when it was returned: ToCSR copies unchanged rows out of
+// its previous result, and a published matrix must never be aliased.
+func TestDynRowToCSRIncremental(t *testing.T) {
+	steps := 400
+	if testing.Short() {
+		steps = 120
+	}
+	shapes := map[string][3]int{
+		"one block":         {5, 12, 1},
+		"narrow last block": {6, 10, 4},
+		"even blocks":       {9, 40, 5},
+	}
+	for name, sh := range shapes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(sh[0]*1000 + sh[1])))
+			m := NewDynRow(sh[0], sh[1], sh[2])
+			mod := newDynRowModel(m)
+			var returned, copies []*CSR
+			for step := 0; step < steps; step++ {
+				for w := rng.Intn(9); w > 0; w-- {
+					r, c, v := rng.Intn(sh[0]), rng.Intn(sh[1]), rng.NormFloat64()
+					if stored := m.RowColumns(r); len(stored) > 0 && rng.Intn(4) > 0 {
+						c = int(stored[rng.Intn(len(stored))])
+						switch rng.Intn(3) {
+						case 0:
+							v = 0
+						case 1:
+							v = m.Get(r, c)
+						}
+					}
+					m.Set(r, c, v)
+					mod.set(r, c, v)
+				}
+				if rng.Intn(10) == 0 {
+					j := rng.Intn(m.NumBlocks())
+					m.MarkRebuilt(j)
+					mod.markRebuilt(m, j)
+				}
+				if step == steps/2 {
+					data, err := m.GobEncode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m = &DynRow{}
+					if err := m.GobDecode(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := m.ToCSR()
+				if !equalCSR(got, mod.csrOf(mod.live, 0, mod.cols)) {
+					t.Fatalf("step %d: ToCSR differs from the model", step)
+				}
+				returned, copies = append(returned, got), append(copies, cloneCSR(got))
+				for i := range returned {
+					if !equalCSR(returned[i], copies[i]) {
+						t.Fatalf("step %d: the CSR returned at step %d changed after it was returned", step, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // benchDynRow is the benchmark's proximity matrix in shape and fill:
 // 128×9 000 in 64 blocks, ~15.7 k entries.
 func benchDynRow() *DynRow {
@@ -163,12 +235,31 @@ func benchDynRow() *DynRow {
 	return m
 }
 
+// BenchmarkDynRowToCSR freezes the matrix after every row changed
+// (changed=all: what the first publish and a large batch pay) and after 6
+// rows changed (what a 4-event batch changes on the benchmark's stream).
+// The writes run outside the timer.
 func BenchmarkDynRowToCSR(b *testing.B) {
-	m := benchDynRow()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ToCSR()
+	for _, bc := range []struct {
+		name    string
+		changed int
+	}{{"changed=all", 128}, {"changed=6", 6}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := benchDynRow()
+			m.ToCSR()
+			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, r := range rng.Perm(m.Rows())[:bc.changed] {
+					cols := m.RowColumns(r)
+					m.Set(r, int(cols[rng.Intn(len(cols))]), rng.Float64()+1)
+				}
+				b.StartTimer()
+				m.ToCSR()
+			}
+		})
 	}
 }
 

@@ -112,12 +112,14 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d-byte length prefix exceeds the %d-byte bound", ErrCorruptFrame, n, MaxFrame)
 	}
-	buf := make([]byte, int(n)+footerLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
+	// The buffer grows as bytes arrive instead of trusting the prefix: a
+	// four-byte stream claiming a gigabyte must not cost one.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)+footerLen))
+	if err != nil {
 		return nil, err
+	}
+	if len(buf) < int(n)+footerLen {
+		return nil, io.ErrUnexpectedEOF
 	}
 	payload, footer := buf[:n], buf[n:]
 	if string(footer[:4]) != frameMagic {
@@ -282,7 +284,9 @@ func EncodeMatrix(version uint64, rows [][]float64) []byte {
 	return b
 }
 
-// DecodeMatrix decodes a payload written by EncodeMatrix.
+// DecodeMatrix decodes a payload written by EncodeMatrix. Rows without
+// columns are refused: the payload carries no bytes for them, so a
+// seventeen-byte payload could otherwise claim two billion.
 func DecodeMatrix(payload []byte) (version uint64, rows [][]float64, err error) {
 	r := &reader{b: payload}
 	if r.u8() != tagMatrix {
@@ -291,7 +295,7 @@ func DecodeMatrix(payload []byte) (version uint64, rows [][]float64, err error) 
 	version = r.u64()
 	nr := int(r.u32())
 	nc := int(r.u32())
-	if r.fail || nc != 0 && nr > len(r.b)/(8*nc) || nc == 0 && nr > math.MaxInt32 {
+	if r.fail || nc != 0 && nr > len(r.b)/(8*nc) || nc == 0 && nr != 0 {
 		return 0, nil, corrupt("matrix")
 	}
 	rows = make([][]float64, nr)

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -119,16 +122,25 @@ func TestRecsAndMatrixRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptionEvents is the batch TestCorruptionDetection frames and
+// damages; FuzzReadFrame starts from the same frames.
+var corruptionEvents = []graph.Event{{U: 1, V: 2, Type: graph.Insert}, {U: 3, V: 4, Type: graph.Delete}}
+
+func frame(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestCorruptionDetection flips bits, truncates, and lies about lengths;
 // every case must surface as ErrCorruptFrame or io.ErrUnexpectedEOF,
 // never a silent mis-decode.
 func TestCorruptionDetection(t *testing.T) {
-	events := []graph.Event{{U: 1, V: 2, Type: graph.Insert}, {U: 3, V: 4, Type: graph.Delete}}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, EncodeEvents(events)); err != nil {
-		t.Fatal(err)
-	}
-	clean := buf.Bytes()
+	events := corruptionEvents
+	clean := frame(t, EncodeEvents(events))
 
 	// Bit flip in every byte position, one at a time.
 	for i := range clean {
@@ -172,5 +184,105 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 	if _, _, _, err := DecodeRecs(EncodeEvents(events)); err == nil {
 		t.Fatal("cross-tag decode accepted")
+	}
+	// Rows without columns: 17 bytes claiming 2³¹−1 rows, which would
+	// allocate 48 GB of row headers.
+	zeroWidth := EncodeMatrix(1, nil)
+	binary.LittleEndian.PutUint32(zeroWidth[9:], math.MaxInt32)
+	if _, _, err := DecodeMatrix(zeroWidth); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("rows without columns: %v, want ErrCorruptFrame", err)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives sends a length prefix just under
+// MaxFrame and then a few bytes: ReadFrame must report the torn frame
+// without allocating the gigabyte the prefix claims.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hostile := []byte{0xf0, 0xff, 0xff, 0x3f, 1, 2, 3}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn hostile frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a 7-byte stream", got)
+	}
+	// A frame that arrives in full still reads back whole.
+	big := make([]byte, 3<<20+5)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	got, err := ReadFrame(bytes.NewReader(frame(t, big)))
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("3 MiB frame: %v, equal %t", err, bytes.Equal(got, big))
+	}
+}
+
+// FuzzReadFrame reads a frame and runs every decoder on its payload. No
+// input may panic, and a payload that decodes must re-encode to bytes
+// that decode to the same value. An input whose frame does not verify
+// (most mutations break the checksum) is also decoded as a bare payload,
+// so mutations reach the decoders.
+func FuzzReadFrame(f *testing.F) {
+	clean := frame(f, EncodeEvents(corruptionEvents))
+	f.Add(clean)
+	for _, i := range []int{0, 4, 9, len(clean) - 5} {
+		bad := append([]byte(nil), clean...)
+		bad[i] ^= 0x40
+		f.Add(bad)
+	}
+	f.Add(clean[:len(clean)-3])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(frame(f, EncodeEvents(nil)))
+	f.Add(frame(f, EncodeRecs(42, 3, []Rec{{Node: 7, Score: 3.25}, {Node: 9, Score: math.Inf(1)}})))
+	f.Add(frame(f, EncodeMatrix(9, [][]float64{{1, 2, 3}, {4, 5, math.NaN()}})))
+	f.Add(frame(f, EncodeApplyResult(ApplyResult{Batches: 3, Events: 17, Rebuilt: 2, Version: 11})))
+	f.Add([]byte{'E', 10, 0, 0, 0})
+	f.Add(append(EncodeEvents(corruptionEvents), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := ReadFrame(bytes.NewReader(data))
+		if err == nil {
+			if n := len(payload) + prefixLen + footerLen; !bytes.Equal(frame(t, payload), data[:n]) {
+				t.Fatal("a frame that verifies does not re-frame to its own bytes")
+			}
+		} else {
+			payload = data
+		}
+		checkDecodersRoundTrip(t, payload)
+	})
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkDecodersRoundTrip runs every decoder on payload and re-encodes
+// whatever decodes.
+func checkDecodersRoundTrip(t *testing.T, payload []byte) {
+	if ev, err := DecodeEvents(payload); err == nil {
+		if back, err := DecodeEvents(EncodeEvents(ev)); err != nil || !slices.Equal(back, ev) {
+			t.Fatalf("events re-encode: %v", err)
+		}
+	}
+	if v, src, recs, err := DecodeRecs(payload); err == nil {
+		v2, src2, back, err := DecodeRecs(EncodeRecs(v, src, recs))
+		if err != nil || v2 != v || src2 != src || !slices.EqualFunc(back, recs, func(a, b Rec) bool {
+			return a.Node == b.Node && sameBits(a.Score, b.Score)
+		}) {
+			t.Fatalf("recommendations re-encode: %v", err)
+		}
+	}
+	if v, rows, err := DecodeMatrix(payload); err == nil {
+		v2, back, err := DecodeMatrix(EncodeMatrix(v, rows))
+		if err != nil || v2 != v || !slices.EqualFunc(back, rows, func(a, b []float64) bool {
+			return slices.EqualFunc(a, b, sameBits)
+		}) {
+			t.Fatalf("matrix re-encode: %v", err)
+		}
+	}
+	if res, err := DecodeApplyResult(payload); err == nil {
+		if back, err := DecodeApplyResult(EncodeApplyResult(res)); err != nil || back != res {
+			t.Fatalf("apply result re-encode: %v", err)
+		}
 	}
 }

@@ -294,21 +294,38 @@ func dot(a, b []float64) float64 {
 
 // publishLocked freezes the current pipeline state into a new immutable
 // snapshot and publishes it. Caller holds e.mu; the tree must be built.
-// The proximity matrix is captured as a CSR copy (the DynRow keeps
-// mutating afterwards; the copy is two appends per stored cell, no sort)
-// and each subset node's exclusion list — itself and its out-neighbors,
-// sorted — is copied out of the graph for the same reason, all lists into
-// one array.
+// The proximity matrix is captured as a CSR copy, because the DynRow
+// keeps mutating afterwards: rows the batches since the last publish
+// changed are gathered from the live cells, and the rest are copied
+// whole from the previous snapshot's matrix. Each subset node's exclusion
+// list (itself and its out-neighbors, sorted) is copied out of the graph
+// for the same reason, all lists into one array, but only when an event
+// since then left a subset node; otherwise the previous snapshot's
+// arrays still hold. X is shared too while the root factorization is
+// the same object.
 func (e *Embedder) publishLocked() {
 	g := e.g
-	excluded, off := exclusionLists(g, e.subset)
+	prev := e.snap.Load()
+	var excluded, off []int32
+	if prev != nil && !e.subsetOutChanged {
+		excluded, off = prev.excluded, prev.excludedOff
+	} else {
+		excluded, off = exclusionLists(g, e.subset)
+		e.subsetOutChanged = false
+	}
 	root := e.tree.Root()
+	var x *linalg.Dense
+	if prev != nil && prev.root == root {
+		x = prev.x
+	} else {
+		x = root.USqrtS()
+	}
 	ts := e.tree.Stats()
 	snap := &Snapshot{
 		version:     e.version.Add(1),
 		subset:      e.subset,
 		rowOf:       e.rowOf,
-		x:           root.USqrtS(),
+		x:           x,
 		root:        root,
 		m:           e.prox.M.ToCSR(),
 		excluded:    excluded,

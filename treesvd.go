@@ -197,6 +197,10 @@ type Embedder struct {
 	// out of sync with the already-advanced graph; the next update then
 	// takes the full-rebuild path to recover.
 	stale bool
+	// subsetOutChanged is set when a batch since the last publish had an
+	// event out of a subset node, which may have moved that node's
+	// exclusion list; publish rebuilds the lists and clears it.
+	subsetOutChanged bool
 	// trace receives pipeline events when set (see SetTraceHook); durMet
 	// links the durable layer's counters in when a DurableEmbedder wraps
 	// this embedder. Both are guarded by mu.
@@ -314,9 +318,10 @@ func (e *Embedder) ApplyEvents(ctx context.Context, events []Event) (int, error)
 }
 
 // applyEventsLocked is the body of ApplyEvents. Caller holds e.mu.
-// publish=false skips the snapshot publication (a sort-free copy of the
-// proximity matrix's nnz entries plus the subset's exclusion lists),
-// letting WAL replay fold many batches and publish once at the end. It
+// publish=false skips the snapshot publication (a copy of the proximity
+// matrix that re-gathers only the rows changed since the last one, plus
+// the exclusion lists when a subset node's out-edges moved), letting WAL
+// replay fold many batches and publish once at the end. It
 // wraps the batch in the trace bracket (one TraceBatchStart, one
 // TraceBatchEnd — including on error) and records the facade-level batch
 // metrics; the pipeline work itself runs in applyBatchLocked.
@@ -353,6 +358,12 @@ func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publis
 // applyBatchLocked runs the batch through the pipeline stages, each under
 // its pprof stage label. Caller holds e.mu.
 func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish bool) (int, error) {
+	for _, ev := range events {
+		if _, ok := e.rowOf[ev.U]; ok {
+			e.subsetOutChanged = true
+			break
+		}
+	}
 	if err := stage(ctx, "ppr.apply", func(ctx context.Context) error {
 		if e.stale || e.prox.Sub.RebuildThreshold(len(events)) {
 			// Large batch (the Theorem 3.7 fallback) or recovery from an
