@@ -77,7 +77,9 @@ chaos:
 # Coverage-guided fuzzing of the decoders that read bytes the process did
 # not write: the event-stream parser, the proximity matrix's gob codec,
 # the serving layer's binary frames and their payload decoders (what
-# decodes must re-encode to the same value), and Load — the whole save
+# decodes must re-encode to the same value), the WAL's segment recovery
+# and checkpoint reader (what is accepted must re-encode to its bytes),
+# and Load — the whole save
 # format, graph and PPR-state gob decoders included, behind a re-sealed
 # checksum (a decode returns an error or a value that passes its audit,
 # never a panic). go test takes one -fuzz target per run. Minimizing a new input
@@ -87,6 +89,8 @@ fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzDynRowGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Configurable-depth fuzz: make fuzz SEEDS=64

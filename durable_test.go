@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +192,94 @@ func TestDurableReplayWithoutCheckpoints(t *testing.T) {
 		t.Fatalf("recovery = %+v, want all %d batches replayed from checkpoint 0", info, len(fx.batches))
 	}
 	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "replayed embedding")
+}
+
+// TestOpenStrictRecovery flips one payload byte of the first record in
+// the first of several WAL segments — damage a crash cannot leave. With
+// StrictRecovery, Open must refuse with a *CorruptStateError and leave
+// every file as it was; without it, Open must truncate the log at the
+// fault, report the dropped batches and restore the checkpoint alone.
+func TestOpenStrictRecovery(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	cfg.CheckpointEvery = -1 // keep every segment: replay starts at checkpoint 0
+	dir := t.TempDir()
+	d, err := Create(dir, fx.initial.Clone(), fx.subset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range fx.batches {
+		if _, err := d.ApplyEvents(nil, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	var segs []string
+	for name := range files() {
+		if strings.HasSuffix(name, ".log") {
+			segs = append(segs, name)
+		}
+	}
+	if len(segs) < 2 {
+		t.Fatalf("workload wrote %d WAL segments, want ≥ 2", len(segs))
+	}
+	slices.Sort(segs)
+	first := filepath.Join(dir, segs[0])
+	raw, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8+16] ^= 0x40 // segment header, record header, then the payload
+	if err := os.WriteFile(first, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := files()
+	strict := cfg
+	strict.StrictRecovery = true
+	if d, err := Open(dir, strict); err == nil {
+		d.Close()
+		t.Fatal("strict Open accepted a corrupt WAL record")
+	} else if ce := (*CorruptStateError)(nil); !errors.As(err, &ce) {
+		t.Fatalf("strict Open: %v (%T), want a *CorruptStateError", err, err)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Fatalf("strict Open changed the store: %d files before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("strict Open changed %s", name)
+		}
+	}
+
+	d, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("lenient Open: %v", err)
+	}
+	defer d.Close()
+	info := d.Recovery()
+	if info.DroppedBatches == 0 || info.DropReason == "" || info.ReplayedBatches != 0 {
+		t.Fatalf("recovery = %+v, want dropped batches with a reason and none replayed", info)
+	}
+	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[0], "checkpoint-only embedding")
 }
 
 func TestDurableCheckpointPrunesWAL(t *testing.T) {

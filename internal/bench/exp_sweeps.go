@@ -174,12 +174,11 @@ func RunFig14(o Options) *Table {
 	return t
 }
 
-// RunAblations benches design choices beyond the paper's sweeps:
-// Gaussian vs count-sketch level-1 range finder, and the Frobenius
-// (Eqn. 2) trigger vs a naive nnz-count trigger.
+// RunAblations benches a design choice beyond the paper's sweeps: the
+// Frobenius (Eqn. 2) trigger vs a naive nnz-count trigger.
 func RunAblations(o Options) *Table {
 	t := &Table{
-		Title:  "Ablations: level-1 sketch and lazy-update trigger",
+		Title:  "Ablations: lazy-update trigger",
 		Header: []string{"Variant", "Build", "AvgUpdate", "Rebuilds", "Micro-F1"},
 	}
 	prof := dataset.Patent()
@@ -191,16 +190,13 @@ func RunAblations(o Options) *Table {
 
 	type variant struct {
 		name    string
-		sketchy bool // count-sketch at level 1
 		nnzTrig bool // replace Eqn. 2 with a naive nnz-based trigger
 	}
 	for _, v := range []variant{
-		{"gaussian+frobenius", false, false},
-		{"countsketch+frobenius", true, false},
-		{"gaussian+nnz-trigger", false, true},
+		{"gaussian+frobenius", false},
+		{"gaussian+nnz-trigger", true},
 	} {
 		cfg := o.treeConfig()
-		cfg.UseCountSketch = v.sketchy
 		sub := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
 		prox := ppr.NewProximity(sub, ds.Profile.Nodes, cfg.Blocks())
 		tree := must(core.NewTree(prox.M, cfg))

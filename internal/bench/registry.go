@@ -35,7 +35,7 @@ func Registry() []Experiment {
 		{ID: "fig12", Desc: "Figure 12: varying r_max", Run: single(RunFig12)},
 		{ID: "fig13", Desc: "Figure 13: varying delta", Run: single(RunFig13)},
 		{ID: "fig14", Desc: "Figure 14: update-size cut-off", Run: single(RunFig14)},
-		{ID: "ablations", Desc: "Ablations: sketch type, lazy trigger", Run: single(RunAblations)},
+		{ID: "ablations", Desc: "Ablations: lazy trigger", Run: single(RunAblations)},
 		{ID: "futurework", Desc: "Conclusion (§7): coherent vs random subsets", Run: single(RunFutureWork)},
 		{ID: "churnstress", Desc: "Correctness harness: audited dynamic path under adversarial churn", Run: single(RunChurnStress)},
 	}

@@ -26,15 +26,8 @@ type Config struct {
 	// guarantee of Theorem 3.6 holds for δ ≤ (1+ε)/√2; the paper uses
 	// 0.65 empirically.
 	Delta float64
-	// Oversample and PowerIters tune the level-1 randomized SVD.
-	Oversample int
-	PowerIters int
 	// Seed makes the randomized level-1 factorization deterministic.
 	Seed int64
-	// UseCountSketch switches the level-1 range finder from Gaussian to
-	// Clarkson–Woodruff (the input-sparsity-time variant); an ablation
-	// knob, off by default.
-	UseCountSketch bool
 	// Workers parallelizes per-block factorization and per-level merges
 	// (0 or 1 = sequential).
 	Workers int
@@ -48,7 +41,7 @@ type Config struct {
 // DefaultConfig mirrors the paper's settings scaled to this repository's
 // benchmark sizes: q=3, k=8, b=64, δ=0.65.
 func DefaultConfig(rank int) Config {
-	return Config{Rank: rank, Branch: 8, Levels: 3, Delta: 0.65, Oversample: 8, PowerIters: 0, Seed: 1}
+	return Config{Rank: rank, Branch: 8, Levels: 3, Delta: 0.65, Seed: 1}
 }
 
 // Blocks returns b = k^(q-1), the requested number of level-1 blocks.

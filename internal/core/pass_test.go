@@ -1,0 +1,125 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"github.com/tree-svd/treesvd/internal/check"
+	"github.com/tree-svd/treesvd/internal/core"
+	"github.com/tree-svd/treesvd/internal/obs"
+	"github.com/tree-svd/treesvd/internal/sparse"
+)
+
+// passGolden is one line per call of TestPassKeepsEveryBit's script:
+// fingerprints of the root U and S, Stats, the five Metrics counters
+// (Builds, Updates, BlocksRebuilt, BlocksSkipped, UpperMerges) and the
+// number of TraceBlockRecompute events seen so far. The values were
+// recorded when Build, Update and ForceRebuildBlock were three separate
+// bodies; the shared pass must reproduce them bit for bit.
+var passGolden = []string{
+	"909dda26976daaef 94fc5887e080541a {Level1Rebuilt:4 UpperRebuilt:3 Skipped:0} 1 0 4 0 3 0",
+	"5e4d60a7460cb698 f9a20ec1cffd1642 {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 1 7 1 6 3",
+	"5e4d60a7460cb698 f9a20ec1cffd1642 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 2 7 5 6 3",
+	"c342471a6f9842d1 51c9d47e5062a4aa {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 3 10 6 9 6",
+	"b844c14be6a89bdc b36610a565ca04f7 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 4 11 9 11 7",
+	"b844c14be6a89bdc b36610a565ca04f7 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 5 11 13 11 7",
+	"b844c14be6a89bdc b36610a565ca04f7 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 6 11 17 11 7",
+	"ddad8a2391ad5468 4106309a5bdb322f {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 7 12 20 13 8",
+	"ddad8a2391ad5468 4106309a5bdb322f {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 8 12 24 13 8",
+	"ddad8a2391ad5468 4106309a5bdb322f {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 9 12 28 13 8",
+	"4012bd40fea96ee7 3a59ca2c389b7b77 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 10 13 31 15 9",
+	"4012bd40fea96ee7 3a59ca2c389b7b77 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 11 13 35 15 9",
+	"0a5f4e6a92db9084 a1aa53108ee7fe78 {Level1Rebuilt:2 UpperRebuilt:3 Skipped:2} 1 12 15 37 18 11",
+	"75e0b8687b2467d5 8f3c11bc19a0bde2 {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 13 18 38 21 14",
+	"75e0b8687b2467d5 8f3c11bc19a0bde2 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 14 18 42 21 14",
+	"75e0b8687b2467d5 8f3c11bc19a0bde2 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 15 18 46 21 14",
+	"75e0b8687b2467d5 8f3c11bc19a0bde2 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 16 18 50 21 14",
+	"75e0b8687b2467d5 8f3c11bc19a0bde2 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 17 18 54 21 14",
+	"435b53ebd8b72720 e419d355398a227e {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 18 19 57 23 15",
+	"11b87f28dd95a4a9 5aeb86255611a481 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 19 20 60 25 16",
+	"11b87f28dd95a4a9 5aeb86255611a481 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 20 20 64 25 16",
+	"09f14ade7011c9f1 37bc1c2282716817 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:0} 1 21 21 64 27 16",
+	"1ab2cf8d50104d5d 7429e8901e31cc01 {Level1Rebuilt:4 UpperRebuilt:3 Skipped:0} 1 0 4 0 3 16",
+}
+
+// TestPassKeepsEveryBit scripts Build, 20 lazy Updates over random
+// matrix edits (some leaving every block under the Eqn. 2 trigger), a
+// ForceRebuildBlock, and an Update on an unbuilt tree, and checks every
+// observable of each call against passGolden.
+func TestPassKeepsEveryBit(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden bits recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	cfg := core.Config{Rank: 4, Branch: 2, Levels: 3, Delta: 0.65, Seed: 1}
+	rng := rand.New(rand.NewSource(33))
+	const rows, cols = 12, 96
+	m := sparse.NewDynRow(rows, cols, cfg.Blocks())
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Float64() < 0.5 {
+				m.Set(r, c, float64(r%3+1)*float64(c%5+1)+0.1*rng.NormFloat64())
+			}
+		}
+	}
+	var traced atomic.Int64
+	record := func(tr *core.Tree) string {
+		root, met := tr.Root(), tr.Metrics()
+		return fmt.Sprintf("%016x %016x %+v %d %d %d %d %d %d",
+			check.FingerprintVec(root.U.Data), check.FingerprintVec(root.S), tr.Stats(),
+			met.Builds.Load(), met.Updates.Load(), met.BlocksRebuilt.Load(),
+			met.BlocksSkipped.Load(), met.UpperMerges.Load(), traced.Load())
+	}
+	tr, err := core.NewTree(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetTrace(func(e obs.TraceEvent) {
+		if e.Kind == obs.TraceBlockRecompute {
+			traced.Add(1)
+		}
+	})
+	var got []string
+	if err := tr.Build(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, record(tr))
+	for i := 0; i < 20; i++ {
+		scale := 25.0
+		if i%3 == 1 {
+			scale = 1e-3 // too small to trip the trigger
+		}
+		for n := rng.Intn(41); n > 0; n-- {
+			r, c := rng.Intn(rows), rng.Intn(cols)
+			m.Set(r, c, m.Get(r, c)+scale*rng.NormFloat64())
+		}
+		if _, err := tr.Update(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, record(tr))
+	}
+	if _, err := tr.ForceRebuildBlock(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, record(tr))
+	fresh, err := core.NewTree(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Update(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, record(fresh))
+
+	if len(got) != len(passGolden) {
+		t.Fatalf("recorded %d calls, golden has %d", len(got), len(passGolden))
+	}
+	for i := range got {
+		if got[i] != passGolden[i] {
+			t.Errorf("call %d:\n got  %s\n want %s", i, got[i], passGolden[i])
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 // every lazy update: the merge kernel's route must not be observable.
 func TestMergeRoutesAgree(t *testing.T) {
 	// 64×32 merge concats cut to 8: inside the top-d route's range.
-	cfg := Config{Rank: 8, Branch: 4, Levels: 3, Delta: 0.3, Oversample: 6, PowerIters: 2, Seed: 1}
+	cfg := Config{Rank: 8, Branch: 4, Levels: 3, Delta: 0.3, Seed: 1}
 	type side struct {
 		full bool
 		m    *sparse.DynRow

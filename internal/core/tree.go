@@ -101,17 +101,6 @@ func (t *Tree) Stats() Stats { return t.stats }
 // Built reports whether the tree holds a committed factorization.
 func (t *Tree) Built() bool { return t.built }
 
-// factorBlock runs the level-1 sparse randomized SVD on block j and
-// returns a fresh cache entry. kernelWorkers is the worker budget handed
-// to the linear-algebra kernels inside the factorization (see
-// splitBudget); the randomized draw — and hence the result — depends only
-// on the seed, never on the budget. It does not touch the tree or the
-// DynRow baseline — commits happen only after a whole Build/Update
-// succeeds.
-func (t *Tree) factorBlock(j, kernelWorkers int) (*blockCache, error) {
-	return t.factorCSR(t.m.BlockCSR(j), j, t.seq, kernelWorkers)
-}
-
 // blockSeed pins the randomized draw of block j's factorization at pass
 // seq; factorCSR and the harness's AuditBlock derive seeds the same way,
 // so replaying a block's baseline reproduces its cached factorization.
@@ -119,39 +108,23 @@ func (t *Tree) blockSeed(j int, seq int64) int64 {
 	return t.cfg.Seed + int64(j)*1_000_003 + seq*7_777_777
 }
 
-// factorCSR factors an extracted block at an explicit pass counter.
+// factorCSR runs the level-1 sparse randomized SVD on an extracted block
+// at an explicit pass counter and returns a fresh cache entry.
+// kernelWorkers is the worker budget handed to the linear-algebra kernels
+// inside the factorization; the randomized draw — and hence the result —
+// depends only on the seed, never on the budget.
 func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (*blockCache, error) {
 	start := time.Now()
 	defer t.met.BlockFactorNanos.ObserveSince(start)
 	frob := blk.FrobNorm()
-	opts := rsvd.Options{
-		Rank:       t.cfg.Rank,
-		Oversample: t.cfg.Oversample,
-		PowerIters: t.cfg.PowerIters,
-		Seed:       t.blockSeed(j, seq),
-		Workers:    kernelWorkers,
-	}
-	var res *linalg.SVDResult
-	var err error
-	if t.cfg.UseCountSketch {
-		res, err = rsvd.SparseCW(blk, opts)
-	} else {
-		res, err = rsvd.Sparse(blk, opts)
-	}
+	// rsvd's 8 oversamples and default 0 power iterations are the
+	// level-1 constants; ROADMAP item 2 is where another value would be
+	// measured.
+	res, err := rsvd.Sparse(blk, rsvd.Options{Rank: t.cfg.Rank, Seed: t.blockSeed(j, seq), Workers: kernelWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("core: block %d: %w", j, err)
 	}
 	return &blockCache{us: res.US(), tail: res.TailEnergy(frob, t.cfg.Rank), seq: seq}, nil
-}
-
-// splitBudget divides the tree's worker budget across tasks concurrent
-// tasks so fan-out parallelism and kernel parallelism compose instead of
-// oversubscribing: with many level-1 blocks each factorization runs its
-// kernels serially, while a root merge (one task) gets the whole budget.
-// It delegates to the shared resolver in internal/par, which documents
-// the composition contract.
-func splitBudget(w, tasks int) int {
-	return par.SplitBudget(w, tasks)
 }
 
 // Build runs the full static Tree-SVD (Algorithm 3) over the current
@@ -159,35 +132,11 @@ func splitBudget(w, tasks int) int {
 // Cancelling ctx aborts the pass without touching the committed state.
 func (t *Tree) Build(ctx context.Context) error {
 	start := time.Now()
-	t.seq++
-	w := par.Workers(t.cfg.Workers)
-	fresh := make([]*blockCache, len(t.level1))
-	kb := splitBudget(w, len(fresh))
-	if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
-		return par.ForErr(ctx, len(fresh), w, func(j int) error {
-			c, err := t.factorBlock(j, kb)
-			if err != nil {
-				return err
-			}
-			fresh[j] = c
-			return nil
-		})
-	}); err != nil {
-		return err
+	z := make([]int, len(t.level1))
+	for j := range z {
+		z[j] = j
 	}
-	dirty := make(map[int]bool, len(fresh))
-	for j := range fresh {
-		dirty[j] = true
-	}
-	upper, root, merges, err := t.merge(ctx, fresh, dirty)
-	if err != nil {
-		return err
-	}
-	t.commit(fresh, upper, root, dirty,
-		Stats{Level1Rebuilt: len(fresh), UpperRebuilt: merges})
-	t.met.Builds.Inc()
-	t.met.PassNanos.ObserveSince(start)
-	return nil
+	return t.pass(ctx, start, z, 0, &t.met.Builds, nil)
 }
 
 // violates evaluates the Eqn. 2 trigger for level-1 block j:
@@ -221,71 +170,77 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 		return t.stats.Level1Rebuilt, nil
 	}
 	start := time.Now()
-	t.seq++
 	var z []int
-	skipped := 0
 	for j := range t.level1 {
 		if t.violates(j) {
 			z = append(z, j)
-		} else {
-			skipped++
 		}
 	}
-	if len(z) == 0 {
-		t.stats = Stats{Skipped: skipped}
-		t.met.Updates.Inc()
-		t.met.BlocksSkipped.Add(uint64(skipped))
-		t.met.PassNanos.ObserveSince(start)
-		return 0, nil // every block within tolerance: cached embedding stands
-	}
-	w := par.Workers(t.cfg.Workers)
-	fresh := append([]*blockCache(nil), t.level1...)
-	kb := splitBudget(w, len(z))
-	if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
-		return par.ForErr(ctx, len(z), w, func(i int) error {
-			bstart := time.Now()
-			c, err := t.factorBlock(z[i], kb)
-			if err != nil {
-				return err
-			}
-			fresh[z[i]] = c
-			if h := t.trace; h != nil {
-				h(obs.TraceEvent{Kind: obs.TraceBlockRecompute, Block: z[i], Dur: time.Since(bstart)})
-			}
-			return nil
-		})
-	}); err != nil {
+	if err := t.pass(ctx, start, z, len(t.level1)-len(z), &t.met.Updates, t.trace); err != nil {
 		return 0, err
 	}
-	dirty := make(map[int]bool, len(z))
-	for _, j := range z {
-		dirty[j] = true
-	}
-	upper, root, merges, err := t.merge(ctx, fresh, dirty)
-	if err != nil {
-		return 0, err
-	}
-	t.commit(fresh, upper, root, dirty,
-		Stats{Level1Rebuilt: len(z), Skipped: skipped, UpperRebuilt: merges})
-	t.met.Updates.Inc()
-	t.met.PassNanos.ObserveSince(start)
 	return len(z), nil
+}
+
+// pass is the one body of Build, Update and ForceRebuildBlock: it
+// factors the level-1 blocks z under a fresh pass counter, re-merges
+// their ancestors and commits, then counts the pass in passes. With z
+// empty it commits nothing — every block is within tolerance and the
+// cached embedding stands. trace, when non-nil, receives a
+// TraceBlockRecompute event per factored block.
+func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, passes *obs.Counter, trace obs.TraceHook) error {
+	t.seq++
+	stats := Stats{Level1Rebuilt: len(z), Skipped: skipped}
+	if len(z) > 0 {
+		w := par.Workers(t.cfg.Workers)
+		fresh := append([]*blockCache(nil), t.level1...)
+		kb := par.SplitBudget(w, len(z))
+		if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
+			return par.ForErr(ctx, len(z), w, func(i int) error {
+				bstart := time.Now()
+				c, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], t.seq, kb)
+				if err != nil {
+					return err
+				}
+				fresh[z[i]] = c
+				if trace != nil {
+					trace(obs.TraceEvent{Kind: obs.TraceBlockRecompute, Block: z[i], Dur: time.Since(bstart)})
+				}
+				return nil
+			})
+		}); err != nil {
+			return err
+		}
+		dirty := make(map[int]bool, len(z))
+		for _, j := range z {
+			dirty[j] = true
+		}
+		upper, root, merges, err := t.merge(ctx, fresh, dirty)
+		if err != nil {
+			return err
+		}
+		stats.UpperRebuilt = merges
+		t.commit(fresh, upper, root, z)
+	}
+	t.stats = stats
+	t.met.observeCommit(stats)
+	passes.Inc()
+	t.met.PassNanos.ObserveSince(start)
+	return nil
 }
 
 // commit atomically installs a finished factorization pass: the fresh
 // caches replace the old ones wholesale and only now are the rebuilt
 // blocks' DynRow baselines reset. Readers holding results obtained before
 // the commit keep valid (old) data — nothing they reference is mutated.
-func (t *Tree) commit(level1 []*blockCache, upper [][]*linalg.Dense, root *linalg.SVDResult, rebuilt map[int]bool, stats Stats) {
+func (t *Tree) commit(level1 []*blockCache, upper [][]*linalg.Dense, root *linalg.SVDResult, rebuilt []int) {
 	t.level1 = level1
 	t.upper = upper
 	t.root = root
-	for j := range rebuilt {
+	for _, j := range rebuilt {
 		t.m.MarkRebuilt(j)
 	}
-	t.stats = stats
 	t.built = true
-	t.met.observeCommit(stats)
 }
 
 // levelCounts returns the node counts per tree level, bottom-up, ending
@@ -347,7 +302,7 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 			// leftover budget (the root level has one parent, so its exact SVD
 			// runs with the full budget — it is the serial bottleneck of every
 			// update pass).
-			kb := splitBudget(w, len(parents))
+			kb := par.SplitBudget(w, len(parents))
 			if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
 				pj := parents[pi]
 				lo := pj * k
@@ -400,23 +355,9 @@ func (t *Tree) ForceRebuildBlock(ctx context.Context, j int) (int, error) {
 		}
 		return t.stats.Level1Rebuilt, nil
 	}
-	start := time.Now()
-	t.seq++
-	c, err := t.factorBlock(j, par.Workers(t.cfg.Workers))
-	if err != nil {
+	if err := t.pass(ctx, time.Now(), []int{j}, 0, &t.met.Updates, nil); err != nil {
 		return 0, err
 	}
-	fresh := append([]*blockCache(nil), t.level1...)
-	fresh[j] = c
-	dirty := map[int]bool{j: true}
-	upper, root, merges, err := t.merge(ctx, fresh, dirty)
-	if err != nil {
-		return 0, err
-	}
-	t.commit(fresh, upper, root, dirty,
-		Stats{Level1Rebuilt: 1, UpperRebuilt: merges})
-	t.met.Updates.Inc()
-	t.met.PassNanos.ObserveSince(start)
 	return 1, nil
 }
 

@@ -30,7 +30,7 @@ func fillLowRank(rng *rand.Rand, m *sparse.DynRow, rank int, noise, density floa
 }
 
 func testConfig(rank int) Config {
-	return Config{Rank: rank, Branch: 2, Levels: 3, Delta: 0.65, Oversample: 6, PowerIters: 2, Seed: 1}
+	return Config{Rank: rank, Branch: 2, Levels: 3, Delta: 0.65, Seed: 1}
 }
 
 func TestConfigBlocks(t *testing.T) {
@@ -316,26 +316,10 @@ func TestEmptyMatrixBuild(t *testing.T) {
 	}
 }
 
-func TestCountSketchVariantWorks(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cfg := testConfig(4)
-	cfg.UseCountSketch = true
-	m := sparse.NewDynRow(10, 80, cfg.Blocks())
-	fillLowRank(rng, m, 4, 0.05, 0.6)
-	tr := mustCore(NewTree(m, cfg))
-	must0t(tr.Build(bgt))
-	got := tr.ReconstructionError()
-	dense := m.ToDense()
-	best := linalg.SVD(dense).TailEnergy(dense.FrobNorm(), cfg.Rank)
-	if got > 2*best+1e-9 {
-		t.Fatalf("count-sketch reconstruction %g vs optimal %g", got, best)
-	}
-}
-
 func TestDeepTree(t *testing.T) {
 	// q=4, k=2 → 8 blocks; exercise multi-level upper caching.
 	rng := rand.New(rand.NewSource(14))
-	cfg := Config{Rank: 3, Branch: 2, Levels: 4, Delta: 0.65, Oversample: 6, PowerIters: 2, Seed: 2}
+	cfg := Config{Rank: 3, Branch: 2, Levels: 4, Delta: 0.65, Seed: 2}
 	m := sparse.NewDynRow(9, 64, cfg.Blocks())
 	fillLowRank(rng, m, 3, 0.02, 0.8)
 	tr := mustCore(NewTree(m, cfg))

@@ -58,7 +58,7 @@ func Factorize(m *sparse.CSR, cfg Config) *linalg.SVDResult {
 	nb = (m.Cols + width - 1) / width
 	// Level 1: exact truncated SVD per column block.
 	w := par.Workers(cfg.Workers)
-	kb := splitBudget(w, nb)
+	kb := par.SplitBudget(w, nb)
 	level := make([]*linalg.Dense, nb)
 	mustFor(nb, w, func(j int) {
 		lo := j * width
@@ -85,7 +85,7 @@ func FactorizeDense(m *linalg.Dense, cfg Config) *linalg.SVDResult {
 	width := (m.Cols + nb - 1) / nb
 	nb = (m.Cols + width - 1) / width
 	w := par.Workers(cfg.Workers)
-	kb := splitBudget(w, nb)
+	kb := par.SplitBudget(w, nb)
 	level := make([]*linalg.Dense, nb)
 	mustFor(nb, w, func(j int) {
 		lo := j * width
@@ -107,13 +107,6 @@ func mustFor(n, w int, fn func(i int)) {
 	}
 }
 
-// splitBudget divides the worker budget across concurrent tasks via the
-// shared resolver in internal/par (fan-out workers × kernel workers ≈
-// budget; see par.SplitBudget for the composition contract).
-func splitBudget(w, tasks int) int {
-	return par.SplitBudget(w, tasks)
-}
-
 // mergeLevels repeatedly concatenates groups of k compressed blocks and
 // re-factors them until one matrix remains, returning its truncated SVD.
 // Each level's merges fan out across the worker budget; the final merge is
@@ -122,7 +115,7 @@ func mergeLevels(level []*linalg.Dense, cfg Config) *linalg.SVDResult {
 	w := par.Workers(cfg.Workers)
 	for len(level) > 1 {
 		parents := (len(level) + cfg.Branch - 1) / cfg.Branch
-		mb := splitBudget(w, parents)
+		mb := par.SplitBudget(w, parents)
 		mergeSVDs.Add(uint64(parents))
 		if parents == 1 {
 			// Final merge: return the full truncated result.

@@ -11,15 +11,14 @@ import (
 // level-1 kernel time from the tree bookkeeping around it when read next
 // to core.Metrics. One observation per completed factorization.
 var (
-	sparseCalls, sketchCalls, frpcaCalls obs.Counter
-	factorNanos                          obs.Histogram
+	sparseCalls, frpcaCalls obs.Counter
+	factorNanos             obs.Histogram
 )
 
 // CallStats is a point-in-time view of the package counters.
 type CallStats struct {
-	// Sparse / CountSketch / FRPCA count completed factorizations per
-	// entry point (Sparse, SparseCW, FRPCA).
-	Sparse, CountSketch, FRPCA uint64
+	// Sparse / FRPCA count completed factorizations per entry point.
+	Sparse, FRPCA uint64
 	// FactorNanos summarizes wall time per factorization, all entry
 	// points pooled.
 	FactorNanos obs.HistStats
@@ -29,14 +28,13 @@ type CallStats struct {
 func Stats() CallStats {
 	return CallStats{
 		Sparse:      sparseCalls.Load(),
-		CountSketch: sketchCalls.Load(),
 		FRPCA:       frpcaCalls.Load(),
 		FactorNanos: factorNanos.Snapshot(),
 	}
 }
 
-// observe records one completed factorization of the given counter.
-func observe(c *obs.Counter, start time.Time) {
-	c.Inc()
+// observeSparse records one completed Sparse factorization.
+func observeSparse(start time.Time) {
+	sparseCalls.Inc()
 	factorNanos.ObserveSince(start)
 }

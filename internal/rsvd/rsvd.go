@@ -1,9 +1,7 @@
 // Package rsvd implements randomized truncated SVD for sparse matrices:
 // the Halko–Martinsson–Tropp randomized subspace iteration used at level 1
-// of Tree-SVD, a Clarkson–Woodruff count-sketch variant achieving
-// input-sparsity time (the O(nnz + |S|d²/ε⁴) term of Theorem 3.3), and an
-// FRPCA-style baseline (randomized PCA with power iteration, the Exp. 2
-// competitor).
+// of Tree-SVD, and an FRPCA-style baseline (randomized PCA with power
+// iteration, the Exp. 2 competitor).
 package rsvd
 
 import (
@@ -15,19 +13,19 @@ import (
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
+// oversample is the number of sketch columns drawn beyond Rank.
+const oversample = 8
+
 // Options configures the randomized SVD.
 type Options struct {
 	// Rank is the number of singular triplets to return (d in the paper).
 	Rank int
-	// Oversample adds extra sketch columns beyond Rank for accuracy.
-	// Default 8.
-	Oversample int
 	// PowerIters is the number of subspace (power) iterations. Each
 	// iteration sharpens the spectral gap at the cost of two extra sparse
-	// products. Default 2.
+	// products. Default 0 (FRPCA raises it to 4).
 	PowerIters int
-	// Seed drives the Gaussian / count-sketch draw; runs are deterministic
-	// for a fixed seed.
+	// Seed drives the Gaussian draw; runs are deterministic for a fixed
+	// seed.
 	Seed int64
 	// Workers is the kernel worker budget for the sparse products, QR and
 	// small SVD (0 or 1 = sequential). It does not affect the factorization
@@ -37,9 +35,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Oversample <= 0 {
-		o.Oversample = 8
-	}
 	if o.PowerIters < 0 {
 		o.PowerIters = 0
 	}
@@ -47,7 +42,7 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) sketchCols(n int) int {
-	p := o.Rank + o.Oversample
+	p := o.Rank + oversample
 	if p > n {
 		p = n
 	}
@@ -87,14 +82,14 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 	if opts.Rank <= 0 {
 		return nil, fmt.Errorf("rsvd: non-positive rank %d", opts.Rank)
 	}
-	defer observe(&sparseCalls, time.Now())
+	defer observeSparse(time.Now())
 	rng := rand.New(rand.NewSource(opts.Seed))
 	kw := opts.Workers
 	p := opts.sketchCols(min(a.Rows, a.Cols))
 	if p == 0 || a.NNZ() == 0 {
 		return &linalg.SVDResult{U: linalg.NewDense(a.Rows, 0), V: linalg.NewDense(a.Cols, 0)}, nil
 	}
-	if a.Cols <= opts.Rank+opts.Oversample {
+	if a.Cols <= opts.Rank+oversample {
 		// The sketch would be as wide as the matrix: a randomized range
 		// finder saves nothing, so take the exact thin SVD of the block
 		// directly (Gram side is Cols×Cols — tiny). Cheaper and exact for
@@ -127,54 +122,17 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 	return res.Truncate(opts.Rank), nil
 }
 
-// Dense computes a randomized truncated SVD of a dense matrix with the same
-// scheme as Sparse. Used by HSVD-style pipelines when the input block is
-// already dense.
-func Dense(a *linalg.Dense, opts Options) (*linalg.SVDResult, error) {
+// FRPCA approximates the truncated SVD of a sparse matrix in the style of
+// Feng et al.'s fast randomized PCA for sparse data: randomized subspace
+// iteration with an elevated default power count. It is the whole-matrix
+// SVD competitor of Exp. 2 — identical output contract to Sparse, but it
+// always factors the full matrix in one shot (no hierarchy), which is what
+// Tree-SVD's level structure avoids re-doing on updates.
+func FRPCA(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 	opts = opts.withDefaults()
-	if opts.Rank <= 0 {
-		return nil, fmt.Errorf("rsvd: non-positive rank %d", opts.Rank)
+	if opts.PowerIters == 0 {
+		opts.PowerIters = 4
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	kw := opts.Workers
-	p := opts.sketchCols(min(a.Rows, a.Cols))
-	if p == 0 {
-		return &linalg.SVDResult{U: linalg.NewDense(a.Rows, 0), V: linalg.NewDense(a.Cols, 0)}, nil
-	}
-	omega := linalg.GetDense(a.Cols, p)
-	fillGaussian(rng, omega)
-	y := linalg.MulW(a, omega, kw)
-	linalg.PutDense(omega)
-	for it := 0; it < opts.PowerIters; it++ {
-		linalg.OrthonormalizeW(y, kw)
-		z := linalg.TMulW(a, y, kw)
-		linalg.OrthonormalizeW(z, kw)
-		linalg.PutDense(y)
-		y = linalg.MulW(a, z, kw)
-		linalg.PutDense(z)
-	}
-	q, _ := linalg.QRThinW(y, kw)
-	linalg.PutDense(y)
-	w := linalg.TMulW(q, a, kw)
-	small := linalg.SVDW(w, kw)
-	linalg.PutDense(w)
-	u := linalg.MulW(q, small.U, kw)
-	linalg.PutDense(q)
-	linalg.PutDense(small.U)
-	res := &linalg.SVDResult{U: u, S: small.S, V: small.V}
-	return res.Truncate(opts.Rank), nil
-}
-
-// rangeBasis returns an orthonormal basis of the column space of y: the
-// thin-QR Q for tall matrices, the left singular vectors for wide ones.
-// It consumes y (the storage is pooled).
-func rangeBasis(y *linalg.Dense, workers int) *linalg.Dense {
-	if y.Rows >= y.Cols {
-		q, _ := linalg.QRThinW(y, workers)
-		linalg.PutDense(y)
-		return q
-	}
-	u := linalg.SVDW(y, workers).U
-	linalg.PutDense(y)
-	return u
+	frpcaCalls.Inc() // the delegated Sparse call records the timing
+	return Sparse(a, opts)
 }

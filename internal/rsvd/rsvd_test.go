@@ -104,43 +104,6 @@ func TestSparseEmptyMatrix(t *testing.T) {
 	}
 }
 
-func TestDenseMatchesSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := lowRankCSR(rng, 18, 35, 4, 0.05)
-	rs := mustSVD(Sparse(a, Options{Rank: 4, Seed: 9, PowerIters: 2}))
-	rd := mustSVD(Dense(a.ToDense(), Options{Rank: 4, Seed: 9, PowerIters: 2}))
-	// Same seed, same algorithm → identical sketches → identical results.
-	if d := linalg.MaxAbsDiff(rs.Reconstruct(), rd.Reconstruct()); d > 1e-9 {
-		t.Fatalf("dense/sparse paths diverge: %g", d)
-	}
-}
-
-func TestCountSketchApplyRight(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := lowRankCSR(rng, 8, 20, 2, 0.1)
-	cs := NewCountSketch(rng, 6, 20)
-	got := cs.ApplyRight(a)
-	// Materialize S densely and compare A·Sᵀ.
-	s := linalg.NewDense(6, 20)
-	for j := 0; j < 20; j++ {
-		s.Set(int(cs.row[j]), j, float64(cs.sign[j]))
-	}
-	want := linalg.MulT(a.ToDense(), s)
-	if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("ApplyRight mismatch %g", d)
-	}
-}
-
-func TestSparseCWNearOptimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := lowRankCSR(rng, 25, 90, 4, 0.05)
-	res := mustSVD(SparseCW(a, Options{Rank: 4, Seed: 11, PowerIters: 2}))
-	got, best := relErr(res, a, 4)
-	if got > 1.3*best+1e-12 {
-		t.Fatalf("count-sketch residual %g > 1.3× optimal %g", got, best)
-	}
-}
-
 func TestFRPCANearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := lowRankCSR(rng, 30, 100, 6, 0.05)

@@ -219,6 +219,18 @@ func syncTimed(f File, met *Metrics) error {
 	return err
 }
 
+// encodeRecord frames payload as the record of batch seq.
+func encodeRecord(seq uint64, payload []byte) []byte {
+	rec := make([]byte, recHdrLen+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(rec[4:], seq)
+	crc := crc32.Update(0, castagnoli, rec[4:12])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(rec[12:], crc)
+	copy(rec[recHdrLen:], payload)
+	return rec
+}
+
 // Append writes one record and applies the fsync policy. It returns the
 // sequence number assigned to the record; the record is durable according
 // to the policy once Append returns nil.
@@ -237,14 +249,7 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	rec := make([]byte, recHdrLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[4:], w.next)
-	crc := crc32.Update(0, castagnoli, rec[4:12])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(rec[12:], crc)
-	copy(rec[recHdrLen:], payload)
-	if _, err := w.f.Write(rec); err != nil {
+	if _, err := w.f.Write(encodeRecord(w.next, payload)); err != nil {
 		w.err = err
 		return 0, err
 	}

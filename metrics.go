@@ -233,10 +233,6 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		"Process-wide randomized sparse SVD factorizations", func() uint64 {
 			return rsvd.Stats().Sparse
 		})
-	r.CounterFunc("treesvd_rsvd_countsketch_total", "calls",
-		"Process-wide count-sketch SVD factorizations", func() uint64 {
-			return rsvd.Stats().CountSketch
-		})
 	return p
 }
 
