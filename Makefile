@@ -53,6 +53,8 @@ race:
 
 # Differential correctness harness at the default seed count, under the
 # race detector — the CI gate for the dynamic path. Includes the
+# long-horizon leg (TestDifferentialLongHorizon: 200 batches on each of 4
+# seeds, eager and lazy δ, with and without growth headroom) and the
 # crash-recovery leg (fault injection mid-stream, reopen, track shadow).
 differential:
 	$(GO) test -race -run 'TestDifferential|TestCrashRecoveryDifferential' -count=1 ./internal/check

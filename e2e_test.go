@@ -72,7 +72,9 @@ func TestEndToEndDynamicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := classify(scratch.Embedding())
-	if last < sf-0.08 {
+	// The 1e-9 slack lets an exact 8-point gap pass: 65/75 − 0.08 rounds
+	// one ulp above 59/75.
+	if last < sf-0.08-1e-9 {
 		t.Fatalf("incremental quality %.3f trails from-scratch %.3f by more than 8 points", last, sf)
 	}
 }

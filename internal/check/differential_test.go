@@ -109,12 +109,30 @@ func TestDifferential(t *testing.T) {
 		seed := seed
 		t.Run(strconv.Itoa(seed), func(t *testing.T) {
 			t.Parallel()
-			runDifferentialSeed(t, int64(seed))
+			runDifferentialSeed(t, int64(seed), 6)
 		})
 	}
 }
 
-func runDifferentialSeed(t *testing.T, seed int64) {
+// TestDifferentialLongHorizon runs the same per-batch checks over 200
+// batches for seeds 0-3, so lazy blocks carry their cached factorizations
+// and incrementally kept norms across dozens of batches. The four seeds
+// cover eager (0, 2) and lazy (1, 3) δ, with (1, 2) and without (0, 3)
+// growth headroom. Seed 0's 30-node graph is complete from batch 130 on,
+// so its stream ends in duplicate inserts.
+func TestDifferentialLongHorizon(t *testing.T) {
+	for seed := 0; seed < 4; seed++ {
+		seed := seed
+		t.Run(strconv.Itoa(seed), func(t *testing.T) {
+			t.Parallel()
+			runDifferentialSeed(t, int64(seed), 200)
+		})
+	}
+}
+
+// runDifferentialSeed drives one seed's churn stream of the given number
+// of batches through the harness.
+func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 	ctx := context.Background()
 	nodes := 30 + int(seed%4)*10
 	maxNodes := nodes + 12
@@ -138,9 +156,9 @@ func runDifferentialSeed(t *testing.T, seed int64) {
 		delta = treesvd.Defaults().Delta
 	}
 
-	initial, batches := dataset.GenerateChurn(dataset.ChurnProfile{
+	initial, stream := dataset.GenerateChurn(dataset.ChurnProfile{
 		Nodes: nodes, MaxNodes: maxNodes, Degree: 3,
-		Batches: 6, BatchSize: 24,
+		Batches: batches, BatchSize: 24,
 		SelfLoopFrac: 0.15, DeleteFrac: 0.2, DupFrac: 0.1, MissFrac: 0.1, GrowFrac: 0.1,
 		BigBatch: 3, BigBatchSize: 120, // straddles the 1/rmax = 100 threshold
 		Protect: subset,
@@ -201,7 +219,7 @@ func runDifferentialSeed(t *testing.T, seed int64) {
 		return math.Sqrt(sq)
 	}
 
-	for b, batch := range batches {
+	for b, batch := range stream {
 		// Poison prelude: a batch referencing an id beyond capacity must be
 		// rejected atomically — same version, graph untouched, and the
 		// subsequent legitimate batch unaffected.

@@ -165,6 +165,13 @@ func GenerateChurn(p ChurnProfile) (*graph.Graph, [][]graph.Event) {
 				return graph.Event{U: randNode(), V: int32(n), Type: graph.Insert}
 			}
 		}
+		// Plain insert. A complete graph (all n² pairs, self-loops
+		// included) has no pair left, so the event becomes a duplicate
+		// insert, a no-op. The check draws nothing from rng: a stream that
+		// never saturates is the same stream it always was.
+		if n := g.NumNodes(); g.NumEdges() == n*n {
+			return graph.Event{U: 0, V: 0, Type: graph.Insert}
+		}
 		for {
 			u, v := randNode(), randNode()
 			if !g.HasEdge(u, v) {

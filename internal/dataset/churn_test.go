@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/tree-svd/treesvd/internal/graph"
 )
@@ -98,6 +102,94 @@ func TestChurnStreamShape(t *testing.T) {
 	if selfLoops == 0 || sinkTransitions == 0 || dupNoOps == 0 || missNoOps == 0 || growth == 0 {
 		t.Fatalf("stream missing edge cases: %d self-loops (%d sink transitions), %d dup no-ops, %d miss no-ops, %d growth",
 			selfLoops, sinkTransitions, dupNoOps, missNoOps, growth)
+	}
+}
+
+// streamFingerprint is FNV-1a over a generated stream: the initial graph's
+// adjacency lists in node order, then every batch's length and events.
+func streamFingerprint(g *graph.Graph, batches [][]graph.Event) uint64 {
+	h := fnv.New64a()
+	put := func(x int32) { h.Write(binary.LittleEndian.AppendUint32(nil, uint32(x))) }
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		put(int32(g.OutDeg(u)))
+		for _, v := range g.OutNeighbors(u) {
+			put(v)
+		}
+	}
+	for _, batch := range batches {
+		put(int32(len(batch)))
+		for _, ev := range batch {
+			put(ev.U)
+			put(ev.V)
+			put(int32(ev.Type))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestChurnStreamsUnchanged pins streams whose graph never saturates to
+// the bytes they had before GenerateChurn handled a complete graph: the
+// profile above, and the first 200 batches of the system benchmark's seed-1
+// churn (48 events) and trickle (4 events) inputs, protected subset
+// included.
+func TestChurnStreamsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	subset := make([]int32, 128)
+	for i, v := range rng.Perm(8000)[:128] {
+		subset[i] = int32(v)
+	}
+	bench := func(batchSize int) ChurnProfile {
+		return ChurnProfile{
+			Nodes: 8000, MaxNodes: 9000, Degree: 5,
+			Batches: 200, BatchSize: batchSize,
+			DeleteFrac: 0.2, GrowFrac: 0.02, BigBatch: -1,
+			Protect: subset, Seed: 1,
+		}
+	}
+	cases := []struct {
+		name string
+		p    ChurnProfile
+		want uint64
+	}{
+		{"harness", churnProfile(), 0x71c2a66e24aeb810},
+		{"benchmark-churn", bench(48), 0x50ccefbeb3700fb9},
+		{"benchmark-trickle", bench(4), 0x024e35ec00236568},
+	}
+	for _, c := range cases {
+		if got := streamFingerprint(GenerateChurn(c.p)); got != c.want {
+			t.Errorf("%s: stream fingerprint %016x, want %016x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestChurnCompleteGraphTerminates runs a 3-node profile with no growth
+// room and no deletes: every pair is an edge within a batch or two, after
+// which no plain insert is left to draw. Generation must still finish,
+// with every batch full and the graph complete.
+func TestChurnCompleteGraphTerminates(t *testing.T) {
+	p := ChurnProfile{Nodes: 3, MaxNodes: 3, Degree: 1, Batches: 50, BatchSize: 24, BigBatch: -1}
+	var (
+		g       *graph.Graph
+		batches [][]graph.Event
+	)
+	done := make(chan struct{})
+	go func() {
+		g, batches = GenerateChurn(p)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("GenerateChurn did not return once its graph was complete")
+	}
+	for i, batch := range batches {
+		if len(batch) != p.BatchSize {
+			t.Fatalf("batch %d has %d events, want %d", i, len(batch), p.BatchSize)
+		}
+		g.ApplyAll(batch)
+	}
+	if g.NumEdges() != 9 {
+		t.Fatalf("final graph has %d edges, want all 9 pairs", g.NumEdges())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package rsvd implements randomized truncated SVD for sparse matrices:
 // the Halko–Martinsson–Tropp randomized subspace iteration used at level 1
-// of Tree-SVD, and an FRPCA-style baseline (randomized PCA with power
-// iteration, the Exp. 2 competitor).
+// of Tree-SVD (8 oversamples, one power iteration run as their Algorithm
+// 4.3: Y = A·Aᵀ·A·Ω, then one QR), and an FRPCA-style baseline (randomized
+// PCA with four power iterations, the Exp. 2 competitor).
 package rsvd
 
 import (
@@ -22,7 +23,8 @@ type Options struct {
 	Rank int
 	// PowerIters is the number of subspace (power) iterations. Each
 	// iteration sharpens the spectral gap at the cost of two extra sparse
-	// products. Default 0 (FRPCA raises it to 4).
+	// products; the first adds no QR, every later one adds two. Default 0.
+	// Tree-SVD's level-1 blocks run 1, FRPCA raises 0 to 4.
 	PowerIters int
 	// Seed drives the Gaussian draw; runs are deterministic for a fixed
 	// seed.
@@ -66,8 +68,8 @@ func fillGaussian(rng *rand.Rand, m *linalg.Dense) {
 // The scheme is Halko-style subspace iteration on the row space:
 //
 //	Y = A·Ω (n×p Gaussian), q power iterations Y ← A·(Aᵀ·Y) with
-//	re-orthonormalization, Q = qr(Y), W = Qᵀ·A, exact thin SVD of the small
-//	W, then U = Q·U_w.
+//	re-orthonormalization from the second one on, Q = qr(Y), W = Qᵀ·A,
+//	exact thin SVD of the small W, then U = Q·U_w.
 //
 // For Tree-SVD's level-1 blocks the row count is |S| (small) and n is the
 // block width, so every dense intermediate is tiny; the sparse products are
@@ -101,9 +103,18 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 	y := a.MulDenseW(omega, kw) // rows×p
 	linalg.PutDense(omega)
 	for it := 0; it < opts.PowerIters; it++ {
-		linalg.OrthonormalizeW(y, kw)
+		// The first A·Aᵀ product runs on the raw sketch (HMT Algorithm
+		// 4.3) and costs no QR. It cubes σ_i/σ_1 before the final QR, whose
+		// 1e-13 deflation floor then drops only directions below
+		// ~5e-5·σ_1. Later iterations re-orthonormalize (Algorithm 4.4), so
+		// higher powers never push a kept direction under that floor.
+		if it > 0 {
+			linalg.OrthonormalizeW(y, kw)
+		}
 		z := a.TMulDenseW(y, kw) // n×p
-		linalg.OrthonormalizeW(z, kw)
+		if it > 0 {
+			linalg.OrthonormalizeW(z, kw)
+		}
 		linalg.PutDense(y)
 		y = a.MulDenseW(z, kw)
 		linalg.PutDense(z)
