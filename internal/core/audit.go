@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"github.com/tree-svd/treesvd/internal/linalg"
 )
 
 // AuditShapes verifies the tree's cached structures against the matrix it
@@ -32,36 +34,92 @@ func (t *Tree) AuditShapes() error {
 		return nil
 	}
 	counts := t.levelCounts()
-	if want := max(len(counts)-2, 0); len(t.upper) != want && !(len(t.upper) == 0 && want == 0) {
-		return fmt.Errorf("core: audit: %d upper levels cached, geometry has %d", len(t.upper), want)
+	if len(t.upper) != len(counts)-2 {
+		return fmt.Errorf("core: audit: %d upper levels cached, geometry has %d", len(t.upper), len(counts)-2)
 	}
 	for li, level := range t.upper {
 		if len(level) != counts[li+1] {
 			return fmt.Errorf("core: audit: upper level %d has %d nodes, want %d", li, len(level), counts[li+1])
 		}
-		for j, us := range level {
-			if us == nil || us.Rows != t.m.Rows() {
-				return fmt.Errorf("core: audit: upper cache (%d,%d) missing or wrong shape", li, j)
+		for j, n := range level {
+			if err := t.auditNode(n, fmt.Sprintf("upper node (%d,%d)", li, j)); err != nil {
+				return err
 			}
 		}
 	}
-	root := t.root
-	switch {
-	case root == nil:
-		return fmt.Errorf("core: audit: built tree has no root")
-	case root.U == nil || root.U.Rows != t.m.Rows():
-		return fmt.Errorf("core: audit: root U missing or wrong shape (want %d rows)", t.m.Rows())
-	case root.U.Cols != len(root.S):
-		return fmt.Errorf("core: audit: root has %d left vectors for %d singular values", root.U.Cols, len(root.S))
-	case root.Rank() > t.cfg.Rank:
-		return fmt.Errorf("core: audit: root rank %d exceeds configured rank %d", root.Rank(), t.cfg.Rank)
+	return t.auditNode(t.root, "root")
+}
+
+// auditNode checks one upper node as RestoreTree's validNode checks a
+// decoded one: present, an |S|-row U with one column per singular value,
+// at most the configured rank, a finite non-negative descending spectrum
+// and a finite non-negative anchor tail.
+func (t *Tree) auditNode(n *upperNode, what string) error {
+	if n == nil || n.res == nil || n.res.U == nil {
+		return fmt.Errorf("core: audit: %s missing", what)
 	}
-	for i, s := range root.S {
-		if !finiteNonNegative(s) {
-			return fmt.Errorf("core: audit: root singular value %d is %g", i, s)
+	return validNode(n.res.U, n.res.S, n.tail, t.m.Rows(), t.cfg.Rank, "core: audit: "+what)
+}
+
+// descendingSpectrum reports the first singular value that is not finite
+// and non-negative or that exceeds its predecessor.
+func descendingSpectrum(s []float64, what string) error {
+	for i, x := range s {
+		if !finiteNonNegative(x) {
+			return fmt.Errorf("%s singular value %d is %g", what, i, x)
 		}
-		if i > 0 && s > root.S[i-1] {
-			return fmt.Errorf("core: audit: root spectrum not descending at %d (%g > %g)", i, s, root.S[i-1])
+		if i > 0 && x > s[i-1] {
+			return fmt.Errorf("%s spectrum not descending at %d (%g > %g)", what, i, x, s[i-1])
+		}
+	}
+	return nil
+}
+
+// AuditUpper checks the upper-level gate's invariant on every node above
+// level 1: its basis is orthonormal to 1e-10, its spectrum and anchor
+// tail pass auditNode, and its projection error on its *current*
+// children, √(‖C‖²_F − ‖UᵀC‖²_F), is within (1+η)·t·(1 + 1e-9) of its
+// anchor tail t. An exact merge leaves error = t and an accepted refined
+// copy at most (1+η)·t; a node no pass dirtied keeps its children. A
+// rounding floor of 1e-12·‖C‖²_F on the squared comparison admits nodes
+// whose input has rank ≤ d, where t itself is rounding noise. O(|S|·k·d²)
+// per node; harness use.
+func (t *Tree) AuditUpper() error {
+	if !t.built {
+		return nil
+	}
+	if err := t.AuditShapes(); err != nil {
+		return err
+	}
+	counts := t.levelCounts()
+	for cl := 0; cl+1 < len(counts); cl++ {
+		for pj := 0; pj < counts[cl+1]; pj++ {
+			n, what := t.root, "root"
+			if cl+2 < len(counts) {
+				n, what = t.upper[cl][pj], fmt.Sprintf("upper node (%d,%d)", cl, pj)
+			}
+			u := n.res.U
+			g := linalg.TMul(u, u)
+			for i := 0; i < g.Rows; i++ {
+				for j, x := range g.Row(i) {
+					if i == j {
+						x--
+					}
+					if math.Abs(x) > 1e-10 {
+						return fmt.Errorf("core: audit: %s basis is not orthonormal: (UᵀU − I)[%d,%d] = %g", what, i, j, x)
+					}
+				}
+			}
+			cc := t.nodeInput(t.level1, t.upper, counts, cl, pj)
+			frob := cc.FrobNorm()
+			proj := linalg.TMul(u, cc).FrobNorm()
+			linalg.PutDense(cc)
+			errSq := frob*frob - proj*proj
+			bound := (1 + upperGateEta) * n.tail * (1 + 1e-9)
+			if errSq > bound*bound+1e-12*frob*frob {
+				return fmt.Errorf("core: audit: %s misses its children by %g, beyond (1+%g)·t = %g",
+					what, math.Sqrt(errSq), upperGateEta, (1+upperGateEta)*n.tail)
+			}
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
@@ -63,7 +64,7 @@ func TestAuditShapesDetectsCorruption(t *testing.T) {
 			"root",
 		},
 		"spectrum not descending": {
-			func(tr *Tree) { tr.root.S[0], tr.root.S[1] = tr.root.S[1], tr.root.S[0] },
+			func(tr *Tree) { s := tr.root.res.S; s[0], s[1] = s[1], s[0] },
 			"spectrum",
 		},
 	}
@@ -117,5 +118,71 @@ func TestAuditBlockSkipsUnknownProvenance(t *testing.T) {
 	tr.level1[0].us.Data[0] += 1 // would fail replay if it ran
 	if err := tr.AuditBlock(0); err != nil {
 		t.Fatalf("seq = -1 block audited anyway: %v", err)
+	}
+}
+
+// TestAuditUpperHoldsOverGatedUpdates: the upper-level invariant holds
+// after every committed pass of a churn stream whose dirty nodes mix
+// exact merges and refined copies.
+func TestAuditUpperHoldsOverGatedUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	m := sparse.NewDynRow(12, 96, 8)
+	fillLowRank(rng, m, 6, 0.05, 0.5)
+	tr := mustCore(NewTree(m, testConfig(4)))
+	must0t(tr.Build(bgt))
+	var merges, projections int
+	for step := 0; step < 30; step++ {
+		for i := 0; i < 25; i++ {
+			m.Set(rng.Intn(m.Rows()), rng.Intn(m.Cols()), rng.NormFloat64())
+		}
+		mustCore(tr.Update(bgt))
+		merges, projections = merges+tr.Stats().UpperRebuilt, projections+tr.Stats().UpperProjections
+		if err := tr.AuditUpper(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if merges == 0 || projections == 0 {
+		t.Fatalf("the stream must exercise both routes: %d exact merges, %d refined copies", merges, projections)
+	}
+}
+
+// TestAuditUpperDetectsCorruption: a halved anchor tail and a random
+// orthonormal basis keep every shape the cheap audit checks, and must
+// each fail AuditUpper, at a level-2 node and at the root.
+func TestAuditUpperDetectsCorruption(t *testing.T) {
+	nodes := map[string]func(*Tree) *upperNode{
+		"level-2 node": func(tr *Tree) *upperNode { return tr.upper[0][1] },
+		"root":         func(tr *Tree) *upperNode { return tr.root },
+	}
+	mutations := map[string]func(*upperNode, *rand.Rand){
+		"anchor tail halved": func(n *upperNode, _ *rand.Rand) { n.tail /= 2 },
+		"random orthonormal basis": func(n *upperNode, rng *rand.Rand) {
+			u := linalg.NewDense(n.res.U.Rows, n.res.U.Cols)
+			for i := range u.Data {
+				u.Data[i] = rng.NormFloat64()
+			}
+			n.res.U = linalg.Orthonormalize(u)
+		},
+	}
+	for nodeName, node := range nodes {
+		for mutName, mutate := range mutations {
+			t.Run(nodeName+"/"+mutName, func(t *testing.T) {
+				tr, _ := auditedTree(t)
+				if err := tr.AuditUpper(); err != nil {
+					t.Fatalf("healthy tree failed: %v", err)
+				}
+				n := node(tr)
+				if n.tail == 0 {
+					t.Fatal("node has a zero anchor tail; nothing to corrupt")
+				}
+				mutate(n, rand.New(rand.NewSource(3)))
+				if err := tr.AuditShapes(); err != nil {
+					t.Fatalf("the mutation broke a shape, not the invariant: %v", err)
+				}
+				if err := tr.AuditUpper(); err == nil || !strings.Contains(err.Error(), "misses its children") {
+					t.Fatalf("AuditUpper = %v, want a miss of the (1+η)·t bound", err)
+				}
+			})
+		}
 	}
 }

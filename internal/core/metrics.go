@@ -21,9 +21,10 @@ type Metrics struct {
 	// cache-hit counts: their ratio is the lazy update's skip rate, the
 	// quantity Fig. 13 sweeps δ against.
 	BlocksRebuilt, BlocksSkipped obs.Counter
-	// UpperMerges accumulates SVD merges at levels ≥ 2 (affected
-	// ancestors plus the root, per pass).
-	UpperMerges obs.Counter
+	// UpperMerges accumulates exact merge SVDs at levels ≥ 2 (affected
+	// ancestors plus the root, per pass); UpperProjections the dirty upper
+	// nodes the gate let publish a refined copy of their cached factor.
+	UpperMerges, UpperProjections obs.Counter
 	// BlockFactorNanos records one observation per level-1 block
 	// factorization (the rsvd.Sparse call); MergeNanos one per upper
 	// merge pass; PassNanos one per whole Build/Update.
@@ -36,6 +37,7 @@ func (m *Metrics) observeCommit(s Stats) {
 	m.BlocksRebuilt.Add(uint64(s.Level1Rebuilt))
 	m.BlocksSkipped.Add(uint64(s.Skipped))
 	m.UpperMerges.Add(uint64(s.UpperRebuilt))
+	m.UpperProjections.Add(uint64(s.UpperProjections))
 }
 
 // stage runs f under an obs pprof stage label, returning its error.

@@ -15,37 +15,39 @@ import (
 )
 
 // passGolden is one line per call of TestPassKeepsEveryBit's script:
-// fingerprints of the root U and S, Stats, the five Metrics counters
-// (Builds, Updates, BlocksRebuilt, BlocksSkipped, UpperMerges) and the
-// number of TraceBlockRecompute events seen so far. The counts were
-// recorded when Build, Update and ForceRebuildBlock were three separate
-// bodies, and the fingerprints were re-recorded when level 1 moved to one
-// power iteration (every count stayed the same); the shared pass must
-// reproduce them bit for bit.
+// fingerprints of the root U and S, Stats, the six Metrics counters
+// (Builds, Updates, BlocksRebuilt, BlocksSkipped, UpperMerges,
+// UpperProjections) and the number of TraceBlockRecompute events seen so
+// far. The level-1 counts were recorded when Build, Update and
+// ForceRebuildBlock were three separate bodies; the table was re-recorded
+// when level 1 moved to one power iteration (every count stayed the
+// same) and when the upper-level gate arrived (level-1 counts and every
+// pass that merged only exactly stayed the same). The shared pass must
+// reproduce it bit for bit.
 var passGolden = []string{
-	"eb55d85683e73558 6ba14f3fc73b3430 {Level1Rebuilt:4 UpperRebuilt:3 Skipped:0} 1 0 4 0 3 0",
-	"e15ca1c2b27a7800 96fad9d4449dd9aa {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 1 7 1 6 3",
-	"e15ca1c2b27a7800 96fad9d4449dd9aa {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 2 7 5 6 3",
-	"5840c02b18a0578e 4eb5f151a763f712 {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 3 10 6 9 6",
-	"ed0485a1e8a30b76 f2df41c5be4ba95c {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 4 11 9 11 7",
-	"ed0485a1e8a30b76 f2df41c5be4ba95c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 5 11 13 11 7",
-	"ed0485a1e8a30b76 f2df41c5be4ba95c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 6 11 17 11 7",
-	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 7 12 20 13 8",
-	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 8 12 24 13 8",
-	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 9 12 28 13 8",
-	"6aedd8b77a150dd6 772329a3cad5a8f9 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 10 13 31 15 9",
-	"6aedd8b77a150dd6 772329a3cad5a8f9 {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 11 13 35 15 9",
-	"be6d220487d830a7 c06e53d993ebbae8 {Level1Rebuilt:2 UpperRebuilt:3 Skipped:2} 1 12 15 37 18 11",
-	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:3 UpperRebuilt:3 Skipped:1} 1 13 18 38 21 14",
-	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 14 18 42 21 14",
-	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 15 18 46 21 14",
-	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 16 18 50 21 14",
-	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 17 18 54 21 14",
-	"88d7e8ed2cf92d6b 83d28b2719e684ab {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 18 19 57 23 15",
-	"3cefaa7ecc8ca0ea f6c44e8319e2bd3d {Level1Rebuilt:1 UpperRebuilt:2 Skipped:3} 1 19 20 60 25 16",
-	"3cefaa7ecc8ca0ea f6c44e8319e2bd3d {Level1Rebuilt:0 UpperRebuilt:0 Skipped:4} 1 20 20 64 25 16",
-	"cf51e323e54dc154 f4c09f641a5dfb17 {Level1Rebuilt:1 UpperRebuilt:2 Skipped:0} 1 21 21 64 27 16",
-	"b229f79c5359a03e d87e04bc13fcadf2 {Level1Rebuilt:4 UpperRebuilt:3 Skipped:0} 1 0 4 0 3 16",
+	"eb55d85683e73558 6ba14f3fc73b3430 {Level1Rebuilt:4 UpperRebuilt:3 UpperProjections:0 Skipped:0} 1 0 4 0 3 0 0",
+	"e15ca1c2b27a7800 96fad9d4449dd9aa {Level1Rebuilt:3 UpperRebuilt:3 UpperProjections:0 Skipped:1} 1 1 7 1 6 0 3",
+	"e15ca1c2b27a7800 96fad9d4449dd9aa {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 2 7 5 6 0 3",
+	"5840c02b18a0578e 4eb5f151a763f712 {Level1Rebuilt:3 UpperRebuilt:3 UpperProjections:0 Skipped:1} 1 3 10 6 9 0 6",
+	"0c8f8ee7a0a41085 4e834e247a90c4d6 {Level1Rebuilt:1 UpperRebuilt:1 UpperProjections:1 Skipped:3} 1 4 11 9 10 1 7",
+	"0c8f8ee7a0a41085 4e834e247a90c4d6 {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 5 11 13 10 1 7",
+	"0c8f8ee7a0a41085 4e834e247a90c4d6 {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 6 11 17 10 1 7",
+	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:1 UpperRebuilt:2 UpperProjections:0 Skipped:3} 1 7 12 20 12 1 8",
+	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 8 12 24 12 1 8",
+	"65d2b98b058480bb 2e31f7cda547537e {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 9 12 28 12 1 8",
+	"9c63f2b8271c4f2b d532215ed39e22aa {Level1Rebuilt:1 UpperRebuilt:1 UpperProjections:1 Skipped:3} 1 10 13 31 13 2 9",
+	"9c63f2b8271c4f2b d532215ed39e22aa {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 11 13 35 13 2 9",
+	"be6d220487d830a7 c06e53d993ebbae8 {Level1Rebuilt:2 UpperRebuilt:3 UpperProjections:0 Skipped:2} 1 12 15 37 16 2 11",
+	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:3 UpperRebuilt:3 UpperProjections:0 Skipped:1} 1 13 18 38 19 2 14",
+	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 14 18 42 19 2 14",
+	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 15 18 46 19 2 14",
+	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 16 18 50 19 2 14",
+	"87541c9bcbcf90d6 46b4b9b86be53f3c {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 17 18 54 19 2 14",
+	"88d7e8ed2cf92d6b 83d28b2719e684ab {Level1Rebuilt:1 UpperRebuilt:2 UpperProjections:0 Skipped:3} 1 18 19 57 21 2 15",
+	"3cefaa7ecc8ca0ea f6c44e8319e2bd3d {Level1Rebuilt:1 UpperRebuilt:2 UpperProjections:0 Skipped:3} 1 19 20 60 23 2 16",
+	"3cefaa7ecc8ca0ea f6c44e8319e2bd3d {Level1Rebuilt:0 UpperRebuilt:0 UpperProjections:0 Skipped:4} 1 20 20 64 23 2 16",
+	"96a86241b419619b 0fa9a0f527e46d1b {Level1Rebuilt:1 UpperRebuilt:0 UpperProjections:2 Skipped:0} 1 21 21 64 23 4 16",
+	"b229f79c5359a03e d87e04bc13fcadf2 {Level1Rebuilt:4 UpperRebuilt:3 UpperProjections:0 Skipped:0} 1 0 4 0 3 0 16",
 }
 
 // TestPassKeepsEveryBit scripts Build, 20 lazy Updates over random
@@ -70,10 +72,10 @@ func TestPassKeepsEveryBit(t *testing.T) {
 	var traced atomic.Int64
 	record := func(tr *core.Tree) string {
 		root, met := tr.Root(), tr.Metrics()
-		return fmt.Sprintf("%016x %016x %+v %d %d %d %d %d %d",
+		return fmt.Sprintf("%016x %016x %+v %d %d %d %d %d %d %d",
 			check.FingerprintVec(root.U.Data), check.FingerprintVec(root.S), tr.Stats(),
 			met.Builds.Load(), met.Updates.Load(), met.BlocksRebuilt.Load(),
-			met.BlocksSkipped.Load(), met.UpperMerges.Load(), traced.Load())
+			met.BlocksSkipped.Load(), met.UpperMerges.Load(), met.UpperProjections.Load(), traced.Load())
 	}
 	tr, err := core.NewTree(m, cfg)
 	if err != nil {

@@ -20,10 +20,17 @@ type TreeSnapshot struct {
 	// older versions — gob leaves the slice nil and Restore falls back to
 	// the "no provenance" sentinel, keeping old saves loadable.
 	Level1Seq []int64
-	Upper     [][]*linalg.Dense
+	// UpperU, UpperS and UpperTail hold the nodes between level 1 and the
+	// root, level by level: each node's basis U, its spectrum Σ (the
+	// parent's input is U·Σ) and the anchor tail its last exact merge
+	// left, which the upper-level gate measures refined copies against.
+	UpperU    [][]*linalg.Dense
+	UpperS    [][][]float64
+	UpperTail [][]float64
 	RootU     *linalg.Dense
 	RootS     []float64
 	RootV     *linalg.Dense
+	RootTail  float64
 	Seq       int64
 	Built     bool
 }
@@ -43,11 +50,17 @@ func (t *Tree) Snapshot() *TreeSnapshot {
 			snap.Level1Seq[j] = -1
 		}
 	}
-	snap.Upper = t.upper
+	for _, level := range t.upper {
+		us, ss, tails := make([]*linalg.Dense, len(level)), make([][]float64, len(level)), make([]float64, len(level))
+		for j, n := range level {
+			us[j], ss[j], tails[j] = n.res.U, n.res.S, n.tail
+		}
+		snap.UpperU = append(snap.UpperU, us)
+		snap.UpperS = append(snap.UpperS, ss)
+		snap.UpperTail = append(snap.UpperTail, tails)
+	}
 	if t.root != nil {
-		snap.RootU = t.root.U
-		snap.RootS = t.root.S
-		snap.RootV = t.root.V
+		snap.RootU, snap.RootS, snap.RootV, snap.RootTail = t.root.res.U, t.root.res.S, t.root.res.V, t.root.tail
 	}
 	return snap
 }
@@ -85,9 +98,15 @@ func RestoreTree(m *sparse.DynRow, cfg Config, snap *TreeSnapshot) (*Tree, error
 			t.level1[j] = &blockCache{us: us, tail: snap.Level1Tail[j], seq: seq}
 		}
 	}
-	t.upper = snap.Upper
+	for li, level := range snap.UpperU {
+		nodes := make([]*upperNode, len(level))
+		for j, u := range level {
+			nodes[j] = &upperNode{res: &linalg.SVDResult{U: u, S: snap.UpperS[li][j]}, tail: snap.UpperTail[li][j]}
+		}
+		t.upper = append(t.upper, nodes)
+	}
 	if snap.RootU != nil {
-		t.root = &linalg.SVDResult{U: snap.RootU, S: snap.RootS, V: snap.RootV}
+		t.root = &upperNode{res: &linalg.SVDResult{U: snap.RootU, S: snap.RootS, V: snap.RootV}, tail: snap.RootTail}
 	}
 	t.seq = snap.Seq
 	t.built = snap.Built
@@ -113,23 +132,29 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 			return fmt.Errorf("core: snapshot block %d has invalid tail energy %g", j, tail)
 		}
 	}
-	// Geometry of the cached upper levels: counts[l] nodes at level l+1,
-	// mirroring Tree.levelCounts over the snapshot's block count.
-	counts := []int{len(snap.Level1US)}
-	for counts[len(counts)-1] > 1 {
-		c := counts[len(counts)-1]
-		counts = append(counts, (c+cfg.Branch-1)/cfg.Branch)
+	// Geometry of the cached upper levels: a built tree has every node
+	// of levelCounts between level 1 and the root, an unbuilt one none.
+	counts := levelCounts(len(snap.Level1US), cfg.Branch)
+	want := len(counts) - 2
+	if !snap.Built {
+		want = 0
 	}
-	if want := max(len(counts)-2, 0); len(snap.Upper) > want {
-		return fmt.Errorf("core: snapshot has %d upper levels, tree geometry allows %d", len(snap.Upper), want)
+	if len(snap.UpperU) != want || len(snap.UpperS) != want || len(snap.UpperTail) != want {
+		return fmt.Errorf("core: snapshot has %d/%d/%d upper levels (bases/spectra/tails), tree geometry has %d",
+			len(snap.UpperU), len(snap.UpperS), len(snap.UpperTail), want)
 	}
-	for li, level := range snap.Upper {
-		if len(level) != counts[li+1] {
-			return fmt.Errorf("core: snapshot upper level %d has %d nodes, want %d", li, len(level), counts[li+1])
+	for li, level := range snap.UpperU {
+		if len(level) != counts[li+1] || len(snap.UpperS[li]) != counts[li+1] || len(snap.UpperTail[li]) != counts[li+1] {
+			return fmt.Errorf("core: snapshot upper level %d has %d/%d/%d nodes, want %d",
+				li, len(level), len(snap.UpperS[li]), len(snap.UpperTail[li]), counts[li+1])
 		}
-		for j, us := range level {
-			if us != nil && us.Rows != m.Rows() {
-				return fmt.Errorf("core: snapshot upper cache (%d,%d) has %d rows, matrix has %d", li, j, us.Rows, m.Rows())
+		for j, u := range level {
+			what := fmt.Sprintf("core: snapshot upper node (%d,%d)", li, j)
+			if u == nil {
+				return fmt.Errorf("%s is missing", what)
+			}
+			if err := validNode(u, snap.UpperS[li][j], snap.UpperTail[li][j], m.Rows(), cfg.Rank, what); err != nil {
+				return err
 			}
 		}
 	}
@@ -137,20 +162,12 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		return fmt.Errorf("core: snapshot marked built without a root factorization")
 	}
 	if snap.RootU != nil {
-		switch {
-		case snap.RootU.Rows != m.Rows():
-			return fmt.Errorf("core: snapshot root U has %d rows, matrix has %d", snap.RootU.Rows, m.Rows())
-		case snap.RootU.Cols != len(snap.RootS):
-			return fmt.Errorf("core: snapshot root has %d left vectors for %d singular values",
-				snap.RootU.Cols, len(snap.RootS))
-		case snap.RootV != nil && snap.RootV.Cols != len(snap.RootS):
+		if err := validNode(snap.RootU, snap.RootS, snap.RootTail, m.Rows(), cfg.Rank, "core: snapshot root"); err != nil {
+			return err
+		}
+		if snap.RootV != nil && snap.RootV.Cols != len(snap.RootS) {
 			return fmt.Errorf("core: snapshot root has %d right vectors for %d singular values",
 				snap.RootV.Cols, len(snap.RootS))
-		}
-		for i, s := range snap.RootS {
-			if !finiteNonNegative(s) {
-				return fmt.Errorf("core: snapshot root singular value %d is %g", i, s)
-			}
 		}
 	}
 	// Values, not only shapes: a NaN or Inf in a cached factor passes every
@@ -163,13 +180,16 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 	groups := []group{
 		{"level-1 cache", snap.Level1US}, {"root factor", []*linalg.Dense{snap.RootU, snap.RootV}},
 	}
-	for _, level := range snap.Upper {
-		groups = append(groups, group{"upper cache", level})
+	for _, level := range snap.UpperU {
+		groups = append(groups, group{"upper basis", level})
 	}
 	for _, g := range groups {
 		for j, d := range g.ds {
 			if d == nil {
 				continue
+			}
+			if d.Rows < 0 || d.Cols < 0 || len(d.Data) != d.Rows*d.Cols {
+				return fmt.Errorf("core: snapshot %s %d is %d×%d over %d values", g.what, j, d.Rows, d.Cols, len(d.Data))
 			}
 			for _, v := range d.Data {
 				if v-v != 0 { // NaN and ±Inf are the values v−v is not 0 for
@@ -179,6 +199,24 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// validNode checks one decoded upper node: a basis of the matrix's row
+// count with one column per singular value, at most rank of them, a
+// descending finite non-negative spectrum and a finite non-negative
+// anchor tail.
+func validNode(u *linalg.Dense, s []float64, tail float64, rows, rank int, what string) error {
+	switch {
+	case u.Rows != rows:
+		return fmt.Errorf("%s basis has %d rows, matrix has %d", what, u.Rows, rows)
+	case u.Cols != len(s):
+		return fmt.Errorf("%s has %d left vectors for %d singular values", what, u.Cols, len(s))
+	case len(s) > rank:
+		return fmt.Errorf("%s rank %d exceeds configured rank %d", what, len(s), rank)
+	case !finiteNonNegative(tail):
+		return fmt.Errorf("%s has invalid anchor tail %g", what, tail)
+	}
+	return descendingSpectrum(s, what)
 }
 
 // finiteNonNegative reports whether x is a valid energy or singular value:

@@ -28,12 +28,35 @@ type blockCache struct {
 	seq int64
 }
 
+// upperNode is the cached factor of one node above level 1 — a level-2
+// parent or the root: its rank-d SVD (U and Σ; V only at the root) and
+// the anchor tail t = ‖C − (C)_d‖_F its last exact merge left on its
+// input C. The parent's input is U·Σ, formed when the parent merges.
+type upperNode struct {
+	res  *linalg.SVDResult
+	tail float64
+}
+
+// The upper-level gate (DESIGN §5): a dirty node publishes the refined
+// copy of its cached basis (linalg.SVDRefine, one block power step plus
+// Rayleigh–Ritz) when that copy's exact projection error on the new input
+// is within (1+upperGateEta)·t of its anchor tail, and merges exactly
+// otherwise. The single power step and η are constants, measured on the
+// system benchmark's seed-1 input over 600 batches of 48 events
+// (EXPERIMENTS "Ablations"): of 989 dirty nodes, η = 0.01 without the
+// step merged 144 exactly at a worst recon_over_opt of 1.0066; with the
+// step, η = 0.01, 0.02 and 0.05 merged 25, 19 and 11 at 1.0053 (every
+// node exact: 1.0051). The step is what holds quality; 0.02 is kept.
+const upperGateEta = 0.02
+
 // Stats counts the work done by the last Build or Update call.
 type Stats struct {
 	// Level1Rebuilt is |Z|: how many level-1 blocks were re-factored.
 	Level1Rebuilt int
-	// UpperRebuilt counts SVDs at levels ≥ 2 (affected ancestors + root).
-	UpperRebuilt int
+	// UpperRebuilt counts exact merge SVDs at levels ≥ 2 (affected
+	// ancestors + root); UpperProjections the dirty upper nodes that
+	// published their refined cached basis instead.
+	UpperRebuilt, UpperProjections int
 	// Skipped counts level-1 blocks served from cache.
 	Skipped int
 }
@@ -54,12 +77,11 @@ type Tree struct {
 	m   *sparse.DynRow
 
 	level1 []*blockCache
-	// upper[l][j] caches Ū of node j at tree level l+2 (level 2 is
-	// upper[0]); the root's full SVD lives in root instead. The last
-	// entry of upper always has a single node (the root's merge input is
-	// the level below it), except when the whole tree is a single chain.
-	upper [][]*linalg.Dense
-	root  *linalg.SVDResult
+	// upper[l][j] caches node j at tree level l+2 (level 2 is upper[0]);
+	// the root lives in root instead, so upper has one level fewer than
+	// the tree has above level 1.
+	upper [][]*upperNode
+	root  *upperNode
 	seq   int64 // per-factorization counter so randomized draws differ
 	stats Stats
 	built bool
@@ -131,15 +153,16 @@ func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (
 }
 
 // Build runs the full static Tree-SVD (Algorithm 3) over the current
-// matrix: every level-1 block is factored and the whole tree is merged.
-// Cancelling ctx aborts the pass without touching the committed state.
+// matrix: every level-1 block is factored and every upper node merged
+// exactly, which re-anchors the upper-level gate. Cancelling ctx aborts
+// the pass without touching the committed state.
 func (t *Tree) Build(ctx context.Context) error {
 	start := time.Now()
 	z := make([]int, len(t.level1))
 	for j := range z {
 		z[j] = j
 	}
-	return t.pass(ctx, start, z, 0, &t.met.Builds, nil)
+	return t.pass(ctx, start, z, 0, true, &t.met.Builds, nil)
 }
 
 // violates evaluates the Eqn. 2 trigger for level-1 block j:
@@ -179,7 +202,7 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 			z = append(z, j)
 		}
 	}
-	if err := t.pass(ctx, start, z, len(t.level1)-len(z), &t.met.Updates, t.trace); err != nil {
+	if err := t.pass(ctx, start, z, len(t.level1)-len(z), false, &t.met.Updates, t.trace); err != nil {
 		return 0, err
 	}
 	return len(z), nil
@@ -187,11 +210,12 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 
 // pass is the one body of Build, Update and ForceRebuildBlock: it
 // factors the level-1 blocks z under a fresh pass counter, re-merges
-// their ancestors and commits, then counts the pass in passes. With z
-// empty it commits nothing — every block is within tolerance and the
-// cached embedding stands. trace, when non-nil, receives a
-// TraceBlockRecompute event per factored block.
-func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, passes *obs.Counter, trace obs.TraceHook) error {
+// their ancestors (every one exactly when exact is set, through the
+// upper-level gate otherwise) and commits, then counts the pass in
+// passes. With z empty it commits nothing — every block is within
+// tolerance and the cached embedding stands. trace, when non-nil,
+// receives a TraceBlockRecompute event per factored block.
+func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, exact bool, passes *obs.Counter, trace obs.TraceHook) error {
 	t.seq++
 	stats := Stats{Level1Rebuilt: len(z), Skipped: skipped}
 	if len(z) > 0 {
@@ -218,11 +242,10 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 		for _, j := range z {
 			dirty[j] = true
 		}
-		upper, root, merges, err := t.merge(ctx, fresh, dirty)
+		upper, root, err := t.merge(ctx, fresh, dirty, exact, &stats)
 		if err != nil {
 			return err
 		}
-		stats.UpperRebuilt = merges
 		t.commit(fresh, upper, root, z)
 	}
 	t.stats = stats
@@ -236,7 +259,7 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 // caches replace the old ones wholesale and only now are the rebuilt
 // blocks' DynRow baselines reset. Readers holding results obtained before
 // the commit keep valid (old) data — nothing they reference is mutated.
-func (t *Tree) commit(level1 []*blockCache, upper [][]*linalg.Dense, root *linalg.SVDResult, rebuilt []int) {
+func (t *Tree) commit(level1 []*blockCache, upper [][]*upperNode, root *upperNode, rebuilt []int) {
 	t.level1 = level1
 	t.upper = upper
 	t.root = root
@@ -248,46 +271,79 @@ func (t *Tree) commit(level1 []*blockCache, upper [][]*linalg.Dense, root *linal
 
 // levelCounts returns the node counts per tree level, bottom-up, ending
 // with the single root.
-func (t *Tree) levelCounts() []int {
-	counts := []int{len(t.level1)}
-	for counts[len(counts)-1] > 1 {
-		c := counts[len(counts)-1]
-		counts = append(counts, (c+t.cfg.Branch-1)/t.cfg.Branch)
+func (t *Tree) levelCounts() []int { return levelCounts(len(t.level1), t.cfg.Branch) }
+
+// levelCounts is the tree geometry over b level-1 blocks at fan-in k:
+// ⌈·/k⌉ per level up to one root. A single block still gets a root
+// above it, which merges that block alone.
+func levelCounts(b, k int) []int {
+	counts := []int{b}
+	for len(counts) == 1 || counts[len(counts)-1] > 1 {
+		counts = append(counts, (counts[len(counts)-1]+k-1)/k)
 	}
 	return counts
 }
 
+// nodeInput returns the merge input C of node pj at level cl+1 — its
+// children at level cl side by side, each as U·Σ — in pooled scratch the
+// caller releases with linalg.PutDense.
+func (t *Tree) nodeInput(level1 []*blockCache, upper [][]*upperNode, counts []int, cl, pj int) *linalg.Dense {
+	lo, hi := pj*t.cfg.Branch, min((pj+1)*t.cfg.Branch, counts[cl])
+	cols := 0
+	for j := lo; j < hi; j++ {
+		if cl == 0 {
+			cols += level1[j].us.Cols
+		} else {
+			cols += upper[cl-1][j].res.Rank()
+		}
+	}
+	cc := linalg.GetDense(t.m.Rows(), cols)
+	off := 0
+	for j := lo; j < hi; j++ {
+		if cl == 0 {
+			us := level1[j].us
+			for i := 0; i < cc.Rows; i++ {
+				copy(cc.Row(i)[off:], us.Row(i))
+			}
+			off += us.Cols
+			continue
+		}
+		// U·Σ written straight into place: the same bits as res.US().
+		res := upper[cl-1][j].res
+		for i := 0; i < cc.Rows; i++ {
+			out := cc.Row(i)[off:]
+			for c, x := range res.U.Row(i) {
+				out[c] = x * res.S[c]
+			}
+		}
+		off += res.Rank()
+	}
+	return cc
+}
+
 // merge propagates rebuilt nodes up the tree (Algorithm 4 lines 6-12) into
-// fresh upper-level caches and a fresh root: a parent is re-merged exactly
-// when one of its children changed; untouched subtrees are copied from the
-// previous caches. The tree itself is not modified — the caller commits
-// the returned structures only when the whole pass succeeded.
-func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bool) ([][]*linalg.Dense, *linalg.SVDResult, int, error) {
+// fresh upper-level caches and a fresh root. A parent is re-derived only
+// when one of its children changed — by an exact merge SVD when exact is
+// set or the upper-level gate refuses the refined copy of its cached
+// factor — and untouched subtrees are copied from the previous caches.
+// The exact merges and the gate's accepted copies are counted into
+// stats. The tree itself is not modified: the caller commits the
+// returned structures only when the whole pass succeeded.
+func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bool, exact bool, stats *Stats) ([][]*upperNode, *upperNode, error) {
 	start := time.Now()
 	defer t.met.MergeNanos.ObserveSince(start)
 	w := par.Workers(t.cfg.Workers)
 	counts := t.levelCounts()
-	if len(counts) == 1 {
-		// Single level-1 block: its truncated SVD is the root.
-		return nil, linalg.SVDTruncW(level1[0].us, t.cfg.Rank, w), 1, nil
-	}
-	// Fresh upper cache: one slice per intermediate level (2..q-1), seeded
-	// with the previous pass's results where present.
-	upper := make([][]*linalg.Dense, len(counts)-2)
+	// Fresh upper cache: one slice per intermediate level, seeded with
+	// the previous pass's nodes where present.
+	upper := make([][]*upperNode, len(counts)-2)
 	for li := range upper {
-		upper[li] = make([]*linalg.Dense, counts[li+1])
+		upper[li] = make([]*upperNode, counts[li+1])
 		if li < len(t.upper) {
 			copy(upper[li], t.upper[li])
 		}
 	}
-	childUS := func(cl, j int) *linalg.Dense {
-		if cl == 0 {
-			return level1[j].us
-		}
-		return upper[cl-1][j]
-	}
-	var root *linalg.SVDResult
-	merges := 0
+	var root *upperNode
 	k := t.cfg.Branch
 	if err := stage(ctx, "tree.merge", func(ctx context.Context) error {
 		for cl := 0; cl+1 < len(counts); cl++ {
@@ -300,57 +356,72 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 				parents = append(parents, pj)
 			}
 			sort.Ints(parents)
-			isRootLevel := counts[cl+1] == 1
+			isRootLevel := cl+2 == len(counts)
 			// Fan-out across dirty parents; each merge's kernels get the
-			// leftover budget (the root level has one parent, so its exact SVD
-			// runs with the full budget — it is the serial bottleneck of every
-			// update pass).
+			// leftover budget (the root level has one parent, so its merge
+			// runs with the full budget — it is the serial bottleneck of
+			// every update pass).
 			kb := par.SplitBudget(w, len(parents))
+			projected := make([]bool, len(parents))
 			if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
 				pj := parents[pi]
-				lo := pj * k
-				hi := lo + k
-				if hi > counts[cl] {
-					hi = counts[cl]
+				prev := t.root
+				if !isRootLevel {
+					prev = upper[cl][pj] // still the previous pass's node
 				}
-				children := make([]*linalg.Dense, 0, hi-lo)
-				cols := 0
-				for j := lo; j < hi; j++ {
-					c := childUS(cl, j)
-					children = append(children, c)
-					cols += c.Cols
-				}
-				// The |S|×(k·d) concat is pooled scratch: SVDTruncW's results
-				// never alias its input, so the buffer is recycled as soon as
-				// the merge SVD returns instead of being reallocated for every
-				// parent of every update pass.
-				cc := linalg.GetDense(children[0].Rows, cols)
-				linalg.HCatInto(cc, children...)
-				res := linalg.SVDTruncW(cc, t.cfg.Rank, kb)
-				linalg.PutDense(cc)
+				cc := t.nodeInput(level1, upper, counts, cl, pj)
+				node, ok := t.mergeNode(cc, prev, exact, kb)
+				linalg.PutDense(cc) // no result aliases the concat
+				projected[pi] = ok
 				if isRootLevel {
-					root = res // exactly one root-level parent: no write race
+					root = node // exactly one root-level parent: no write race
 				} else {
-					upper[cl][pj] = res.US()
+					node.res.V = nil // only the root's right factor is kept
+					upper[cl][pj] = node
 				}
 				return nil
 			}); err != nil {
 				return err
 			}
-			merges += len(parents)
+			for _, ok := range projected {
+				if ok {
+					stats.UpperProjections++
+				} else {
+					stats.UpperRebuilt++
+				}
+			}
 			dirty = parentDirty
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return upper, root, merges, nil
+	return upper, root, nil
 }
 
-// ForceRebuildBlock re-factors level-1 block j unconditionally and
-// propagates along its ancestor path, bypassing the Eqn. 2 trigger (used
-// by trigger ablations). It returns 1 (blocks rebuilt), or falls back to a
-// full Build when the tree has never been built.
+// mergeNode derives a dirty upper node's factor from its new input cc.
+// Unless exact is set, a node with a cached basis first refines that
+// basis against cc; the copy is published when its projection error is
+// within (1+upperGateEta) of the anchor tail, which it inherits, and
+// mergeNode reports true. Otherwise the exact merge SVD runs and its
+// tail becomes the node's new anchor.
+func (t *Tree) mergeNode(cc *linalg.Dense, prev *upperNode, exact bool, workers int) (*upperNode, bool) {
+	frob := cc.FrobNorm()
+	if !exact && prev != nil && prev.res.Rank() > 0 {
+		cand := linalg.SVDRefine(cc, prev.res.U, workers)
+		if cand.TailEnergy(frob, t.cfg.Rank) <= (1+upperGateEta)*prev.tail {
+			return &upperNode{res: cand, tail: prev.tail}, true
+		}
+	}
+	res := linalg.SVDTruncW(cc, t.cfg.Rank, workers)
+	return &upperNode{res: res, tail: res.TailEnergy(frob, t.cfg.Rank)}, false
+}
+
+// ForceRebuildBlock re-factors level-1 block j unconditionally, bypassing
+// the Eqn. 2 trigger (used by trigger ablations), and propagates along its
+// ancestor path through the upper-level gate. It returns 1 (blocks
+// rebuilt), or falls back to a full Build when the tree has never been
+// built.
 func (t *Tree) ForceRebuildBlock(ctx context.Context, j int) (int, error) {
 	if !t.built {
 		if err := t.Build(ctx); err != nil {
@@ -358,7 +429,7 @@ func (t *Tree) ForceRebuildBlock(ctx context.Context, j int) (int, error) {
 		}
 		return t.stats.Level1Rebuilt, nil
 	}
-	if err := t.pass(ctx, time.Now(), []int{j}, 0, &t.met.Updates, nil); err != nil {
+	if err := t.pass(ctx, time.Now(), []int{j}, 0, false, &t.met.Updates, nil); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -372,7 +443,7 @@ func (t *Tree) Root() *linalg.SVDResult {
 	if t.root == nil {
 		panic("core: Root before Build")
 	}
-	return t.root
+	return t.root.res
 }
 
 // Embedding returns the subset embedding X = (U_{q,1})_d·√(Σ_{q,1})_d.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -438,7 +439,7 @@ func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
 		t.Fatalf("healthy snapshot refused: %v", err)
 	}
 	for name, d := range map[string]*linalg.Dense{
-		"Level1US": snap.Level1US[0], "Upper": snap.Upper[0][1], "RootU": snap.RootU, "RootV": snap.RootV,
+		"Level1US": snap.Level1US[0], "UpperU": snap.UpperU[0][1], "RootU": snap.RootU, "RootV": snap.RootV,
 	} {
 		if d == nil {
 			t.Fatalf("%s: snapshot does not carry the factor under test", name)
@@ -499,12 +500,13 @@ func TestForceRebuildBlock(t *testing.T) {
 	if n := mustCore(tr.ForceRebuildBlock(bgt, 2)); n != m.NumBlocks() {
 		t.Fatalf("pre-build ForceRebuildBlock rebuilt %d, want %d", n, m.NumBlocks())
 	}
-	// After Build: rebuilds exactly the one block and its ancestor path.
+	// After Build: rebuilds exactly the one block and its ancestor path,
+	// each ancestor merged exactly or through the upper-level gate.
 	if n := mustCore(tr.ForceRebuildBlock(bgt, 2)); n != 1 {
 		t.Fatalf("ForceRebuildBlock rebuilt %d, want 1", n)
 	}
-	if tr.Stats().UpperRebuilt != cfg.Levels-1 {
-		t.Fatalf("upper rebuilds %d, want %d", tr.Stats().UpperRebuilt, cfg.Levels-1)
+	if st := tr.Stats(); st.UpperRebuilt+st.UpperProjections != cfg.Levels-1 {
+		t.Fatalf("upper nodes re-derived %+v, want %d", st, cfg.Levels-1)
 	}
 }
 
@@ -528,5 +530,40 @@ func TestNewTreeRejectsBadConfig(t *testing.T) {
 	m := sparse.NewDynRow(2, 8, 4)
 	if _, err := NewTree(m, Config{Rank: 0, Branch: 2, Levels: 2}); err == nil {
 		t.Fatal("expected error for invalid config")
+	}
+}
+
+// TestBuildStaysExact: Build merges every upper node exactly, whatever the
+// gate left in the caches, so a tree that has taken gated updates and a
+// fresh tree over the same matrix at the same pass counter build the
+// same root, bit for bit. Tree-SVD-S and FactorizeMatrix rebuild through
+// Build.
+func TestBuildStaysExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cfg := testConfig(4)
+	m := sparse.NewDynRow(12, 96, cfg.Blocks())
+	fillLowRank(rng, m, 6, 0.05, 0.5)
+	tr := mustCore(NewTree(m, cfg))
+	must0t(tr.Build(bgt))
+	for step := 0; step < 24; step++ {
+		for i := 0; i < 25; i++ {
+			m.Set(rng.Intn(m.Rows()), rng.Intn(m.Cols()), rng.NormFloat64())
+		}
+		mustCore(tr.Update(bgt))
+	}
+	if tr.Metrics().UpperProjections.Load() == 0 {
+		t.Fatal("no update took the gate's refined copy; the test needs some")
+	}
+	before := tr.Metrics().UpperProjections.Load()
+	must0t(tr.Build(bgt))
+	if got := tr.Metrics().UpperProjections.Load() - before; got != 0 || tr.Stats().UpperProjections != 0 {
+		t.Fatalf("Build counted %d refined copies", got)
+	}
+	fresh := mustCore(NewTree(m, cfg))
+	fresh.seq = tr.seq - 1 // Build advances it to the same pass counter
+	must0t(fresh.Build(bgt))
+	a, b := tr.Root(), fresh.Root()
+	if !slices.Equal(a.S, b.S) || !slices.Equal(a.U.Data, b.U.Data) || !slices.Equal(a.V.Data, b.V.Data) {
+		t.Fatal("Build after gated updates differs from Build on a fresh tree")
 	}
 }

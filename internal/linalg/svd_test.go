@@ -313,3 +313,47 @@ func TestQRThinHighlyRankDeficient(t *testing.T) {
 		t.Fatalf("rank-deficient Q not orthonormal: %g", d)
 	}
 }
+
+// TestSVDRefine: from a basis of the top-r subspace the refined copy is
+// the truncated SVD, and from any orthonormal basis its TailEnergy is its
+// exact projection error with an orthonormal U.
+func TestSVDRefine(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := randDense(rng, 40, 64)
+	const r = 6
+	want := SVDTrunc(a, r)
+	got := SVDRefine(a, want.U, 1)
+	for i := range want.S {
+		if math.Abs(got.S[i]-want.S[i]) > 1e-10*want.S[0] {
+			t.Fatalf("σ%d = %g from the exact basis, want %g", i, got.S[i], want.S[i])
+		}
+	}
+	if d := MaxAbsDiff(MulT(got.U, got.U), MulT(want.U, want.U)); d > 1e-9 {
+		t.Fatalf("refined subspace differs from the exact one by %g", d)
+	}
+	u := Orthonormalize(randDense(rng, 40, r))
+	got = SVDRefine(a, u, 2)
+	checkOrthonormalCols(t, got.U, 1e-12, "refined U")
+	frob := a.FrobNorm()
+	proj := TMul(got.U, a).FrobNorm()
+	if e, tail := math.Sqrt(frob*frob-proj*proj), got.TailEnergy(frob, r); math.Abs(e-tail) > 1e-9*frob {
+		t.Fatalf("TailEnergy %g, projection error %g", tail, e)
+	}
+	if tail, opt := got.TailEnergy(frob, r), want.TailEnergy(frob, r); tail < opt*(1-1e-12) {
+		t.Fatalf("refined tail %g below the optimal %g", tail, opt)
+	}
+}
+
+// TestSymEigvals: the eigenvalues alone equal SymEig's, descending.
+func TestSymEigvals(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	a := randDense(rng, 30, 50)
+	g := GramT(a)
+	want, _ := SymEig(g)
+	got := SymEigvals(g.Clone(), 1)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-10*want[0] {
+			t.Fatalf("λ%d = %g, want %g", i, got[i], want[i])
+		}
+	}
+}

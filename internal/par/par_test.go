@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -144,6 +145,10 @@ func TestForParallelActuallyParallel(t *testing.T) {
 		t.Skip("single-core machine")
 	}
 	var concurrent, peak int32
+	// Each body holds its slot until a second worker has been seen inside
+	// fn at the same time (or the deadline passes), so one worker cannot
+	// drain every index before the others are scheduled.
+	deadline := time.Now().Add(10 * time.Second)
 	ForErr(nil, 64, 8, func(int) error {
 		c := atomic.AddInt32(&concurrent, 1)
 		for {
@@ -152,11 +157,14 @@ func TestForParallelActuallyParallel(t *testing.T) {
 				break
 			}
 		}
+		for atomic.LoadInt32(&peak) < 2 && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
 		atomic.AddInt32(&concurrent, -1)
 		return nil
 	})
 	if peak < 2 {
-		t.Skip("no observed concurrency (scheduler-dependent)")
+		t.Fatalf("peak concurrency %d with 8 workers, want >= 2", peak)
 	}
 }
 

@@ -115,10 +115,12 @@ type Metrics struct {
 	// TreeBuilds counts full Build passes, TreeUpdates lazy Update
 	// passes. BlocksRebuilt/BlocksSkipped accumulate the per-pass Eqn. 2
 	// outcomes (their ratio is the lazy skip rate); UpperMerges counts
-	// SVD merges above level 1.
-	TreeBuilds, TreeUpdates      uint64
-	BlocksRebuilt, BlocksSkipped uint64
-	UpperMerges                  uint64
+	// exact SVD merges above level 1, UpperProjections the dirty upper
+	// nodes that published a refined copy of their cached factor instead
+	// (the upper-level gate, DESIGN.md §5).
+	TreeBuilds, TreeUpdates       uint64
+	BlocksRebuilt, BlocksSkipped  uint64
+	UpperMerges, UpperProjections uint64
 	// BlocksUpdated is retired and always 0; named by benchmark/layers.go,
 	// delete with ROADMAP item 1's seam.
 	BlocksUpdated uint64
@@ -199,7 +201,9 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 	r.Counter("treesvd_tree_blocks_skipped_total", "blocks",
 		"Level-1 blocks served from cache", &tm.BlocksSkipped)
 	r.Counter("treesvd_tree_upper_merges_total", "merges",
-		"SVD merges above level 1 (affected ancestors plus root)", &tm.UpperMerges)
+		"Exact SVD merges above level 1 (affected ancestors plus root)", &tm.UpperMerges)
+	r.Counter("treesvd_tree_upper_projections_total", "nodes",
+		"Dirty upper nodes that published a refined copy of their cached factor", &tm.UpperProjections)
 	r.Histogram("treesvd_tree_block_factor_nanos", "ns",
 		"Wall time per level-1 block factorization", &tm.BlockFactorNanos)
 	r.Histogram("treesvd_tree_merge_nanos", "ns",
@@ -281,6 +285,7 @@ func (e *Embedder) Metrics() Metrics {
 		BlocksRebuilt:      tm.BlocksRebuilt.Load(),
 		BlocksSkipped:      tm.BlocksSkipped.Load(),
 		UpperMerges:        tm.UpperMerges.Load(),
+		UpperProjections:   tm.UpperProjections.Load(),
 		BlockFactor:        durStats(tm.BlockFactorNanos.Snapshot()),
 		Merge:              durStats(tm.MergeNanos.Snapshot()),
 		TreePass:           durStats(tm.PassNanos.Snapshot()),

@@ -123,6 +123,18 @@ func corruptSave[W any](t testing.TB, mutate func(*W)) []byte {
 	return out.Bytes()
 }
 
+// widestUpper returns the level-2 node of a snapshot with the most
+// singular values, so a test can reorder two of them.
+func widestUpper(tr *core.TreeSnapshot) int {
+	best := 0
+	for j, sv := range tr.UpperS[0] {
+		if len(sv) > len(tr.UpperS[0][best]) {
+			best = j
+		}
+	}
+	return best
+}
+
 // TestLoadRejectsCorruptedSaves is the ISSUE 3 regression for Load
 // trusting its input: each corruption used to slip through Load and
 // panic on first use (or corrupt results silently). All must now be
@@ -186,7 +198,7 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		}, "invariant audit"},
 		// Cached factors with the right shapes and a non-finite entry.
 		{"NaN in a level-1 cache", func(s *savedEmbedder) { s.Tree.Level1US[0].Data[0] = math.NaN() }, "non-finite"},
-		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.Upper[0][0].Data[0] = math.Inf(1) }, "non-finite"},
+		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.UpperU[0][0].Data[0] = math.Inf(1) }, "non-finite"},
 		{"NaN in the root factor", func(s *savedEmbedder) { s.Tree.RootU.Data[1] = math.NaN() }, "non-finite"},
 		// The scalar factors: +Inf passed a NaN-or-negative check and the audit.
 		{"Inf tail energy", func(s *savedEmbedder) { s.Tree.Level1Tail[0] = math.Inf(1) }, "tail energy +Inf"},
@@ -279,10 +291,13 @@ func legacyTreeSave(t testing.TB) []byte {
 		Level1U, Level1V []*linalg.Dense
 		Level1S          [][]float64
 		Level1UpdErr     []float64
-		Upper            [][]*linalg.Dense
+		UpperU           [][]*linalg.Dense
+		UpperS           [][][]float64
+		UpperTail        [][]float64
 		RootU            *linalg.Dense
 		RootS            []float64
 		RootV            *linalg.Dense
+		RootTail         float64
 		Seq              int64
 		Built            bool
 	}
