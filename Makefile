@@ -81,10 +81,11 @@ chaos:
 # the serving layer's binary frames and their payload decoders (what
 # decodes must re-encode to the same value), the WAL's segment recovery
 # and checkpoint reader (what is accepted must re-encode to its bytes),
-# and Load — the whole save
-# format, graph and PPR-state gob decoders included, behind a re-sealed
-# checksum (a decode returns an error or a value that passes its audit,
-# never a panic). go test takes one -fuzz target per run. Minimizing a new input
+# the tree snapshot's decoder on its own (RestoreTree: an error, or a tree
+# that passes its shape audit and takes an Update), and Load — the whole
+# save format, graph and PPR-state gob decoders included, behind a
+# re-sealed checksum (a decode returns an error or a value that passes its
+# audit, never a panic). go test takes one -fuzz target per run. Minimizing a new input
 # is capped well below the budget — the seeds are kilobytes long and the
 # default cap (60s) would spend the whole run shrinking the first find.
 fuzz-decoders:
@@ -93,6 +94,7 @@ fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzRestoreTree -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Configurable-depth fuzz: make fuzz SEEDS=64

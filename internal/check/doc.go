@@ -11,9 +11,10 @@
 //     both pushes and the Algorithm 2 corrections preserve).
 //   - DynRow — the incrementally maintained block Frobenius norms, delta
 //     norms, nnz counters and baseline keys versus an exact recount.
-//   - Tree / TreeDeep — cached factorization shapes versus the tree
-//     geometry, and (deep) each level-1 cache versus re-factoring its
-//     recorded baseline at its recorded seed.
+//   - Tree / TreeDeep — cached node shapes versus the tree geometry, and
+//     (deep) the certificate: every node's basis, spectrum and tail
+//     versus the exact projection of its input (the block's baseline at
+//     level 1, its children above), whatever route produced it.
 //   - Snapshot / FingerprintRows — order-sensitive content hashes used to
 //     prove published snapshots never mutate.
 //

@@ -2,29 +2,25 @@ package check
 
 import "github.com/tree-svd/treesvd/internal/core"
 
-// Tree audits a Tree-SVD's cached structures against the matrix it wraps
-// and its configured geometry: level-1 caches present and correctly
-// shaped, upper-level slices sized by levelCounts, root dimensions
-// agreeing with a descending non-negative spectrum. Cheap (no
+// Tree audits a Tree-SVD's cached nodes against the matrix it wraps and
+// its configured geometry: every level sized by levelCounts, each node an
+// |S|-row basis with one column per singular value, at most d of them,
+// over a descending non-negative spectrum and a finite tail. Cheap (no
 // factorizations) — suitable for per-update self-checks.
 func Tree(t *core.Tree) error {
 	return t.AuditShapes()
 }
 
-// TreeDeep is Tree plus the two audits that recompute: every upper node
-// against its current children (core.Tree.AuditUpper: an orthonormal
-// basis whose projection error is within the upper-level gate's
-// (1+η)·t of its anchor tail), and seed-replay verification of every
-// level-1 cache — each block's baseline (its contents at the cache's
-// rebuild, recovered from the DynRow delta bookkeeping) is re-factored
-// at the seed recorded in the cache and must reproduce the cached Ū and
-// tail energy. This ties the layers together — caches, baseline
-// bookkeeping, the deterministic randomized SVD and the gate — so
-// corruption in any one of them surfaces. Costs a full re-factorization
-// per block; harness use only.
+// TreeDeep is Tree plus the certificate (core.Tree.Certify): every node,
+// at every level, against its input X — the block as its factor saw it,
+// recovered from the DynRow delta bookkeeping, at level 1, the node's
+// current children above it. With P = UᵀX it demands (UΣ)ᵀ(UΣ) = Σ²,
+// P·Pᵀ = Σ², and an exact projection error ‖X‖² − ‖P‖² equal to the
+// cached tail² at level 1 and within the upper-level gate's ((1+η)·t)²
+// above it. It does not depend on how a node was produced, so it ties
+// the caches, the baseline bookkeeping, the factorization routes and the
+// gate together, and certifies a restored tree like a live one.
+// O(nnz·d) plus a small Gram per node; harness use only.
 func TreeDeep(t *core.Tree) error {
-	if err := t.AuditUpper(); err != nil {
-		return err
-	}
-	return t.AuditBlocks()
+	return t.Certify()
 }

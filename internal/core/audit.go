@@ -7,58 +7,45 @@ import (
 	"github.com/tree-svd/treesvd/internal/linalg"
 )
 
-// AuditShapes verifies the tree's cached structures against the matrix it
-// wraps and the geometry its configuration implies: one level-1 cache per
-// block with |S|-row Ū matrices and sane tail energies, upper-level cache
-// slices sized by levelCounts, and a root whose dimensions agree with its
-// spectrum. O(levels) — cheap enough for per-update self-checks.
+// AuditShapes verifies the tree's cached nodes against the matrix it
+// wraps and the geometry its configuration implies: no node before the
+// first pass, then every level of levelCounts fully populated, each node
+// passing validNode. O(nodes) — cheap enough for per-update self-checks.
 func (t *Tree) AuditShapes() error {
-	if len(t.level1) != t.m.NumBlocks() {
-		return fmt.Errorf("core: audit: %d level-1 caches for %d blocks", len(t.level1), t.m.NumBlocks())
-	}
-	for j, c := range t.level1 {
-		if c == nil {
-			if t.built {
-				return fmt.Errorf("core: audit: built tree missing level-1 cache %d", j)
-			}
-			continue
-		}
-		if c.us == nil || c.us.Rows != t.m.Rows() {
-			return fmt.Errorf("core: audit: level-1 cache %d has wrong shape (want %d rows)", j, t.m.Rows())
-		}
-		if !finiteNonNegative(c.tail) {
-			return fmt.Errorf("core: audit: level-1 cache %d has invalid tail energy %g", j, c.tail)
-		}
-	}
 	if !t.built {
+		if len(t.levels) != 0 {
+			return fmt.Errorf("core: audit: unbuilt tree caches %d levels", len(t.levels))
+		}
 		return nil
 	}
 	counts := t.levelCounts()
-	if len(t.upper) != len(counts)-2 {
-		return fmt.Errorf("core: audit: %d upper levels cached, geometry has %d", len(t.upper), len(counts)-2)
+	if len(t.levels) != len(counts) {
+		return fmt.Errorf("core: audit: %d levels cached, geometry has %d", len(t.levels), len(counts))
 	}
-	for li, level := range t.upper {
-		if len(level) != counts[li+1] {
-			return fmt.Errorf("core: audit: upper level %d has %d nodes, want %d", li, len(level), counts[li+1])
+	for l, level := range t.levels {
+		if len(level) != counts[l] {
+			return fmt.Errorf("core: audit: level %d has %d nodes, want %d", l+1, len(level), counts[l])
 		}
 		for j, n := range level {
-			if err := t.auditNode(n, fmt.Sprintf("upper node (%d,%d)", li, j)); err != nil {
+			what := "core: audit: " + nodeName(l, j, len(counts))
+			if n == nil || n.res == nil {
+				return fmt.Errorf("%s is missing", what)
+			}
+			if err := validNode(n.res.U, n.res.S, n.tail, t.m.Rows(), t.cfg.Rank, what); err != nil {
 				return err
 			}
 		}
 	}
-	return t.auditNode(t.root, "root")
+	return nil
 }
 
-// auditNode checks one upper node as RestoreTree's validNode checks a
-// decoded one: present, an |S|-row U with one column per singular value,
-// at most the configured rank, a finite non-negative descending spectrum
-// and a finite non-negative anchor tail.
-func (t *Tree) auditNode(n *upperNode, what string) error {
-	if n == nil || n.res == nil || n.res.U == nil {
-		return fmt.Errorf("core: audit: %s missing", what)
+// nodeName names node j of level l+1 in a tree of the given number of
+// levels, for error messages.
+func nodeName(l, j, levels int) string {
+	if l == levels-1 {
+		return "root"
 	}
-	return validNode(n.res.U, n.res.S, n.tail, t.m.Rows(), t.cfg.Rank, "core: audit: "+what)
+	return fmt.Sprintf("level-%d node %d", l+1, j)
 }
 
 // descendingSpectrum reports the first singular value that is not finite
@@ -75,105 +62,92 @@ func descendingSpectrum(s []float64, what string) error {
 	return nil
 }
 
-// AuditUpper checks the upper-level gate's invariant on every node above
-// level 1: its basis is orthonormal to 1e-10, its spectrum and anchor
-// tail pass auditNode, and its projection error on its *current*
-// children, √(‖C‖²_F − ‖UᵀC‖²_F), is within (1+η)·t·(1 + 1e-9) of its
-// anchor tail t. An exact merge leaves error = t and an accepted refined
-// copy at most (1+η)·t; a node no pass dirtied keeps its children. A
-// rounding floor of 1e-12·‖C‖²_F on the squared comparison admits nodes
-// whose input has rank ≤ d, where t itself is rounding noise. O(|S|·k·d²)
-// per node; harness use.
-func (t *Tree) AuditUpper() error {
-	if !t.built {
-		return nil
-	}
-	if err := t.AuditShapes(); err != nil {
+// certTol is the certificate's one relative tolerance. Over every batch
+// of the differential harness (the 8 default seeds, the 4 long-horizon
+// ones and 64 more; every level-1 block on rsvd.Sparse's exact narrow
+// route, whose U is orthonormal only to 1.6e-9) its three quantities
+// stayed within 1.8e-15·σ₁² (Gram), 2.2e-13·σ₁² (projection) and
+// 2.2e-15·‖X‖² (level-1 tail); at TestUpperGateNearOptimal's
+// checkpoints, level 1 sketched, within 4.9e-15, 6.7e-15 and 2.4e-15.
+// 1e-10 leaves 450× headroom.
+const certTol = 1e-10
+
+// Certify checks every cached node against its input X — the block as
+// its factor saw it (DynRow.BaselineBlockCSR) at level 1, the node's
+// current children as U·Σ above it — with P = UᵀX:
+//
+//   - (UΣ)ᵀ(UΣ) = Σ² to certTol·σ₁²: U is orthonormal wherever Σ weighs
+//     it, so U·Σ feeds the parent Σ's energy and no more;
+//   - P·Pᵀ = Σ² to certTol·σ₁²: Σ is the spectrum of X's projection onto
+//     U and U holds X's singular directions within its span;
+//   - the exact projection error ‖X‖²_F − ‖P‖²_F equals t² to
+//     certTol·‖X‖²_F at level 1, where t is Eqn. 2's cached tail, and is
+//     at most ((1+η)·t)² + certTol·‖X‖²_F above it, the upper-level
+//     gate's invariant (an exact merge leaves t, an accepted refined copy
+//     at most (1+η)·t, and a node no pass dirtied keeps its children).
+//
+// None of it depends on the route that produced the node, so a tree
+// restored from a save is certified like a live one. It runs AuditShapes
+// first. O(nnz·d + nodes·|S|·k·d²); harness use.
+func (t *Tree) Certify() error {
+	if err := t.AuditShapes(); err != nil || !t.built {
 		return err
 	}
-	counts := t.levelCounts()
-	for cl := 0; cl+1 < len(counts); cl++ {
-		for pj := 0; pj < counts[cl+1]; pj++ {
-			n, what := t.root, "root"
-			if cl+2 < len(counts) {
-				n, what = t.upper[cl][pj], fmt.Sprintf("upper node (%d,%d)", cl, pj)
+	for l, level := range t.levels {
+		for j, n := range level {
+			var y *linalg.Dense // Xᵀ·U, so P·Pᵀ = yᵀy
+			var frob float64
+			if l == 0 {
+				x := t.m.BaselineBlockCSR(j)
+				y, frob = x.TMulDense(n.res.U), x.FrobNorm()
+			} else {
+				x := t.nodeInput(t.levels[l-1], j)
+				y, frob = linalg.TMul(x, n.res.U), x.FrobNorm()
+				linalg.PutDense(x)
 			}
-			u := n.res.U
-			g := linalg.TMul(u, u)
-			for i := 0; i < g.Rows; i++ {
-				for j, x := range g.Row(i) {
-					if i == j {
-						x--
-					}
-					if math.Abs(x) > 1e-10 {
-						return fmt.Errorf("core: audit: %s basis is not orthonormal: (UᵀU − I)[%d,%d] = %g", what, i, j, x)
-					}
+			if err := certifyNode(n, y, frob, l == 0); err != nil {
+				return fmt.Errorf("core: certificate: %s %w", nodeName(l, j, len(t.levels)), err)
+			}
+		}
+	}
+	return nil
+}
+
+// certifyNode checks one node's three quantities given y = Xᵀ·U and
+// ‖X‖_F; exactTail demands t² rather than bounding by ((1+η)·t)².
+func certifyNode(n *node, y *linalg.Dense, frob float64, exactTail bool) error {
+	s := n.res.S
+	var sigma1Sq float64
+	if len(s) > 0 {
+		sigma1Sq = s[0] * s[0]
+	}
+	for _, g := range []struct {
+		name string
+		m    *linalg.Dense
+	}{{"(UΣ)ᵀ(UΣ)", linalg.Gram(n.res.US())}, {"P·Pᵀ", linalg.Gram(y)}} {
+		for i := 0; i < g.m.Rows; i++ {
+			for k, x := range g.m.Row(i) {
+				if i == k {
+					x -= s[i] * s[i]
+				}
+				if math.Abs(x) > certTol*sigma1Sq {
+					return fmt.Errorf("%s differs from Σ² at (%d,%d) by %g (σ₁² = %g)", g.name, i, k, x, sigma1Sq)
 				}
 			}
-			cc := t.nodeInput(t.level1, t.upper, counts, cl, pj)
-			frob := cc.FrobNorm()
-			proj := linalg.TMul(u, cc).FrobNorm()
-			linalg.PutDense(cc)
-			errSq := frob*frob - proj*proj
-			bound := (1 + upperGateEta) * n.tail * (1 + 1e-9)
-			if errSq > bound*bound+1e-12*frob*frob {
-				return fmt.Errorf("core: audit: %s misses its children by %g, beyond (1+%g)·t = %g",
-					what, math.Sqrt(errSq), upperGateEta, (1+upperGateEta)*n.tail)
-			}
 		}
 	}
-	return nil
-}
-
-// AuditBlock re-derives level-1 block j's cached factorization from first
-// principles: it reconstructs the block as it stood at the cache's rebuild
-// (the DynRow baseline), re-runs the randomized SVD at the seed recorded
-// in the cache, and demands Ū and the tail energy match. A mismatch means
-// either the baseline bookkeeping or the cache went stale without the
-// Eqn. 2 trigger noticing. Caches restored from snapshots without seed
-// provenance (seq < 0) are skipped. O(block factorization) — harness use
-// only.
-func (t *Tree) AuditBlock(j int) error {
-	if j < 0 || j >= len(t.level1) {
-		return fmt.Errorf("core: audit: block %d outside [0,%d)", j, len(t.level1))
-	}
-	c := t.level1[j]
-	if c == nil || c.seq < 0 {
+	proj := y.FrobNorm()
+	errSq, tailSq := frob*frob-proj*proj, n.tail*n.tail
+	slack := certTol * frob * frob
+	if exactTail {
+		if math.Abs(errSq-tailSq) > slack {
+			return fmt.Errorf("projection error² %g is not its tail² %g", errSq, tailSq)
+		}
 		return nil
 	}
-	ref, err := t.factorCSR(t.m.BaselineBlockCSR(j), j, c.seq, 1)
-	if err != nil {
-		return fmt.Errorf("core: audit: re-factoring block %d: %w", j, err)
-	}
-	if ref.us.Rows != c.us.Rows || ref.us.Cols != c.us.Cols {
-		return fmt.Errorf("core: audit: block %d cache is %d×%d, replay produced %d×%d",
-			j, c.us.Rows, c.us.Cols, ref.us.Rows, ref.us.Cols)
-	}
-	// The randomized draw is pinned by the seed and independent of the
-	// worker budget, so the replay should be bit-identical; the tolerance
-	// only absorbs non-associative float reductions.
-	const tol = 1e-9
-	if d := math.Abs(ref.tail - c.tail); d > tol*(1+math.Abs(ref.tail)) {
-		return fmt.Errorf("core: audit: block %d tail energy %g, replay %g", j, c.tail, ref.tail)
-	}
-	for r := 0; r < ref.us.Rows; r++ {
-		want, got := ref.us.Row(r), c.us.Row(r)
-		for i := range want {
-			if d := math.Abs(want[i] - got[i]); d > tol*(1+math.Abs(want[i])) {
-				return fmt.Errorf("core: audit: block %d cache diverges from replay at (%d,%d): %g vs %g",
-					j, r, i, got[i], want[i])
-			}
-		}
-	}
-	return nil
-}
-
-// AuditBlocks runs AuditBlock over every level-1 block.
-func (t *Tree) AuditBlocks() error {
-	for j := range t.level1 {
-		if err := t.AuditBlock(j); err != nil {
-			return err
-		}
+	if bound := (1 + upperGateEta) * n.tail; errSq > bound*bound+slack {
+		return fmt.Errorf("misses its children by %g, beyond (1+%g)·t = %g",
+			math.Sqrt(errSq), upperGateEta, bound)
 	}
 	return nil
 }

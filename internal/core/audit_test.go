@@ -32,8 +32,8 @@ func TestAuditShapesClean(t *testing.T) {
 	if err := tr.AuditShapes(); err != nil {
 		t.Fatalf("healthy tree failed shape audit: %v", err)
 	}
-	if err := tr.AuditBlocks(); err != nil {
-		t.Fatalf("healthy tree failed block audit: %v", err)
+	if err := tr.Certify(); err != nil {
+		t.Fatalf("healthy tree failed the certificate: %v", err)
 	}
 }
 
@@ -44,27 +44,27 @@ func TestAuditShapesDetectsCorruption(t *testing.T) {
 		want   string
 	}{
 		"missing level-1 cache": {
-			func(tr *Tree) { tr.level1[2] = nil },
-			"missing level-1 cache",
+			func(tr *Tree) { tr.levels[0][2] = nil },
+			"level-1 node 2 is missing",
 		},
 		"negative tail energy": {
-			func(tr *Tree) { tr.level1[1].tail = -0.5 },
+			func(tr *Tree) { tr.levels[0][1].tail = -0.5 },
 			"tail",
 		},
 		"NaN tail energy": {
-			func(tr *Tree) { tr.level1[1].tail = math.NaN() },
+			func(tr *Tree) { tr.levels[0][1].tail = math.NaN() },
 			"tail",
 		},
 		"truncated upper level": {
-			func(tr *Tree) { tr.upper[0] = tr.upper[0][:len(tr.upper[0])-1] },
-			"upper level",
+			func(tr *Tree) { tr.levels[1] = tr.levels[1][:len(tr.levels[1])-1] },
+			"level 2 has",
 		},
 		"missing root": {
-			func(tr *Tree) { tr.root = nil },
-			"root",
+			func(tr *Tree) { tr.levels[len(tr.levels)-1][0] = nil },
+			"root is missing",
 		},
 		"spectrum not descending": {
-			func(tr *Tree) { s := tr.root.res.S; s[0], s[1] = s[1], s[0] },
+			func(tr *Tree) { s := tr.Root().S; s[0], s[1] = s[1], s[0] },
 			"spectrum",
 		},
 	}
@@ -83,47 +83,9 @@ func TestAuditShapesDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAuditBlockSeedReplay verifies the audit's core property: every
-// level-1 cache can be reproduced bit-for-bit by re-factoring the block's
-// baseline at the recorded sequence number — and a cache whose contents
-// were tampered with after the fact no longer can.
-func TestAuditBlockSeedReplay(t *testing.T) {
-	tr, _ := auditedTree(t)
-	for j := range tr.level1 {
-		if err := tr.AuditBlock(j); err != nil {
-			t.Fatalf("block %d failed seed replay: %v", j, err)
-		}
-	}
-
-	tr.level1[3].us.Data[0] += 1e-6
-	if err := tr.AuditBlock(3); err == nil {
-		t.Fatal("tampered Ū cache passed seed replay")
-	}
-	tr, _ = auditedTree(t)
-	tr.level1[3].tail *= 1.01
-	if tr.level1[3].tail == 0 {
-		t.Skip("block tail is exactly zero; perturbation impossible")
-	}
-	if err := tr.AuditBlock(3); err == nil {
-		t.Fatal("tampered tail passed seed replay")
-	}
-}
-
-// TestAuditBlockSkipsUnknownProvenance: caches restored from snapshots
-// that predate seed recording carry seq = -1 and must be skipped, not
-// failed.
-func TestAuditBlockSkipsUnknownProvenance(t *testing.T) {
-	tr, _ := auditedTree(t)
-	tr.level1[0].seq = -1
-	tr.level1[0].us.Data[0] += 1 // would fail replay if it ran
-	if err := tr.AuditBlock(0); err != nil {
-		t.Fatalf("seq = -1 block audited anyway: %v", err)
-	}
-}
-
-// TestAuditUpperHoldsOverGatedUpdates: the upper-level invariant holds
-// after every committed pass of a churn stream whose dirty nodes mix
-// exact merges and refined copies.
+// TestAuditUpperHoldsOverGatedUpdates: the certificate holds after every
+// committed pass of a churn stream whose dirty upper nodes mix exact
+// merges and refined copies.
 func TestAuditUpperHoldsOverGatedUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := sparse.NewDynRow(12, 96, 8)
@@ -137,7 +99,7 @@ func TestAuditUpperHoldsOverGatedUpdates(t *testing.T) {
 		}
 		mustCore(tr.Update(bgt))
 		merges, projections = merges+tr.Stats().UpperRebuilt, projections+tr.Stats().UpperProjections
-		if err := tr.AuditUpper(); err != nil {
+		if err := tr.Certify(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
@@ -146,41 +108,89 @@ func TestAuditUpperHoldsOverGatedUpdates(t *testing.T) {
 	}
 }
 
-// TestAuditUpperDetectsCorruption: a halved anchor tail and a random
-// orthonormal basis keep every shape the cheap audit checks, and must
-// each fail AuditUpper, at a level-2 node and at the root.
+// TestAuditUpperDetectsCorruption is the certificate's mutation table, at
+// a level-1 block, a level-2 node and the root of a healthy tree. Every
+// mutation keeps the shapes AuditShapes checks, except the swapped Σ,
+// which AuditShapes must reject; each must fail Certify, naming the node.
+// The tail ×1.01 and the perturbed baseline apply at level 1, where the
+// tail is exact and the input is the block's DynRow baseline.
 func TestAuditUpperDetectsCorruption(t *testing.T) {
-	nodes := map[string]func(*Tree) *upperNode{
-		"level-2 node": func(tr *Tree) *upperNode { return tr.upper[0][1] },
-		"root":         func(tr *Tree) *upperNode { return tr.root },
+	targets := []struct {
+		name string
+		at   func(*Tree) (l, j int)
+	}{
+		{"level-1 block", func(*Tree) (int, int) { return 0, 1 }},
+		{"level-2 node", func(*Tree) (int, int) { return 1, 1 }},
+		{"root", func(tr *Tree) (int, int) { return len(tr.levels) - 1, 0 }},
 	}
-	mutations := map[string]func(*upperNode, *rand.Rand){
-		"anchor tail halved": func(n *upperNode, _ *rand.Rand) { n.tail /= 2 },
-		"random orthonormal basis": func(n *upperNode, rng *rand.Rand) {
+	mutations := []struct {
+		name          string
+		level1, shape bool // level-1 only; AuditShapes must reject it too
+		mutate        func(t *testing.T, n *node, m *sparse.DynRow, j int)
+	}{
+		{"anchor tail halved", false, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			if n.tail == 0 {
+				t.Fatal("node has a zero tail; nothing to corrupt")
+			}
+			n.tail /= 2
+		}},
+		{"tail x1.01", true, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			if n.tail == 0 {
+				t.Fatal("node has a zero tail; nothing to corrupt")
+			}
+			n.tail *= 1.01
+		}},
+		{"random orthonormal basis", false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			rng := rand.New(rand.NewSource(3))
 			u := linalg.NewDense(n.res.U.Rows, n.res.U.Cols)
 			for i := range u.Data {
 				u.Data[i] = rng.NormFloat64()
 			}
 			n.res.U = linalg.Orthonormalize(u)
-		},
+		}},
+		{"U entry +1e-6", false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			u, r := n.res.U, 0
+			for i := 1; i < u.Rows; i++ {
+				if math.Abs(u.At(i, 0)) > math.Abs(u.At(r, 0)) {
+					r = i
+				}
+			}
+			u.Row(r)[0] += 1e-6
+		}},
+		{"spectrum entries swapped", false, true, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			s := n.res.S
+			if len(s) < 2 || s[0] == s[1] {
+				t.Fatalf("node spectrum %v has no two distinct values to swap", s)
+			}
+			s[0], s[1] = s[1], s[0]
+		}},
+		{"baseline value perturbed", true, false, func(_ *testing.T, _ *node, m *sparse.DynRow, j int) {
+			// Moving an entry and resetting the block's baseline without
+			// re-factoring it is the bookkeeping going stale behind the
+			// trigger's back.
+			lo, _ := m.BlockRange(j)
+			m.Set(0, lo, m.Get(0, lo)+1)
+			m.MarkRebuilt(j)
+		}},
 	}
-	for nodeName, node := range nodes {
-		for mutName, mutate := range mutations {
-			t.Run(nodeName+"/"+mutName, func(t *testing.T) {
-				tr, _ := auditedTree(t)
-				if err := tr.AuditUpper(); err != nil {
+	for _, tg := range targets {
+		for _, mu := range mutations {
+			if mu.level1 && tg.name != "level-1 block" {
+				continue
+			}
+			t.Run(tg.name+"/"+mu.name, func(t *testing.T) {
+				tr, m := auditedTree(t)
+				if err := tr.Certify(); err != nil {
 					t.Fatalf("healthy tree failed: %v", err)
 				}
-				n := node(tr)
-				if n.tail == 0 {
-					t.Fatal("node has a zero anchor tail; nothing to corrupt")
+				l, j := tg.at(tr)
+				mu.mutate(t, tr.levels[l][j], m, j)
+				if err := tr.AuditShapes(); (err != nil) != mu.shape {
+					t.Fatalf("AuditShapes = %v, want rejection %t", err, mu.shape)
 				}
-				mutate(n, rand.New(rand.NewSource(3)))
-				if err := tr.AuditShapes(); err != nil {
-					t.Fatalf("the mutation broke a shape, not the invariant: %v", err)
-				}
-				if err := tr.AuditUpper(); err == nil || !strings.Contains(err.Error(), "misses its children") {
-					t.Fatalf("AuditUpper = %v, want a miss of the (1+η)·t bound", err)
+				err := tr.Certify()
+				if want := nodeName(l, j, len(tr.levels)); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Certify = %v, want a failure at the %s", err, want)
 				}
 			})
 		}

@@ -46,18 +46,16 @@ func TestLevel1TailNearOptimal(t *testing.T) {
 	if err := tr.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tails := tr.Snapshot().Level1Tail
-
 	var prod, exact, zero float64
 	blocks := 0
-	for j := range tails {
+	for j, n := range tr.Snapshot().Levels[0] {
 		blk := m.BlockCSR(j)
 		if blk.NNZ() == 0 {
 			continue
 		}
 		blocks++
 		frob := blk.FrobNorm()
-		prod += tails[j] / frob
+		prod += n.Tail / frob
 		exact += linalg.SVDTrunc(blk.ToDense(), cfg.Rank).TailEnergy(frob, cfg.Rank) / frob
 		res, err := rsvd.Sparse(blk, rsvd.Options{Rank: cfg.Rank, Seed: cfg.Seed + int64(j)})
 		if err != nil {

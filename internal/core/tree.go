@@ -14,25 +14,14 @@ import (
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
-// blockCache is the per-level-1-block state kept between updates: the
-// compressed representation Ū = (U)_d(Σ)_d fed to level 2, and the tail
-// energy ‖(B)_d − B‖_F measured when the block was last factored (the
-// first term of Eqn. 2, free from the cached singular values).
-type blockCache struct {
-	us   *linalg.Dense
-	tail float64
-	// seq is the tree's factorization counter when this cache was built; it
-	// pins the randomized draw, so the correctness harness can re-factor
-	// the block's baseline at the same seed and demand an identical result.
-	// -1 marks caches restored from a snapshot without seed provenance.
-	seq int64
-}
-
-// upperNode is the cached factor of one node above level 1 — a level-2
-// parent or the root: its rank-d SVD (U and Σ; V only at the root) and
-// the anchor tail t = ‖C − (C)_d‖_F its last exact merge left on its
-// input C. The parent's input is U·Σ, formed when the parent merges.
-type upperNode struct {
+// node is the cached factor of one tree node at any level — a level-1
+// block, an intermediate parent or the root: its rank-≤d SVD (U and Σ; no
+// node keeps V) and its tail t. The parent's input is U·Σ, formed when the
+// parent merges. At level 1, t = ‖B − (B)_d‖_F is measured when the block
+// is factored (the first term of Eqn. 2, free from the singular values);
+// above it, t is the anchor tail ‖C − (C)_d‖_F the node's last exact merge
+// left on its input C.
+type node struct {
 	res  *linalg.SVDResult
 	tail float64
 }
@@ -76,15 +65,13 @@ type Tree struct {
 	cfg Config
 	m   *sparse.DynRow
 
-	level1 []*blockCache
-	// upper[l][j] caches node j at tree level l+2 (level 2 is upper[0]);
-	// the root lives in root instead, so upper has one level fewer than
-	// the tree has above level 1.
-	upper [][]*upperNode
-	root  *upperNode
-	seq   int64 // per-factorization counter so randomized draws differ
-	stats Stats
-	built bool
+	// levels[l][j] caches node j at tree level l+1, bottom-up:
+	// levels[0] holds the level-1 blocks and the last level the single
+	// root. Empty until the first pass commits.
+	levels [][]*node
+	seq    int64 // per-factorization counter so randomized draws differ
+	stats  Stats
+	built  bool
 
 	// met accumulates lifetime work counters and timing spans (always
 	// non-nil); trace, when set, receives a TraceBlockRecompute event for
@@ -101,7 +88,7 @@ func NewTree(m *sparse.DynRow, cfg Config) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tree{cfg: cfg, m: m, level1: make([]*blockCache, m.NumBlocks()), met: &Metrics{}}, nil
+	return &Tree{cfg: cfg, m: m, met: &Metrics{}}, nil
 }
 
 // Config returns the tree's configuration.
@@ -123,19 +110,19 @@ func (t *Tree) Stats() Stats { return t.stats }
 // Built reports whether the tree holds a committed factorization.
 func (t *Tree) Built() bool { return t.built }
 
-// blockSeed pins the randomized draw of block j's factorization at pass
-// seq; factorCSR and the harness's AuditBlock derive seeds the same way,
-// so replaying a block's baseline reproduces its cached factorization.
-func (t *Tree) blockSeed(j int, seq int64) int64 {
-	return t.cfg.Seed + int64(j)*1_000_003 + seq*7_777_777
+// blockSeed pins the randomized draw of block j's factorization in the
+// current pass. The draw depends on nothing else, so two trees at the same
+// pass counter over the same matrix factor every block alike.
+func (t *Tree) blockSeed(j int) int64 {
+	return t.cfg.Seed + int64(j)*1_000_003 + t.seq*7_777_777
 }
 
 // factorCSR runs the level-1 sparse randomized SVD on an extracted block
-// at an explicit pass counter and returns a fresh cache entry.
-// kernelWorkers is the worker budget handed to the linear-algebra kernels
-// inside the factorization; the randomized draw — and hence the result —
-// depends only on the seed, never on the budget.
-func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (*blockCache, error) {
+// and returns a fresh node. kernelWorkers is the worker budget handed to
+// the linear-algebra kernels inside the factorization; the randomized
+// draw — and hence the result — depends only on the seed, never on the
+// budget.
+func (t *Tree) factorCSR(blk *sparse.CSR, j int, kernelWorkers int) (*node, error) {
 	start := time.Now()
 	defer t.met.BlockFactorNanos.ObserveSince(start)
 	frob := blk.FrobNorm()
@@ -145,11 +132,11 @@ func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (
 	// zero iterations leave 0.727 of the 0.919 trigger, and half as many
 	// blocks re-factor. A second iteration reaches 0.634 at 1.7× the cost
 	// per block (EXPERIMENTS "Ablations").
-	res, err := rsvd.Sparse(blk, rsvd.Options{Rank: t.cfg.Rank, PowerIters: 1, Seed: t.blockSeed(j, seq), Workers: kernelWorkers})
+	res, err := rsvd.Sparse(blk, rsvd.Options{Rank: t.cfg.Rank, PowerIters: 1, Seed: t.blockSeed(j), Workers: kernelWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("core: block %d: %w", j, err)
 	}
-	return &blockCache{us: res.US(), tail: res.TailEnergy(frob, t.cfg.Rank), seq: seq}, nil
+	return &node{res: &linalg.SVDResult{U: res.U, S: res.S}, tail: res.TailEnergy(frob, t.cfg.Rank)}, nil
 }
 
 // Build runs the full static Tree-SVD (Algorithm 3) over the current
@@ -158,28 +145,23 @@ func (t *Tree) factorCSR(blk *sparse.CSR, j int, seq int64, kernelWorkers int) (
 // the pass without touching the committed state.
 func (t *Tree) Build(ctx context.Context) error {
 	start := time.Now()
-	z := make([]int, len(t.level1))
+	z := make([]int, t.m.NumBlocks())
 	for j := range z {
 		z[j] = j
 	}
 	return t.pass(ctx, start, z, 0, true, &t.met.Builds, nil)
 }
 
-// violates evaluates the Eqn. 2 trigger for level-1 block j:
+// violates evaluates the Eqn. 2 trigger for level-1 block j of a built
+// tree:
 //
 //	‖(B^(t-i))_d − B^(t-i)‖_F + ‖D_j‖_F > √2·δ·‖B^t_j‖_F.
-//
-// Unbuilt blocks always violate.
 func (t *Tree) violates(j int) bool {
-	c := t.level1[j]
-	if c == nil {
-		return true
-	}
 	delta := t.m.DeltaFrobNorm(j)
 	if delta == 0 {
 		return false // untouched block: cache is exact
 	}
-	return c.tail+delta > math.Sqrt2*t.cfg.Delta*t.m.BlockFrobNorm(j)
+	return t.levels[0][j].tail+delta > math.Sqrt2*t.cfg.Delta*t.m.BlockFrobNorm(j)
 }
 
 // Update runs the lazy update (Algorithm 4): re-factor only the level-1
@@ -197,12 +179,12 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 	}
 	start := time.Now()
 	var z []int
-	for j := range t.level1 {
+	for j := 0; j < t.m.NumBlocks(); j++ {
 		if t.violates(j) {
 			z = append(z, j)
 		}
 	}
-	if err := t.pass(ctx, start, z, len(t.level1)-len(z), false, &t.met.Updates, t.trace); err != nil {
+	if err := t.pass(ctx, start, z, t.m.NumBlocks()-len(z), false, &t.met.Updates, t.trace); err != nil {
 		return 0, err
 	}
 	return len(z), nil
@@ -219,17 +201,25 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 	t.seq++
 	stats := Stats{Level1Rebuilt: len(z), Skipped: skipped}
 	if len(z) > 0 {
+		// Fresh level slices, seeded with the committed nodes where present.
+		counts := t.levelCounts()
+		levels := make([][]*node, len(counts))
+		for l, n := range counts {
+			levels[l] = make([]*node, n)
+			if l < len(t.levels) {
+				copy(levels[l], t.levels[l])
+			}
+		}
 		w := par.Workers(t.cfg.Workers)
-		fresh := append([]*blockCache(nil), t.level1...)
 		kb := par.SplitBudget(w, len(z))
 		if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
 			return par.ForErr(ctx, len(z), w, func(i int) error {
 				bstart := time.Now()
-				c, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], t.seq, kb)
+				n, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], kb)
 				if err != nil {
 					return err
 				}
-				fresh[z[i]] = c
+				levels[0][z[i]] = n
 				if trace != nil {
 					trace(obs.TraceEvent{Kind: obs.TraceBlockRecompute, Block: z[i], Dur: time.Since(bstart)})
 				}
@@ -242,11 +232,10 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 		for _, j := range z {
 			dirty[j] = true
 		}
-		upper, root, err := t.merge(ctx, fresh, dirty, exact, &stats)
-		if err != nil {
+		if err := t.merge(ctx, levels, dirty, exact, &stats); err != nil {
 			return err
 		}
-		t.commit(fresh, upper, root, z)
+		t.commit(levels, z)
 	}
 	t.stats = stats
 	t.met.observeCommit(stats)
@@ -256,13 +245,11 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 }
 
 // commit atomically installs a finished factorization pass: the fresh
-// caches replace the old ones wholesale and only now are the rebuilt
+// levels replace the old ones wholesale and only now are the rebuilt
 // blocks' DynRow baselines reset. Readers holding results obtained before
 // the commit keep valid (old) data — nothing they reference is mutated.
-func (t *Tree) commit(level1 []*blockCache, upper [][]*upperNode, root *upperNode, rebuilt []int) {
-	t.level1 = level1
-	t.upper = upper
-	t.root = root
+func (t *Tree) commit(levels [][]*node, rebuilt []int) {
+	t.levels = levels
 	for _, j := range rebuilt {
 		t.m.MarkRebuilt(j)
 	}
@@ -271,7 +258,7 @@ func (t *Tree) commit(level1 []*blockCache, upper [][]*upperNode, root *upperNod
 
 // levelCounts returns the node counts per tree level, bottom-up, ending
 // with the single root.
-func (t *Tree) levelCounts() []int { return levelCounts(len(t.level1), t.cfg.Branch) }
+func (t *Tree) levelCounts() []int { return levelCounts(t.m.NumBlocks(), t.cfg.Branch) }
 
 // levelCounts is the tree geometry over b level-1 blocks at fan-in k:
 // ⌈·/k⌉ per level up to one root. A single block still gets a root
@@ -284,69 +271,46 @@ func levelCounts(b, k int) []int {
 	return counts
 }
 
-// nodeInput returns the merge input C of node pj at level cl+1 — its
-// children at level cl side by side, each as U·Σ — in pooled scratch the
-// caller releases with linalg.PutDense.
-func (t *Tree) nodeInput(level1 []*blockCache, upper [][]*upperNode, counts []int, cl, pj int) *linalg.Dense {
-	lo, hi := pj*t.cfg.Branch, min((pj+1)*t.cfg.Branch, counts[cl])
+// nodeInput returns the merge input C of parent pj of the nodes in
+// children — its children side by side, each as U·Σ — in pooled scratch
+// the caller releases with linalg.PutDense.
+func (t *Tree) nodeInput(children []*node, pj int) *linalg.Dense {
+	kids := children[pj*t.cfg.Branch : min((pj+1)*t.cfg.Branch, len(children))]
 	cols := 0
-	for j := lo; j < hi; j++ {
-		if cl == 0 {
-			cols += level1[j].us.Cols
-		} else {
-			cols += upper[cl-1][j].res.Rank()
-		}
+	for _, c := range kids {
+		cols += c.res.Rank()
 	}
 	cc := linalg.GetDense(t.m.Rows(), cols)
 	off := 0
-	for j := lo; j < hi; j++ {
-		if cl == 0 {
-			us := level1[j].us
-			for i := 0; i < cc.Rows; i++ {
-				copy(cc.Row(i)[off:], us.Row(i))
-			}
-			off += us.Cols
-			continue
-		}
+	for _, c := range kids {
 		// U·Σ written straight into place: the same bits as res.US().
-		res := upper[cl-1][j].res
+		u, s := c.res.U, c.res.S
 		for i := 0; i < cc.Rows; i++ {
 			out := cc.Row(i)[off:]
-			for c, x := range res.U.Row(i) {
-				out[c] = x * res.S[c]
+			for k, x := range u.Row(i) {
+				out[k] = x * s[k]
 			}
 		}
-		off += res.Rank()
+		off += len(s)
 	}
 	return cc
 }
 
-// merge propagates rebuilt nodes up the tree (Algorithm 4 lines 6-12) into
-// fresh upper-level caches and a fresh root. A parent is re-derived only
-// when one of its children changed — by an exact merge SVD when exact is
-// set or the upper-level gate refuses the refined copy of its cached
-// factor — and untouched subtrees are copied from the previous caches.
-// The exact merges and the gate's accepted copies are counted into
-// stats. The tree itself is not modified: the caller commits the
-// returned structures only when the whole pass succeeded.
-func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bool, exact bool, stats *Stats) ([][]*upperNode, *upperNode, error) {
+// merge propagates rebuilt nodes up the tree (Algorithm 4 lines 6-12)
+// through the fresh levels, whose level 1 already holds the pass's
+// factors. A parent is re-derived only when one of its children changed —
+// by an exact merge SVD when exact is set or the upper-level gate refuses
+// the refined copy of its cached factor — and every other slot keeps the
+// previous pass's node. The exact merges and the gate's accepted copies
+// are counted into stats. The tree itself is not modified: the caller
+// commits levels only when the whole pass succeeded.
+func (t *Tree) merge(ctx context.Context, levels [][]*node, dirty map[int]bool, exact bool, stats *Stats) error {
 	start := time.Now()
 	defer t.met.MergeNanos.ObserveSince(start)
 	w := par.Workers(t.cfg.Workers)
-	counts := t.levelCounts()
-	// Fresh upper cache: one slice per intermediate level, seeded with
-	// the previous pass's nodes where present.
-	upper := make([][]*upperNode, len(counts)-2)
-	for li := range upper {
-		upper[li] = make([]*upperNode, counts[li+1])
-		if li < len(t.upper) {
-			copy(upper[li], t.upper[li])
-		}
-	}
-	var root *upperNode
 	k := t.cfg.Branch
-	if err := stage(ctx, "tree.merge", func(ctx context.Context) error {
-		for cl := 0; cl+1 < len(counts); cl++ {
+	return stage(ctx, "tree.merge", func(ctx context.Context) error {
+		for cl := 0; cl+1 < len(levels); cl++ {
 			parentDirty := make(map[int]bool)
 			for j := range dirty {
 				parentDirty[j/k] = true
@@ -356,7 +320,6 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 				parents = append(parents, pj)
 			}
 			sort.Ints(parents)
-			isRootLevel := cl+2 == len(counts)
 			// Fan-out across dirty parents; each merge's kernels get the
 			// leftover budget (the root level has one parent, so its merge
 			// runs with the full budget — it is the serial bottleneck of
@@ -365,20 +328,10 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 			projected := make([]bool, len(parents))
 			if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
 				pj := parents[pi]
-				prev := t.root
-				if !isRootLevel {
-					prev = upper[cl][pj] // still the previous pass's node
-				}
-				cc := t.nodeInput(level1, upper, counts, cl, pj)
-				node, ok := t.mergeNode(cc, prev, exact, kb)
+				cc := t.nodeInput(levels[cl], pj)
+				// levels[cl+1][pj] is still the previous pass's node.
+				levels[cl+1][pj], projected[pi] = t.mergeNode(cc, levels[cl+1][pj], exact, kb)
 				linalg.PutDense(cc) // no result aliases the concat
-				projected[pi] = ok
-				if isRootLevel {
-					root = node // exactly one root-level parent: no write race
-				} else {
-					node.res.V = nil // only the root's right factor is kept
-					upper[cl][pj] = node
-				}
 				return nil
 			}); err != nil {
 				return err
@@ -393,10 +346,7 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 			dirty = parentDirty
 		}
 		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	return upper, root, nil
+	})
 }
 
 // mergeNode derives a dirty upper node's factor from its new input cc.
@@ -405,16 +355,16 @@ func (t *Tree) merge(ctx context.Context, level1 []*blockCache, dirty map[int]bo
 // within (1+upperGateEta) of the anchor tail, which it inherits, and
 // mergeNode reports true. Otherwise the exact merge SVD runs and its
 // tail becomes the node's new anchor.
-func (t *Tree) mergeNode(cc *linalg.Dense, prev *upperNode, exact bool, workers int) (*upperNode, bool) {
+func (t *Tree) mergeNode(cc *linalg.Dense, prev *node, exact bool, workers int) (*node, bool) {
 	frob := cc.FrobNorm()
 	if !exact && prev != nil && prev.res.Rank() > 0 {
 		cand := linalg.SVDRefine(cc, prev.res.U, workers)
 		if cand.TailEnergy(frob, t.cfg.Rank) <= (1+upperGateEta)*prev.tail {
-			return &upperNode{res: cand, tail: prev.tail}, true
+			return &node{res: &linalg.SVDResult{U: cand.U, S: cand.S}, tail: prev.tail}, true
 		}
 	}
 	res := linalg.SVDTruncW(cc, t.cfg.Rank, workers)
-	return &upperNode{res: res, tail: res.TailEnergy(frob, t.cfg.Rank)}, false
+	return &node{res: &linalg.SVDResult{U: res.U, S: res.S}, tail: res.TailEnergy(frob, t.cfg.Rank)}, false
 }
 
 // ForceRebuildBlock re-factors level-1 block j unconditionally, bypassing
@@ -435,15 +385,16 @@ func (t *Tree) ForceRebuildBlock(ctx context.Context, j int) (int, error) {
 	return 1, nil
 }
 
-// Root returns the root truncated SVD (U_{q,1})_d, (Σ_{q,1})_d. Build or
-// Update must have succeeded first. The returned result (and its U/S/V)
-// is immutable: later Build/Update calls install fresh objects instead of
-// mutating it, so callers may hold it across updates.
+// Root returns the root truncated SVD (U_{q,1})_d, (Σ_{q,1})_d; it
+// carries no V. Build or Update must have succeeded first. The returned
+// result (and its U/S) is immutable: later Build/Update calls install
+// fresh objects instead of mutating it, so callers may hold it across
+// updates.
 func (t *Tree) Root() *linalg.SVDResult {
-	if t.root == nil {
+	if !t.built {
 		panic("core: Root before Build")
 	}
-	return t.root.res
+	return t.levels[len(t.levels)-1][0].res
 }
 
 // Embedding returns the subset embedding X = (U_{q,1})_d·√(Σ_{q,1})_d.

@@ -438,12 +438,10 @@ func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
 	if _, err := RestoreTree(m, cfg, snap); err != nil {
 		t.Fatalf("healthy snapshot refused: %v", err)
 	}
+	root := len(snap.Levels) - 1
 	for name, d := range map[string]*linalg.Dense{
-		"Level1US": snap.Level1US[0], "UpperU": snap.UpperU[0][1], "RootU": snap.RootU, "RootV": snap.RootV,
+		"level-1 basis": snap.Levels[0][0].U, "level-2 basis": snap.Levels[1][1].U, "root basis": snap.Levels[root][0].U,
 	} {
-		if d == nil {
-			t.Fatalf("%s: snapshot does not carry the factor under test", name)
-		}
 		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
 			at := len(d.Data) / 2
 			keep := d.Data[at]
@@ -456,7 +454,7 @@ func TestRestoreTreeRejectsNonFiniteFactors(t *testing.T) {
 	}
 	// The scalar factors: a +Inf tail energy or singular value is refused
 	// like a NaN or negative one.
-	for name, v := range map[string]*float64{"Level1Tail": &snap.Level1Tail[0], "RootS": &snap.RootS[0]} {
+	for name, v := range map[string]*float64{"level-1 tail": &snap.Levels[0][0].Tail, "root Σ": &snap.Levels[root][0].S[0]} {
 		keep := *v
 		*v = math.Inf(1)
 		if _, err := RestoreTree(m, cfg, snap); err == nil {
@@ -563,7 +561,7 @@ func TestBuildStaysExact(t *testing.T) {
 	fresh.seq = tr.seq - 1 // Build advances it to the same pass counter
 	must0t(fresh.Build(bgt))
 	a, b := tr.Root(), fresh.Root()
-	if !slices.Equal(a.S, b.S) || !slices.Equal(a.U.Data, b.U.Data) || !slices.Equal(a.V.Data, b.V.Data) {
+	if !slices.Equal(a.S, b.S) || !slices.Equal(a.U.Data, b.U.Data) {
 		t.Fatal("Build after gated updates differs from Build on a fresh tree")
 	}
 }

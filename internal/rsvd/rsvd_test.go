@@ -183,8 +183,9 @@ func geometric(n int, top float64) []float64 {
 // than the Rank + 8 sketch. Every result must be finite, with orthonormal
 // U and a descending non-negative S. Its tail may exceed the exact rank-d
 // tail (a lost direction only makes Eqn. 2 fire sooner) but not undercut
-// it. Workers 1 and 2 must agree bit for bit, which AuditBlock's replay at
-// one worker assumes.
+// it. Workers 1 and 2 must agree bit for bit: the tree hands a block
+// whatever kernel budget the pass's other dirty blocks leave, and its
+// cached factor must not depend on that.
 func TestSparseHostileSpectra(t *testing.T) {
 	const rank = 16
 	rng := rand.New(rand.NewSource(34))

@@ -24,7 +24,7 @@ import (
 // so bit rot that still decodes as structurally plausible gob is
 // rejected deterministically.
 const (
-	persistVersion = 6
+	persistVersion = 7
 	persistMagic   = "TSV2"
 	footerLen      = 8
 )

@@ -123,16 +123,34 @@ func corruptSave[W any](t testing.TB, mutate func(*W)) []byte {
 	return out.Bytes()
 }
 
-// widestUpper returns the level-2 node of a snapshot with the most
-// singular values, so a test can reorder two of them.
-func widestUpper(tr *core.TreeSnapshot) int {
-	best := 0
-	for j, sv := range tr.UpperS[0] {
-		if len(sv) > len(tr.UpperS[0][best]) {
-			best = j
+// blockNode returns the first level-1 node of a save's tree that holds a
+// factor.
+func blockNode(s *savedEmbedder) *core.SavedNode {
+	for j := range s.Tree.Levels[0] {
+		if n := &s.Tree.Levels[0][j]; len(n.S) > 0 {
+			return n
 		}
 	}
-	return best
+	panic("healthy save has no non-empty level-1 node")
+}
+
+// rootNode returns the root of a save's tree.
+func rootNode(s *savedEmbedder) *core.SavedNode {
+	levels := s.Tree.Levels
+	return &levels[len(levels)-1][0]
+}
+
+// widen replaces node n's factor with a cols-wide one: every column a copy
+// of its first, over a descending spectrum starting at its first value.
+func widen(n *core.SavedNode, cols int) {
+	u, sv := linalg.NewDense(n.U.Rows, cols), make([]float64, cols)
+	for c := range sv {
+		sv[c] = n.S[0] / float64(c+1)
+		for i := 0; i < u.Rows; i++ {
+			u.Row(i)[c] = n.U.At(i, 0)
+		}
+	}
+	n.U, n.S = u, sv
 }
 
 // TestLoadRejectsCorruptedSaves is the ISSUE 3 regression for Load
@@ -176,15 +194,10 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		{"estimate key out of range", func(s *savedEmbedder) { s.Fwd[0].P[500] = 0.1 }, "estimate key 500"},
 		{"residue key out of range", func(s *savedEmbedder) { s.Rev[1].R[-3] = 0.1 }, "residue key -3"},
 		{"tree block count mismatch", func(s *savedEmbedder) {
-			tr := s.Tree
-			tr.Level1US = tr.Level1US[:1]
-			tr.Level1Tail = tr.Level1Tail[:1]
-		}, "level-1 blocks"},
-		{"tail/cache length mismatch", func(s *savedEmbedder) {
-			s.Tree.Level1Tail = s.Tree.Level1Tail[:1]
-		}, "tail energies"},
-		{"built without root", func(s *savedEmbedder) { s.Tree.RootU = nil }, "without a root"},
-		{"root rank mismatch", func(s *savedEmbedder) { s.Tree.RootS = s.Tree.RootS[:1] }, "singular values"},
+			s.Tree.Levels[0] = s.Tree.Levels[0][:1]
+		}, "level-1 nodes"},
+		{"built without root", func(s *savedEmbedder) { rootNode(s).U = nil }, "root has no basis"},
+		{"root rank mismatch", func(s *savedEmbedder) { n := rootNode(s); n.S = n.S[:1] }, "singular values"},
 		{"NaN residue", func(s *savedEmbedder) {
 			st := s.Fwd[0]
 			st.R[st.Source] = math.NaN()
@@ -197,12 +210,20 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 			st.P[st.Source] -= 0.5
 		}, "invariant audit"},
 		// Cached factors with the right shapes and a non-finite entry.
-		{"NaN in a level-1 cache", func(s *savedEmbedder) { s.Tree.Level1US[0].Data[0] = math.NaN() }, "non-finite"},
-		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.UpperU[0][0].Data[0] = math.Inf(1) }, "non-finite"},
-		{"NaN in the root factor", func(s *savedEmbedder) { s.Tree.RootU.Data[1] = math.NaN() }, "non-finite"},
+		{"NaN in a level-1 cache", func(s *savedEmbedder) { blockNode(s).U.Data[0] = math.NaN() }, "non-finite"},
+		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.Levels[1][0].U.Data[0] = math.Inf(1) }, "non-finite"},
+		{"NaN in the root factor", func(s *savedEmbedder) { rootNode(s).U.Data[1] = math.NaN() }, "non-finite"},
 		// The scalar factors: +Inf passed a NaN-or-negative check and the audit.
-		{"Inf tail energy", func(s *savedEmbedder) { s.Tree.Level1Tail[0] = math.Inf(1) }, "tail energy +Inf"},
-		{"Inf root singular value", func(s *savedEmbedder) { s.Tree.RootS[0] = math.Inf(1) }, "singular value 0 is +Inf"},
+		{"Inf tail energy", func(s *savedEmbedder) { s.Tree.Levels[0][0].Tail = math.Inf(1) }, "tail energy +Inf"},
+		{"Inf root singular value", func(s *savedEmbedder) { rootNode(s).S[0] = math.Inf(1) }, "singular value 0 is +Inf"},
+		// A level-1 node is held to every invariant an upper node is.
+		{"level-1 cache wider than the rank", func(s *savedEmbedder) { widen(blockNode(s), s.Config.Dim+1) }, "exceeds configured rank"},
+		{"level-1 spectrum not descending", func(s *savedEmbedder) {
+			n := blockNode(s)
+			widen(n, 2)
+			n.S[0], n.S[1] = n.S[1], n.S[0]
+		}, "spectrum not descending"},
+		{"NaN level-1 singular value", func(s *savedEmbedder) { blockNode(s).S[0] = math.NaN() }, "singular value 0 is NaN"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
@@ -279,27 +300,26 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	}
 }
 
-// legacyTreeSave is a healthy save whose tree snapshot is encoded
-// from a struct that still has the four per-block factor fields the
-// removed update path persisted, populated — the wire form of a save
-// written before their removal.
+// legacyTreeSave is a healthy save whose tree snapshot is encoded from a
+// struct that carries, beside the current layout, every field name an
+// earlier layout persisted, populated: the per-block factors of the
+// removed update path and the split level-1 / upper / root layout of
+// version 6.
 func legacyTreeSave(t testing.TB) []byte {
 	type legacyTree struct {
-		Level1US         []*linalg.Dense
-		Level1Tail       []float64
-		Level1Seq        []int64
-		Level1U, Level1V []*linalg.Dense
-		Level1S          [][]float64
-		Level1UpdErr     []float64
-		UpperU           [][]*linalg.Dense
-		UpperS           [][][]float64
-		UpperTail        [][]float64
-		RootU            *linalg.Dense
-		RootS            []float64
-		RootV            *linalg.Dense
-		RootTail         float64
-		Seq              int64
-		Built            bool
+		Levels                     [][]core.SavedNode
+		Seq                        int64
+		Built                      bool
+		Level1US, Level1U, Level1V []*linalg.Dense
+		Level1S                    [][]float64
+		Level1Tail, Level1UpdErr   []float64
+		Level1Seq                  []int64
+		UpperU                     [][]*linalg.Dense
+		UpperS                     [][][]float64
+		UpperTail                  [][]float64
+		RootU, RootV               *linalg.Dense
+		RootS                      []float64
+		RootTail                   float64
 	}
 	type legacySaved struct {
 		Version int
@@ -313,18 +333,29 @@ func legacyTreeSave(t testing.TB) []byte {
 	}
 	return corruptSave(t, func(s *legacySaved) {
 		tr := s.Tree
-		b := len(tr.Level1US)
-		tr.Level1U, tr.Level1V = tr.Level1US, tr.Level1US
-		tr.Level1S, tr.Level1UpdErr = make([][]float64, b), make([]float64, b)
-		for j := range tr.Level1S {
-			tr.Level1S[j], tr.Level1UpdErr[j] = []float64{2, 1}, 0.5
+		for _, n := range tr.Levels[0] {
+			tr.Level1US, tr.Level1U, tr.Level1V = append(tr.Level1US, n.U), append(tr.Level1U, n.U), append(tr.Level1V, n.U)
+			tr.Level1S, tr.Level1Tail = append(tr.Level1S, n.S), append(tr.Level1Tail, n.Tail)
+			tr.Level1UpdErr, tr.Level1Seq = append(tr.Level1UpdErr, 0.5), append(tr.Level1Seq, tr.Seq)
 		}
+		top := len(tr.Levels) - 1
+		for _, level := range tr.Levels[1:top] {
+			var us []*linalg.Dense
+			var ss [][]float64
+			var tails []float64
+			for _, n := range level {
+				us, ss, tails = append(us, n.U), append(ss, n.S), append(tails, n.Tail)
+			}
+			tr.UpperU, tr.UpperS, tr.UpperTail = append(tr.UpperU, us), append(tr.UpperS, ss), append(tr.UpperTail, tails)
+		}
+		root := tr.Levels[top][0]
+		tr.RootU, tr.RootV, tr.RootS, tr.RootTail = root.U, root.U, root.S, root.Tail
 	})
 }
 
 // TestLoadIgnoresRetiredTreeFields: gob drops the fields the snapshot no
-// longer declares, so such a save loads to the same embedder as one
-// without them and persistVersion did not have to move.
+// longer declares, so a save that still carries them loads to the same
+// embedder as one without them. No current field reuses a retired name.
 func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 	legacy := legacyTreeSave(t)
 	if plain := healthySave(); len(legacy) <= len(plain) {
@@ -338,6 +369,18 @@ func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 	if err := got.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	current := map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(core.TreeSnapshot{}), reflect.TypeOf(core.SavedNode{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			current[typ.Field(i).Name] = true
+		}
+	}
+	for _, name := range []string{"Level1US", "Level1U", "Level1V", "Level1S", "Level1Tail", "Level1UpdErr", "Level1Seq",
+		"UpperU", "UpperS", "UpperTail", "RootU", "RootV", "RootS", "RootTail"} {
+		if current[name] {
+			t.Errorf("the tree snapshot reuses the retired field name %s", name)
+		}
+	}
 }
 
 // FuzzLoad is the decoder property over the one save format: for any
@@ -350,7 +393,7 @@ func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 // otherwise the CRC would reject them all and nothing behind it would run.
 func FuzzLoad(f *testing.F) {
 	seeds := [][]byte{healthySave(), legacyTreeSave(f),
-		corruptSave(f, func(s *savedEmbedder) { s.Tree.RootS[0] = math.Inf(1) })}
+		corruptSave(f, func(s *savedEmbedder) { rootNode(s).S[0] = math.Inf(1) })}
 	for _, tc := range nonCanonicalStates {
 		seeds = append(seeds, corruptSave(f, func(s *rawSaved) {
 			var w rawState
