@@ -2,12 +2,13 @@
 # build, vet and short tests of the benchmark module, tests, the
 # race-detector pass over the concurrency-sensitive
 # packages (the public facade, everything under internal/, and the
-# binaries under cmd/, which have no tests but build and vet under it),
-# the short-mode differential fuzz of the correctness harness, ten
-# seconds of coverage fuzzing on each decoder of untrusted bytes, the
-# fault-injection crash matrix of the durable wrapper, the chaos suite,
-# doclint, and one-iteration smokes of the serve, apply, recommend and
-# repair benchmarks.
+# binaries under cmd/), the short-mode differential fuzz of the
+# correctness harness, ten seconds of coverage fuzzing on each decoder of
+# untrusted bytes, the fault-injection crash matrix of the durable
+# wrapper, the chaos suite, doclint, and one-iteration smokes of the
+# apply, recommend and repair benchmarks. Serving latency is measured by
+# the benchmark's serve-mixed workload (bash benchmark/run.sh --workload
+# serve-mixed), not here.
 
 GO ?= go
 
@@ -18,9 +19,9 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-serve bench-serve-short bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
+.PHONY: ci vet build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
 
-ci: fmt vet build bench-module test race differential fuzz-decoders crash chaos docs bench-serve-short bench-apply-short bench-recommend-short bench-repair-short
+ci: fmt vet build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-recommend-short bench-repair-short
 
 vet:
 	$(GO) vet ./...
@@ -129,25 +130,6 @@ bench-recommend-short:
 # and reached_states/batch. For numbers: -benchtime 2000x -count 5.
 bench-repair-short:
 	$(GO) test ./internal/ppr -run xxx -bench Repair -benchtime 200x
-
-# Emits BENCH_SERVE.json: open-loop serving latency (p50/p99/p999) at
-# three or more offered-load points against an in-process HTTP server,
-# then one overload point at 2x the observed knee reporting the
-# accepted/shed split (see cmd/loadgen). The read gate is sized for the
-# box (8 slots on this 1-CPU runner) so the saturated sweep point sheds
-# instead of queueing without bound; the overload point also bounds
-# client-side outstanding requests so its numbers reflect the server,
-# not generator self-queueing. README's "Serving" section quotes these.
-bench-serve:
-	$(GO) run ./cmd/loadgen -rates 200,500,1000,2000 -duration 3s \
-		-read-slots 8 -out $(CURDIR)/BENCH_SERVE.json
-
-# Short smoke variant for `make ci`: tiny graph, short windows, throwaway
-# output — it gates that serve + client + loadgen still work end to end,
-# not the machine-dependent numbers.
-bench-serve-short:
-	$(GO) run ./cmd/loadgen -short -out $(CURDIR)/.bench-serve-ci.json
-	@rm -f $(CURDIR)/.bench-serve-ci.json
 
 # The serving integration + storm suite under the race detector alone
 # (it is also part of `make race`).

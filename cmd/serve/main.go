@@ -3,8 +3,8 @@
 // /v1/rightembedding, /v1/version), streaming ingest (/v1/events), plus
 // /metrics and /debug/pprof on the same listener. The embedder comes from
 // a state file written by `treesvd -save` (resume serving exactly where a
-// build left off) or, with -synthetic, from a generated random graph —
-// the self-contained form cmd/loadgen and `make bench-serve` use.
+// build left off) or, with -synthetic, from a generated random graph, so
+// the service can be tried with no state file at hand.
 //
 // Usage:
 //
@@ -103,7 +103,17 @@ func main() {
 
 // buildSynthetic generates a connected-ish random graph and embeds a
 // sampled subset, mirroring the cmd/treesvd bootstrap but self-contained.
+// Every node gets an out-edge to another node, then random directed edges
+// (self-loops included) are added until the graph has the requested
+// count. With fewer than two nodes or more edges than the nodes² directed
+// pairs neither loop can finish, so those shapes are rejected up front.
 func buildSynthetic(nodes, edges, subsetSize, dim int, rmax float64, workers, maxNodes int, seed int64) (*treesvd.Embedder, error) {
+	if nodes < 2 {
+		return nil, fmt.Errorf("-nodes %d: need at least 2", nodes)
+	}
+	if edges > nodes*nodes {
+		return nil, fmt.Errorf("-edges %d: %d nodes hold at most %d directed edges", edges, nodes, nodes*nodes)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	g := treesvd.NewGraphN(nodes)
 	for v := int32(0); int(v) < nodes; v++ {

@@ -69,33 +69,6 @@ func Factorize(m *sparse.CSR, cfg Config) *linalg.SVDResult {
 		blk := m.SliceColsCSR(lo, hi).ToDense()
 		level[j] = linalg.SVDTruncW(blk, cfg.Rank, kb).US()
 	})
-	level1SVDs.Add(uint64(nb))
-	return mergeLevels(level, cfg)
-}
-
-// FactorizeDense is Factorize for a dense input (tests and Exp. 2 feeds).
-func FactorizeDense(m *linalg.Dense, cfg Config) *linalg.SVDResult {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	nb := cfg.Blocks
-	if nb > m.Cols {
-		nb = m.Cols
-	}
-	width := (m.Cols + nb - 1) / nb
-	nb = (m.Cols + width - 1) / width
-	w := par.Workers(cfg.Workers)
-	kb := par.SplitBudget(w, nb)
-	level := make([]*linalg.Dense, nb)
-	mustFor(nb, w, func(j int) {
-		lo := j * width
-		hi := lo + width
-		if hi > m.Cols {
-			hi = m.Cols
-		}
-		level[j] = linalg.SVDTruncW(m.SliceCols(lo, hi), cfg.Rank, kb).US()
-	})
-	level1SVDs.Add(uint64(nb))
 	return mergeLevels(level, cfg)
 }
 
@@ -116,7 +89,6 @@ func mergeLevels(level []*linalg.Dense, cfg Config) *linalg.SVDResult {
 	for len(level) > 1 {
 		parents := (len(level) + cfg.Branch - 1) / cfg.Branch
 		mb := par.SplitBudget(w, parents)
-		mergeSVDs.Add(uint64(parents))
 		if parents == 1 {
 			// Final merge: return the full truncated result.
 			return linalg.SVDTruncW(linalg.HCat(level...), cfg.Rank, w)
@@ -134,11 +106,5 @@ func mergeLevels(level []*linalg.Dense, cfg Config) *linalg.SVDResult {
 		level = next
 	}
 	// Single block: its SVD is the answer.
-	mergeSVDs.Inc()
 	return linalg.SVDTruncW(level[0], cfg.Rank, w)
-}
-
-// Embedding runs Factorize and applies the X = U√Σ convention.
-func Embedding(m *sparse.CSR, cfg Config) *linalg.Dense {
-	return Factorize(m, cfg).USqrtS()
 }

@@ -39,7 +39,7 @@ func TestExactLowRankRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := lowRank(rng, 12, 64, 3, 0)
 	cfg := Config{Rank: 3, Blocks: 8, Branch: 2}
-	res := FactorizeDense(m, cfg)
+	res := Factorize(toCSR(m), cfg)
 	// Singular values must match the exact SVD (HSVD is lossless when the
 	// block rank bounds the matrix rank).
 	exact := linalg.SVDTrunc(m, 3)
@@ -58,7 +58,7 @@ func TestApproximationWithinTheorem(t *testing.T) {
 	m := lowRank(rng, 15, 60, 8, 0.3)
 	d := 4
 	cfg := Config{Rank: d, Blocks: 4, Branch: 2} // q = 3 levels
-	res := FactorizeDense(m, cfg)
+	res := Factorize(toCSR(m), cfg)
 	// Residual after projecting M on the returned left singular space.
 	proj := linalg.Mul(res.U, linalg.TMul(res.U, m))
 	got := linalg.Sub(m, proj).FrobNorm()
@@ -74,23 +74,10 @@ func TestApproximationWithinTheorem(t *testing.T) {
 	}
 }
 
-func TestSparseDensePathsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := lowRank(rng, 10, 40, 3, 0.1)
-	cfg := Config{Rank: 3, Blocks: 5, Branch: 3}
-	rd := FactorizeDense(m, cfg)
-	rs := Factorize(toCSR(m), cfg)
-	for i := range rd.S {
-		if math.Abs(rd.S[i]-rs.S[i]) > 1e-8*rd.S[0] {
-			t.Fatalf("σ%d dense %g vs sparse %g", i, rd.S[i], rs.S[i])
-		}
-	}
-}
-
 func TestSingleBlockDegeneratesToSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := lowRank(rng, 8, 20, 5, 0.05)
-	res := FactorizeDense(m, Config{Rank: 4, Blocks: 1, Branch: 2})
+	res := Factorize(toCSR(m), Config{Rank: 4, Blocks: 1, Branch: 2})
 	exact := linalg.SVDTrunc(m, 4)
 	for i := range exact.S {
 		if math.Abs(res.S[i]-exact.S[i]) > 1e-8*exact.S[0] {
@@ -103,18 +90,9 @@ func TestBlocksExceedingColsClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := lowRank(rng, 6, 10, 2, 0.05)
 	// 64 blocks over 10 columns: must clamp, not panic.
-	res := FactorizeDense(m, Config{Rank: 2, Blocks: 64, Branch: 8})
+	res := Factorize(toCSR(m), Config{Rank: 2, Blocks: 64, Branch: 8})
 	if res.Rank() == 0 {
 		t.Fatal("clamped factorization returned nothing")
-	}
-}
-
-func TestEmbeddingShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := toCSR(lowRank(rng, 9, 30, 3, 0.1))
-	x := Embedding(m, Config{Rank: 3, Blocks: 6, Branch: 2})
-	if x.Rows != 9 || x.Cols != 3 {
-		t.Fatalf("embedding shape %d×%d, want 9×3", x.Rows, x.Cols)
 	}
 }
 

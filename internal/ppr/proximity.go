@@ -9,32 +9,17 @@ import (
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
-// Transform selects the non-linear operation applied to the scaled PPR
-// scores (Section 2.2 of the paper: "e.g., log or sigmoid").
-type Transform uint8
-
-const (
-	// Log is the STRAP convention M = log(arg) for arg > 1, else 0.
-	Log Transform = iota
-	// Sigmoid maps arg > 1 to 2/(1+e^(−(arg−1))) − 1 ∈ (0,1): a bounded
-	// alternative that compresses heavy-tailed proximity scores harder.
-	Sigmoid
-)
-
 // Proximity maintains the STRAP-style proximity matrix of Section 3.1,
 //
-//	M_S(s,v) = f( p_s(v)/r_max + p⊤_s(v)/r_max ),
+//	M_S(s,v) = log( p_s(v)/r_max + p⊤_s(v)/r_max ),
 //
 // kept only where the argument exceeds 1 (the STRAP convention of
-// retaining proximity scores no smaller than r_max), with f the chosen
-// Transform (log by default). It is stored in a column-blocked DynRow so
-// Tree-SVD's lazy update can read per-block Frobenius norms and deltas in
-// O(1).
+// retaining proximity scores no smaller than r_max). It is stored in a
+// column-blocked DynRow so Tree-SVD's lazy update can read per-block
+// Frobenius norms and deltas in O(1).
 type Proximity struct {
 	Sub *Subset
 	M   *sparse.DynRow
-	// Fn is the non-linearity; the zero value is Log.
-	Fn Transform
 }
 
 // NewProximity builds the proximity matrix over maxNodes columns split
@@ -61,19 +46,7 @@ func (pr *Proximity) value(i int, v int32) float64 {
 	if arg <= 1 {
 		return 0
 	}
-	if pr.Fn == Sigmoid {
-		return 2/(1+math.Exp(-(arg-1))) - 1
-	}
 	return math.Log(arg)
-}
-
-// NewProximityWith builds the proximity matrix with an explicit transform.
-func NewProximityWith(sub *Subset, maxNodes, nblocks int, fn Transform) *Proximity {
-	pr := &Proximity{Sub: sub, M: sparse.NewDynRow(len(sub.S), maxNodes, nblocks), Fn: fn}
-	for i := range sub.S {
-		pr.refreshRowFull(i)
-	}
-	return pr
 }
 
 // refreshRowFull recomputes row i from scratch: every column currently in

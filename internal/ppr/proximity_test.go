@@ -145,47 +145,3 @@ func TestSubsetRejectsOutOfRange(t *testing.T) {
 		t.Fatal("expected error on out-of-range subset node")
 	}
 }
-
-func TestProximitySigmoidTransform(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	g, _, sub := buildSubset(rng, 25, 100, 4, Params{Alpha: 0.2, RMax: 1e-3})
-	_ = g
-	prLog := NewProximity(sub, 25, 4)
-	prSig := NewProximityWith(sub, 25, 4, Sigmoid)
-	if prSig.M.NNZ() != prLog.M.NNZ() {
-		t.Fatalf("transforms keep different supports: %d vs %d", prSig.M.NNZ(), prLog.M.NNZ())
-	}
-	// Sigmoid values are bounded in (0,1); log values are unbounded.
-	foundAboveOne := false
-	for i := 0; i < 4; i++ {
-		for _, c := range prSig.M.RowColumns(i) {
-			v := prSig.M.Get(i, int(c))
-			// Large arguments saturate to exactly 1 in float64.
-			if v <= 0 || v > 1 {
-				t.Fatalf("sigmoid value %g outside (0,1]", v)
-			}
-			if prLog.M.Get(i, int(c)) > 1 {
-				foundAboveOne = true
-			}
-		}
-	}
-	if !foundAboveOne {
-		t.Fatal("test premise broken: no log value above 1")
-	}
-	// Incremental maintenance honors the transform.
-	var events []graph.Event
-	for len(events) < 15 {
-		u, v := int32(rng.Intn(25)), int32(rng.Intn(25))
-		if u != v {
-			events = append(events, graph.Event{U: u, V: v, Type: graph.Insert})
-		}
-	}
-	must0t(prSig.ApplyEvents(bgt, events))
-	for i := 0; i < 4; i++ {
-		for _, c := range prSig.M.RowColumns(i) {
-			if v := prSig.M.Get(i, int(c)); v <= 0 || v > 1 {
-				t.Fatalf("post-update sigmoid value %g outside (0,1]", v)
-			}
-		}
-	}
-}

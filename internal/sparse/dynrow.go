@@ -199,18 +199,6 @@ func (m *DynRow) DeltaFrobNorm(j int) float64 {
 	return math.Sqrt(d)
 }
 
-// DirtyBlocks returns the indices of blocks with a non-empty delta since
-// their last rebuild.
-func (m *DynRow) DirtyBlocks() []int {
-	var out []int
-	for j := 0; j < m.nblocks; j++ {
-		if len(m.base[j]) > 0 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // MarkRebuilt resets block j's baseline to its current contents and
 // recomputes its Frobenius norm exactly (purging incremental drift).
 // Call it after recomputing the block's SVD.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -112,9 +113,11 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		start := time.Now()
 		// Fold the caller's deadline budget into the handler context:
 		// work the caller has given up on is abandoned server-side too,
-		// and the admission queue will not hold a request past it.
+		// and the admission queue will not hold a request past it. A
+		// budget too large for a Duration (~292 years) sets no deadline:
+		// converting it would wrap negative and expire the request.
 		if raw := r.Header.Get(wire.TimeoutHeader); raw != "" {
-			if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
+			if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
 				defer cancel()
 				r = r.WithContext(ctx)

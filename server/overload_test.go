@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,6 +162,25 @@ func TestTimeoutHeaderPropagates(t *testing.T) {
 	}
 	if !capture.sawDeadline.Load() {
 		t.Fatal("the handler context never carried the caller's deadline")
+	}
+
+	// A budget too large for a time.Duration must not wrap into an
+	// already-expired deadline.
+	req, err := http.NewRequest(http.MethodPost, srv.URL()+"/v1/events",
+		strings.NewReader(`{"events":[{"u":2,"v":3,"type":"insert"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(wire.TimeoutHeader, "10000000000000")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("huge %s: status %d %s, want 200", wire.TimeoutHeader, resp.StatusCode, body)
 	}
 }
 
