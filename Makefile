@@ -83,7 +83,10 @@ chaos:
 # decodes must re-encode to the same value), the WAL's segment recovery
 # and checkpoint reader (what is accepted must re-encode to its bytes),
 # the tree snapshot's decoder on its own (RestoreTree: an error, or a tree
-# that passes its shape audit and takes an Update), and Load — the whole
+# that passes its shape audit and takes an Update), one PPR state's
+# decoder behind RestoreSubset (an error, or a state whose keys, membership
+# and values pass check.PPRState, that re-encodes to the same bytes and
+# takes a Repair), and Load — the whole
 # save format, graph and PPR-state gob decoders included, behind a
 # re-sealed checksum (a decode returns an error or a value that passes its
 # audit, never a panic). go test takes one -fuzz target per run. Minimizing a new input
@@ -96,6 +99,7 @@ fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzRestoreTree -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzStateGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ppr
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Configurable-depth fuzz: make fuzz SEEDS=64

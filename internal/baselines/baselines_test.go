@@ -48,12 +48,12 @@ func TestDynPPEHashEmbeddingMatchesScratch(t *testing.T) {
 	check := func() {
 		for i := range s {
 			want := make([]float64, 8)
-			for v, pv := range d.Sub.Fwd[i].P {
+			d.Sub.Fwd[i].Each(func(v int32, pv, _ float64) {
 				dim, sign := d.hash(v)
 				if arg := pv / testParams.RMax; arg > 1 {
 					want[dim] += sign * math.Log(arg)
 				}
-			}
+			})
 			got := d.Embedding().Row(i)
 			for j := range want {
 				if math.Abs(got[j]-want[j]) > 1e-9 {

@@ -78,7 +78,7 @@ func (d *DynPPE) rehashRow(i int) {
 	for _, v := range st.Touched { // a repeat re-derives the same contrib: adds 0
 		dim, sign := d.hash(v)
 		var contrib float64
-		if arg := st.P[v] / rmax; arg > 1 {
+		if arg := st.Est(v) / rmax; arg > 1 {
 			contrib = sign * math.Log(arg)
 		}
 		row[dim] += contrib - d.shadow[i][v]

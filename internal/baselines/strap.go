@@ -101,22 +101,17 @@ func (g *GlobalSTRAP) Factorize() (*STRAPResult, error) {
 		eng.Push(stF)
 		stR := ppr.NewState(int32(src), graph.Reverse)
 		eng.Push(stR)
-		for v, pv := range stR.P {
-			arg := (stF.P[v] + pv) / rmax
-			if arg > 1 {
+		stR.Each(func(v int32, pv, _ float64) {
+			if arg := (stF.Est(v) + pv) / rmax; pv != 0 && arg > 1 {
 				b.Add(src, int(v), math.Log(arg))
 			}
-		}
+		})
 		// Forward-only entries (no reverse mass).
-		for v, pf := range stF.P {
-			if _, ok := stR.P[v]; ok {
-				continue
-			}
-			arg := pf / rmax
-			if arg > 1 {
+		stF.Each(func(v int32, pf, _ float64) {
+			if arg := pf / rmax; stR.Est(v) == 0 && arg > 1 {
 				b.Add(src, int(v), math.Log(arg))
 			}
-		}
+		})
 	}
 	return strapFactor(b.Build(), g.Dim, rsvd.Options{Seed: g.Seed, PowerIters: 2})
 }

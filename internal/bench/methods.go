@@ -164,11 +164,11 @@ func (o Options) runFREDE(g *graph.Graph, s []int32, maxNodes int) embedResult {
 	sub := must(ppr.NewSubsetDirs(g, s, o.params(), true, false))
 	b := sparse.NewBuilder(len(s), maxNodes)
 	for i := range s {
-		for v, pv := range sub.Fwd[i].P {
+		sub.Fwd[i].Each(func(v int32, pv, _ float64) {
 			if arg := pv / o.RMax; arg > 1 {
 				b.Add(i, int(v), math.Log(arg))
 			}
-		}
+		})
 	}
 	r := baselines.FREDE(b.Build(), o.Dim)
 	return embedResult{Left: r.Left, Right: r.Right, Elapsed: time.Since(t0)}

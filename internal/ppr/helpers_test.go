@@ -19,3 +19,18 @@ func must0t(err error) {
 		panic(err)
 	}
 }
+
+// content returns st's non-zero estimates and residues: what tests read of
+// a state.
+func content(st *State) (p, r map[int32]float64) {
+	p, r = map[int32]float64{}, map[int32]float64{}
+	st.Each(func(u int32, pu, ru float64) {
+		if pu != 0 {
+			p[u] = pu
+		}
+		if ru != 0 {
+			r[u] = ru
+		}
+	})
+	return p, r
+}

@@ -12,10 +12,11 @@ type Metrics struct {
 	// spread the rest). The dominant O(1/r_max) cost term of every
 	// update; watch it per batch to see how hard the estimates churn.
 	Pushes obs.Counter
-	// Adjusts counts the Algorithm 2 estimate/residue corrections
-	// executed — the τ term: one per (applied event, state) whose tail is
-	// in the state's membership set, so it tracks what a batch reaches,
-	// not |S|.
+	// Adjusts counts the Algorithm 2 estimate/residue corrections — the
+	// τ term: one per (applied event, state) whose tail is in the state's
+	// membership set, so it tracks what a batch reaches, not |S|. An
+	// insert at a node outside the estimate set counts, though its no-op
+	// correction is not run.
 	Adjusts obs.Counter
 	// StatesRepaired counts the states a Repair adjusted or pushed; per
 	// batch, against 2·|S|, it is the share of the subset the batch

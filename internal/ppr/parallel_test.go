@@ -22,17 +22,18 @@ func TestParallelSubsetMatchesSequential(t *testing.T) {
 		t.Helper()
 		for i := range s {
 			for _, pair := range [][2]*State{{seq.Fwd[i], parl.Fwd[i]}, {seq.Rev[i], parl.Rev[i]}} {
-				a, b := pair[0], pair[1]
-				if len(a.P) != len(b.P) || len(a.R) != len(b.R) {
+				ap, ar := content(pair[0])
+				bp, br := content(pair[1])
+				if len(ap) != len(bp) || len(ar) != len(br) {
 					t.Fatalf("%s: state %d size mismatch", label, i)
 				}
-				for v, x := range a.P {
-					if math.Abs(b.P[v]-x) > 1e-12 {
+				for v, x := range ap {
+					if math.Abs(bp[v]-x) > 1e-12 {
 						t.Fatalf("%s: P mismatch at source %d node %d", label, i, v)
 					}
 				}
-				for v, x := range a.R {
-					if math.Abs(b.R[v]-x) > 1e-12 {
+				for v, x := range ar {
+					if math.Abs(br[v]-x) > 1e-12 {
 						t.Fatalf("%s: R mismatch at source %d node %d", label, i, v)
 					}
 				}

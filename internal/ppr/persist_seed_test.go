@@ -3,7 +3,7 @@ package ppr
 import (
 	"bytes"
 	"encoding/gob"
-	"math"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -48,17 +48,9 @@ func TestStateGobRoundTripBehaviour(t *testing.T) {
 	}
 	e.Push(st)
 	e.Push(st2)
-	if len(st.P) != len(st2.P) || len(st.R) != len(st2.R) {
-		t.Fatalf("state sizes diverge: P %d/%d R %d/%d", len(st.P), len(st2.P), len(st.R), len(st2.R))
-	}
-	for k, v := range st.P {
-		if math.Abs(st2.P[k]-v) > 0 {
-			t.Fatalf("P[%d] diverges: %g vs %g", k, v, st2.P[k])
-		}
-	}
-	for k, v := range st.R {
-		if math.Abs(st2.R[k]-v) > 0 {
-			t.Fatalf("R[%d] diverges: %g vs %g", k, v, st2.R[k])
-		}
+	p, r := content(st)
+	p2, r2 := content(st2)
+	if !maps.Equal(p, p2) || !maps.Equal(r, r2) {
+		t.Fatalf("states diverge: P %d/%d R %d/%d keys", len(p), len(p2), len(r), len(r2))
 	}
 }

@@ -42,7 +42,7 @@ func RestoreProximity(sub *Subset, m *sparse.DynRow) *Proximity {
 // value computes M_S(s,v) from the two estimate vectors.
 func (pr *Proximity) value(i int, v int32) float64 {
 	rmax := pr.Sub.Engine.Params.RMax
-	arg := (pr.Sub.Fwd[i].P[v] + pr.Sub.Rev[i].P[v]) / rmax
+	arg := (pr.Sub.Fwd[i].Est(v) + pr.Sub.Rev[i].Est(v)) / rmax
 	if arg <= 1 {
 		return 0
 	}
@@ -53,7 +53,14 @@ func (pr *Proximity) value(i int, v int32) float64 {
 // the row or in either estimate vector, in ascending column order.
 func (pr *Proximity) refreshRowFull(i int) {
 	fwd, rev := pr.Sub.Fwd[i], pr.Sub.Rev[i]
-	cols := append(sortedKeys(fwd.P), sortedKeys(rev.P)...)
+	var cols []int32
+	estimated := func(u int32, p, _ float64) {
+		if p != 0 {
+			cols = append(cols, u)
+		}
+	}
+	fwd.Each(estimated)
+	rev.Each(estimated)
 	// Columns that held a value before but may have no estimate mass now.
 	cols = append(cols, pr.M.RowColumns(i)...)
 	slices.Sort(cols)

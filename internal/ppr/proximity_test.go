@@ -22,7 +22,7 @@ func buildSubset(rng *rand.Rand, n, m, subsetSize int, params Params) (*graph.Gr
 // proximityWant computes the expected M value directly from the states.
 func proximityWant(sub *Subset, i int, v int32) float64 {
 	rmax := sub.Engine.Params.RMax
-	arg := (sub.Fwd[i].P[v] + sub.Rev[i].P[v]) / rmax
+	arg := (sub.Fwd[i].Est(v) + sub.Rev[i].Est(v)) / rmax
 	if arg <= 1 {
 		return 0
 	}

@@ -44,60 +44,113 @@ func (p Params) Validate() error {
 
 // State holds the estimate vector p_s and residue vector r_s of one source
 // in one traversal direction, plus the nodes whose estimate changed since
-// the last Proximity refresh. P and R are canonical: a key is present iff
-// its value is non-zero.
+// the last Proximity refresh. Read it through Est, Res and Each.
 type State struct {
 	Source int32
 	Dir    graph.Direction
-	P      map[int32]float64
-	R      map[int32]float64
-	// Touched lists nodes whose P entry changed since the caller last
+	// Touched lists nodes whose estimate changed since the caller last
 	// drained it (used to refresh proximity-matrix entries incrementally).
 	// A node may repeat; drain with Touched = Touched[:0] to keep the
 	// backing array.
 	Touched []int32
+	// tab stores p_s(u) and r_s(u) side by side, so one probe finds both.
+	// A slot is created only for a non-zero value; it may fall back to
+	// zero later and then reads as a missing node does.
+	tab table
 	// dirtyR lists nodes (repeats allowed) whose residue or traversal
 	// degree changed since the last Push, so re-pushing seeds in
-	// O(changed) instead of scanning the whole residue map. The push
-	// invariant guarantees no other node can violate the threshold.
+	// O(changed) instead of scanning every residue. The push invariant
+	// guarantees no other node can violate the threshold.
 	dirtyR []int32
-	// member is a bitset over node ids that is a superset of
-	// supp(P) ∪ supp(R): a bit is set wherever a P or R key can be created
-	// and never cleared, so an unset bit proves P[u] == 0 ∧ R[u] == 0.
-	// Subset.Repair tests it to skip the events that cannot change this
-	// state. Rebuilt on decode, never persisted.
-	member []uint64
+	// member is a superset of tab's keys: a bit is set as a node gets its
+	// slot and never cleared, so an unset bit proves
+	// p_s(u) == 0 ∧ r_s(u) == 0. Subset.Repair tests it to skip the events
+	// that cannot change this state. Rebuilt on decode, never persisted.
+	member bitset
+	// estimated is the same for the estimates alone: a bit is set as a
+	// push settles mass at a node and never cleared, so an unset bit
+	// proves p_s(u) == 0. Subset.Repair tests it to skip the insert
+	// corrections that would find p_s(a) == 0. Rebuilt on decode, never
+	// persisted.
+	estimated bitset
 }
 
 // NewState initializes a state with the one-hot residue r_s = 1_s.
 func NewState(source int32, dir graph.Direction) *State {
-	st := &State{
-		Source: source,
-		Dir:    dir,
-		P:      make(map[int32]float64),
-		R:      map[int32]float64{source: 1},
-		dirtyR: []int32{source},
-	}
-	st.mark(source)
+	st := &State{Source: source, Dir: dir, tab: newTable(1), dirtyR: []int32{source}}
+	st.tab.vals[st.at(source)].r = 1
 	return st
 }
 
-// mark adds u to the membership set, growing it on demand — to the exact
-// size, not append's doubling: a state grows its set a handful of times in
-// its life and keeps it, so slack would be held 2·|S| times over.
-func (st *State) mark(u int32) {
-	w := int(u >> 6)
-	if w >= len(st.member) {
-		st.member = append(make([]uint64, 0, w+1), st.member...)[:w+1]
+// Est returns the estimate p_s(u).
+func (st *State) Est(u int32) float64 {
+	if i := st.tab.find(u); i >= 0 {
+		return st.tab.vals[i].p
 	}
-	st.member[w] |= 1 << (uint(u) & 63)
+	return 0
+}
+
+// Res returns the residue r_s(u).
+func (st *State) Res(u int32) float64 {
+	if i := st.tab.find(u); i >= 0 {
+		return st.tab.vals[i].r
+	}
+	return 0
+}
+
+// Each calls f with every stored node and its estimate and residue, in
+// table order. Either value, or both, may be zero.
+func (st *State) Each(f func(u int32, p, r float64)) {
+	for i, k := range st.tab.keys {
+		if k != emptyKey {
+			f(k, st.tab.vals[i].p, st.tab.vals[i].r)
+		}
+	}
+}
+
+// claim inserts u at the free index i that tab.slot returned and marks it
+// a member, returning u's index.
+func (st *State) claim(u int32, i int) int {
+	st.member.add(u)
+	return st.tab.insert(u, i)
+}
+
+// at returns u's index, giving u a zero slot first if it has none.
+func (st *State) at(u int32) int {
+	i, ok := st.tab.slot(u)
+	if !ok {
+		i = st.claim(u, i)
+	}
+	return i
 }
 
 // Member reports whether u is in the membership set; false proves
-// P[u] == 0 and R[u] == 0. The converse does not hold (bits outlive keys).
-func (st *State) Member(u int32) bool {
+// p_s(u) == 0 and r_s(u) == 0. The converse does not hold (bits outlive
+// non-zero values).
+func (st *State) Member(u int32) bool { return st.member.has(u) }
+
+// Estimated reports whether u is in the estimate set; false proves
+// p_s(u) == 0.
+func (st *State) Estimated(u int32) bool { return st.estimated.has(u) }
+
+// bitset is a set of node ids, one bit each.
+type bitset []uint64
+
+// add puts u in the set, growing it on demand — to the exact size, not
+// append's doubling: a state grows its sets a handful of times in its life
+// and keeps them, so slack would be held 2·|S| times over.
+func (b *bitset) add(u int32) {
 	w := int(u >> 6)
-	return w < len(st.member) && st.member[w]&(1<<(uint(u)&63)) != 0
+	if w >= len(*b) {
+		*b = append(make(bitset, 0, w+1), *b...)[:w+1]
+	}
+	(*b)[w] |= 1 << (uint(u) & 63)
+}
+
+// has reports whether u is in the set.
+func (b bitset) has(u int32) bool {
+	w := int(u >> 6)
+	return w < len(b) && b[w]&(1<<(uint(u)&63)) != 0
 }
 
 // Engine runs push operations for states over a shared graph, reusing
@@ -156,7 +209,7 @@ func (e *Engine) Push(st *State) {
 	// pushes are reproducible run-to-run and across worker counts.
 	e.queue = e.queue[:0]
 	for _, u := range st.dirtyR {
-		if !e.inQueue[u] && abs(st.R[u]) > rmax*e.degOrOne(u, st.Dir) {
+		if !e.inQueue[u] && abs(st.Res(u)) > rmax*e.degOrOne(u, st.Dir) {
 			e.queue = append(e.queue, u)
 			e.inQueue[u] = true
 		}
@@ -170,7 +223,12 @@ func (e *Engine) Push(st *State) {
 	for head := 0; head < len(e.queue); head++ {
 		u := e.queue[head]
 		e.inQueue[u] = false
-		ru := st.R[u]
+		i := st.tab.find(u)
+		if i < 0 {
+			continue
+		}
+		x := &st.tab.vals[i]
+		ru := x.r
 		if ru == 0 {
 			continue
 		}
@@ -180,30 +238,25 @@ func (e *Engine) Push(st *State) {
 		}
 		// PUSH(u): settle α·r at u, spread (1−α)·r across neighbors.
 		pushed++
-		st.bumpP(u, alpha*ru)
-		delete(st.R, u)
+		x.p += alpha * ru
+		x.r = 0
+		st.Touched = append(st.Touched, u)
+		st.estimated.add(u)
 		if deg == 0 {
 			// Dangling sink: the (1−α) share self-loops back to u.
 			rem := (1 - alpha) * ru
-			if rem != 0 {
-				st.R[u] = rem
-				st.mark(u)
-			}
+			x.r = rem
 			if abs(rem) > rmax {
 				e.enqueue(u)
 			}
 			continue
 		}
+		// x is not used past here: an insert below may move the table.
 		share := (1 - alpha) * ru / deg
 		for _, v := range e.G.Neighbors(u, st.Dir) {
-			rv := st.R[v] + share
-			if rv == 0 {
-				delete(st.R, v)
-			} else {
-				st.R[v] = rv
-				st.mark(v)
-			}
-			if abs(rv) > rmax*e.degOrOne(v, st.Dir) {
+			y := &st.tab.vals[st.at(v)]
+			y.r += share
+			if abs(y.r) > rmax*e.degOrOne(v, st.Dir) {
 				e.enqueue(v)
 			}
 		}
@@ -216,21 +269,6 @@ func (e *Engine) enqueue(u int32) {
 		e.inQueue[u] = true
 		e.queue = append(e.queue, u)
 	}
-}
-
-// bumpP adds delta to p_s(u) and records u as touched.
-func (st *State) bumpP(u int32, delta float64) {
-	if delta == 0 {
-		return
-	}
-	nv := st.P[u] + delta
-	if nv == 0 {
-		delete(st.P, u)
-	} else {
-		st.P[u] = nv
-		st.mark(u)
-	}
-	st.Touched = append(st.Touched, u)
 }
 
 // AdjustEvent applies the estimate/residue corrections of Algorithm 2
@@ -268,38 +306,38 @@ func (e *Engine) adjustWithDeg(st *State, a, b int32, typ graph.EventType, d flo
 	// a's traversal degree changed, so its existing residue may now
 	// violate the push threshold even if no estimate mass moves.
 	st.dirtyR = append(st.dirtyR, a)
-	pa := st.P[a]
-	if pa == 0 {
+	i := st.tab.find(a)
+	if i < 0 || st.tab.vals[i].p == 0 {
 		return
 	}
-	alpha := e.Params.Alpha
 	if a == b {
-		e.adjustSelfLoop(st, a, typ, d)
+		st.adjustSelfLoop(i, a, typ, d)
 		return
 	}
+	pa, alpha := st.tab.vals[i].p, e.Params.Alpha
 	if typ == graph.Insert {
 		if d == 1 {
 			// Sink → degree 1: of the absorbed arrivals p(a), only the
 			// α-fraction still stops at a; the rest walks on to b.
-			st.setP(a, alpha*pa)
+			st.setP(i, a, alpha*pa)
 			st.addR(b, (1-alpha)*pa)
 			return
 		}
 		pa *= d / (d - 1)
-		st.setP(a, pa)
-		st.addR(a, -pa/(d*alpha))
+		st.setP(i, a, pa)
+		st.addRAt(i, a, -pa/(d*alpha))
 		st.addR(b, (1-alpha)*pa/(d*alpha))
 	} else {
 		if d == 0 {
 			// Degree 1 → sink: every arrival is now absorbed at a; retract
 			// the (1−α)-share previously routed to b.
-			st.setP(a, pa/alpha)
+			st.setP(i, a, pa/alpha)
 			st.addR(b, -(1-alpha)*pa/alpha)
 			return
 		}
 		pa *= d / (d + 1)
-		st.setP(a, pa)
-		st.addR(a, pa/(d*alpha))
+		st.setP(i, a, pa)
+		st.addRAt(i, a, pa/(d*alpha))
 		st.addR(b, -(1-alpha)*pa/(d*alpha))
 	}
 }
@@ -332,42 +370,49 @@ func (e *Engine) adjustWithDeg(st *State, a, b int32, typ graph.EventType, d flo
 //
 // The combined Δr keeps the estimate/residue mass Σp + Σr invariant, so
 // check.PPRState's accounting holds across self-loop churn.
-func (e *Engine) adjustSelfLoop(st *State, a int32, typ graph.EventType, d float64) {
-	pa := st.P[a]
+func (st *State) adjustSelfLoop(i int, a int32, typ graph.EventType, d float64) {
+	pa := st.tab.vals[i].p
 	if typ == graph.Insert {
 		if d == 1 {
 			return // dangling → explicit self-loop: P̃ unchanged
 		}
 		pa *= d / (d - 1)
-		st.setP(a, pa)
-		st.addR(a, -pa/d)
+		st.setP(i, a, pa)
+		st.addRAt(i, a, -pa/d)
 	} else {
 		if d == 0 {
 			return // explicit self-loop → dangling: P̃ unchanged
 		}
 		pa *= d / (d + 1)
-		st.setP(a, pa)
-		st.addR(a, pa/d)
+		st.setP(i, a, pa)
+		st.addRAt(i, a, pa/d)
 	}
 }
 
-func (st *State) setP(u int32, v float64) {
-	if v == 0 {
-		delete(st.P, u)
-	} else {
-		st.P[u] = v
-		st.mark(u)
-	}
+// setP sets the estimate in slot i, which holds u, and records u as
+// touched.
+func (st *State) setP(i int, u int32, v float64) {
+	st.tab.vals[i].p = v
 	st.Touched = append(st.Touched, u)
 }
 
+// addRAt adds delta to the residue in slot i, which holds u, and marks u
+// dirty.
+func (st *State) addRAt(i int, u int32, delta float64) {
+	st.tab.vals[i].r += delta
+	st.dirtyR = append(st.dirtyR, u)
+}
+
+// addR adds delta to r_s(u) and marks u dirty. u gets a slot only when the
+// sum is non-zero, so the membership set stays exactly the nodes that ever
+// held a non-zero value.
 func (st *State) addR(u int32, delta float64) {
-	nv := st.R[u] + delta
-	if nv == 0 {
-		delete(st.R, u)
-	} else {
-		st.R[u] = nv
-		st.mark(u)
+	i, ok := st.tab.slot(u)
+	switch {
+	case ok:
+		st.tab.vals[i].r += delta
+	case delta != 0:
+		st.tab.vals[st.claim(u, i)].r = delta
 	}
 	st.dirtyR = append(st.dirtyR, u)
 }
@@ -376,9 +421,7 @@ func (st *State) addR(u int32, delta float64) {
 // (|p(u) − π(u)| ≤ Σ_v |r(v)| because every π_v(u) ≤ 1).
 func (st *State) ResidueL1() float64 {
 	var s float64
-	for _, r := range st.R {
-		s += abs(r)
-	}
+	st.Each(func(_ int32, _, r float64) { s += abs(r) })
 	return s
 }
 

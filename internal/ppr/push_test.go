@@ -75,19 +75,20 @@ func TestPushEstimateWithinResidueBound(t *testing.T) {
 	for _, dir := range []graph.Direction{graph.Forward, graph.Reverse} {
 		st := NewState(3, dir)
 		e.Push(st)
+		p, r := content(st)
 		pi := exactPPR(g, 3, params.Alpha, dir)
 		bound := st.ResidueL1()
 		for u := int32(0); int(u) < 40; u++ {
-			if d := math.Abs(st.P[u] - pi[u]); d > bound+1e-9 {
+			if d := math.Abs(p[u] - pi[u]); d > bound+1e-9 {
 				t.Fatalf("dir %v node %d: |p−π| = %g > Σ|r| = %g", dir, u, d, bound)
 			}
 		}
 		// Mass conservation: Σp + Σr == 1 for a fresh push.
 		var total float64
-		for _, v := range st.P {
+		for _, v := range p {
 			total += v
 		}
-		for _, v := range st.R {
+		for _, v := range r {
 			total += v
 		}
 		if math.Abs(total-1) > 1e-9 {
@@ -104,14 +105,15 @@ func TestPushInvariant(t *testing.T) {
 	e := mustPPR(NewEngine(g, params))
 	st := NewState(7, graph.Forward)
 	e.Push(st)
+	p, r := content(st)
 	piAll := make([][]float64, 25)
 	for v := int32(0); v < 25; v++ {
 		piAll[v] = exactPPR(g, v, params.Alpha, graph.Forward)
 	}
 	for u := int32(0); u < 25; u++ {
-		rhs := st.P[u]
-		for v, r := range st.R {
-			rhs += r * piAll[v][u]
+		rhs := p[u]
+		for v, rv := range r {
+			rhs += rv * piAll[v][u]
 		}
 		if d := math.Abs(rhs - piAll[7][u]); d > 1e-6 {
 			t.Fatalf("invariant violated at %d: %g vs %g", u, rhs, piAll[7][u])
@@ -126,7 +128,8 @@ func TestPushTerminatesBelowThreshold(t *testing.T) {
 	e := mustPPR(NewEngine(g, params))
 	st := NewState(0, graph.Forward)
 	e.Push(st)
-	for u, r := range st.R {
+	_, res := content(st)
+	for u, r := range res {
 		if math.Abs(r) > params.RMax*math.Max(float64(g.OutDeg(u)), 1)+1e-12 {
 			t.Fatalf("node %d residue %g above threshold", u, r)
 		}
@@ -162,10 +165,11 @@ func TestDynamicPushMatchesScratch(t *testing.T) {
 	}
 	e.Push(st)
 
+	p, _ := content(st)
 	pi := exactPPR(g, 5, params.Alpha, graph.Forward)
 	bound := st.ResidueL1() + 1e-9
 	for u := int32(0); u < 30; u++ {
-		if d := math.Abs(st.P[u] - pi[u]); d > bound {
+		if d := math.Abs(p[u] - pi[u]); d > bound {
 			t.Fatalf("after %d events, node %d: |p−π| = %g > bound %g", len(events), u, d, bound)
 		}
 	}
@@ -192,14 +196,15 @@ func TestDynamicPushInvariantExact(t *testing.T) {
 	g.InsertEdge(u, v)
 	e.AdjustEvent(st, graph.Event{U: u, V: v, Type: graph.Insert})
 
+	p, r := content(st)
 	piAll := make([][]float64, 20)
 	for w := int32(0); w < 20; w++ {
 		piAll[w] = exactPPR(g, w, params.Alpha, graph.Forward)
 	}
 	for w := int32(0); w < 20; w++ {
-		rhs := st.P[w]
-		for x, r := range st.R {
-			rhs += r * piAll[x][w]
+		rhs := p[w]
+		for x, rx := range r {
+			rhs += rx * piAll[x][w]
 		}
 		if d := math.Abs(rhs - piAll[2][w]); d > 1e-6 {
 			t.Fatalf("post-adjust invariant violated at %d: %g vs %g (event %d→%d)", w, rhs, piAll[2][w], u, v)
@@ -222,7 +227,7 @@ func TestSinkTransitionInvariant(t *testing.T) {
 	e := mustPPR(NewEngine(g, params))
 	st := NewState(0, graph.Forward)
 	e.Push(st)
-	if st.P[3] == 0 {
+	if st.Est(3) == 0 {
 		t.Fatal("test premise broken: sink holds no mass")
 	}
 
@@ -232,10 +237,11 @@ func TestSinkTransitionInvariant(t *testing.T) {
 		for v := int32(0); v < 4; v++ {
 			piAll[v] = exactPPR(g, v, alpha, graph.Forward)
 		}
+		p, r := content(st)
 		for u := int32(0); u < 4; u++ {
-			rhs := st.P[u]
-			for v, r := range st.R {
-				rhs += r * piAll[v][u]
+			rhs := p[u]
+			for v, rv := range r {
+				rhs += rv * piAll[v][u]
 			}
 			if d := math.Abs(rhs - piAll[0][u]); d > 1e-6 {
 				t.Fatalf("%s: invariant violated at %d: %g vs %g", label, u, rhs, piAll[0][u])
@@ -290,10 +296,11 @@ func TestLongStreamWithSinkChurn(t *testing.T) {
 		}
 	}
 	e.Push(st)
+	p, _ := content(st)
 	pi := exactPPR(g, 0, params.Alpha, graph.Forward)
 	bound := st.ResidueL1() + 1e-6
 	for u := int32(0); u < 30; u++ {
-		if d := math.Abs(st.P[u] - pi[u]); d > bound {
+		if d := math.Abs(p[u] - pi[u]); d > bound {
 			t.Fatalf("after sink churn, node %d: |p−π| = %g > bound %g", u, d, bound)
 		}
 	}
@@ -308,7 +315,7 @@ func TestAdjustEventNoEstimateIsNoOp(t *testing.T) {
 	// No push yet: p is empty, so any adjustment must be a no-op.
 	g.InsertEdge(2, 0)
 	e.AdjustEvent(st, graph.Event{U: 2, V: 0, Type: graph.Insert})
-	if len(st.P) != 0 || len(st.R) != 1 || st.R[0] != 1 {
+	if p, r := content(st); len(p) != 0 || len(r) != 1 || r[0] != 1 {
 		t.Fatal("adjustment with zero estimate mutated state")
 	}
 }
@@ -337,9 +344,10 @@ func TestSmallerRMaxTightens(t *testing.T) {
 		e := mustPPR(NewEngine(g, Params{Alpha: 0.15, RMax: rmax}))
 		st := NewState(0, graph.Forward)
 		e.Push(st)
+		p, _ := content(st)
 		var errSum float64
 		for u := int32(0); u < 40; u++ {
-			errSum += math.Abs(st.P[u] - pi[u])
+			errSum += math.Abs(p[u] - pi[u])
 		}
 		if errSum > prevErr*1.5+1e-12 {
 			t.Fatalf("rmax %g error %g worse than previous %g", rmax, errSum, prevErr)

@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/tree-svd/treesvd/internal/dataset"
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -44,7 +46,9 @@ func requireSameProximity(t *testing.T, when string, got, want *Proximity) {
 	t.Helper()
 	gs, ws := states(got.Sub), states(want.Sub)
 	for i := range gs {
-		if !maps.Equal(gs[i].P, ws[i].P) || !maps.Equal(gs[i].R, ws[i].R) {
+		gp, gr := content(gs[i])
+		wp, wr := content(ws[i])
+		if !maps.Equal(gp, wp) || !maps.Equal(gr, wr) {
 			t.Fatalf("%s: source %d %v: estimates or residues differ", when, gs[i].Source, gs[i].Dir)
 		}
 	}
@@ -202,13 +206,11 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 	}
 	loaded := RestoreProximity(sub, m)
 	for _, st := range states(sub) {
-		for _, vec := range []map[int32]float64{st.P, st.R} {
-			for u := range vec {
-				if !st.Member(u) {
-					t.Fatalf("source %d %v: restored key %d outside the membership set", st.Source, st.Dir, u)
-				}
+		st.Each(func(u int32, _, _ float64) {
+			if !st.Member(u) {
+				t.Fatalf("source %d %v: restored key %d outside the membership set", st.Source, st.Dir, u)
 			}
-		}
+		})
 	}
 
 	for bi, batch := range batches[half:] {
@@ -218,23 +220,34 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 	}
 }
 
+// nonCanonical are wire forms no encoder emits, each with the part of the
+// error the decoder must refuse it with.
+var nonCanonical = []struct {
+	name, want string
+	wire       gobState
+}{
+	{"duplicate estimate key", "repeats 1 of its 2 estimate keys", gobState{PKeys: []int32{3, 3}, PVals: []float64{0.1, 0.2}}},
+	{"duplicate residue key", "repeats 1 of its 3 residue keys", gobState{RKeys: []int32{5, 2, 5}, RVals: []float64{0.1, 0.2, 0.3}}},
+	{"stored zero estimate", "non-canonical estimate value 0", gobState{PKeys: []int32{3}, PVals: []float64{0}}},
+	{"stored zero residue", "non-canonical residue value 0", gobState{RKeys: []int32{3}, RVals: []float64{0}}},
+	{"infinite estimate", "non-canonical estimate value +Inf", gobState{PKeys: []int32{3}, PVals: []float64{math.Inf(1)}}},
+	{"NaN residue", "non-canonical residue value NaN", gobState{RKeys: []int32{3}, RVals: []float64{math.NaN()}}},
+	{"values shorter", "2/1 estimate keys/values", gobState{PKeys: []int32{3, 4}, PVals: []float64{0.1}}},
+	// -1 marks a free table slot; any negative id is refused before the
+	// table sees it.
+	{"free-slot marker as key", "negative estimate key -1", gobState{PKeys: []int32{2, -1}, PVals: []float64{0.1, 0.2}}},
+	{"negative residue key", "negative residue key -3", gobState{RKeys: []int32{-3}, RVals: []float64{0.1}}},
+}
+
 // TestStateGobDecodeRejectsNonCanonical: the decoder accepts only the
-// form the engine maintains — every key once, with a finite non-zero
-// value — because an unset membership bit must prove a zero entry.
+// form the engine maintains — every key once, non-negative, with a finite
+// non-zero value — because an unset membership bit must prove a zero
+// entry and the table reserves -1 for its free slots.
 func TestStateGobDecodeRejectsNonCanonical(t *testing.T) {
-	for name, wire := range map[string]gobState{
-		"duplicate estimate key": {PKeys: []int32{3, 3}, PVals: []float64{0.1, 0.2}},
-		"duplicate residue key":  {RKeys: []int32{5, 2, 5}, RVals: []float64{0.1, 0.2, 0.3}},
-		"stored zero estimate":   {PKeys: []int32{3}, PVals: []float64{0}},
-		"stored zero residue":    {RKeys: []int32{3}, RVals: []float64{0}},
-		"infinite estimate":      {PKeys: []int32{3}, PVals: []float64{math.Inf(1)}},
-		"NaN residue":            {RKeys: []int32{3}, RVals: []float64{math.NaN()}},
-		"values shorter":         {PKeys: []int32{3, 4}, PVals: []float64{0.1}},
-	} {
-		var buf bytes.Buffer
-		must0t(gob.NewEncoder(&buf).Encode(wire))
-		if err := new(State).GobDecode(buf.Bytes()); err == nil {
-			t.Errorf("%s: decoder accepted the state", name)
+	for i, raw := range NonCanonicalWires() {
+		tc := nonCanonical[i]
+		if err := new(State).GobDecode(raw); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decoder returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -259,7 +272,7 @@ func islands() (*graph.Graph, []int32) {
 // TestRepairAllocations pins the steady-state allocation claim on a
 // warmed subset: a batch that reaches no state allocates nothing in
 // RepairApplied, and one that reaches states stays under a small fixed
-// bound (map growth inside P/R is all that is left). The batches toggle
+// bound (a table rehash is all that is left). The batches toggle
 // one edge so every one of them is effective.
 func TestRepairAllocations(t *testing.T) {
 	g, subset := islands()
@@ -305,7 +318,8 @@ func TestRepairAllocations(t *testing.T) {
 // BenchmarkRepair times Proximity.RepairApplied (repair + refresh) at the
 // system benchmark's shape — 8 000 nodes, |S| = 128, r_max 1e-3, the
 // ingest workloads' event mix — in batches of 4 (trickle) and 48 (churn),
-// with the number of the 256 states each batch reached beside it.
+// with the number of the 256 states each batch reached and the mean bytes
+// of a state's table at the end beside it.
 func BenchmarkRepair(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
@@ -334,6 +348,11 @@ func BenchmarkRepair(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(pr.Sub.Metrics().StatesRepaired.Load())/float64(b.N), "reached_states/batch")
+			all, size := states(pr.Sub), 0
+			for _, st := range all {
+				size += len(st.tab.keys)*int(unsafe.Sizeof(int32(0))) + len(st.tab.vals)*int(unsafe.Sizeof(entry{}))
+			}
+			b.ReportMetric(float64(size)/float64(len(all)), "table_bytes/state")
 		})
 	}
 }

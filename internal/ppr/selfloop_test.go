@@ -8,15 +8,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/graph"
 )
 
-// cloneMap copies a residue/estimate map.
-func cloneMap(m map[int32]float64) map[int32]float64 {
-	out := make(map[int32]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // TestSelfLoopSinkTransitionNoOp is the ISSUE 3 regression for the
 // self-loop corruption bug: under the engine's dangling-node convention a
 // sink already behaves as if it had a self-loop, so making that loop
@@ -36,10 +27,10 @@ func TestSelfLoopSinkTransitionNoOp(t *testing.T) {
 	}
 	st := NewState(0, graph.Forward)
 	eng.Push(st)
-	if st.P[1] < 0.1 {
-		t.Fatalf("setup: expected estimate mass at dangling node 1, got %g", st.P[1])
+	p0, r0 := content(st)
+	if p0[1] < 0.1 {
+		t.Fatalf("setup: expected estimate mass at dangling node 1, got %g", p0[1])
 	}
-	p0, r0 := cloneMap(st.P), cloneMap(st.R)
 
 	// Dangling → explicit self-loop: must not move any estimate or residue.
 	ev := graph.Event{U: 1, V: 1, Type: graph.Insert}
@@ -47,18 +38,19 @@ func TestSelfLoopSinkTransitionNoOp(t *testing.T) {
 		t.Fatal("setup: self-loop insert rejected")
 	}
 	eng.AdjustEvent(st, ev)
+	p, r := content(st)
 	for u, v := range p0 {
-		if st.P[u] != v {
-			t.Errorf("insert(1,1): p(%d) changed %g -> %g; self-loop on a sink must be a no-op", u, v, st.P[u])
+		if p[u] != v {
+			t.Errorf("insert(1,1): p(%d) changed %g -> %g; self-loop on a sink must be a no-op", u, v, p[u])
 		}
 	}
 	for u, v := range r0 {
-		if st.R[u] != v {
-			t.Errorf("insert(1,1): r(%d) changed %g -> %g", u, v, st.R[u])
+		if r[u] != v {
+			t.Errorf("insert(1,1): r(%d) changed %g -> %g", u, v, r[u])
 		}
 	}
-	if len(st.P) != len(p0) || len(st.R) != len(r0) {
-		t.Errorf("insert(1,1): support changed: |P| %d -> %d, |R| %d -> %d", len(p0), len(st.P), len(r0), len(st.R))
+	if len(p) != len(p0) || len(r) != len(r0) {
+		t.Errorf("insert(1,1): support changed: |P| %d -> %d, |R| %d -> %d", len(p0), len(p), len(r0), len(r))
 	}
 
 	// Explicit self-loop → dangling: the inverse transition, also a no-op.
@@ -67,14 +59,15 @@ func TestSelfLoopSinkTransitionNoOp(t *testing.T) {
 		t.Fatal("setup: self-loop delete rejected")
 	}
 	eng.AdjustEvent(st, ev)
+	p, r = content(st)
 	for u, v := range p0 {
-		if st.P[u] != v {
-			t.Errorf("delete(1,1): p(%d) changed %g -> %g", u, v, st.P[u])
+		if p[u] != v {
+			t.Errorf("delete(1,1): p(%d) changed %g -> %g", u, v, p[u])
 		}
 	}
 	for u, v := range r0 {
-		if st.R[u] != v {
-			t.Errorf("delete(1,1): r(%d) changed %g -> %g", u, v, st.R[u])
+		if r[u] != v {
+			t.Errorf("delete(1,1): r(%d) changed %g -> %g", u, v, r[u])
 		}
 	}
 }
@@ -108,15 +101,17 @@ func TestSelfLoopGeneralCorrection(t *testing.T) {
 	for i := range inc.S {
 		for _, pair := range [][2]*State{{inc.Fwd[i], fresh.Fwd[i]}, {inc.Rev[i], fresh.Rev[i]}} {
 			bound := pair[0].ResidueL1() + pair[1].ResidueL1()
+			p0, _ := content(pair[0])
+			p1, _ := content(pair[1])
 			seen := make(map[int32]struct{})
-			for u := range pair[0].P {
+			for u := range p0 {
 				seen[u] = struct{}{}
 			}
-			for u := range pair[1].P {
+			for u := range p1 {
 				seen[u] = struct{}{}
 			}
 			for u := range seen {
-				if d := abs(pair[0].P[u] - pair[1].P[u]); d > bound {
+				if d := abs(p0[u] - p1[u]); d > bound {
 					t.Errorf("source %d dir %v: |Δp(%d)| = %g exceeds residue bound %g",
 						inc.S[i], pair[0].Dir, u, d, bound)
 				}
@@ -166,8 +161,9 @@ func TestSelfLoopEstimateAccuracy(t *testing.T) {
 		}
 		exact := exactPPR(g, 0, params.Alpha, dir)
 		bound := st.ResidueL1() + 1e-9
+		p, _ := content(st)
 		for u, pi := range exact {
-			if d := abs(st.P[int32(u)] - pi); d > bound {
+			if d := abs(p[int32(u)] - pi); d > bound {
 				t.Errorf("dir %v: |p(%d) − π(%d)| = %g exceeds Σ|r| = %g", dir, u, u, d, bound)
 			}
 		}

@@ -83,8 +83,8 @@ func NewSubsetDirs(g *graph.Graph, s []int32, params Params, fwd, rev bool) (*Su
 // re-runs the structural checks a fresh build guarantees by construction:
 // subset ids inside the graph, one state per subset node in matching
 // order and direction, and every estimate/residue key a valid node id
-// (and a member of the state's rebuilt membership set). A corrupted save
-// errors here instead of panicking on first use.
+// (and in the state's rebuilt membership and estimate sets). A corrupted
+// save errors here instead of panicking on first use.
 func RestoreSubset(g *graph.Graph, s []int32, params Params, fwd, rev []*State) (*Subset, error) {
 	for _, v := range s {
 		if int(v) >= g.NumNodes() || v < 0 {
@@ -107,8 +107,8 @@ func RestoreSubset(g *graph.Graph, s []int32, params Params, fwd, rev []*State) 
 }
 
 // validateStates checks one direction's restored state slice against the
-// subset and the graph, rebuilding each state's membership set from its
-// checked keys. A nil slice is valid (direction disabled).
+// subset and the graph, rebuilding each state's membership and estimate
+// sets from its checked keys. A nil slice is valid (direction disabled).
 func validateStates(g *graph.Graph, s []int32, states []*State, dir graph.Direction) error {
 	if states == nil {
 		return nil
@@ -125,23 +125,27 @@ func validateStates(g *graph.Graph, s []int32, states []*State, dir graph.Direct
 			return fmt.Errorf("ppr: restore: %v state %d has source %d, want subset node %d", dir, i, st.Source, s[i])
 		case st.Dir != dir:
 			return fmt.Errorf("ppr: restore: state for subset node %d has direction %v, want %v", s[i], st.Dir, dir)
-		case st.P == nil || st.R == nil:
-			return fmt.Errorf("ppr: restore: %v state for subset node %d has nil maps", dir, s[i])
 		}
-		// The membership set is not persisted: rebuild it from the keys as
-		// each passes its range check, so a corrupt key never sizes it.
-		st.member = nil
-		for u := range st.P {
-			if u < 0 || u >= n {
-				return fmt.Errorf("ppr: restore: estimate key %d of source %d outside graph with %d nodes", u, st.Source, n)
+		// The membership and estimate sets are not persisted: rebuild them
+		// from the keys as each passes its range check, so a corrupt key
+		// never sizes them.
+		st.member, st.estimated = nil, nil
+		for j, u := range st.tab.keys {
+			if u == emptyKey {
+				continue
 			}
-			st.mark(u)
-		}
-		for u := range st.R {
+			p := st.tab.vals[j].p
 			if u < 0 || u >= n {
-				return fmt.Errorf("ppr: restore: residue key %d of source %d outside graph with %d nodes", u, st.Source, n)
+				name := "estimate"
+				if p == 0 {
+					name = "residue"
+				}
+				return fmt.Errorf("ppr: restore: %s key %d of source %d outside graph with %d nodes", name, u, st.Source, n)
 			}
-			st.mark(u)
+			st.member.add(u)
+			if p != 0 {
+				st.estimated.add(u)
+			}
 		}
 		for _, u := range st.Touched {
 			if u < 0 || u >= n {
@@ -222,8 +226,8 @@ func (sp *Subset) ApplyEvents(ctx context.Context, events []graph.Event) error {
 // nothing, so skipping the call changes no bit of the state. Membership
 // is tested live per (state, event), so an event that makes a later tail
 // reachable within the same batch (its addR marks the node) is honoured;
-// a state with no executed correction and no pending dirty residue is
-// not pushed. The graph must already reflect the events; it is only read
+// a state no event reached and with no pending dirty residue is not
+// pushed. The graph must already reflect the events; it is only read
 // here, and each worker writes only its own states. On a non-nil error
 // some sources may not have been repaired — recover with Rebuild.
 func (sp *Subset) Repair(ctx context.Context, applied []Applied) error {
@@ -250,7 +254,10 @@ func (sp *Subset) repairSource(worker, i int) error {
 
 // repair runs the batch's corrections whose tail st's membership set
 // holds, then pushes if any ran or a residue is still marked dirty (the
-// first repair after a load).
+// first repair after a load). An insert whose tail is outside the estimate
+// set is counted but not run: the correction would find p_s(a) == 0 and
+// only mark a dirty, and an insert raises a's threshold r_max·deg, so a
+// cannot have come to violate it — Push would not seed it.
 func (e *Engine) repair(st *State, applied []Applied) {
 	adjusts := uint64(0)
 	for _, ae := range applied {
@@ -258,11 +265,14 @@ func (e *Engine) repair(st *State, applied []Applied) {
 		if st.Dir == graph.Reverse {
 			a, b, d = ae.Ev.V, ae.Ev.U, ae.InDegV
 		}
-		if !st.Member(a) {
+		if !st.member.has(a) {
+			continue
+		}
+		adjusts++
+		if ae.Ev.Type == graph.Insert && !st.estimated.has(a) {
 			continue
 		}
 		e.adjustWithDeg(st, a, b, ae.Ev.Type, d)
-		adjusts++
 	}
 	if adjusts == 0 && len(st.dirtyR) == 0 {
 		return

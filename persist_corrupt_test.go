@@ -73,6 +73,17 @@ type rawState struct {
 	PVals, RVals        []float64
 }
 
+// addAt adds delta to the value keys stores under k, appending k if absent.
+func addAt(keys *[]int32, vals *[]float64, k int32, delta float64) {
+	for i, key := range *keys {
+		if key == k {
+			(*vals)[i] += delta
+			return
+		}
+	}
+	*keys, *vals = append(*keys, k), append(*vals, delta)
+}
+
 // nonCanonicalStates are the wire forms of a PPR state that no encoder
 // emits and the decoder must refuse, because the repair skip reads an
 // unset membership bit as "estimate and residue are zero here": a key
@@ -191,24 +202,11 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 			f[0], f[1] = f[1], f[0]
 		}, "source"},
 		{"state direction mismatch", func(s *savedEmbedder) { s.Rev[0] = s.Fwd[0] }, "direction"},
-		{"estimate key out of range", func(s *savedEmbedder) { s.Fwd[0].P[500] = 0.1 }, "estimate key 500"},
-		{"residue key out of range", func(s *savedEmbedder) { s.Rev[1].R[-3] = 0.1 }, "residue key -3"},
 		{"tree block count mismatch", func(s *savedEmbedder) {
 			s.Tree.Levels[0] = s.Tree.Levels[0][:1]
 		}, "level-1 nodes"},
 		{"built without root", func(s *savedEmbedder) { rootNode(s).U = nil }, "root has no basis"},
 		{"root rank mismatch", func(s *savedEmbedder) { n := rootNode(s); n.S = n.S[:1] }, "singular values"},
-		{"NaN residue", func(s *savedEmbedder) {
-			st := s.Fwd[0]
-			st.R[st.Source] = math.NaN()
-		}, "non-canonical residue value NaN"},
-		// A residue the decoders accept but the auditors do not: Load audits
-		// before it publishes, as Open always has.
-		{"residue above the push threshold", func(s *savedEmbedder) {
-			st := s.Fwd[0]
-			st.R[st.Source] += 0.5
-			st.P[st.Source] -= 0.5
-		}, "invariant audit"},
 		// Cached factors with the right shapes and a non-finite entry.
 		{"NaN in a level-1 cache", func(s *savedEmbedder) { blockNode(s).U.Data[0] = math.NaN() }, "non-finite"},
 		{"Inf in an upper cache", func(s *savedEmbedder) { s.Tree.Levels[1][0].U.Data[0] = math.Inf(1) }, "non-finite"},
@@ -249,6 +247,29 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 			var w rawState
 			s.Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })
 		}, "keys/values"},
+		// RestoreSubset range-checks a key against the graph; the decoder
+		// refuses a negative one before it reaches the state's table.
+		{"estimate key out of range", func(s *rawSaved) {
+			var w rawState
+			s.Fwd[0].edit(&w, func() { addAt(&w.PKeys, &w.PVals, 500, 0.1) })
+		}, "estimate key 500"},
+		{"residue key out of range", func(s *rawSaved) {
+			var w rawState
+			s.Rev[1].edit(&w, func() { addAt(&w.RKeys, &w.RVals, -3, 0.1) })
+		}, "residue key -3"},
+		{"NaN residue", func(s *rawSaved) {
+			var w rawState
+			s.Fwd[0].edit(&w, func() { addAt(&w.RKeys, &w.RVals, w.Source, math.NaN()) })
+		}, "non-canonical residue value NaN"},
+		// A residue the decoders accept but the auditors do not: Load audits
+		// before it publishes, as Open always has.
+		{"residue above the push threshold", func(s *rawSaved) {
+			var w rawState
+			s.Fwd[0].edit(&w, func() {
+				addAt(&w.RKeys, &w.RVals, w.Source, 0.5)
+				addAt(&w.PKeys, &w.PVals, w.Source, -0.5)
+			})
+		}, "invariant audit"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
