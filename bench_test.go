@@ -146,7 +146,11 @@ func BenchmarkFullMatrixFRPCA(b *testing.B) {
 // shape (benchmark/plan.go: 8 000 nodes growing toward 9 000, degree 5,
 // |S| = 128, d = 16, r_max = 1e-3, two workers) in its two batch sizes,
 // and times the first Recommend on every snapshot beside the apply: a
-// warm-read median cannot see what a write leaves for that read.
+// warm-read median cannot see what a write leaves for that read. Beside
+// the times it reports the tree's work per batch from Metrics: level-1
+// re-factors, refined copies and exact merges (at a fixed -benchtime
+// these counts repeat exactly), the mean block factorization and the
+// merge sweep time.
 func BenchmarkApplyEvents(b *testing.B) {
 	const nodes, warm = 8000, 16
 	subset := make([]int32, 128)
@@ -169,6 +173,7 @@ func BenchmarkApplyEvents(b *testing.B) {
 				mustTB(emb.ApplyEvents(bgt, ev))
 			}
 			var apply, read time.Duration
+			m0 := emb.Metrics()
 			b.ResetTimer()
 			for i, ev := range batches[warm:] {
 				t0 := time.Now()
@@ -178,10 +183,24 @@ func BenchmarkApplyEvents(b *testing.B) {
 				apply += t1.Sub(t0)
 				read += time.Since(t1)
 			}
-			b.ReportMetric(apply.Seconds()*1e3/float64(b.N), "ms/batch")
-			b.ReportMetric(read.Seconds()*1e6/float64(b.N), "first-read-us")
+			m1, n := emb.Metrics(), float64(b.N)
+			b.ReportMetric(apply.Seconds()*1e3/n, "ms/batch")
+			b.ReportMetric(read.Seconds()*1e6/n, "first-read-us")
+			b.ReportMetric(float64(m1.BlocksRebuilt-m0.BlocksRebuilt)/n, "blocks/batch")
+			b.ReportMetric(float64(m1.UpperProjections-m0.UpperProjections)/n, "refines/batch")
+			b.ReportMetric(float64(m1.UpperMerges-m0.UpperMerges)/n, "exact/batch")
+			if f := float64(m1.BlockFactor.Count - m0.BlockFactor.Count); f > 0 {
+				b.ReportMetric(spanSum(m1.BlockFactor, m0.BlockFactor).Seconds()*1e6/f, "block-factor-us")
+			}
+			b.ReportMetric(spanSum(m1.Merge, m0.Merge).Seconds()*1e3/n, "merge-ms/batch")
 		})
 	}
+}
+
+// spanSum is the total time a lifetime span recorded between two reads
+// of Metrics.
+func spanSum(after, before DurationStats) time.Duration {
+	return time.Duration(after.Count)*after.Mean - time.Duration(before.Count)*before.Mean
 }
 
 func BenchmarkFutureWork(b *testing.B) { benchExperiment(b, "futurework") }

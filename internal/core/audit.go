@@ -10,7 +10,8 @@ import (
 // AuditShapes verifies the tree's cached nodes against the matrix it
 // wraps and the geometry its configuration implies: no node before the
 // first pass, then every level of levelCounts fully populated, each node
-// passing validNode. O(nodes) — cheap enough for per-update self-checks.
+// passing validNode and validProjection. O(nodes) — cheap enough for
+// per-update self-checks.
 func (t *Tree) AuditShapes() error {
 	if !t.built {
 		if len(t.levels) != 0 {
@@ -34,7 +35,33 @@ func (t *Tree) AuditShapes() error {
 			if err := validNode(n.res.U, n.res.S, n.tail, t.m.Rows(), t.cfg.Rank, what); err != nil {
 				return err
 			}
+			cols := 0
+			if l > 0 {
+				cols = inputCols(t.kids(t.levels[l-1], j))
+			}
+			if err := validProjection(n.p, n.res.Rank(), cols, l > 0, what); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// validProjection checks a node's projection P: none at level 1, and
+// above it r×cols for a node of rank r whose children's ranks sum to
+// cols.
+func validProjection(p *linalg.Dense, r, cols int, upper bool, what string) error {
+	switch {
+	case !upper && p != nil:
+		return fmt.Errorf("%s is a level-1 node and carries a projection P", what)
+	case !upper:
+		return nil
+	case p == nil:
+		return fmt.Errorf("%s has no projection P", what)
+	case p.Rows != r || p.Cols != cols:
+		return fmt.Errorf("%s projection P is %d×%d, want %d×%d", what, p.Rows, p.Cols, r, cols)
+	case len(p.Data) != p.Rows*p.Cols:
+		return fmt.Errorf("%s projection P is %d×%d over %d values", what, p.Rows, p.Cols, len(p.Data))
 	}
 	return nil
 }
@@ -65,16 +92,19 @@ func descendingSpectrum(s []float64, what string) error {
 // certTol is the certificate's one relative tolerance. Over every batch
 // of the differential harness (the 8 default seeds, the 4 long-horizon
 // ones and 64 more; every level-1 block on rsvd.Sparse's exact narrow
-// route, whose U is orthonormal only to 1.6e-9) its three quantities
-// stayed within 1.8e-15·σ₁² (Gram), 2.2e-13·σ₁² (projection) and
-// 2.2e-15·‖X‖² (level-1 tail); at TestUpperGateNearOptimal's
+// route, whose U is orthonormal only to 1.6e-9) its first three
+// quantities stayed within 1.8e-15·σ₁² (Gram), 2.2e-13·σ₁² (projection)
+// and 2.2e-15·‖X‖² (level-1 tail); at TestUpperGateNearOptimal's
 // checkpoints, level 1 sketched, within 4.9e-15, 6.7e-15 and 2.4e-15.
-// 1e-10 leaves 450× headroom.
+// 1e-10 leaves 450× headroom. The cached P, checked to certTol·σ₁,
+// drifted from Uᵀ·X by at most 3.1e-15·σ₁ over 64 harness seeds and
+// 2.3e-15·σ₁ at those checkpoints.
 const certTol = 1e-10
 
 // Certify checks every cached node against its input X — the block as
 // its factor saw it (DynRow.BaselineBlockCSR) at level 1, the node's
-// current children as U·Σ above it — with P = UᵀX:
+// current children as U·Σ above it — with P = UᵀX (computed here, not
+// the cached one):
 //
 //   - (UΣ)ᵀ(UΣ) = Σ² to certTol·σ₁²: U is orthonormal wherever Σ weighs
 //     it, so U·Σ feeds the parent Σ's energy and no more;
@@ -84,7 +114,9 @@ const certTol = 1e-10
 //     certTol·‖X‖²_F at level 1, where t is Eqn. 2's cached tail, and is
 //     at most ((1+η)·t)² + certTol·‖X‖²_F above it, the upper-level
 //     gate's invariant (an exact merge leaves t, an accepted refined copy
-//     at most (1+η)·t, and a node no pass dirtied keeps its children).
+//     at most (1+η)·t, and a node no pass dirtied keeps its children);
+//   - above level 1, the cached P equals UᵀX to certTol·σ₁ entry by
+//     entry: the next refine starts from it.
 //
 // None of it depends on the route that produced the node, so a tree
 // restored from a save is certified like a live one. It runs AuditShapes
@@ -101,7 +133,7 @@ func (t *Tree) Certify() error {
 				x := t.m.BaselineBlockCSR(j)
 				y, frob = x.TMulDense(n.res.U), x.FrobNorm()
 			} else {
-				x := t.nodeInput(t.levels[l-1], j)
+				x := t.nodeInput(t.kids(t.levels[l-1], j))
 				y, frob = linalg.TMul(x, n.res.U), x.FrobNorm()
 				linalg.PutDense(x)
 			}
@@ -113,13 +145,22 @@ func (t *Tree) Certify() error {
 	return nil
 }
 
-// certifyNode checks one node's three quantities given y = Xᵀ·U and
-// ‖X‖_F; exactTail demands t² rather than bounding by ((1+η)·t)².
+// certifyNode checks one node's quantities given y = Xᵀ·U and ‖X‖_F;
+// exactTail demands t² rather than bounding by ((1+η)·t)².
 func certifyNode(n *node, y *linalg.Dense, frob float64, exactTail bool) error {
 	s := n.res.S
 	var sigma1Sq float64
 	if len(s) > 0 {
 		sigma1Sq = s[0] * s[0]
+	}
+	if n.p != nil {
+		for i := 0; i < n.p.Rows; i++ {
+			for k, x := range n.p.Row(i) {
+				if d := math.Abs(x - y.At(k, i)); !(d <= certTol*s[0]) {
+					return fmt.Errorf("cached P differs from UᵀX at (%d,%d) by %g (σ₁ = %g)", i, k, d, s[0])
+				}
+			}
+		}
 	}
 	for _, g := range []struct {
 		name string

@@ -67,6 +67,18 @@ func TestAuditShapesDetectsCorruption(t *testing.T) {
 			func(tr *Tree) { s := tr.Root().S; s[0], s[1] = s[1], s[0] },
 			"spectrum",
 		},
+		"projection on a level-1 node": {
+			func(tr *Tree) { n := tr.levels[0][1]; n.p = linalg.NewDense(n.res.Rank(), 1) },
+			"carries a projection P",
+		},
+		"upper node without its projection": {
+			func(tr *Tree) { tr.levels[1][0].p = nil },
+			"has no projection P",
+		},
+		"projection of the wrong shape": {
+			func(tr *Tree) { n := tr.levels[len(tr.levels)-1][0]; n.p = n.p.SliceCols(0, n.p.Cols-1) },
+			"projection P is",
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -113,7 +125,8 @@ func TestAuditUpperHoldsOverGatedUpdates(t *testing.T) {
 // mutation keeps the shapes AuditShapes checks, except the swapped Σ,
 // which AuditShapes must reject; each must fail Certify, naming the node.
 // The tail ×1.01 and the perturbed baseline apply at level 1, where the
-// tail is exact and the input is the block's DynRow baseline.
+// tail is exact and the input is the block's DynRow baseline; the
+// perturbed P above it, where the next refine starts from P.
 func TestAuditUpperDetectsCorruption(t *testing.T) {
 	targets := []struct {
 		name string
@@ -124,23 +137,23 @@ func TestAuditUpperDetectsCorruption(t *testing.T) {
 		{"root", func(tr *Tree) (int, int) { return len(tr.levels) - 1, 0 }},
 	}
 	mutations := []struct {
-		name          string
-		level1, shape bool // level-1 only; AuditShapes must reject it too
-		mutate        func(t *testing.T, n *node, m *sparse.DynRow, j int)
+		name                 string
+		level1, upper, shape bool // level-1 only; upper only; AuditShapes must reject it too
+		mutate               func(t *testing.T, n *node, m *sparse.DynRow, j int)
 	}{
-		{"anchor tail halved", false, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+		{"anchor tail halved", false, false, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			if n.tail == 0 {
 				t.Fatal("node has a zero tail; nothing to corrupt")
 			}
 			n.tail /= 2
 		}},
-		{"tail x1.01", true, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+		{"tail x1.01", true, false, false, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			if n.tail == 0 {
 				t.Fatal("node has a zero tail; nothing to corrupt")
 			}
 			n.tail *= 1.01
 		}},
-		{"random orthonormal basis", false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
+		{"random orthonormal basis", false, false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			rng := rand.New(rand.NewSource(3))
 			u := linalg.NewDense(n.res.U.Rows, n.res.U.Cols)
 			for i := range u.Data {
@@ -148,7 +161,7 @@ func TestAuditUpperDetectsCorruption(t *testing.T) {
 			}
 			n.res.U = linalg.Orthonormalize(u)
 		}},
-		{"U entry +1e-6", false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
+		{"U entry +1e-6", false, false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			u, r := n.res.U, 0
 			for i := 1; i < u.Rows; i++ {
 				if math.Abs(u.At(i, 0)) > math.Abs(u.At(r, 0)) {
@@ -157,14 +170,17 @@ func TestAuditUpperDetectsCorruption(t *testing.T) {
 			}
 			u.Row(r)[0] += 1e-6
 		}},
-		{"spectrum entries swapped", false, true, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
+		{"spectrum entries swapped", false, false, true, func(t *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			s := n.res.S
 			if len(s) < 2 || s[0] == s[1] {
 				t.Fatalf("node spectrum %v has no two distinct values to swap", s)
 			}
 			s[0], s[1] = s[1], s[0]
 		}},
-		{"baseline value perturbed", true, false, func(_ *testing.T, _ *node, m *sparse.DynRow, j int) {
+		{"P entry +1e-8 of sigma1", false, true, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
+			n.p.Row(0)[n.p.Cols/2] += 1e-8 * n.res.S[0]
+		}},
+		{"baseline value perturbed", true, false, false, func(_ *testing.T, _ *node, m *sparse.DynRow, j int) {
 			// Moving an entry and resetting the block's baseline without
 			// re-factoring it is the bookkeeping going stale behind the
 			// trigger's back.
@@ -175,7 +191,7 @@ func TestAuditUpperDetectsCorruption(t *testing.T) {
 	}
 	for _, tg := range targets {
 		for _, mu := range mutations {
-			if mu.level1 && tg.name != "level-1 block" {
+			if (mu.level1 || mu.upper) && (tg.name == "level-1 block") != mu.level1 {
 				continue
 			}
 			t.Run(tg.name+"/"+mu.name, func(t *testing.T) {

@@ -45,9 +45,11 @@ func encodeSnapshot(t testing.TB, snap *TreeSnapshot) []byte {
 // restored nodes — never a panic or an error. The seeds are an unbuilt
 // snapshot, a built one, and built ones with a level-1 node wider than
 // the rank, a non-descending level-1 spectrum, a NaN and a 1e300 level-1
-// singular value, and a level-2 basis entry of 1e200: the last two are
+// singular value, and a level-2 basis entry of 1e200 (the last two are
 // finite, and before RestoreTree bounded magnitudes they made the Update
-// fail in the eigensolver.
+// fail in the eigensolver); then a level-2 projection P of the wrong
+// shape, with a NaN and with a 1e300 entry, missing, and a P on a
+// level-1 node.
 func FuzzRestoreTree(f *testing.F) {
 	tr := mustCore(NewTree(fuzzMatrix(), fuzzConfig))
 	f.Add(encodeSnapshot(f, tr.Snapshot()))
@@ -62,11 +64,20 @@ func FuzzRestoreTree(f *testing.F) {
 		{0, func(n *SavedNode) { n.S[0] = math.NaN() }},
 		{0, func(n *SavedNode) { n.S[0] = 1e300 }},
 		{1, func(n *SavedNode) { n.U.Data[0] = 1e200 }},
+		{1, func(n *SavedNode) { n.P = n.P.SliceCols(0, n.P.Cols-1) }},
+		{1, func(n *SavedNode) { n.P.Data[0] = math.NaN() }},
+		{1, func(n *SavedNode) { n.P.Data[0] = 1e300 }},
+		{1, func(n *SavedNode) { n.P = nil }},
+		{0, func(n *SavedNode) { n.P = linalg.NewDense(len(n.S), 2) }},
 	} {
-		snap := tr.Snapshot() // fresh level slices; U and S are the live tree's
+		snap := tr.Snapshot() // fresh level slices; U, S and P are the live tree's
 		n := &snap.Levels[c.level][1]
 		u := *n.U
 		u.Data, n.U, n.S = slices.Clone(u.Data), &u, slices.Clone(n.S)
+		if n.P != nil {
+			p := *n.P
+			p.Data, n.P = slices.Clone(p.Data), &p
+		}
 		c.corrupt(n)
 		f.Add(encodeSnapshot(f, snap))
 	}

@@ -20,12 +20,15 @@ import (
 // root must stay within 1.0075 of the optimal rank-d error (worst batch
 // measured 1.0051 churn / 1.0056 trickle with every upper node merged
 // exactly, 1.0053 / 1.0057 through the gate; 19 of 989 and 10 of 748
-// dirty nodes merged exactly) and pass check.TreeDeep, and over the
-// stream at least 80 % of the dirty upper nodes must publish the gate's
-// refined copy: merging every node exactly fails the test. Its blocks are
-// wider than d + 8, so level 1 runs rsvd.Sparse's sketched route, which
-// the differential harness never reaches: these checkpoints are that
-// route's certificate.
+// dirty nodes merged exactly; 1.0051 / 1.0055 and 16 of 902 and 14 of
+// 706 since every node warm-starts from its cache) and pass
+// check.TreeDeep, and over the stream at least 80 % of the dirty upper
+// nodes must publish the gate's refined copy: merging every node exactly
+// fails the test. Its blocks are
+// wider and taller than d + 8, so level 1 runs the sketched routes — cold
+// at Build, warm from the cached basis on every update — which the
+// differential harness never reaches: these checkpoints are their
+// certificate.
 func TestUpperGateNearOptimal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 600 benchmark-shape batches")

@@ -26,7 +26,7 @@ type Metrics struct {
 	// nodes the gate let publish a refined copy of their cached factor.
 	UpperMerges, UpperProjections obs.Counter
 	// BlockFactorNanos records one observation per level-1 block
-	// factorization (the rsvd.Sparse call); MergeNanos one per upper
+	// factorization (the rsvd.SparseFrom call); MergeNanos one per upper
 	// merge pass; PassNanos one per whole Build/Update.
 	BlockFactorNanos, MergeNanos, PassNanos obs.Histogram
 }

@@ -20,12 +20,15 @@ type TreeSnapshot struct {
 }
 
 // SavedNode is one cached node: its basis U, its spectrum S (the parent's
-// input is U·S) and its tail — Eqn. 2's cached tail at level 1, the
+// input is U·S), above level 1 its projection P = S·Vᵀ on its children
+// (nil at level 1), and its tail — Eqn. 2's cached tail at level 1, the
 // anchor tail the upper-level gate measures refined copies against above
-// it.
+// it. P is saved so that a restored tree refines bit for bit like one
+// that never restarted.
 type SavedNode struct {
 	U    *linalg.Dense
 	S    []float64
+	P    *linalg.Dense
 	Tail float64
 }
 
@@ -35,7 +38,7 @@ func (t *Tree) Snapshot() *TreeSnapshot {
 	for l, level := range t.levels {
 		snap.Levels[l] = make([]SavedNode, len(level))
 		for j, n := range level {
-			snap.Levels[l][j] = SavedNode{U: n.res.U, S: n.res.S, Tail: n.tail}
+			snap.Levels[l][j] = SavedNode{U: n.res.U, S: n.res.S, P: n.p, Tail: n.tail}
 		}
 	}
 	return snap
@@ -62,7 +65,7 @@ func RestoreTree(m *sparse.DynRow, cfg Config, snap *TreeSnapshot) (*Tree, error
 	for l, level := range snap.Levels {
 		t.levels[l] = make([]*node, len(level))
 		for j, n := range level {
-			t.levels[l][j] = &node{res: &linalg.SVDResult{U: n.U, S: n.S}, tail: n.Tail}
+			t.levels[l][j] = &node{res: &linalg.SVDResult{U: n.U, S: n.S}, p: n.P, tail: n.Tail}
 		}
 	}
 	t.seq, t.built = snap.Seq, snap.Built
@@ -72,7 +75,7 @@ func RestoreTree(m *sparse.DynRow, cfg Config, snap *TreeSnapshot) (*Tree, error
 // validate checks a decoded snapshot against the matrix it is being
 // rewired onto and the tree geometry cfg implies: a built tree has every
 // node of levelCounts, an unbuilt one none, and each node passes
-// validNode with entries and σ₁ bounded as below.
+// validNode and validProjection with entries and σ₁ bounded as below.
 func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 	var counts []int
 	if snap.Built {
@@ -87,8 +90,9 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 	// or every score read from the root. A basis column is a unit vector, so
 	// no entry exceeds 1 beyond rounding; no node holds more energy than
 	// the block baselines beneath it, whose norm is at most
-	// E = √Σ_j (‖B_j‖ + ‖D_j‖)². Both bounds are checked at twice that,
-	// which keeps every later merge finite.
+	// E = √Σ_j (‖B_j‖ + ‖D_j‖)². An entry of P = Σ·Vᵀ is at most σ₁.
+	// Every bound is checked at twice that, which keeps every later merge
+	// and refine finite.
 	var eSq float64
 	for j := 0; j < m.NumBlocks(); j++ {
 		b := m.BlockFrobNorm(j) + m.DeltaFrobNorm(j)
@@ -112,6 +116,22 @@ func (snap *TreeSnapshot) validate(m *sparse.DynRow, cfg Config) error {
 			}
 			if len(n.S) > 0 && n.S[0] > maxSigma {
 				return fmt.Errorf("%s σ₁ = %g exceeds twice the matrix's baseline norm %g", what, n.S[0], maxSigma/2)
+			}
+			cols := 0
+			if l > 0 {
+				for _, c := range snap.Levels[l-1][j*cfg.Branch : min((j+1)*cfg.Branch, counts[l-1])] {
+					cols += len(c.S)
+				}
+			}
+			if err := validProjection(n.P, len(n.S), cols, l > 0, what); err != nil {
+				return err
+			}
+			if n.P != nil {
+				for _, v := range n.P.Data {
+					if !(math.Abs(v) <= 2*n.S[0]) {
+						return fmt.Errorf("%s projection P holds %g, a non-finite value or beyond twice σ₁ = %g", what, v, n.S[0])
+					}
+				}
 			}
 		}
 	}

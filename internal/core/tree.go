@@ -16,21 +16,24 @@ import (
 
 // node is the cached factor of one tree node at any level — a level-1
 // block, an intermediate parent or the root: its rank-≤d SVD (U and Σ; no
-// node keeps V) and its tail t. The parent's input is U·Σ, formed when the
+// node keeps V), above level 1 its projection P = Σ·Vᵀ = Uᵀ·C on its
+// input C, and its tail t. The parent's input is U·Σ, formed when the
 // parent merges. At level 1, t = ‖B − (B)_d‖_F is measured when the block
 // is factored (the first term of Eqn. 2, free from the singular values);
 // above it, t is the anchor tail ‖C − (C)_d‖_F the node's last exact merge
-// left on its input C.
+// left on its input C. P is what the node's next refine starts from: the
+// panels of children that did not change since are already in it.
 type node struct {
 	res  *linalg.SVDResult
+	p    *linalg.Dense // nil at level 1
 	tail float64
 }
 
 // The upper-level gate (DESIGN §5): a dirty node publishes the refined
-// copy of its cached basis (linalg.SVDRefine, one block power step plus
-// Rayleigh–Ritz) when that copy's exact projection error on the new input
-// is within (1+upperGateEta)·t of its anchor tail, and merges exactly
-// otherwise. The single power step and η are constants, measured on the
+// copy of its cached basis (linalg.SVDRefine, one block power step
+// started from the cached P, plus Rayleigh–Ritz) when that copy's exact
+// projection error on the new input is within (1+upperGateEta)·t of its
+// anchor tail, and merges exactly otherwise. The single power step and η are constants, measured on the
 // system benchmark's seed-1 input over 600 batches of 48 events
 // (EXPERIMENTS "Ablations"): of 989 dirty nodes, η = 0.01 without the
 // step merged 144 exactly at a worst recon_over_opt of 1.0066; with the
@@ -118,21 +121,31 @@ func (t *Tree) blockSeed(j int) int64 {
 }
 
 // factorCSR runs the level-1 sparse randomized SVD on an extracted block
-// and returns a fresh node. kernelWorkers is the worker budget handed to
-// the linear-algebra kernels inside the factorization; the randomized
-// draw — and hence the result — depends only on the seed, never on the
-// budget.
-func (t *Tree) factorCSR(blk *sparse.CSR, j int, kernelWorkers int) (*node, error) {
+// and returns a fresh node. With prev, the block's cached node, it starts
+// from prev's basis (rsvd.SparseFrom, one subspace step); without it, or
+// when prev has rank 0, from a fresh Gaussian sketch (rsvd.Sparse). Blocks
+// at most d + 8 columns wide are factored exactly, and blocks at most
+// d + 8 rows tall take the cold sketch, which spans their rows.
+// kernelWorkers is the worker budget handed to the linear-algebra kernels
+// inside the factorization; the randomized draw — and hence the result —
+// depends only on the seed and prev, never on the budget.
+func (t *Tree) factorCSR(blk *sparse.CSR, j int, prev *node, kernelWorkers int) (*node, error) {
 	start := time.Now()
 	defer t.met.BlockFactorNanos.ObserveSince(start)
 	frob := blk.FrobNorm()
-	// One power iteration is the level-1 constant. The tail is Eqn. 2
+	// One power iteration is the cold route's constant. The tail is Eqn. 2
 	// budget: on the system benchmark's blocks (|S| = 128, d = 16) it
 	// leaves a mean tail/‖B_j‖ of 0.647 against the exact 0.630, where
 	// zero iterations leave 0.727 of the 0.919 trigger, and half as many
 	// blocks re-factor. A second iteration reaches 0.634 at 1.7× the cost
-	// per block (EXPERIMENTS "Ablations").
-	res, err := rsvd.Sparse(blk, rsvd.Options{Rank: t.cfg.Rank, PowerIters: 1, Seed: t.blockSeed(j), Workers: kernelWorkers})
+	// per block (EXPERIMENTS "Ablations"). On the churn workload's update
+	// re-factors the warm step leaves 0.643 where the cold route leaves
+	// 0.653 on the same blocks and draws (TestLevel1WarmTailNearOptimal).
+	var u0 *linalg.Dense
+	if prev != nil {
+		u0 = prev.res.U
+	}
+	res, err := rsvd.SparseFrom(blk, u0, rsvd.Options{Rank: t.cfg.Rank, PowerIters: 1, Seed: t.blockSeed(j), Workers: kernelWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("core: block %d: %w", j, err)
 	}
@@ -191,9 +204,10 @@ func (t *Tree) Update(ctx context.Context) (int, error) {
 }
 
 // pass is the one body of Build, Update and ForceRebuildBlock: it
-// factors the level-1 blocks z under a fresh pass counter, re-merges
-// their ancestors (every one exactly when exact is set, through the
-// upper-level gate otherwise) and commits, then counts the pass in
+// factors the level-1 blocks z under a fresh pass counter (from fresh
+// sketches when exact is set, from their cached bases otherwise),
+// re-merges their ancestors (every one exactly when exact is set, through
+// the upper-level gate otherwise) and commits, then counts the pass in
 // passes. With z empty it commits nothing — every block is within
 // tolerance and the cached embedding stands. trace, when non-nil,
 // receives a TraceBlockRecompute event per factored block.
@@ -215,7 +229,11 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 		if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
 			return par.ForErr(ctx, len(z), w, func(i int) error {
 				bstart := time.Now()
-				n, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], kb)
+				var prev *node // levels[0] still holds the committed node
+				if !exact {
+					prev = levels[0][z[i]]
+				}
+				n, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], prev, kb)
 				if err != nil {
 					return err
 				}
@@ -271,16 +289,27 @@ func levelCounts(b, k int) []int {
 	return counts
 }
 
-// nodeInput returns the merge input C of parent pj of the nodes in
-// children — its children side by side, each as U·Σ — in pooled scratch
-// the caller releases with linalg.PutDense.
-func (t *Tree) nodeInput(children []*node, pj int) *linalg.Dense {
-	kids := children[pj*t.cfg.Branch : min((pj+1)*t.cfg.Branch, len(children))]
+// kids returns the children of parent pj among the nodes of the level
+// below it.
+func (t *Tree) kids(level []*node, pj int) []*node {
+	return level[pj*t.cfg.Branch : min((pj+1)*t.cfg.Branch, len(level))]
+}
+
+// inputCols is the column count of a parent's merge input: the sum of its
+// children's ranks.
+func inputCols(kids []*node) int {
 	cols := 0
 	for _, c := range kids {
 		cols += c.res.Rank()
 	}
-	cc := linalg.GetDense(t.m.Rows(), cols)
+	return cols
+}
+
+// nodeInput returns the merge input C of a parent with children kids —
+// side by side, each as U·Σ — in pooled scratch the caller releases with
+// linalg.PutDense.
+func (t *Tree) nodeInput(kids []*node) *linalg.Dense {
+	cc := linalg.GetDense(t.m.Rows(), inputCols(kids))
 	off := 0
 	for _, c := range kids {
 		// U·Σ written straight into place: the same bits as res.US().
@@ -328,10 +357,12 @@ func (t *Tree) merge(ctx context.Context, levels [][]*node, dirty map[int]bool, 
 			projected := make([]bool, len(parents))
 			if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
 				pj := parents[pi]
-				cc := t.nodeInput(levels[cl], pj)
+				var old []*node // the committed children, which prev.p projects
+				if !exact {
+					old = t.kids(t.levels[cl], pj)
+				}
 				// levels[cl+1][pj] is still the previous pass's node.
-				levels[cl+1][pj], projected[pi] = t.mergeNode(cc, levels[cl+1][pj], exact, kb)
-				linalg.PutDense(cc) // no result aliases the concat
+				levels[cl+1][pj], projected[pi] = t.mergeNode(t.kids(levels[cl], pj), old, levels[cl+1][pj], kb)
 				return nil
 			}); err != nil {
 				return err
@@ -349,22 +380,63 @@ func (t *Tree) merge(ctx context.Context, levels [][]*node, dirty map[int]bool, 
 	})
 }
 
-// mergeNode derives a dirty upper node's factor from its new input cc.
-// Unless exact is set, a node with a cached basis first refines that
-// basis against cc; the copy is published when its projection error is
-// within (1+upperGateEta) of the anchor tail, which it inherits, and
-// mergeNode reports true. Otherwise the exact merge SVD runs and its
-// tail becomes the node's new anchor.
-func (t *Tree) mergeNode(cc *linalg.Dense, prev *node, exact bool, workers int) (*node, bool) {
+// mergeNode derives a dirty upper node's factor from its new children
+// kids. With old, the children its cached node prev was computed against
+// (nil in an exact pass), a prev of rank > 0 first refines its basis
+// against the new input; the copy is published when its projection error
+// is within (1+upperGateEta) of the anchor tail, which it inherits, and
+// mergeNode reports true. Otherwise the exact merge SVD runs and its tail
+// becomes the node's new anchor.
+func (t *Tree) mergeNode(kids, old []*node, prev *node, workers int) (*node, bool) {
+	cc := t.nodeInput(kids)
+	defer linalg.PutDense(cc) // no result aliases the concat
 	frob := cc.FrobNorm()
-	if !exact && prev != nil && prev.res.Rank() > 0 {
-		cand := linalg.SVDRefine(cc, prev.res.U, workers)
+	if old != nil && prev != nil && prev.res.Rank() > 0 {
+		w := projectedInput(prev, kids, old, workers)
+		cand := linalg.SVDRefine(cc, w, workers)
+		linalg.PutDense(w)
 		if cand.TailEnergy(frob, t.cfg.Rank) <= (1+upperGateEta)*prev.tail {
-			return &node{res: &linalg.SVDResult{U: cand.U, S: cand.S}, tail: prev.tail}, true
+			return upperNode(cand, prev.tail), true
 		}
 	}
 	res := linalg.SVDTruncW(cc, t.cfg.Rank, workers)
-	return &node{res: &linalg.SVDResult{U: res.U, S: res.S}, tail: res.TailEnergy(frob, t.cfg.Rank)}, false
+	return upperNode(res, res.TailEnergy(frob, t.cfg.Rank)), false
+}
+
+// upperNode caches an upper node's factor res (which carries V) with
+// tail t: U, Σ and P = Σ·Vᵀ.
+func upperNode(res *linalg.SVDResult, tail float64) *node {
+	return &node{res: &linalg.SVDResult{U: res.U, S: res.S}, p: res.SigmaVt(), tail: tail}
+}
+
+// projectedInput returns W = Uᵀ·C (pooled scratch), the projection of a
+// dirty node's new input C on its cached basis U, panel by panel: a child
+// that is the same node as in old, the children prev was computed against,
+// contributes its panel of the cached P = Uᵀ·C_old; a changed child k
+// contributes (Uᵀ·U_k)·Σ_k.
+func projectedInput(prev *node, kids, old []*node, workers int) *linalg.Dense {
+	r := prev.res.Rank()
+	w := linalg.GetDense(r, inputCols(kids))
+	off, oldOff := 0, 0
+	for k, c := range kids {
+		rk := c.res.Rank()
+		if c == old[k] {
+			for i := 0; i < r; i++ {
+				copy(w.Row(i)[off:off+rk], prev.p.Row(i)[oldOff:])
+			}
+		} else {
+			g := linalg.TMulW(prev.res.U, c.res.U, workers)
+			for i := 0; i < r; i++ {
+				out := w.Row(i)[off : off+rk]
+				for kk, x := range g.Row(i) {
+					out[kk] = x * c.res.S[kk]
+				}
+			}
+		}
+		off += rk
+		oldOff += old[k].res.Rank()
+	}
+	return w
 }
 
 // ForceRebuildBlock re-factors level-1 block j unconditionally, bypassing

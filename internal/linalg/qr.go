@@ -98,7 +98,10 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 		}
 	}
 	// Accumulate Q (transposed: qt.Row(j) is column j of Q) by applying
-	// reflectors in reverse to the identity's first n columns.
+	// reflectors in reverse to the identity's first n columns. Reflector k
+	// touches rows k.. only, and when it runs every column j < k is still
+	// e_j, zero there: it is applied to columns j ≥ k alone, which changes
+	// no bit of Q.
 	qt := NewDense(n, m)
 	for j := 0; j < n; j++ {
 		qt.Row(j)[j] = 1
@@ -108,9 +111,9 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 		if beta == 0 {
 			continue
 		}
-		tgt, ck, coff, cbeta, cvk, ctail = qt, k, 0, beta, v0[k], wt.Row(k)[k+1:]
-		pw := kernelWorkers(workers, n, 2*n*(m-k))
-		par.ForChunks(n, pw, applyReflector)
+		tgt, ck, coff, cbeta, cvk, ctail = qt, k, k, beta, v0[k], wt.Row(k)[k+1:]
+		pw := kernelWorkers(workers, n-k, 2*(n-k)*(m-k))
+		par.ForChunks(n-k, pw, applyReflector)
 	}
 	return qt.T(), r
 }

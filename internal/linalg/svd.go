@@ -108,22 +108,36 @@ func SVDTruncW(a *Dense, d, workers int) *SVDResult {
 }
 
 // SVDRefine factors a inside the span one block power step reaches from
-// u, an orthonormal basis of r columns: Q = orth(a·(aᵀ·u)), then
-// Rayleigh–Ritz on Q — the exact SVD of the small r×cols matrix
-// Qᵀ·a = Q̃·S·Rᵀ gives U = Q·Q̃, S and V = R, signs normalized as for
-// every other SVD here. U spans Q up to the numerically zero directions
-// the small SVD drops, so the result's projection error is exact and
-// free: ‖a − U·Uᵀ·a‖²_F = ‖a‖²_F − Σ S² (TailEnergy). It costs three
-// products of a with an r-wide panel, an rows×r QR and an r×r
-// eigensolve, against the cols×cols Gram and eigensolve of SVDTrunc.
-// The power step forms a·(uᵀ·a)ᵀ, whose two products run along a's
-// rows, 25 % faster at 128×128 with r = 16 than a·(aᵀ·u).
-func SVDRefine(a, u *Dense, workers int) *SVDResult {
-	q := OrthonormalizeW(MulTW(a, TMulW(u, a, workers), workers), workers)
+// u, an orthonormal basis of r columns, given w = uᵀ·a (r×cols): Q =
+// orth(a·wᵀ), then Rayleigh–Ritz on Q — the exact SVD of the small
+// r×cols matrix Qᵀ·a = Q̃·S·Rᵀ gives U = Q·Q̃, S and V = R, signs
+// normalized as for every other SVD here. U spans Q up to the numerically
+// zero directions the small SVD drops, so the result's projection error
+// is exact and free: ‖a − U·Uᵀ·a‖²_F = ‖a‖²_F − Σ S² (TailEnergy), and
+// S·Vᵀ = Uᵀ·a is the next refine's w. It costs two products of a with an
+// r-wide panel, an rows×r QR and an r×r eigensolve, against the cols×cols
+// Gram and eigensolve of SVDTrunc. The caller supplies w because it
+// usually holds most of it: a tree node caches S·Vᵀ from its last
+// factorization, and only the panels of changed children need a product.
+func SVDRefine(a, w *Dense, workers int) *SVDResult {
+	q := OrthonormalizeW(MulTW(a, w, workers), workers)
 	small := SVDW(TMulW(q, a, workers), workers)
 	res := &SVDResult{U: MulW(q, small.U, workers), S: small.S, V: small.V}
 	fixSigns(res.U, res.V)
 	return res
+}
+
+// SigmaVt returns S·Vᵀ (r×cols) of a result that carries V: Uᵀ·A for the
+// A it factors, in exact arithmetic.
+func (r *SVDResult) SigmaVt() *Dense {
+	p := r.V.T()
+	for i, s := range r.S {
+		row := p.Row(i)
+		for k := range row {
+			row[k] *= s
+		}
+	}
+	return p
 }
 
 // SymEigvals returns the eigenvalues of the symmetric matrix g,

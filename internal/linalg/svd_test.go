@@ -315,14 +315,14 @@ func TestQRThinHighlyRankDeficient(t *testing.T) {
 }
 
 // TestSVDRefine: from a basis of the top-r subspace the refined copy is
-// the truncated SVD, and from any orthonormal basis its TailEnergy is its
-// exact projection error with an orthonormal U.
+// the truncated SVD, from any orthonormal basis its TailEnergy is its
+// exact projection error with an orthonormal U, and its S·Vᵀ is Uᵀ·a.
 func TestSVDRefine(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randDense(rng, 40, 64)
 	const r = 6
 	want := SVDTrunc(a, r)
-	got := SVDRefine(a, want.U, 1)
+	got := SVDRefine(a, TMul(want.U, a), 1)
 	for i := range want.S {
 		if math.Abs(got.S[i]-want.S[i]) > 1e-10*want.S[0] {
 			t.Fatalf("σ%d = %g from the exact basis, want %g", i, got.S[i], want.S[i])
@@ -331,9 +331,15 @@ func TestSVDRefine(t *testing.T) {
 	if d := MaxAbsDiff(MulT(got.U, got.U), MulT(want.U, want.U)); d > 1e-9 {
 		t.Fatalf("refined subspace differs from the exact one by %g", d)
 	}
+	if d := MaxAbsDiff(want.SigmaVt(), TMul(want.U, a)); d > 1e-12*want.S[0] {
+		t.Fatalf("the truncated SVD's S·Vᵀ differs from Uᵀ·a by %g", d)
+	}
 	u := Orthonormalize(randDense(rng, 40, r))
-	got = SVDRefine(a, u, 2)
+	got = SVDRefine(a, TMul(u, a), 2)
 	checkOrthonormalCols(t, got.U, 1e-12, "refined U")
+	if d := MaxAbsDiff(got.SigmaVt(), TMul(got.U, a)); d > 1e-12*got.S[0] {
+		t.Fatalf("S·Vᵀ differs from Uᵀ·a by %g", d)
+	}
 	frob := a.FrobNorm()
 	proj := TMul(got.U, a).FrobNorm()
 	if e, tail := math.Sqrt(frob*frob-proj*proj), got.TailEnergy(frob, r); math.Abs(e-tail) > 1e-9*frob {

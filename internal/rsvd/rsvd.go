@@ -1,8 +1,9 @@
 // Package rsvd implements randomized truncated SVD for sparse matrices:
 // the Halko–Martinsson–Tropp randomized subspace iteration used at level 1
 // of Tree-SVD (8 oversamples, one power iteration run as their Algorithm
-// 4.3: Y = A·Aᵀ·A·Ω, then one QR), and an FRPCA-style baseline (randomized
-// PCA with four power iterations, the Exp. 2 competitor).
+// 4.3: Y = A·Aᵀ·A·Ω, then one QR), its warm start from a cached basis
+// (SparseFrom, one subspace step), and an FRPCA-style baseline
+// (randomized PCA with four power iterations, the Exp. 2 competitor).
 package rsvd
 
 import (
@@ -64,6 +65,19 @@ func fillGaussian(rng *rand.Rand, m *linalg.Dense) {
 	}
 }
 
+// warmExtra is how many Gaussian columns SparseFrom adds beyond Rank to
+// the cached basis it starts from, so that a direction the block gained
+// outside that basis is still found. It is a measured constant. Over the
+// update re-factors of the system benchmark's seed-1 churn input (600
+// batches of 48 events, |S| = 128, d = 16, two workers), 0, 2, 3, 4, 6
+// and 8 extra columns took 648, 624, 618, 614, 609 and 607 re-factors at
+// a mean tail/‖B_j‖ of 0.652, 0.645, 0.644, 0.643, 0.642 and 0.641 and
+// 249, 318, 339, 377, 411 and 500 µs a block; Sparse's cold sketch took
+// 661 at 0.655 and 551 µs, and the exact tail is 0.636. With none the
+// warm tail is above the cold route's on the same blocks (EXPERIMENTS
+// "Ablations").
+const warmExtra = 4
+
 // Sparse computes a randomized truncated SVD of a sparse matrix A (rows×n).
 // The scheme is Halko-style subspace iteration on the row space:
 //
@@ -85,20 +99,12 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 		return nil, fmt.Errorf("rsvd: non-positive rank %d", opts.Rank)
 	}
 	defer observeSparse(time.Now())
+	if res := direct(a, opts); res != nil {
+		return res, nil
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	kw := opts.Workers
-	p := opts.sketchCols(min(a.Rows, a.Cols))
-	if p == 0 || a.NNZ() == 0 {
-		return &linalg.SVDResult{U: linalg.NewDense(a.Rows, 0), V: linalg.NewDense(a.Cols, 0)}, nil
-	}
-	if a.Cols <= opts.Rank+oversample {
-		// The sketch would be as wide as the matrix: a randomized range
-		// finder saves nothing, so take the exact thin SVD of the block
-		// directly (Gram side is Cols×Cols — tiny). Cheaper and exact for
-		// the narrow blocks produced by large b.
-		return linalg.SVDTruncW(a.ToDense(), opts.Rank, kw), nil
-	}
-	omega := linalg.GetDense(a.Cols, p)
+	omega := linalg.GetDense(a.Cols, opts.sketchCols(min(a.Rows, a.Cols)))
 	fillGaussian(rng, omega)
 	y := a.MulDenseW(omega, kw) // rows×p
 	linalg.PutDense(omega)
@@ -119,6 +125,74 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 		y = a.MulDenseW(z, kw)
 		linalg.PutDense(z)
 	}
+	return rayleighRitz(a, y, opts.Rank, kw), nil
+}
+
+// SparseFrom is Sparse warm-started from u0, an orthonormal basis of
+// a.Rows rows the caller already holds for a nearby matrix (a level-1
+// block's cached factor): one subspace step (HMT §4.5) from
+// X₀ = [u0, G], where G holds Gaussian columns drawn from opts.Seed that
+// fill X₀ to Rank + warmExtra columns — Z = Aᵀ·X₀, Y = A·Z,
+// Q = qr(Y) — then the Rayleigh–Ritz step Sparse ends with. Its three
+// sparse products are narrower than Sparse's four, and its draw is
+// rows×(Rank + warmExtra − r) instead of n×p. PowerIters is not read.
+// Sparse's route is taken for a nil or rank-0 u0, and for a matrix Sparse
+// factors exactly: one at most Rank + oversample columns wide, or rows
+// tall, where its sketch spans every row. Either way the factor's
+// projection error is exact given its singular values (TailEnergy).
+func SparseFrom(a *sparse.CSR, u0 *linalg.Dense, opts Options) (*linalg.SVDResult, error) {
+	if u0 == nil || u0.Cols == 0 || a.Rows <= opts.Rank+oversample {
+		return Sparse(a, opts)
+	}
+	if opts.Rank <= 0 {
+		return nil, fmt.Errorf("rsvd: non-positive rank %d", opts.Rank)
+	}
+	if u0.Rows != a.Rows || u0.Cols > a.Rows {
+		return nil, fmt.Errorf("rsvd: a %d×%d start basis for a matrix of %d rows", u0.Rows, u0.Cols, a.Rows)
+	}
+	defer observeSparse(time.Now())
+	if res := direct(a, opts); res != nil {
+		return res, nil
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	kw := opts.Workers
+	r := u0.Cols
+	x0 := linalg.GetDense(a.Rows, max(opts.Rank+warmExtra, r)) // rows > Rank + oversample
+	for i := 0; i < a.Rows; i++ {
+		row := x0.Row(i)
+		copy(row, u0.Row(i))
+		for k := r; k < len(row); k++ {
+			row[k] = rng.NormFloat64()
+		}
+	}
+	z := a.TMulDenseW(x0, kw) // n×p
+	linalg.PutDense(x0)
+	y := a.MulDenseW(z, kw) // rows×p
+	linalg.PutDense(z)
+	return rayleighRitz(a, y, opts.Rank, kw), nil
+}
+
+// direct returns the factorization of a matrix no sketch can save work
+// on, or nil: an empty one, and one at most Rank + oversample columns
+// wide, where a sketch would be as wide as the matrix and the exact thin
+// SVD (its Gram side is Cols×Cols — tiny) is cheaper and exact. That is
+// every block of a large b.
+func direct(a *sparse.CSR, opts Options) *linalg.SVDResult {
+	if min(a.Rows, a.Cols) == 0 || a.NNZ() == 0 {
+		return &linalg.SVDResult{U: linalg.NewDense(a.Rows, 0), V: linalg.NewDense(a.Cols, 0)}
+	}
+	if a.Cols <= opts.Rank+oversample {
+		return linalg.SVDTruncW(a.ToDense(), opts.Rank, opts.Workers)
+	}
+	return nil
+}
+
+// rayleighRitz ends both randomized routes: Q = qr(y) for the pooled
+// range sample y (consumed), then the exact thin SVD of the small
+// W = Qᵀ·A, U = Q·U_w, cut at rank. U spans Q up to the numerically zero
+// directions the small SVD drops, so ‖A‖²_F − Σ S² is the factor's exact
+// projection error (TailEnergy).
+func rayleighRitz(a *sparse.CSR, y *linalg.Dense, rank, kw int) *linalg.SVDResult {
 	q, _ := linalg.QRThinW(y, kw)
 	linalg.PutDense(y)
 	wt := a.TMulDenseW(q, kw) // n×p
@@ -130,7 +204,7 @@ func Sparse(a *sparse.CSR, opts Options) (*linalg.SVDResult, error) {
 	linalg.PutDense(q)
 	linalg.PutDense(small.U)
 	res := &linalg.SVDResult{U: u, S: small.S, V: small.V}
-	return res.Truncate(opts.Rank), nil
+	return res.Truncate(rank)
 }
 
 // FRPCA approximates the truncated SVD of a sparse matrix in the style of

@@ -280,3 +280,59 @@ func TestPowerItersImproveAccuracy(t *testing.T) {
 		t.Fatalf("power iterations hurt: e0=%g e3=%g", e0, e3)
 	}
 }
+
+// TestSparseFromWarmStart: from the basis of a nearby matrix's factor one
+// step lands within 1 % of the optimal error with an orthonormal U and a
+// tail that is its exact projection error; the result is a function of
+// the seed; and the routes Sparse factors exactly ignore the start.
+func TestSparseFromWarmStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := lowRankCSR(rng, 40, 120, 6, 0.05)
+	prev := mustSVD(Sparse(a, Options{Rank: 6, Seed: 1, PowerIters: 1}))
+	b := sparse.NewBuilder(a.Rows, a.Cols) // a, with a tenth of its columns redrawn
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			v := a.Val[p]
+			if a.ColIdx[p]%10 == 0 {
+				v = 3 * rng.NormFloat64()
+			}
+			b.Add(i, int(a.ColIdx[p]), v)
+		}
+	}
+	a = b.Build()
+	res := mustSVD(SparseFrom(a, prev.U, Options{Rank: 6, Seed: 2}))
+	if got, best := relErr(res, a, 6); got > 1.01*best {
+		t.Fatalf("warm residual %g > 1.01× optimal %g", got, best)
+	}
+	if d := linalg.MaxAbsDiff(linalg.Gram(res.U), linalg.Identity(res.U.Cols)); d > 1e-10 {
+		t.Fatalf("warm U not orthonormal: %g", d)
+	}
+	frob := a.FrobNorm()
+	proj := a.TMulDense(res.U).FrobNorm()
+	if e, tail := math.Sqrt(frob*frob-proj*proj), res.TailEnergy(frob, 6); math.Abs(e-tail) > 1e-9*frob {
+		t.Fatalf("TailEnergy %g, projection error %g", tail, e)
+	}
+	again := mustSVD(SparseFrom(a, prev.U, Options{Rank: 6, Seed: 2}))
+	if !slices.Equal(res.U.Data, again.U.Data) || !slices.Equal(res.S, again.S) {
+		t.Fatal("same start and seed, different factor")
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		u0   *linalg.Dense
+	}{
+		{"no start", a, nil},
+		{"rank-0 start", a, linalg.NewDense(a.Rows, 0)},
+		{"narrow", lowRankCSR(rng, 40, 14, 3, 0.05), prev.U},
+		{"short", lowRankCSR(rng, 14, 120, 3, 0.05), linalg.Identity(14).SliceCols(0, 6)},
+	} {
+		cold := mustSVD(Sparse(tc.a, Options{Rank: 6, Seed: 3, PowerIters: 1}))
+		warm := mustSVD(SparseFrom(tc.a, tc.u0, Options{Rank: 6, Seed: 3, PowerIters: 1}))
+		if !slices.Equal(cold.U.Data, warm.U.Data) || !slices.Equal(cold.S, warm.S) {
+			t.Errorf("%s: SparseFrom left Sparse's route", tc.name)
+		}
+	}
+	if _, err := SparseFrom(a, linalg.NewDense(a.Rows-1, 6), Options{Rank: 6}); err == nil {
+		t.Fatal("a start basis of the wrong height was accepted")
+	}
+}

@@ -24,7 +24,7 @@ import (
 // so bit rot that still decodes as structurally plausible gob is
 // rejected deterministically.
 const (
-	persistVersion = 7
+	persistVersion = 8
 	persistMagic   = "TSV2"
 	footerLen      = 8
 )

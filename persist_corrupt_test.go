@@ -222,6 +222,18 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 			n.S[0], n.S[1] = n.S[1], n.S[0]
 		}, "spectrum not descending"},
 		{"NaN level-1 singular value", func(s *savedEmbedder) { blockNode(s).S[0] = math.NaN() }, "singular value 0 is NaN"},
+		// The projection P an upper node's next refine starts from.
+		{"projection of the wrong shape", func(s *savedEmbedder) {
+			n := rootNode(s)
+			n.P = n.P.SliceCols(0, n.P.Cols-1)
+		}, "projection P is"},
+		{"NaN in a projection", func(s *savedEmbedder) { rootNode(s).P.Data[0] = math.NaN() }, "projection P holds NaN"},
+		{"absurd projection entry", func(s *savedEmbedder) { rootNode(s).P.Data[0] = 1e300 }, "projection P holds 1e+300"},
+		{"projection on a level-1 node", func(s *savedEmbedder) {
+			n := blockNode(s)
+			n.P = linalg.NewDense(len(n.S), 1)
+		}, "level-1 node and carries a projection P"},
+		{"upper node without its projection", func(s *savedEmbedder) { s.Tree.Levels[1][0].P = nil }, "has no projection P"},
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
