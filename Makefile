@@ -1,6 +1,7 @@
 # Tree-SVD developer targets. `make ci` is the full gate: gofmt, vet,
-# build, vet and short tests of the benchmark module, tests, the
-# race-detector pass over the concurrency-sensitive
+# an arm64 vet of the portable fallbacks, build, vet and short tests of
+# the benchmark module, tests, the race-detector pass over the
+# concurrency-sensitive
 # packages (the public facade, everything under internal/, and the
 # binaries under cmd/), the short-mode differential fuzz of the
 # correctness harness, ten seconds of coverage fuzzing on each decoder of
@@ -19,12 +20,19 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
+.PHONY: ci vet cross build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
 
-ci: fmt vet build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-recommend-short bench-repair-short
+ci: fmt vet cross build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-recommend-short bench-repair-short
 
 vet:
 	$(GO) vet ./...
+
+# Cross-architecture gate: vet the whole module for arm64, so the
+# portable inner loops that stand in for the amd64 assembly
+# (internal/linalg/kernels_other.go) keep compiling. `make vet` already
+# runs asmdecl over the assembly's frame offsets on amd64.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # Documentation gate: go vet's doc-adjacent checks plus cmd/doclint,
 # which requires a package comment on every package and a doc comment on

@@ -255,6 +255,26 @@ func TestEmitKernelBench(t *testing.T) {
 	add("SVDTrunc", benchRows, benchCols, 1, 0,
 		func() { linalg.SVDTruncW(a, 128, 1) })
 
+	// An upper-level refine at the system benchmark's merge shape: a
+	// 128×128 input (8 children of rank 16) and a 16×128 S·Vᵀ, and the
+	// three kernels it spends its time in.
+	const mRows, mCols, mRank = 128, 128, 16
+	ma := benchDense(5, mRows, mCols)
+	mw := benchDense(6, mRank, mCols)
+	mp := benchDense(7, mRows, mRank)
+	mq, _ := linalg.QRThin(mp)
+	for _, w := range []int{1, 2} {
+		w := w
+		add("Refine/MulT", mRows, mCols, w, 2*float64(mRows)*mCols*mRank,
+			func() { linalg.MulTW(ma, mw, w) })
+		add("Refine/TMul", mRows, mCols, w, 2*float64(mRows)*mCols*mRank,
+			func() { linalg.TMulW(mq, ma, w) })
+		add("Refine/QR", mRows, mRank, w, 0,
+			func() { linalg.QRThinW(mp, w) })
+		add("Refine/whole", mRows, mCols, w, 0,
+			func() { linalg.SVDRefine(ma, mw, w) })
+	}
+
 	blk := benchCSR(4, 512, 4096, 0.01)
 	for _, w := range []int{1, 4} {
 		w := w

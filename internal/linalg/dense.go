@@ -56,15 +56,21 @@ func (m *Dense) Clone() *Dense {
 }
 
 // T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.Cols, m.Rows)
+func (m *Dense) T() *Dense { return transposeInto(NewDense(m.Cols, m.Rows), m) }
+
+// transposeInto writes mᵀ into dst, which must be m.Cols×m.Rows and must
+// not alias m, and returns dst.
+func transposeInto(dst, m *Dense) *Dense {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(shapeErr("transposeInto", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
+			dst.Data[j*m.Rows+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
 // shapeErr formats the panic message for a dimension mismatch.

@@ -20,11 +20,18 @@ import "github.com/tree-svd/treesvd/internal/par"
 //     and the output columns (tileJ) so the streamed b-panel stays
 //     L2-resident and the destination stripe stays in L1 while it is
 //     reused across the k-tile.
-//   - Instruction-level parallelism. Dot runs four independent
-//     accumulators (a serial dot product is latency-bound on the FP add
-//     chain); the axpy kernels unroll 4× and the k-loops of Mul/TMul/Gram
-//     process two reduction rows per pass (axpy2), halving traffic over
-//     the destination stripe.
+//   - Inner loops. Every kernel ends in one of three loops: Dot (four
+//     independent accumulators, since a serial dot product is
+//     latency-bound on the FP add chain), axpy, and axpy2, which the
+//     k-loops of Mul/TMul/Gram use to fold two reduction rows per pass
+//     over the destination stripe. On amd64 the three are SSE2 assembly
+//     (kernels_amd64.s), two float64 lanes per instruction; elsewhere
+//     they are the Go loops below (kernels_other.go). The two are
+//     bit-identical: each lane performs exactly the IEEE multiplies and
+//     adds of the Go loop, in the same association, with no FMA (the Go
+//     loops round every product with an explicit float64 conversion,
+//     which the compiler may not fuse). TestKernelsMatchGeneric holds
+//     the assembly to the Go loops bit for bit.
 //
 // parMinFlops gates goroutine dispatch: products smaller than this run
 // serially even when a budget is offered, so tiny merge nodes and test
@@ -49,48 +56,46 @@ func kernelWorkers(w, n, flops int) int {
 	return min(w, n)
 }
 
-// Dot returns the inner product of equal-length vectors. Four independent
-// accumulators break the floating-point add latency chain; the summation
-// order therefore differs from a naive left-to-right loop by O(ε‖a‖‖b‖).
-func Dot(a, b []float64) float64 {
+// dotGeneric is the portable Dot: four independent stride-4
+// accumulators break the floating-point add latency chain, the tail goes
+// into s0, and the combine is (s0+s2)+(s1+s3). The summation order
+// therefore differs from a naive left-to-right loop by O(ε‖a‖‖b‖). Each
+// product is an explicit float64 conversion, which the Go spec forbids
+// fusing into an FMA, so the result is the same on every GOARCH and equal
+// to dotSSE2's.
+func dotGeneric(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+3 < len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return (s0 + s2) + (s1 + s3)
 }
 
-// axpy computes dst += a·x elementwise. Per-element order matches the
-// naive loop exactly (no reassociation).
-func axpy(dst []float64, a float64, x []float64) {
+// axpyGeneric is the portable axpy: dst[i] += a·x[i], each element on
+// its own, with the product rounded before the add (no FMA).
+func axpyGeneric(dst []float64, a float64, x []float64) {
 	x = x[:len(dst)]
-	i := 0
-	for ; i+3 < len(dst); i += 4 {
-		dst[i] += a * x[i]
-		dst[i+1] += a * x[i+1]
-		dst[i+2] += a * x[i+2]
-		dst[i+3] += a * x[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += a * x[i]
+	for i := range dst {
+		dst[i] += float64(a * x[i])
 	}
 }
 
-// axpy2 computes dst += a0·x0 + a1·x1 in one pass over dst, halving the
-// store traffic of two separate axpy calls.
-func axpy2(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
+// axpy2Generic is the portable axpy2: dst[i] += a0·x0[i] + a1·x1[i],
+// associated as dst[i] + (a0·x0[i] + a1·x1[i]), every product rounded
+// (no FMA). One pass over dst halves the store traffic of two axpy calls.
+func axpy2Generic(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
 	x0 = x0[:len(dst)]
 	x1 = x1[:len(dst)]
 	for i := range dst {
-		dst[i] += a0*x0[i] + a1*x1[i]
+		dst[i] += float64(a0*x0[i]) + float64(a1*x1[i])
 	}
 }
 

@@ -139,6 +139,88 @@ func TestDotMatchesNaive(t *testing.T) {
 	}
 }
 
+// kernelValue draws one input for TestKernelsMatchGeneric: mostly N(0,1),
+// otherwise an edge of float64 — signed zeros, subnormals, values whose
+// products overflow or underflow and, when special is set, ±Inf and NaN.
+func kernelValue(rng *rand.Rand, special bool) float64 {
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-320, 1e300, -1e300, 1e-300, -1e-300, 1.5}
+	if special {
+		edges = append(edges, math.Inf(1), math.Inf(-1), math.NaN())
+	}
+	if rng.Intn(4) != 0 {
+		return rng.NormFloat64()
+	}
+	return edges[rng.Intn(len(edges))]
+}
+
+// sameBits reports whether two results are the same float64 bit for bit.
+// Two NaNs match whatever their payloads: the Go spec leaves a NaN
+// result's payload and sign open, and the compiler commutes the operands
+// of + and * freely, so the generic loops fix neither.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestKernelsMatchGeneric holds Dot, axpy and axpy2 — assembly on amd64 —
+// to the portable Go loops bit for bit, at every length up to 67 (every
+// n mod 4 tail), from aligned and unaligned starts, on finite edge values
+// and on ±Inf and NaN. A length mismatch must still panic.
+func TestKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	fill := func(n, off int, special bool) []float64 {
+		v := make([]float64, n+off)[off:]
+		for i := range v {
+			v[i] = kernelValue(rng, special)
+		}
+		return v
+	}
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 1; off++ {
+			for trial := 0; trial < 16; trial++ {
+				special := trial%4 == 3
+				a, b := fill(n, off, special), fill(n, 1-off, special)
+				if got, want := Dot(a, b), dotGeneric(a, b); !sameBits(got, want) {
+					t.Fatalf("Dot n=%d off=%d trial %d: %x, generic %x", n, off, trial, math.Float64bits(got), math.Float64bits(want))
+				}
+				dst := fill(n, off, special)
+				x0, x1 := fill(n, 1-off, special), fill(n, off, special)
+				a0, a1 := kernelValue(rng, special), kernelValue(rng, special)
+				for _, op := range []string{"axpy", "axpy2"} {
+					got := append(make([]float64, off), dst...)[off:]
+					want := append([]float64(nil), dst...)
+					if op == "axpy" {
+						axpy(got, a0, x0)
+						axpyGeneric(want, a0, x0)
+					} else {
+						axpy2(got, a0, x0, a1, x1)
+						axpy2Generic(want, a0, x0, a1, x1)
+					}
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("%s n=%d off=%d trial %d: element %d is %x, generic %x", op, n, off, trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+	short, long := make([]float64, 2), make([]float64, 3)
+	for name, call := range map[string]func(){
+		"Dot":   func() { Dot(long, short) },
+		"axpy":  func() { axpy(long, 1, short) },
+		"axpy2": func() { axpy2(long, 1, long, 1, short) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a shorter operand", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestHCatIntoMatchesHCat(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ms := []*Dense{sparseRandDense(rng, 6, 3), sparseRandDense(rng, 6, 0), sparseRandDense(rng, 6, 5)}

@@ -26,11 +26,30 @@ func QRThin(a *Dense) (q, r *Dense) { return QRThinW(a, 1) }
 // both fan out over column panels; results are identical for every
 // worker count. The reflector construction itself is a serial O(m) scan.
 func QRThinW(a *Dense, workers int) (q, r *Dense) {
+	wt, qt := qrFactor(a, workers)
+	n := a.Cols
+	r = NewDense(n, n)
+	for i := 0; i < n; i++ {
+		ri := r.Row(i)
+		for j := i; j < n; j++ {
+			ri[j] = wt.Row(j)[i]
+		}
+	}
+	q = transposeInto(NewDense(a.Rows, n), qt)
+	PutDense(wt)
+	PutDense(qt)
+	return q, r
+}
+
+// qrFactor runs the Householder QR of a. It returns two pooled n×m
+// matrices the caller must PutDense: wt, whose row j holds column j of R
+// in its first j+1 entries, and qt = Qᵀ.
+func qrFactor(a *Dense, workers int) (wt, qt *Dense) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("linalg: QRThin requires rows ≥ cols, got %d×%d", m, n))
 	}
-	wt := a.T() // wt.Row(k) is column k of A
+	wt = transposeInto(GetDense(n, m), a) // wt.Row(k) is column k of A
 	betas := make([]float64, n)
 	v0 := make([]float64, n)
 	// Deflation floor: a column whose remaining norm is rounding noise
@@ -90,19 +109,12 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 		pw := kernelWorkers(workers, n-k-1, 2*(n-k-1)*(m-k))
 		par.ForChunks(n-k-1, pw, applyReflector)
 	}
-	r = NewDense(n, n)
-	for i := 0; i < n; i++ {
-		ri := r.Row(i)
-		for j := i; j < n; j++ {
-			ri[j] = wt.Row(j)[i]
-		}
-	}
 	// Accumulate Q (transposed: qt.Row(j) is column j of Q) by applying
 	// reflectors in reverse to the identity's first n columns. Reflector k
 	// touches rows k.. only, and when it runs every column j < k is still
 	// e_j, zero there: it is applied to columns j ≥ k alone, which changes
 	// no bit of Q.
-	qt := NewDense(n, m)
+	qt = GetDense(n, m)
 	for j := 0; j < n; j++ {
 		qt.Row(j)[j] = 1
 	}
@@ -115,7 +127,7 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 		pw := kernelWorkers(workers, n-k, 2*(n-k)*(m-k))
 		par.ForChunks(n-k, pw, applyReflector)
 	}
-	return qt.T(), r
+	return wt, qt
 }
 
 // Orthonormalize replaces the columns of a with an orthonormal basis of
@@ -123,9 +135,12 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 // re-orthonormalization step of randomized subspace iteration.
 func Orthonormalize(a *Dense) *Dense { return OrthonormalizeW(a, 1) }
 
-// OrthonormalizeW is Orthonormalize with a worker budget.
+// OrthonormalizeW is Orthonormalize with a worker budget. Q is
+// transposed straight into a; R is never formed.
 func OrthonormalizeW(a *Dense, workers int) *Dense {
-	q, _ := QRThinW(a, workers)
-	copy(a.Data, q.Data)
+	wt, qt := qrFactor(a, workers)
+	transposeInto(a, qt)
+	PutDense(wt)
+	PutDense(qt)
 	return a
 }
