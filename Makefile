@@ -20,7 +20,7 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet cross build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs
+.PHONY: ci vet cross build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs lines
 
 ci: fmt vet cross build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-recommend-short bench-repair-short
 
@@ -151,3 +151,8 @@ serve-race:
 # Formatting gate: lists unformatted files and fails when there are any.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Line budget: prints the non-test Go line count outside benchmark/, the
+# figure ROADMAP.md's line target is stated in.
+lines:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l

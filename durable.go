@@ -12,26 +12,13 @@ import (
 	"github.com/tree-svd/treesvd/internal/wal"
 )
 
-// SyncPolicy selects when the durable embedder fsyncs WAL appends; see
-// the DurableConfig.Sync field.
+// SyncPolicy and SyncBatch are retired with DurableConfig.Sync (see
+// there).
 type SyncPolicy int
 
-const (
-	// SyncBatch fsyncs once per ApplyEvents: every batch the call
-	// acknowledges survives any crash. The default, and the policy the
-	// <10%-overhead acceptance benchmark is stated against.
-	SyncBatch SyncPolicy = iota
-	// SyncInterval fsyncs every SyncEvery batches: a crash can lose up to
-	// SyncEvery-1 acknowledged batches, but never corrupts state.
-	SyncInterval
-	// SyncNone never fsyncs on append; the OS decides when data reaches
-	// the disk. A crash loses whatever the page cache held, never more
-	// than since the last checkpoint.
-	SyncNone
-)
-
-// String returns the policy's name (batch, interval, none).
-func (p SyncPolicy) String() string { return wal.SyncPolicy(p).String() }
+// SyncBatch is retired; see SyncPolicy. It is the zero value, the one
+// DurableConfig.Sync accepts.
+const SyncBatch SyncPolicy = 0
 
 // ErrNoState is returned by Open when the directory holds no durable
 // state (no checkpoint was ever committed there). Use Create to start a
@@ -47,10 +34,10 @@ type DurableConfig struct {
 	// Config configures the embedder itself (only used by Create;
 	// Open restores the configuration stored in the checkpoint).
 	Config Config
-	// Sync is the WAL fsync policy; SyncEvery is the period of
-	// SyncInterval (default 8).
-	Sync      SyncPolicy
-	SyncEvery int
+	// Sync is retired: every acknowledged batch is fsynced. Named by
+	// benchmark/run.go, delete with ROADMAP item 1's seam. Create and Open
+	// reject any value but SyncBatch (0).
+	Sync SyncPolicy
 	// SegmentSize rotates the WAL to a new segment file past this many
 	// bytes (default 4 MiB).
 	SegmentSize int64
@@ -82,18 +69,19 @@ type DurableConfig struct {
 // always be replayed forward.
 const keepCheckpoints = 2
 
-func (c DurableConfig) withDefaults() DurableConfig {
+func (c DurableConfig) withDefaults() (DurableConfig, error) {
+	if c.Sync != SyncBatch {
+		return c, fmt.Errorf("treesvd: Sync %d: the fsync policies were removed; every acknowledged batch is fsynced (Sync 0, SyncBatch, means that)", c.Sync)
+	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
 	}
-	return c
+	return c, nil
 }
 
 func (c DurableConfig) walOptions(met *wal.Metrics) wal.Options {
 	return wal.Options{
 		SegmentSize: c.SegmentSize,
-		Sync:        wal.SyncPolicy(c.Sync),
-		SyncEvery:   c.SyncEvery,
 		Met:         met,
 	}
 }
@@ -119,10 +107,10 @@ type RecoveryInfo struct {
 
 // DurableEmbedder wraps an Embedder with write-ahead logging and
 // crash-safe checkpointing in a single directory. Every ApplyEvents batch
-// is appended to the WAL — checksummed and fsynced per the configured
-// policy — before it mutates any in-memory state, and a checkpoint (a
-// full atomic save) is committed every CheckpointEvery batches, after
-// which older WAL segments are pruned. Open recovers the directory to a
+// is appended to the WAL — checksummed and fsynced — before it mutates
+// any in-memory state, and a checkpoint (a full atomic save) is committed
+// every CheckpointEvery batches, after which older WAL segments are
+// pruned. Open recovers the directory to a
 // committed prefix of the acknowledged stream no matter where a previous
 // process stopped.
 //
@@ -161,7 +149,7 @@ type DurableEmbedder struct {
 	ckptWG   sync.WaitGroup
 	ckptMu   sync.Mutex // guards the fields below; never held with mu
 	ckptBusy bool
-	ckptErr  error
+	ckptErr  error // the first background checkpoint failure
 
 	// met holds the WAL and checkpoint counters; it outlives writer
 	// re-creation and is linked into the wrapped embedder's Metrics/
@@ -203,7 +191,10 @@ func OpenWithFS(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, e
 }
 
 func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg DurableConfig) (*DurableEmbedder, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -238,7 +229,10 @@ func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg Durabl
 }
 
 func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	cks, err := wal.ListCheckpoints(fsys, dir)
 	if err != nil {
 		// A directory that does not exist holds no state; a consumer
@@ -376,10 +370,9 @@ func (d *DurableEmbedder) MetricsRegistry() *Registry { return d.e.MetricsRegist
 func (d *DurableEmbedder) Dir() string { return d.dir }
 
 // ApplyEvents durably applies one batch: the batch is validated, appended
-// to the WAL (fsynced per the Sync policy), and only then applied to the
-// in-memory embedder, which publishes a new snapshot. Once ApplyEvents
-// returns nil the batch will survive a crash (immediately under
-// SyncBatch, within the policy's window otherwise).
+// to the WAL and fsynced, and only then applied to the in-memory
+// embedder, which publishes a new snapshot. Once ApplyEvents returns nil
+// the batch will survive a crash.
 //
 // If the in-memory apply fails after the batch was logged (cancellation,
 // a failed self-check), the error is returned and the batch is retried
@@ -556,7 +549,9 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 		defer d.ckptWG.Done()
 		err := d.commitCheckpoint(seq, payload)
 		d.ckptMu.Lock()
-		d.ckptErr = err
+		if d.ckptErr == nil {
+			d.ckptErr = err
+		}
 		d.ckptBusy = false
 		d.ckptMu.Unlock()
 	}()
@@ -629,17 +624,6 @@ func (d *DurableEmbedder) Checkpoint() error {
 		return err
 	}
 	return d.checkpointLocked(d.w.NextSeq() - 1)
-}
-
-// Sync forces an fsync of the WAL regardless of the Sync policy, making
-// every acknowledged batch durable now.
-func (d *DurableEmbedder) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errClosed
-	}
-	return d.w.Sync()
 }
 
 // Close flushes and closes the WAL and waits for any in-flight background

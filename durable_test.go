@@ -447,14 +447,58 @@ func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
 	}
 }
 
+// TestCloseReportsFirstCheckpointError: a background checkpoint whose
+// fsync fails is reported by Close even after a later one succeeds.
+func TestCloseReportsFirstCheckpointError(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	cfg.SyncCheckpoints, cfg.CheckpointEvery, cfg.SegmentSize = false, 1, 0
+	// Size the plan with a probe: Create's fsyncs, then the first batch's
+	// WAL append, then the first background checkpoint's file fsync.
+	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.SyncError})
+	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	createSyncs := probe.Ops()
+	must0tb(pd.Close())
+
+	var (
+		mu    sync.Mutex
+		ckpts []error
+	)
+	cfg.Trace = func(ev TraceEvent) {
+		if ev.Kind == TraceCheckpoint {
+			mu.Lock()
+			ckpts = append(ckpts, ev.Err)
+			mu.Unlock()
+		}
+	}
+	ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createSyncs + 2, Mode: faultfs.SyncError})
+	d := mustTB(CreateWithFS(ffs, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	for i, b := range fx.batches[:2] {
+		if _, err := d.ApplyEvents(bgt, b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		d.ckptWG.Wait() // this batch's checkpoint has finished
+	}
+	mu.Lock()
+	got := slices.Clone(ckpts)
+	mu.Unlock()
+	if len(got) != 2 || got[0] == nil || got[1] != nil {
+		t.Fatalf("checkpoint outcomes %v, want a failure then a success", got)
+	}
+	if err := d.Close(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Close returned %v, want the first checkpoint's injected fsync error", err)
+	}
+}
+
 // TestCrashPointMatrix is the fault-injection acceptance test: for every
 // failure mode, the fault point k is swept from the first filesystem
 // operation until a run completes with no fault fired — so every crash
 // point of the workload (record appends, segment rotations, checkpoint
 // writes, renames, prunes) is visited exactly once. After every fault,
 // Open must land on a self-check-clean state equal to a committed prefix
-// of the stream (never shorter than what was acknowledged under the
-// per-batch fsync policy), and the store must accept further updates.
+// of the stream (never shorter than what was acknowledged: every
+// acknowledged batch is fsynced), and the store must accept further
+// updates.
 func TestCrashPointMatrix(t *testing.T) {
 	runCrashMatrix(t, newDurableFixture(t))
 }

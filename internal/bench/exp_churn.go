@@ -68,8 +68,8 @@ func RunChurnStress(o Options) *Table {
 			}
 			// The Config.SelfCheck auditor set, timed as part of the update.
 			must0(check.PPRSubset(sub))
-			must0(check.DynRow(prox.M))
-			must0(check.Tree(tree))
+			must0(prox.M.AuditRecount())
+			must0(tree.AuditShapes())
 			dt += time.Since(t0)
 			initial.ApplyAll(b)
 		}

@@ -20,7 +20,7 @@
 //   - an embedder restored from a mid-stream Save must track the
 //     never-restarted one near-bitwise for the rest of the stream, and
 //   - a shadow core.Tree over the same proximity matrix at d = |S|/2 must
-//     pass check.TreeDeep (the certificate, every node at every level) and
+//     pass core.Tree.Certify (the certificate, every node at every level) and
 //     stay under a measured ceiling on its error over the optimal rank-d
 //     error (check.Optimality); restored from a gob round trip of its
 //     snapshot mid-stream, it must track an un-restored twin bit for bit.
@@ -208,7 +208,7 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 	}
 	shadow := newShadow()
 	// Shadow tree: a core.Tree over the shadow matrix, updated lazily after
-	// every batch, certified (check.TreeDeep: every node at every level
+	// every batch, certified (Tree.Certify: every node at every level
 	// against its input, the block's baseline or the node's children) and
 	// measured against the optimal rank-d error. It runs at d = |S|/2: at
 	// the facade's d ≥ |S| every factorization is exact up to rounding, so
@@ -316,7 +316,7 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 		if b == saveAt {
 			shadowTree = restoreTree(t, shadowTree, shadow, shadowCfg)
 		}
-		if err := check.TreeDeep(shadowTree); err != nil {
+		if err := shadowTree.Certify(); err != nil {
 			t.Fatalf("batch %d: shadow tree: %v", b, err)
 		}
 		if a, w := shadowTree.Root(), twinTree.Root(); !slices.Equal(a.S, w.S) || !slices.Equal(a.U.Data, w.U.Data) {

@@ -9,14 +9,15 @@
 //     within the r_max threshold, every key a valid node id, and the
 //     estimate/residue mass exactly accounted for (Σp + Σr = 1, which
 //     both pushes and the Algorithm 2 corrections preserve).
-//   - DynRow — the incrementally maintained block Frobenius norms, delta
-//     norms, nnz counters and baseline keys versus an exact recount.
-//   - Tree / TreeDeep — cached node shapes versus the tree geometry, and
-//     (deep) the certificate: every node's basis, spectrum and tail
-//     versus the exact projection of its input (the block's baseline at
-//     level 1, its children above), whatever route produced it.
 //   - Snapshot / FingerprintRows — order-sensitive content hashes used to
 //     prove published snapshots never mutate.
+//
+// The proximity matrix and the tree audit themselves:
+// sparse.DynRow.AuditRecount recounts the incrementally maintained block
+// norms, nnz counters and baseline keys, core.Tree.AuditShapes checks the
+// cached node shapes against the tree geometry, and core.Tree.Certify
+// checks every node against the exact projection of its input. Optimality
+// is the exact rank-d yardstick a tree's root is measured against.
 //
 // Auditors return nil on a healthy structure and a descriptive error
 // naming the first violated invariant otherwise. They read (never mutate)

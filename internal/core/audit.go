@@ -25,7 +25,8 @@ func (t *Tree) AuditShapes() error {
 	}
 	for l, level := range t.levels {
 		if len(level) != counts[l] {
-			return fmt.Errorf("core: audit: level %d has %d nodes, want %d", l+1, len(level), counts[l])
+			return fmt.Errorf("core: audit: level %d has %d nodes, the tree over %d blocks has %d level-%d nodes",
+				l+1, len(level), t.m.NumBlocks(), counts[l], l+1)
 		}
 		for j, n := range level {
 			what := "core: audit: " + nodeName(l, j, len(counts))
@@ -46,6 +47,32 @@ func (t *Tree) AuditShapes() error {
 	}
 	return nil
 }
+
+// validNode checks one node at any level: a basis of the matrix's row
+// count with one column per singular value and Rows·Cols values, at most
+// rank of them, a descending finite non-negative spectrum and a finite
+// non-negative tail.
+func validNode(u *linalg.Dense, s []float64, tail float64, rows, rank int, what string) error {
+	switch {
+	case u == nil:
+		return fmt.Errorf("%s has no basis", what)
+	case u.Rows != rows:
+		return fmt.Errorf("%s basis has %d rows, matrix has %d", what, u.Rows, rows)
+	case u.Cols != len(s):
+		return fmt.Errorf("%s has %d left vectors for %d singular values", what, u.Cols, len(s))
+	case len(u.Data) != u.Rows*u.Cols:
+		return fmt.Errorf("%s basis is %d×%d over %d values", what, u.Rows, u.Cols, len(u.Data))
+	case len(s) > rank:
+		return fmt.Errorf("%s rank %d exceeds configured rank %d", what, len(s), rank)
+	case !finiteNonNegative(tail):
+		return fmt.Errorf("%s has invalid tail energy %g", what, tail)
+	}
+	return descendingSpectrum(s, what)
+}
+
+// finiteNonNegative reports whether x is a valid energy or singular value:
+// NaN, ±Inf and negatives are not.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // validProjection checks a node's projection P: none at level 1, and
 // above it r×cols for a node of rank r whose children's ranks sum to

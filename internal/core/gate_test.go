@@ -22,7 +22,7 @@ import (
 // exactly, 1.0053 / 1.0057 through the gate; 19 of 989 and 10 of 748
 // dirty nodes merged exactly; 1.0051 / 1.0055 and 16 of 902 and 14 of
 // 706 since every node warm-starts from its cache) and pass
-// check.TreeDeep, and over the stream at least 80 % of the dirty upper
+// Tree.Certify, and over the stream at least 80 % of the dirty upper
 // nodes must publish the gate's refined copy: merging every node exactly
 // fails the test. Its blocks are
 // wider and taller than d + 8, so level 1 runs the sketched routes — cold
@@ -77,7 +77,7 @@ func TestUpperGateNearOptimal(t *testing.T) {
 				if (b+1)%100 != 0 {
 					continue
 				}
-				if err := check.TreeDeep(tr); err != nil {
+				if err := tr.Certify(); err != nil {
 					t.Fatalf("batch %d: %v", b+1, err)
 				}
 				ratio := reconOverOpt(t, prox.M, tr)

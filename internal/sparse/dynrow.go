@@ -369,8 +369,10 @@ func (m *DynRow) sortedBaseKeys(j int) []int64 {
 // nnz counters, baseline key validity, and the storage invariants (every
 // cell strictly ascending inside its block, no stored zero or NaN).
 // Floating-point accumulators are compared within a scale-aware tolerance;
-// the integer counters must match exactly. O(nnz): the correctness
-// harness, debug builds and GobDecode run it, hot paths do not.
+// the integer counters must match exactly. The maintained quantities feed
+// the Eqn. 2 lazy-update trigger, so drift here silently turns into missed
+// (or spurious) block rebuilds. O(nnz): the correctness harness,
+// Config.SelfCheck and GobDecode run it, hot paths do not.
 func (m *DynRow) AuditRecount() error {
 	const tol = 1e-7
 	total := 0

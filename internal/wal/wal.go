@@ -44,42 +44,11 @@ const (
 // on-disk structure in this package).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SyncPolicy selects when the WAL writer fsyncs appended records.
-type SyncPolicy int
-
-const (
-	// SyncBatch fsyncs once per Append: every acknowledged batch is
-	// durable. The default.
-	SyncBatch SyncPolicy = iota
-	// SyncInterval fsyncs every Options.SyncEvery appends: a crash can
-	// lose up to SyncEvery-1 acknowledged batches, never corrupt state.
-	SyncInterval
-	// SyncNone never fsyncs on append (only on rotation and close); the
-	// OS decides when data reaches the disk.
-	SyncNone
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncBatch:
-		return "batch"
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
-		return "none"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
-
 // Options configures a Writer.
 type Options struct {
 	// SegmentSize rotates to a new segment file once the current one
 	// exceeds this many bytes (default 4 MiB).
 	SegmentSize int64
-	// Sync is the fsync policy for appends.
-	Sync SyncPolicy
-	// SyncEvery is the append period of SyncInterval (default 8).
-	SyncEvery int
 	// Met receives the writer's durability counters. Pass the same
 	// instance across writer re-creations to accumulate over the log's
 	// lifetime; nil allocates a private one.
@@ -89,9 +58,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 8
 	}
 	if o.Met == nil {
 		o.Met = &Metrics{}
@@ -166,7 +132,6 @@ type Writer struct {
 	name string
 	size int64
 	next uint64
-	seen int // appends since the last fsync (SyncInterval bookkeeping)
 	err  error
 }
 
@@ -206,7 +171,7 @@ func (w *Writer) openSegment() error {
 		f.Close()
 		return err
 	}
-	w.f, w.name, w.size, w.seen = f, name, segHdrLen, 0
+	w.f, w.name, w.size = f, name, segHdrLen
 	return nil
 }
 
@@ -231,9 +196,8 @@ func encodeRecord(seq uint64, payload []byte) []byte {
 	return rec
 }
 
-// Append writes one record and applies the fsync policy. It returns the
-// sequence number assigned to the record; the record is durable according
-// to the policy once Append returns nil.
+// Append writes one record and fsyncs it. It returns the sequence number
+// assigned to the record, which is durable once Append returns nil.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
@@ -254,20 +218,9 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	w.size += recLen
-	w.seen++
-	sync := false
-	switch w.opt.Sync {
-	case SyncBatch:
-		sync = true
-	case SyncInterval:
-		sync = w.seen >= w.opt.SyncEvery
-	}
-	if sync {
-		if err := syncTimed(w.f, w.opt.Met); err != nil {
-			w.err = err
-			return 0, err
-		}
-		w.seen = 0
+	if err := syncTimed(w.f, w.opt.Met); err != nil {
+		w.err = err
+		return 0, err
 	}
 	seq := w.next
 	w.next++
@@ -289,19 +242,6 @@ func (w *Writer) rotate() error {
 	}
 	w.opt.Met.Rotations.Inc()
 	return w.openSegment()
-}
-
-// Sync forces an fsync of the current segment regardless of policy.
-func (w *Writer) Sync() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := syncTimed(w.f, w.opt.Met); err != nil {
-		w.err = err
-		return err
-	}
-	w.seen = 0
-	return nil
 }
 
 // NextSeq returns the sequence number the next Append will assign.

@@ -88,11 +88,11 @@ func durStats(h obs.HistStats) DurationStats {
 // embedders managed by a DurableEmbedder.
 type WALMetrics struct {
 	// Appends counts logged batches; AppendedBytes their on-disk record
-	// bytes. Fsyncs counts File.Sync calls (policy, rotation, explicit
-	// Sync, close); Rotations counts segment rollovers; Checkpoints
+	// bytes. Fsyncs counts File.Sync calls (append, rotation, segment
+	// creation, close); Rotations counts segment rollovers; Checkpoints
 	// counts committed checkpoints.
 	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints uint64
-	// Append spans whole WAL appends (any policy fsync included), Fsync
+	// Append spans whole WAL appends (their fsync included), Fsync
 	// the fsync calls alone, Checkpoint the full checkpoint commits
 	// (write + prune).
 	Append, Fsync, Checkpoint DurationStats
@@ -254,7 +254,7 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 	r.Counter("treesvd_wal_fsyncs_total", "calls", "WAL fsync calls, all paths", &dm.wal.Fsyncs)
 	r.Counter("treesvd_wal_rotations_total", "segments", "WAL segment rollovers", &dm.wal.Rotations)
 	r.Histogram("treesvd_wal_append_nanos", "ns",
-		"Wall time per WAL append (policy fsync included)", &dm.wal.AppendNanos)
+		"Wall time per WAL append (its fsync included)", &dm.wal.AppendNanos)
 	r.Histogram("treesvd_wal_fsync_nanos", "ns", "Wall time per WAL fsync", &dm.wal.FsyncNanos)
 	r.Counter("treesvd_checkpoints_total", "checkpoints",
 		"Committed durable checkpoints", &dm.checkpoints)

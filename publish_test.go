@@ -121,7 +121,7 @@ func TestPublishSharesWhatNothingMoved(t *testing.T) {
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
-		dcfg := DurableConfig{Config: cfg, Sync: SyncNone, CheckpointEvery: -1}
+		dcfg := DurableConfig{Config: cfg, CheckpointEvery: -1}
 		d := mustTB(Create(dir, g.Clone(), subset, dcfg))
 		const replayed = 60 // the big batch included
 		for i, b := range batches[:replayed] {

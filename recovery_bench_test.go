@@ -52,23 +52,17 @@ func BenchmarkCheckpoint(b *testing.B) {
 }
 
 func BenchmarkDurableApply(b *testing.B) {
-	for _, p := range []SyncPolicy{SyncBatch, SyncInterval, SyncNone} {
-		b.Run(p.String(), func(b *testing.B) {
-			initial, subset, batches, cfg := recoveryBenchStream(16)
-			d, err := Create(b.TempDir(), initial, subset, DurableConfig{
-				Config: cfg, Sync: p, CheckpointEvery: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.ApplyEvents(bgt, batches[i%len(batches)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	initial, subset, batches, cfg := recoveryBenchStream(16)
+	d, err := Create(b.TempDir(), initial, subset, DurableConfig{Config: cfg, CheckpointEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.ApplyEvents(bgt, batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

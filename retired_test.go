@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -103,6 +106,74 @@ func TestShardConfigErrors(t *testing.T) {
 			if x0[i][j] != x1[i][j] {
 				t.Fatalf("embedding (%d,%d): Shards 1 gives %g, Shards 0 gives %g", i, j, x1[i][j], x0[i][j])
 			}
+		}
+	}
+}
+
+// TestRetiredSyncRejected: DurableConfig.Sync is a retired stub. Create
+// and Open refuse any value but SyncBatch with an error that names it,
+// and accept SyncBatch, the zero value.
+func TestRetiredSyncRejected(t *testing.T) {
+	g := buildGraph(rand.New(rand.NewSource(9)), 30, 120)
+	subset := []int32{1, 3}
+	bad := DurableConfig{Config: Config{Dim: 4}, Sync: 1}
+	dir := t.TempDir()
+	_, errCreate := Create(dir, g.Clone(), subset, bad)
+	d := mustTB(Create(dir, g.Clone(), subset, DurableConfig{Config: Config{Dim: 4}, Sync: SyncBatch}))
+	must0tb(d.Close())
+	_, errOpen := Open(dir, bad)
+	for entry, err := range map[string]error{"Create": errCreate, "Open": errOpen} {
+		if err == nil || !strings.Contains(err.Error(), "Sync 1") || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s with Sync 1: error %v, want one naming Sync 1 and saying it was removed", entry, err)
+		}
+	}
+	d = mustTB(Open(dir, DurableConfig{Sync: SyncBatch}))
+	must0tb(d.Close())
+}
+
+// retiredStubs lists every retired name the library keeps only because
+// benchmark/ still compiles against it, each with a pattern for a
+// spelling there that needs it. A type is needed while a value of it is
+// spelled: PushAccel by PushSOR, SyncPolicy by SyncBatch.
+var retiredStubs = []struct{ stub, spelling string }{
+	{"treesvd.Config.Shards", `\.Shards\b`},
+	{"treesvd.Config.SVDUpdate", `\.SVDUpdate\b`},
+	{"treesvd.Config.UpdateMaxRel", `\.UpdateMaxRel\b`},
+	{"treesvd.Config.UpdateTailFrac", `\.UpdateTailFrac\b`},
+	{"treesvd.Config.PushAccel", `\.PushAccel\b`},
+	{"treesvd.PushAccel", `\btreesvd\.PushSOR\b`},
+	{"treesvd.PushSOR", `\btreesvd\.PushSOR\b`},
+	{"treesvd.TraceBlockUpdate", `\btreesvd\.TraceBlockUpdate\b`},
+	{"treesvd.Metrics.BlocksUpdated", `\.BlocksUpdated\b`},
+	{"core.Config.SVDUpdate", `\bSVDUpdate\s*:`},
+	{"core.Config.UpdateMaxRel", `\bUpdateMaxRel\s*:`},
+	{"core.Config.UpdateTailFrac", `\bUpdateTailFrac\s*:`},
+	{"ppr.Params.Accel", `\bAccel\s*:`},
+	{"treesvd.DurableConfig.Sync", `\bSync\s*:`},
+	{"treesvd.SyncPolicy", `\btreesvd\.SyncBatch\b`},
+	{"treesvd.SyncBatch", `\btreesvd\.SyncBatch\b`},
+}
+
+// TestRetiredNamesStillNamedByBenchmark keeps the retired stubs honest:
+// each must still be spelled somewhere in benchmark/*.go. Once the
+// benchmark stops naming one, the stub has no reason left to exist and
+// this test asks for its deletion.
+func TestRetiredNamesStillNamedByBenchmark(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark sources found (%v)", err)
+	}
+	var src strings.Builder
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Write(b)
+	}
+	for _, r := range retiredStubs {
+		if !regexp.MustCompile(r.spelling).MatchString(src.String()) {
+			t.Errorf("retired stub %s: benchmark/ no longer spells %s; delete the stub", r.stub, r.spelling)
 		}
 	}
 }

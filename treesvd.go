@@ -481,16 +481,16 @@ func (e *Embedder) selfCheckLocked() error {
 	return nil
 }
 
-// auditLocked runs the cheap internal/check auditors over every pipeline
+// auditLocked runs the cheap invariant auditors over every pipeline
 // layer. Caller holds e.mu.
 func (e *Embedder) auditLocked() error {
 	if err := check.PPRSubset(e.prox.Sub); err != nil {
 		return err
 	}
-	if err := check.DynRow(e.prox.M); err != nil {
+	if err := e.prox.M.AuditRecount(); err != nil {
 		return err
 	}
-	return check.Tree(e.tree)
+	return e.tree.AuditShapes()
 }
 
 // Audit verifies the pipeline's internal invariants (PPR push invariant
