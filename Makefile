@@ -90,6 +90,8 @@ chaos:
 # the serving layer's binary frames and their payload decoders (what
 # decodes must re-encode to the same value), the WAL's segment recovery
 # and checkpoint reader (what is accepted must re-encode to its bytes),
+# graph.DecodeEvents (the 9-byte event form of WAL records and event
+# frames; FuzzRecover and FuzzReadFrame both cover it),
 # the tree snapshot's decoder on its own (RestoreTree: an error, or a tree
 # that passes its shape audit and takes an Update), one PPR state's
 # decoder behind RestoreSubset (an error, or a state whose keys, membership

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/wal"
 )
 
@@ -246,11 +247,12 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 		return nil, fmt.Errorf("%w: %s", ErrNoState, dir)
 	}
 
-	// Newest checkpoint that verifies and decodes wins; corrupt ones are
+	// Newest checkpoint that verifies and decodes wins; damaged ones are
 	// bypassed. The WAL is only ever pruned up to the oldest kept
-	// checkpoint, so every batch a fallback needs is still logged. Anything
-	// that is not damage — an I/O failure, a checkpoint written at another
-	// format version — stops the open instead of being masked.
+	// checkpoint, so every batch a fallback needs is still logged. A
+	// foreign header version is damage: it sits outside the CRC, so it
+	// cannot be told from a bit flip. An I/O failure, or a save whose
+	// checksummed persistVersion is another, stops the open instead.
 	var (
 		e       *Embedder
 		info    RecoveryInfo
@@ -265,12 +267,11 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 			info.CheckpointSeq = seq
 			break
 		}
-		var corrupt *CorruptStateError
-		if !errors.As(err, &corrupt) && !isWALCorrupt(err) {
+		if !errors.As(err, new(*CorruptStateError)) {
 			return nil, err
 		}
 		info.SkippedCheckpoints++
-		lastErr = asCorruptState(err)
+		lastErr = err
 	}
 	if e == nil {
 		return nil, lastErr
@@ -278,7 +279,7 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 
 	rec, err := wal.Recover(fsys, dir, cfg.StrictRecovery)
 	if err != nil {
-		return nil, asCorruptState(err)
+		return nil, err
 	}
 	if err := wal.RemoveTempFiles(fsys, dir); err != nil {
 		return nil, err
@@ -286,30 +287,17 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	info.TornTail, info.DroppedBatches, info.DropReason = rec.TornTail, rec.Dropped, rec.DropReason
 
 	next := info.CheckpointSeq + 1
-	replay := func() error {
-		for _, r := range rec.Records {
-			if r.Seq <= info.CheckpointSeq {
-				continue // already folded into the checkpoint
-			}
-			if r.Seq != next {
-				return &CorruptStateError{Path: dir, Offset: -1,
-					Reason: fmt.Sprintf("log resumes at batch %d after checkpoint %d: missing batches", r.Seq, info.CheckpointSeq)}
-			}
-			events, err := wal.DecodeEvents(r.Payload)
-			if err != nil {
-				return &CorruptStateError{Path: dir, Offset: -1,
-					Reason: fmt.Sprintf("logged batch %d does not decode", r.Seq), Err: err}
-			}
+	if err := e.finishRestore(dir, func() (err error) {
+		next, err = replay(dir, rec.Records, next, func(seq uint64, events []Event) error {
 			if _, err := e.applyEventsLocked(context.Background(), events, false); err != nil {
 				return &CorruptStateError{Path: dir, Offset: -1,
-					Reason: fmt.Sprintf("replay of logged batch %d failed", r.Seq), Err: err}
+					Reason: fmt.Sprintf("replay of logged batch %d failed", seq), Err: err}
 			}
-			next++
 			info.ReplayedBatches++
-		}
-		return nil
-	}
-	if err := e.finishRestore(dir, replay); err != nil {
+			return nil
+		})
+		return err
+	}); err != nil {
 		return nil, err
 	}
 
@@ -329,20 +317,29 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm, recovery: info}, nil
 }
 
-// isWALCorrupt reports whether err is the WAL layer's corruption type.
-func isWALCorrupt(err error) bool {
-	var ce *wal.CorruptError
-	return errors.As(err, &ce)
-}
-
-// asCorruptState converts the WAL layer's corruption error to the public
-// *CorruptStateError; other errors pass through.
-func asCorruptState(err error) error {
-	var ce *wal.CorruptError
-	if errors.As(err, &ce) {
-		return &CorruptStateError{Path: ce.Path, Offset: ce.Offset, Reason: ce.Reason, Err: ce.Err}
+// replay decodes each logged batch from next on and hands it to apply.
+// Records below next were applied already; a gap is a *CorruptStateError.
+// It returns the seq after the last record applied.
+func replay(dir string, recs []wal.Record, next uint64, apply func(seq uint64, events []Event) error) (uint64, error) {
+	for _, r := range recs {
+		if r.Seq < next {
+			continue
+		}
+		if r.Seq != next {
+			return next, &CorruptStateError{Path: dir, Offset: -1,
+				Reason: fmt.Sprintf("log resumes at batch %d, want %d: missing batches", r.Seq, next)}
+		}
+		events, err := graph.DecodeEvents(r.Payload)
+		if err != nil {
+			return next, &CorruptStateError{Path: dir, Offset: -1,
+				Reason: fmt.Sprintf("logged batch %d does not decode", r.Seq), Err: err}
+		}
+		if err := apply(r.Seq, events); err != nil {
+			return next, err
+		}
+		next++
 	}
-	return err
+	return next, nil
 }
 
 // Embedder returns the wrapped embedder for reads (Embedding, Snapshot,
@@ -395,7 +392,7 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 	if err := d.e.validateEvents(events); err != nil {
 		return 0, err // never logged: an invalid batch must not reach replay
 	}
-	seq, err := d.w.Append(wal.EncodeEvents(events))
+	seq, err := d.w.Append(graph.AppendEvents(nil, events))
 	if err != nil {
 		d.sealLocked(err)
 		return 0, &DegradedError{Reason: "wal append failed", Err: err}
@@ -461,31 +458,22 @@ func (d *DurableEmbedder) Reopen() error {
 	// tail segment removed, so the fresh segment's name cannot collide.
 	rec, err := wal.Recover(d.fs, d.dir, false)
 	if err != nil {
-		return asCorruptState(err)
+		return err
 	}
-	next := d.sealedNext
-	for _, r := range rec.Records {
-		if r.Seq < d.sealedNext {
-			continue // applied before the seal
-		}
-		if r.Seq != next {
-			return &CorruptStateError{Path: d.dir, Offset: -1,
-				Reason: fmt.Sprintf("reopen: log resumes at batch %d, expected %d", r.Seq, next)}
-		}
-		events, err := wal.DecodeEvents(r.Payload)
-		if err != nil {
-			return &CorruptStateError{Path: d.dir, Offset: -1,
-				Reason: fmt.Sprintf("reopen: logged batch %d does not decode", r.Seq), Err: err}
-		}
+	// Records below sealedNext were applied before the seal.
+	next, err := replay(d.dir, rec.Records, d.sealedNext, func(seq uint64, events []Event) error {
 		if _, err := d.e.ApplyEvents(context.Background(), events); err != nil {
-			return fmt.Errorf("treesvd: reopen: applying logged batch %d: %w", r.Seq, err)
+			return fmt.Errorf("treesvd: reopen: applying logged batch %d: %w", seq, err)
 		}
 		d.sinceCkpt++
-		next++
 		// Advance the seal watermark as each record folds in, so a Reopen
 		// that fails later (the disk is still full when the fresh writer
 		// opens) never replays the same record twice on retry.
-		d.sealedNext = next
+		d.sealedNext = seq + 1
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	w, err := wal.NewWriter(d.fs, d.dir, next, d.cfg.walOptions(&d.met.wal))
 	if err != nil {

@@ -312,47 +312,59 @@ func TestDurableCheckpointPrunesWAL(t *testing.T) {
 	}
 }
 
-// TestOpenFallsBackPastCorruptCheckpoint flips a byte inside the newest
-// checkpoint's payload: Open must bypass it, restore the previous one and
-// replay the WAL to the full stream. The one leg left of the former
-// 1-and-3-shard pair sets the retired Shards 1, which still means one tree.
+// TestOpenFallsBackPastCorruptCheckpoint damages the newest checkpoint:
+// Open must bypass it, restore the previous one and replay the WAL to the
+// full stream. One leg flips a byte inside the payload; it sets the
+// retired Shards 1, the one leg left of the former 1-and-3-shard pair,
+// which still means one tree. The other flips byte 4, the header's format
+// version, which sits outside the checkpoint's CRC: a foreign version
+// cannot be told from a bit flip, so it counts as damage too.
 func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
-	t.Run("shards=1", func(t *testing.T) {
-		fx := newDurableFixture(t)
-		fx.cfg.Config.Shards = 1
-		dir := t.TempDir()
-		if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
-			t.Fatal(err)
-		}
-		cks, err := wal.ListCheckpoints(wal.OS, dir)
-		if err != nil || len(cks) < 2 {
-			t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
-		}
-		path := filepath.Join(dir, cks[len(cks)-1].Name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x20
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := Open(dir, fx.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		info := d.Recovery()
-		if info.SkippedCheckpoints != 1 {
-			t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
-		}
-		// The fallback checkpoint plus WAL replay must land on the full
-		// stream: segments are only pruned up to the oldest kept checkpoint.
-		if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
-			t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
-		}
-		requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
-	})
+	for _, tc := range []struct {
+		name   string
+		shards int
+		flipAt func(size int) int
+	}{
+		{"shards=1", 1, func(size int) int { return size / 2 }},
+		{"header_version", 0, func(int) int { return 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newDurableFixture(t)
+			fx.cfg.Config.Shards = tc.shards
+			dir := t.TempDir()
+			if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+				t.Fatal(err)
+			}
+			cks, err := wal.ListCheckpoints(wal.OS, dir)
+			if err != nil || len(cks) < 2 {
+				t.Fatalf("checkpoints: %v, %v (need ≥2 for a fallback)", cks, err)
+			}
+			path := filepath.Join(dir, cks[len(cks)-1].Name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[tc.flipAt(len(data))] ^= 0x20
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Open(dir, fx.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			info := d.Recovery()
+			if info.SkippedCheckpoints != 1 {
+				t.Fatalf("recovery skipped %d checkpoints, want 1", info.SkippedCheckpoints)
+			}
+			// The fallback checkpoint plus WAL replay must land on the full
+			// stream: segments are only pruned up to the oldest kept checkpoint.
+			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
+				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
+			}
+			requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
+		})
+	}
 }
 
 func TestOpenRejectsFullyCorruptStore(t *testing.T) {

@@ -3,6 +3,8 @@ package treesvd
 import (
 	"fmt"
 	"time"
+
+	"github.com/tree-svd/treesvd/internal/wal"
 )
 
 // NodeRangeError reports an event whose node id falls outside the
@@ -127,39 +129,11 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // check: a checksum mismatch, a structurally inconsistent save, a broken
 // WAL sequence chain, or a checkpoint that does not verify. Load,
 // LoadFile, Open's WAL recovery and its checkpoint verification all
-// return it, so callers can separate "the bytes are wrong" from ordinary
-// I/O errors with errors.As and decide between restoring a backup and
-// retrying:
+// return it, naming the Path, the fault's Offset (-1 when unknown), a
+// Reason and the underlying Err, so callers can separate "the bytes are
+// wrong" from ordinary I/O errors with errors.As and decide between
+// restoring a backup and retrying:
 //
 //	var corrupt *treesvd.CorruptStateError
 //	if errors.As(err, &corrupt) { ... }
-type CorruptStateError struct {
-	// Path names the offending file; empty when the source was an
-	// in-memory reader.
-	Path string
-	// Offset is the byte offset of the fault when known, -1 otherwise.
-	Offset int64
-	// Reason describes what failed to verify.
-	Reason string
-	// Err is the underlying error, if any.
-	Err error
-}
-
-// Error describes what failed to verify and where.
-func (e *CorruptStateError) Error() string {
-	loc := ""
-	if e.Path != "" {
-		loc = " in " + e.Path
-		if e.Offset >= 0 {
-			loc = fmt.Sprintf(" in %s@%d", e.Path, e.Offset)
-		}
-	}
-	msg := "treesvd: corrupt state" + loc + ": " + e.Reason
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	return msg
-}
-
-// Unwrap returns the underlying error for errors.Is/As chains.
-func (e *CorruptStateError) Unwrap() error { return e.Err }
+type CorruptStateError = wal.CorruptError

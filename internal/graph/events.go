@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,6 +24,45 @@ const (
 type Event struct {
 	U, V int32
 	Type EventType
+}
+
+// EventLen is the size of one event in the binary form of a WAL record
+// and a wire event frame: u and v as little-endian uint32, then the type.
+const EventLen = 9
+
+// AppendEvents appends events to b in the binary event form (see
+// EventLen) and returns the extended slice.
+func AppendEvents(b []byte, events []Event) []byte {
+	b = slices.Grow(b, EventLen*len(events))
+	for _, ev := range events {
+		b = binary.LittleEndian.AppendUint32(b, uint32(ev.U))
+		b = binary.LittleEndian.AppendUint32(b, uint32(ev.V))
+		b = append(b, byte(ev.Type))
+	}
+	return b
+}
+
+// DecodeEvents parses a batch written by AppendEvents. A length that is
+// not a whole number of events, or a type byte other than Insert or
+// Delete, is an error.
+func DecodeEvents(b []byte) ([]Event, error) {
+	if len(b)%EventLen != 0 {
+		return nil, fmt.Errorf("graph: event payload length %d is not a multiple of %d", len(b), EventLen)
+	}
+	events := make([]Event, len(b)/EventLen)
+	for i := range events {
+		ev := b[EventLen*i : EventLen*(i+1)]
+		typ := EventType(ev[8])
+		if typ != Insert && typ != Delete {
+			return nil, fmt.Errorf("graph: event %d has unknown type %d", i, typ)
+		}
+		events[i] = Event{
+			U:    int32(binary.LittleEndian.Uint32(ev)),
+			V:    int32(binary.LittleEndian.Uint32(ev[4:])),
+			Type: typ,
+		}
+	}
+	return events, nil
 }
 
 // Apply executes the event on the graph. It returns false for no-op events

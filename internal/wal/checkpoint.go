@@ -17,12 +17,13 @@ import (
 //	[4B uint32 LE CRC32C over seq bytes ++ length bytes ++ payload]
 //	[payload]
 //
-// and are published atomically: written to <name>.tmp, fsynced, renamed
-// to checkpoint-<seq %016x>.ckpt, and the directory fsynced. A crash at
-// any point leaves either the previous checkpoint set intact or the new
-// file fully in place; a bit flip anywhere in the file fails the CRC and
+// and are published atomically by WriteFileAtomic under the name
+// checkpoint-<seq %016x>.ckpt. A crash at any point leaves either the
+// previous checkpoint set intact or the new file fully in place. A bit
+// flip anywhere in the file fails the CRC or a header check, and
 // ReadCheckpoint reports a *CorruptError so the caller can fall back to
-// an older checkpoint.
+// an older checkpoint. The magic and version sit outside the CRC, so a
+// foreign version cannot be told from a flipped one: it is damage too.
 const (
 	ckptMagic   = "TSCK"
 	ckptVersion = 1
@@ -41,31 +42,9 @@ type CheckpointInfo struct {
 
 func ckptName(seq uint64) string { return fmt.Sprintf("%s%016x%s", ckptPrefix, seq, ckptSuffix) }
 
-func parseCkptName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	if len(hexpart) != 16 {
-		return 0, false
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(hexpart, "%016x", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
 // WriteCheckpoint atomically publishes payload as the checkpoint covering
-// batches up to and including seq: tmp write, fsync, rename (the commit
-// point), directory fsync.
+// batches up to and including seq (see WriteFileAtomic).
 func WriteCheckpoint(fs FS, dir string, seq uint64, payload []byte) error {
-	final := filepath.Join(dir, ckptName(seq))
-	tmp := final + tmpSuffix
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
 	hdr := make([]byte, ckptHdrLen)
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], ckptVersion)
@@ -74,25 +53,7 @@ func WriteCheckpoint(fs FS, dir string, seq uint64, payload []byte) error {
 	crc := crc32.Update(0, castagnoli, hdr[8:24])
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(hdr[24:], crc)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, final); err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
+	return WriteFileAtomic(fs, filepath.Join(dir, ckptName(seq)), hdr, payload)
 }
 
 // ReadCheckpoint loads and verifies the named checkpoint, returning the
@@ -124,7 +85,7 @@ func ReadCheckpoint(fs FS, dir, name string) (uint64, []byte, error) {
 		return 0, nil, &CorruptError{Path: path, Offset: 24,
 			Reason: fmt.Sprintf("checkpoint checksum mismatch: computed %08x, stored %08x", crc, want)}
 	}
-	if n, ok := parseCkptName(name); ok && n != seq {
+	if n, ok := parseSeqName(name, ckptPrefix, ckptSuffix); ok && n != seq {
 		return 0, nil, &CorruptError{Path: path, Offset: 8,
 			Reason: fmt.Sprintf("checkpoint header seq %d disagrees with file name seq %d", seq, n)}
 	}
@@ -140,7 +101,7 @@ func ListCheckpoints(fs FS, dir string) ([]CheckpointInfo, error) {
 	}
 	var cks []CheckpointInfo
 	for _, n := range names {
-		if seq, ok := parseCkptName(n); ok {
+		if seq, ok := parseSeqName(n, ckptPrefix, ckptSuffix); ok {
 			cks = append(cks, CheckpointInfo{Name: n, Seq: seq})
 		}
 	}
@@ -172,8 +133,9 @@ func PruneCheckpoints(fs FS, dir string, keep int) error {
 	return nil
 }
 
-// RemoveTempFiles deletes stranded .tmp files (checkpoints whose rename
-// never happened). Call after recovery, before writing new state.
+// RemoveTempFiles deletes stranded .tmp files (WriteFileAtomic temp
+// files whose rename never happened). Call after recovery, before
+// writing new state.
 func RemoveTempFiles(fs FS, dir string) error {
 	names, err := fs.ReadDir(dir)
 	if err != nil {

@@ -13,9 +13,11 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 // File is the subset of *os.File the WAL needs. Writers created by
@@ -100,4 +102,40 @@ func (osFS) SyncDir(dir string) error {
 	}
 	defer f.Close()
 	return f.Sync()
+}
+
+// tmpSeq numbers this process's WriteFileAtomic calls, so concurrent
+// writes to one path never share a temp file.
+var tmpSeq atomic.Uint64
+
+// WriteFileAtomic replaces path with the concatenation of parts
+// crash-atomically: a temp file beside path (unique per call, ending in
+// .tmp for RemoveTempFiles) is written, fsynced and renamed over path,
+// then the directory is fsynced. Readers see the old file or the new one.
+// A failure before the rename removes the temp file.
+func WriteFileAtomic(fs FS, path string, parts ...[]byte) error {
+	tmp := fmt.Sprintf("%s.%d-%d%s", path, os.Getpid(), tmpSeq.Add(1), tmpSuffix)
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err == nil {
+			_, err = f.Write(p)
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fs.Remove(tmp) // best effort: the write's own error is the one to report
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }

@@ -48,13 +48,13 @@ func recoverBytes(t *testing.T, seg []byte, strict bool) (string, *RecoverResult
 // must never panic; strict mode fails only with a *CorruptError. Every
 // record lenient mode keeps must re-encode to the bytes it came from,
 // with seqs 1, 2, …; the repaired log must recover again cleanly in
-// strict mode; and an event payload either fails to decode or
-// round-trips through EncodeEvents.
+// strict mode; and an event payload either fails graph.DecodeEvents or
+// round-trips through graph.AppendEvents.
 func FuzzRecover(f *testing.F) {
 	var payloads, events [][]byte
 	for i := 0; i < 8; i++ {
 		payloads = append(payloads, payloadFor(i))
-		events = append(events, EncodeEvents([]graph.Event{
+		events = append(events, graph.AppendEvents(nil, []graph.Event{
 			{U: int32(i), V: int32(i + 1), Type: graph.Insert},
 			{U: int32(2 * i), V: 3, Type: graph.Delete},
 		}))
@@ -84,7 +84,7 @@ func FuzzRecover(f *testing.F) {
 				t.Fatalf("record %d does not re-encode to its bytes at offset %d", i, off)
 			}
 			off += len(enc)
-			if ev, err := DecodeEvents(r.Payload); err == nil && !bytes.Equal(EncodeEvents(ev), r.Payload) {
+			if ev, err := graph.DecodeEvents(r.Payload); err == nil && !bytes.Equal(graph.AppendEvents(nil, ev), r.Payload) {
 				t.Fatalf("record %d: events decode but do not re-encode", i)
 			}
 		}

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
-
-	"github.com/tree-svd/treesvd/internal/graph"
 )
 
 // On-disk layout. A log is a directory of segment files
@@ -68,20 +67,18 @@ func (o Options) withDefaults() Options {
 // segName returns the file name of the segment whose first record is seq.
 func segName(seq uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, seq, segSuffix) }
 
-// parseSegName extracts the first-record seq from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+// parseSeqName extracts the seq from a file name of the form prefix,
+// 16 hex digits, suffix — the form of segment and checkpoint names.
+func parseSeqName(name, prefix, suffix string) (uint64, bool) {
+	hex, ok := strings.CutPrefix(name, prefix)
+	if !ok {
 		return 0, false
 	}
-	hexpart := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-	if len(hexpart) != 16 {
+	if hex, ok = strings.CutSuffix(hex, suffix); !ok || len(hex) != 16 {
 		return 0, false
 	}
-	var seq uint64
-	if _, err := fmt.Sscanf(hexpart, "%016x", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	return seq, err == nil
 }
 
 // listSegments returns the segment first-seqs in dir, ascending.
@@ -92,7 +89,7 @@ func listSegments(fs FS, dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, n := range names {
-		if seq, ok := parseSegName(n); ok {
+		if seq, ok := parseSeqName(n, segPrefix, segSuffix); ok {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -108,10 +105,10 @@ func HasState(fs FS, dir string) (bool, error) {
 		return false, err
 	}
 	for _, n := range names {
-		if _, ok := parseSegName(n); ok {
+		if _, ok := parseSeqName(n, segPrefix, segSuffix); ok {
 			return true, nil
 		}
-		if _, ok := parseCkptName(n); ok {
+		if _, ok := parseSeqName(n, ckptPrefix, ckptSuffix); ok {
 			return true, nil
 		}
 	}
@@ -285,38 +282,4 @@ func PruneSegments(fs FS, dir string, upTo uint64) error {
 		return fs.SyncDir(dir)
 	}
 	return nil
-}
-
-// EncodeEvents serializes a batch of edge events as a WAL record payload:
-// 9 bytes per event (u, v as int32 LE plus the type byte).
-func EncodeEvents(events []graph.Event) []byte {
-	buf := make([]byte, 9*len(events))
-	for i, ev := range events {
-		off := 9 * i
-		binary.LittleEndian.PutUint32(buf[off:], uint32(ev.U))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(ev.V))
-		buf[off+8] = byte(ev.Type)
-	}
-	return buf
-}
-
-// DecodeEvents parses an EncodeEvents payload.
-func DecodeEvents(payload []byte) ([]graph.Event, error) {
-	if len(payload)%9 != 0 {
-		return nil, fmt.Errorf("wal: event payload length %d is not a multiple of 9", len(payload))
-	}
-	events := make([]graph.Event, len(payload)/9)
-	for i := range events {
-		off := 9 * i
-		typ := graph.EventType(payload[off+8])
-		if typ != graph.Insert && typ != graph.Delete {
-			return nil, fmt.Errorf("wal: event %d has unknown type %d", i, typ)
-		}
-		events[i] = graph.Event{
-			U:    int32(binary.LittleEndian.Uint32(payload[off:])),
-			V:    int32(binary.LittleEndian.Uint32(payload[off+4:])),
-			Type: typ,
-		}
-	}
-	return events, nil
 }

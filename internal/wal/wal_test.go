@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/tree-svd/treesvd/internal/graph"
 )
 
 func mustAppend(t *testing.T, w *Writer, payload []byte) uint64 {
@@ -396,34 +394,6 @@ func TestHasState(t *testing.T) {
 	}
 	if has, err := HasState(OS, dir); err != nil || !has {
 		t.Fatalf("dir with checkpoint: HasState = %v, %v", has, err)
-	}
-}
-
-func TestEncodeDecodeEvents(t *testing.T) {
-	events := []graph.Event{
-		{U: 0, V: 1, Type: graph.Insert},
-		{U: 2147483647, V: 0, Type: graph.Delete},
-		{U: 5, V: 5, Type: graph.Insert},
-	}
-	got, err := DecodeEvents(EncodeEvents(events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], events[i])
-		}
-	}
-	if _, err := DecodeEvents(make([]byte, 10)); err == nil {
-		t.Fatal("accepted a payload of non-multiple length")
-	}
-	bad := EncodeEvents(events[:1])
-	bad[8] = 9
-	if _, err := DecodeEvents(bad); err == nil {
-		t.Fatal("accepted an unknown event type")
 	}
 }
 

@@ -7,12 +7,12 @@
 //
 //	[4B uint32 LE payload length] [payload] [4B "TSV2"] [4B uint32 LE CRC32C(payload)]
 //
-// — the same 8-byte magic+CRC32C (Castagnoli) integrity footer the v2/v3
-// persist formats append to their gob payloads, so torn or bit-flipped
-// frames are rejected deterministically rather than mis-decoded. The
-// payload's first byte tags its type (events, recommendations, matrix,
-// apply-result); all integers are little-endian, scores and embedding
-// coordinates are IEEE-754 float64 bits.
+// The integrity footer (Footer, SplitFooter) is also the one a save ends
+// in, so torn or bit-flipped frames and saves are rejected
+// deterministically rather than mis-decoded. The payload's first byte
+// tags its type (events, recommendations, matrix, apply-result); all
+// integers are little-endian, scores and embedding coordinates are
+// IEEE-754 float64 bits.
 //
 // Streams compose by concatenation: an ingest request body is any number
 // of event frames back to back, each applied as one batch.
@@ -33,12 +33,12 @@ import (
 // requests and responses carrying frames use it in Content-Type/Accept.
 const ContentType = "application/x-treesvd-frame"
 
-// Frame magic/footer layout, shared with the persist formats (TSV2 +
-// CRC32C over the payload, little-endian).
+// FooterLen is the size of the integrity footer: the magic "TSV2" and a
+// little-endian CRC32C of the payload it seals.
 const (
-	frameMagic = "TSV2"
-	footerLen  = 8
-	prefixLen  = 4
+	FooterLen   = 8
+	footerMagic = "TSV2"
+	prefixLen   = 4
 )
 
 // MaxFrame bounds a single frame's payload so a corrupt or hostile
@@ -76,6 +76,31 @@ type ApplyResult struct {
 	Version                  uint64
 }
 
+// Footer returns the integrity footer that seals payload.
+func Footer(payload []byte) []byte {
+	f := make([]byte, FooterLen)
+	copy(f, footerMagic)
+	binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(payload, castagnoli))
+	return f
+}
+
+// SplitFooter verifies the integrity footer at the end of data and
+// returns the payload it seals.
+func SplitFooter(data []byte) ([]byte, error) {
+	if len(data) < FooterLen {
+		return nil, fmt.Errorf("%d bytes cannot hold the %d-byte integrity footer", len(data), FooterLen)
+	}
+	payload, footer := data[:len(data)-FooterLen], data[len(data)-FooterLen:]
+	if string(footer[:4]) != footerMagic {
+		return nil, fmt.Errorf("bad footer magic %q", footer[:4])
+	}
+	want := binary.LittleEndian.Uint32(footer[4:])
+	if got := crc32.Checksum(payload, castagnoli); got != want {
+		return nil, fmt.Errorf("checksum mismatch: computed %08x, footer %08x", got, want)
+	}
+	return payload, nil
+}
+
 // WriteFrame writes one frame (length prefix, payload, integrity footer)
 // to w.
 func WriteFrame(w io.Writer, payload []byte) error {
@@ -90,10 +115,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var footer [footerLen]byte
-	copy(footer[:4], frameMagic)
-	binary.LittleEndian.PutUint32(footer[4:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(footer[:])
+	_, err := w.Write(Footer(payload))
 	return err
 }
 
@@ -114,33 +136,18 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	}
 	// The buffer grows as bytes arrive instead of trusting the prefix: a
 	// four-byte stream claiming a gigabyte must not cost one.
-	buf, err := io.ReadAll(io.LimitReader(r, int64(n)+footerLen))
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)+FooterLen))
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < int(n)+footerLen {
+	if len(buf) < int(n)+FooterLen {
 		return nil, io.ErrUnexpectedEOF
 	}
-	payload, footer := buf[:n], buf[n:]
-	if string(footer[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad frame magic %q", ErrCorruptFrame, footer[:4])
-	}
-	want := binary.LittleEndian.Uint32(footer[4:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch: computed %08x, footer %08x", ErrCorruptFrame, got, want)
+	payload, err := SplitFooter(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
 	}
 	return payload, nil
-}
-
-// appendUint32 appends v little-endian.
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// appendUint64 appends v little-endian.
-func appendUint64(b []byte, v uint64) []byte {
-	b = appendUint32(b, uint32(v))
-	return appendUint32(b, uint32(v>>32))
 }
 
 // reader consumes a payload with bounds checking; fail is sticky.
@@ -186,18 +193,13 @@ func (r *reader) done() bool { return !r.fail && len(r.b) == 0 }
 // corrupt builds the uniform malformed-payload error.
 func corrupt(what string) error { return fmt.Errorf("%w: malformed %s payload", ErrCorruptFrame, what) }
 
-// EncodeEvents encodes one event batch: tag, count, then 9 bytes per
-// event (u, v, type).
+// EncodeEvents encodes one event batch: tag, count, then the batch in
+// graph.AppendEvents' 9-byte form.
 func EncodeEvents(events []graph.Event) []byte {
-	b := make([]byte, 0, 5+9*len(events))
+	b := make([]byte, 0, 5+graph.EventLen*len(events))
 	b = append(b, tagEvents)
-	b = appendUint32(b, uint32(len(events)))
-	for _, ev := range events {
-		b = appendUint32(b, uint32(ev.U))
-		b = appendUint32(b, uint32(ev.V))
-		b = append(b, byte(ev.Type))
-	}
-	return b
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(events)))
+	return graph.AppendEvents(b, events)
 }
 
 // DecodeEvents decodes an event-batch payload written by EncodeEvents.
@@ -206,21 +208,12 @@ func DecodeEvents(payload []byte) ([]graph.Event, error) {
 	if r.u8() != tagEvents {
 		return nil, corrupt("events")
 	}
-	n := int(r.u32())
-	if r.fail || n > len(r.b)/9 {
+	n := uint64(r.u32())
+	if r.fail || n*graph.EventLen != uint64(len(r.b)) {
 		return nil, corrupt("events")
 	}
-	events := make([]graph.Event, n)
-	for i := range events {
-		events[i].U = int32(r.u32())
-		events[i].V = int32(r.u32())
-		t := r.u8()
-		if t > byte(graph.Delete) {
-			return nil, corrupt("events")
-		}
-		events[i].Type = graph.EventType(t)
-	}
-	if !r.done() {
+	events, err := graph.DecodeEvents(r.b)
+	if err != nil {
 		return nil, corrupt("events")
 	}
 	return events, nil
@@ -231,12 +224,12 @@ func DecodeEvents(payload []byte) ([]graph.Event, error) {
 func EncodeRecs(version uint64, source int32, recs []Rec) []byte {
 	b := make([]byte, 0, 17+12*len(recs))
 	b = append(b, tagRecs)
-	b = appendUint64(b, version)
-	b = appendUint32(b, uint32(source))
-	b = appendUint32(b, uint32(len(recs)))
+	b = binary.LittleEndian.AppendUint64(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(source))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(recs)))
 	for _, rc := range recs {
-		b = appendUint32(b, uint32(rc.Node))
-		b = appendUint64(b, math.Float64bits(rc.Score))
+		b = binary.LittleEndian.AppendUint32(b, uint32(rc.Node))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rc.Score))
 	}
 	return b
 }
@@ -273,12 +266,12 @@ func EncodeMatrix(version uint64, rows [][]float64) []byte {
 	}
 	b := make([]byte, 0, 17+8*len(rows)*cols)
 	b = append(b, tagMatrix)
-	b = appendUint64(b, version)
-	b = appendUint32(b, uint32(len(rows)))
-	b = appendUint32(b, uint32(cols))
+	b = binary.LittleEndian.AppendUint64(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(cols))
 	for _, row := range rows {
 		for _, x := range row {
-			b = appendUint64(b, math.Float64bits(x))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 		}
 	}
 	return b
@@ -316,10 +309,10 @@ func DecodeMatrix(payload []byte) (version uint64, rows [][]float64, err error) 
 func EncodeApplyResult(res ApplyResult) []byte {
 	b := make([]byte, 0, 21)
 	b = append(b, tagApplyResult)
-	b = appendUint32(b, uint32(res.Batches))
-	b = appendUint32(b, uint32(res.Events))
-	b = appendUint32(b, uint32(res.Rebuilt))
-	b = appendUint64(b, res.Version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.Batches))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.Events))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.Rebuilt))
+	b = binary.LittleEndian.AppendUint64(b, res.Version)
 	return b
 }
 

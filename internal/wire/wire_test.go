@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -48,6 +49,20 @@ func TestEventsRoundTrip(t *testing.T) {
 				t.Fatalf("event %d: %+v != %+v", i, got[i], events[i])
 			}
 		}
+	}
+}
+
+// TestEventEncodingGolden pins the 9-byte event form a WAL record holds
+// (graph.AppendEvents) and the event frame payload built on it: the tag,
+// the little-endian count, then the same bytes.
+func TestEventEncodingGolden(t *testing.T) {
+	batch := []graph.Event{{U: 1, V: 2, Type: graph.Insert}, {U: 70000, V: math.MaxInt32, Type: graph.Delete}}
+	const body = "010000000200000000" + "70110100ffffff7f01"
+	if got := hex.EncodeToString(graph.AppendEvents(nil, batch)); got != body {
+		t.Fatalf("graph.AppendEvents = %s, want %s", got, body)
+	}
+	if got, want := hex.EncodeToString(EncodeEvents(batch)), "45"+"02000000"+body; got != want {
+		t.Fatalf("EncodeEvents = %s, want %s", got, want)
 	}
 }
 
@@ -182,6 +197,11 @@ func TestCorruptionDetection(t *testing.T) {
 	if _, err := DecodeEvents(append(EncodeEvents(events), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+	unknownType := EncodeEvents(events)
+	unknownType[len(unknownType)-1] = 2
+	if _, err := DecodeEvents(unknownType); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("event of unknown type: %v, want ErrCorruptFrame", err)
+	}
 	if _, _, _, err := DecodeRecs(EncodeEvents(events)); err == nil {
 		t.Fatal("cross-tag decode accepted")
 	}
@@ -244,7 +264,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err == nil {
-			if n := len(payload) + prefixLen + footerLen; !bytes.Equal(frame(t, payload), data[:n]) {
+			if n := len(payload) + prefixLen + FooterLen; !bytes.Equal(frame(t, payload), data[:n]) {
 				t.Fatal("a frame that verifies does not re-frame to its own bytes")
 			}
 		} else {

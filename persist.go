@@ -3,35 +3,26 @@ package treesvd
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/ppr"
 	"github.com/tree-svd/treesvd/internal/sparse"
+	"github.com/tree-svd/treesvd/internal/wal"
+	"github.com/tree-svd/treesvd/internal/wire"
 )
 
 // persistVersion guards the save format; bump on incompatible changes.
 // Load, LoadFile and Open accept this version only — there is no upgrade
-// reader. Every save ends in an integrity footer — the 4-byte magic
-// "TSV2" followed by a little-endian CRC32C of the entire gob payload —
-// so bit rot that still decodes as structurally plausible gob is
-// rejected deterministically.
-const (
-	persistVersion = 8
-	persistMagic   = "TSV2"
-	footerLen      = 8
-)
-
-// persistCRC is the CRC32C (Castagnoli) table shared by the save footer
-// and the WAL/checkpoint formats.
-var persistCRC = crc32.MakeTable(crc32.Castagnoli)
+// reader. Every save ends in wire's integrity footer (wire.Footer: the
+// 4-byte magic "TSV2" followed by a little-endian CRC32C of the entire
+// gob payload), so bit rot that still decodes as structurally plausible
+// gob is rejected deterministically.
+const persistVersion = 8
 
 // savedEmbedder is the gob wire form of an Embedder: configuration,
 // subset, the dynamic graph, the subset's forward/reverse PPR states, the
@@ -50,32 +41,6 @@ type savedEmbedder struct {
 	Tree    *core.TreeSnapshot
 }
 
-// crcWriter tees writes into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, persistCRC, p[:n])
-	return n, err
-}
-
-// splitFooted verifies and strips the integrity footer, returning the
-// gob payload.
-func splitFooted(data []byte, path string) ([]byte, error) {
-	if len(data) < footerLen || string(data[len(data)-footerLen:len(data)-4]) != persistMagic {
-		return nil, corruptErr(path, "save is missing its integrity footer")
-	}
-	payload := data[:len(data)-footerLen]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(payload, persistCRC); got != want {
-		return nil, corruptErr(path, "save checksum mismatch: computed %08x, footer %08x", got, want)
-	}
-	return payload, nil
-}
-
 // Save serializes the embedder's complete state to w: a gob payload
 // followed by the integrity footer. It takes the update lock, so it is
 // safe to call concurrently with ApplyEvents/Rebuild and always writes a
@@ -86,6 +51,17 @@ func splitFooted(data []byte, path string) ([]byte, error) {
 // an atomically replaced on-disk checkpoint, or Open for continuous
 // WAL-backed durability.
 func (e *Embedder) Save(w io.Writer) error {
+	data, err := e.saveBytes()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
+}
+
+// saveBytes is Save into memory: the gob payload and its footer, the
+// bytes of a SaveFile and the payload of a durable checkpoint.
+func (e *Embedder) saveBytes() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	saved := savedEmbedder{
@@ -98,24 +74,11 @@ func (e *Embedder) Save(w io.Writer) error {
 		M:       e.prox.M,
 		Tree:    e.tree.Snapshot(),
 	}
-	cw := &crcWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(&saved); err != nil {
-		return fmt.Errorf("treesvd: encode: %w", err)
-	}
-	var footer [footerLen]byte
-	copy(footer[:4], persistMagic)
-	binary.LittleEndian.PutUint32(footer[4:], cw.crc)
-	_, err := w.Write(footer[:])
-	return err
-}
-
-// saveBytes is Save into memory: the payload of a durable checkpoint.
-func (e *Embedder) saveBytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		return nil, err
+	if err := gob.NewEncoder(&buf).Encode(&saved); err != nil {
+		return nil, fmt.Errorf("treesvd: encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return append(buf.Bytes(), wire.Footer(buf.Bytes())...), nil
 }
 
 // Load restores an Embedder previously written by Save at the current
@@ -170,32 +133,11 @@ func (e *Embedder) finishRestore(path string, replay func() error) error {
 // one, never a torn mixture — the property Save(w io.Writer) alone
 // cannot give.
 func (e *Embedder) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	data, err := e.saveBytes()
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := e.Save(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
+	return wal.WriteFileAtomic(wal.OS, path, data)
 }
 
 // LoadFile restores an Embedder from a file written by SaveFile (or any
@@ -207,16 +149,6 @@ func LoadFile(path string) (*Embedder, error) {
 		return nil, err
 	}
 	return load(data, path)
-}
-
-// syncDir fsyncs a directory, making a rename inside it durable.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // corruptErr builds the uniform corruption error for decode failures.
@@ -233,9 +165,9 @@ func corruptErr(path, format string, args ...any) error {
 // first use. RestoreSubset and RestoreTree re-check their own pieces
 // (state shapes, tree cache dims).
 func decodeEmbedder(data []byte, path string) (*Embedder, error) {
-	payload, err := splitFooted(data, path)
+	payload, err := wire.SplitFooter(data)
 	if err != nil {
-		return nil, err
+		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "save failed its integrity footer", Err: err}
 	}
 	var saved savedEmbedder
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&saved); err != nil {

@@ -2,11 +2,9 @@ package treesvd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -17,14 +15,12 @@ import (
 	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/sparse"
 	"github.com/tree-svd/treesvd/internal/wal"
+	"github.com/tree-svd/treesvd/internal/wire"
 )
 
 // appendFooter seals buf's gob payload with the integrity footer.
 func appendFooter(buf *bytes.Buffer) {
-	var footer [footerLen]byte
-	copy(footer[:4], persistMagic)
-	binary.LittleEndian.PutUint32(footer[4:], crc32.Checksum(buf.Bytes(), persistCRC))
-	buf.Write(footer[:])
+	buf.Write(wire.Footer(buf.Bytes()))
 }
 
 // rawGob carries a GobEncoder field's bytes through a decode/encode round
@@ -434,7 +430,7 @@ func FuzzLoad(f *testing.F) {
 		}))
 	}
 	for _, save := range seeds {
-		f.Add(save[:len(save)-footerLen])
+		f.Add(save[:len(save)-wire.FooterLen])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		buf := bytes.NewBuffer(append([]byte(nil), payload...))

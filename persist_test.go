@@ -3,6 +3,8 @@ package treesvd
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -136,6 +138,46 @@ func TestSaveLoadPreservesRightEmbedding(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatalf("right embedding differs at (%d,%d)", i, j)
 			}
+		}
+	}
+}
+
+// TestSaveFileConcurrentWritersOnePath runs two embedders' SaveFile
+// against one path at once, 30 times: each call writes its own temp file,
+// so whichever rename lands last leaves a whole save that loads.
+func TestSaveFileConcurrentWritersOnePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var embs [2]*Embedder
+	for i := range embs {
+		g := buildGraph(rng, 300+100*i, 1500+500*i)
+		emb, err := New(g, []int32{1, 5, 9, 30, 77, 120}, Config{Dim: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		embs[i] = emb
+	}
+	path := filepath.Join(t.TempDir(), "state.bin")
+	for round := 0; round < 30; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(embs))
+		start := make(chan struct{})
+		for i, emb := range embs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = emb.SaveFile(path)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: SaveFile %d: %v", round, i, err)
+			}
+		}
+		if _, err := LoadFile(path); err != nil {
+			t.Fatalf("round %d: LoadFile after concurrent saves: %v", round, err)
 		}
 	}
 }

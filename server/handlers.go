@@ -304,12 +304,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		res, err = s.ingestJSON(r)
 	}
 	res.Version = s.b.Snapshot().Version()
+	// A failed stream keeps the batches before the failing one applied,
+	// so they count either way.
+	s.met.ingestBatches.Add(uint64(res.Batches))
+	s.met.ingestEvents.Add(uint64(res.Events))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	s.met.ingestBatches.Add(uint64(res.Batches))
-	s.met.ingestEvents.Add(uint64(res.Events))
 	if wantsBinary(r) {
 		writeFrame(w, wire.EncodeApplyResult(res))
 		return

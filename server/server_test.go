@@ -277,6 +277,44 @@ func TestIngestJSONBody(t *testing.T) {
 	}
 }
 
+// TestIngestCountersCountFailedStreamPrefix sends two good event frames
+// and a torn third. The server answers 400, but the two batches before the
+// torn frame stay applied, so the HTTP ingest counters must count them as
+// the embedder's own batch counter does.
+func TestIngestCountersCountFailedStreamPrefix(t *testing.T) {
+	_, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
+	var body bytes.Buffer
+	body.Write(encodeEventFrame(t, []treesvd.Event{{U: 1, V: 2, Type: treesvd.Insert}}))
+	body.Write(encodeEventFrame(t, []treesvd.Event{{U: 2, V: 3, Type: treesvd.Insert}, {U: 3, V: 4, Type: treesvd.Insert}}))
+	torn := encodeEventFrame(t, []treesvd.Event{{U: 4, V: 5, Type: treesvd.Insert}})
+	body.Write(torn[:len(torn)-3])
+	resp, err := http.Post(srv.URL()+"/v1/events", wire.ContentType, &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("torn stream: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = http.Get(srv.URL() + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"\ntreesvd_batches_applied_total 2\n",
+		"\ntreesvd_http_ingest_batches_total 2\n",
+		"\ntreesvd_http_ingest_events_total 3\n",
+	} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
+	}
+}
+
 // TestMetricsAndPprofMounted checks the obs registry and pprof share the
 // serving mux, and that the HTTP request metrics appear on it.
 func TestMetricsAndPprofMounted(t *testing.T) {
