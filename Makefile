@@ -1,5 +1,6 @@
 # Tree-SVD developer targets. `make ci` is the full gate: gofmt, vet,
-# an arm64 vet of the portable fallbacks, build, vet and short tests of
+# an arm64 vet of the portable fallbacks and a scan of the arm64 product
+# kernels for fused multiply-adds, build, vet and short tests of
 # the benchmark module, tests, the race-detector pass over the
 # concurrency-sensitive
 # packages (the public facade, everything under internal/, and the
@@ -30,9 +31,19 @@ vet:
 # Cross-architecture gate: vet the whole module for arm64, so the
 # portable inner loops that stand in for the amd64 assembly
 # (internal/linalg/kernels_other.go) keep compiling. `make vet` already
-# runs asmdecl over the assembly's frame offsets on amd64.
+# runs asmdecl over the assembly's frame offsets on amd64. Then it reads
+# the arm64 assembly listing of internal/linalg and internal/sparse and
+# fails on a fused multiply-add attributed to a kernels*.go line: the
+# product kernels round every product before its add, so their bits are
+# the same on every GOARCH. A listing that names no kernels*.go line
+# fails too, so an empty build cannot pass.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg ./internal/sparse 2>&1) || { echo "$$asm" | tail -20; exit 1; }; \
+	kern=$$(echo "$$asm" | grep -E '\((.*/)?kernels[^/]*\.go:[0-9]+\)'); \
+	if [ -z "$$kern" ]; then echo "cross: the arm64 listing names no kernels*.go line"; exit 1; fi; \
+	fma=$$(echo "$$kern" | grep -E '\)[[:space:]]+FN?M(ADD|SUB)[DS][[:space:]]'); \
+	if [ -n "$$fma" ]; then echo "cross: fused multiply-add in a product kernel on arm64:"; echo "$$fma"; exit 1; fi
 
 # Documentation gate: go vet's doc-adjacent checks plus cmd/doclint,
 # which requires a package comment on every package and a doc comment on

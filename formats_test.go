@@ -55,3 +55,53 @@ func TestOneHomePerByteFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOneEntryPointPerKernel fails when a kernel package grows a second
+// name for one operation: an exported func or method N beside an NW on
+// the same receiver, the serial wrapper that only calls its
+// worker-budgeted sibling with one worker. It reads the non-test Go files
+// of internal/linalg and internal/sparse.
+func TestOneEntryPointPerKernel(t *testing.T) {
+	for _, dir := range []string{"internal/linalg", "internal/sparse"} {
+		names := map[string]bool{} // receiver type + "." + name; "" for funcs
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				recv := ""
+				if fn.Recv != nil && len(fn.Recv.List) == 1 {
+					typ := fn.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						recv = id.Name
+					}
+				}
+				names[recv+"."+fn.Name.Name] = true
+			}
+		}
+		if len(names) == 0 {
+			t.Fatalf("%s: no exported funcs found", dir)
+		}
+		for key := range names {
+			if names[key+"W"] {
+				n := strings.TrimPrefix(key, ".")
+				t.Errorf("%s: both %s and %sW are declared; keep only %sW and pass 1 for a serial call", dir, n, n, n)
+			}
+		}
+	}
+}

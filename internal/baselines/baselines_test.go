@@ -107,8 +107,8 @@ func TestSubsetSTRAPShapes(t *testing.T) {
 	}
 	// X·Yᵀ must approximate the proximity matrix (both sides √Σ-scaled).
 	m := st.Prox.M.ToDense()
-	rec := linalg.MulT(res.Left, res.Right)
-	best := linalg.SVD(m).TailEnergy(m.FrobNorm(), 4)
+	rec := linalg.MulTW(res.Left, res.Right, 1)
+	best := linalg.SVDW(m, 1).TailEnergy(m.FrobNorm(), 4)
 	if got := linalg.Sub(rec, m).FrobNorm(); got > 1.2*best+1e-9 {
 		t.Fatalf("STRAP reconstruction %g vs optimal %g", got, best)
 	}
@@ -177,12 +177,12 @@ func TestFrequentDirectionsGuarantee(t *testing.T) {
 	if sk.Rows != l || sk.Cols != cols {
 		t.Fatalf("sketch shape %d×%d", sk.Rows, sk.Cols)
 	}
-	ata := linalg.Gram(m.ToDense())
-	btb := linalg.Gram(sk)
+	ata := linalg.GramW(m.ToDense(), 1)
+	btb := linalg.GramW(sk, 1)
 	diff := linalg.Sub(ata, btb)
 	frob := m.FrobNorm()
 	// Spectral-norm bound via largest eigenvalue of the symmetric diff.
-	lam, _ := linalg.SymEig(diff)
+	lam, _ := linalg.SymEigW(diff, 1)
 	spec := 0.0
 	for _, x := range lam {
 		if a := math.Abs(x); a > spec {

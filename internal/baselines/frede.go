@@ -41,7 +41,7 @@ func (fd *FrequentDirections) AppendSparse(cols []int32, vals []float64) {
 
 // shrink compresses the buffer: SVD, subtract σ_ℓ² energy, keep ℓ rows.
 func (fd *FrequentDirections) shrink() {
-	res := linalg.SVD(fd.buf)
+	res := linalg.SVDW(fd.buf, 1)
 	cut := 0.0
 	if len(res.S) > fd.l {
 		cut = res.S[fd.l-1] * res.S[fd.l-1]
@@ -92,7 +92,7 @@ func FREDE(m *sparse.CSR, dim int) *STRAPResult {
 		fd.AppendSparse(m.ColIdx[lo:hi], m.Val[lo:hi])
 	}
 	sk := fd.Sketch()
-	res := linalg.SVD(sk)
+	res := linalg.SVDW(sk, 1)
 	if res.Rank() == 0 {
 		return &STRAPResult{
 			Left:  linalg.NewDense(m.Rows, 0),
@@ -106,7 +106,7 @@ func FREDE(m *sparse.CSR, dim int) *STRAPResult {
 		sqrtS[i] = math.Sqrt(s)
 		invSqrt[i] = 1 / sqrtS[i]
 	}
-	left := m.MulDense(res.V).MulDiag(invSqrt)
+	left := m.MulDenseW(res.V, 1).MulDiag(invSqrt)
 	right := res.V.Clone().MulDiag(sqrtS)
 	return &STRAPResult{Left: left, Right: right, Root: res}
 }

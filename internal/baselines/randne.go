@@ -38,7 +38,7 @@ func RandNE(g *graph.Graph, cfg RandNEConfig) *linalg.Dense {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	u := rsvd.GaussianDense(rng, n, cfg.Dim)
 	if n >= cfg.Dim {
-		linalg.Orthonormalize(u)
+		linalg.OrthonormalizeW(u, 1)
 	}
 	emb := linalg.NewDense(n, cfg.Dim)
 	accumulate(emb, u, cfg.Weights[0])

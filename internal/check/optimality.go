@@ -63,7 +63,7 @@ func Optimality(m *sparse.CSR, u *linalg.Dense, d int) (optRelErr, reconOverOpt 
 		}
 		optSq -= max(l, 0)
 	}
-	proj := m.TMulDense(u).FrobNorm()
+	proj := m.TMulDenseW(u, 1).FrobNorm()
 	recon := math.Sqrt(max(normSq-proj*proj, 0) / normSq)
 	optRelErr = math.Sqrt(max(optSq, 0) / normSq)
 	switch {

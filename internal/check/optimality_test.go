@@ -25,7 +25,7 @@ func TestOptimality(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	exact := linalg.SVDTrunc(m.ToDense(), d)
+	exact := linalg.SVDTruncW(m.ToDense(), d, 1)
 	want := exact.TailEnergy(m.FrobNorm(), d) / m.FrobNorm()
 	opt, ratio, err := Optimality(m, exact.U, d)
 	if err != nil {
@@ -38,7 +38,7 @@ func TestOptimality(t *testing.T) {
 	for i := range u.Data {
 		u.Data[i] = rng.NormFloat64()
 	}
-	if _, ratio, _ := Optimality(m, linalg.Orthonormalize(u), d); ratio <= 1.01 {
+	if _, ratio, _ := Optimality(m, linalg.OrthonormalizeW(u, 1), d); ratio <= 1.01 {
 		t.Fatalf("random basis scored recon_over_opt %g", ratio)
 	}
 	big := sparse.NewBuilder(OptimalityMaxRows+1, 3).Build()

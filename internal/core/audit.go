@@ -158,10 +158,10 @@ func (t *Tree) Certify() error {
 			var frob float64
 			if l == 0 {
 				x := t.m.BaselineBlockCSR(j)
-				y, frob = x.TMulDense(n.res.U), x.FrobNorm()
+				y, frob = x.TMulDenseW(n.res.U, 1), x.FrobNorm()
 			} else {
 				x := t.nodeInput(t.kids(t.levels[l-1], j))
-				y, frob = linalg.TMul(x, n.res.U), x.FrobNorm()
+				y, frob = linalg.TMulW(x, n.res.U, 1), x.FrobNorm()
 				linalg.PutDense(x)
 			}
 			if err := certifyNode(n, y, frob, l == 0); err != nil {
@@ -192,7 +192,7 @@ func certifyNode(n *node, y *linalg.Dense, frob float64, exactTail bool) error {
 	for _, g := range []struct {
 		name string
 		m    *linalg.Dense
-	}{{"(UΣ)ᵀ(UΣ)", linalg.Gram(n.res.US())}, {"P·Pᵀ", linalg.Gram(y)}} {
+	}{{"(UΣ)ᵀ(UΣ)", linalg.GramW(n.res.US(), 1)}, {"P·Pᵀ", linalg.GramW(y, 1)}} {
 		for i := 0; i < g.m.Rows; i++ {
 			for k, x := range g.m.Row(i) {
 				if i == k {

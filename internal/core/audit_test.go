@@ -159,7 +159,7 @@ func TestAuditUpperDetectsCorruption(t *testing.T) {
 			for i := range u.Data {
 				u.Data[i] = rng.NormFloat64()
 			}
-			n.res.U = linalg.Orthonormalize(u)
+			n.res.U = linalg.OrthonormalizeW(u, 1)
 		}},
 		{"U entry +1e-6", false, false, false, func(_ *testing.T, n *node, _ *sparse.DynRow, _ int) {
 			u, r := n.res.U, 0

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"github.com/tree-svd/treesvd/internal/obs"
-)
+import "github.com/tree-svd/treesvd/internal/obs"
 
 // Metrics are the tree layer's cumulative work counters and timing spans
 // — the observable form of the Theorem 3.6/3.7 cost model, whose update
@@ -38,11 +34,4 @@ func (m *Metrics) observeCommit(s Stats) {
 	m.BlocksSkipped.Add(uint64(s.Skipped))
 	m.UpperMerges.Add(uint64(s.UpperRebuilt))
 	m.UpperProjections.Add(uint64(s.UpperProjections))
-}
-
-// stage runs f under an obs pprof stage label, returning its error.
-func stage(ctx context.Context, name string, f func(context.Context) error) error {
-	var err error
-	obs.Stage(ctx, name, func(ctx context.Context) { err = f(ctx) })
-	return err
 }

@@ -50,7 +50,7 @@ func TestMergeRoutesAgree(t *testing.T) {
 				t.Fatalf("step %d: σ%d = %v (top-d) vs %v (full)", step, i, a.S[i], b.S[i])
 			}
 		}
-		if d := linalg.MaxAbsDiff(linalg.MulT(a.U, a.U), linalg.MulT(b.U, b.U)); d > 1e-8 {
+		if d := linalg.MaxAbsDiff(linalg.MulTW(a.U, a.U, 1), linalg.MulTW(b.U, b.U, 1)); d > 1e-8 {
 			t.Fatalf("step %d: U·Uᵀ differs by %g between routes", step, d)
 		}
 		if sa, sb := sides[0].tr.Stats(), sides[1].tr.Stats(); sa != sb {

@@ -56,7 +56,7 @@ func TestLevel1TailNearOptimal(t *testing.T) {
 		blocks++
 		frob := blk.FrobNorm()
 		prod += n.Tail / frob
-		exact += linalg.SVDTrunc(blk.ToDense(), cfg.Rank).TailEnergy(frob, cfg.Rank) / frob
+		exact += linalg.SVDTruncW(blk.ToDense(), cfg.Rank, 1).TailEnergy(frob, cfg.Rank) / frob
 		res, err := rsvd.Sparse(blk, rsvd.Options{Rank: cfg.Rank, Seed: cfg.Seed + int64(j)})
 		if err != nil {
 			t.Fatal(err)

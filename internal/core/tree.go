@@ -226,7 +226,7 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 		}
 		w := par.Workers(t.cfg.Workers)
 		kb := par.SplitBudget(w, len(z))
-		if err := stage(ctx, "tree.level1", func(ctx context.Context) error {
+		if err := obs.Stage(ctx, "tree.level1", func(ctx context.Context) error {
 			return par.ForErr(ctx, len(z), w, func(i int) error {
 				bstart := time.Now()
 				var prev *node // levels[0] still holds the committed node
@@ -338,7 +338,7 @@ func (t *Tree) merge(ctx context.Context, levels [][]*node, dirty map[int]bool, 
 	defer t.met.MergeNanos.ObserveSince(start)
 	w := par.Workers(t.cfg.Workers)
 	k := t.cfg.Branch
-	return stage(ctx, "tree.merge", func(ctx context.Context) error {
+	return obs.Stage(ctx, "tree.merge", func(ctx context.Context) error {
 		for cl := 0; cl+1 < len(levels); cl++ {
 			parentDirty := make(map[int]bool)
 			for j := range dirty {

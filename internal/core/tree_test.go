@@ -105,7 +105,7 @@ func TestStaticTheorem32Bound(t *testing.T) {
 	must0t(tr.Build(bgt))
 	got := tr.ReconstructionError()
 	dense := m.ToDense()
-	best := linalg.SVD(dense).TailEnergy(dense.FrobNorm(), cfg.Rank)
+	best := linalg.SVDW(dense, 1).TailEnergy(dense.FrobNorm(), cfg.Rank)
 	eps := 0.5 // generous ε for the randomized level 1
 	bound := ((2 + eps) * math.Pow(1+math.Sqrt2, float64(cfg.Levels-1))) * best
 	if got > bound {
@@ -128,7 +128,7 @@ func TestExactLowRankRecovery(t *testing.T) {
 		t.Fatalf("exact rank-3 input: reconstruction error %g", err)
 	}
 	// Singular values must match the exact SVD.
-	exact := linalg.SVDTrunc(m.ToDense(), 3)
+	exact := linalg.SVDTruncW(m.ToDense(), 3, 1)
 	root := tr.Root()
 	for i := range exact.S {
 		if math.Abs(root.S[i]-exact.S[i]) > 1e-6*exact.S[0] {
@@ -216,7 +216,7 @@ func TestUpdateEmbeddingTracksData(t *testing.T) {
 	mustCore(tr.Update(bgt))
 	got := tr.ReconstructionError()
 	dense := m.ToDense()
-	best := linalg.SVD(dense).TailEnergy(dense.FrobNorm(), cfg.Rank)
+	best := linalg.SVDW(dense, 1).TailEnergy(dense.FrobNorm(), cfg.Rank)
 	if got > 2.5*best {
 		t.Fatalf("post-update reconstruction %g vs optimal %g", got, best)
 	}
@@ -276,7 +276,7 @@ func TestRightEmbeddingShapeAndScale(t *testing.T) {
 	// For an exact factorization, X·Yᵀ should reconstruct M:
 	// X·Yᵀ = U√Σ·(√Σ⁻¹... ) — U√Σ · (MᵀUΣ^{-1/2})ᵀ = U·Uᵀ·M = M.
 	x := tr.Embedding()
-	rec := linalg.MulT(x, y)
+	rec := linalg.MulTW(x, y, 1)
 	if d := linalg.MaxAbsDiff(rec, m.ToDense()); d > 1e-6 {
 		t.Fatalf("X·Yᵀ reconstruction diff %g", d)
 	}
@@ -482,7 +482,7 @@ func TestStaticEmbeddingHelpers(t *testing.T) {
 		t.Fatalf("right embedding shape %d×%d", y.Rows, y.Cols)
 	}
 	// Exact low-rank input: X·Yᵀ reconstructs the matrix.
-	rec := linalg.MulT(root.USqrtS(), y)
+	rec := linalg.MulTW(root.USqrtS(), y, 1)
 	if d := linalg.MaxAbsDiff(rec, m.ToDense()); d > 1e-6 {
 		t.Fatalf("static X·Yᵀ reconstruction diff %g", d)
 	}

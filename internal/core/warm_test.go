@@ -59,7 +59,7 @@ func TestLevel1WarmTailNearOptimal(t *testing.T) {
 			frob := blk.FrobNorm()
 			c := mustCore(tr.factorCSR(blk, j, nil, 1))
 			warm, cold = warm+n.tail/frob, cold+c.tail/frob
-			exact += linalg.SVDTrunc(blk.ToDense(), cfg.Rank).TailEnergy(frob, cfg.Rank) / frob
+			exact += linalg.SVDTruncW(blk.ToDense(), cfg.Rank, 1).TailEnergy(frob, cfg.Rank) / frob
 			blocks++
 		}
 	}

@@ -18,7 +18,7 @@ func lowRank(rng *rand.Rand, rows, cols, rank int, noise float64) *linalg.Dense 
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 	}
-	m := linalg.MulT(u, v)
+	m := linalg.MulTW(u, v, 1)
 	for i := range m.Data {
 		m.Data[i] += noise * rng.NormFloat64()
 	}
@@ -42,7 +42,7 @@ func TestExactLowRankRecovery(t *testing.T) {
 	res := Factorize(toCSR(m), cfg)
 	// Singular values must match the exact SVD (HSVD is lossless when the
 	// block rank bounds the matrix rank).
-	exact := linalg.SVDTrunc(m, 3)
+	exact := linalg.SVDTruncW(m, 3, 1)
 	for i := range exact.S {
 		if math.Abs(res.S[i]-exact.S[i]) > 1e-6*exact.S[0] {
 			t.Fatalf("σ%d = %g, want %g", i, res.S[i], exact.S[i])
@@ -60,9 +60,9 @@ func TestApproximationWithinTheorem(t *testing.T) {
 	cfg := Config{Rank: d, Blocks: 4, Branch: 2} // q = 3 levels
 	res := Factorize(toCSR(m), cfg)
 	// Residual after projecting M on the returned left singular space.
-	proj := linalg.Mul(res.U, linalg.TMul(res.U, m))
+	proj := linalg.MulW(res.U, linalg.TMulW(res.U, m, 1), 1)
 	got := linalg.Sub(m, proj).FrobNorm()
-	best := linalg.SVD(m).TailEnergy(m.FrobNorm(), d)
+	best := linalg.SVDW(m, 1).TailEnergy(m.FrobNorm(), d)
 	q := 3.0
 	bound := (2*math.Pow(1+math.Sqrt2, q-1) - 1) * best
 	if got > bound {
@@ -78,7 +78,7 @@ func TestSingleBlockDegeneratesToSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := lowRank(rng, 8, 20, 5, 0.05)
 	res := Factorize(toCSR(m), Config{Rank: 4, Blocks: 1, Branch: 2})
-	exact := linalg.SVDTrunc(m, 4)
+	exact := linalg.SVDTruncW(m, 4, 1)
 	for i := range exact.S {
 		if math.Abs(res.S[i]-exact.S[i]) > 1e-8*exact.S[0] {
 			t.Fatalf("σ%d = %g, want %g", i, res.S[i], exact.S[i])

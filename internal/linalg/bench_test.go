@@ -262,7 +262,7 @@ func TestEmitKernelBench(t *testing.T) {
 	ma := benchDense(5, mRows, mCols)
 	mw := benchDense(6, mRank, mCols)
 	mp := benchDense(7, mRows, mRank)
-	mq, _ := linalg.QRThin(mp)
+	mq, _ := linalg.QRThinW(mp, 1)
 	for _, w := range []int{1, 2} {
 		w := w
 		add("Refine/MulT", mRows, mCols, w, 2*float64(mRows)*mCols*mRank,

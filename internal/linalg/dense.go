@@ -161,33 +161,6 @@ func HCat(ms ...*Dense) *Dense {
 	return out
 }
 
-// HCatInto horizontally concatenates the given matrices into dst, whose
-// shape must already match (same Rows, Cols = Σ ms[i].Cols). It is the
-// allocation-free sibling of HCat used by the tree merges, which reuse
-// one pooled concat buffer per parent instead of allocating a fresh
-// |S|×(k·d) matrix on every update. Returns dst.
-func HCatInto(dst *Dense, ms ...*Dense) *Dense {
-	c := 0
-	for _, m := range ms {
-		if m.Rows != dst.Rows {
-			panic(fmt.Sprintf("linalg: HCatInto row mismatch %d vs %d", m.Rows, dst.Rows))
-		}
-		c += m.Cols
-	}
-	if c != dst.Cols {
-		panic(fmt.Sprintf("linalg: HCatInto column mismatch %d vs dst %d", c, dst.Cols))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		orow := dst.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(orow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return dst
-}
-
 // SliceCols returns the column range [lo,hi) as a new matrix.
 func (m *Dense) SliceCols(lo, hi int) *Dense {
 	if lo < 0 || hi > m.Cols || lo > hi {

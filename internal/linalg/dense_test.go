@@ -18,11 +18,11 @@ func randDense(rng *rand.Rand, r, c int) *Dense {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randDense(rng, 7, 5)
-	got := Mul(a, Identity(5))
+	got := MulW(a, Identity(5), 1)
 	if MaxAbsDiff(a, got) != 0 {
 		t.Fatalf("A·I != A, max diff %g", MaxAbsDiff(a, got))
 	}
-	got = Mul(Identity(7), a)
+	got = MulW(Identity(7), a, 1)
 	if MaxAbsDiff(a, got) != 0 {
 		t.Fatalf("I·A != A")
 	}
@@ -32,7 +32,7 @@ func TestMulAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randDense(rng, 6, 4)
 	b := randDense(rng, 4, 9)
-	got := Mul(a, b)
+	got := MulW(a, b, 1)
 	want := NewDense(6, 9)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 9; j++ {
@@ -52,11 +52,11 @@ func TestMulTAndTMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randDense(rng, 5, 7)
 	b := randDense(rng, 6, 7)
-	if d := MaxAbsDiff(MulT(a, b), Mul(a, b.T())); d > 1e-12 {
+	if d := MaxAbsDiff(MulTW(a, b, 1), MulW(a, b.T(), 1)); d > 1e-12 {
 		t.Fatalf("MulT != A·Bᵀ: %g", d)
 	}
 	c := randDense(rng, 5, 4)
-	if d := MaxAbsDiff(TMul(a, c), Mul(a.T(), c)); d > 1e-12 {
+	if d := MaxAbsDiff(TMulW(a, c, 1), MulW(a.T(), c, 1)); d > 1e-12 {
 		t.Fatalf("TMul != Aᵀ·C: %g", d)
 	}
 }
@@ -64,10 +64,10 @@ func TestMulTAndTMul(t *testing.T) {
 func TestGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randDense(rng, 8, 5)
-	if d := MaxAbsDiff(Gram(a), Mul(a.T(), a)); d > 1e-12 {
+	if d := MaxAbsDiff(GramW(a, 1), MulW(a.T(), a, 1)); d > 1e-12 {
 		t.Fatalf("Gram != AᵀA: %g", d)
 	}
-	if d := MaxAbsDiff(GramT(a), MulT(a, a)); d > 1e-12 {
+	if d := MaxAbsDiff(GramTW(a, 1), MulTW(a, a, 1)); d > 1e-12 {
 		t.Fatalf("GramT != AAᵀ: %g", d)
 	}
 }
@@ -150,7 +150,7 @@ func TestMulDiag(t *testing.T) {
 	for i, v := range d {
 		diag.Set(i, i, v)
 	}
-	if x := MaxAbsDiff(got, Mul(a, diag)); x > 1e-12 {
+	if x := MaxAbsDiff(got, MulW(a, diag, 1)); x > 1e-12 {
 		t.Fatalf("MulDiag != A·diag(d): %g", x)
 	}
 }
@@ -161,5 +161,5 @@ func TestShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	Mul(NewDense(2, 3), NewDense(4, 2))
+	MulW(NewDense(2, 3), NewDense(4, 2), 1)
 }

@@ -87,7 +87,7 @@ func MergeLike(rng *rand.Rand, rows, k, d int) *Dense {
 		for j := range sig {
 			sig[j] = 1 / float64(1+i+j*j)
 		}
-		children = append(children, Orthonormalize(u).MulDiag(sig))
+		children = append(children, OrthonormalizeW(u, 1).MulDiag(sig))
 	}
 	return HCat(children...)
 }

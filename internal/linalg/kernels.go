@@ -2,11 +2,11 @@ package linalg
 
 import "github.com/tree-svd/treesvd/internal/par"
 
-// This file holds the matrix-product kernels of the package, in two
-// flavors per operation: the historical serial entry point (Mul, MulT,
-// TMul, Gram, GramT) and a worker-budgeted variant with a W suffix. All
-// variants share one cache-blocked implementation; the serial names are
-// just workers=1 calls, so there is a single code path to verify.
+// This file holds the matrix-product kernels of the package, one entry
+// point per operation (MulW, MulTW, TMulW, GramW, GramTW), each taking a
+// worker budget; callers that want a serial product pass 1. Every
+// kernel ends in one of three inner loops, so there is a single code
+// path to verify.
 //
 // Design:
 //
@@ -16,14 +16,14 @@ import "github.com/tree-svd/treesvd/internal/par"
 //     panels. Because each output element is produced by exactly one
 //     panel and the reduction order inside a panel is fixed, every dense
 //     kernel is bit-for-bit deterministic for any worker count.
-//   - Tiling. Mul blocks over the reduction dimension (tileK rows of b)
+//   - Tiling. MulW blocks over the reduction dimension (tileK rows of b)
 //     and the output columns (tileJ) so the streamed b-panel stays
 //     L2-resident and the destination stripe stays in L1 while it is
 //     reused across the k-tile.
 //   - Inner loops. Every kernel ends in one of three loops: Dot (four
 //     independent accumulators, since a serial dot product is
-//     latency-bound on the FP add chain), axpy, and axpy2, which the
-//     k-loops of Mul/TMul/Gram use to fold two reduction rows per pass
+//     latency-bound on the FP add chain), Axpy, and axpy2, which the
+//     k-loops of MulW/TMulW/GramW use to fold two reduction rows per pass
 //     over the destination stripe. On amd64 the three are SSE2 assembly
 //     (kernels_amd64.s), two float64 lanes per instruction; elsewhere
 //     they are the Go loops below (kernels_other.go). The two are
@@ -79,7 +79,7 @@ func dotGeneric(a, b []float64) float64 {
 	return (s0 + s2) + (s1 + s3)
 }
 
-// axpyGeneric is the portable axpy: dst[i] += a·x[i], each element on
+// axpyGeneric is the portable Axpy: dst[i] += a·x[i], each element on
 // its own, with the product rounded before the add (no FMA).
 func axpyGeneric(dst []float64, a float64, x []float64) {
 	x = x[:len(dst)]
@@ -90,7 +90,7 @@ func axpyGeneric(dst []float64, a float64, x []float64) {
 
 // axpy2Generic is the portable axpy2: dst[i] += a0·x0[i] + a1·x1[i],
 // associated as dst[i] + (a0·x0[i] + a1·x1[i]), every product rounded
-// (no FMA). One pass over dst halves the store traffic of two axpy calls.
+// (no FMA). One pass over dst halves the store traffic of two Axpy calls.
 func axpy2Generic(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
 	x0 = x0[:len(dst)]
 	x1 = x1[:len(dst)]
@@ -100,27 +100,24 @@ func axpy2Generic(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []floa
 }
 
 // axpyPair adds rows k and k+1 (when present) of b, scaled by a0/a1, into
-// dst — the shared two-row inner step of Mul, TMul and Gram.
+// dst — the shared two-row inner step of MulW, TMulW and GramW.
 func axpyPair(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
 	switch {
 	case a0 == 0 && a1 == 0:
 	case a1 == 0:
-		axpy(dst, a0, x0)
+		Axpy(dst, a0, x0)
 	case a0 == 0:
-		axpy(dst, a1, x1)
+		Axpy(dst, a1, x1)
 	default:
 		axpy2(dst, a0, x0, a1, x1)
 	}
 }
 
-// Mul returns a·b.
-func Mul(a, b *Dense) *Dense { return MulW(a, b, 1) }
-
 // MulW returns a·b using up to workers goroutines over row panels of a.
 // The result is identical for every worker count.
 func MulW(a, b *Dense, workers int) *Dense {
 	if a.Cols != b.Rows {
-		panic(shapeErr("Mul", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(shapeErr("MulW", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Cols)
 	mulInto(out, a, b, workers)
@@ -153,7 +150,7 @@ func mulPanel(out, a, b *Dense, rlo, rhi int) {
 				}
 				if k < kh {
 					if av := arow[k]; av != 0 {
-						axpy(orow, av, b.Row(k)[jb:jh])
+						Axpy(orow, av, b.Row(k)[jb:jh])
 					}
 				}
 			}
@@ -161,14 +158,11 @@ func mulPanel(out, a, b *Dense, rlo, rhi int) {
 	}
 }
 
-// MulT returns a·bᵀ.
-func MulT(a, b *Dense) *Dense { return MulTW(a, b, 1) }
-
 // MulTW returns a·bᵀ using up to workers goroutines over row panels of a.
 // The result is identical for every worker count.
 func MulTW(a, b *Dense, workers int) *Dense {
 	if a.Cols != b.Cols {
-		panic(shapeErr("MulT", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(shapeErr("MulTW", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Rows)
 	w := kernelWorkers(workers, a.Rows, a.Rows*a.Cols*b.Rows)
@@ -184,16 +178,13 @@ func MulTW(a, b *Dense, workers int) *Dense {
 	return out
 }
 
-// TMul returns aᵀ·b.
-func TMul(a, b *Dense) *Dense { return TMulW(a, b, 1) }
-
 // TMulW returns aᵀ·b using up to workers goroutines over panels of the
 // output rows (= columns of a). Each panel accumulates over the shared
 // rows of a and b in fixed ascending order, so the result is identical
 // for every worker count.
 func TMulW(a, b *Dense, workers int) *Dense {
 	if a.Rows != b.Rows {
-		panic(shapeErr("TMul", a.Cols, a.Rows, b.Rows, b.Cols))
+		panic(shapeErr("TMulW", a.Cols, a.Rows, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Cols, b.Cols)
 	if a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
@@ -214,7 +205,7 @@ func TMulW(a, b *Dense, workers int) *Dense {
 			arow, brow := a.Row(k), b.Row(k)
 			for i := ilo; i < ihi; i++ {
 				if av := arow[i]; av != 0 {
-					axpy(out.Row(i), av, brow)
+					Axpy(out.Row(i), av, brow)
 				}
 			}
 		}
@@ -222,12 +213,10 @@ func TMulW(a, b *Dense, workers int) *Dense {
 	return out
 }
 
-// Gram returns aᵀ·a, exploiting symmetry.
-func Gram(a *Dense) *Dense { return GramW(a, 1) }
-
-// GramW returns aᵀ·a using up to workers goroutines over panels of the
-// output rows. Only the upper triangle is computed (then mirrored), and
-// the result is identical for every worker count.
+// GramW returns aᵀ·a, exploiting symmetry, using up to workers
+// goroutines over panels of the output rows. Only the upper triangle is
+// computed (then mirrored), and the result is identical for every worker
+// count.
 func GramW(a *Dense, workers int) *Dense {
 	out := NewDense(a.Cols, a.Cols)
 	gramInto(out, a, workers)
@@ -254,7 +243,7 @@ func gramInto(out, a *Dense, workers int) {
 			row := a.Row(k)
 			for i := ilo; i < ihi; i++ {
 				if vi := row[i]; vi != 0 {
-					axpy(out.Row(i)[i:], vi, row[i:])
+					Axpy(out.Row(i)[i:], vi, row[i:])
 				}
 			}
 		}
@@ -262,11 +251,9 @@ func gramInto(out, a *Dense, workers int) {
 	mirrorUpper(out)
 }
 
-// GramT returns a·aᵀ, exploiting symmetry.
-func GramT(a *Dense) *Dense { return GramTW(a, 1) }
-
-// GramTW returns a·aᵀ using up to workers goroutines over panels of the
-// output rows. The result is identical for every worker count.
+// GramTW returns a·aᵀ, exploiting symmetry, using up to workers
+// goroutines over panels of the output rows. The result is identical for
+// every worker count.
 func GramTW(a *Dense, workers int) *Dense {
 	out := NewDense(a.Rows, a.Rows)
 	gramTInto(out, a, workers)

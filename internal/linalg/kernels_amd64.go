@@ -16,8 +16,10 @@ func Dot(a, b []float64) float64 {
 	return dotSSE2(&a[0], &b[0], len(a))
 }
 
-// axpy computes dst += a·x elementwise, bit-identical to axpyGeneric.
-func axpy(dst []float64, a float64, x []float64) {
+// Axpy computes dst += a·x elementwise, bit-identical to axpyGeneric:
+// each product is rounded before the add. It is the one axpy loop of the
+// module; the sparse products call it too. It panics if len(x) < len(dst).
+func Axpy(dst []float64, a float64, x []float64) {
 	x = x[:len(dst)]
 	if len(dst) == 0 {
 		return

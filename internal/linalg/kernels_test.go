@@ -161,7 +161,7 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
-// TestKernelsMatchGeneric holds Dot, axpy and axpy2 — assembly on amd64 —
+// TestKernelsMatchGeneric holds Dot, Axpy and axpy2 — assembly on amd64 —
 // to the portable Go loops bit for bit, at every length up to 67 (every
 // n mod 4 tail), from aligned and unaligned starts, on finite edge values
 // and on ±Inf and NaN. A length mismatch must still panic.
@@ -185,11 +185,11 @@ func TestKernelsMatchGeneric(t *testing.T) {
 				dst := fill(n, off, special)
 				x0, x1 := fill(n, 1-off, special), fill(n, off, special)
 				a0, a1 := kernelValue(rng, special), kernelValue(rng, special)
-				for _, op := range []string{"axpy", "axpy2"} {
+				for _, op := range []string{"Axpy", "axpy2"} {
 					got := append(make([]float64, off), dst...)[off:]
 					want := append([]float64(nil), dst...)
-					if op == "axpy" {
-						axpy(got, a0, x0)
+					if op == "Axpy" {
+						Axpy(got, a0, x0)
 						axpyGeneric(want, a0, x0)
 					} else {
 						axpy2(got, a0, x0, a1, x1)
@@ -207,7 +207,7 @@ func TestKernelsMatchGeneric(t *testing.T) {
 	short, long := make([]float64, 2), make([]float64, 3)
 	for name, call := range map[string]func(){
 		"Dot":   func() { Dot(long, short) },
-		"axpy":  func() { axpy(long, 1, short) },
+		"Axpy":  func() { Axpy(long, 1, short) },
 		"axpy2": func() { axpy2(long, 1, long, 1, short) },
 	} {
 		func() {
@@ -219,23 +219,6 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			call()
 		}()
 	}
-}
-
-func TestHCatIntoMatchesHCat(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ms := []*Dense{sparseRandDense(rng, 6, 3), sparseRandDense(rng, 6, 0), sparseRandDense(rng, 6, 5)}
-	want := HCat(ms...)
-	dst := GetDense(6, 8)
-	if d := MaxAbsDiff(HCatInto(dst, ms...), want); d != 0 {
-		t.Fatalf("HCatInto differs from HCat by %g", d)
-	}
-	PutDense(dst)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("HCatInto accepted a column-count mismatch")
-		}
-	}()
-	HCatInto(NewDense(6, 9), ms...)
 }
 
 func TestGetDenseReturnsZeroed(t *testing.T) {
@@ -304,7 +287,7 @@ func TestSVDWMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sh := range []struct{ m, n int }{{50, 30}, {30, 50}, {65, 65}} {
 		a := sparseRandDense(rng, sh.m, sh.n)
-		ref := SVD(a)
+		ref := SVDW(a, 1)
 		for _, w := range []int{2, 8} {
 			got := SVDW(a, w)
 			if len(got.S) != len(ref.S) {

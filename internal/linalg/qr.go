@@ -7,18 +7,16 @@ import (
 	"github.com/tree-svd/treesvd/internal/par"
 )
 
-// qrDeflationTol is the relative column-norm floor below which QRThin
+// qrDeflationTol is the relative column-norm floor below which QRThinW
 // treats a column as numerically dependent on its predecessors.
 const qrDeflationTol = 1e-13
 
-// QRThin computes the thin QR factorization A = Q·R of an m×n matrix with
-// m ≥ n using Householder reflections. Q is m×n with orthonormal columns
-// and R is n×n upper triangular.
-func QRThin(a *Dense) (q, r *Dense) { return QRThinW(a, 1) }
-
-// QRThinW is QRThin with a worker budget. The working matrix is held
-// transposed so that every Householder vector and every column it touches
-// is a contiguous slice — the inner loops are pure []float64 traversals.
+// QRThinW computes the thin QR factorization A = Q·R of an m×n matrix
+// with m ≥ n using Householder reflections, with a worker budget. Q is
+// m×n with orthonormal columns and R is n×n upper triangular. The
+// working matrix is held transposed so that every Householder vector and
+// every column it touches is a contiguous slice — the inner loops are
+// pure []float64 traversals.
 //
 // The two O(m·n) passes per reflector — applying it to the trailing
 // columns and, later, accumulating Q — write one working-matrix row per
@@ -47,7 +45,7 @@ func QRThinW(a *Dense, workers int) (q, r *Dense) {
 func qrFactor(a *Dense, workers int) (wt, qt *Dense) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		panic(fmt.Sprintf("linalg: QRThin requires rows ≥ cols, got %d×%d", m, n))
+		panic(fmt.Sprintf("linalg: QRThinW requires rows ≥ cols, got %d×%d", m, n))
 	}
 	wt = transposeInto(GetDense(n, m), a) // wt.Row(k) is column k of A
 	betas := make([]float64, n)
@@ -73,7 +71,7 @@ func qrFactor(a *Dense, workers int) (wt, qt *Dense) {
 			cj := tgt.Row(j)
 			dot := cbeta * (cvk*cj[ck] + Dot(ctail, cj[ck+1:]))
 			cj[ck] -= dot * cvk
-			axpy(cj[ck+1:], -dot, ctail)
+			Axpy(cj[ck+1:], -dot, ctail)
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -130,12 +128,9 @@ func qrFactor(a *Dense, workers int) (wt, qt *Dense) {
 	return wt, qt
 }
 
-// Orthonormalize replaces the columns of a with an orthonormal basis of
+// OrthonormalizeW replaces the columns of a with an orthonormal basis of
 // their span (the Q factor of a thin QR) and returns a. It is the
-// re-orthonormalization step of randomized subspace iteration.
-func Orthonormalize(a *Dense) *Dense { return OrthonormalizeW(a, 1) }
-
-// OrthonormalizeW is Orthonormalize with a worker budget. Q is
+// re-orthonormalization step of randomized subspace iteration. Q is
 // transposed straight into a; R is never formed.
 func OrthonormalizeW(a *Dense, workers int) *Dense {
 	wt, qt := qrFactor(a, workers)

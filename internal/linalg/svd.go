@@ -56,7 +56,7 @@ func (r *SVDResult) Reconstruct() *Dense {
 	if r.V == nil {
 		panic("linalg: Reconstruct requires V")
 	}
-	return MulT(r.US(), r.V)
+	return MulTW(r.US(), r.V, 1)
 }
 
 // TailEnergy returns √(‖A‖²_F − Σ_{i<d} σ_i²) given the full Frobenius norm
@@ -78,31 +78,22 @@ func (r *SVDResult) TailEnergy(frobNorm float64, d int) float64 {
 // numerically zero and their singular vectors are noise.
 const svdRankTol = 1e-13
 
-// SVD computes the exact thin SVD of a dense matrix via the eigensystem of
-// the Gram matrix of the smaller side. For an m×n matrix with n ≤ m it
+// SVDW computes the exact thin SVD of a dense matrix via the eigensystem
+// of the Gram matrix of the smaller side. For an m×n matrix with n ≤ m it
 // eigendecomposes AᵀA (n×n); otherwise AAᵀ. This squares the condition
 // number, which is acceptable for embedding workloads (singular values
 // below √ε·σ₁ carry no embedding signal); tests cross-validate it
-// against a one-sided Jacobi SVD, which does not.
-func SVD(a *Dense) *SVDResult {
-	return svdLimited(a, -1, 1)
-}
-
-// SVDW is SVD with a worker budget for the Gram product, the eigensolve
-// and the singular-vector recovery.
+// against a one-sided Jacobi SVD, which does not. workers budgets the
+// Gram product, the eigensolve and the singular-vector recovery.
 func SVDW(a *Dense, workers int) *SVDResult {
 	return svdLimited(a, -1, workers)
 }
 
-// SVDTrunc computes the top-d thin SVD. It is exact, not sketched: the
-// Gram matrix's whole spectrum is computed and cut at d, but for d well
-// below min(rows, cols) only the d kept eigenvectors are (see gramEig),
-// and only the top d singular vectors of the larger side are recovered.
-func SVDTrunc(a *Dense, d int) *SVDResult {
-	return svdLimited(a, d, 1)
-}
-
-// SVDTruncW is SVDTrunc with a worker budget.
+// SVDTruncW computes the top-d thin SVD with a worker budget. It is
+// exact, not sketched: the Gram matrix's whole spectrum is computed and
+// cut at d, but for d well below min(rows, cols) only the d kept
+// eigenvectors are (see gramEig), and only the top d singular vectors of
+// the larger side are recovered.
 func SVDTruncW(a *Dense, d, workers int) *SVDResult {
 	return svdLimited(a, d, workers)
 }

@@ -10,7 +10,7 @@ import (
 // checkOrthonormalCols verifies QᵀQ ≈ I.
 func checkOrthonormalCols(t *testing.T, q *Dense, tol float64, label string) {
 	t.Helper()
-	g := Gram(q)
+	g := GramW(q, 1)
 	if d := MaxAbsDiff(g, Identity(q.Cols)); d > tol {
 		t.Fatalf("%s: columns not orthonormal, max deviation %g", label, d)
 	}
@@ -20,9 +20,9 @@ func TestQRThinReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, dims := range [][2]int{{5, 5}, {10, 4}, {20, 7}, {3, 1}} {
 		a := randDense(rng, dims[0], dims[1])
-		q, r := QRThin(a)
+		q, r := QRThinW(a, 1)
 		checkOrthonormalCols(t, q, 1e-10, "QR Q")
-		if d := MaxAbsDiff(Mul(q, r), a); d > 1e-10 {
+		if d := MaxAbsDiff(MulW(q, r, 1), a); d > 1e-10 {
 			t.Fatalf("QR %v: Q·R != A, diff %g", dims, d)
 		}
 		// R upper triangular.
@@ -46,8 +46,8 @@ func TestQRRankDeficient(t *testing.T) {
 		a.Set(i, 1, v)
 		a.Set(i, 2, rng.NormFloat64())
 	}
-	q, r := QRThin(a)
-	if d := MaxAbsDiff(Mul(q, r), a); d > 1e-10 {
+	q, r := QRThinW(a, 1)
+	if d := MaxAbsDiff(MulW(q, r, 1), a); d > 1e-10 {
 		t.Fatalf("rank-deficient QR reconstruct diff %g", d)
 	}
 }
@@ -57,7 +57,7 @@ func TestSymEigDiagonal(t *testing.T) {
 	a.Set(0, 0, 1)
 	a.Set(1, 1, 5)
 	a.Set(2, 2, 3)
-	l, v := SymEig(a)
+	l, v := SymEigW(a, 1)
 	want := []float64{5, 3, 1}
 	for i, w := range want {
 		if math.Abs(l[i]-w) > 1e-12 {
@@ -72,10 +72,10 @@ func TestSymEigReconstruct(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 12, 30} {
 		b := randDense(rng, n, n)
 		a := Add(b, b.T()) // symmetric
-		l, v := SymEig(a)
+		l, v := SymEigW(a, 1)
 		checkOrthonormalCols(t, v, 1e-9, "SymEig V")
 		// V·diag(l)·Vᵀ == A
-		rec := MulT(v.Clone().MulDiag(l), v)
+		rec := MulTW(v.Clone().MulDiag(l), v, 1)
 		if d := MaxAbsDiff(rec, a); d > 1e-8*math.Max(1, a.FrobNorm()) {
 			t.Fatalf("n=%d: eig reconstruct diff %g", n, d)
 		}
@@ -95,7 +95,7 @@ func TestSymEigMatchesJacobi(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 40} {
 		b := randDense(rng, n, n)
 		a := Add(b, b.T())
-		l1, v1 := SymEig(a)
+		l1, v1 := SymEigW(a, 1)
 		l2, v2 := JacobiSymEig(a)
 		checkOrthonormalCols(t, v1, 1e-9, "SymEig V")
 		checkOrthonormalCols(t, v2, 1e-9, "JacobiSymEig V")
@@ -105,7 +105,7 @@ func TestSymEigMatchesJacobi(t *testing.T) {
 				t.Fatalf("n=%d: λ%d tql2=%g jacobi=%g", n, i, l1[i], l2[i])
 			}
 		}
-		r1 := MulT(v1.Clone().MulDiag(l1), v1)
+		r1 := MulTW(v1.Clone().MulDiag(l1), v1, 1)
 		if d := MaxAbsDiff(r1, a); d > 1e-8*math.Max(1, a.FrobNorm()) {
 			t.Fatalf("n=%d: tql2 reconstruct diff %g", n, d)
 		}
@@ -122,7 +122,7 @@ func TestSymEigTraceInvariant(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tr += a.At(i, i)
 		}
-		l, _ := SymEig(a)
+		l, _ := SymEigW(a, 1)
 		var sum float64
 		for _, x := range l {
 			sum += x
@@ -138,7 +138,7 @@ func TestSVDReconstructBothOrientations(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range [][2]int{{8, 5}, {5, 8}, {12, 12}, {1, 6}, {6, 1}} {
 		a := randDense(rng, dims[0], dims[1])
-		res := SVD(a)
+		res := SVDW(a, 1)
 		checkOrthonormalCols(t, res.U, 1e-8, "SVD U")
 		checkOrthonormalCols(t, res.V, 1e-8, "SVD V")
 		if d := MaxAbsDiff(res.Reconstruct(), a); d > 1e-7 {
@@ -157,7 +157,7 @@ func TestSVDKnownMatrix(t *testing.T) {
 	a := NewDense(2, 2)
 	a.Set(0, 0, 3)
 	a.Set(1, 1, 2)
-	res := SVD(a)
+	res := SVDW(a, 1)
 	if len(res.S) != 2 || math.Abs(res.S[0]-3) > 1e-12 || math.Abs(res.S[1]-2) > 1e-12 {
 		t.Fatalf("got singular values %v, want [3 2]", res.S)
 	}
@@ -168,7 +168,7 @@ func TestSVDTruncEckartYoung(t *testing.T) {
 	// approximation; its error must equal the tail energy.
 	rng := rand.New(rand.NewSource(14))
 	a := randDense(rng, 10, 7)
-	full := SVD(a)
+	full := SVDW(a, 1)
 	for d := 1; d < 7; d++ {
 		tr := full.Truncate(d)
 		err := Sub(tr.Reconstruct(), a).FrobNorm()
@@ -188,8 +188,8 @@ func TestSVDRankDeficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	u := randDense(rng, 6, 2)
 	v := randDense(rng, 5, 2)
-	a := MulT(u, v)
-	res := SVD(a)
+	a := MulTW(u, v, 1)
+	res := SVDW(a, 1)
 	if res.Rank() != 2 {
 		t.Fatalf("rank = %d, want 2 (S=%v)", res.Rank(), res.S)
 	}
@@ -200,7 +200,7 @@ func TestSVDRankDeficient(t *testing.T) {
 
 func TestSVDZeroMatrix(t *testing.T) {
 	a := NewDense(4, 3)
-	res := SVD(a)
+	res := SVDW(a, 1)
 	if res.Rank() != 0 {
 		t.Fatalf("zero matrix rank = %d, want 0", res.Rank())
 	}
@@ -210,7 +210,7 @@ func TestJacobiSVDAgreesWithGramSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, dims := range [][2]int{{9, 4}, {15, 8}, {5, 5}} {
 		a := randDense(rng, dims[0], dims[1])
-		g := SVD(a)
+		g := SVDW(a, 1)
 		j := JacobiSVD(a)
 		if g.Rank() != j.Rank() {
 			t.Fatalf("%v: rank mismatch gram=%d jacobi=%d", dims, g.Rank(), j.Rank())
@@ -229,9 +229,9 @@ func TestJacobiSVDAgreesWithGramSVD(t *testing.T) {
 func TestSVDResultHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randDense(rng, 6, 4)
-	res := SVD(a)
+	res := SVDW(a, 1)
 	us := res.US()
-	if d := MaxAbsDiff(us, Mul(a, res.V)); d > 1e-9 {
+	if d := MaxAbsDiff(us, MulW(a, res.V, 1)); d > 1e-9 {
 		t.Fatalf("US != A·V: %g", d)
 	}
 	uss := res.USqrtS()
@@ -258,10 +258,10 @@ func TestOrthonormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := randDense(rng, 12, 5)
 	orig := a.Clone()
-	Orthonormalize(a)
+	OrthonormalizeW(a, 1)
 	checkOrthonormalCols(t, a, 1e-10, "Orthonormalize")
 	// Span preserved: projecting orig onto span(a) must reproduce orig.
-	proj := Mul(a, TMul(a, orig))
+	proj := MulW(a, TMulW(a, orig, 1), 1)
 	if d := MaxAbsDiff(proj, orig); d > 1e-9 {
 		t.Fatalf("span not preserved: %g", d)
 	}
@@ -274,8 +274,8 @@ func TestSVDPropertySingularValuesMatchGram(t *testing.T) {
 		r := 2 + rng.Intn(8)
 		c := 2 + rng.Intn(8)
 		a := randDense(rng, r, c)
-		res := SVD(a)
-		l, _ := SymEig(Gram(a))
+		res := SVDW(a, 1)
+		l, _ := SymEigW(GramW(a, 1), 1)
 		for i, s := range res.S {
 			if math.Abs(s*s-l[i]) > 1e-7*math.Max(1, l[0]) {
 				return false
@@ -299,17 +299,17 @@ func TestQRThinHighlyRankDeficient(t *testing.T) {
 			a.Set(r, j, rng.NormFloat64())
 		}
 	}
-	q, r := QRThin(a)
+	q, r := QRThinW(a, 1)
 	for _, v := range q.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("rank-deficient QR produced non-finite Q")
 		}
 	}
-	if d := MaxAbsDiff(Mul(q, r), a); d > 1e-9 {
+	if d := MaxAbsDiff(MulW(q, r, 1), a); d > 1e-9 {
 		t.Fatalf("rank-deficient QR reconstruct diff %g", d)
 	}
 	// Q columns orthonormal.
-	if d := MaxAbsDiff(Gram(q), Identity(40)); d > 1e-9 {
+	if d := MaxAbsDiff(GramW(q, 1), Identity(40)); d > 1e-9 {
 		t.Fatalf("rank-deficient Q not orthonormal: %g", d)
 	}
 }
@@ -321,27 +321,27 @@ func TestSVDRefine(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randDense(rng, 40, 64)
 	const r = 6
-	want := SVDTrunc(a, r)
-	got := SVDRefine(a, TMul(want.U, a), 1)
+	want := SVDTruncW(a, r, 1)
+	got := SVDRefine(a, TMulW(want.U, a, 1), 1)
 	for i := range want.S {
 		if math.Abs(got.S[i]-want.S[i]) > 1e-10*want.S[0] {
 			t.Fatalf("σ%d = %g from the exact basis, want %g", i, got.S[i], want.S[i])
 		}
 	}
-	if d := MaxAbsDiff(MulT(got.U, got.U), MulT(want.U, want.U)); d > 1e-9 {
+	if d := MaxAbsDiff(MulTW(got.U, got.U, 1), MulTW(want.U, want.U, 1)); d > 1e-9 {
 		t.Fatalf("refined subspace differs from the exact one by %g", d)
 	}
-	if d := MaxAbsDiff(want.SigmaVt(), TMul(want.U, a)); d > 1e-12*want.S[0] {
+	if d := MaxAbsDiff(want.SigmaVt(), TMulW(want.U, a, 1)); d > 1e-12*want.S[0] {
 		t.Fatalf("the truncated SVD's S·Vᵀ differs from Uᵀ·a by %g", d)
 	}
-	u := Orthonormalize(randDense(rng, 40, r))
-	got = SVDRefine(a, TMul(u, a), 2)
+	u := OrthonormalizeW(randDense(rng, 40, r), 1)
+	got = SVDRefine(a, TMulW(u, a, 1), 2)
 	checkOrthonormalCols(t, got.U, 1e-12, "refined U")
-	if d := MaxAbsDiff(got.SigmaVt(), TMul(got.U, a)); d > 1e-12*got.S[0] {
+	if d := MaxAbsDiff(got.SigmaVt(), TMulW(got.U, a, 1)); d > 1e-12*got.S[0] {
 		t.Fatalf("S·Vᵀ differs from Uᵀ·a by %g", d)
 	}
 	frob := a.FrobNorm()
-	proj := TMul(got.U, a).FrobNorm()
+	proj := TMulW(got.U, a, 1).FrobNorm()
 	if e, tail := math.Sqrt(frob*frob-proj*proj), got.TailEnergy(frob, r); math.Abs(e-tail) > 1e-9*frob {
 		t.Fatalf("TailEnergy %g, projection error %g", tail, e)
 	}
@@ -354,8 +354,8 @@ func TestSVDRefine(t *testing.T) {
 func TestSymEigvals(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := randDense(rng, 30, 50)
-	g := GramT(a)
-	want, _ := SymEig(g)
+	g := GramTW(a, 1)
+	want, _ := SymEigW(g, 1)
 	got := SymEigvals(g.Clone(), 1)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-10*want[0] {

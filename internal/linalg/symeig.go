@@ -8,19 +8,17 @@ import (
 	"github.com/tree-svd/treesvd/internal/par"
 )
 
-// SymEig computes the full eigendecomposition A = V·diag(λ)·Vᵀ of a
-// symmetric matrix. Eigenvalues are returned in descending order with
-// matching eigenvector columns in V.
-func SymEig(a *Dense) (lambda []float64, v *Dense) { return SymEigW(a, 1) }
-
-// SymEigW is SymEig with a worker budget for the O(n²)-per-step inner
-// loops. The implementation is the classic two-stage dense symmetric
-// solver: Householder reduction to tridiagonal form (tred2) followed by
-// the implicit-shift QL iteration (tql2), both accumulating the
-// orthogonal transform. The parallelized loops (the rank-2 update and
-// transform accumulation of tred2, the rotation application of tql2)
-// partition disjoint output rows or columns with a fixed per-element
-// operation order, so the result is identical for every worker count.
+// SymEigW computes the full eigendecomposition A = V·diag(λ)·Vᵀ of a
+// symmetric matrix, with a worker budget for the O(n²)-per-step inner
+// loops. Eigenvalues are returned in descending order with matching
+// eigenvector columns in V. The implementation is the classic two-stage
+// dense symmetric solver: Householder reduction to tridiagonal form
+// (tred2) followed by the implicit-shift QL iteration (tql2), both
+// accumulating the orthogonal transform. The parallelized loops (the
+// rank-2 update and transform accumulation of tred2, the rotation
+// application of tql2) partition disjoint output rows or columns with a
+// fixed per-element operation order, so the result is identical for
+// every worker count.
 //
 // It is O(n³) with a small constant — an order of magnitude faster than
 // the cyclic Jacobi method, which tests use as an independent
@@ -28,7 +26,7 @@ func SymEig(a *Dense) (lambda []float64, v *Dense) { return SymEigW(a, 1) }
 func SymEigW(a *Dense, workers int) (lambda []float64, v *Dense) {
 	n := a.Rows
 	if a.Cols != n {
-		panic(fmt.Sprintf("linalg: SymEig requires a square matrix, got %d×%d", n, a.Cols))
+		panic(fmt.Sprintf("linalg: SymEigW requires a square matrix, got %d×%d", n, a.Cols))
 	}
 	if n == 0 {
 		return nil, NewDense(0, 0)
@@ -161,7 +159,7 @@ func tred2Accumulate(zt *Dense, d []float64, workers int) {
 		for j := jlo; j < jhi; j++ {
 			rowJ := zt.Row(j)[:cl]
 			g := Dot(rowL[:cl], rowJ)
-			axpy(rowJ, -g, d[:cl])
+			Axpy(rowJ, -g, d[:cl])
 		}
 	}
 	for i := 0; i < n-1; i++ {

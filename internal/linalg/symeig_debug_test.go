@@ -21,7 +21,7 @@ func TestTred2Internal(t *testing.T) {
 		tred2Accumulate(zt, d, 1)
 		z := zt.T() // the transform comes back transposed
 		checkOrthonormalCols(t, z, 1e-10, "tred2 Q")
-		tri := Mul(z.T(), Mul(a, z))
+		tri := MulW(z.T(), MulW(a, z, 1), 1)
 		for i := 0; i < n; i++ {
 			if math.Abs(tri.At(i, i)-d[i]) > 1e-9 {
 				t.Fatalf("n=%d: diag %d = %g, tred2 says %g", n, i, tri.At(i, i), d[i])

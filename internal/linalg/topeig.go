@@ -130,7 +130,7 @@ func tridiagVectors(vt *Dense, d, e, lam, lu []float64) bool {
 				x[i], x1, x2 = xi, xi, x1
 			}
 			for k := 0; k < j; k++ {
-				axpy(x, -Dot(x, vt.Row(k)), vt.Row(k))
+				Axpy(x, -Dot(x, vt.Row(k)), vt.Row(k))
 			}
 			inv := 1 / Norm2(x)
 			for i := range x {
@@ -177,7 +177,7 @@ func backTransform(vt, zt *Dense, h []float64, workers int) {
 			for i := 1; i < n; i++ {
 				if h[i] != 0 {
 					u := zt.Row(i)[:i]
-					axpy(z[:i], -Dot(u, z[:i])/h[i], u)
+					Axpy(z[:i], -Dot(u, z[:i])/h[i], u)
 				}
 			}
 		}

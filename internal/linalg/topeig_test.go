@@ -14,9 +14,9 @@ func symWithSpectrum(rng *rand.Rand, lam []float64, rotate bool) *Dense {
 	n := len(lam)
 	q := Identity(n)
 	if rotate {
-		q = Orthonormalize(randDense(rng, n, n))
+		q = OrthonormalizeW(randDense(rng, n, n), 1)
 	}
-	return MulT(q.Clone().MulDiag(lam), q)
+	return MulTW(q.Clone().MulDiag(lam), q, 1)
 }
 
 // gramEigRoute runs gramEig on a copy of g down the chosen route and
@@ -62,7 +62,7 @@ func checkTopEig(t *testing.T, label string, g *Dense, d int) {
 		}
 	}
 	checkOrthonormalCols(t, v, 1e-13, label+" V")
-	gv := Mul(g, v)
+	gv := MulW(g, v, 1)
 	for j := range s {
 		var res float64
 		for i := 0; i < n; i++ {
@@ -79,7 +79,7 @@ func checkTopEig(t *testing.T, label string, g *Dense, d int) {
 		next = lamQL[len(s)]
 	}
 	if gap := (lamQL[len(s)-1] - next) / lmax; gap > 1e-9 {
-		if diff := MaxAbsDiff(MulT(v, v), MulT(vFull, vFull)); diff > 1e-12+1e-13/gap {
+		if diff := MaxAbsDiff(MulTW(v, v, 1), MulTW(vFull, vFull, 1)); diff > 1e-12+1e-13/gap {
 			t.Fatalf("%s: kept subspaces differ by %g (gap %g)", label, diff, gap)
 		}
 	}
@@ -100,16 +100,16 @@ func TestTopEigSpectra(t *testing.T) {
 	for i := range ones {
 		ones[i] = 3
 	}
-	lowRank := Mul(randDense(rng, 30, 5), randDense(rng, 5, 64))
+	lowRank := MulW(randDense(rng, 30, 5), randDense(rng, 5, 64), 1)
 	for _, c := range []struct {
 		label string
 		g     *Dense
 		d     []int
 	}{
-		{"random SPD", Gram(randDense(rng, 80, 64)), []int{1, 8, 16, 32}},
-		{"merge-like", Gram(MergeLike(rng, 50, 8, 8)), []int{8, 16}},
-		{"merge-like tall", Gram(MergeLike(rng, 300, 8, 16)), []int{16, 32}},
-		{"rank 5 < d", Gram(lowRank), []int{4, 5, 6, 16}},
+		{"random SPD", GramW(randDense(rng, 80, 64), 1), []int{1, 8, 16, 32}},
+		{"merge-like", GramW(MergeLike(rng, 50, 8, 8), 1), []int{8, 16}},
+		{"merge-like tall", GramW(MergeLike(rng, 300, 8, 16), 1), []int{16, 32}},
+		{"rank 5 < d", GramW(lowRank, 1), []int{4, 5, 6, 16}},
 		{"repeated", symWithSpectrum(rng, repeated, true), []int{2, 3, 5, 7, 9, 10, 20}},
 		{"repeated, diagonal", symWithSpectrum(rng, repeated, false), []int{2, 3, 5, 7, 9, 10, 20}},
 		{"3·I", symWithSpectrum(rng, ones, false), []int{1, 7, 16}},
@@ -128,7 +128,7 @@ func TestTopEigSpectra(t *testing.T) {
 func TestTopEigSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 3, 17} {
-		g := Gram(randDense(rng, n+3, n))
+		g := GramW(randDense(rng, n+3, n), 1)
 		for _, d := range []int{0, 1, n / 2, n, n + 3} {
 			checkTopEig(t, fmt.Sprintf("n=%d d=%d", n, d), g, d)
 		}

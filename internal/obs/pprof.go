@@ -13,7 +13,9 @@ const StageLabel = "treesvd_stage"
 // stage, so CPU profile samples — including those of worker goroutines
 // spawned inside f, which inherit the label — are attributed to the
 // stage. Nested stages override the label for their extent, giving the
-// innermost attribution.
-func Stage(ctx context.Context, stage string, f func(context.Context)) {
-	pprof.Do(ctx, pprof.Labels(StageLabel, stage), f)
+// innermost attribution. It returns f's error.
+func Stage(ctx context.Context, stage string, f func(context.Context) error) error {
+	var err error
+	pprof.Do(ctx, pprof.Labels(StageLabel, stage), func(ctx context.Context) { err = f(ctx) })
+	return err
 }

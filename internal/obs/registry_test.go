@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"runtime/pprof"
@@ -132,18 +133,23 @@ func TestServeHTTP(t *testing.T) {
 }
 
 // TestStageSetsLabel verifies the pprof label is visible inside the stage
-// and gone after it.
+// and gone after it, and that Stage returns the error of its function.
 func TestStageSetsLabel(t *testing.T) {
 	ctx := context.Background()
 	var inside string
-	Stage(ctx, "unit-test", func(ctx context.Context) {
+	Stage(ctx, "unit-test", func(ctx context.Context) error {
 		inside, _ = pprof.Label(ctx, StageLabel)
+		return nil
 	})
 	if inside != "unit-test" {
 		t.Fatalf("label inside stage = %q, want unit-test", inside)
 	}
 	if v, ok := pprof.Label(ctx, StageLabel); ok {
 		t.Fatalf("label leaked outside stage: %q", v)
+	}
+	want := errors.New("stage failed")
+	if err := Stage(ctx, "unit-test", func(context.Context) error { return want }); err != want {
+		t.Fatalf("Stage returned %v, want f's error", err)
 	}
 }
 

@@ -7,6 +7,7 @@ package ppr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -209,7 +210,7 @@ func (e *Engine) Push(st *State) {
 	// pushes are reproducible run-to-run and across worker counts.
 	e.queue = e.queue[:0]
 	for _, u := range st.dirtyR {
-		if !e.inQueue[u] && abs(st.Res(u)) > rmax*e.degOrOne(u, st.Dir) {
+		if !e.inQueue[u] && math.Abs(st.Res(u)) > rmax*e.degOrOne(u, st.Dir) {
 			e.queue = append(e.queue, u)
 			e.inQueue[u] = true
 		}
@@ -233,7 +234,7 @@ func (e *Engine) Push(st *State) {
 			continue
 		}
 		deg := float64(e.G.Degree(u, st.Dir))
-		if abs(ru) <= rmax*max(deg, 1) {
+		if math.Abs(ru) <= rmax*max(deg, 1) {
 			continue
 		}
 		// PUSH(u): settle α·r at u, spread (1−α)·r across neighbors.
@@ -246,7 +247,7 @@ func (e *Engine) Push(st *State) {
 			// Dangling sink: the (1−α) share self-loops back to u.
 			rem := (1 - alpha) * ru
 			x.r = rem
-			if abs(rem) > rmax {
+			if math.Abs(rem) > rmax {
 				e.enqueue(u)
 			}
 			continue
@@ -256,7 +257,7 @@ func (e *Engine) Push(st *State) {
 		for _, v := range e.G.Neighbors(u, st.Dir) {
 			y := &st.tab.vals[st.at(v)]
 			y.r += share
-			if abs(y.r) > rmax*e.degOrOne(v, st.Dir) {
+			if math.Abs(y.r) > rmax*e.degOrOne(v, st.Dir) {
 				e.enqueue(v)
 			}
 		}
@@ -421,13 +422,6 @@ func (st *State) addR(u int32, delta float64) {
 // (|p(u) − π(u)| ≤ Σ_v |r(v)| because every π_v(u) ≤ 1).
 func (st *State) ResidueL1() float64 {
 	var s float64
-	st.Each(func(_ int32, _, r float64) { s += abs(r) })
+	st.Each(func(_ int32, _, r float64) { s += math.Abs(r) })
 	return s
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

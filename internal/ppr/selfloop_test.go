@@ -2,6 +2,7 @@ package ppr
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestSelfLoopGeneralCorrection(t *testing.T) {
 				seen[u] = struct{}{}
 			}
 			for u := range seen {
-				if d := abs(p0[u] - p1[u]); d > bound {
+				if d := math.Abs(p0[u] - p1[u]); d > bound {
 					t.Errorf("source %d dir %v: |Δp(%d)| = %g exceeds residue bound %g",
 						inc.S[i], pair[0].Dir, u, d, bound)
 				}
@@ -163,7 +164,7 @@ func TestSelfLoopEstimateAccuracy(t *testing.T) {
 		bound := st.ResidueL1() + 1e-9
 		p, _ := content(st)
 		for u, pi := range exact {
-			if d := abs(p[int32(u)] - pi); d > bound {
+			if d := math.Abs(p[int32(u)] - pi); d > bound {
 				t.Errorf("dir %v: |p(%d) − π(%d)| = %g exceeds Σ|r| = %g", dir, u, u, d, bound)
 			}
 		}

@@ -38,7 +38,7 @@ func relErr(approx *linalg.SVDResult, a *sparse.CSR, d int) (got, best float64) 
 	dense := a.ToDense()
 	rec := approx.Reconstruct()
 	got = linalg.Sub(rec, dense).FrobNorm()
-	exact := linalg.SVDTrunc(dense, d)
+	exact := linalg.SVDTruncW(dense, d, 1)
 	best = linalg.Sub(exact.Reconstruct(), dense).FrobNorm()
 	return got, best
 }
@@ -67,11 +67,11 @@ func TestSparseOrthonormalFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := lowRankCSR(rng, 15, 40, 4, 0.1)
 	res := mustSVD(Sparse(a, Options{Rank: 4, Seed: 5}))
-	gu := linalg.Gram(res.U)
+	gu := linalg.GramW(res.U, 1)
 	if d := linalg.MaxAbsDiff(gu, linalg.Identity(res.U.Cols)); d > 1e-8 {
 		t.Fatalf("U not orthonormal: %g", d)
 	}
-	gv := linalg.Gram(res.V)
+	gv := linalg.GramW(res.V, 1)
 	if d := linalg.MaxAbsDiff(gv, linalg.Identity(res.V.Cols)); d > 1e-8 {
 		t.Fatalf("V not orthonormal: %g", d)
 	}
@@ -212,7 +212,7 @@ func TestSparseHostileSpectra(t *testing.T) {
 	head := append(geometric(rank, 1e12), geometric(128-rank, 1)...)
 	add("top 16 span 1e12, flat tail", 128, 140, head)
 	// A block no wider than the sketch skips it for linalg's exact
-	// Gram-route SVD (linalg.SVD). That route recovers U by dividing by σ,
+	// Gram-route SVD (linalg.SVDW). That route recovers U by dividing by σ,
 	// so UᵀU drifts from I with (σ_1/σ_d)²: 4e-10 at a 1e5 span, 2e-8 at 1e6.
 	// The error scales with σ_i in the cached U·Σ, so the tree loses
 	// nothing; a 1e3 span keeps this block inside 1e-10, and the wide
@@ -247,7 +247,7 @@ func TestSparseHostileSpectra(t *testing.T) {
 					t.Fatalf("%s: non-finite value %g", name, x)
 				}
 			}
-			if d := linalg.MaxAbsDiff(linalg.Gram(res.U), linalg.Identity(res.U.Cols)); d > 1e-10 {
+			if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), linalg.Identity(res.U.Cols)); d > 1e-10 {
 				t.Errorf("%s: UᵀU departs from I by %g", name, d)
 			}
 			for i, x := range res.S {
@@ -304,11 +304,11 @@ func TestSparseFromWarmStart(t *testing.T) {
 	if got, best := relErr(res, a, 6); got > 1.01*best {
 		t.Fatalf("warm residual %g > 1.01× optimal %g", got, best)
 	}
-	if d := linalg.MaxAbsDiff(linalg.Gram(res.U), linalg.Identity(res.U.Cols)); d > 1e-10 {
+	if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), linalg.Identity(res.U.Cols)); d > 1e-10 {
 		t.Fatalf("warm U not orthonormal: %g", d)
 	}
 	frob := a.FrobNorm()
-	proj := a.TMulDense(res.U).FrobNorm()
+	proj := a.TMulDenseW(res.U, 1).FrobNorm()
 	if e, tail := math.Sqrt(frob*frob-proj*proj), res.TailEnergy(frob, 6); math.Abs(e-tail) > 1e-9*frob {
 		t.Fatalf("TailEnergy %g, projection error %g", tail, e)
 	}

@@ -69,8 +69,8 @@ func TestCSRMulDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randCSR(rng, 8, 11, 0.4)
 	b := randDense(rng, 11, 5)
-	got := m.MulDense(b)
-	want := linalg.Mul(m.ToDense(), b)
+	got := m.MulDenseW(b, 1)
+	want := linalg.MulW(m.ToDense(), b, 1)
 	if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
 		t.Fatalf("MulDense diff %g", d)
 	}
@@ -80,21 +80,10 @@ func TestCSRTMulDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randCSR(rng, 8, 11, 0.4)
 	b := randDense(rng, 8, 4)
-	got := m.TMulDense(b)
-	want := linalg.Mul(m.ToDense().T(), b)
+	got := m.TMulDenseW(b, 1)
+	want := linalg.MulW(m.ToDense().T(), b, 1)
 	if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
 		t.Fatalf("TMulDense diff %g", d)
-	}
-}
-
-func TestCSRDenseLeftMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randCSR(rng, 7, 10, 0.4)
-	b := randDense(rng, 3, 7)
-	got := m.DenseLeftMul(b)
-	want := linalg.Mul(b, m.ToDense())
-	if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("DenseLeftMul diff %g", d)
 	}
 }
 
@@ -125,8 +114,8 @@ func TestCSRPropertyMulLinear(t *testing.T) {
 		m := randCSR(rng, r, c, 0.5)
 		x := randDense(rng, c, 1)
 		y := randDense(rng, c, 1)
-		lhs := m.MulDense(linalg.Add(x, y))
-		rhs := linalg.Add(m.MulDense(x), m.MulDense(y))
+		lhs := m.MulDenseW(linalg.Add(x, y), 1)
+		rhs := linalg.Add(m.MulDenseW(x, 1), m.MulDenseW(y, 1))
 		return linalg.MaxAbsDiff(lhs, rhs) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -143,7 +132,7 @@ func TestCSREmptyRows(t *testing.T) {
 	}
 	x := linalg.NewDense(4, 1)
 	x.Set(1, 0, 1)
-	got := m.MulDense(x)
+	got := m.MulDenseW(x, 1)
 	if got.At(2, 0) != 7 || got.At(0, 0) != 0 {
 		t.Fatal("MulDense on empty-row matrix wrong")
 	}

@@ -286,7 +286,7 @@ func (m *DynRow) ToCSR() *CSR {
 // cells, sparing the O(nnz) copy a ToCSR would make first. Entries are
 // visited in (row, column) order, so each output row c accumulates its
 // contributions in ascending input-row order — the same sums, in the same
-// order, as ToCSR().TMulDense(b).
+// order, as ToCSR().TMulDenseW(b, 1).
 func (m *DynRow) TMulDense(b *linalg.Dense) *linalg.Dense {
 	if b.Rows != m.rows {
 		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%d×%d)ᵀ · %d×%d", m.rows, m.cols, b.Rows, b.Cols))
@@ -296,7 +296,7 @@ func (m *DynRow) TMulDense(b *linalg.Dense) *linalg.Dense {
 		brow := b.Row(r)
 		for _, cl := range m.rowCells(r) {
 			for i, c := range cl.cols {
-				axpyRow(out.Row(int(c)), cl.vals[i], brow)
+				linalg.Axpy(out.Row(int(c)), cl.vals[i], brow)
 			}
 		}
 	}
@@ -416,10 +416,10 @@ func (m *DynRow) AuditRecount() error {
 		if nnz != m.nnz[j] {
 			return fmt.Errorf("sparse: audit: block %d nnz counter %d, recount %d", j, m.nnz[j], nnz)
 		}
-		if got := m.frobSq[j]; !(abs(got-frob) <= tol*(1+frob)) { // negated: a NaN must fail
+		if got := m.frobSq[j]; !(math.Abs(got-frob) <= tol*(1+frob)) { // negated: a NaN must fail
 			return fmt.Errorf("sparse: audit: block %d frobSq drifted: maintained %g, recount %g", j, got, frob)
 		}
-		if got := m.deltaSq[j]; !(abs(got-delta) <= tol*(1+delta)) {
+		if got := m.deltaSq[j]; !(math.Abs(got-delta) <= tol*(1+delta)) {
 			return fmt.Errorf("sparse: audit: block %d deltaSq drifted: maintained %g, recount %g", j, got, delta)
 		}
 		total += nnz
@@ -428,13 +428,6 @@ func (m *DynRow) AuditRecount() error {
 		return fmt.Errorf("sparse: audit: total nnz counter %d, recount %d", m.totalNNZ, total)
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ToDense materializes densely (tests only).

@@ -9,20 +9,21 @@ import (
 	"github.com/tree-svd/treesvd/internal/par"
 )
 
-// Sparse×dense product kernels, in the same two flavors as the dense
-// kernels in internal/linalg: the historical serial entry points
-// (MulDense, TMulDense, DenseLeftMul) are workers=1 calls into the
-// worker-budgeted W variants, so there is a single code path.
+// Sparse×dense product kernels, one entry point per product (MulDenseW,
+// TMulDenseW), each taking a worker budget like the dense kernels in
+// internal/linalg. Every product ends in linalg.Axpy, the module's one
+// axpy loop, so the sparse products round each product before its add
+// exactly as the dense kernels do, on every GOARCH.
 //
-// MulDenseW and DenseLeftMulW partition their *output* rows, so each
-// element is produced by exactly one worker with a fixed reduction order
-// — bit-identical for every worker count, like the dense kernels.
-// TMulDenseW is the one scatter-shaped product (output rows are indexed
-// by column ids of the sparse operand); it uses per-worker partial
-// outputs reduced in worker order, so its result varies with the worker
-// count by O(ε) rounding. That is the single documented bit-stability
-// exemption of the kernel layer (see DESIGN.md); embeddings are compared
-// by tolerance, never bit-for-bit.
+// MulDenseW partitions its *output* rows, so each element is produced by
+// exactly one worker with a fixed reduction order — bit-identical for
+// every worker count, like the dense kernels. TMulDenseW is the one
+// scatter-shaped product (output rows are indexed by column ids of the
+// sparse operand); it uses per-worker partial outputs reduced in worker
+// order, so its result varies with the worker count by O(ε) rounding.
+// That is the single documented bit-stability exemption of the kernel
+// layer (see DESIGN.md); embeddings are compared by tolerance, never
+// bit-for-bit.
 
 // spMinFlops gates goroutine dispatch, like linalg's parMinFlops. It is a
 // variable only so tests can lower it to drive the parallel paths on
@@ -34,30 +35,12 @@ var spMinFlops = 1 << 18
 // extra buffers fit.
 const spMaxPartialFloats = 1 << 23
 
-// axpyRow computes dst += a·x elementwise, 4× unrolled with per-element
-// order matching the naive loop.
-func axpyRow(dst []float64, a float64, x []float64) {
-	x = x[:len(dst)]
-	i := 0
-	for ; i+3 < len(dst); i += 4 {
-		dst[i] += a * x[i]
-		dst[i+1] += a * x[i+1]
-		dst[i+2] += a * x[i+2]
-		dst[i+3] += a * x[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += a * x[i]
-	}
-}
-
-// MulDense returns m·b for a dense b (Cols×k). Cost O(nnz·k).
-func (m *CSR) MulDense(b *linalg.Dense) *linalg.Dense { return m.MulDenseW(b, 1) }
-
-// MulDenseW is MulDense with a worker budget over output-row panels.
-// The result is identical for every worker count.
+// MulDenseW returns m·b for a dense b (Cols×k), with a worker budget over
+// output-row panels. Cost O(nnz·k). The result is identical for every
+// worker count.
 func (m *CSR) MulDenseW(b *linalg.Dense, workers int) *linalg.Dense {
 	if b.Rows != m.Cols {
-		panic(fmt.Sprintf("sparse: MulDense shape mismatch %d×%d · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("sparse: MulDenseW shape mismatch %d×%d · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := linalg.NewDense(m.Rows, b.Cols)
 	w := par.Workers(workers)
@@ -68,18 +51,15 @@ func (m *CSR) MulDenseW(b *linalg.Dense, workers int) *linalg.Dense {
 		for i := lo; i < hi; i++ {
 			orow := out.Row(i)
 			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				axpyRow(orow, m.Val[p], b.Row(int(m.ColIdx[p])))
+				linalg.Axpy(orow, m.Val[p], b.Row(int(m.ColIdx[p])))
 			}
 		}
 	})
 	return out
 }
 
-// TMulDense returns mᵀ·b for a dense b (Rows×k), i.e. a (Cols×k) result.
-// Cost O(nnz·k).
-func (m *CSR) TMulDense(b *linalg.Dense) *linalg.Dense { return m.TMulDenseW(b, 1) }
-
-// TMulDenseW is TMulDense with a worker budget. Workers process
+// TMulDenseW returns mᵀ·b for a dense b (Rows×k), i.e. a (Cols×k)
+// result, with a worker budget. Cost O(nnz·k). Workers process
 // nnz-balanced contiguous stripes of input rows into private partial
 // outputs (pooled; worker 0 writes the result directly), which are then
 // summed in worker order. Deterministic for a fixed worker count; across
@@ -87,7 +67,7 @@ func (m *CSR) TMulDense(b *linalg.Dense) *linalg.Dense { return m.TMulDenseW(b, 
 // rounding — the kernel layer's one bit-stability exemption.
 func (m *CSR) TMulDenseW(b *linalg.Dense, workers int) *linalg.Dense {
 	if b.Rows != m.Rows {
-		panic(fmt.Sprintf("sparse: TMulDense shape mismatch (%d×%d)ᵀ · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("sparse: TMulDenseW shape mismatch (%d×%d)ᵀ · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := linalg.NewDense(m.Cols, b.Cols)
 	k := b.Cols
@@ -132,7 +112,7 @@ func (m *CSR) TMulDenseW(b *linalg.Dense, workers int) *linalg.Dense {
 		for g := 1; g < w; g++ {
 			p := partials[g]
 			for i := lo; i < hi; i++ {
-				axpyRow(out.Row(i), 1, p.Row(i))
+				linalg.Axpy(out.Row(i), 1, p.Row(i))
 			}
 		}
 	})
@@ -147,38 +127,7 @@ func (m *CSR) tMulDenseStripe(out, b *linalg.Dense, rlo, rhi int) {
 	for i := rlo; i < rhi; i++ {
 		brow := b.Row(i)
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			axpyRow(out.Row(int(m.ColIdx[p])), m.Val[p], brow)
+			linalg.Axpy(out.Row(int(m.ColIdx[p])), m.Val[p], brow)
 		}
 	}
-}
-
-// DenseLeftMul returns b·m for a dense b (k×Rows), i.e. a (k×Cols) result.
-func (m *CSR) DenseLeftMul(b *linalg.Dense) *linalg.Dense { return m.DenseLeftMulW(b, 1) }
-
-// DenseLeftMulW is DenseLeftMul with a worker budget over output-row
-// panels (rows of b). The result is identical for every worker count.
-func (m *CSR) DenseLeftMulW(b *linalg.Dense, workers int) *linalg.Dense {
-	if b.Cols != m.Rows {
-		panic(fmt.Sprintf("sparse: DenseLeftMul shape mismatch %d×%d · %d×%d", b.Rows, b.Cols, m.Rows, m.Cols))
-	}
-	out := linalg.NewDense(b.Rows, m.Cols)
-	w := par.Workers(workers)
-	if 2*b.Rows*m.NNZ() < spMinFlops {
-		w = 1
-	}
-	par.ForChunks(b.Rows, w, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			brow := b.Row(r)
-			orow := out.Row(r)
-			for i, bv := range brow {
-				if bv == 0 {
-					continue
-				}
-				for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-					orow[m.ColIdx[p]] += bv * m.Val[p]
-				}
-			}
-		}
-	})
-	return out
 }

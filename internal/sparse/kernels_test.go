@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,21 +27,6 @@ func TestMulDenseWMatchesSerial(t *testing.T) {
 		ref := m.MulDenseW(b, 1)
 		for _, w := range []int{2, 3, 8} {
 			if d := linalg.MaxAbsDiff(ref, m.MulDenseW(b, w)); d != 0 {
-				t.Fatalf("%v workers=%d: differs by %g (must be bit-identical)", sh, w, d)
-			}
-		}
-	}
-}
-
-func TestDenseLeftMulWMatchesSerial(t *testing.T) {
-	lowerSparseFlopGate(t)
-	rng := rand.New(rand.NewSource(37))
-	for _, sh := range []struct{ k, r, c int }{{1, 1, 1}, {4, 9, 5}, {7, 60, 40}} {
-		m := randCSR(rng, sh.r, sh.c, 0.3)
-		b := randDense(rng, sh.k, sh.r)
-		ref := m.DenseLeftMulW(b, 1)
-		for _, w := range []int{2, 3, 8} {
-			if d := linalg.MaxAbsDiff(ref, m.DenseLeftMulW(b, w)); d != 0 {
 				t.Fatalf("%v workers=%d: differs by %g (must be bit-identical)", sh, w, d)
 			}
 		}
@@ -89,8 +75,77 @@ func TestDynRowTMulDense(t *testing.T) {
 		m.Set(rng.Intn(12), rng.Intn(50), rng.NormFloat64())
 	}
 	b := randDense(rng, 12, 7)
-	want := m.ToCSR().TMulDense(b)
+	want := m.ToCSR().TMulDenseW(b, 1)
 	if d := linalg.MaxAbsDiff(want, m.TMulDense(b)); d != 0 {
 		t.Fatalf("DynRow.TMulDense differs from CSR route by %g", d)
+	}
+}
+
+// TestSparseProductsMatchNaiveBits holds MulDenseW (1, 2 and 3 workers)
+// and TMulDenseW at one worker to plain loops bit for bit. The loops round
+// each product on its own, float64(v·b), and accumulate in the kernels'
+// order: output row i of m·b over row i's entries in storage order, and
+// output row c of mᵀ·b over the input rows ascending. Widths 0–67 cover
+// every tail of the SSE2 axpy; entries of both operands include signed
+// zeros and subnormals, and the CSR stores a −0 explicitly.
+func TestSparseProductsMatchNaiveBits(t *testing.T) {
+	lowerSparseFlopGate(t)
+	rng := rand.New(rand.NewSource(47))
+	value := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			return rng.NormFloat64() * 1e-310 // subnormal
+		case 3:
+			return math.SmallestNonzeroFloat64 * float64(rng.Intn(9)-4)
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	const rows, cols = 11, 9
+	for k := 0; k <= 67; k++ {
+		m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				if rng.Float64() < 0.4 {
+					m.ColIdx = append(m.ColIdx, int32(j))
+					m.Val = append(m.Val, value())
+				}
+			}
+			m.RowPtr[i+1] = int32(len(m.Val))
+		}
+		b := linalg.NewDense(cols, k)
+		bt := linalg.NewDense(rows, k)
+		for _, d := range []*linalg.Dense{b, bt} {
+			for i := range d.Data {
+				d.Data[i] = value()
+			}
+		}
+		mul := linalg.NewDense(rows, k)
+		tmul := linalg.NewDense(cols, k)
+		for i := 0; i < rows; i++ {
+			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+				v, c := m.Val[p], int(m.ColIdx[p])
+				for j := 0; j < k; j++ {
+					mul.Data[i*k+j] += float64(v * b.At(c, j))
+					tmul.Data[c*k+j] += float64(v * bt.At(i, j))
+				}
+			}
+		}
+		check := func(name string, got, want *linalg.Dense) {
+			t.Helper()
+			for i := range want.Data {
+				if g, w := got.Data[i], want.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("k=%d %s: element %d is %x, naive loop %x", k, name, i, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
+		}
+		for _, w := range []int{1, 2, 3} {
+			check(fmt.Sprintf("MulDenseW workers=%d", w), m.MulDenseW(b, w), mul)
+		}
+		check("TMulDenseW workers=1", m.TMulDenseW(bt, 1), tmul)
 	}
 }

@@ -3,6 +3,7 @@ package treesvd
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/sparse"
@@ -59,6 +60,9 @@ func FactorizeMatrix(m *SparseMatrix, cfg Config) (*SVDResult, error) {
 	if csr.NNZ() == 0 {
 		return nil, fmt.Errorf("treesvd: matrix is empty")
 	}
+	if err := checkFinite(csr); err != nil {
+		return nil, err
+	}
 	// The static scheme is one Build of the dynamic tree over the matrix.
 	dyn := sparse.NewDynRow(csr.Rows, csr.Cols, tcfg.Blocks())
 	for r := 0; r < csr.Rows; r++ {
@@ -94,4 +98,23 @@ func FactorizeMatrix(m *SparseMatrix, cfg Config) (*SVDResult, error) {
 		out.V[i] = append([]float64(nil), vt.Row(i)...)
 	}
 	return out, nil
+}
+
+// checkFinite refuses a matrix no factorization here can take: one with
+// a NaN or infinite entry, or one whose Frobenius norm exceeds
+// √MaxFloat64. Every SVD of the tree squares its input through a Gram
+// matrix, whose trace is ‖A‖²_F, so such a matrix would overflow the
+// eigensolver instead of failing with an error.
+func checkFinite(a *sparse.CSR) error {
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if v := a.Val[p]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("treesvd: matrix entry (%d, %d) is %v", i, a.ColIdx[p], v)
+			}
+		}
+	}
+	if f := a.FrobNorm(); f > math.Sqrt(math.MaxFloat64) {
+		return fmt.Errorf("treesvd: matrix Frobenius norm %g exceeds √MaxFloat64 (%g): its Gram matrix would overflow", f, math.Sqrt(math.MaxFloat64))
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package treesvd
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +74,41 @@ func TestFactorizeMatrixEmpty(t *testing.T) {
 	m := NewSparseMatrix(4, 10)
 	if _, err := FactorizeMatrix(m, Config{Dim: 2}); err == nil {
 		t.Fatal("empty matrix accepted")
+	}
+}
+
+// TestFactorizeMatrixRefusesNonFinite holds FactorizeMatrix to a plain
+// error, naming the offending entry or norm, for a matrix whose Gram
+// matrix would overflow the eigensolver: a NaN, an infinite entry, and a
+// finite entry whose square overflows. None may surface as a recovered
+// worker panic, with the serial or the parallel tree.
+func TestFactorizeMatrixRefusesNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+		want string
+	}{
+		{"NaN", math.NaN(), "(3, 17) is NaN"},
+		{"-Inf", math.Inf(-1), "(3, 17) is -Inf"},
+		{"+Inf", math.Inf(1), "(3, 17) is +Inf"},
+		{"1e308", 1e308, "Frobenius norm 1e+308"},
+	} {
+		for _, workers := range []int{0, 2} {
+			m := NewSparseMatrix(20, 400)
+			for i := 0; i < 20; i++ {
+				for j := i; j < 400; j += 5 {
+					m.Set(i, j, float64(1+(i*j)%5))
+				}
+			}
+			m.Set(3, 17, tc.v)
+			_, err := FactorizeMatrix(m, Config{Dim: 4, Workers: workers})
+			switch {
+			case err == nil:
+				t.Errorf("%s, workers %d: accepted", tc.name, workers)
+			case strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s, workers %d: error %q, want one naming %q", tc.name, workers, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package treesvd
 
 import (
-	"context"
 	"time"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
@@ -235,7 +234,7 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		})
 	r.CounterFunc("treesvd_rsvd_sparse_total", "calls",
 		"Process-wide randomized sparse SVD factorizations", func() uint64 {
-			return rsvd.Stats().Sparse
+			return rsvd.SparseCalls()
 		})
 	return p
 }
@@ -337,11 +336,4 @@ func (e *Embedder) SetTraceHook(h TraceHook) {
 	defer e.mu.Unlock()
 	e.trace = h
 	e.tree.SetTrace(h)
-}
-
-// stage runs f under an obs pprof stage label, returning its error.
-func stage(ctx context.Context, name string, f func(context.Context) error) error {
-	var err error
-	obs.Stage(ctx, name, func(ctx context.Context) { err = f(ctx) })
-	return err
 }

@@ -107,7 +107,7 @@ func TestRecommendEdgeCases(t *testing.T) {
 	for i := range dense.Data {
 		dense.Data[i] = rng.NormFloat64()
 	}
-	u := linalg.SVD(dense).U // orthonormal columns
+	u := linalg.SVDW(dense, 1).U // orthonormal columns
 
 	t.Run("zero singular value", func(t *testing.T) {
 		snap := handSnapshot(u, []float64{2, 1, 0}, m, cols)

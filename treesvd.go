@@ -364,7 +364,7 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 			break
 		}
 	}
-	if err := stage(ctx, "ppr.apply", func(ctx context.Context) error {
+	if err := obs.Stage(ctx, "ppr.apply", func(ctx context.Context) error {
 		if e.stale || e.prox.Sub.RebuildThreshold(len(events)) {
 			// Large batch (the Theorem 3.7 fallback) or recovery from an
 			// interrupted update: advance the graph, then recompute PPR and
@@ -393,11 +393,11 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 	if err != nil {
 		return 0, err
 	}
-	if err := stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
+	if err := obs.Stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
 		return 0, err
 	}
 	if publish {
-		obs.Stage(ctx, "publish", func(context.Context) { e.publishLocked() })
+		obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
 	}
 	return rebuilt, nil
 }
@@ -445,7 +445,7 @@ func (e *Embedder) Rebuild(ctx context.Context) error {
 
 // rebuildLocked is the body of Rebuild. Caller holds e.mu.
 func (e *Embedder) rebuildLocked(ctx context.Context) error {
-	if err := stage(ctx, "ppr.apply", func(ctx context.Context) error {
+	if err := obs.Stage(ctx, "ppr.apply", func(ctx context.Context) error {
 		e.stale = true
 		if err := e.prox.Sub.Rebuild(ctx); err != nil {
 			return err
@@ -459,10 +459,10 @@ func (e *Embedder) rebuildLocked(ctx context.Context) error {
 	if err := e.tree.Build(ctx); err != nil {
 		return err
 	}
-	if err := stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
+	if err := obs.Stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
 		return err
 	}
-	obs.Stage(ctx, "publish", func(context.Context) { e.publishLocked() })
+	obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
 	return nil
 }
 
