@@ -1,7 +1,13 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,9 +34,15 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsProduceRows runs every light experiment end-to-end
-// at smoke scale: the full pipeline (datasets → PPR → factorizations →
-// downstream tasks) must produce a non-empty, well-formed table.
+// update rewrites testdata/*.golden from the current run:
+//
+//	go test ./internal/bench -run TestQuickExperimentsProduceRows -update
+var update = flag.Bool("update", false, "rewrite testdata/*.golden")
+
+// TestQuickExperimentsProduceRows runs every experiment, heavy ones
+// included, end-to-end at smoke scale: the full pipeline (datasets → PPR →
+// factorizations → downstream tasks) must produce a non-empty,
+// well-formed table whose non-timing cells match testdata/<id>.golden.
 func TestQuickExperimentsProduceRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration smoke test")
@@ -40,9 +52,6 @@ func TestQuickExperimentsProduceRows(t *testing.T) {
 	o.Dim = 8
 	o.Scale = 0.08
 	for _, e := range Registry() {
-		if e.Heavy {
-			continue
-		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			tables := e.Run(o)
@@ -65,7 +74,49 @@ func TestQuickExperimentsProduceRows(t *testing.T) {
 				}
 				tab.Fprint(io.Discard)
 			}
+			checkGolden(t, e.ID, tables)
 		})
+	}
+}
+
+// timingCell matches what dur() and the "…x" speedups print: the cells
+// that vary from run to run.
+var timingCell = regexp.MustCompile(`^[0-9]+(\.[0-9]+)?(s|ms|µs|x)$`)
+
+// checkGolden compares the tables, timing cells masked, against
+// testdata/<id>.golden. QR and eigensolver bits may differ on other
+// architectures (DESIGN.md §6), so the comparison runs on amd64 only.
+func checkGolden(t *testing.T, id string, tables []*Table) {
+	t.Helper()
+	var sb strings.Builder
+	for _, tab := range tables {
+		fmt.Fprintf(&sb, "== %s ==\n%s\n", tab.Title, strings.Join(tab.Header, " | "))
+		for _, row := range tab.Rows {
+			cells := make([]string, len(row))
+			for i, c := range row {
+				if timingCell.MatchString(c) {
+					c = "<t>"
+				}
+				cells[i] = c
+			}
+			fmt.Fprintln(&sb, strings.Join(cells, " | "))
+		}
+	}
+	path := filepath.Join("testdata", id+".golden")
+	if *update {
+		must0(os.MkdirAll("testdata", 0o755))
+		must0(os.WriteFile(path, []byte(sb.String()), 0o644))
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", id, path, got, want)
 	}
 }
 
