@@ -97,8 +97,8 @@ func TestSubsetSTRAPShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randGraph(rng, 30, 120)
 	s := pickSubset(rng, 30, 5)
-	st := mustBL(NewSubsetSTRAP(g, s, testParams, 30, 4, 1))
-	res := mustBL(st.Factorize())
+	prox := ppr.NewProximity(mustBL(ppr.NewSubset(g, s, testParams)), 30, 16)
+	res := mustBL(STRAP(prox.M.ToCSR(), 4, 1, 0))
 	if res.Left.Rows != 5 || res.Left.Cols > 4 {
 		t.Fatalf("left shape %d×%d", res.Left.Rows, res.Left.Cols)
 	}
@@ -106,7 +106,7 @@ func TestSubsetSTRAPShapes(t *testing.T) {
 		t.Fatalf("right shape %d×%d", res.Right.Rows, res.Right.Cols)
 	}
 	// X·Yᵀ must approximate the proximity matrix (both sides √Σ-scaled).
-	m := st.Prox.M.ToDense()
+	m := prox.M.ToDense()
 	rec := linalg.MulTW(res.Left, res.Right, 1)
 	best := linalg.SVDW(m, 1).TailEnergy(m.FrobNorm(), 4)
 	if got := linalg.Sub(rec, m).FrobNorm(); got > 1.2*best+1e-9 {
@@ -118,8 +118,8 @@ func TestSubsetSTRAPDynamicUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randGraph(rng, 25, 100)
 	s := pickSubset(rng, 25, 4)
-	st := mustBL(NewSubsetSTRAP(g, s, testParams, 25, 3, 1))
-	before := mustBL(st.Factorize())
+	prox := ppr.NewProximity(mustBL(ppr.NewSubset(g, s, testParams)), 25, 16)
+	before := mustBL(STRAP(prox.M.ToCSR(), 3, 1, 0))
 	var events []graph.Event
 	for len(events) < 20 {
 		u, v := int32(rng.Intn(25)), int32(rng.Intn(25))
@@ -127,8 +127,8 @@ func TestSubsetSTRAPDynamicUpdates(t *testing.T) {
 			events = append(events, graph.Event{U: u, V: v, Type: graph.Insert})
 		}
 	}
-	must0t(st.ApplyEvents(bgt, events))
-	after := mustBL(st.Factorize())
+	must0t(prox.ApplyEvents(bgt, events))
+	after := mustBL(STRAP(prox.M.ToCSR(), 3, 1, 0))
 	if linalg.MaxAbsDiff(before.Left, after.Left) == 0 {
 		t.Fatal("embedding unchanged after 20 insertions")
 	}

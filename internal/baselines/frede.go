@@ -12,10 +12,9 @@ import (
 // SVD compresses it and shrinks every singular value by the ℓ-th one,
 // guaranteeing ‖AᵀA − BᵀB‖₂ ≤ ‖A‖²_F/ℓ.
 type FrequentDirections struct {
-	l, n  int
-	buf   *linalg.Dense // 2l×n
-	used  int           // occupied rows of buf
-	shrnk int           // count of shrink rounds (diagnostics)
+	l, n int
+	buf  *linalg.Dense // 2l×n
+	used int           // occupied rows of buf
 }
 
 // NewFrequentDirections creates a sketch with ℓ retained directions over
@@ -66,7 +65,6 @@ func (fd *FrequentDirections) shrink() {
 		}
 	}
 	fd.used = keep
-	fd.shrnk++
 }
 
 // Sketch returns the current ℓ×n sketch matrix (a final shrink is applied
@@ -94,11 +92,7 @@ func FREDE(m *sparse.CSR, dim int) *STRAPResult {
 	sk := fd.Sketch()
 	res := linalg.SVDW(sk, 1)
 	if res.Rank() == 0 {
-		return &STRAPResult{
-			Left:  linalg.NewDense(m.Rows, 0),
-			Right: linalg.NewDense(m.Cols, 0),
-			Root:  res,
-		}
+		return &STRAPResult{Left: linalg.NewDense(m.Rows, 0), Right: linalg.NewDense(m.Cols, 0)}
 	}
 	invSqrt := make([]float64, len(res.S))
 	sqrtS := make([]float64, len(res.S))
@@ -108,5 +102,5 @@ func FREDE(m *sparse.CSR, dim int) *STRAPResult {
 	}
 	left := m.MulDenseW(res.V, 1).MulDiag(invSqrt)
 	right := res.V.Clone().MulDiag(sqrtS)
-	return &STRAPResult{Left: left, Right: right, Root: res}
+	return &STRAPResult{Left: left, Right: right}
 }

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"context"
 	"math"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -14,16 +13,16 @@ import (
 // STRAPResult bundles the left (|rows|×d) and right (n×d) embeddings of a
 // STRAP-style factorization, X = U√Σ and Y = V√Σ.
 type STRAPResult struct {
-	Left  *linalg.Dense
-	Right *linalg.Dense
-	Root  *linalg.SVDResult
+	Left, Right *linalg.Dense
 }
 
-// strapFactor applies the randomized truncated SVD to a proximity CSR and
-// extracts both embedding sides.
-func strapFactor(m *sparse.CSR, dim int, opts rsvd.Options) (*STRAPResult, error) {
-	opts.Rank = dim
-	res, err := rsvd.Sparse(m, opts)
+// STRAP factors a log-PPR proximity matrix with the randomized truncated
+// SVD and returns both embedding sides. Subset-STRAP (Section 2.2) is
+// STRAP over the rows of S only (ppr.Proximity's matrix), redone in full
+// after every change: the quality reference that Tree-SVD matches at a
+// fraction of the (re)computation cost. GlobalSTRAP covers every node.
+func STRAP(m *sparse.CSR, dim int, seed int64, workers int) (*STRAPResult, error) {
+	res, err := rsvd.Sparse(m, rsvd.Options{Rank: dim, Seed: seed, PowerIters: 2, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -34,39 +33,7 @@ func strapFactor(m *sparse.CSR, dim int, opts rsvd.Options) (*STRAPResult, error
 		}
 	}
 	right := res.V.Clone().MulDiag(sq)
-	return &STRAPResult{Left: res.USqrtS(), Right: right, Root: res}, nil
-}
-
-// SubsetSTRAP extends STRAP to the subset setting (Section 2.2): build the
-// log-transformed PPR proximity matrix for the rows of S only, then take a
-// full truncated SVD from scratch. It is the quality reference that
-// Tree-SVD matches at a fraction of the (re)computation cost.
-type SubsetSTRAP struct {
-	Prox *ppr.Proximity
-	Dim  int
-	Seed int64
-}
-
-// NewSubsetSTRAP builds the proximity state for subset s over g.
-func NewSubsetSTRAP(g *graph.Graph, s []int32, params ppr.Params, maxNodes, dim int, seed int64) (*SubsetSTRAP, error) {
-	sub, err := ppr.NewSubset(g, s, params)
-	if err != nil {
-		return nil, err
-	}
-	// Block count is irrelevant for STRAP itself; reuse a coarse split.
-	return &SubsetSTRAP{Prox: ppr.NewProximity(sub, maxNodes, 16), Dim: dim, Seed: seed}, nil
-}
-
-// ApplyEvents advances the proximity matrix incrementally (the PPR side is
-// shared with Tree-SVD; only the factorization differs).
-func (s *SubsetSTRAP) ApplyEvents(ctx context.Context, events []graph.Event) error {
-	return s.Prox.ApplyEvents(ctx, events)
-}
-
-// Factorize runs the from-scratch truncated SVD of the current proximity
-// matrix — the step Subset-STRAP must redo in full at every snapshot.
-func (s *SubsetSTRAP) Factorize() (*STRAPResult, error) {
-	return strapFactor(s.Prox.M.ToCSR(), s.Dim, rsvd.Options{Seed: s.Seed, PowerIters: 2})
+	return &STRAPResult{Left: res.USqrtS(), Right: right}, nil
 }
 
 // GlobalSTRAP is the whole-graph STRAP: the proximity matrix covers every
@@ -113,7 +80,7 @@ func (g *GlobalSTRAP) Factorize() (*STRAPResult, error) {
 			}
 		})
 	}
-	return strapFactor(b.Build(), g.Dim, rsvd.Options{Seed: g.Seed, PowerIters: 2})
+	return STRAP(b.Build(), g.Dim, g.Seed, g.Params.Workers)
 }
 
 // SubsetRows extracts the rows of a global left embedding belonging to s.

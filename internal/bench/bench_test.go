@@ -10,21 +10,34 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestRegistryComplete pins the experiment inventory to DESIGN.md §3.
+// TestRegistryComplete pins the experiment inventory, in order, to the
+// Id column of DESIGN.md §3's one table.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig3", "table4", "exp2", "fig5scale", "exp3nc", "exp3lp",
-		"exp4", "table7", "exp5", "fig11", "fig12", "fig13", "fig14", "ablations", "futurework",
-		"churnstress"}
-	reg := Registry()
-	if len(reg) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, id := range want {
-		if reg[i].ID != id {
-			t.Fatalf("registry[%d] = %s, want %s", i, reg[i].ID, id)
+	_, sec, _ := strings.Cut(string(design), "\n## 3. ")
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	_, table, _ := strings.Cut(sec, "\n|")
+	var want []string
+	for _, line := range strings.Split("|"+table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break // the table ends at its first non-row line
 		}
+		if id, ok := strings.CutPrefix(line, "| `"); ok {
+			want = append(want, id[:strings.IndexByte(id, '`')])
+		}
+	}
+	var got []string
+	for _, e := range Registry() {
+		got = append(got, e.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("registry ids %v, DESIGN.md §3 ids %v", got, want)
 	}
 	if _, err := Lookup("table1"); err != nil {
 		t.Fatal(err)
@@ -120,15 +133,26 @@ func checkGolden(t *testing.T, id string, tables []*Table) {
 	}
 }
 
+// TestTableFprint checks the rendering, and that a multi-byte cell (a
+// dur() value in µs) pads to the same column as its neighbours.
 func TestTableFprint(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"A", "B"}, Notes: []string{"n"}}
 	tab.AddRow("1", "22")
+	tab.AddRow(dur(102*time.Microsecond), "-")
+	tab.AddRow("1.5ms", "x")
 	var sb strings.Builder
 	tab.Fprint(&sb)
 	out := sb.String()
-	for _, want := range []string{"== T ==", "A", "22", "note: n"} {
+	for _, want := range []string{"== T ==", "A", "22", "102µs", "note: n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	// Column B starts at rune 7 (width 5 of column A, then two spaces)
+	// on the header, separator and every row.
+	for _, line := range strings.Split(out, "\n")[2:7] {
+		if r := []rune(line); len(r) < 8 || r[6] != ' ' || r[7] == ' ' {
+			t.Fatalf("column B not at rune 7 in %q:\n%s", line, out)
 		}
 	}
 }

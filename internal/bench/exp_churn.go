@@ -7,7 +7,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/check"
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/dataset"
-	"github.com/tree-svd/treesvd/internal/ppr"
 )
 
 // RunChurnStress drives the dynamic pipeline through the correctness
@@ -47,8 +46,8 @@ func RunChurnStress(o Options) *Table {
 		initial, batches := dataset.GenerateChurn(p)
 
 		cfg := o.treeConfig()
-		sub := must(ppr.NewSubset(initial.Clone(), subset, o.params()))
-		prox := ppr.NewProximity(sub, p.MaxNodes, cfg.Blocks())
+		prox := o.buildProximity(initial.Clone(), subset, p.MaxNodes)
+		sub := prox.Sub
 		tree := must(core.NewTree(prox.M, cfg))
 		must0(tree.Build(bg))
 
@@ -74,8 +73,7 @@ func RunChurnStress(o Options) *Table {
 			initial.ApplyAll(b)
 		}
 
-		freshSub := must(ppr.NewSubset(initial, subset, o.params()))
-		freshProx := ppr.NewProximity(freshSub, p.MaxNodes, cfg.Blocks())
+		freshProx := o.buildProximity(initial, subset, p.MaxNodes)
 		freshTree := must(core.NewTree(freshProx.M, cfg))
 		must0(freshTree.Build(bg))
 

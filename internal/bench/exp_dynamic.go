@@ -9,8 +9,7 @@ import (
 	"github.com/tree-svd/treesvd/internal/dataset"
 	"github.com/tree-svd/treesvd/internal/eval"
 	"github.com/tree-svd/treesvd/internal/graph"
-	"github.com/tree-svd/treesvd/internal/ppr"
-	"github.com/tree-svd/treesvd/internal/rsvd"
+	"github.com/tree-svd/treesvd/internal/linalg"
 )
 
 // RunExp3NC reproduces Figures 6-8: node-classification quality per
@@ -32,8 +31,7 @@ func RunExp3NC(o Options) []*Table {
 		// MF pipeline graph (mutated by proximity updates) and an
 		// independent graph for the hashing pipeline.
 		gMF := ds.SnapshotGraph(1)
-		sub := must(ppr.NewSubset(gMF, s, o.params()))
-		prox := ppr.NewProximity(sub, ds.Profile.Nodes, o.treeConfig().Blocks())
+		prox := o.buildProximity(gMF, s, ds.Profile.Nodes)
 		gHash := ds.SnapshotGraph(1)
 		dyn := must(baselines.NewDynPPE(gHash, s, o.params(), o.Dim, o.Seed))
 
@@ -43,16 +41,14 @@ func RunExp3NC(o Options) []*Table {
 				must0(prox.ApplyEvents(bg, ev))
 				must0(dyn.ApplyEvents(bg, ev))
 			}
-			record := func(name string, emb *linalgDense) {
+			record := func(name string, emb *linalg.Dense) {
 				t.AddRow(fmt.Sprint(snap), name,
 					pct(o.classify(emb, labels, cls, 0.5)),
 					pct(o.classify(emb, labels, cls, 0.7)))
 			}
 			record("RandNE", baselines.SubsetRows(baselines.RandNE(gMF, baselines.DefaultRandNEConfig(o.Dim, o.Seed)), s))
 			record("DynPPE", dyn.Embedding())
-			csr := prox.M.ToCSR()
-			strap := must(rsvd.Sparse(csr, rsvd.Options{Rank: o.Dim, Seed: o.Seed, PowerIters: 2, Workers: o.Workers}))
-			record("Subset-STRAP", strap.USqrtS())
+			record("Subset-STRAP", must(baselines.STRAP(prox.M.ToCSR(), o.Dim, o.Seed, o.Workers)).Left)
 			tree := must(core.NewTree(prox.M, o.treeConfig()))
 			must0(tree.Build(bg))
 			record("Tree-SVD", tree.Embedding())
@@ -94,10 +90,10 @@ func (o Options) lpPerSnapshot(prof dataset.Profile) *Table {
 
 		r := o.runRandNE(tg, s)
 		t.AddRow(fmt.Sprint(snap), "RandNE", pct(sp.PrecisionSameSpace(r.Right)))
-		st := o.runSubsetSTRAP(tg, s, ds.Profile.Nodes)
-		t.AddRow(fmt.Sprint(snap), "Subset-STRAP", pct(sp.Precision(st.Left, s, st.Right)))
-		tr := o.runTreeSVDS(tg, s, ds.Profile.Nodes, true)
-		t.AddRow(fmt.Sprint(snap), "Tree-SVD-S", pct(sp.Precision(tr.Left, s, tr.Right)))
+		for _, m := range []method{o.subsetSTRAP(), o.treeSVDS()} {
+			res := o.once(m, tg, s, ds.Profile.Nodes)
+			t.AddRow(fmt.Sprint(snap), m.name, pct(sp.Precision(res.Left, s, res.Right)))
+		}
 	}
 	t.Notes = append(t.Notes, "expected shape: precision improves along snapshots; Tree-SVD-S ≈ Subset-STRAP on top")
 	return t
@@ -176,67 +172,16 @@ func RunExp4(o Options) *Table {
 		labels := ds.LabelsFor(s)
 		cls := ds.Profile.Communities
 		plan := o.planBatches(ds, exp4NumBatches, exp4Churn, nil)
-
-		// DynPPE (incremental hash).
-		dyn := must(baselines.NewDynPPE(plan.startGraph.Clone(), s, o.params(), o.Dim, o.Seed))
-		var dt time.Duration
-		for _, b := range plan.batches {
-			t0 := time.Now()
-			must0(dyn.ApplyEvents(bg, b))
-			dt += time.Since(t0)
-		}
-		t.AddRow(prof.Name, "DynPPE", dur(dt/time.Duration(len(plan.batches))), "-",
-			pct(o.classify(dyn.Embedding(), labels, cls, o.TrainRatio)))
-
-		// Subset-STRAP: incremental proximity, full SVD per batch.
-		subS := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		proxS := ppr.NewProximity(subS, ds.Profile.Nodes, o.treeConfig().Blocks())
-		var st, stSVD time.Duration
-		var strapEmb *linalgDense
-		for _, b := range plan.batches {
-			t0 := time.Now()
-			must0(proxS.ApplyEvents(bg, b))
-			t1 := time.Now()
-			strapEmb = must(rsvd.Sparse(proxS.M.ToCSR(), rsvd.Options{Rank: o.Dim, Seed: o.Seed, PowerIters: 2, Workers: o.Workers})).USqrtS()
-			stSVD += time.Since(t1)
-			st += time.Since(t0)
-		}
 		nb := time.Duration(len(plan.batches))
-		t.AddRow(prof.Name, "Subset-STRAP", dur(st/nb), dur(stSVD/nb),
-			pct(o.classify(strapEmb, labels, cls, o.TrainRatio)))
-
-		// Tree-SVD-S: incremental proximity, full tree rebuild per batch.
-		subT := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		proxT := ppr.NewProximity(subT, ds.Profile.Nodes, o.treeConfig().Blocks())
-		treeS := must(core.NewTree(proxT.M, o.treeConfig()))
-		var tt, ttSVD time.Duration
-		for _, b := range plan.batches {
-			t0 := time.Now()
-			must0(proxT.ApplyEvents(bg, b))
-			t1 := time.Now()
-			must0(treeS.Build(bg))
-			ttSVD += time.Since(t1)
-			tt += time.Since(t0)
+		for _, m := range []method{o.dynPPE(), o.subsetSTRAP(), o.treeSVDS(), o.treeSVD(o.treeConfig(), false)} {
+			r := o.stream(m, plan, s, ds.Profile.Nodes)
+			factor := "-"
+			if r.factor != nil {
+				factor = dur(r.factorTime / nb)
+			}
+			t.AddRow(prof.Name, m.name, dur(r.avgUpdate()), factor,
+				pct(o.classify(r.left(), labels, cls, o.TrainRatio)))
 		}
-		t.AddRow(prof.Name, "Tree-SVD-S", dur(tt/nb), dur(ttSVD/nb),
-			pct(o.classify(treeS.Embedding(), labels, cls, o.TrainRatio)))
-
-		// Dynamic Tree-SVD: incremental proximity + lazy update.
-		subD := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		proxD := ppr.NewProximity(subD, ds.Profile.Nodes, o.treeConfig().Blocks())
-		treeD := must(core.NewTree(proxD.M, o.treeConfig()))
-		must0(treeD.Build(bg))
-		var dtt, dttSVD time.Duration
-		for _, b := range plan.batches {
-			t0 := time.Now()
-			must0(proxD.ApplyEvents(bg, b))
-			t1 := time.Now()
-			must(treeD.Update(bg))
-			dttSVD += time.Since(t1)
-			dtt += time.Since(t0)
-		}
-		t.AddRow(prof.Name, "Tree-SVD", dur(dtt/nb), dur(dttSVD/nb),
-			pct(o.classify(treeD.Embedding(), labels, cls, o.TrainRatio)))
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: Tree-SVD factorize-update far below Subset-STRAP/Tree-SVD-S rebuilds at MF-level F1; PPR maintenance (in AvgUpdate) is shared by every method")
@@ -268,50 +213,10 @@ func (o Options) exp4LPDataset(t *Table, prof dataset.Profile) {
 		exclude[int64(sp.PosU[i])<<32|int64(uint32(sp.PosV[i]))] = true
 	}
 	plan := o.planBatches(ds, exp4NumBatches, exp4Churn, exclude)
-
-	// Subset-STRAP.
-	subS := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-	proxS := ppr.NewProximity(subS, ds.Profile.Nodes, o.treeConfig().Blocks())
-	var st time.Duration
-	var strapRes *baselines.STRAPResult
-	for _, b := range plan.batches {
-		t0 := time.Now()
-		must0(proxS.ApplyEvents(bg, b))
-		r := must(rsvd.Sparse(proxS.M.ToCSR(), rsvd.Options{Rank: o.Dim, Seed: o.Seed, PowerIters: 2, Workers: o.Workers}))
-		strapRes = &baselines.STRAPResult{Left: r.USqrtS(), Right: core.RightEmbeddingOf(r, proxS.M.ToCSR())}
-		st += time.Since(t0)
+	for _, m := range []method{o.subsetSTRAP(), o.treeSVD(o.treeConfig(), false), o.treeSVDS()} {
+		r := o.stream(m, plan, s, ds.Profile.Nodes)
+		t.AddRow(prof.Name, m.name, dur(r.avgUpdate()), pct(sp.Precision(r.left(), s, r.right())))
 	}
-	t.AddRow(prof.Name, "Subset-STRAP", dur(st/time.Duration(len(plan.batches))),
-		pct(sp.Precision(strapRes.Left, s, strapRes.Right)))
-
-	// Dynamic Tree-SVD.
-	subD := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-	proxD := ppr.NewProximity(subD, ds.Profile.Nodes, o.treeConfig().Blocks())
-	treeD := must(core.NewTree(proxD.M, o.treeConfig()))
-	must0(treeD.Build(bg))
-	var dt time.Duration
-	for _, b := range plan.batches {
-		t0 := time.Now()
-		must0(proxD.ApplyEvents(bg, b))
-		must(treeD.Update(bg))
-		dt += time.Since(t0)
-	}
-	t.AddRow(prof.Name, "Tree-SVD", dur(dt/time.Duration(len(plan.batches))),
-		pct(sp.Precision(treeD.Embedding(), s, treeD.RightEmbedding())))
-
-	// Tree-SVD-S (rebuild per batch).
-	subT := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-	proxT := ppr.NewProximity(subT, ds.Profile.Nodes, o.treeConfig().Blocks())
-	treeS := must(core.NewTree(proxT.M, o.treeConfig()))
-	var tt time.Duration
-	for _, b := range plan.batches {
-		t0 := time.Now()
-		must0(proxT.ApplyEvents(bg, b))
-		must0(treeS.Build(bg))
-		tt += time.Since(t0)
-	}
-	t.AddRow(prof.Name, "Tree-SVD-S", dur(tt/time.Duration(len(plan.batches))),
-		pct(sp.Precision(treeS.Embedding(), s, treeS.RightEmbedding())))
 }
 
 // RunExp5 reproduces the scalability study: Figure 9's Twitter panel

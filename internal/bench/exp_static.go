@@ -50,9 +50,9 @@ func RunTable1(o Options) *Table {
 
 		gRes := o.runGlobalSTRAP(g, s)
 		rows["Global-STRAP"] = append(rows["Global-STRAP"], pct(o.classify(gRes.Left, labels, cls, o.TrainRatio)))
-		sRes := o.runSubsetSTRAP(g, s, ds.Profile.Nodes)
+		sRes := o.once(o.subsetSTRAP(), g, s, ds.Profile.Nodes)
 		rows["Subset-STRAP"] = append(rows["Subset-STRAP"], pct(o.classify(sRes.Left, labels, cls, o.TrainRatio)))
-		_, dRes := o.runDynPPE(g, s)
+		dRes := o.once(o.dynPPE(), g, s, ds.Profile.Nodes)
 		rows["DynPPE"] = append(rows["DynPPE"], pct(o.classify(dRes.Left, labels, cls, o.TrainRatio)))
 	}
 	for _, m := range order {
@@ -76,19 +76,17 @@ func RunFig3(o Options) *Table {
 		labels := ds.LabelsFor(s)
 		cls := ds.Profile.Communities
 
-		type entry struct {
+		for _, e := range []struct {
 			name string
 			res  embedResult
-		}
-		var entries []entry
-		entries = append(entries, entry{"Global-STRAP", o.runGlobalSTRAP(g, s)})
-		entries = append(entries, entry{"Subset-STRAP", o.runSubsetSTRAP(g, s, ds.Profile.Nodes)})
-		_, dres := o.runDynPPE(g, s)
-		entries = append(entries, entry{"DynPPE", dres})
-		entries = append(entries, entry{"FREDE", o.runFREDE(g, s, ds.Profile.Nodes)})
-		entries = append(entries, entry{"RandNE", o.runRandNE(g, s)})
-		entries = append(entries, entry{"Tree-SVD-S", o.runTreeSVDS(g, s, ds.Profile.Nodes, false)})
-		for _, e := range entries {
+		}{
+			{"Global-STRAP", o.runGlobalSTRAP(g, s)},
+			{"Subset-STRAP", o.once(o.subsetSTRAP(), g, s, ds.Profile.Nodes)},
+			{"DynPPE", o.once(o.dynPPE(), g, s, ds.Profile.Nodes)},
+			{"FREDE", o.runFREDE(g, s, ds.Profile.Nodes)},
+			{"RandNE", o.runRandNE(g, s)},
+			{"Tree-SVD-S", o.once(o.treeSVDS(), g, s, ds.Profile.Nodes)},
+		} {
 			t.AddRow(prof.Name, e.name, pct(o.classify(e.res.Left, labels, cls, o.TrainRatio)), dur(e.res.Elapsed))
 		}
 	}
@@ -112,13 +110,13 @@ func RunTable4(o Options) *Table {
 
 		gRes := o.runGlobalSTRAP(tg, s)
 		t.AddRow(prof.Name, "Global-STRAP", pct(sp.Precision(gRes.Left, s, gRes.Right)), dur(gRes.Elapsed))
-		sRes := o.runSubsetSTRAP(tg, s, ds.Profile.Nodes)
+		sRes := o.once(o.subsetSTRAP(), tg, s, ds.Profile.Nodes)
 		t.AddRow(prof.Name, "Subset-STRAP", pct(sp.Precision(sRes.Left, s, sRes.Right)), dur(sRes.Elapsed))
 		fRes := o.runFREDE(tg, s, ds.Profile.Nodes)
 		t.AddRow(prof.Name, "FREDE", pct(sp.Precision(fRes.Left, s, fRes.Right)), dur(fRes.Elapsed))
 		rRes := o.runRandNE(tg, s)
 		t.AddRow(prof.Name, "RandNE", pct(sp.PrecisionSameSpace(rRes.Right)), dur(rRes.Elapsed))
-		tRes := o.runTreeSVDS(tg, s, ds.Profile.Nodes, true)
+		tRes := o.once(o.treeSVDS(), tg, s, ds.Profile.Nodes)
 		t.AddRow(prof.Name, "Tree-SVD-S", pct(sp.Precision(tRes.Left, s, tRes.Right)), dur(tRes.Elapsed))
 	}
 	t.Notes = append(t.Notes, "expected shape: Tree-SVD-S ≈ Subset-STRAP > Global-STRAP > RandNE > FREDE")

@@ -80,8 +80,8 @@ func RunFig12(o Options) *Table {
 		for _, rmax := range []float64{1e-3, 3e-4, 1e-4, 3e-5} {
 			oo := o
 			oo.RMax = rmax
-			sRes := oo.runSubsetSTRAP(g, s, ds.Profile.Nodes)
-			tRes := oo.runTreeSVDS(g, s, ds.Profile.Nodes, false)
+			sRes := oo.once(oo.subsetSTRAP(), g, s, ds.Profile.Nodes)
+			tRes := oo.once(oo.treeSVDS(), g, s, ds.Profile.Nodes)
 			t.AddRow(prof.Name, fmt.Sprintf("%.0e", rmax),
 				dur(sRes.Elapsed), pct(o.classify(sRes.Left, labels, cls, o.TrainRatio)),
 				dur(tRes.Elapsed), pct(o.classify(tRes.Left, labels, cls, o.TrainRatio)))
@@ -107,22 +107,9 @@ func RunFig13(o Options) *Table {
 		for _, delta := range []float64{0.05, 0.2, 0.45, 0.65, 0.9} {
 			cfg := o.treeConfig()
 			cfg.Delta = delta
-			sub := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-			prox := ppr.NewProximity(sub, ds.Profile.Nodes, cfg.Blocks())
-			tree := must(core.NewTree(prox.M, cfg))
-			must0(tree.Build(bg))
-			var elapsed time.Duration
-			rebuilt := 0
-			for _, b := range plan.batches {
-				t0 := time.Now()
-				must0(prox.ApplyEvents(bg, b))
-				rebuilt += must(tree.Update(bg))
-				elapsed += time.Since(t0)
-			}
-			t.AddRow(prof.Name, fmt.Sprintf("%.2f", delta),
-				dur(elapsed/time.Duration(len(plan.batches))),
-				fmt.Sprint(rebuilt),
-				pct(o.classify(tree.Embedding(), labels, cls, o.TrainRatio)))
+			r := o.stream(o.treeSVD(cfg, false), plan, s, ds.Profile.Nodes)
+			t.AddRow(prof.Name, fmt.Sprintf("%.2f", delta), dur(r.avgUpdate()), fmt.Sprint(r.rebuilt),
+				pct(o.classify(r.left(), labels, cls, o.TrainRatio)))
 		}
 	}
 	t.Notes = append(t.Notes, "expected shape: smaller δ → more rebuilds, slightly better F1")
@@ -141,32 +128,13 @@ func RunFig14(o Options) *Table {
 		ds := o.load(prof)
 		s := ds.SampleSubset(1, o.SubsetSize, o.Seed)
 		plan := o.planBatches(ds, 32, 0.12, nil)
-
-		subD := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		proxD := ppr.NewProximity(subD, ds.Profile.Nodes, o.treeConfig().Blocks())
-		treeD := must(core.NewTree(proxD.M, o.treeConfig()))
-		must0(treeD.Build(bg))
-
-		subS := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		proxS := ppr.NewProximity(subS, ds.Profile.Nodes, o.treeConfig().Blocks())
-		treeS := must(core.NewTree(proxS.M, o.treeConfig()))
-
-		var cumD, cumS time.Duration
+		dyn := o.stream(o.treeSVD(o.treeConfig(), false), plan, s, ds.Profile.Nodes)
+		rebuild := o.stream(o.treeSVDS(), plan, s, ds.Profile.Nodes)
 		events := 0
-		for bi, b := range plan.batches {
-			events += len(b)
-			t0 := time.Now()
-			must0(proxD.ApplyEvents(bg, b))
-			must(treeD.Update(bg))
-			cumD += time.Since(t0)
-
-			t0 = time.Now()
-			must0(proxS.ApplyEvents(bg, b))
-			must0(treeS.Build(bg))
-			cumS += time.Since(t0)
-
-			if n := bi + 1; n == 1 || n == 2 || n == 4 || n == 8 || n == 16 || n == 32 {
-				t.AddRow(prof.Name, fmt.Sprint(n), fmt.Sprint(events), dur(cumD), dur(cumS))
+		for i := range dyn.cum {
+			events += len(plan.batches[i])
+			if n := i + 1; n&(n-1) == 0 {
+				t.AddRow(prof.Name, fmt.Sprint(n), fmt.Sprint(events), dur(dyn.cum[i]), dur(rebuild.cum[i]))
 			}
 		}
 	}
@@ -179,7 +147,7 @@ func RunFig14(o Options) *Table {
 func RunAblations(o Options) *Table {
 	t := &Table{
 		Title:  "Ablations: lazy-update trigger",
-		Header: []string{"Variant", "Build", "AvgUpdate", "Rebuilds", "Micro-F1"},
+		Header: []string{"Variant", "Start", "AvgUpdate", "Rebuilds", "Micro-F1"},
 	}
 	prof := dataset.Patent()
 	ds := o.load(prof)
@@ -188,57 +156,16 @@ func RunAblations(o Options) *Table {
 	cls := ds.Profile.Communities
 	plan := o.planBatches(ds, exp4NumBatches, exp4Churn, nil)
 
-	type variant struct {
-		name    string
-		nnzTrig bool // replace Eqn. 2 with a naive nnz-based trigger
-	}
-	for _, v := range []variant{
-		{"gaussian+frobenius", false},
-		{"gaussian+nnz-trigger", true},
-	} {
-		cfg := o.treeConfig()
-		sub := must(ppr.NewSubset(plan.startGraph.Clone(), s, o.params()))
-		prox := ppr.NewProximity(sub, ds.Profile.Nodes, cfg.Blocks())
-		tree := must(core.NewTree(prox.M, cfg))
-		t0 := time.Now()
-		must0(tree.Build(bg))
-		buildTime := time.Since(t0)
-		var upd time.Duration
-		rebuilds := 0
-		baseNNZ := blockNNZs(prox)
-		for _, b := range plan.batches {
-			ts := time.Now()
-			must0(prox.ApplyEvents(bg, b))
-			if v.nnzTrig {
-				// Naive trigger: rebuild a block when its nnz changed by
-				// >10% since its last rebuild (no error guarantee).
-				cur := blockNNZs(prox)
-				for j := range cur {
-					lo := baseNNZ[j] * 9 / 10
-					hi := baseNNZ[j] * 11 / 10
-					if cur[j] < lo || cur[j] > hi {
-						rebuilds += must(tree.ForceRebuildBlock(bg, j))
-						baseNNZ[j] = cur[j]
-					}
-				}
-			} else {
-				rebuilds += must(tree.Update(bg))
-			}
-			upd += time.Since(ts)
-		}
-		t.AddRow(v.name, dur(buildTime), dur(upd/time.Duration(len(plan.batches))),
-			fmt.Sprint(rebuilds), pct(o.classify(tree.Embedding(), labels, cls, o.TrainRatio)))
+	for _, v := range []struct {
+		name       string
+		nnzTrigger bool
+	}{{"gaussian+frobenius", false}, {"gaussian+nnz-trigger", true}} {
+		r := o.stream(o.treeSVD(o.treeConfig(), v.nnzTrigger), plan, s, ds.Profile.Nodes)
+		t.AddRow(v.name, dur(r.start), dur(r.avgUpdate()), fmt.Sprint(r.rebuilt),
+			pct(o.classify(r.left(), labels, cls, o.TrainRatio)))
 	}
 	t.Notes = append(t.Notes, "Eqn. 2's Frobenius trigger is the guaranteed one; nnz trigger is the heuristic the paper argues against")
 	return t
-}
-
-func blockNNZs(prox *ppr.Proximity) []int {
-	out := make([]int, prox.M.NumBlocks())
-	for j := range out {
-		out[j] = prox.M.BlockNNZ(j)
-	}
-	return out
 }
 
 // RunFutureWork implements the paper's conclusion-section direction:
@@ -270,7 +197,7 @@ func RunFutureWork(o Options) *Table {
 			labels := ds.LabelsFor(k.nodes)
 			classes := ds.Profile.Communities
 			gF1 := o.classify(baselines.SubsetRows(globalEmb, k.nodes), labels, classes, o.TrainRatio)
-			sRes := o.runTreeSVDS(g, k.nodes, ds.Profile.Nodes, false)
+			sRes := o.once(o.treeSVDS(), g, k.nodes, ds.Profile.Nodes)
 			sF1 := o.classify(sRes.Left, labels, classes, o.TrainRatio)
 			t.AddRow(prof.Name, fmt.Sprintf("%s(|S|=%d)", k.name, len(k.nodes)),
 				pct(gF1), pct(sF1), fmt.Sprintf("%+.2f", 100*(sF1-gF1)))

@@ -14,9 +14,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
-// linalgDense shortens signatures inside the harness.
-type linalgDense = linalg.Dense
-
 // bg is the harness-wide context: experiments always run to completion.
 var bg = context.Background()
 
@@ -113,25 +110,163 @@ func (o Options) buildProximity(g *graph.Graph, s []int32, maxNodes int) *ppr.Pr
 	return ppr.NewProximity(sub, maxNodes, o.treeConfig().Blocks())
 }
 
-// runTreeSVDS is Tree-SVD-S: full pipeline from the graph.
-func (o Options) runTreeSVDS(g *graph.Graph, s []int32, maxNodes int, needRight bool) embedResult {
+// method is one entry of the streamed-method table: a name and an
+// untimed start that builds the method's state on a graph.
+type method struct {
+	name  string
+	start func(g *graph.Graph, s []int32, maxNodes int) streamed
+}
+
+// streamed is a started method: its timed per-batch step, split into PPR
+// maintenance (apply) and re-factorization (factor, nil for a method with
+// none), and its current factors (right is nil for a same-space method).
+type streamed struct {
+	apply       func(b []graph.Event)
+	factor      func() (rebuilt int)
+	left, right func() *linalg.Dense
+}
+
+// dynPPE is the hashing-based DynPPE: its ApplyEvents re-hashes the
+// repaired PPR entries, with no factorization step.
+func (o Options) dynPPE() method {
+	return method{"DynPPE", func(g *graph.Graph, s []int32, _ int) streamed {
+		// DynPPE tolerates (and the paper gives it) a finer r_max since it
+		// skips the SVD; we keep the shared r_max for apples-to-apples PPR.
+		d := must(baselines.NewDynPPE(g, s, o.params(), o.Dim, o.Seed))
+		return streamed{apply: func(b []graph.Event) { must0(d.ApplyEvents(bg, b)) }, left: d.Embedding}
+	}}
+}
+
+// subsetSTRAP maintains the proximity matrix and re-factorizes it from
+// scratch with STRAP after every batch.
+func (o Options) subsetSTRAP() method {
+	return method{"Subset-STRAP", func(g *graph.Graph, s []int32, maxNodes int) streamed {
+		prox := o.buildProximity(g, s, maxNodes)
+		var r *baselines.STRAPResult
+		return streamed{
+			apply: func(b []graph.Event) { must0(prox.ApplyEvents(bg, b)) },
+			factor: func() int {
+				r = must(baselines.STRAP(prox.M.ToCSR(), o.Dim, o.Seed, o.Workers))
+				return 0
+			},
+			left:  func() *linalg.Dense { return r.Left },
+			right: func() *linalg.Dense { return r.Right },
+		}
+	}}
+}
+
+// treeSVDS is Tree-SVD-S: the proximity matrix maintained, the tree
+// rebuilt from scratch (Build) after every batch.
+func (o Options) treeSVDS() method {
+	return method{"Tree-SVD-S", func(g *graph.Graph, s []int32, maxNodes int) streamed {
+		prox := o.buildProximity(g, s, maxNodes)
+		tree := must(core.NewTree(prox.M, o.treeConfig()))
+		return treeStreamed(prox, tree, func() int {
+			must0(tree.Build(bg))
+			return tree.Stats().Level1Rebuilt
+		})
+	}}
+}
+
+// treeSVD is dynamic Tree-SVD under cfg (its δ included): built once,
+// then the Eqn. 2 lazy trigger (Update) after every batch. nnzTrigger
+// swaps Eqn. 2 for the ablation's naive trigger: re-factor a block when
+// its nnz moved by more than 10% since its last rebuild (no error
+// guarantee).
+func (o Options) treeSVD(cfg core.Config, nnzTrigger bool) method {
+	return method{"Tree-SVD", func(g *graph.Graph, s []int32, maxNodes int) streamed {
+		prox := o.buildProximity(g, s, maxNodes)
+		tree := must(core.NewTree(prox.M, cfg))
+		must0(tree.Build(bg))
+		if !nnzTrigger {
+			return treeStreamed(prox, tree, func() int { return must(tree.Update(bg)) })
+		}
+		base := blockNNZs(prox)
+		return treeStreamed(prox, tree, func() int {
+			rebuilt := 0
+			for j, nnz := range blockNNZs(prox) {
+				if nnz < base[j]*9/10 || nnz > base[j]*11/10 {
+					rebuilt += must(tree.ForceRebuildBlock(bg, j))
+					base[j] = nnz
+				}
+			}
+			return rebuilt
+		})
+	}}
+}
+
+// treeStreamed is the step shared by both tree methods: proximity
+// maintenance, then factor on the tree.
+func treeStreamed(prox *ppr.Proximity, tree *core.Tree, factor func() int) streamed {
+	return streamed{
+		apply:  func(b []graph.Event) { must0(prox.ApplyEvents(bg, b)) },
+		factor: factor,
+		left:   tree.Embedding,
+		right:  tree.RightEmbedding,
+	}
+}
+
+func blockNNZs(prox *ppr.Proximity) []int {
+	out := make([]int, prox.M.NumBlocks())
+	for j := range out {
+		out[j] = prox.M.BlockNNZ(j)
+	}
+	return out
+}
+
+// once is m's static embedding: its start and one factorization, timed
+// together.
+func (o Options) once(m method, g *graph.Graph, s []int32, maxNodes int) embedResult {
 	t0 := time.Now()
-	prox := o.buildProximity(g, s, maxNodes)
-	tree := must(core.NewTree(prox.M, o.treeConfig()))
-	must0(tree.Build(bg))
-	res := embedResult{Left: tree.Embedding(), Elapsed: time.Since(t0)}
-	if needRight {
-		res.Right = tree.RightEmbedding()
+	st := m.start(g, s, maxNodes)
+	if st.factor != nil {
+		st.factor()
+	}
+	res := embedResult{Left: st.left(), Elapsed: time.Since(t0)}
+	if st.right != nil {
+		res.Right = st.right()
 	}
 	return res
 }
 
-// runSubsetSTRAP re-factorizes the full proximity matrix from scratch.
-func (o Options) runSubsetSTRAP(g *graph.Graph, s []int32, maxNodes int) embedResult {
+// streamRun is one method streamed through a batch plan.
+type streamRun struct {
+	streamed
+	// start is the untimed start's wall time.
+	start time.Duration
+	// cum[i] is the apply+factor time of batches 0..i.
+	cum []time.Duration
+	// factorTime is the factor share of cum's last entry.
+	factorTime time.Duration
+	// rebuilt sums the level-1 blocks every factor step re-factored.
+	rebuilt int
+}
+
+// stream starts m on a clone of the plan's start graph and runs its
+// per-batch step over every batch.
+func (o Options) stream(m method, plan batchPlan, s []int32, maxNodes int) streamRun {
+	g := plan.startGraph.Clone()
 	t0 := time.Now()
-	st := must(baselines.NewSubsetSTRAP(g, s, o.params(), maxNodes, o.Dim, o.Seed))
-	r := must(st.Factorize())
-	return embedResult{Left: r.Left, Right: r.Right, Elapsed: time.Since(t0)}
+	r := streamRun{streamed: m.start(g, s, maxNodes)}
+	r.start = time.Since(t0)
+	var total time.Duration
+	for _, b := range plan.batches {
+		t0 = time.Now()
+		r.apply(b)
+		if r.factor != nil {
+			t1 := time.Now()
+			r.rebuilt += r.factor()
+			r.factorTime += time.Since(t1)
+		}
+		total += time.Since(t0)
+		r.cum = append(r.cum, total)
+	}
+	return r
+}
+
+// avgUpdate is the mean apply+factor time per batch.
+func (r streamRun) avgUpdate() time.Duration {
+	return r.cum[len(r.cum)-1] / time.Duration(len(r.cum))
 }
 
 // runGlobalSTRAP embeds every node with a coarser budget and extracts S.
@@ -144,15 +279,6 @@ func (o Options) runGlobalSTRAP(g *graph.Graph, s []int32) embedResult {
 		Right:   r.Right,
 		Elapsed: time.Since(t0),
 	}
-}
-
-// runDynPPE builds the hashing-based embedding from scratch.
-func (o Options) runDynPPE(g *graph.Graph, s []int32) (*baselines.DynPPE, embedResult) {
-	t0 := time.Now()
-	// DynPPE tolerates (and the paper gives it) a finer r_max since it
-	// skips the SVD; we keep the shared r_max for apples-to-apples PPR.
-	d := must(baselines.NewDynPPE(g, s, o.params(), o.Dim, o.Seed))
-	return d, embedResult{Left: d.Embedding(), Elapsed: time.Since(t0)}
 }
 
 // runFREDE sketches the forward-PPR rows. Unlike the STRAP-family methods

@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is a printable experiment result.
@@ -31,13 +32,10 @@ func (t *Table) AddRow(cells ...string) {
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -66,11 +64,9 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
+// pad right-pads s to w runes: "µ" is one column but two bytes.
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }
 
 // pct formats a [0,1] fraction as a percentage with two decimals.

@@ -58,15 +58,16 @@ const (
 //	go tool pprof -tagfocus treesvd_stage=tree.level1 cpu.out
 const StageLabel = obs.StageLabel
 
-// DurationStats summarizes a latency distribution: lifetime count and
-// mean, plus min/max/quantiles over a sliding window of recent
+// DurationStats summarizes a latency distribution: lifetime count, mean,
+// min and max, plus quantiles over a sliding window of recent
 // observations (see Metrics for which operation each instance spans).
 type DurationStats struct {
 	// Count is the lifetime number of observations; Mean the lifetime
 	// average.
 	Count uint64
 	Mean  time.Duration
-	// Min, Max and the quantiles describe the recent-window distribution.
+	// Min and Max are lifetime extremes too; the quantiles describe the
+	// window of the 512 most recent observations.
 	Min, Max, P50, P90, P99, P999 time.Duration
 }
 
