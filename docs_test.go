@@ -2,7 +2,6 @@ package treesvd
 
 import (
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -17,12 +16,19 @@ var (
 	fencedBlock    = regexp.MustCompile("(?s)```.*?```")
 	codeSpan       = regexp.MustCompile("`[^`]+`")
 	makeInvocation = regexp.MustCompile(`\bmake\s+([a-z][a-z0-9-]*)`)
-	cmdPath        = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
+	programPath    = regexp.MustCompile(`\b(?:cmd|examples)/[a-z][a-z0-9_]*`)
+	// settingRef matches Config.X, DurableConfig.X and server.Options.X
+	// (treesvd. optional), and the X.{A, B} list form.
+	settingRef = regexp.MustCompile(`(?:^|[^\w.])((?:treesvd\.)?(?:Config|DurableConfig)|server\.Options)\.(\{[^}]*\}|[A-Z]\w*)`)
 )
 
+// readmeBudget is the most lines README.md may hold.
+const readmeBudget = 350
+
 // TestDocsNameLiveTargets fails when a live document tells the reader to
-// run a make target the Makefile does not define, or names a command
-// under cmd/ that does not exist.
+// run a make target the Makefile does not define, names a program under
+// cmd/ or examples/ that does not exist, or names in backticks a field of
+// Config, DurableConfig or server.Options that the code does not declare.
 func TestDocsNameLiveTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -31,6 +37,16 @@ func TestDocsNameLiveTargets(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range makefileTarget.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
+	}
+	declared := map[string]bool{} // "Config.Dim", "server.Options.MaxBatchEvents", ...
+	for dir, prefix := range map[string]string{".": "", "server": "server."} {
+		for name, st := range parseStructs(t, dir) {
+			for _, f := range st.Fields.List {
+				for _, n := range f.Names {
+					declared[prefix+name+"."+n.Name] = true
+				}
+			}
+		}
 	}
 	for _, doc := range liveDocs {
 		data, err := os.ReadFile(doc)
@@ -47,11 +63,31 @@ func TestDocsNameLiveTargets(t *testing.T) {
 					t.Errorf("%s: %q names make target %q, which the Makefile does not define", doc, strings.Join(strings.Fields(span), " "), m[1])
 				}
 			}
-		}
-		for _, m := range cmdPath.FindAllStringSubmatch(text, -1) {
-			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s: names %s, which is not a directory", doc, m[0])
+			for _, m := range settingRef.FindAllStringSubmatch(span, -1) {
+				typ := strings.TrimPrefix(m[1], "treesvd.")
+				for _, field := range strings.Split(strings.Trim(m[2], "{}"), ",") {
+					if field = strings.TrimSpace(field); !declared[typ+"."+field] {
+						t.Errorf("%s: names %s.%s, a field the code does not declare", doc, m[1], field)
+					}
+				}
 			}
 		}
+		for _, m := range programPath.FindAllString(text, -1) {
+			if fi, err := os.Stat(m); err != nil || !fi.IsDir() {
+				t.Errorf("%s: names %s, which is not a directory", doc, m)
+			}
+		}
+	}
+}
+
+// TestReadmeWithinBudget fails when README.md grows past readmeBudget
+// lines: numbers an artifact or EXPERIMENTS.md holds belong there.
+func TestReadmeWithinBudget(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > readmeBudget {
+		t.Errorf("README.md has %d lines, budget %d", n, readmeBudget)
 	}
 }

@@ -43,13 +43,10 @@ type DurableConfig struct {
 	// bytes (default 4 MiB).
 	SegmentSize int64
 	// CheckpointEvery takes a checkpoint after this many applied batches
-	// (default 64); negative disables automatic checkpoints (use the
-	// Checkpoint method).
+	// (default 64): the state is captured inside ApplyEvents and written
+	// by a background goroutine. Negative disables automatic checkpoints;
+	// the Checkpoint method takes one synchronously.
 	CheckpointEvery int
-	// SyncCheckpoints takes checkpoints synchronously inside ApplyEvents
-	// instead of in a background goroutine. Deterministic and slower; the
-	// fault-injection harness depends on it.
-	SyncCheckpoints bool
 	// StrictRecovery makes Open fail with a *CorruptStateError on any WAL
 	// damage beyond a pure torn tail (a crash artifact). By default such
 	// damage degrades the log to its longest verifiable prefix and is
@@ -134,7 +131,7 @@ type DurableEmbedder struct {
 	w      *wal.Writer
 	closed bool
 	// pending is a batch that reached the WAL but whose in-memory apply
-	// failed (cancellation, self-check). It must be re-applied before
+	// failed (cancellation). It must be re-applied before
 	// anything else so memory never falls behind the log; edge events are
 	// set operations, so re-applying a partially applied batch in order is
 	// idempotent.
@@ -371,8 +368,8 @@ func (d *DurableEmbedder) Dir() string { return d.dir }
 // embedder, which publishes a new snapshot. Once ApplyEvents returns nil
 // the batch will survive a crash.
 //
-// If the in-memory apply fails after the batch was logged (cancellation,
-// a failed self-check), the error is returned and the batch is retried
+// If the in-memory apply fails after the batch was logged (cancellation),
+// the error is returned and the batch is retried
 // in front of the next call, so memory never falls behind the log.
 func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int, error) {
 	if ctx == nil {
@@ -509,9 +506,6 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	if d.cfg.CheckpointEvery < 0 || d.sinceCkpt < d.cfg.CheckpointEvery {
 		return nil
 	}
-	if d.cfg.SyncCheckpoints {
-		return d.checkpointLocked(seq)
-	}
 	d.ckptMu.Lock()
 	busy := d.ckptBusy
 	if !busy {
@@ -566,7 +560,7 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 // checkpoint that remains. Safe to run concurrently with Append — it only
 // touches checkpoint files and sealed segments. It records the commit in
 // the checkpoint metrics and fires TraceCheckpoint (from the background
-// checkpoint goroutine unless SyncCheckpoints is set).
+// checkpoint goroutine for a periodic checkpoint).
 func (d *DurableEmbedder) commitCheckpoint(seq uint64, payload []byte) error {
 	start := time.Now()
 	err := d.writeCheckpointFiles(seq, payload)

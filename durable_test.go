@@ -46,8 +46,7 @@ func newDurableFixture(t testing.TB) *durableFixture {
 		batches: batches,
 		cfg: DurableConfig{
 			Config:          Config{Dim: 4, Branch: 4, Levels: 2, MaxNodes: 24, Seed: 5},
-			CheckpointEvery: 2,
-			SyncCheckpoints: true,
+			CheckpointEvery: -1,  // see checkpointAfter
 			SegmentSize:     256, // a few records per segment: rotation is on every crash path
 		},
 	}
@@ -90,6 +89,16 @@ func requireMatClose(t testing.TB, got, want [][]float64, label string) {
 	}
 }
 
+// checkpointAfter takes the fixture's checkpoint after every 2nd
+// acknowledged batch. It is synchronous, so a fault sweep meets every
+// checkpoint operation at the same point of every run.
+func checkpointAfter(d *DurableEmbedder, acked int) error {
+	if acked%2 != 0 {
+		return nil
+	}
+	return d.Checkpoint()
+}
+
 // runWorkload drives the whole fixture stream through a durable embedder
 // on fsys, stopping at the first error the way a dying process would.
 func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, createFailed bool, err error) {
@@ -102,6 +111,9 @@ func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, creat
 			return acked, false, err
 		}
 		acked++
+		if err := checkpointAfter(d, acked); err != nil {
+			return acked, false, err
+		}
 	}
 	return acked, false, d.Close()
 }
@@ -464,7 +476,7 @@ func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
 func TestCloseReportsFirstCheckpointError(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
-	cfg.SyncCheckpoints, cfg.CheckpointEvery, cfg.SegmentSize = false, 1, 0
+	cfg.CheckpointEvery, cfg.SegmentSize = 1, 0
 	// Size the plan with a probe: Create's fsyncs, then the first batch's
 	// WAL append, then the first background checkpoint's file fsync.
 	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.SyncError})
@@ -507,7 +519,7 @@ func TestCloseReportsFirstCheckpointError(t *testing.T) {
 // operation until a run completes with no fault fired — so every crash
 // point of the workload (record appends, segment rotations, checkpoint
 // writes, renames, prunes) is visited exactly once. After every fault,
-// Open must land on a self-check-clean state equal to a committed prefix
+// Open must land on an audit-clean state equal to a committed prefix
 // of the stream (never shorter than what was acknowledged: every
 // acknowledged batch is fsynced), and the store must accept further
 // updates.
@@ -631,6 +643,17 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 			_, err := d.ApplyEvents(nil, fx.batches[applied])
 			if err == nil {
 				applied++
+				if err := checkpointAfter(d, applied); err != nil {
+					// The checkpoint I/O hit ENOSPC after the batch was
+					// logged and applied. The store must not be sealed.
+					if !ffs.Fired() {
+						t.Fatalf("%s: checkpoint after batch %d failed without the fault firing: %v", label, applied-1, err)
+					}
+					if d.Degraded() != nil {
+						t.Fatalf("%s: checkpoint failure sealed the store: %v", label, err)
+					}
+					ffs.Clear()
+				}
 				continue
 			}
 			if !ffs.Fired() {
@@ -674,13 +697,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 				}
 				continue
 			}
-			// Not an append failure: the checkpoint I/O hit ENOSPC after the
-			// batch was logged and applied. The store must not be sealed.
-			if d.Degraded() != nil {
-				t.Fatalf("%s: checkpoint failure sealed the store: %v", label, err)
-			}
-			applied++
-			ffs.Clear()
+			t.Fatalf("%s: batch %d failed with %v, want a *DegradedError", label, applied, err)
 		}
 		if sealed {
 			degradedPoints++

@@ -3,6 +3,7 @@ package treesvd_test
 import (
 	"context"
 	"fmt"
+	"os"
 
 	treesvd "github.com/tree-svd/treesvd"
 )
@@ -124,4 +125,44 @@ func ExampleEmbedder_SetTraceHook() {
 	emb.SetTraceHook(nil) // detach; later batches fire no events
 	fmt.Printf("starts=%d ends=%d\n", starts, ends)
 	// Output: starts=2 ends=2
+}
+
+func ExampleCreate() {
+	dir, err := os.MkdirTemp("", "treesvd-example-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	// CheckpointEvery -1 turns the periodic background checkpoint off:
+	// checkpoints happen only when Checkpoint is called.
+	cfg := treesvd.DurableConfig{Config: treesvd.Config{Dim: 4, MaxNodes: 40}, CheckpointEvery: -1}
+	d, err := treesvd.Create(dir, ringGraph(32), []int32{0, 8, 16, 24}, cfg)
+	if err != nil {
+		panic(err)
+	}
+	for v := int32(0); v < 3; v++ {
+		// Each batch is fsynced to the write-ahead log before it applies.
+		if _, err := d.ApplyEvents(context.Background(), []treesvd.Event{{U: v, V: 32 + v, Type: treesvd.Insert}}); err != nil {
+			panic(err)
+		}
+		if v == 1 {
+			if err := d.Checkpoint(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	if err := d.Close(); err != nil {
+		panic(err)
+	}
+
+	// Open restores the newest checkpoint and replays the log past it.
+	d, err = treesvd.Open(dir, cfg)
+	if err != nil {
+		panic(err)
+	}
+	defer d.Close()
+	info := d.Recovery()
+	fmt.Printf("checkpoint after batch %d, %d batch replayed, %d edges\n",
+		info.CheckpointSeq, info.ReplayedBatches, d.Embedder().Graph().NumEdges())
+	// Output: checkpoint after batch 2, 1 batch replayed, 67 edges
 }

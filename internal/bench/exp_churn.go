@@ -12,8 +12,8 @@ import (
 // RunChurnStress drives the dynamic pipeline through the correctness
 // harness's adversarial churn streams — the same dataset.GenerateChurn
 // profiles the differential fuzzer uses, scaled up — with the
-// internal/check invariant auditors running after every batch, exactly
-// what Config.SelfCheck wires into the facade. It reports the cost of
+// internal/check invariant auditors running after every batch, the set
+// Embedder.Audit runs. It reports the cost of
 // the audited dynamic path (AvgUpdate includes the audits) next to the
 // final divergence from a fresh rebuild.
 func RunChurnStress(o Options) *Table {
@@ -65,7 +65,7 @@ func RunChurnStress(o Options) *Table {
 				must0(prox.ApplyEvents(bg, b))
 				must(tree.Update(bg))
 			}
-			// The Config.SelfCheck auditor set, timed as part of the update.
+			// The auditors Embedder.Audit runs, timed as part of the update.
 			must0(check.PPRSubset(sub))
 			must0(prox.M.AuditRecount())
 			must0(tree.AuditShapes())

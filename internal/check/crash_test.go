@@ -4,7 +4,7 @@
 // ground-truth embedding after every batch prefix, and a durable embedder
 // whose filesystem dies mid-stream at a seed-derived fault point. After
 // the "crash", the store is reopened on the real filesystem and must land
-// on a self-check-clean state equal to a committed prefix of the stream —
+// on an audit-clean state equal to a committed prefix of the stream —
 // never shorter than what the WAL acknowledged under per-batch fsync —
 // and must then track the shadow for the rest of the stream.
 package check_test
@@ -66,10 +66,11 @@ func runCrashSeed(t *testing.T, seed int64) {
 	cfg := treesvd.DurableConfig{
 		Config: treesvd.Config{
 			Dim: 4, Branch: 4, Levels: 2,
-			MaxNodes: maxNodes, Seed: seed + 1, SelfCheck: true,
+			MaxNodes: maxNodes, Seed: seed + 1,
 		},
-		CheckpointEvery: 2,
-		SyncCheckpoints: true,
+		// Checkpoints are taken explicitly, after every 2nd acknowledged
+		// batch, so the fault points fall at the same operations every run.
+		CheckpointEvery: -1,
 		SegmentSize:     256, // a few records per segment: rotation is on the crash path
 	}
 	initial, batches := dataset.GenerateChurn(dataset.ChurnProfile{
@@ -90,6 +91,9 @@ func runCrashSeed(t *testing.T, seed int64) {
 	for i, b := range batches {
 		if _, err := shadowEmb.ApplyEvents(ctx, b); err != nil {
 			t.Fatalf("shadow batch %d: %v", i, err)
+		}
+		if err := shadowEmb.Audit(); err != nil {
+			t.Fatalf("shadow batch %d: audit: %v", i, err)
 		}
 		shadow = append(shadow, cloneMat(shadowEmb.Embedding()))
 	}
@@ -116,6 +120,12 @@ func runCrashSeed(t *testing.T, seed int64) {
 				break
 			}
 			acked++
+			if err := d.Embedder().Audit(); err != nil {
+				t.Fatalf("seed %d: batch %d: audit: %v", seed, acked-1, err)
+			}
+			if acked%2 == 0 && d.Checkpoint() != nil {
+				break
+			}
 		}
 		// A dying process never runs Close; leak the handle like a crash
 		// would. (Close on a poisoned writer would only re-report the fault.)
@@ -152,6 +162,9 @@ func runCrashSeed(t *testing.T, seed int64) {
 	for i, b := range batches[prefix:] {
 		if _, err := rec.ApplyEvents(ctx, b); err != nil {
 			t.Fatalf("seed %d: post-recovery batch %d: %v", seed, prefix+i, err)
+		}
+		if err := rec.Embedder().Audit(); err != nil {
+			t.Fatalf("seed %d: post-recovery batch %d: audit: %v", seed, prefix+i, err)
 		}
 		requireClose(t, rec.Embedder().Embedding(), shadow[prefix+i+1], "post-recovery embedding")
 	}

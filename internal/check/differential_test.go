@@ -1,7 +1,7 @@
 // Differential/metamorphic fuzzer for the dynamic Tree-SVD pipeline
 // (ISSUE 3 tentpole). It lives in the external test package of
 // internal/check so it can drive the public treesvd facade — treesvd
-// imports check for Config.SelfCheck, so the reverse import is only legal
+// imports check for Embedder.Audit, so the reverse import is only legal
 // from a _test package.
 //
 // For every seed, an adversarial churn stream (self-loops, deletes,
@@ -10,8 +10,8 @@
 // batch the incrementally maintained embedder is compared against a fresh
 // New on an identically-evolved clone of the graph:
 //
-//   - the internal invariant auditors must stay green (Config.SelfCheck
-//     runs them before every publish; Audit re-checks via the public API),
+//   - the internal invariant auditors (Embedder.Audit) must stay green
+//     after every batch, on the live and on the restored embedder,
 //   - the relative reconstruction error must stay within the fresh
 //     rebuild's error plus the Eqn. 2 lazy slack √2·δ (Theorems 3.2/3.7)
 //     plus a small drift margin for the PPR estimates themselves,
@@ -162,7 +162,7 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 	const saveAt = 2  // the batch after which the embedder and the shadow tree are restored
 	cfg := treesvd.Config{
 		Dim: 8, RMax: rmax, Branch: 4, Levels: 3,
-		MaxNodes: maxNodes, Seed: seed + 1, SelfCheck: true,
+		MaxNodes: maxNodes, Seed: seed + 1,
 	}
 	if seed%2 == 0 {
 		cfg.Delta = 1e-12 // eager: every touched block re-factors, sharp compare
@@ -420,6 +420,9 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 		} else if restored != nil {
 			if _, err := restored.ApplyEvents(ctx, batch); err != nil {
 				t.Fatalf("batch %d: restored ApplyEvents: %v", b, err)
+			}
+			if err := restored.Audit(); err != nil {
+				t.Fatalf("batch %d: restored audit: %v", b, err)
 			}
 			xr := restored.Embedding()
 			for i := range xi {

@@ -27,5 +27,5 @@
 // The differential/metamorphic fuzzer lives in this package's external
 // test suite (package check_test), which may import the public treesvd
 // facade without creating an import cycle; treesvd itself imports this
-// package for its opt-in Config.SelfCheck hook.
+// package for Embedder.Audit and the audit Load and Open run.
 package check

@@ -109,8 +109,8 @@ const exactTol = 1e-9
 // correction that moves estimate mass without the matching residue (the
 // self-loop bug class) passes the cheap PPRState accounting but fails
 // here, because the corrupted estimates are compared against ground
-// truth. O(iterations·|E|) per call: harness-only, not for production
-// self-checks.
+// truth. O(iterations·|E|) per call: harness-only, not part of
+// Embedder.Audit.
 func PPRExact(g *graph.Graph, params ppr.Params, st *ppr.State) error {
 	if st == nil {
 		return fmt.Errorf("check: nil PPR state")

@@ -10,8 +10,8 @@ import (
 // AuditShapes verifies the tree's cached nodes against the matrix it
 // wraps and the geometry its configuration implies: no node before the
 // first pass, then every level of levelCounts fully populated, each node
-// passing validNode and validProjection. O(nodes) — cheap enough for
-// per-update self-checks.
+// passing validNode and validProjection. O(nodes) — cheap enough to
+// run after every update (Embedder.Audit).
 func (t *Tree) AuditShapes() error {
 	if !t.built {
 		if len(t.levels) != 0 {

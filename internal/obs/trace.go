@@ -23,18 +23,14 @@ const (
 	// fallback path), with Dur and Err.
 	TraceRebuild
 	// TraceCheckpoint fires when a durable checkpoint commit finishes —
-	// from a background goroutine unless SyncCheckpoints is set. Seq is
-	// the batch sequence the checkpoint covers.
+	// from the background checkpoint goroutine for a periodic checkpoint,
+	// inline for an explicit Checkpoint call. Seq is the batch sequence
+	// the checkpoint covers.
 	TraceCheckpoint
 	// TraceRecovery fires once at the end of a successful Open, after
 	// replay and audit. Seq is the recovered checkpoint's sequence,
 	// Rebuilt the number of WAL batches replayed on top of it.
 	TraceRecovery
-	// TraceShed fires when the serving layer's admission control refuses
-	// a request: every in-flight slot was taken and the wait queue (or
-	// the request's deadline budget) was exhausted. Endpoint names the
-	// gate, Dur how long the request waited before being shed.
-	TraceShed
 	// TraceDegraded fires on both edges of the durable layer's read-only
 	// degraded mode: sealing (Err is the WAL I/O failure that caused it)
 	// and reopening (Err nil). Seq is the WAL sequence the transition
@@ -60,8 +56,6 @@ func (k TraceKind) String() string {
 		return "checkpoint"
 	case TraceRecovery:
 		return "recovery"
-	case TraceShed:
-		return "shed"
 	case TraceDegraded:
 		return "degraded"
 	}
@@ -72,14 +66,13 @@ func (k TraceKind) String() string {
 // documented on the respective TraceKind are meaningful; the rest are
 // zero.
 type TraceEvent struct {
-	Kind     TraceKind
-	Seq      uint64        // snapshot version / batch or checkpoint sequence
-	Block    int           // block index (TraceBlockRecompute), else -1
-	Events   int           // batch size (TraceBatchStart)
-	Rebuilt  int           // blocks re-factored / batches replayed
-	Endpoint string        // shedding admission gate (TraceShed), else ""
-	Dur      time.Duration // duration of the completed phase
-	Err      error         // terminal error of the phase, nil on success
+	Kind    TraceKind
+	Seq     uint64        // snapshot version / batch or checkpoint sequence
+	Block   int           // block index (TraceBlockRecompute), else -1
+	Events  int           // batch size (TraceBatchStart)
+	Rebuilt int           // blocks re-factored / batches replayed
+	Dur     time.Duration // duration of the completed phase
+	Err     error         // terminal error of the phase, nil on success
 }
 
 // TraceHook receives pipeline trace events. A nil hook costs one branch

@@ -44,7 +44,6 @@ const (
 	TraceRebuild        = obs.TraceRebuild
 	TraceCheckpoint     = obs.TraceCheckpoint
 	TraceRecovery       = obs.TraceRecovery
-	TraceShed           = obs.TraceShed
 	TraceDegraded       = obs.TraceDegraded
 	// TraceBlockUpdate is retired and never fired; named by
 	// benchmark/trace.go, delete with ROADMAP item 1's seam.
@@ -52,7 +51,7 @@ const (
 )
 
 // StageLabel is the pprof label key the pipeline sets around every stage
-// (ppr.apply, tree.level1, tree.merge, audit, publish). Profile a running
+// (ppr.apply, tree.level1, tree.merge, publish). Profile a running
 // embedder and focus on one stage with
 //
 //	go tool pprof -tagfocus treesvd_stage=tree.level1 cpu.out

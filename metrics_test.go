@@ -245,17 +245,21 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 	log := &traceLog{}
 	cfg := treesvd.DurableConfig{
 		Config:          treesvd.Config{Dim: 4},
-		CheckpointEvery: 2,
-		SyncCheckpoints: true,
+		CheckpointEvery: -1,
 		Trace:           log.hook,
 	}
 	d, err := treesvd.Create(dir, ringGraph(32), []int32{0, 8, 16}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range chordBatches(32, 4) {
+	for i, b := range chordBatches(32, 4) {
 		if _, err := d.ApplyEvents(context.Background(), b); err != nil {
 			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	m := d.Metrics()

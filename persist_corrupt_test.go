@@ -412,6 +412,45 @@ func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresRetiredSelfCheck: a save whose Config still carries the
+// removed SelfCheck field, set, loads to the same embedder and saves back
+// to the bytes of a save that never had it.
+func TestLoadIgnoresRetiredSelfCheck(t *testing.T) {
+	type legacyConfig struct {
+		Dim                          int
+		Alpha, RMax                  float64
+		Branch, Levels               int
+		Delta                        float64
+		MaxNodes                     int
+		Seed                         int64
+		SelfCheck                    bool
+		Workers, Shards              int
+		SVDUpdate                    bool
+		UpdateMaxRel, UpdateTailFrac float64
+		PushAccel                    PushAccel
+	}
+	type legacySaved struct {
+		Version int
+		Config  legacyConfig
+		Subset  []int32
+		Graph   rawGob
+		Fwd     []rawGob
+		Rev     []rawGob
+		M       *sparse.DynRow
+		Tree    *core.TreeSnapshot
+	}
+	legacy := corruptSave(t, func(s *legacySaved) { s.Config.SelfCheck = true })
+	if len(legacy) <= len(healthySave()) {
+		t.Fatal("the legacy save does not encode SelfCheck")
+	}
+	got := mustTB(Load(bytes.NewReader(legacy)))
+	var resaved bytes.Buffer
+	must0tb(got.Save(&resaved))
+	if !bytes.Equal(resaved.Bytes(), healthySave()) {
+		t.Fatal("a loaded legacy save does not save back to the current bytes")
+	}
+}
+
 // FuzzLoad is the decoder property over the one save format: for any
 // payload whose checksum verifies, Load returns an error or an embedder
 // whose Audit is clean and that serves a read — one Recommend and the

@@ -31,9 +31,7 @@ func recoveryBenchStream(nbatches int) (*Graph, []int32, [][]Event, Config) {
 
 func BenchmarkCheckpoint(b *testing.B) {
 	initial, subset, batches, cfg := recoveryBenchStream(8)
-	d, err := Create(b.TempDir(), initial, subset, DurableConfig{
-		Config: cfg, CheckpointEvery: -1, SyncCheckpoints: true,
-	})
+	d, err := Create(b.TempDir(), initial, subset, DurableConfig{Config: cfg, CheckpointEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

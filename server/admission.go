@@ -8,60 +8,22 @@ import (
 	"github.com/tree-svd/treesvd/internal/obs"
 )
 
-// AdmissionConfig bounds per-endpoint concurrency. Each v1 endpoint gets
-// its own gate: a fixed number of in-flight slots plus a short bounded
-// wait queue. A request that finds every slot busy queues for at most
-// QueueWait (less if its own deadline is nearer), then is shed with a
-// 503 carrying a typed *treesvd.OverloadError and a Retry-After hint —
-// the server degrades to fast rejections instead of collapsing under
-// unbounded queueing. The zero value applies the defaults below;
-// /healthz, /readyz, /metrics and pprof are never gated.
-type AdmissionConfig struct {
-	// ReadSlots is the in-flight cap for each read endpoint (version,
-	// recommend, embedding, rightembedding). 0 means 64; negative
-	// disables gating on reads.
-	ReadSlots int
-	// IngestSlots is the in-flight cap for POST /v1/events. 0 means 8;
-	// negative disables gating on ingest.
-	IngestSlots int
-	// QueueDepth bounds how many requests may wait per gate beyond the
-	// slots. 0 means twice the gate's slots; negative means no queue —
-	// requests shed the moment every slot is busy.
-	QueueDepth int
-	// QueueWait bounds how long a queued request waits for a slot; the
-	// request's own deadline shortens it. 0 means 25ms.
-	QueueWait time.Duration
-	// RetryAfter is the backoff hint shed responses carry (the
-	// Retry-After and X-Retry-After-Ms headers). 0 means 50ms.
-	RetryAfter time.Duration
-}
-
-// Admission defaults; see AdmissionConfig.
+// Admission control: each v1 endpoint gets its own gate, a fixed number
+// of in-flight slots plus a bounded wait queue of twice as many. A
+// request that finds every slot busy queues for at most queueWait (less
+// if its own deadline is nearer), then is shed with a 503 carrying a
+// typed *treesvd.OverloadError and a Retry-After hint — the server
+// degrades to fast rejections instead of collapsing under unbounded
+// queueing. /healthz, /readyz, /metrics and pprof are never gated.
 const (
-	defaultReadSlots   = 64
-	defaultIngestSlots = 8
-	defaultQueueWait   = 25 * time.Millisecond
-	defaultRetryAfter  = 50 * time.Millisecond
+	readSlots   = 64 // per read endpoint: version, recommend, embedding, rightembedding
+	ingestSlots = 8  // POST /v1/events
+	queueWait   = 25 * time.Millisecond
+	retryAfter  = 50 * time.Millisecond // the Retry-After hint of a shed response
 )
 
-// slotsFor resolves the configured slot count for an endpoint, with -1
-// meaning the gate is disabled.
-func (c AdmissionConfig) slotsFor(endpoint string) int {
-	cfgd, def := c.ReadSlots, defaultReadSlots
-	if endpoint == "ingest" {
-		cfgd, def = c.IngestSlots, defaultIngestSlots
-	}
-	switch {
-	case cfgd < 0:
-		return -1
-	case cfgd == 0:
-		return def
-	}
-	return cfgd
-}
-
 // gate is one endpoint's admission control: slots is the in-flight
-// bound, queue tokens bound the waiters. A nil *gate admits everything.
+// bound, queue tokens bound the waiters.
 type gate struct {
 	endpoint   string
 	slots      chan struct{}
@@ -71,46 +33,26 @@ type gate struct {
 	queued     *obs.Gauge
 }
 
-// newGate builds the gate for one endpoint, or nil when disabled.
-func newGate(endpoint string, cfg AdmissionConfig, queued *obs.Gauge) *gate {
-	slots := cfg.slotsFor(endpoint)
-	if slots < 0 {
-		return nil
-	}
-	depth := cfg.QueueDepth
-	switch {
-	case depth < 0:
-		depth = 0
-	case depth == 0:
-		depth = 2 * slots
-	}
-	g := &gate{
+// newGate builds the gate for one endpoint: slots in flight, depth
+// waiters, each waiting at most wait, and retryAfter as the shed hint.
+func newGate(endpoint string, slots, depth int, wait, retryAfter time.Duration, queued *obs.Gauge) *gate {
+	return &gate{
 		endpoint:   endpoint,
 		slots:      make(chan struct{}, slots),
 		queue:      make(chan struct{}, depth),
-		wait:       cfg.QueueWait,
-		retryAfter: cfg.RetryAfter,
+		wait:       wait,
+		retryAfter: retryAfter,
 		queued:     queued,
 	}
-	if g.wait <= 0 {
-		g.wait = defaultQueueWait
-	}
-	if g.retryAfter <= 0 {
-		g.retryAfter = defaultRetryAfter
-	}
-	return g
 }
 
 // acquire admits the request or sheds it with a *treesvd.OverloadError.
 // On success the returned release frees the slot; callers must invoke it
 // exactly once. The wait is deadline-aware: a request whose context
-// expires sooner than QueueWait waits only that long, and one that
+// expires sooner than the gate's wait waits only that long, and one that
 // arrives already expired sheds immediately — queueing work that cannot
 // be answered in time only deepens an overload.
 func (g *gate) acquire(ctx context.Context) (release func(), err error) {
-	if g == nil {
-		return func() {}, nil
-	}
 	select {
 	case g.slots <- struct{}{}:
 		return g.release, nil

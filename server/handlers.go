@@ -126,9 +126,6 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if release, err := g.acquire(r.Context()); err != nil {
 			em.shed.Inc()
-			if s.trace != nil {
-				s.trace(treesvd.TraceEvent{Kind: treesvd.TraceShed, Endpoint: endpoint, Block: -1, Err: err})
-			}
 			writeError(sw, err)
 		} else {
 			s.met.inflight.Add(1)

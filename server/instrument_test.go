@@ -21,7 +21,8 @@ func TestPanickingHandlerReleasesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(emb, Options{Admission: AdmissionConfig{ReadSlots: 2, QueueDepth: -1}})
+	s := New(emb, Options{})
+	SetGate(s, "recommend", 2, 0, queueWait, retryAfter)
 	req := httptest.NewRequest(http.MethodGet, "/v1/recommend?source=0", nil)
 
 	boom := s.instrument("recommend", func(http.ResponseWriter, *http.Request) { panic("boom") })

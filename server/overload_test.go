@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,25 +74,17 @@ func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); re
 // TestIngestShedsWhenSaturated pins the single ingest slot with a
 // streaming request and asserts the next ingest is shed: HTTP 503 with
 // both Retry-After forms on the wire, the typed *treesvd.OverloadError
-// out of the client SDK, and a TraceShed event naming the gate.
+// out of the client SDK, and the sheds counted under the gate's name in
+// treesvd_http_shed_total.
 func TestIngestShedsWhenSaturated(t *testing.T) {
 	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
 	emb, err := treesvd.New(g, testSubset, treesvd.Config{Dim: 4, MaxNodes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sheds atomic.Int64
-	srv := server.New(emb, server.Options{
-		Admission: server.AdmissionConfig{
-			IngestSlots: 1, QueueDepth: -1, // no queue: shed the instant the slot is busy
-			RetryAfter: 80 * time.Millisecond,
-		},
-		Trace: func(ev treesvd.TraceEvent) {
-			if ev.Kind == treesvd.TraceShed && ev.Endpoint == "ingest" {
-				sheds.Add(1)
-			}
-		},
-	})
+	srv := server.New(emb, server.Options{})
+	// No queue: shed the instant the one slot is busy.
+	server.SetGate(srv, "ingest", 1, 0, 25*time.Millisecond, 80*time.Millisecond)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +117,8 @@ func TestIngestShedsWhenSaturated(t *testing.T) {
 	if !errors.As(err, &ove) || ove.Endpoint != "ingest" || ove.RetryAfter != 80*time.Millisecond {
 		t.Fatalf("want *OverloadError{ingest, 80ms}, got %v", err)
 	}
-	if sheds.Load() < 2 {
-		t.Fatalf("TraceShed fired %d times, want >= 2", sheds.Load())
+	if sheds := scrapeCounter(t, srv.URL(), `treesvd_http_shed_total{endpoint="ingest"}`); sheds < 2 {
+		t.Fatalf("treesvd_http_shed_total{endpoint=\"ingest\"} = %d, want >= 2", sheds)
 	}
 
 	// Releasing the slot restores ingest.
@@ -408,11 +401,8 @@ func TestOverloadAtTwiceKnee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(slowBackend{Embedder: emb, serviceTime: serviceTime}, server.Options{
-		Admission: server.AdmissionConfig{
-			IngestSlots: 2, QueueDepth: 2, QueueWait: queueWait, RetryAfter: 20 * time.Millisecond,
-		},
-	})
+	srv := server.New(slowBackend{Embedder: emb, serviceTime: serviceTime}, server.Options{})
+	server.SetGate(srv, "ingest", 2, 2, queueWait, 20*time.Millisecond)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -554,4 +544,29 @@ func quantileDur(ds []time.Duration, q float64) time.Duration {
 	}
 	i := int(q * float64(len(s)-1))
 	return s[i]
+}
+
+// scrapeCounter reads one series of the server's Prometheus page.
+func scrapeCounter(t *testing.T, url, series string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics lacks %s", series)
+	return 0
 }

@@ -66,13 +66,6 @@ type Options struct {
 	// MaxBatchEvents caps the events accepted per ingest batch (one JSON
 	// body or one binary frame). 0 means the default of 1<<20.
 	MaxBatchEvents int
-	// Admission bounds per-endpoint concurrency; see AdmissionConfig.
-	// The zero value applies the defaults.
-	Admission AdmissionConfig
-	// Trace, when non-nil, receives a TraceShed event for every request
-	// admission control rejects (Endpoint names the gate). Server-side
-	// only; independent of the embedder's own trace hook.
-	Trace treesvd.TraceHook
 }
 
 // Server serves one Backend. Create with New, start with Start (or
@@ -84,7 +77,6 @@ type Server struct {
 	met   *metrics
 	mux   *http.ServeMux
 	gates map[string]*gate
-	trace treesvd.TraceHook
 
 	draining atomic.Bool
 
@@ -111,11 +103,14 @@ func New(b Backend, opts Options) *Server {
 		b:        b,
 		maxBatch: maxBatch,
 		met:      newMetrics(),
-		trace:    opts.Trace,
 	}
 	s.gates = make(map[string]*gate, len(endpointNames))
 	for _, name := range endpointNames {
-		s.gates[name] = newGate(name, opts.Admission, &s.met.endpoints[name].queued)
+		slots := readSlots
+		if name == "ingest" {
+			slots = ingestSlots
+		}
+		s.gates[name] = newGate(name, slots, 2*slots, queueWait, retryAfter, &s.met.endpoints[name].queued)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/version", s.instrument("version", s.handleVersion))

@@ -95,14 +95,6 @@ type Config struct {
 	MaxNodes int
 	// Seed drives the randomized factorization (default 1).
 	Seed int64
-	// SelfCheck runs the internal/check invariant auditors (PPR push
-	// invariant and mass accounting, proximity-matrix bookkeeping recount,
-	// tree cache shapes) after every ApplyEvents/Rebuild, before the new
-	// snapshot is published. A failed audit aborts the update with a
-	// descriptive error, keeps the previous snapshot readable, and routes
-	// the next update through the full-rebuild recovery path. Costs an
-	// extra O(nnz) pass per update — a debugging aid, not for production.
-	SelfCheck bool
 	// Workers parallelizes per-source PPR work and per-block
 	// factorizations (0 or 1 = sequential). Results are identical for any
 	// worker count.
@@ -393,9 +385,6 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 	if err != nil {
 		return 0, err
 	}
-	if err := obs.Stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
-		return 0, err
-	}
 	if publish {
 		obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
 	}
@@ -459,25 +448,7 @@ func (e *Embedder) rebuildLocked(ctx context.Context) error {
 	if err := e.tree.Build(ctx); err != nil {
 		return err
 	}
-	if err := obs.Stage(ctx, "audit", func(context.Context) error { return e.selfCheckLocked() }); err != nil {
-		return err
-	}
 	obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
-	return nil
-}
-
-// selfCheckLocked runs the invariant auditors when Config.SelfCheck is
-// set. On failure the update is aborted before publishing and the stale
-// flag routes the next update through full-rebuild recovery — the
-// corrupted internal state is never served. Caller holds e.mu.
-func (e *Embedder) selfCheckLocked() error {
-	if !e.cfg.SelfCheck {
-		return nil
-	}
-	if err := e.auditLocked(); err != nil {
-		e.stale = true
-		return fmt.Errorf("treesvd: self-check: %w", err)
-	}
 	return nil
 }
 
@@ -497,7 +468,8 @@ func (e *Embedder) auditLocked() error {
 // and mass accounting, proximity bookkeeping recount, tree cache shapes)
 // and returns the first violation, or nil when everything is consistent.
 // It takes the update lock, so it is safe to call concurrently with
-// updates. See Config.SelfCheck for running it automatically.
+// updates. Load and Open run the same auditors before their first
+// snapshot; call Audit after an update to check that one.
 func (e *Embedder) Audit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
