@@ -105,10 +105,12 @@ type RecoveryInfo struct {
 
 // DurableEmbedder wraps an Embedder with write-ahead logging and
 // crash-safe checkpointing in a single directory. Every ApplyEvents batch
-// is appended to the WAL — checksummed and fsynced — before it mutates
-// any in-memory state, and a checkpoint (a full atomic save) is committed
-// every CheckpointEvery batches, after which older WAL segments are
-// pruned. Open recovers the directory to a
+// is appended to the WAL — checksummed and fsynced — while it is applied
+// in memory, and its snapshot is published, and the call returns, only
+// once that record is durable: no reader and no caller ever sees a batch
+// the log could still lose. A checkpoint (a full atomic save) is
+// committed every CheckpointEvery batches, after which older WAL segments
+// are pruned. Open recovers the directory to a
 // committed prefix of the acknowledged stream no matter where a previous
 // process stopped.
 //
@@ -118,9 +120,12 @@ type RecoveryInfo struct {
 // the wrapped Embedder and stay lock-free.
 //
 // A WAL append failure (full disk, fsync error) seals the embedder into
-// read-only degraded mode: ingest returns a *DegradedError, reads keep
-// serving the last published snapshot, Degraded reports the cause, and
-// Reopen re-arms the WAL once the operator has cleared the fault.
+// read-only degraded mode: ingest and Checkpoint return a *DegradedError,
+// reads keep serving the last published snapshot, Degraded reports the
+// cause, and Reopen re-arms the WAL once the operator has cleared the
+// fault. The failed batch was applied in memory while its record was
+// being written; it is never published before Reopen has logged it, but
+// the wrapped embedder's Graph view shows its edges meanwhile.
 type DurableEmbedder struct {
 	fs  wal.FS
 	dir string
@@ -143,6 +148,11 @@ type DurableEmbedder struct {
 	// seal time, the point Reopen resumes the log from. Guarded by mu.
 	degraded   error
 	sealedNext uint64
+	// unlogged is the batch whose WAL append failed while it was applied
+	// in memory (set exactly while degraded): memory is one batch ahead of
+	// the log, and Reopen makes the log catch up before anything is
+	// published. Guarded by mu.
+	unlogged []Event
 
 	ckptWG   sync.WaitGroup
 	ckptMu   sync.Mutex // guards the fields below; never held with mu
@@ -286,7 +296,7 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	next := info.CheckpointSeq + 1
 	if err := e.finishRestore(dir, func() (err error) {
 		next, err = replay(dir, rec.Records, next, func(seq uint64, events []Event) error {
-			if _, err := e.applyEventsLocked(context.Background(), events, false); err != nil {
+			if _, err := e.applyEventsLocked(context.Background(), events, nil); err != nil {
 				return &CorruptStateError{Path: dir, Offset: -1,
 					Reason: fmt.Sprintf("replay of logged batch %d failed", seq), Err: err}
 			}
@@ -363,14 +373,19 @@ func (d *DurableEmbedder) MetricsRegistry() *Registry { return d.e.MetricsRegist
 // Dir returns the managed directory.
 func (d *DurableEmbedder) Dir() string { return d.dir }
 
-// ApplyEvents durably applies one batch: the batch is validated, appended
-// to the WAL and fsynced, and only then applied to the in-memory
-// embedder, which publishes a new snapshot. Once ApplyEvents returns nil
-// the batch will survive a crash.
+// ApplyEvents durably applies one batch: the batch is validated, then its
+// WAL record is written and fsynced on a helper goroutine while the
+// in-memory embedder applies the batch and builds its snapshot. The
+// snapshot is published, and ApplyEvents returns, only after the fsync
+// has succeeded, so once ApplyEvents returns nil the batch will survive a
+// crash, and no reader saw it earlier. ApplyEvents never returns with the
+// fsync still in flight, on cancellation neither.
 //
-// If the in-memory apply fails after the batch was logged (cancellation),
+// If the in-memory apply fails while the batch is logged (cancellation),
 // the error is returned and the batch is retried
-// in front of the next call, so memory never falls behind the log.
+// in front of the next call, so memory never falls behind the log. If the
+// append fails, the embedder seals into degraded mode with the batch
+// applied in memory but unpublished; Reopen logs and publishes it.
 func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -380,23 +395,35 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 	if d.closed {
 		return 0, errClosed
 	}
-	if d.degraded != nil {
-		return 0, &DegradedError{Reason: "wal append failed", Err: d.degraded}
+	if err := d.degradedErrLocked(); err != nil {
+		return 0, err
 	}
-	if err := d.retryPendingLocked(ctx); err != nil {
+	if err := d.retryPendingLocked(ctx, publishNow); err != nil {
 		return 0, err
 	}
 	if err := d.e.validateEvents(events); err != nil {
 		return 0, err // never logged: an invalid batch must not reach replay
 	}
-	seq, err := d.w.Append(graph.AppendEvents(nil, events))
-	if err != nil {
-		d.sealLocked(err)
-		return 0, &DegradedError{Reason: "wal append failed", Err: err}
-	}
-	rebuilt, err := d.e.ApplyEvents(ctx, events)
-	if err != nil {
+	rec := d.w.Append(graph.AppendEvents(nil, events))
+	computed := false
+	rebuilt, err := d.e.applyEvents(ctx, events, func() error {
+		computed = true
+		start := time.Now()
+		_, err := rec.Wait()
+		d.met.syncWait.ObserveSince(start)
+		return err
+	})
+	// The apply may have failed before its barrier waited: wait here.
+	seq, werr := rec.Wait()
+	if !computed {
 		d.pending = append([]Event(nil), events...)
+	}
+	if werr != nil {
+		d.unlogged = append([]Event(nil), events...)
+		d.sealLocked(werr)
+		return 0, d.degradedErrLocked()
+	}
+	if err != nil {
 		return 0, err
 	}
 	d.sinceCkpt++
@@ -404,6 +431,16 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 		return rebuilt, err
 	}
 	return rebuilt, nil
+}
+
+// degradedErrLocked returns the *DegradedError every update and
+// checkpoint gets while the embedder is sealed, else nil. Caller holds
+// d.mu.
+func (d *DurableEmbedder) degradedErrLocked() error {
+	if d.degraded == nil {
+		return nil
+	}
+	return &DegradedError{Reason: "wal append failed", Err: d.degraded}
 }
 
 // sealLocked flips the embedder into read-only degraded mode after a WAL
@@ -430,14 +467,14 @@ func (d *DurableEmbedder) Degraded() error {
 }
 
 // Reopen re-arms the WAL after the fault behind degraded mode has been
-// cleared (disk space freed, volume remounted): it repairs the log tail,
-// folds in any record that reached the log but never memory — a failed
-// fsync can leave the record bytes fully persisted even though the
-// append erred, and the writer poisons itself after the first failure,
-// so at most one such record exists — and opens a fresh writer at the
-// continuation sequence. On success ingest works again; on failure the
-// embedder stays degraded and Reopen can be retried. A no-op when not
-// degraded.
+// cleared (disk space freed, volume remounted) and makes the log catch up
+// with memory: it repairs the log tail, re-applies a batch whose
+// in-memory apply had failed too, and opens a fresh writer. The batch
+// whose append failed is logged at the sequence it failed at — unless
+// the repaired log already holds it (a failed fsync can leave the record
+// bytes fully written) — and only then published. On success ingest
+// works again; on failure the embedder stays degraded and Reopen can be
+// retried. A no-op when not degraded.
 func (d *DurableEmbedder) Reopen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -457,26 +494,28 @@ func (d *DurableEmbedder) Reopen() error {
 	if err != nil {
 		return err
 	}
-	// Records below sealedNext were applied before the seal.
-	next, err := replay(d.dir, rec.Records, d.sealedNext, func(seq uint64, events []Event) error {
-		if _, err := d.e.ApplyEvents(context.Background(), events); err != nil {
-			return fmt.Errorf("treesvd: reopen: applying logged batch %d: %w", seq, err)
-		}
-		d.sinceCkpt++
-		// Advance the seal watermark as each record folds in, so a Reopen
-		// that fails later (the disk is still full when the fresh writer
-		// opens) never replays the same record twice on retry.
-		d.sealedNext = seq + 1
-		return nil
-	})
-	if err != nil {
+	// Unpublished: the unlogged batch is still ahead of the log.
+	if err := d.retryPendingLocked(context.Background(), nil); err != nil {
 		return err
+	}
+	next := d.sealedNext
+	logged := len(rec.Records) > 0 && rec.Records[len(rec.Records)-1].Seq == next
+	if logged {
+		next++
 	}
 	w, err := wal.NewWriter(d.fs, d.dir, next, d.cfg.walOptions(&d.met.wal))
 	if err != nil {
 		return fmt.Errorf("treesvd: reopen: %w", err)
 	}
-	d.w = w
+	d.w = w // the next Reopen closes it, should the append below fail
+	if !logged {
+		if _, err := w.Append(graph.AppendEvents(nil, d.unlogged)).Wait(); err != nil {
+			return fmt.Errorf("treesvd: reopen: logging batch %d: %w", next, err)
+		}
+		next++
+	}
+	d.unlogged = nil
+	d.e.publish()
 	d.degraded = nil
 	d.sealedNext = 0
 	d.met.degraded.Set(0)
@@ -487,13 +526,13 @@ func (d *DurableEmbedder) Reopen() error {
 	return nil
 }
 
-// retryPendingLocked re-applies a logged-but-unapplied batch. Caller
-// holds d.mu.
-func (d *DurableEmbedder) retryPendingLocked(ctx context.Context) error {
+// retryPendingLocked re-applies a logged-but-unapplied batch behind the
+// publish barrier publish (nil: not published). Caller holds d.mu.
+func (d *DurableEmbedder) retryPendingLocked(ctx context.Context, publish func() error) error {
 	if d.pending == nil {
 		return nil
 	}
-	if _, err := d.e.ApplyEvents(ctx, d.pending); err != nil {
+	if _, err := d.e.applyEvents(ctx, d.pending, publish); err != nil {
 		return fmt.Errorf("treesvd: retrying logged batch: %w", err)
 	}
 	d.pending = nil
@@ -501,7 +540,9 @@ func (d *DurableEmbedder) retryPendingLocked(ctx context.Context) error {
 	return nil
 }
 
-// maybeCheckpointLocked takes the periodic checkpoint. Caller holds d.mu.
+// maybeCheckpointLocked takes the periodic checkpoint. Caller holds d.mu
+// and has just acknowledged batch seq, so memory equals the log (the
+// embedder is not degraded).
 func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	if d.cfg.CheckpointEvery < 0 || d.sinceCkpt < d.cfg.CheckpointEvery {
 		return nil
@@ -595,14 +636,19 @@ func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error
 }
 
 // Checkpoint synchronously commits a checkpoint of the current state and
-// prunes the WAL behind it.
+// prunes the WAL behind it. While degraded it returns a *DegradedError and
+// writes nothing: memory may hold the unlogged batch, and a checkpoint of
+// it would be labelled with the log's last seq.
 func (d *DurableEmbedder) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return errClosed
 	}
-	if err := d.retryPendingLocked(context.Background()); err != nil {
+	if err := d.degradedErrLocked(); err != nil {
+		return err
+	}
+	if err := d.retryPendingLocked(context.Background(), publishNow); err != nil {
 		return err
 	}
 	return d.checkpointLocked(d.w.NextSeq() - 1)

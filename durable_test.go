@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tree-svd/treesvd/internal/dataset"
 	"github.com/tree-svd/treesvd/internal/faultfs"
@@ -27,6 +28,10 @@ type durableFixture struct {
 	batches [][]Event
 	cfg     DurableConfig
 	shadow  [][][]float64 // shadow[i] = embedding after batches[:i]
+	// proxNorm[i] = ‖M‖_F after batches[:i]. The lazy trigger leaves the
+	// embedding unchanged across many of the fixture's batches; the
+	// proximity matrix moves with every one.
+	proxNorm []float64
 }
 
 func newDurableFixture(t testing.TB) *durableFixture {
@@ -55,13 +60,25 @@ func newDurableFixture(t testing.TB) *durableFixture {
 		t.Fatal(err)
 	}
 	fx.shadow = append(fx.shadow, copyMat(emb.Embedding()))
+	fx.proxNorm = append(fx.proxNorm, emb.ProximityFrobNorm())
 	for i, b := range batches {
 		if _, err := emb.ApplyEvents(bgt, b); err != nil {
 			t.Fatalf("shadow batch %d: %v", i, err)
 		}
 		fx.shadow = append(fx.shadow, copyMat(emb.Embedding()))
+		fx.proxNorm = append(fx.proxNorm, emb.ProximityFrobNorm())
 	}
 	return fx
+}
+
+// requireState asserts that e holds the state after batches[:i]: its
+// published embedding and its live proximity matrix.
+func (fx *durableFixture) requireState(t testing.TB, e *Embedder, i int, label string) {
+	t.Helper()
+	requireMatClose(t, e.Embedding(), fx.shadow[i], label)
+	if got, want := e.ProximityFrobNorm(), fx.proxNorm[i]; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("%s: ‖M‖_F = %.12g, want %.12g, the state after %d batches", label, got, want, i)
+	}
 }
 
 func copyMat(m [][]float64) [][]float64 {
@@ -101,27 +118,30 @@ func checkpointAfter(d *DurableEmbedder, acked int) error {
 
 // runWorkload drives the whole fixture stream through a durable embedder
 // on fsys, stopping at the first error the way a dying process would.
-func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, createFailed bool, err error) {
+// unlogged reports that memory holds the batch it stopped at, whose
+// append failed: the fault fell between "computed" and "durable".
+func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, createFailed, unlogged bool, err error) {
 	d, err := CreateWithFS(fsys, dir, fx.initial.Clone(), fx.subset, fx.cfg)
 	if err != nil {
-		return 0, true, err
+		return 0, true, false, err
 	}
 	for _, b := range fx.batches {
 		if _, err := d.ApplyEvents(nil, b); err != nil {
-			return acked, false, err
+			want := fx.proxNorm[acked+1]
+			return acked, false, math.Abs(d.e.ProximityFrobNorm()-want) <= 1e-9*want, err
 		}
 		acked++
 		if err := checkpointAfter(d, acked); err != nil {
-			return acked, false, err
+			return acked, false, false, err
 		}
 	}
-	return acked, false, d.Close()
+	return acked, false, false, d.Close()
 }
 
 func TestDurableCreateOpenRoundTrip(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
-	acked, createFailed, err := fx.runWorkload(wal.OS, dir)
+	acked, createFailed, _, err := fx.runWorkload(wal.OS, dir)
 	if err != nil || createFailed || acked != len(fx.batches) {
 		t.Fatalf("workload: acked %d, createFailed %v, err %v", acked, createFailed, err)
 	}
@@ -297,7 +317,7 @@ func TestOpenStrictRecovery(t *testing.T) {
 func TestDurableCheckpointPrunesWAL(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
-	if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+	if _, _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
 		t.Fatal(err)
 	}
 	names, err := os.ReadDir(dir)
@@ -344,7 +364,7 @@ func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
 			fx := newDurableFixture(t)
 			fx.cfg.Config.Shards = tc.shards
 			dir := t.TempDir()
-			if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+			if _, _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
 				t.Fatal(err)
 			}
 			cks, err := wal.ListCheckpoints(wal.OS, dir)
@@ -382,7 +402,7 @@ func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
 func TestOpenRejectsFullyCorruptStore(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
-	if _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
+	if _, _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
 		t.Fatal(err)
 	}
 	names, err := os.ReadDir(dir)
@@ -541,13 +561,13 @@ func runCrashMatrix(t *testing.T, fx *durableFixture) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			points := 0
+			points, unloggedPoints := 0, 0
 			for k := 1; ; k++ {
 				plan := tc.plan
 				plan.FailAt = k
 				dir := t.TempDir()
 				ffs := faultfs.Wrap(wal.OS, plan)
-				acked, createFailed, werr := fx.runWorkload(ffs, dir)
+				acked, createFailed, unlogged, werr := fx.runWorkload(ffs, dir)
 				if !ffs.Fired() {
 					if werr != nil {
 						t.Fatalf("k=%d: fault never fired yet the workload failed: %v", k, werr)
@@ -555,33 +575,23 @@ func runCrashMatrix(t *testing.T, fx *durableFixture) {
 					break // swept past the last operation: matrix complete
 				}
 				points++
+				if unlogged {
+					unloggedPoints++
+				}
 				fx.verifyRecovery(t, dir, k, acked, createFailed, tc.plan.Mode)
 			}
 			if points < 10 {
 				t.Fatalf("sweep visited only %d fault points — the workload shrank?", points)
 			}
-			t.Logf("%s: %d fault points verified", tc.name, points)
+			// Every mode that fails an operation must also strike a record
+			// append while its batch is computed in memory; a bit flip
+			// fails nothing.
+			if tc.plan.Mode != faultfs.BitFlip && unloggedPoints == 0 {
+				t.Fatalf("no fault point fell between a batch computed and its record durable")
+			}
+			t.Logf("%s: %d fault points verified, %d between computed and durable", tc.name, points, unloggedPoints)
 		})
 	}
-}
-
-// matClose is the non-fatal form of requireMatClose, for probing which
-// shadow prefix a state corresponds to.
-func matClose(got, want [][]float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			return false
-		}
-		for j := range want[i] {
-			if d := math.Abs(got[i][j] - want[i][j]); d > 1e-9*(1+math.Abs(want[i][j])) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestDiskFullDegradedReopen sweeps an injected ENOSPC across every
@@ -590,9 +600,10 @@ func matClose(got, want [][]float64) bool {
 // keep serving the pre-fault snapshot, further ingest returns a typed
 // *DegradedError) or surface a plain checkpoint error with the batch
 // still applied. After the operator clears the fault, Reopen must
-// restore ingest, the rest of the stream must apply, and a final
-// Close/Open round trip must land on the full-stream shadow — no
-// acknowledged batch lost anywhere in the sweep.
+// restore ingest and publish the failed batch, which was applied in
+// memory while its append ran; the rest of the stream must apply, and a
+// final Close/Open round trip must land on the full-stream shadow — no
+// batch lost or applied twice anywhere in the sweep.
 func TestDiskFullDegradedReopen(t *testing.T) {
 	fx := newDurableFixture(t)
 	var traceMu sync.Mutex
@@ -640,6 +651,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 		applied := 0
 		sealed := false
 		for applied < len(fx.batches) {
+			version := d.Embedder().Version()
 			_, err := d.ApplyEvents(nil, fx.batches[applied])
 			if err == nil {
 				applied++
@@ -669,6 +681,9 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 					t.Fatalf("%s: DegradedError returned but Degraded() is nil", label)
 				}
 				// Reads keep serving the last published snapshot.
+				if got := d.Embedder().Version(); got != version {
+					t.Fatalf("%s: degraded store published version %d, want %d", label, got, version)
+				}
 				requireMatClose(t, d.Embedder().Embedding(), fx.shadow[applied], label+" degraded reads")
 				// Ingest stays sealed until Reopen, even after retrying.
 				if _, err := d.ApplyEvents(nil, fx.batches[applied]); !errors.As(err, &de) {
@@ -688,13 +703,16 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 				if d.Degraded() != nil {
 					t.Fatalf("%s: Reopen left the store degraded", label)
 				}
-				// A failed fsync can leave the unacknowledged batch fully
-				// logged; Reopen folds it in so memory matches replay.
-				if matClose(d.Embedder().Embedding(), fx.shadow[applied+1]) {
-					applied++
-				} else {
-					requireMatClose(t, d.Embedder().Embedding(), fx.shadow[applied], label+" reopened embedding")
-				}
+				// The failed batch was applied in memory while its append
+				// ran; Reopen logs it (or keeps the record a failed fsync
+				// left whole) and publishes it: it is applied exactly once.
+				applied++
+				fx.requireState(t, d.Embedder(), applied, label+" reopened state")
+				// The log caught up with memory: a copy of the directory
+				// opens on the same state.
+				copied := mustTB(Open(copyStore(t, dir), fx.cfg))
+				fx.requireState(t, copied.Embedder(), applied, label+" Open of a copy after Reopen")
+				must0tb(copied.Close())
 				continue
 			}
 			t.Fatalf("%s: batch %d failed with %v, want a *DegradedError", label, applied, err)
@@ -702,7 +720,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 		if sealed {
 			degradedPoints++
 		}
-		requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], label+" final embedding")
+		fx.requireState(t, d.Embedder(), len(fx.batches), label+" final state")
 		// The sweep tail pushes the fault into the epilogue — shutdown
 		// checkpoint, directory reopen, the post-recovery probe. An ENOSPC
 		// there is operator-visible but must not lose acked data either.
@@ -725,7 +743,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 				t.Fatalf("%s: reopen directory after clearing the fault: %v", label, err)
 			}
 		}
-		requireMatClose(t, d2.Embedder().Embedding(), fx.shadow[len(fx.batches)], label+" recovered embedding")
+		fx.requireState(t, d2.Embedder(), len(fx.batches), label+" recovered state")
 		if _, err := d2.ApplyEvents(nil, []Event{{U: 1, V: 2, Type: Insert}}); err != nil {
 			tolerateDiskFull("post-recovery ApplyEvents", err)
 		}
@@ -766,7 +784,7 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	}
 
 	fx.cfg.Config.Shards = 1
-	acked, createFailed, err := fx.runWorkload(wal.OS, dir)
+	acked, createFailed, _, err := fx.runWorkload(wal.OS, dir)
 	if err != nil || createFailed || acked != len(fx.batches) {
 		t.Fatalf("workload: acked %d, createFailed %v, err %v", acked, createFailed, err)
 	}
@@ -808,10 +826,245 @@ func (fx *durableFixture) verifyRecovery(t *testing.T, dir string, k, acked int,
 	if mode != faultfs.BitFlip && prefix < acked {
 		t.Fatalf("%s: recovered prefix %d < %d acknowledged batches", label, prefix, acked)
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[prefix], label+" embedding")
+	fx.requireState(t, d.Embedder(), prefix, label+" state")
 	// The recovered store must stay serviceable.
 	extra := []Event{{U: 1, V: 2, Type: Insert}, {U: 2, V: 4, Type: Insert}}
 	if _, err := d.ApplyEvents(nil, extra); err != nil {
 		t.Fatalf("%s: post-recovery ApplyEvents: %v", label, err)
+	}
+}
+
+// gatedSyncFS is the OS filesystem with a gate on the WAL: once armed, the
+// next fsync of a segment file signals entered and blocks until release
+// is closed.
+type gatedSyncFS struct {
+	wal.FS
+	mu      sync.Mutex
+	entered chan struct{}
+	release chan struct{}
+}
+
+// arm gates the next segment fsync.
+func (g *gatedSyncFS) arm() (entered, release chan struct{}) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.entered, g.release = make(chan struct{}), make(chan struct{})
+	return g.entered, g.release
+}
+
+func (g *gatedSyncFS) Create(name string) (wal.File, error) {
+	f, err := g.FS.Create(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return gatedFile{File: f, fs: g}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	fs *gatedSyncFS
+}
+
+func (f gatedFile) Sync() error {
+	f.fs.mu.Lock()
+	entered, release := f.fs.entered, f.fs.release
+	f.fs.entered, f.fs.release = nil, nil
+	f.fs.mu.Unlock()
+	if entered != nil {
+		close(entered)
+		<-release
+	}
+	return f.File.Sync()
+}
+
+// TestNothingVisibleBeforeDurable holds a batch's record fsync and checks
+// that nothing of the batch escapes meanwhile: readers keep the
+// pre-batch version and embedding after the in-memory apply has
+// finished, ApplyEvents has not returned, and the Graph view blocks.
+// Releasing the fsync publishes exactly one new version.
+func TestNothingVisibleBeforeDurable(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	cfg.SegmentSize = 0 // no rotation: the batch's one segment fsync is its record's
+	fsys := &gatedSyncFS{FS: wal.OS}
+	d := mustTB(CreateWithFS(fsys, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	defer d.Close()
+	emb := d.Embedder()
+	version, edges := emb.Version(), emb.Graph().NumEdges()
+	updates := emb.tree.Metrics().Updates.Load()
+
+	entered, release := fsys.arm()
+	released := false
+	defer func() { // on a failure, before d.Close waits for the held batch
+		if !released {
+			close(release)
+		}
+	}()
+	applied := make(chan error, 1)
+	go func() {
+		_, err := d.ApplyEvents(bgt, fx.batches[0])
+		applied <- err
+	}()
+	<-entered
+	// Let the in-memory apply run to its end: the tree update, then the
+	// snapshot build, which a wrong order would publish right away.
+	for deadline := time.Now().Add(5 * time.Second); emb.tree.Metrics().Updates.Load() == updates; {
+		if time.Now().After(deadline) {
+			t.Fatal("the in-memory apply did not finish while the fsync was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	graphEdges := make(chan int, 1)
+	go func() { graphEdges <- emb.Graph().NumEdges() }()
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if got := emb.Version(); got != version {
+			t.Fatalf("version %d published while the batch's fsync was held (want %d)", got, version)
+		}
+		requireMatClose(t, emb.Embedding(), fx.shadow[0], "embedding while the fsync is held")
+		select {
+		case err := <-applied:
+			t.Fatalf("ApplyEvents returned (%v) while its fsync was held", err)
+		case n := <-graphEdges:
+			t.Fatalf("Graph view returned %d edges while the batch's fsync was held", n)
+		default:
+		}
+	}
+
+	close(release)
+	released = true
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if got := emb.Version(); got != version+1 {
+		t.Fatalf("version after the fsync = %d, want %d", got, version+1)
+	}
+	requireMatClose(t, emb.Embedding(), fx.shadow[1], "embedding after the fsync")
+	if n := <-graphEdges; n == edges {
+		t.Fatalf("Graph view read %d edges, the pre-batch count; want the batch's", n)
+	}
+}
+
+// copyStore copies the files of a durable store to a fresh directory, the
+// way an operator would snapshot it.
+func copyStore(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// dirNames lists dir's file names.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := wal.OS.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestFailedAppendUnloggedBatch fails the first batch's WAL append at its
+// write or its fsync. The batch was applied in memory meanwhile, but the
+// store seals with nothing published and refuses a checkpoint, which
+// would label that state with the wrong seq. Reopen logs the batch and
+// publishes it: the live state then equals an Open of a copy of the
+// directory, the batch applied exactly once, and the stream goes on.
+func TestFailedAppendUnloggedBatch(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	cfg.SegmentSize = 0 // no rotation: the batch's I/O is its record's write, then its fsync
+	cases := []struct {
+		name   string
+		mode   faultfs.Mode
+		offset int // the failing op, counted from the first after Create
+		cancel bool
+		// reappend: the failed write left no record, so Reopen appends
+		// it; otherwise the record's bytes all landed and Reopen keeps it.
+		reappend bool
+	}{
+		{"syncerror-at-fsync", faultfs.SyncError, 1, false, false},
+		{"diskfull-at-write", faultfs.DiskFull, 1, false, true},
+		{"diskfull-at-fsync", faultfs.DiskFull, 2, false, false},
+		// The apply fails too: Reopen re-applies the batch before logging it.
+		{"syncerror-at-fsync-cancelled", faultfs.SyncError, 1, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: tc.mode})
+			pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+			createOps := probe.Ops()
+			must0tb(pd.Close())
+
+			dir := t.TempDir()
+			ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createOps + tc.offset, Mode: tc.mode})
+			d := mustTB(CreateWithFS(ffs, dir, fx.initial.Clone(), fx.subset, cfg))
+			defer d.Close()
+			emb := d.Embedder()
+			version := emb.Version()
+			ctx := bgt
+			if tc.cancel {
+				cancelled, cancel := context.WithCancel(bgt)
+				cancel()
+				ctx = cancelled
+			}
+			var de *DegradedError
+			if _, err := d.ApplyEvents(ctx, fx.batches[0]); !errors.As(err, &de) || !ffs.Fired() {
+				t.Fatalf("ApplyEvents with a failing append: %v (fault fired %v), want *DegradedError", err, ffs.Fired())
+			}
+			if emb.Version() != version {
+				t.Fatalf("degraded store published version %d, want %d", emb.Version(), version)
+			}
+			requireMatClose(t, emb.Embedding(), fx.shadow[0], "degraded reads")
+			files := dirNames(t, dir)
+			if err := d.Checkpoint(); !errors.As(err, &de) {
+				t.Fatalf("Checkpoint while degraded: %v, want *DegradedError", err)
+			}
+			if got := dirNames(t, dir); !slices.Equal(got, files) {
+				t.Fatalf("Checkpoint while degraded changed the directory: %v -> %v", files, got)
+			}
+
+			ffs.Clear()
+			if err := d.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			if emb.Version() != version+1 {
+				t.Fatalf("version after Reopen = %d, want %d", emb.Version(), version+1)
+			}
+			fx.requireState(t, emb, 1, "state after Reopen")
+			wantAppends := uint64(0)
+			if tc.reappend {
+				wantAppends = 1
+			}
+			if got := d.Metrics().WAL.Appends; got != wantAppends {
+				t.Fatalf("records appended through Reopen = %d, want %d", got, wantAppends)
+			}
+			opened := mustTB(Open(copyStore(t, dir), cfg))
+			if info := opened.Recovery(); info.CheckpointSeq+uint64(info.ReplayedBatches) != 1 {
+				t.Fatalf("copy of the reopened store recovered %+v, want the one batch", info)
+			}
+			fx.requireState(t, opened.Embedder(), 1, "Open of a copy after Reopen")
+			must0tb(opened.Close())
+
+			if _, err := d.ApplyEvents(bgt, fx.batches[1]); err != nil {
+				t.Fatal(err)
+			}
+			fx.requireState(t, emb, 2, "state after the next batch")
+			must0tb(d.Close())
+			reopened := mustTB(Open(dir, cfg))
+			defer reopened.Close()
+			fx.requireState(t, reopened.Embedder(), 2, "recovered state")
+		})
 	}
 }

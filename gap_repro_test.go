@@ -18,7 +18,7 @@ import (
 func TestGapAfterLenientDropBelowCheckpoint(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
-	acked, _, err := fx.runWorkload(wal.OS, dir)
+	acked, _, _, err := fx.runWorkload(wal.OS, dir)
 	if err != nil {
 		t.Fatalf("workload: %v (acked %d)", err, acked)
 	}

@@ -19,7 +19,7 @@ func segmentBytes(f *testing.F, payloads ...[]byte) []byte {
 		f.Fatal(err)
 	}
 	for _, p := range payloads {
-		if _, err := w.Append(p); err != nil {
+		if _, err := w.Append(p).Wait(); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -16,7 +16,8 @@ type Metrics struct {
 	Fsyncs obs.Counter
 	// Rotations counts segment rollovers.
 	Rotations obs.Counter
-	// AppendNanos spans whole Append calls (including any fsync);
-	// FsyncNanos spans the File.Sync calls alone.
+	// AppendNanos spans each record's write and fsync (and any
+	// rotation) on Append's helper goroutine; FsyncNanos spans the
+	// File.Sync calls alone.
 	AppendNanos, FsyncNanos obs.Histogram
 }

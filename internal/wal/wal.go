@@ -116,11 +116,13 @@ func HasState(fs FS, dir string) (bool, error) {
 }
 
 // Writer appends checksummed records to a segmented log. It is not safe
-// for concurrent use; the durable embedder serializes appends. Any error
-// from the filesystem poisons the writer — every later call returns the
-// same error — because a partially written record makes the tail position
-// untrustworthy. Recovery (a fresh Recover + NewWriter) is the only way
-// forward, mirroring a process restart.
+// for concurrent use; the durable embedder serializes appends. Each
+// record's write and fsync run on a helper goroutine (see Append), one
+// record at a time: every method first waits for the record in flight.
+// Any error from the filesystem poisons the writer — every later call
+// returns the same error — because a partially written record makes the
+// tail position untrustworthy. Recovery (a fresh Recover + NewWriter) is
+// the only way forward, mirroring a process restart.
 type Writer struct {
 	fs   FS
 	dir  string
@@ -130,6 +132,23 @@ type Writer struct {
 	size int64
 	next uint64
 	err  error
+	// inflight is the last Append's record until a method waits it out.
+	inflight *Pending
+}
+
+// Pending is one record's write and fsync in flight.
+type Pending struct {
+	done chan struct{}
+	seq  uint64
+	err  error
+}
+
+// Wait blocks until the record is durable and returns its sequence
+// number, or returns the error that poisoned the writer. It may be called
+// any number of times, from any goroutine.
+func (p *Pending) Wait() (uint64, error) {
+	<-p.done
+	return p.seq, p.err
 }
 
 // NewWriter opens a log writer in dir that will assign sequence number
@@ -193,9 +212,32 @@ func encodeRecord(seq uint64, payload []byte) []byte {
 	return rec
 }
 
-// Append writes one record and fsyncs it. It returns the sequence number
-// assigned to the record, which is durable once Append returns nil.
-func (w *Writer) Append(payload []byte) (uint64, error) {
+// Append starts writing one record and fsyncing it on a helper goroutine
+// and returns at once; the caller computes meanwhile and calls Wait for
+// the record's sequence number, which is durable once Wait returns nil.
+// The sequence number is assigned, and NextSeq advances, only when the
+// fsync succeeds.
+func (w *Writer) Append(payload []byte) *Pending {
+	w.settle()
+	p := &Pending{done: make(chan struct{})}
+	w.inflight = p
+	go func() {
+		p.seq, p.err = w.append(payload)
+		close(p.done)
+	}()
+	return p
+}
+
+// settle waits for the record in flight, if any.
+func (w *Writer) settle() {
+	if w.inflight != nil {
+		w.inflight.Wait()
+		w.inflight = nil
+	}
+}
+
+// append is the body of Append, run on its helper goroutine.
+func (w *Writer) append(payload []byte) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -241,12 +283,17 @@ func (w *Writer) rotate() error {
 	return w.openSegment()
 }
 
-// NextSeq returns the sequence number the next Append will assign.
-func (w *Writer) NextSeq() uint64 { return w.next }
+// NextSeq returns the sequence number the next Append will assign,
+// after waiting for the record in flight.
+func (w *Writer) NextSeq() uint64 {
+	w.settle()
+	return w.next
+}
 
-// Close fsyncs and closes the current segment. The writer is unusable
-// afterwards.
+// Close waits for the record in flight, then fsyncs and closes the
+// current segment. The writer is unusable afterwards.
 func (w *Writer) Close() error {
+	w.settle()
 	if w.err != nil {
 		w.f.Close()
 		return w.err

@@ -7,11 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func mustAppend(t *testing.T, w *Writer, payload []byte) uint64 {
 	t.Helper()
-	seq, err := w.Append(payload)
+	seq, err := w.Append(payload).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,149 @@ func TestWriterPoisonsOnError(t *testing.T) {
 	}
 	// The closed writer must refuse everything rather than write through a
 	// dead handle.
-	if _, err := w.Append([]byte("late")); err == nil {
+	if _, err := w.Append([]byte("late")).Wait(); err == nil {
 		t.Fatal("closed writer accepted an append")
 	}
+}
+
+// hookFS is OS with hooks on Create and on every created file's Sync, for
+// the writer's ordering and failure tests. A hook returning an error fails
+// the Sync without syncing.
+type hookFS struct {
+	FS
+	onCreate func(name string)
+	onSync   func(name string) error
+}
+
+func (h *hookFS) Create(name string) (File, error) {
+	if h.onCreate != nil {
+		h.onCreate(name)
+	}
+	f, err := h.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return hookFile{File: f, fs: h, name: name}, nil
+}
+
+type hookFile struct {
+	File
+	fs   *hookFS
+	name string
+}
+
+func (f hookFile) Sync() error {
+	if f.fs.onSync != nil {
+		if err := f.fs.onSync(f.name); err != nil {
+			return err
+		}
+	}
+	return f.File.Sync()
+}
+
+// TestNextSeqAdvancesOnlyAfterSync: while a record's fsync blocks, NextSeq
+// waits for it instead of reporting the record's seq as used, and the
+// record's seq is handed out only once the fsync returns.
+func TestNextSeqAdvancesOnlyAfterSync(t *testing.T) {
+	fsys := &hookFS{FS: OS}
+	w, err := NewWriter(fsys, t.TempDir(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	fsys.onSync = func(string) error {
+		close(entered)
+		<-release
+		return nil
+	}
+	rec := w.Append([]byte("first"))
+	<-entered
+	next := make(chan uint64)
+	go func() { next <- w.NextSeq() }()
+	select {
+	case got := <-next:
+		t.Fatalf("NextSeq returned %d while the record's fsync was blocked", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	fsys.onSync = nil // read by the writer only after release
+	close(release)
+	if got := <-next; got != 2 {
+		t.Fatalf("NextSeq after the fsync = %d, want 2", got)
+	}
+	if seq, err := rec.Wait(); seq != 1 || err != nil {
+		t.Fatalf("Wait = %d, %v; want 1, nil", seq, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedSyncPoisonsWriter: a failed record fsync assigns no seq, and
+// every later call of the writer returns that same error.
+func TestFailedSyncPoisonsWriter(t *testing.T) {
+	fsys := &hookFS{FS: OS}
+	w, err := NewWriter(fsys, t.TempDir(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, []byte("ok"))
+	injected := errors.New("injected fsync failure")
+	fsys.onSync = func(string) error { return injected }
+	if _, err := w.Append([]byte("lost")).Wait(); !errors.Is(err, injected) {
+		t.Fatalf("Append with a failing fsync: %v, want the injected error", err)
+	}
+	if got := w.NextSeq(); got != 2 {
+		t.Fatalf("NextSeq after the failed fsync = %d, want 2 (unchanged)", got)
+	}
+	fsys.onSync = nil
+	if _, err := w.Append([]byte("later")).Wait(); !errors.Is(err, injected) {
+		t.Fatalf("Append on the poisoned writer: %v, want the sealing error", err)
+	}
+	if got := w.NextSeq(); got != 2 {
+		t.Fatalf("NextSeq on the poisoned writer = %d, want 2", got)
+	}
+	if err := w.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close on the poisoned writer: %v, want the sealing error", err)
+	}
+}
+
+// TestRotationSealsBeforeNewName: a rotation fsyncs the old segment before
+// the next segment's file is created, so the new name never appears while
+// the old segment's records could still be lost.
+func TestRotationSealsBeforeNewName(t *testing.T) {
+	var ops []string
+	fsys := &hookFS{FS: OS,
+		onCreate: func(name string) { ops = append(ops, "create "+filepath.Base(name)) },
+		onSync: func(name string) error {
+			ops = append(ops, "sync "+filepath.Base(name))
+			return nil
+		},
+	}
+	dir := t.TempDir()
+	w, err := NewWriter(fsys, dir, 1, Options{SegmentSize: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, payloadFor(0)) // 16 + 10 bytes: fills the segment
+	mustAppend(t, w, payloadFor(1)) // rotates to the segment of seq 2
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, next := segName(1), segName(2)
+	want := []string{
+		"create " + old, "sync " + old, // NewWriter: header
+		"sync " + old,                    // record 1
+		"sync " + old,                    // rotation seals the old segment
+		"create " + next, "sync " + next, // then the new name appears
+		"sync " + next, // record 2
+		"sync " + next, // Close
+	}
+	if fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("file operations\n got %v\nwant %v", ops, want)
+	}
+	res, err := Recover(OS, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, res.Records, 2)
 }

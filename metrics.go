@@ -92,9 +92,10 @@ type WALMetrics struct {
 	// counts committed checkpoints.
 	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints uint64
 	// Append spans whole WAL appends (their fsync included), Fsync
-	// the fsync calls alone, Checkpoint the full checkpoint commits
-	// (write + prune).
-	Append, Fsync, Checkpoint DurationStats
+	// the fsync calls alone, SyncWait the part of a batch's append its
+	// publish waited for once the in-memory apply had finished,
+	// Checkpoint the full checkpoint commits (write + prune).
+	Append, Fsync, SyncWait, Checkpoint DurationStats
 }
 
 // Metrics is a point-in-time view of the pipeline's cumulative work
@@ -164,6 +165,9 @@ type durableMetrics struct {
 	degraded    obs.Gauge // 1 while sealed read-only, else 0
 	seals       obs.Counter
 	reopens     obs.Counter
+	// syncWait spans the time a batch's publish blocked on its WAL fsync
+	// after the in-memory apply had finished.
+	syncWait obs.Histogram
 }
 
 // ageNanos returns nanoseconds since the last snapshot publish (0 before
@@ -243,9 +247,7 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 // they appear in Metrics().WAL and in the registry. Called once, before
 // the durable embedder is returned to the caller.
 func (e *Embedder) registerDurable(dm *durableMetrics) {
-	e.mu.Lock()
-	e.durMet = dm
-	e.mu.Unlock()
+	e.durMet.Store(dm)
 	r := e.met.reg
 	r.Counter("treesvd_wal_appends_total", "records", "WAL records appended", &dm.wal.Appends)
 	r.Counter("treesvd_wal_appended_bytes_total", "bytes",
@@ -255,6 +257,8 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 	r.Histogram("treesvd_wal_append_nanos", "ns",
 		"Wall time per WAL append (its fsync included)", &dm.wal.AppendNanos)
 	r.Histogram("treesvd_wal_fsync_nanos", "ns", "Wall time per WAL fsync", &dm.wal.FsyncNanos)
+	r.Histogram("treesvd_wal_sync_wait_nanos", "ns",
+		"Wall time a batch's publish blocked on its WAL fsync after the apply finished", &dm.syncWait)
 	r.Counter("treesvd_checkpoints_total", "checkpoints",
 		"Committed durable checkpoints", &dm.checkpoints)
 	r.Histogram("treesvd_checkpoint_nanos", "ns",
@@ -297,7 +301,7 @@ func (e *Embedder) Metrics() Metrics {
 		PoolHits:           hits,
 		PoolMisses:         misses,
 	}
-	if dm := e.loadDurMet(); dm != nil {
+	if dm := e.durMet.Load(); dm != nil {
 		m.WAL = &WALMetrics{
 			Appends:       dm.wal.Appends.Load(),
 			AppendedBytes: dm.wal.AppendedBytes.Load(),
@@ -306,18 +310,11 @@ func (e *Embedder) Metrics() Metrics {
 			Checkpoints:   dm.checkpoints.Load(),
 			Append:        durStats(dm.wal.AppendNanos.Snapshot()),
 			Fsync:         durStats(dm.wal.FsyncNanos.Snapshot()),
+			SyncWait:      durStats(dm.syncWait.Snapshot()),
 			Checkpoint:    durStats(dm.ckptNanos.Snapshot()),
 		}
 	}
 	return m
-}
-
-// loadDurMet reads the durable-metrics link under the update lock (it is
-// written once, before the DurableEmbedder escapes its constructor).
-func (e *Embedder) loadDurMet() *durableMetrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.durMet
 }
 
 // MetricsRegistry returns the embedder's metric registry — every counter

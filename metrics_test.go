@@ -237,9 +237,9 @@ func TestTraceHookOrdering(t *testing.T) {
 	}
 }
 
-// TestDurableMetricsAndTrace covers the durability slice: WAL counters in
-// Metrics().WAL, checkpoint trace events, and the single TraceRecovery on
-// reopen.
+// TestDurableMetricsAndTrace covers the durability slice: WAL counters and
+// the fsync-wait histogram in Metrics().WAL, checkpoint trace events, and
+// the single TraceRecovery on reopen.
 func TestDurableMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	log := &traceLog{}
@@ -272,6 +272,11 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 	if m.WAL.Fsyncs == 0 || m.WAL.AppendedBytes == 0 {
 		t.Fatalf("WAL counters empty: %+v", *m.WAL)
 	}
+	// The fsync wait is observed once per acknowledged batch: each
+	// batch's publish waits on its record's fsync exactly once.
+	if m.WAL.SyncWait.Count != 4 {
+		t.Fatalf("WAL.SyncWait.Count = %d, want one per acked batch (4)", m.WAL.SyncWait.Count)
+	}
 	if m.WAL.Checkpoints != 2 {
 		t.Fatalf("WAL.Checkpoints = %d, want 2", m.WAL.Checkpoints)
 	}
@@ -283,6 +288,9 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 	reg.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	if !strings.Contains(rec.Body.String(), "treesvd_wal_appends_total 4") {
 		t.Fatal("treesvd_wal_appends_total not exported with the expected value")
+	}
+	if !strings.Contains(rec.Body.String(), "treesvd_wal_sync_wait_nanos_count 4") {
+		t.Fatal("treesvd_wal_sync_wait_nanos not exported with one observation per acked batch")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func (tl *publishTally) applyChecked(t *testing.T, e *Embedder, batch []Event, a
 
 // TestPublishSharesWhatNothingMoved drives the benchmark's stream through
 // an embedder, then through a durable store reopened mid-stream, whose
-// WAL replay folds batches with publish=false.
+// WAL replay folds batches without a publish barrier (no snapshot).
 func TestPublishSharesWhatNothingMoved(t *testing.T) {
 	g, subset, batches, cfg := publishStream()
 	t.Run("in-memory", func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Recovery benchmarks: `go test -bench` entry points for profiling the
 // durable wrapper's three cost centers — one synchronous checkpoint
-// commit, ApplyEvents through the WAL under each fsync policy, and
-// cold-start Open as a function of WAL length. The system benchmark
+// commit, ApplyEvents through the WAL (its per-batch fsync overlapped with
+// the apply), and cold-start Open as a function of WAL length. The system benchmark
 // (benchmark/, workload durable-trickle) is what measures them end to end.
 package treesvd
 

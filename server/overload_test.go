@@ -329,8 +329,8 @@ func TestDegradedEndToEnd(t *testing.T) {
 }
 
 // TestDurableIngestReplaysAfterClose serves a durable store through the
-// one handle: batches ingested over HTTP reach the WAL before they apply,
-// so Open after Close replays them.
+// one handle: batches ingested over HTTP are durable in the WAL before
+// they are acknowledged, so Open after Close replays them.
 func TestDurableIngestReplaysAfterClose(t *testing.T) {
 	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
 	dir := t.TempDir()

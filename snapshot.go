@@ -294,6 +294,18 @@ func dot(a, b []float64) float64 {
 
 // publishLocked freezes the current pipeline state into a new immutable
 // snapshot and publishes it. Caller holds e.mu; the tree must be built.
+func (e *Embedder) publishLocked() { e.storeSnapshotLocked(e.buildSnapshotLocked()) }
+
+// publish is publishLocked for a caller that does not hold e.mu.
+func (e *Embedder) publish() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.publishLocked()
+}
+
+// buildSnapshotLocked freezes the current pipeline state into a new
+// immutable snapshot, which nobody can read until storeSnapshotLocked
+// publishes it. Caller holds e.mu; the tree must be built.
 // The proximity matrix is captured as a CSR copy, because the DynRow
 // keeps mutating afterwards: rows the batches since the last publish
 // changed are gathered from the live cells, and the rest are copied
@@ -303,7 +315,7 @@ func dot(a, b []float64) float64 {
 // since then left a subset node; otherwise the previous snapshot's
 // arrays still hold. X is shared too while the root factorization is
 // the same object.
-func (e *Embedder) publishLocked() {
+func (e *Embedder) buildSnapshotLocked() *Snapshot {
 	g := e.g
 	prev := e.snap.Load()
 	var excluded, off []int32
@@ -311,7 +323,6 @@ func (e *Embedder) publishLocked() {
 		excluded, off = prev.excluded, prev.excludedOff
 	} else {
 		excluded, off = exclusionLists(g, e.subset)
-		e.subsetOutChanged = false
 	}
 	root := e.tree.Root()
 	var x *linalg.Dense
@@ -321,8 +332,7 @@ func (e *Embedder) publishLocked() {
 		x = root.USqrtS()
 	}
 	ts := e.tree.Stats()
-	snap := &Snapshot{
-		version:     e.version.Add(1),
+	return &Snapshot{
 		subset:      e.subset,
 		rowOf:       e.rowOf,
 		x:           x,
@@ -334,6 +344,15 @@ func (e *Embedder) publishLocked() {
 		numNodes:    g.NumNodes(),
 		numEdges:    g.NumEdges(),
 	}
+}
+
+// storeSnapshotLocked publishes snap, a snapshot of the current state,
+// under the next version. Caller holds e.mu. Until it runs, the exclusion
+// lists snap rebuilt are not yet the published ones, so subsetOutChanged
+// is cleared only here.
+func (e *Embedder) storeSnapshotLocked(snap *Snapshot) {
+	snap.version = e.version.Add(1)
+	e.subsetOutChanged = false
 	e.snap.Store(snap)
 	e.met.snapshots.Inc()
 	e.met.lastPublishNanos.Set(time.Now().UnixNano())

@@ -193,11 +193,12 @@ type Embedder struct {
 	// event out of a subset node, which may have moved that node's
 	// exclusion list; publish rebuilds the lists and clears it.
 	subsetOutChanged bool
-	// trace receives pipeline events when set (see SetTraceHook); durMet
-	// links the durable layer's counters in when a DurableEmbedder wraps
-	// this embedder. Both are guarded by mu.
+	// trace receives pipeline events when set (see SetTraceHook); guarded
+	// by mu. durMet links the durable layer's counters in when a
+	// DurableEmbedder wraps this embedder; atomic, so Metrics never waits
+	// for mu, which the durable layer holds through a batch's fsync.
 	trace  obs.TraceHook
-	durMet *durableMetrics
+	durMet atomic.Pointer[durableMetrics]
 
 	met     *pipelineMetrics
 	version atomic.Uint64
@@ -304,20 +305,33 @@ func (e *Embedder) ApplyEvents(ctx context.Context, events []Event) (int, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return e.applyEvents(ctx, events, publishNow)
+}
+
+// publishNow is the publish barrier of a batch nothing else waits on.
+func publishNow() error { return nil }
+
+// applyEvents is ApplyEvents behind the caller's publish barrier (see
+// applyEventsLocked); the durable layer's barrier waits for the batch's
+// WAL fsync.
+func (e *Embedder) applyEvents(ctx context.Context, events []Event, publish func() error) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applyEventsLocked(ctx, events, true)
+	return e.applyEventsLocked(ctx, events, publish)
 }
 
 // applyEventsLocked is the body of ApplyEvents. Caller holds e.mu.
-// publish=false skips the snapshot publication (a copy of the proximity
-// matrix that re-gathers only the rows changed since the last one, plus
-// the exclusion lists when a subset node's out-edges moved), letting WAL
-// replay fold many batches and publish once at the end. It
+// publish is the barrier the batch's snapshot waits on: once the batch is
+// applied the snapshot is built (a copy of the proximity matrix that
+// re-gathers only the rows changed since the last one, plus the exclusion
+// lists when a subset node's out-edges moved), then publish runs, and the
+// snapshot is stored only if it returns nil — else its error is the
+// batch's. A nil publish builds no snapshot, letting WAL replay fold many
+// batches and publish once at the end. It
 // wraps the batch in the trace bracket (one TraceBatchStart, one
 // TraceBatchEnd — including on error) and records the facade-level batch
 // metrics; the pipeline work itself runs in applyBatchLocked.
-func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publish bool) (int, error) {
+func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publish func() error) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -348,8 +362,9 @@ func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publis
 }
 
 // applyBatchLocked runs the batch through the pipeline stages, each under
-// its pprof stage label. Caller holds e.mu.
-func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish bool) (int, error) {
+// its pprof stage label, and publishes behind the barrier publish (see
+// applyEventsLocked). Caller holds e.mu.
+func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish func() error) (int, error) {
 	for _, ev := range events {
 		if _, ok := e.rowOf[ev.U]; ok {
 			e.subsetOutChanged = true
@@ -385,8 +400,13 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 	if err != nil {
 		return 0, err
 	}
-	if publish {
-		obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
+	if publish != nil {
+		var snap *Snapshot
+		obs.Stage(ctx, "publish", func(context.Context) error { snap = e.buildSnapshotLocked(); return nil })
+		if err := publish(); err != nil {
+			return 0, err
+		}
+		e.storeSnapshotLocked(snap)
 	}
 	return rebuilt, nil
 }
