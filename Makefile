@@ -80,10 +80,13 @@ differential:
 	$(GO) test -race -run 'TestDifferential|TestCrashRecoveryDifferential' -count=1 ./internal/check
 
 # Fault-injection gate: the scripted crash-point matrix over the durable
-# wrapper (every filesystem operation killed once, per failure mode) plus
+# wrapper (every filesystem operation killed once, per failure mode), the
+# two power-loss cases (a failed record fsync, then Reopen; a crash
+# between a record's write and its fsync, then Open; each followed by two
+# acknowledged batches and the loss of every byte never fsynced), plus
 # the faultfs harness's own tests.
 crash:
-	$(GO) test -run TestCrashPointMatrix -count=1 .
+	$(GO) test -run 'TestCrashPointMatrix|TestPowerLoss' -count=1 .
 	$(GO) test -count=1 ./internal/faultfs ./internal/wal
 
 # Robustness gate, under the race detector: the netfault storm (scripted

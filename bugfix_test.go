@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -213,62 +212,4 @@ func TestRecommendNotInSubsetTyped(t *testing.T) {
 	if nis.Node != 7 || nis.Subset != 3 {
 		t.Errorf("error carries Node=%d Subset=%d, want 7 and 3", nis.Node, nis.Subset)
 	}
-}
-
-// TestGraphViewConcurrentWithUpdates is the ISSUE 8 regression for the
-// Graph() escape hatch: the read-only view must be safe to hammer from
-// many goroutines — including with out-of-range ids — while ApplyEvents
-// streams batches. Run under -race (make race covers this package).
-func TestGraphViewConcurrentWithUpdates(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := buildGraph(rng, 24, 120)
-	emb, err := New(g, []int32{0, 1, 2, 3}, Config{Dim: 4, RMax: 1e-3, MaxNodes: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := emb.Graph()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				u := int32((i + r) % 40) // past NumNodes on purpose
-				view.NumNodes()
-				view.NumEdges()
-				view.HasEdge(u, int32(i%40))
-				view.OutDeg(u)
-				view.InDeg(-1)
-				if nbrs := view.OutNeighbors(u); u >= 32 && nbrs != nil {
-					panic("neighbors for an out-of-range id")
-				}
-				view.InNeighbors(u)
-			}
-		}(r)
-	}
-	evRng := rand.New(rand.NewSource(14))
-	for b := 0; b < 30; b++ {
-		batch := make([]Event, 0, 8)
-		for len(batch) < 8 {
-			u, v := int32(evRng.Intn(32)), int32(evRng.Intn(32))
-			batch = append(batch, Event{U: u, V: v, Type: Insert})
-		}
-		if _, err := emb.ApplyEvents(context.Background(), batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	wg.Wait()
-	// The copies handed out must stay valid after further updates.
-	nbrs := view.OutNeighbors(0)
-	if _, err := emb.ApplyEvents(context.Background(), []Event{{U: 0, V: 31, Type: Insert}}); err != nil {
-		t.Fatal(err)
-	}
-	_ = nbrs[:cap(nbrs)]
 }

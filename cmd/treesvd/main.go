@@ -65,8 +65,8 @@ func main() {
 			fail(err)
 		}
 		subset = emb.Subset()
-		fmt.Printf("resumed state: %d nodes, %d edges, |S|=%d\n",
-			emb.Graph().NumNodes(), emb.Graph().NumEdges(), len(subset))
+		snap := emb.Snapshot()
+		fmt.Printf("resumed state: %d nodes, %d edges, |S|=%d\n", snap.NumNodes(), snap.NumEdges(), len(subset))
 	} else {
 		g := stream.BuildSnapshot(1)
 		subset = sampleSubset(g, *subsetSize, *seed)

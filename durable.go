@@ -124,23 +124,17 @@ type RecoveryInfo struct {
 // reads keep serving the last published snapshot, Degraded reports the
 // cause, and Reopen re-arms the WAL once the operator has cleared the
 // fault. The failed batch was applied in memory while its record was
-// being written; it is never published before Reopen has logged it, but
-// the wrapped embedder's Graph view shows its edges meanwhile.
+// being written; nothing of it is readable before Reopen has logged it
+// afresh and published it.
 type DurableEmbedder struct {
 	fs  wal.FS
 	dir string
 	cfg DurableConfig
 
-	mu     sync.Mutex // serializes updates; ordered before e.mu
-	e      *Embedder
-	w      *wal.Writer
-	closed bool
-	// pending is a batch that reached the WAL but whose in-memory apply
-	// failed (cancellation). It must be re-applied before
-	// anything else so memory never falls behind the log; edge events are
-	// set operations, so re-applying a partially applied batch in order is
-	// idempotent.
-	pending   []Event
+	mu        sync.Mutex // serializes updates; ordered before e.mu
+	e         *Embedder
+	w         *wal.Writer
+	closed    bool
 	sinceCkpt int
 
 	// degraded is the WAL I/O failure that sealed the embedder read-only
@@ -379,13 +373,16 @@ func (d *DurableEmbedder) Dir() string { return d.dir }
 // snapshot is published, and ApplyEvents returns, only after the fsync
 // has succeeded, so once ApplyEvents returns nil the batch will survive a
 // crash, and no reader saw it earlier. ApplyEvents never returns with the
-// fsync still in flight, on cancellation neither.
+// fsync still in flight.
 //
-// If the in-memory apply fails while the batch is logged (cancellation),
-// the error is returned and the batch is retried
-// in front of the next call, so memory never falls behind the log. If the
+// ctx is checked once, before the record is written: a ctx error means
+// the batch was neither logged nor applied. Once the record is on its way
+// to disk the apply is owed either way and ignores cancellation. If the
 // append fails, the embedder seals into degraded mode with the batch
 // applied in memory but unpublished; Reopen logs and publishes it.
+// (Another error from the apply itself is an internal fault: the batch
+// stays logged and in the graph, and the next update catches the rest
+// of the pipeline up, as for Embedder.ApplyEvents.)
 func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -398,26 +395,21 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 	if err := d.degradedErrLocked(); err != nil {
 		return 0, err
 	}
-	if err := d.retryPendingLocked(ctx, publishNow); err != nil {
-		return 0, err
-	}
 	if err := d.e.validateEvents(events); err != nil {
 		return 0, err // never logged: an invalid batch must not reach replay
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	rec := d.w.Append(graph.AppendEvents(nil, events))
-	computed := false
-	rebuilt, err := d.e.applyEvents(ctx, events, func() error {
-		computed = true
+	rebuilt, err := d.e.applyEvents(context.WithoutCancel(ctx), events, func() error {
 		start := time.Now()
 		_, err := rec.Wait()
 		d.met.syncWait.ObserveSince(start)
 		return err
 	})
-	// The apply may have failed before its barrier waited: wait here.
+	// An apply that failed before its barrier did not wait: wait here.
 	seq, werr := rec.Wait()
-	if !computed {
-		d.pending = append([]Event(nil), events...)
-	}
 	if werr != nil {
 		d.unlogged = append([]Event(nil), events...)
 		d.sealLocked(werr)
@@ -468,11 +460,10 @@ func (d *DurableEmbedder) Degraded() error {
 
 // Reopen re-arms the WAL after the fault behind degraded mode has been
 // cleared (disk space freed, volume remounted) and makes the log catch up
-// with memory: it repairs the log tail, re-applies a batch whose
-// in-memory apply had failed too, and opens a fresh writer. The batch
-// whose append failed is logged at the sequence it failed at — unless
-// the repaired log already holds it (a failed fsync can leave the record
-// bytes fully written) — and only then published. On success ingest
+// with memory: it repairs the log tail, cuts any record of the failed
+// batch that reached the file (its fsync failed, and a retried fsync
+// proves nothing), opens a fresh writer at that batch's sequence and logs
+// the batch there afresh, and only then publishes it. On success ingest
 // works again; on failure the embedder stays degraded and Reopen can be
 // retried. A no-op when not degraded.
 func (d *DurableEmbedder) Reopen() error {
@@ -490,53 +481,32 @@ func (d *DurableEmbedder) Reopen() error {
 	// Repair the tail on disk first — NewWriter requires it: a torn
 	// record left by the failed append is truncated and a zero-record
 	// tail segment removed, so the fresh segment's name cannot collide.
-	rec, err := wal.Recover(d.fs, d.dir, false)
-	if err != nil {
+	if _, err := wal.Recover(d.fs, d.dir, false); err != nil {
 		return err
 	}
-	// Unpublished: the unlogged batch is still ahead of the log.
-	if err := d.retryPendingLocked(context.Background(), nil); err != nil {
+	// A record of the failed batch may have reached the file whole; its
+	// fsync failed, so it proves nothing. Cut it: NewWriter makes the cut
+	// durable before its own segment appears.
+	if err := wal.Cut(d.fs, d.dir, d.sealedNext); err != nil {
 		return err
 	}
-	next := d.sealedNext
-	logged := len(rec.Records) > 0 && rec.Records[len(rec.Records)-1].Seq == next
-	if logged {
-		next++
-	}
-	w, err := wal.NewWriter(d.fs, d.dir, next, d.cfg.walOptions(&d.met.wal))
+	w, err := wal.NewWriter(d.fs, d.dir, d.sealedNext, d.cfg.walOptions(&d.met.wal))
 	if err != nil {
 		return fmt.Errorf("treesvd: reopen: %w", err)
 	}
 	d.w = w // the next Reopen closes it, should the append below fail
-	if !logged {
-		if _, err := w.Append(graph.AppendEvents(nil, d.unlogged)).Wait(); err != nil {
-			return fmt.Errorf("treesvd: reopen: logging batch %d: %w", next, err)
-		}
-		next++
+	if _, err := w.Append(graph.AppendEvents(nil, d.unlogged)).Wait(); err != nil {
+		return fmt.Errorf("treesvd: reopen: logging batch %d: %w", d.sealedNext, err)
 	}
 	d.unlogged = nil
 	d.e.publish()
 	d.degraded = nil
-	d.sealedNext = 0
 	d.met.degraded.Set(0)
 	d.met.reopens.Inc()
 	if h := d.cfg.Trace; h != nil {
-		h(TraceEvent{Kind: TraceDegraded, Seq: next, Block: -1})
+		h(TraceEvent{Kind: TraceDegraded, Seq: d.sealedNext + 1, Block: -1})
 	}
-	return nil
-}
-
-// retryPendingLocked re-applies a logged-but-unapplied batch behind the
-// publish barrier publish (nil: not published). Caller holds d.mu.
-func (d *DurableEmbedder) retryPendingLocked(ctx context.Context, publish func() error) error {
-	if d.pending == nil {
-		return nil
-	}
-	if _, err := d.e.applyEvents(ctx, d.pending, publish); err != nil {
-		return fmt.Errorf("treesvd: retrying logged batch: %w", err)
-	}
-	d.pending = nil
-	d.sinceCkpt++
+	d.sealedNext = 0
 	return nil
 }
 
@@ -637,8 +607,8 @@ func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error
 
 // Checkpoint synchronously commits a checkpoint of the current state and
 // prunes the WAL behind it. While degraded it returns a *DegradedError and
-// writes nothing: memory may hold the unlogged batch, and a checkpoint of
-// it would be labelled with the log's last seq.
+// writes nothing: memory holds the unlogged batch, and a checkpoint of it
+// would be labelled with the log's last seq.
 func (d *DurableEmbedder) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -646,9 +616,6 @@ func (d *DurableEmbedder) Checkpoint() error {
 		return errClosed
 	}
 	if err := d.degradedErrLocked(); err != nil {
-		return err
-	}
-	if err := d.retryPendingLocked(context.Background(), publishNow); err != nil {
 		return err
 	}
 	return d.checkpointLocked(d.w.NextSeq() - 1)

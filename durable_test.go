@@ -430,39 +430,38 @@ func TestOpenRejectsFullyCorruptStore(t *testing.T) {
 	}
 }
 
-func TestDurableRetriesLoggedBatchAfterFailure(t *testing.T) {
+// TestDurableCancelledBatchNeitherLoggedNorApplied: a context cancelled
+// before ApplyEvents fails the call with context.Canceled before the
+// batch's record is written, so the batch is neither logged nor applied,
+// and the stream goes on as if it had never been sent.
+func TestDurableCancelledBatchNeitherLoggedNorApplied(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
-	d, err := Create(dir, fx.initial.Clone(), fx.subset, fx.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cancelled context fails the in-memory apply after the batch is
-	// durably logged; the wrapper must re-apply it before the next batch
-	// so memory never falls behind the log.
-	cancelled, cancel := context.WithCancel(context.Background())
+	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
+	emb := d.Embedder()
+	version := emb.Version()
+	cancelled, cancel := context.WithCancel(bgt)
 	cancel()
 	if _, err := d.ApplyEvents(cancelled, fx.batches[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled apply returned %v", err)
+		t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
 	}
-	if _, err := d.ApplyEvents(bgt, fx.batches[1]); err != nil {
-		t.Fatal(err)
+	if got := d.Metrics().WAL.Appends; got != 0 {
+		t.Fatalf("a cancelled batch appended %d WAL records, want 0", got)
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[2], "embedding after retry")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if got := emb.Version(); got != version {
+		t.Fatalf("a cancelled batch published version %d, want %d", got, version)
 	}
-	// And the log must agree: both batches recovered.
-	d, err = Open(dir, fx.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx.requireState(t, emb, 0, "state after a cancelled batch")
+	mustTB(d.ApplyEvents(bgt, fx.batches[0]))
+	fx.requireState(t, emb, 1, "state after the batch is sent again")
+	must0tb(d.Close())
+	// And the log agrees: the batch is logged once.
+	d = mustTB(Open(dir, fx.cfg))
 	defer d.Close()
-	info := d.Recovery()
-	if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != 2 {
-		t.Fatalf("recovered prefix %d, want 2", got)
+	if info := d.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != 1 {
+		t.Fatalf("recovered %+v, want the one batch", info)
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[2], "reopened embedding after retry")
+	fx.requireState(t, d.Embedder(), 1, "reopened state")
 }
 
 func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
@@ -704,8 +703,8 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 					t.Fatalf("%s: Reopen left the store degraded", label)
 				}
 				// The failed batch was applied in memory while its append
-				// ran; Reopen logs it (or keeps the record a failed fsync
-				// left whole) and publishes it: it is applied exactly once.
+				// ran; Reopen cuts any record of it, logs it afresh and
+				// publishes it: it is applied exactly once.
 				applied++
 				fx.requireState(t, d.Embedder(), applied, label+" reopened state")
 				// The log caught up with memory: a copy of the directory
@@ -879,9 +878,9 @@ func (f gatedFile) Sync() error {
 
 // TestNothingVisibleBeforeDurable holds a batch's record fsync and checks
 // that nothing of the batch escapes meanwhile: readers keep the
-// pre-batch version and embedding after the in-memory apply has
-// finished, ApplyEvents has not returned, and the Graph view blocks.
-// Releasing the fsync publishes exactly one new version.
+// pre-batch version, embedding and edge count after the in-memory apply
+// has finished, and ApplyEvents has not returned. Releasing the fsync
+// publishes exactly one new version.
 func TestNothingVisibleBeforeDurable(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
@@ -890,7 +889,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	d := mustTB(CreateWithFS(fsys, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
 	defer d.Close()
 	emb := d.Embedder()
-	version, edges := emb.Version(), emb.Graph().NumEdges()
+	version, edges := emb.Version(), emb.Snapshot().NumEdges()
 	updates := emb.tree.Metrics().Updates.Load()
 
 	entered, release := fsys.arm()
@@ -914,18 +913,17 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	graphEdges := make(chan int, 1)
-	go func() { graphEdges <- emb.Graph().NumEdges() }()
 	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
 		if got := emb.Version(); got != version {
 			t.Fatalf("version %d published while the batch's fsync was held (want %d)", got, version)
 		}
 		requireMatClose(t, emb.Embedding(), fx.shadow[0], "embedding while the fsync is held")
+		if n := emb.Snapshot().NumEdges(); n != edges {
+			t.Fatalf("snapshot reports %d edges while the batch's fsync was held, want %d", n, edges)
+		}
 		select {
 		case err := <-applied:
 			t.Fatalf("ApplyEvents returned (%v) while its fsync was held", err)
-		case n := <-graphEdges:
-			t.Fatalf("Graph view returned %d edges while the batch's fsync was held", n)
 		default:
 		}
 	}
@@ -939,8 +937,8 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 		t.Fatalf("version after the fsync = %d, want %d", got, version+1)
 	}
 	requireMatClose(t, emb.Embedding(), fx.shadow[1], "embedding after the fsync")
-	if n := <-graphEdges; n == edges {
-		t.Fatalf("Graph view read %d edges, the pre-batch count; want the batch's", n)
+	if n := emb.Snapshot().NumEdges(); n == edges {
+		t.Fatalf("snapshot reads %d edges, the pre-batch count; want the batch's", n)
 	}
 }
 
@@ -978,9 +976,12 @@ func dirNames(t *testing.T, dir string) []string {
 // TestFailedAppendUnloggedBatch fails the first batch's WAL append at its
 // write or its fsync. The batch was applied in memory meanwhile, but the
 // store seals with nothing published and refuses a checkpoint, which
-// would label that state with the wrong seq. Reopen logs the batch and
-// publishes it: the live state then equals an Open of a copy of the
-// directory, the batch applied exactly once, and the stream goes on.
+// would label that state with the wrong seq. Reopen cuts whatever of the
+// record reached the file, logs the batch afresh (exactly one append in
+// every case) and publishes it: the live state then equals an Open of a
+// copy of the directory, the batch applied exactly once, and the stream
+// goes on. A cancellation while the record's fsync is held changes
+// nothing: the apply was owed once the record was on its way.
 func TestFailedAppendUnloggedBatch(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
@@ -990,15 +991,11 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 		mode   faultfs.Mode
 		offset int // the failing op, counted from the first after Create
 		cancel bool
-		// reappend: the failed write left no record, so Reopen appends
-		// it; otherwise the record's bytes all landed and Reopen keeps it.
-		reappend bool
 	}{
-		{"syncerror-at-fsync", faultfs.SyncError, 1, false, false},
-		{"diskfull-at-write", faultfs.DiskFull, 1, false, true},
-		{"diskfull-at-fsync", faultfs.DiskFull, 2, false, false},
-		// The apply fails too: Reopen re-applies the batch before logging it.
-		{"syncerror-at-fsync-cancelled", faultfs.SyncError, 1, true, false},
+		{"syncerror-at-fsync", faultfs.SyncError, 1, false},
+		{"diskfull-at-write", faultfs.DiskFull, 1, false},
+		{"diskfull-at-fsync", faultfs.DiskFull, 2, false},
+		{"syncerror-at-fsync-cancelled", faultfs.SyncError, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1009,18 +1006,26 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 
 			dir := t.TempDir()
 			ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createOps + tc.offset, Mode: tc.mode})
-			d := mustTB(CreateWithFS(ffs, dir, fx.initial.Clone(), fx.subset, cfg))
+			gated := &gatedSyncFS{FS: ffs}
+			d := mustTB(CreateWithFS(gated, dir, fx.initial.Clone(), fx.subset, cfg))
 			defer d.Close()
 			emb := d.Embedder()
 			version := emb.Version()
-			ctx := bgt
+			ctx, cancel := context.WithCancel(bgt)
+			defer cancel()
+			applied := make(chan error, 1)
 			if tc.cancel {
-				cancelled, cancel := context.WithCancel(bgt)
+				entered, release := gated.arm()
+				go func() { _, err := d.ApplyEvents(ctx, fx.batches[0]); applied <- err }()
+				<-entered
 				cancel()
-				ctx = cancelled
+				close(release)
+			} else {
+				_, err := d.ApplyEvents(ctx, fx.batches[0])
+				applied <- err
 			}
 			var de *DegradedError
-			if _, err := d.ApplyEvents(ctx, fx.batches[0]); !errors.As(err, &de) || !ffs.Fired() {
+			if err := <-applied; !errors.As(err, &de) || !ffs.Fired() {
 				t.Fatalf("ApplyEvents with a failing append: %v (fault fired %v), want *DegradedError", err, ffs.Fired())
 			}
 			if emb.Version() != version {
@@ -1043,12 +1048,8 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 				t.Fatalf("version after Reopen = %d, want %d", emb.Version(), version+1)
 			}
 			fx.requireState(t, emb, 1, "state after Reopen")
-			wantAppends := uint64(0)
-			if tc.reappend {
-				wantAppends = 1
-			}
-			if got := d.Metrics().WAL.Appends; got != wantAppends {
-				t.Fatalf("records appended through Reopen = %d, want %d", got, wantAppends)
+			if got := d.Metrics().WAL.Appends; got != 1 {
+				t.Fatalf("records appended through Reopen = %d, want 1", got)
 			}
 			opened := mustTB(Open(copyStore(t, dir), cfg))
 			if info := opened.Recovery(); info.CheckpointSeq+uint64(info.ReplayedBatches) != 1 {
@@ -1067,4 +1068,89 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			fx.requireState(t, reopened.Embedder(), 2, "recovered state")
 		})
 	}
+}
+
+// powerLossAfterFailedFsync drives the fixture's first batch, then fails
+// the second batch's record fsync through an outer faultfs in outerMode
+// (outerOffset places that fsync among the operations outerMode counts
+// after the first batch), lets restart bring the store back, acknowledges
+// two more batches and cuts the power: the inner faultfs, under the outer
+// one, crashes at its next operation and drops every byte never fsynced.
+// An Open of the directory must then recover all four batches — the
+// failed one included, which restart made visible.
+func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faultfs.Mode, outerOffset int,
+	restart func(d *DurableEmbedder, inner wal.FS, dir string) *DurableEmbedder) {
+	t.Helper()
+	const never = 1 << 30 // a FailAt that counts operations but never fires
+	cfg := fx.cfg
+	cfg.SegmentSize = 0 // no rotation: the segments are Create's and restart's
+	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: never, Mode: outerMode})
+	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	mustTB(pd.ApplyEvents(bgt, fx.batches[0]))
+	failAt := probe.Ops() + outerOffset
+	must0tb(pd.Close())
+
+	scenario := func(dir string, powerAt int) (*DurableEmbedder, *faultfs.FS) {
+		inner := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: powerAt, Mode: faultfs.Crash, DropUnsynced: true})
+		outer := faultfs.Wrap(inner, faultfs.Plan{FailAt: failAt, Mode: outerMode})
+		d := mustTB(CreateWithFS(outer, dir, fx.initial.Clone(), fx.subset, cfg))
+		mustTB(d.ApplyEvents(bgt, fx.batches[0]))
+		if _, err := d.ApplyEvents(bgt, fx.batches[1]); err == nil || !outer.Fired() {
+			t.Fatalf("second batch with its fsync failing: %v (fault fired %v), want an error", err, outer.Fired())
+		}
+		d = restart(d, inner, dir)
+		fx.requireState(t, d.Embedder(), 2, "state after restart")
+		for _, b := range fx.batches[2:4] {
+			mustTB(d.ApplyEvents(bgt, b))
+		}
+		return d, inner
+	}
+	d, inner := scenario(t.TempDir(), never)
+	powerAt := inner.Ops() + 1
+	must0tb(d.Close())
+
+	dir := t.TempDir()
+	d, inner = scenario(dir, powerAt)
+	d.Close() // its fsync is the inner's powerAt-th operation: the power fails
+	if !inner.Crashed() {
+		t.Fatal("the power loss never fired")
+	}
+	rd, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("Open after the power loss: %v", err)
+	}
+	defer rd.Close()
+	if info := rd.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != 4 || info.DroppedBatches != 0 {
+		t.Fatalf("after the power loss Open recovered %+v, want all 4 acknowledged batches", info)
+	}
+	fx.requireState(t, rd.Embedder(), 4, "state after the power loss")
+}
+
+// TestPowerLossAfterFailedFsyncAndReopen: a failed record fsync proves
+// nothing about the record's bytes, and a retried fsync after a failed
+// one may report success without them. Reopen must cut the record and log
+// the batch afresh, so that a power loss cannot take the record while the
+// segments after it survive.
+func TestPowerLossAfterFailedFsyncAndReopen(t *testing.T) {
+	newDurableFixture(t).powerLossAfterFailedFsync(t, faultfs.SyncError, 1,
+		func(d *DurableEmbedder, _ wal.FS, _ string) *DurableEmbedder {
+			if err := d.Reopen(); err != nil {
+				t.Fatalf("Reopen: %v", err)
+			}
+			return d
+		})
+}
+
+// TestPowerLossAfterCrashBeforeFsyncAndOpen: a process crash between a
+// record's write and its fsync leaves the record in the page cache. Open
+// replays it, so it must be durable before the writer appends past it.
+func TestPowerLossAfterCrashBeforeFsyncAndOpen(t *testing.T) {
+	fx := newDurableFixture(t)
+	fx.powerLossAfterFailedFsync(t, faultfs.Crash, 2, // the record's write, then its fsync
+		func(d *DurableEmbedder, inner wal.FS, dir string) *DurableEmbedder {
+			d.Close() // the process is dead: this only releases its descriptors
+			cfg := fx.cfg
+			cfg.SegmentSize = 0
+			return mustTB(OpenWithFS(inner, dir, cfg))
+		})
 }

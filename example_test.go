@@ -163,6 +163,6 @@ func ExampleCreate() {
 	defer d.Close()
 	info := d.Recovery()
 	fmt.Printf("checkpoint after batch %d, %d batch replayed, %d edges\n",
-		info.CheckpointSeq, info.ReplayedBatches, d.Embedder().Graph().NumEdges())
+		info.CheckpointSeq, info.ReplayedBatches, d.Snapshot().NumEdges())
 	// Output: checkpoint after batch 2, 1 batch replayed, 67 edges
 }

@@ -184,7 +184,8 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 		Seed:    seed,
 	})
 
-	emb, err := treesvd.New(initial.Clone(), subset, cfg)
+	live := initial.Clone() // handed to New: emb's live graph
+	emb, err := treesvd.New(live, subset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +280,12 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 		// rejected atomically — same version, graph untouched, and the
 		// subsequent legitimate batch unaffected.
 		if b == 2 {
-			beforeVer, beforeEdges := emb.Version(), emb.Graph().NumEdges()
+			beforeVer, beforeEdges := emb.Version(), live.NumEdges()
 			poison := append([]treesvd.Event{{U: 0, V: int32(maxNodes), Type: treesvd.Insert}}, batch...)
 			if _, err := emb.ApplyEvents(ctx, poison); err == nil {
 				t.Fatalf("batch %d: poisoned batch accepted", b)
 			}
-			if emb.Version() != beforeVer || emb.Graph().NumEdges() != beforeEdges {
+			if emb.Version() != beforeVer || live.NumEdges() != beforeEdges {
 				t.Fatalf("batch %d: poisoned batch mutated state", b)
 			}
 		}
@@ -298,8 +299,8 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 		for _, ev := range batch {
 			mirror.Apply(ev)
 		}
-		if got, want := emb.Graph().NumEdges(), mirror.NumEdges(); got != want {
-			t.Fatalf("batch %d: embedder graph has %d edges, mirror %d", b, got, want)
+		if got, want := emb.Snapshot().NumEdges(), mirror.NumEdges(); got != want || live.NumEdges() != want {
+			t.Fatalf("batch %d: embedder snapshot has %d edges, its live graph %d, mirror %d", b, got, live.NumEdges(), want)
 		}
 
 		// Differential core: fresh build on an identically-evolved graph.

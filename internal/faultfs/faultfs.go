@@ -248,7 +248,7 @@ func (f *FS) Create(name string) (wal.File, error) {
 	f.size[name] = 0
 	f.synced[name] = 0
 	f.mu.Unlock()
-	return &file{fs: f, inner: fl, name: name, writable: true}, nil
+	return &file{fs: f, inner: fl, name: name}, nil
 }
 
 func (f *FS) Open(name string) (wal.File, error) {
@@ -344,10 +344,9 @@ func (f *FS) SyncDir(dir string) error {
 
 // file wraps a wal.File with write/sync accounting.
 type file struct {
-	fs       *FS
-	inner    wal.File
-	name     string
-	writable bool
+	fs    *FS
+	inner wal.File
+	name  string
 }
 
 func (fl *file) Read(p []byte) (int, error) {
@@ -391,7 +390,7 @@ func (fl *file) Write(p []byte) (int, error) {
 
 // track advances the file's size bookkeeping by n written bytes.
 func (fl *file) track(n int) {
-	if n <= 0 || !fl.writable {
+	if n <= 0 {
 		return
 	}
 	fl.fs.mu.Lock()
@@ -414,13 +413,13 @@ func (fl *file) Sync() error {
 	if err := fl.inner.Sync(); err != nil {
 		return err
 	}
-	if fl.writable {
-		fl.fs.mu.Lock()
-		if sz, ok := fl.fs.size[fl.name]; ok {
-			fl.fs.synced[fl.name] = sz
-		}
-		fl.fs.mu.Unlock()
+	// Like fsync(2), a Sync through any descriptor — one from Open
+	// included — makes the whole file durable.
+	fl.fs.mu.Lock()
+	if sz, ok := fl.fs.size[fl.name]; ok {
+		fl.fs.synced[fl.name] = sz
 	}
+	fl.fs.mu.Unlock()
 	return nil
 }
 

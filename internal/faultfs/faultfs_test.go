@@ -137,6 +137,41 @@ func TestCrashDropUnsynced(t *testing.T) {
 	}
 }
 
+// TestSyncThroughAnyDescriptor: as with fsync(2), a Sync through a
+// descriptor from Open makes bytes written through another one durable.
+func TestSyncThroughAnyDescriptor(t *testing.T) {
+	dir := t.TempDir()
+	name := filepath.Join(dir, "a")
+	// Ops: Create, Write, Sync (through the reader), then the crash.
+	fs := Wrap(wal.OS, Plan{FailAt: 4, Mode: Crash, DropUnsynced: true})
+	w, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Write([]byte("aaaaa")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("bbb")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after the planned crash point: %v, want ErrInjected", err)
+	}
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "aaaaa" {
+		t.Fatalf("file rolled back to %q, want the 5 bytes synced through the reader", data)
+	}
+}
+
 func TestBitFlipSilent(t *testing.T) {
 	dir := t.TempDir()
 	fs := Wrap(wal.OS, Plan{FailAt: 1, Mode: BitFlip})

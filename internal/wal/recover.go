@@ -119,6 +119,49 @@ func Recover(fs FS, dir string, strict bool) (*RecoverResult, error) {
 	return res, nil
 }
 
+// Cut removes every record from seq from on from the end of the log in
+// dir, which Recover has repaired: segments that start at or past from
+// are deleted (and the deletion made durable), and the segment holding
+// from is truncated just before it. A no-op when the log ends before
+// from. The truncation is made durable by the next NewWriter, which
+// fsyncs the newest segment before it creates its own.
+func Cut(fs FS, dir string, from uint64) error {
+	segs, err := listSegments(fs, dir)
+	if err != nil {
+		return err
+	}
+	n := len(segs)
+	for n > 0 && segs[n-1] >= from {
+		n--
+		if err := fs.Remove(filepath.Join(dir, segName(segs[n]))); err != nil {
+			return err
+		}
+	}
+	if n < len(segs) {
+		if err := fs.SyncDir(dir); err != nil {
+			return err
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	name := filepath.Join(dir, segName(segs[n-1]))
+	data, err := readAll(fs, name)
+	if err != nil {
+		return err
+	}
+	for off := min(int64(len(data)), segHdrLen); ; {
+		rec, adv, kind, _ := parseRecord(data[off:], name, off)
+		if kind != faultNone {
+			return nil
+		}
+		if rec.Seq >= from {
+			return fs.Truncate(name, off)
+		}
+		off += int64(adv)
+	}
+}
+
 // fault handles a non-torn fault at offset off of segment segs[0]:
 // strict mode propagates ferr; lenient mode deletes everything from the
 // fault on (the rest of the faulted segment and all later segments),

@@ -155,13 +155,39 @@ func (p *Pending) Wait() (uint64, error) {
 // nextSeq to its first record. It always starts a fresh segment: run
 // Recover first so a torn tail left by a crash has been truncated and a
 // zero-record tail segment removed — the new segment's name is derived
-// from nextSeq and must not collide with a live one.
+// from nextSeq and must not collide with a live one. Before creating it,
+// NewWriter fsyncs the newest segment already in dir: a record a crash
+// left written but never fsynced, or a truncation by Recover or Cut, is
+// durable before any record follows it, so a power loss cannot take it
+// and leave a broken sequence chain behind.
 func NewWriter(fs FS, dir string, nextSeq uint64, opt Options) (*Writer, error) {
 	w := &Writer{fs: fs, dir: dir, opt: opt.withDefaults(), next: nextSeq}
+	if err := w.syncNewest(); err != nil {
+		return nil, err
+	}
 	if err := w.openSegment(); err != nil {
 		return nil, err
 	}
 	return w, nil
+}
+
+// syncNewest fsyncs the newest segment in w.dir, if there is one, through
+// a read-only descriptor: fsync(2) flushes the file, whichever descriptor
+// it is called on.
+func (w *Writer) syncNewest() error {
+	segs, err := listSegments(w.fs, w.dir)
+	if err != nil || len(segs) == 0 {
+		return err
+	}
+	f, err := w.fs.Open(filepath.Join(w.dir, segName(segs[len(segs)-1])))
+	if err != nil {
+		return err
+	}
+	err = syncTimed(f, w.opt.Met)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // openSegment creates the segment file for w.next and makes its existence

@@ -115,6 +115,39 @@ func TestWriterResumesAfterRecover(t *testing.T) {
 	checkRecords(t, res.Records, 6)
 }
 
+// TestCut: Cut drops every record from a seq on, across segments — the
+// segments starting at or past it are deleted, the one holding it is
+// truncated — and a writer resumes at that seq.
+func TestCut(t *testing.T) {
+	for _, from := range []uint64{1, 2, 4, 5, 21, 30} {
+		t.Run(fmt.Sprint(from), func(t *testing.T) {
+			dir := t.TempDir()
+			writeLog(t, dir, 20, Options{SegmentSize: 90}) // 3 records a segment
+			if err := Cut(OS, dir, from); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Recover(OS, dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := int(min(from-1, 20))
+			checkRecords(t, res.Records, kept)
+			w, err := NewWriter(OS, dir, uint64(kept+1), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, w, payloadFor(kept))
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if res, err = Recover(OS, dir, true); err != nil {
+				t.Fatal(err)
+			}
+			checkRecords(t, res.Records, kept+1)
+		})
+	}
+}
+
 // lastSegment returns the path of the newest segment file.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()

@@ -49,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got := loaded.Subset(); len(got) != len(subset) || got[0] != subset[0] {
 		t.Fatal("subset not restored")
 	}
-	if loaded.Graph().NumEdges() != emb.Graph().NumEdges() {
+	if loaded.Snapshot().NumEdges() != emb.Snapshot().NumEdges() {
 		t.Fatal("graph not restored")
 	}
 

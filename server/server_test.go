@@ -43,7 +43,13 @@ var testSubset = []int32{0, 3, 7, 11, 20, 33}
 
 func newTestServer(t *testing.T, cfg treesvd.Config) (*treesvd.Embedder, *server.Server) {
 	t.Helper()
-	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
+	return newTestServerOn(t, buildGraph(rand.New(rand.NewSource(11)), 40, 160), cfg)
+}
+
+// newTestServerOn is newTestServer over g, which the embedder retains as
+// its live graph.
+func newTestServerOn(t *testing.T, g *treesvd.Graph, cfg treesvd.Config) (*treesvd.Embedder, *server.Server) {
+	t.Helper()
 	emb, err := treesvd.New(g, testSubset, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +445,8 @@ func TestVersionDoesNotWaitForIngest(t *testing.T) {
 // repair aborts and nothing is published): /v1/version must still report
 // the edge count of the version it names, not the live graph's.
 func TestVersionReportsItsOwnEdgeCount(t *testing.T) {
-	emb, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
+	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
+	emb, srv := newTestServerOn(t, g, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
 	c := client.New(srv.URL(), client.WithRetries(0))
 	before, err := c.Version(context.Background())
 	if err != nil {
@@ -457,7 +464,7 @@ func TestVersionReportsItsOwnEdgeCount(t *testing.T) {
 	if _, err := emb.ApplyEvents(ctx, batch); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
-	if got := emb.Graph().NumEdges(); got != before.NumEdges+len(batch) {
+	if got := g.NumEdges(); got != before.NumEdges+len(batch) {
 		t.Fatalf("live graph has %d edges, want %d: the cancelled batch must have advanced it", got, before.NumEdges+len(batch))
 	}
 

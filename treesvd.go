@@ -170,9 +170,9 @@ func (c Config) withDefaults() (Config, error) {
 // internal mutex (safe from any goroutine); Snapshot, Embedding,
 // RightEmbedding, Recommend, LastStats, Subset and Version are lock-free
 // reads of the last published snapshot and are safe to call concurrently
-// with an in-flight update. Graph() returns a read-only view whose
-// accessors serialize with updates on the same mutex, so it too is safe
-// from any goroutine; the live graph itself is never handed out.
+// with an in-flight update. The live graph is never handed out; the
+// snapshot's NumNodes and NumEdges report the graph it was published
+// from.
 type Embedder struct {
 	cfg    Config
 	subset []int32
@@ -377,13 +377,7 @@ func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish
 			// interrupted update: advance the graph, then recompute PPR and
 			// proximity from scratch.
 			e.g.ApplyAll(events)
-			e.stale = true // graph is ahead of the estimates until Rebuild lands
-			if err := e.prox.Sub.Rebuild(ctx); err != nil {
-				return err
-			}
-			e.prox.RefreshAll()
-			e.stale = false
-			return nil
+			return e.resetPPRLocked(ctx)
 		}
 		if err := e.prox.ApplyEvents(ctx, events); err != nil {
 			e.stale = true
@@ -454,21 +448,26 @@ func (e *Embedder) Rebuild(ctx context.Context) error {
 
 // rebuildLocked is the body of Rebuild. Caller holds e.mu.
 func (e *Embedder) rebuildLocked(ctx context.Context) error {
-	if err := obs.Stage(ctx, "ppr.apply", func(ctx context.Context) error {
-		e.stale = true
-		if err := e.prox.Sub.Rebuild(ctx); err != nil {
-			return err
-		}
-		e.prox.RefreshAll()
-		e.stale = false
-		return nil
-	}); err != nil {
+	if err := obs.Stage(ctx, "ppr.apply", e.resetPPRLocked); err != nil {
 		return err
 	}
 	if err := e.tree.Build(ctx); err != nil {
 		return err
 	}
 	obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
+	return nil
+}
+
+// resetPPRLocked recomputes the PPR states and the proximity matrix from
+// scratch on the current graph. stale stays set until it succeeds: the
+// graph may be ahead of the estimates. Caller holds e.mu.
+func (e *Embedder) resetPPRLocked(ctx context.Context) error {
+	e.stale = true
+	if err := e.prox.Sub.Rebuild(ctx); err != nil {
+		return err
+	}
+	e.prox.RefreshAll()
+	e.stale = false
 	return nil
 }
 
@@ -547,90 +546,3 @@ type Stats struct {
 // LastStats returns the factorization work counters of the update that
 // published the current snapshot.
 func (e *Embedder) LastStats() Stats { return e.Snapshot().Stats() }
-
-// Graph returns a read-only view of the embedded graph that is safe to
-// use concurrently with ApplyEvents: every accessor serializes with the
-// update path on the embedder's internal mutex, so callers never observe
-// a half-applied batch. The live *Graph itself is owned by the update
-// path and is no longer handed out — an earlier version of this method
-// returned it guarded only by a doc comment, which made every caller a
-// latent data race once ingest went concurrent.
-//
-// Accessors are cheap (a mutex acquisition plus an O(1) or O(degree)
-// read) but do contend with updates; for bulk scoring reads use Snapshot,
-// which is lock-free. Do not call view accessors from inside a TraceHook:
-// hooks run on update goroutines that already hold the lock.
-func (e *Embedder) Graph() GraphView { return GraphView{e: e} }
-
-// GraphView is a concurrency-safe, read-only window onto an Embedder's
-// live graph. The zero value is not usable; obtain one from
-// Embedder.Graph. Methods never panic on out-of-range node ids — they
-// report zero degrees, no edges and nil neighbor lists instead, so a
-// serving layer can probe arbitrary client-supplied ids safely.
-type GraphView struct {
-	e *Embedder
-}
-
-// NumNodes returns the graph's current node count.
-func (v GraphView) NumNodes() int {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	return v.e.g.NumNodes()
-}
-
-// NumEdges returns the graph's current edge count.
-func (v GraphView) NumEdges() int {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	return v.e.g.NumEdges()
-}
-
-// HasEdge reports whether the directed edge (u,w) currently exists.
-func (v GraphView) HasEdge(u, w int32) bool {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	return v.e.g.HasEdge(u, w)
-}
-
-// OutDeg returns u's current out-degree, or 0 if u is not a node.
-func (v GraphView) OutDeg(u int32) int {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	if u < 0 || int(u) >= v.e.g.NumNodes() {
-		return 0
-	}
-	return v.e.g.OutDeg(u)
-}
-
-// InDeg returns u's current in-degree, or 0 if u is not a node.
-func (v GraphView) InDeg(u int32) int {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	if u < 0 || int(u) >= v.e.g.NumNodes() {
-		return 0
-	}
-	return v.e.g.InDeg(u)
-}
-
-// OutNeighbors returns a copy of u's current out-neighbor list (nil if u
-// is not a node). The copy is the caller's to keep: unlike the slices the
-// graph itself hands out, it is not invalidated by later updates.
-func (v GraphView) OutNeighbors(u int32) []int32 {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	if u < 0 || int(u) >= v.e.g.NumNodes() {
-		return nil
-	}
-	return append([]int32(nil), v.e.g.OutNeighbors(u)...)
-}
-
-// InNeighbors returns a copy of u's current in-neighbor list (nil if u is
-// not a node). Same ownership as OutNeighbors.
-func (v GraphView) InNeighbors(u int32) []int32 {
-	v.e.mu.Lock()
-	defer v.e.mu.Unlock()
-	if u < 0 || int(u) >= v.e.g.NumNodes() {
-		return nil
-	}
-	return append([]int32(nil), v.e.g.InNeighbors(u)...)
-}

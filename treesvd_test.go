@@ -195,7 +195,7 @@ func TestRecommend(t *testing.T) {
 	}
 	sameComm := 0
 	for i, r := range recs {
-		if r.Node == 3 || emb.Graph().HasEdge(3, r.Node) {
+		if r.Node == 3 || g.HasEdge(3, r.Node) {
 			t.Fatalf("recommendation %d is self or an existing edge", r.Node)
 		}
 		if i > 0 && recs[i-1].Score < r.Score {
