@@ -7,7 +7,7 @@
 # binaries under cmd/), the short-mode differential fuzz of the
 # correctness harness, ten seconds of coverage fuzzing on each decoder of
 # untrusted bytes, the fault-injection crash matrix of the durable
-# wrapper, the chaos suite, doclint, and one-iteration smokes of the
+# wrapper, the chaos suite, the doc tests, and one-iteration smokes of the
 # apply, recommend and repair benchmarks. Serving latency is measured by
 # the benchmark's serve-mixed workload (bash benchmark/run.sh --workload
 # serve-mixed), not here.
@@ -45,11 +45,13 @@ cross:
 	fma=$$(echo "$$kern" | grep -E '\)[[:space:]]+FN?M(ADD|SUB)[DS][[:space:]]'); \
 	if [ -n "$$fma" ]; then echo "cross: fused multiply-add in a product kernel on arm64:"; echo "$$fma"; exit 1; fi
 
-# Documentation gate: go vet's doc-adjacent checks plus cmd/doclint,
-# which requires a package comment on every package and a doc comment on
-# every exported identifier of the public packages (root, server, client).
+# Documentation gate: go vet's doc-adjacent checks plus the doc tests of
+# docs_test.go (also part of `make test`): a package comment on every
+# package, a doc comment on every exported identifier of the public
+# packages (root, server, client), live make targets, cmd/ paths and
+# settings in the docs, and README's line budget.
 docs: vet
-	$(GO) run ./cmd/doclint
+	$(GO) test -count=1 -run 'TestDocsNameLiveTargets|TestReadmeWithinBudget|TestEveryPackageHasAComment|TestPublicExportsHaveDocComments' .
 
 build:
 	$(GO) build ./...

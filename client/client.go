@@ -250,7 +250,6 @@ func (c *Client) ApplyEventBatches(ctx context.Context, batches [][]treesvd.Even
 		return ApplyResult{}, err
 	}
 	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set("Accept", wire.ContentType)
 	if deadline, ok := ctx.Deadline(); ok {
 		if ms := time.Until(deadline).Milliseconds(); ms > 0 {
 			req.Header.Set(wire.TimeoutHeader, strconv.FormatInt(ms, 10))

@@ -1,10 +1,11 @@
 // Command serve runs the treesvd HTTP service (package server) around one
 // embedder: snapshot-isolated reads (/v1/recommend, /v1/embedding,
-// /v1/rightembedding, /v1/version), streaming ingest (/v1/events), plus
-// /metrics and /debug/pprof on the same listener. The embedder comes from
-// a state file written by `treesvd -save` (resume serving exactly where a
-// build left off) or, with -synthetic, from a generated random graph, so
-// the service can be tried with no state file at hand.
+// /v1/rightembedding, /v1/version; JSON, or binary frames on request),
+// streaming ingest of binary event frames (/v1/events), plus /metrics
+// (Prometheus text) and /debug/pprof on the same listener. The embedder
+// comes from a state file written by `treesvd -save` (resume serving
+// exactly where a build left off) or, with -synthetic, from a generated
+// random graph, so the service can be tried with no state file at hand.
 //
 // Usage:
 //

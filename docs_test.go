@@ -1,7 +1,13 @@
 package treesvd
 
 import (
+	"go/ast"
+	"go/doc"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -89,5 +95,111 @@ func TestReadmeWithinBudget(t *testing.T) {
 	}
 	if n := strings.Count(string(data), "\n"); n > readmeBudget {
 		t.Errorf("README.md has %d lines, budget %d", n, readmeBudget)
+	}
+}
+
+// TestEveryPackageHasAComment fails on a directory of non-test Go files
+// (hidden and testdata directories aside) none of which carries a
+// package comment.
+func TestEveryPackageHasAComment(t *testing.T) {
+	documented := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		documented[dir] = documented[dir] || (f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, ok := range documented {
+		if !ok {
+			t.Errorf("package in %s has no package comment", dir)
+		}
+	}
+}
+
+// TestPublicExportsHaveDocComments fails on an exported type, func,
+// method, const or var of the public packages (the root, server and
+// client) without a doc comment. A const or var passes with a doc
+// comment on its group or on its own spec.
+func TestPublicExportsHaveDocComments(t *testing.T) {
+	for _, dir := range []string{".", "server", "client"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, p := range paths {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		pkg, err := doc.NewFromFiles(fset, files, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := func(pos token.Pos, kind, name string) {
+			t.Errorf("%s: exported %s %s has no doc comment", fset.Position(pos), kind, name)
+		}
+		values := func(kind string, vs []*doc.Value) {
+			for _, v := range vs {
+				if strings.TrimSpace(v.Doc) != "" {
+					continue
+				}
+				for _, s := range v.Decl.Specs {
+					spec := s.(*ast.ValueSpec)
+					if spec.Doc != nil && strings.TrimSpace(spec.Doc.Text()) != "" {
+						continue
+					}
+					for _, id := range spec.Names {
+						if id.IsExported() {
+							report(spec.Pos(), kind, id.Name)
+							break
+						}
+					}
+				}
+			}
+		}
+		funcs := func(kind, prefix string, fns []*doc.Func) {
+			for _, f := range fns {
+				if ast.IsExported(f.Name) && strings.TrimSpace(f.Doc) == "" {
+					report(f.Decl.Pos(), kind, prefix+f.Name)
+				}
+			}
+		}
+		values("const", pkg.Consts)
+		values("var", pkg.Vars)
+		funcs("func", "", pkg.Funcs)
+		for _, typ := range pkg.Types {
+			if ast.IsExported(typ.Name) && strings.TrimSpace(typ.Doc) == "" {
+				report(typ.Decl.Pos(), "type", typ.Name)
+			}
+			values("const", typ.Consts)
+			values("var", typ.Vars)
+			funcs("func", "", typ.Funcs)
+			funcs("method", typ.Name+".", typ.Methods)
+		}
 	}
 }

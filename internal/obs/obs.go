@@ -1,11 +1,10 @@
 // Package obs is the zero-dependency observability layer of the Tree-SVD
 // pipeline: lock-free counters, gauges and ring-buffer histograms that the
 // hot paths update with single atomic operations, a Registry that exposes
-// every registered metric as an expvar-style JSON document and as
-// Prometheus text format over HTTP, a pluggable TraceHook fired at the
-// pipeline's structural events (batch start/end, block recompute, rebuild,
-// checkpoint, recovery), and pprof label helpers that attribute CPU
-// profile samples to pipeline stages.
+// every registered metric in the Prometheus text format over HTTP, a
+// pluggable TraceHook fired at the pipeline's structural events (batch
+// start/end, block recompute, rebuild, checkpoint, recovery), and pprof
+// label helpers that attribute CPU profile samples to pipeline stages.
 //
 // Design rules, enforced by the benchmarks in this package and the
 // churnstress overhead experiment in EXPERIMENTS.md:

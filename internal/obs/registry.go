@@ -74,9 +74,9 @@ type entry struct {
 }
 
 // Registry is a named collection of metrics that can be snapshotted and
-// served over HTTP (expvar-style JSON and Prometheus text format). Every
-// embedder owns one, and so does every HTTP server; registration happens
-// at construction time, reads at any time. All methods are safe for
+// served over HTTP in the Prometheus text format. Every embedder owns
+// one, and so does every HTTP server; registration happens at
+// construction time, reads at any time. All methods are safe for
 // concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
@@ -207,43 +207,11 @@ func (v Value) quantileSeries(q string) string {
 	return fmt.Sprintf("%s{%s,quantile=%q}", v.Name, v.Labels, q)
 }
 
-// WriteExpvar writes the registry as one expvar-style JSON object: metric
-// name → number, histograms → an object with count/sum/min/max/mean and
-// the window quantiles. The output is deterministic (sorted by name) and
-// built by hand so the write path stays dependency-free.
-func (r *Registry) WriteExpvar(w io.Writer) error { return writeExpvar(w, r.Snapshot()) }
-
-func writeExpvar(w io.Writer, vals []Value) error {
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, "%q: ", v.series())
-		switch v.Kind {
-		case KindCounter:
-			fmt.Fprintf(&b, "%d", v.Counter)
-		case KindGauge:
-			fmt.Fprintf(&b, "%g", v.Gauge)
-		case KindHistogram:
-			h := v.Hist
-			fmt.Fprintf(&b, `{"count": %d, "sum": %d, "min": %d, "max": %d, "mean": %d, "p50": %d, "p90": %d, "p99": %d, "p999": %d}`,
-				h.Count, h.Sum, h.Min, h.Max, h.Mean(), h.P50, h.P90, h.P99, h.P999)
-		}
-	}
-	b.WriteString("\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format. Histograms are exported as summaries: <name>{quantile="..."}
-// series plus <name>_sum and <name>_count. Units are appended to HELP, not
+// writePrometheus writes vals in the Prometheus text exposition format.
+// Histograms are exported as summaries: <name>{quantile="..."} series
+// plus <name>_sum and <name>_count. Units are appended to HELP, not
 // encoded in the metric name — names are chosen by the caller.
-func (r *Registry) WritePrometheus(w io.Writer) error { return writePrometheus(w, r.Snapshot()) }
-
-func writePrometheus(w io.Writer, vals []Value) error {
+func writePrometheus(w io.Writer, vals []Value) {
 	var b strings.Builder
 	prevName := ""
 	for _, v := range vals {
@@ -276,28 +244,19 @@ func writePrometheus(w io.Writer, vals []Value) error {
 			fmt.Fprintf(&b, "%s %d\n%s %d\n", sumName, h.Sum, countName, h.Count)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	io.WriteString(w, b.String())
 }
 
 // ServeHTTP serves the registry (see Serve). Mount it wherever the
 // operator wants the endpoint, e.g. http.Handle("/metrics",
 // emb.MetricsRegistry()).
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) { Serve(w, req, r) }
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) { Serve(w, r) }
 
-// Serve writes the metrics of every registry in regs as one page, sorted
-// by name across them: Prometheus text format when the request has
-// ?format=prometheus (or an Accept header preferring text/plain),
-// expvar-style JSON otherwise. The registries must not share a series.
-func Serve(w http.ResponseWriter, req *http.Request, regs ...*Registry) {
-	vals := gather(regs...)
-	prom := req.URL.Query().Get("format") == "prometheus" ||
-		strings.Contains(req.Header.Get("Accept"), "text/plain")
-	if prom {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, vals)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	writeExpvar(w, vals)
+// Serve writes the metrics of every registry in regs as one page of
+// Prometheus text, sorted by name across them. A histogram shows its
+// window quantiles, _sum and _count; its min, max and mean are read in
+// process (Snapshot). The registries must not share a series.
+func Serve(w http.ResponseWriter, regs ...*Registry) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	writePrometheus(w, gather(regs...))
 }

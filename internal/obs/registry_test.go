@@ -2,9 +2,8 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime/pprof"
 	"strings"
@@ -30,63 +29,33 @@ func buildRegistry() *Registry {
 	return r
 }
 
+// prometheusPage serves r through ServeHTTP and returns the page.
+func prometheusPage(t *testing.T, r *Registry) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
 // TestEveryRegisteredMetricAppears asserts that every name the registry
-// knows shows up in both the expvar JSON and the Prometheus text output —
-// the registration/export parity gate of ISSUE 5.
+// knows shows up in the Prometheus text output — the registration/export
+// parity gate.
 func TestEveryRegisteredMetricAppears(t *testing.T) {
 	r := buildRegistry()
-	var jsonBuf, promBuf strings.Builder
-	if err := r.WriteExpvar(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&promBuf); err != nil {
-		t.Fatal(err)
-	}
+	prom := prometheusPage(t, r)
 	snap := r.Snapshot()
 	if len(snap) != 5 {
 		t.Fatalf("snapshot has %d entries, want 5", len(snap))
 	}
 	for _, v := range snap {
-		if !strings.Contains(jsonBuf.String(), fmt.Sprintf("%q", v.Name)) {
-			t.Errorf("metric %s missing from expvar output", v.Name)
-		}
-		if !strings.Contains(promBuf.String(), "\n"+v.Name) && !strings.HasPrefix(promBuf.String(), "# HELP "+v.Name) {
+		if !strings.Contains(prom, "\n"+v.Name) && !strings.HasPrefix(prom, "# HELP "+v.Name) {
 			t.Errorf("metric %s missing from prometheus output", v.Name)
 		}
 	}
 }
 
-// TestExpvarOutputIsValidJSON decodes the endpoint output and checks the
-// values survived the trip.
-func TestExpvarOutputIsValidJSON(t *testing.T) {
-	r := buildRegistry()
-	var buf strings.Builder
-	if err := r.WriteExpvar(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if doc["test_ops_total"].(float64) != 7 {
-		t.Fatalf("counter round-trip = %v", doc["test_ops_total"])
-	}
-	if doc["test_level"].(float64) != -3 {
-		t.Fatalf("gauge round-trip = %v", doc["test_level"])
-	}
-	hist := doc["test_latency_nanos"].(map[string]any)
-	if hist["count"].(float64) != 100 || hist["sum"].(float64) != 5050 {
-		t.Fatalf("histogram round-trip = %v", hist)
-	}
-}
-
 func TestPrometheusFormat(t *testing.T) {
-	r := buildRegistry()
-	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := prometheusPage(t, buildRegistry())
 	for _, want := range []string{
 		"# TYPE test_ops_total counter",
 		"test_ops_total 7",
@@ -104,31 +73,29 @@ func TestPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestServeHTTP checks content negotiation between the two formats.
+// TestServeHTTP checks that the page is Prometheus text whatever the
+// request asks for: a plain GET, a leftover ?format=prometheus, and an
+// Accept header preferring JSON all get the same page.
 func TestServeHTTP(t *testing.T) {
 	r := buildRegistry()
-
-	rec := httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
-		t.Fatalf("default content type = %s, want JSON", ct)
-	}
-	if !json.Valid(rec.Body.Bytes()) {
-		t.Fatal("default response is not JSON")
-	}
-
-	rec = httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	if !strings.Contains(rec.Body.String(), "# TYPE") {
-		t.Fatal("format=prometheus did not produce text format")
-	}
-
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	r.ServeHTTP(rec, req)
-	if !strings.Contains(rec.Body.String(), "# TYPE") {
-		t.Fatal("Accept: text/plain did not produce text format")
+	want := prometheusPage(t, r)
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/metrics", nil),
+		httptest.NewRequest("GET", "/metrics?format=prometheus", nil),
+		func() *http.Request {
+			req := httptest.NewRequest("GET", "/metrics", nil)
+			req.Header.Set("Accept", "application/json")
+			return req
+		}(),
+	} {
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("%s (Accept %q): Content-Type %q, want text/plain", req.URL, req.Header.Get("Accept"), ct)
+		}
+		if got := rec.Body.String(); got != want || !strings.Contains(got, "# TYPE") {
+			t.Errorf("%s (Accept %q): page differs from the plain GET's:\n%s", req.URL, req.Header.Get("Accept"), got)
+		}
 	}
 }
 

@@ -52,8 +52,9 @@ const (
 //     and segment is deleted and counted in Dropped, degrading the log to
 //     its longest verifiable prefix rather than refusing to open.
 //
-// A last segment left with zero records is removed so NewWriter can
-// recreate its name without colliding.
+// A last segment left with zero records (a crash during its creation, a
+// writer closed before its first append, a torn first record) is removed
+// so NewWriter can recreate its name without colliding.
 func Recover(fs FS, dir string, strict bool) (*RecoverResult, error) {
 	segs, err := listSegments(fs, dir)
 	if err != nil {
@@ -114,6 +115,12 @@ func Recover(fs FS, dir string, strict bool) (*RecoverResult, error) {
 			segRecords++
 			expect++
 			off += int64(n)
+		}
+		if last && segRecords == 0 {
+			// A writer closed before its first append: nothing to keep.
+			if err := fs.Remove(name); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return res, nil

@@ -115,6 +115,36 @@ func TestWriterResumesAfterRecover(t *testing.T) {
 	checkRecords(t, res.Records, 6)
 }
 
+// TestRecoverRemovesEmptyLastSegment: a writer closed before its first
+// append leaves a last segment with a valid header and no records, and
+// Recover removes it as it does a segment a torn header left empty.
+func TestRecoverRemovesEmptyLastSegment(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir, 2, Options{})
+	w, err := NewWriter(OS, dir, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Recover(OS, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, res.Records, 2)
+	if res.TornTail || res.Dropped != 0 {
+		t.Fatalf("an empty segment reported as damage: %+v", res)
+	}
+	segs, err := listSegments(OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(segs) != "[1]" {
+		t.Fatalf("segments %v after Recover, want [1]", segs)
+	}
+}
+
 // TestCut: Cut drops every record from a seq on, across segments — the
 // segments starting at or past it are deleted, the one holding it is
 // truncated — and a writer resumes at that seq.

@@ -99,26 +99,3 @@ type MatrixDTO struct {
 	Nodes   []int32     `json:"nodes"`
 	Rows    [][]float64 `json:"rows"`
 }
-
-// EventDTO is one edge event in JSON ingest form; Type is "insert" or
-// "delete".
-type EventDTO struct {
-	U    int32  `json:"u"`
-	V    int32  `json:"v"`
-	Type string `json:"type"`
-}
-
-// IngestDTO is the POST /v1/events JSON request body: one batch.
-type IngestDTO struct {
-	Events []EventDTO `json:"events"`
-}
-
-// ApplyDTO is the POST /v1/events response: batches/events accepted,
-// level-1 blocks re-factored, and the snapshot version the last batch
-// published.
-type ApplyDTO struct {
-	Batches int    `json:"batches"`
-	Events  int    `json:"events"`
-	Rebuilt int    `json:"rebuilt"`
-	Version uint64 `json:"version"`
-}

@@ -1,7 +1,8 @@
 // Package wire is the compact binary codec of the serving layer: a
 // length-prefixed frame format shared by the HTTP server and the client
-// SDK for event ingest and bulk embedding reads, where JSON's ~3-4x size
-// and float formatting cost actually show up in tail latency.
+// SDK. It is the one format of event ingest, and the opt-in format of
+// bulk embedding reads, where JSON's ~3-4x size and float formatting cost
+// actually show up in tail latency.
 //
 // A frame on the wire is
 //

@@ -10,9 +10,9 @@ import (
 )
 
 // Registry is a named collection of metrics that can be snapshotted and
-// served over HTTP: expvar-style JSON by default, the Prometheus text
-// exposition format with ?format=prometheus (or an Accept header
-// preferring text/plain). Every Embedder owns one — mount it wherever the
+// served over HTTP in the Prometheus text exposition format: a histogram
+// shows its window quantiles, _sum and _count there, and its min, max
+// and mean in Metrics(). Every Embedder owns one — mount it wherever the
 // operator wants the endpoint:
 //
 //	http.Handle("/metrics", emb.MetricsRegistry())
@@ -319,8 +319,7 @@ func (e *Embedder) Metrics() Metrics {
 
 // MetricsRegistry returns the embedder's metric registry — every counter
 // Metrics() reports, under stable treesvd_* names — ready to mount as an
-// HTTP handler or to scrape programmatically via its Snapshot/Write
-// methods.
+// HTTP handler or to read programmatically via its Snapshot method.
 func (e *Embedder) MetricsRegistry() *Registry { return e.met.reg }
 
 // SetTraceHook installs (or clears, with nil) the hook receiving pipeline

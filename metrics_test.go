@@ -2,7 +2,6 @@ package treesvd_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -80,10 +79,10 @@ func TestMetricsAfterChurn(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryServesBothFormats exercises the facade registry end
-// to end over HTTP: the JSON form must parse and the Prometheus form must
-// carry the pipeline's key series with non-zero totals.
-func TestMetricsRegistryServesBothFormats(t *testing.T) {
+// TestMetricsRegistryServesPrometheus exercises the facade registry end
+// to end over HTTP: a plain GET must carry the pipeline's key series in
+// the Prometheus text format.
+func TestMetricsRegistryServesPrometheus(t *testing.T) {
 	g := ringGraph(32)
 	emb, err := treesvd.New(g, []int32{0, 8, 16}, treesvd.Config{Dim: 4})
 	if err != nil {
@@ -95,13 +94,9 @@ func TestMetricsRegistryServesBothFormats(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	emb.MetricsRegistry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v", err)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Content-Type %q, want Prometheus text", ct)
 	}
-
-	rec = httptest.NewRecorder()
-	emb.MetricsRegistry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	prom := rec.Body.String()
 	for _, name := range []string{
 		"treesvd_ppr_pushes_total",
@@ -115,9 +110,6 @@ func TestMetricsRegistryServesBothFormats(t *testing.T) {
 		"treesvd_tree_pass_nanos",
 		"treesvd_pool_hits_total",
 	} {
-		if _, ok := decoded[name]; !ok {
-			t.Errorf("metric %s missing from the JSON export", name)
-		}
 		if !strings.Contains(prom, "# TYPE "+name+" ") {
 			t.Errorf("metric %s missing from the Prometheus export", name)
 		}
@@ -285,7 +277,7 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 	}
 	reg := d.MetricsRegistry()
 	rec := httptest.NewRecorder()
-	reg.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	reg.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), "treesvd_wal_appends_total 4") {
 		t.Fatal("treesvd_wal_appends_total not exported with the expected value")
 	}

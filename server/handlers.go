@@ -83,7 +83,8 @@ func writeError(w http.ResponseWriter, err error) int {
 }
 
 // badRequestError marks malformed queries/bodies that have no richer
-// typed form (missing parameter, unparsable number, bad JSON).
+// typed form (missing parameter, unparsable number, bad frame, wrong
+// content type).
 type badRequestError struct{ msg string }
 
 func (e *badRequestError) Error() string { return e.msg }
@@ -285,21 +286,19 @@ func (s *Server) writeMatrix(w http.ResponseWriter, r *http.Request, version uin
 	writeJSON(w, http.StatusOK, wire.MatrixDTO{Version: version, Nodes: nodes, Rows: rows})
 }
 
-// handleIngest applies event batches. A JSON body is one batch; a binary
-// body (Content-Type: application/x-treesvd-frame) is a stream of event
-// frames, each applied as its own batch as it arrives — the request
-// doesn't buffer, so an open connection can feed the embedder
-// continuously. Batches preceding a failed one stay applied (the same
-// prefix semantics as WAL replay); the error response reports the typed
-// cause.
+// handleIngest applies event batches. The body (Content-Type:
+// application/x-treesvd-frame) is a stream of event frames, each applied
+// as its own batch as it arrives — the request doesn't buffer, so an open
+// connection can feed the embedder continuously. Any other content type
+// is refused with nothing applied. Batches preceding a failed one stay
+// applied (the same prefix semantics as WAL replay); the error response
+// reports the typed cause, and a success is one ApplyResult frame.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var res wire.ApplyResult
-	var err error
-	if strings.Contains(r.Header.Get("Content-Type"), wire.ContentType) {
-		res, err = s.ingestFrames(r)
-	} else {
-		res, err = s.ingestJSON(r)
+	if !strings.Contains(r.Header.Get("Content-Type"), wire.ContentType) {
+		writeError(w, badRequest("ingest body: Content-Type %q, want %s", r.Header.Get("Content-Type"), wire.ContentType))
+		return
 	}
+	res, err := s.ingestFrames(r)
 	res.Version = s.b.Snapshot().Version()
 	// A failed stream keeps the batches before the failing one applied,
 	// so they count either way.
@@ -309,42 +308,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if wantsBinary(r) {
-		writeFrame(w, wire.EncodeApplyResult(res))
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.ApplyDTO{
-		Batches: res.Batches, Events: res.Events, Rebuilt: res.Rebuilt, Version: res.Version,
-	})
-}
-
-// ingestJSON decodes and applies one JSON batch.
-func (s *Server) ingestJSON(r *http.Request) (wire.ApplyResult, error) {
-	var res wire.ApplyResult
-	var dto wire.IngestDTO
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
-	if err := dec.Decode(&dto); err != nil {
-		return res, badRequest("ingest body: %v", err)
-	}
-	if len(dto.Events) > s.maxBatch {
-		return res, badRequest("batch of %d events exceeds the per-batch cap of %d", len(dto.Events), s.maxBatch)
-	}
-	events := make([]treesvd.Event, len(dto.Events))
-	for i, ev := range dto.Events {
-		switch ev.Type {
-		case "insert":
-			events[i] = treesvd.Event{U: ev.U, V: ev.V, Type: treesvd.Insert}
-		case "delete":
-			events[i] = treesvd.Event{U: ev.U, V: ev.V, Type: treesvd.Delete}
-		default:
-			return res, badRequest("event %d: unknown type %q (want \"insert\" or \"delete\")", i, ev.Type)
-		}
-	}
-	rebuilt, err := s.b.ApplyEvents(r.Context(), events)
-	if err != nil {
-		return res, err
-	}
-	return wire.ApplyResult{Batches: 1, Events: len(events), Rebuilt: rebuilt}, nil
+	writeFrame(w, wire.EncodeApplyResult(res))
 }
 
 // ingestFrames reads binary event frames off the request body and

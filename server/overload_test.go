@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,16 +61,10 @@ func holdIngestSlot(t *testing.T, url string) (release func()) {
 }
 
 func appendFrame(dst []byte, events []treesvd.Event) []byte {
-	var buf bytesBuffer
+	var buf bytes.Buffer
 	wire.WriteFrame(&buf, wire.EncodeEvents(events))
-	return append(dst, buf.b...)
+	return append(dst, buf.Bytes()...)
 }
-
-// bytesBuffer is a minimal io.Writer (avoids importing bytes just for
-// this).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
 // TestIngestShedsWhenSaturated pins the single ingest slot with a
 // streaming request and asserts the next ingest is shed: HTTP 503 with
@@ -160,11 +155,11 @@ func TestTimeoutHeaderPropagates(t *testing.T) {
 	// A budget too large for a time.Duration must not wrap into an
 	// already-expired deadline.
 	req, err := http.NewRequest(http.MethodPost, srv.URL()+"/v1/events",
-		strings.NewReader(`{"events":[{"u":2,"v":3,"type":"insert"}]}`))
+		bytes.NewReader(appendFrame(nil, []treesvd.Event{{U: 2, V: 3, Type: treesvd.Insert}})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", wire.ContentType)
 	req.Header.Set(wire.TimeoutHeader, "10000000000000")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -549,7 +544,7 @@ func quantileDur(ds []time.Duration, q float64) time.Duration {
 // scrapeCounter reads one series of the server's Prometheus page.
 func scrapeCounter(t *testing.T, url, series string) int64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics?format=prometheus")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

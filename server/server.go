@@ -2,10 +2,10 @@
 // HTTP: the snapshot-isolated read path (Recommend, Embedding,
 // RightEmbedding, Version) plus a streaming ApplyEvents ingest endpoint,
 // with the embedder's metric registry, the server's own HTTP series and
-// net/http/pprof mounted on the same mux. Responses are JSON
-// by default and switch to the compact binary frame codec (internal/wire)
-// by content negotiation, which matters for bulk embedding reads and
-// high-rate ingest.
+// net/http/pprof mounted on the same mux. Read responses are JSON by
+// default and switch to the compact binary frame codec (internal/wire)
+// by content negotiation, which matters for bulk embedding reads. Ingest
+// takes event frames only and answers with one ApplyResult frame.
 //
 // Endpoints:
 //
@@ -13,11 +13,10 @@
 //	GET  /v1/recommend?source=S&k=K       top-k candidates for subset node S
 //	GET  /v1/embedding[?node=S]           subset embedding X (or one row)
 //	GET  /v1/rightembedding[?node=V]      right embedding Y (or one row)
-//	POST /v1/events                       ingest: one JSON batch, or a
-//	                                      stream of binary event frames
-//	                                      (each frame = one batch)
+//	POST /v1/events                       ingest: a stream of binary event
+//	                                      frames (each frame = one batch)
 //	GET  /metrics                         embedder + server registries
-//	                                      (expvar JSON / Prometheus text)
+//	                                      (Prometheus text)
 //	GET  /debug/pprof/...                 pprof handlers
 //
 // Reads are lock-free: every request pins the currently published
@@ -120,8 +119,8 @@ func New(b Backend, opts Options) *Server {
 	mux.HandleFunc("POST /v1/events", s.instrument("ingest", s.handleIngest))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		obs.Serve(w, r, b.MetricsRegistry(), s.met.reg)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		obs.Serve(w, b.MetricsRegistry(), s.met.reg)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -243,9 +243,10 @@ func roundTrip(t *testing.T, binary bool) {
 func TestEndpointsRoundTripJSON(t *testing.T)   { roundTrip(t, false) }
 func TestEndpointsRoundTripBinary(t *testing.T) { roundTrip(t, true) }
 
-// TestIngestJSONBody exercises the raw JSON ingest form (no SDK): a
-// well-formed batch applies, an unknown event type is a typed 400.
-func TestIngestJSONBody(t *testing.T) {
+// TestIngestRefusesJSONBody pins ingest's one wire format: a body that is
+// not event frames is a typed 400 with nothing applied, so neither the
+// snapshot version nor the HTTP ingest counter moves.
+func TestIngestRefusesJSONBody(t *testing.T) {
 	emb, srv := newTestServer(t, treesvd.Config{Dim: 4, RMax: 1e-3, MaxNodes: 64})
 	before := emb.Version()
 
@@ -256,30 +257,18 @@ func TestIngestJSONBody(t *testing.T) {
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: HTTP %d: %s", resp.StatusCode, data)
+	var dto wire.ErrorDTO
+	if err := json.Unmarshal(data, &dto); err != nil {
+		t.Fatalf("HTTP %d: body is not an error DTO: %v: %s", resp.StatusCode, err, data)
 	}
-	var apply struct {
-		Batches int    `json:"batches"`
-		Events  int    `json:"events"`
-		Version uint64 `json:"version"`
+	if resp.StatusCode != http.StatusBadRequest || dto.Kind != wire.KindBadRequest {
+		t.Fatalf("JSON ingest body: HTTP %d kind %q, want 400 %q", resp.StatusCode, dto.Kind, wire.KindBadRequest)
 	}
-	if err := json.Unmarshal(data, &apply); err != nil {
-		t.Fatal(err)
+	if v := emb.Version(); v != before {
+		t.Fatalf("version %d after a refused body, want %d", v, before)
 	}
-	if apply.Batches != 1 || apply.Events != 2 || apply.Version <= before {
-		t.Fatalf("apply = %+v, want 1 batch / 2 events / version > %d", apply, before)
-	}
-
-	resp, err = http.Post(srv.URL()+"/v1/events", "application/json",
-		strings.NewReader(`{"events":[{"u":0,"v":1,"type":"upsert"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte(`"bad_request"`)) {
-		t.Fatalf("unknown event type: HTTP %d: %s, want 400 bad_request", resp.StatusCode, data)
+	if n := scrapeCounter(t, srv.URL(), "treesvd_http_ingest_batches_total"); n != 0 {
+		t.Fatalf("treesvd_http_ingest_batches_total = %d after a refused body, want 0", n)
 	}
 }
 
@@ -304,7 +293,7 @@ func TestIngestCountersCountFailedStreamPrefix(t *testing.T) {
 		t.Fatalf("torn stream: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	resp, err = http.Get(srv.URL() + "/metrics?format=prometheus")
+	resp, err = http.Get(srv.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +319,7 @@ func TestMetricsAndPprofMounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(srv.URL() + "/metrics?format=prometheus")
+	resp, err := http.Get(srv.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +385,7 @@ func TestShutdownAndRestart(t *testing.T) {
 		t.Fatalf("ingest after restart: %v", err)
 	}
 	rr := httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
+	srv2.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if want := `treesvd_http_requests_total{endpoint="version"} 1` + "\n"; !strings.Contains(rr.Body.String(), want) {
 		t.Fatalf("restarted server's /metrics lacks %q: its counters must start at zero", want)
 	}
