@@ -3,11 +3,8 @@ package treesvd
 import (
 	"go/ast"
 	"go/doc"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -28,8 +25,11 @@ var (
 	settingRef = regexp.MustCompile(`(?:^|[^\w.])((?:treesvd\.)?(?:Config|DurableConfig)|server\.Options)\.(\{[^}]*\}|[A-Z]\w*)`)
 )
 
-// readmeBudget is the most lines README.md may hold.
-const readmeBudget = 350
+// The most lines README.md and DESIGN.md may hold.
+const (
+	readmeBudget = 350
+	designBudget = 800
+)
 
 // TestDocsNameLiveTargets fails when a live document tells the reader to
 // run a make target the Makefile does not define, names a program under
@@ -88,13 +88,21 @@ func TestDocsNameLiveTargets(t *testing.T) {
 
 // TestReadmeWithinBudget fails when README.md grows past readmeBudget
 // lines: numbers an artifact or EXPERIMENTS.md holds belong there.
-func TestReadmeWithinBudget(t *testing.T) {
-	data, err := os.ReadFile("README.md")
+func TestReadmeWithinBudget(t *testing.T) { requireLineBudget(t, "README.md", readmeBudget) }
+
+// TestDesignWithinBudget fails when DESIGN.md grows past designBudget
+// lines: it states the current design once, and per-change measurements
+// belong in CHANGES.md, EXPERIMENTS.md or a BENCH_*.json artifact.
+func TestDesignWithinBudget(t *testing.T) { requireLineBudget(t, "DESIGN.md", designBudget) }
+
+func requireLineBudget(t *testing.T, name string, budget int) {
+	t.Helper()
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), "\n"); n > readmeBudget {
-		t.Errorf("README.md has %d lines, budget %d", n, readmeBudget)
+	if n := strings.Count(string(data), "\n"); n > budget {
+		t.Errorf("%s has %d lines, budget %d", name, n, budget)
 	}
 }
 
@@ -103,29 +111,10 @@ func TestReadmeWithinBudget(t *testing.T) {
 // package comment.
 func TestEveryPackageHasAComment(t *testing.T) {
 	documented := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, f := range moduleSources(t) {
+		if !f.test {
+			documented[f.dir] = documented[f.dir] || (f.ast.Doc != nil && strings.TrimSpace(f.ast.Doc.Text()) != "")
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly|parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		documented[dir] = documented[dir] || (f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for dir, ok := range documented {
 		if !ok {
@@ -140,28 +129,13 @@ func TestEveryPackageHasAComment(t *testing.T) {
 // comment on its group or on its own spec.
 func TestPublicExportsHaveDocComments(t *testing.T) {
 	for _, dir := range []string{".", "server", "client"} {
-		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, p := range paths {
-			if strings.HasSuffix(p, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		pkg, err := doc.NewFromFiles(fset, files, dir)
+		// PreserveAST: the census type-checks these same shared ASTs.
+		pkg, err := doc.NewFromFiles(srcFset, parseNonTest(t, dir), dir, doc.PreserveAST)
 		if err != nil {
 			t.Fatal(err)
 		}
 		report := func(pos token.Pos, kind, name string) {
-			t.Errorf("%s: exported %s %s has no doc comment", fset.Position(pos), kind, name)
+			t.Errorf("%s: exported %s %s has no doc comment", srcFset.Position(pos), kind, name)
 		}
 		values := func(kind string, vs []*doc.Value) {
 			for _, v := range vs {

@@ -1070,6 +1070,37 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 	}
 }
 
+// TestOpenAfterFailedFsyncReplaysNothing: a record whose fsync failed
+// proves nothing, and a retried fsync after a failed one may report
+// success without its bytes. The failed append cuts the record, so a
+// process that restarts instead of calling Reopen opens the store without
+// it: Open replays nothing and lands on the state before the batch.
+func TestOpenAfterFailedFsyncReplaysNothing(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	cfg.SegmentSize = 0 // no rotation: the batch's I/O is its record's write, then its fsync
+	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.SyncError})
+	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	createOps := probe.Ops()
+	must0tb(pd.Close())
+
+	dir := t.TempDir()
+	ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createOps + 1, Mode: faultfs.SyncError})
+	d := mustTB(CreateWithFS(ffs, dir, fx.initial.Clone(), fx.subset, cfg))
+	var de *DegradedError
+	if _, err := d.ApplyEvents(bgt, fx.batches[0]); !errors.As(err, &de) || !ffs.Fired() {
+		t.Fatalf("ApplyEvents with its record's fsync failing: %v (fault fired %v), want *DegradedError", err, ffs.Fired())
+	}
+	must0tb(d.Close())
+
+	opened := mustTB(Open(dir, cfg))
+	defer opened.Close()
+	if info := opened.Recovery(); info.ReplayedBatches != 0 {
+		t.Fatalf("Open after the failed fsync recovered %+v, want no replayed batch", info)
+	}
+	fx.requireState(t, opened.Embedder(), 0, "state after Open")
+}
+
 // powerLossAfterFailedFsync drives the fixture's first batch, then fails
 // the second batch's record fsync through an outer faultfs in outerMode
 // (outerOffset places that fsync among the operations outerMode counts

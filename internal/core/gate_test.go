@@ -80,7 +80,7 @@ func TestUpperGateNearOptimal(t *testing.T) {
 				if err := tr.Certify(); err != nil {
 					t.Fatalf("batch %d: %v", b+1, err)
 				}
-				ratio := reconOverOpt(t, prox.M, tr)
+				ratio := reconOverOpt(t, prox.M, tr, cfg.Rank)
 				worst = max(worst, ratio)
 				if ratio > 1.0075 {
 					t.Errorf("batch %d: recon_over_opt %.4f above 1.0075", b+1, ratio)
@@ -98,9 +98,9 @@ func TestUpperGateNearOptimal(t *testing.T) {
 
 // reconOverOpt measures the tree's root against the optimal rank-d
 // approximation of the matrix it factors.
-func reconOverOpt(t *testing.T, m *sparse.DynRow, tr *core.Tree) float64 {
+func reconOverOpt(t *testing.T, m *sparse.DynRow, tr *core.Tree, d int) float64 {
 	t.Helper()
-	_, ratio, err := check.Optimality(m.ToCSR(), tr.Root().U, tr.Config().Rank)
+	_, ratio, err := check.Optimality(m.ToCSR(), tr.Root().U, d)
 	if err != nil {
 		t.Fatal(err)
 	}

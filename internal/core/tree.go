@@ -94,9 +94,6 @@ func NewTree(m *sparse.DynRow, cfg Config) (*Tree, error) {
 	return &Tree{cfg: cfg, m: m, met: &Metrics{}}, nil
 }
 
-// Config returns the tree's configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Metrics returns the tree's cumulative work counters; see Metrics.
 func (t *Tree) Metrics() *Metrics { return t.met }
 
@@ -499,9 +496,6 @@ func RightEmbeddingOfW(root *linalg.SVDResult, m *sparse.CSR, workers int) *lina
 	}
 	return y.MulDiag(scale)
 }
-
-// Matrix exposes the underlying proximity DynRow.
-func (t *Tree) Matrix() *sparse.DynRow { return t.m }
 
 // ReconstructionError returns ‖U·Σ·Ṽ − M‖_F with Ṽ = Σ⁻¹UᵀM, the
 // observable counterpart of the Theorem 3.2 guarantee (tests and

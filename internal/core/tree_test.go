@@ -513,12 +513,6 @@ func TestAccessors(t *testing.T) {
 	m := sparse.NewDynRow(3, 16, cfg.Blocks())
 	m.Set(0, 0, 1)
 	tr := mustCore(NewTree(m, cfg))
-	if tr.Config().Rank != 2 {
-		t.Fatal("Config accessor wrong")
-	}
-	if tr.Matrix() != m {
-		t.Fatal("Matrix accessor wrong")
-	}
 	if s := tr.String(); s == "" {
 		t.Fatal("String empty")
 	}

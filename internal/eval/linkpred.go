@@ -114,67 +114,6 @@ func (sp *LinkPredSplit) Precision(left *linalg.Dense, s []int32, right *linalg.
 	return float64(correct) / float64(k)
 }
 
-// AUC computes the area under the ROC curve for the split's test pairs
-// under the same scoring as Precision: the probability that a random
-// positive outscores a random negative (ties count half). It is the
-// threshold-free companion to the paper's precision numbers.
-func (sp *LinkPredSplit) AUC(left *linalg.Dense, s []int32, right *linalg.Dense) float64 {
-	pos := make(map[int32]int, len(s))
-	for i, v := range s {
-		pos[v] = i
-	}
-	score := func(u, v int32) float64 {
-		return linalg.Dot(left.Row(pos[u]), right.Row(int(v)))
-	}
-	posScores := make([]float64, len(sp.PosU))
-	for i := range sp.PosU {
-		posScores[i] = score(sp.PosU[i], sp.PosV[i])
-	}
-	negScores := make([]float64, len(sp.NegU))
-	for i := range sp.NegU {
-		negScores[i] = score(sp.NegU[i], sp.NegV[i])
-	}
-	return rankAUC(posScores, negScores)
-}
-
-// rankAUC computes AUC from score slices via rank statistics in
-// O((p+n)·log(p+n)).
-func rankAUC(pos, neg []float64) float64 {
-	if len(pos) == 0 || len(neg) == 0 {
-		return 0
-	}
-	type scored struct {
-		v   float64
-		pos bool
-	}
-	all := make([]scored, 0, len(pos)+len(neg))
-	for _, v := range pos {
-		all = append(all, scored{v, true})
-	}
-	for _, v := range neg {
-		all = append(all, scored{v, false})
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].v < all[b].v })
-	// Sum of positive ranks with midranks for ties.
-	var rankSum float64
-	i := 0
-	for i < len(all) {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average 1-based rank of the tie group
-		for k := i; k < j; k++ {
-			if all[k].pos {
-				rankSum += mid
-			}
-		}
-		i = j
-	}
-	p, n := float64(len(pos)), float64(len(neg))
-	return (rankSum - p*(p+1)/2) / (p * n)
-}
-
 // PrecisionSameSpace scores pairs within a single shared embedding space
 // (methods like RandNE and DynPPE have no distinct right factor): the
 // score of (u,v) is emb_u·emb_v with both rows indexed by node id.

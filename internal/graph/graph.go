@@ -104,10 +104,6 @@ func (g *Graph) InDeg(v int32) int { return len(g.in[v]) }
 // storage and is invalidated by mutations; callers must not modify it.
 func (g *Graph) OutNeighbors(v int32) []int32 { return g.out[v] }
 
-// InNeighbors returns v's in-neighbors, i.e. the out-neighbors of v in the
-// reverse graph. Same aliasing caveats as OutNeighbors.
-func (g *Graph) InNeighbors(v int32) []int32 { return g.in[v] }
-
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{

@@ -84,7 +84,7 @@ func TestInOutConsistency(t *testing.T) {
 				}
 				outCount++
 			}
-			for _, w := range g.InNeighbors(u) {
+			for _, w := range g.Neighbors(u, Reverse) {
 				if !live[pair{w, u}] {
 					return false
 				}

@@ -102,14 +102,6 @@ func Norm2(v []float64) float64 {
 // FrobNorm returns the Frobenius norm of m.
 func (m *Dense) FrobNorm() float64 { return Norm2(m.Data) }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // Add returns a+b.
 func Add(a, b *Dense) *Dense {
 	mustSameShape("Add", a, b)
@@ -185,15 +177,6 @@ func (m *Dense) MulDiag(d []float64) *Dense {
 		}
 	}
 	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	out := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		out.Data[i*n+i] = 1
-	}
-	return out
 }
 
 // MaxAbsDiff returns the largest elementwise absolute difference.

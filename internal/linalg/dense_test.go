@@ -15,14 +15,39 @@ func randDense(rng *rand.Rand, r, c int) *Dense {
 	return m
 }
 
+// identity returns the n×n identity matrix.
+func identity(n int) *Dense {
+	out := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		out.Data[i*n+i] = 1
+	}
+	return out
+}
+
+// Scale multiplies every element by s in place and returns m.
+func (m *Dense) Scale(s float64) *Dense {
+	for i := range m.Data {
+		m.Data[i] *= s
+	}
+	return m
+}
+
+// gramT returns a·aᵀ through gramTInto, the kernel behind SVDTruncW's
+// wide route.
+func gramT(a *Dense, workers int) *Dense {
+	out := NewDense(a.Rows, a.Rows)
+	gramTInto(out, a, workers)
+	return out
+}
+
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randDense(rng, 7, 5)
-	got := MulW(a, Identity(5), 1)
+	got := MulW(a, identity(5), 1)
 	if MaxAbsDiff(a, got) != 0 {
 		t.Fatalf("A·I != A, max diff %g", MaxAbsDiff(a, got))
 	}
-	got = MulW(Identity(7), a, 1)
+	got = MulW(identity(7), a, 1)
 	if MaxAbsDiff(a, got) != 0 {
 		t.Fatalf("I·A != A")
 	}
@@ -67,7 +92,7 @@ func TestGram(t *testing.T) {
 	if d := MaxAbsDiff(GramW(a, 1), MulW(a.T(), a, 1)); d > 1e-12 {
 		t.Fatalf("Gram != AᵀA: %g", d)
 	}
-	if d := MaxAbsDiff(GramTW(a, 1), MulTW(a, a, 1)); d > 1e-12 {
+	if d := MaxAbsDiff(gramT(a, 1), MulTW(a, a, 1)); d > 1e-12 {
 		t.Fatalf("GramT != AAᵀ: %g", d)
 	}
 }

@@ -25,7 +25,7 @@ func JacobiSymEig(a *Dense) (lambda []float64, v *Dense) {
 	}
 	n := a.Rows
 	w := a.Clone()
-	v = Identity(n)
+	v = identity(n)
 	if n == 0 {
 		return nil, v
 	}
@@ -100,7 +100,7 @@ func JacobiSVD(a *Dense) *SVDResult {
 		panic(fmt.Sprintf("linalg: JacobiSVD requires rows ≥ cols, got %d×%d", m, n))
 	}
 	w := a.Clone()
-	v := Identity(n)
+	v := identity(n)
 	const tol = 1e-14
 	for sweep := 0; sweep < symEigMaxSweeps; sweep++ {
 		rotated := false

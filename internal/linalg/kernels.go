@@ -3,7 +3,7 @@ package linalg
 import "github.com/tree-svd/treesvd/internal/par"
 
 // This file holds the matrix-product kernels of the package, one entry
-// point per operation (MulW, MulTW, TMulW, GramW, GramTW), each taking a
+// point per operation (MulW, MulTW, TMulW, GramW), each taking a
 // worker budget; callers that want a serial product pass 1. Every
 // kernel ends in one of three inner loops, so there is a single code
 // path to verify.
@@ -249,15 +249,6 @@ func gramInto(out, a *Dense, workers int) {
 		}
 	})
 	mirrorUpper(out)
-}
-
-// GramTW returns a·aᵀ, exploiting symmetry, using up to workers
-// goroutines over panels of the output rows. The result is identical for
-// every worker count.
-func GramTW(a *Dense, workers int) *Dense {
-	out := NewDense(a.Rows, a.Rows)
-	gramTInto(out, a, workers)
-	return out
 }
 
 // gramTInto accumulates a·aᵀ into out (which must be a zeroed n×n matrix).

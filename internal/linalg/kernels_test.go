@@ -93,7 +93,7 @@ func TestKernelsMatchNaive(t *testing.T) {
 				{"MulTW", MulTW(a, bt, w), naiveMul(a, b), sh.k},
 				{"TMulW", TMulW(at, b, w), naiveMul(a, b), sh.k},
 				{"GramW", GramW(a, w), naiveMul(at, a), sh.r},
-				{"GramTW", GramTW(a, w), naiveMul(a, at), sh.k},
+				{"gramT", gramT(a, w), naiveMul(a, at), sh.k},
 			}
 			for _, c := range cases {
 				tol := sumTol(c.k, maxAbs(c.ref))
@@ -107,7 +107,7 @@ func TestKernelsMatchNaive(t *testing.T) {
 					{"MulTW", MulTW(a, bt, w), MulTW(a, bt, 1), 0},
 					{"TMulW", TMulW(at, b, w), TMulW(at, b, 1), 0},
 					{"GramW", GramW(a, w), GramW(a, 1), 0},
-					{"GramTW", GramTW(a, w), GramTW(a, 1), 0},
+					{"gramT", gramT(a, w), gramT(a, 1), 0},
 				}
 				for _, c := range pairs {
 					if d := MaxAbsDiff(c.got, c.ref); d != 0 {

@@ -11,7 +11,7 @@ import (
 func checkOrthonormalCols(t *testing.T, q *Dense, tol float64, label string) {
 	t.Helper()
 	g := GramW(q, 1)
-	if d := MaxAbsDiff(g, Identity(q.Cols)); d > tol {
+	if d := MaxAbsDiff(g, identity(q.Cols)); d > tol {
 		t.Fatalf("%s: columns not orthonormal, max deviation %g", label, d)
 	}
 }
@@ -309,7 +309,7 @@ func TestQRThinHighlyRankDeficient(t *testing.T) {
 		t.Fatalf("rank-deficient QR reconstruct diff %g", d)
 	}
 	// Q columns orthonormal.
-	if d := MaxAbsDiff(GramW(q, 1), Identity(40)); d > 1e-9 {
+	if d := MaxAbsDiff(GramW(q, 1), identity(40)); d > 1e-9 {
 		t.Fatalf("rank-deficient Q not orthonormal: %g", d)
 	}
 }
@@ -354,7 +354,7 @@ func TestSVDRefine(t *testing.T) {
 func TestSymEigvals(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := randDense(rng, 30, 50)
-	g := GramTW(a, 1)
+	g := gramT(a, 1)
 	want, _ := SymEigW(g, 1)
 	got := SymEigvals(g.Clone(), 1)
 	for i := range want {

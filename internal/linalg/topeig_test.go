@@ -12,7 +12,7 @@ import (
 // the tridiagonal is already diagonal).
 func symWithSpectrum(rng *rand.Rand, lam []float64, rotate bool) *Dense {
 	n := len(lam)
-	q := Identity(n)
+	q := identity(n)
 	if rotate {
 		q = OrthonormalizeW(randDense(rng, n, n), 1)
 	}

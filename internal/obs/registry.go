@@ -164,11 +164,6 @@ func (r *Registry) HistogramWith(name string, labels []Label, unit, help string,
 	})
 }
 
-// Snapshot reads every registered metric, sorted by name. Each metric is
-// read atomically; the set as a whole is approximately consistent (see
-// the package comment).
-func (r *Registry) Snapshot() []Value { return gather(r) }
-
 // gather reads every metric of every registry in regs into one list,
 // sorted by name, then labels.
 func gather(regs ...*Registry) []Value {

@@ -43,7 +43,7 @@ func prometheusPage(t *testing.T, r *Registry) string {
 func TestEveryRegisteredMetricAppears(t *testing.T) {
 	r := buildRegistry()
 	prom := prometheusPage(t, r)
-	snap := r.Snapshot()
+	snap := gather(r)
 	if len(snap) != 5 {
 		t.Fatalf("snapshot has %d entries, want 5", len(snap))
 	}

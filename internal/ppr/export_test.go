@@ -3,7 +3,23 @@ package ppr
 import (
 	"bytes"
 	"encoding/gob"
+
+	"github.com/tree-svd/treesvd/internal/graph"
 )
+
+// AdjustEvent applies adjustWithDeg's corrections for one edge event,
+// reading the tail's degree from the graph, which must already reflect
+// the event: the one-event form the repair tests drive by hand.
+func (e *Engine) AdjustEvent(st *State, ev graph.Event) {
+	a, b := ev.U, ev.V
+	if st.Dir == graph.Reverse {
+		a, b = b, a
+	}
+	if int(a) >= e.G.NumNodes() || int(b) >= e.G.NumNodes() {
+		return
+	}
+	e.adjustWithDeg(st, a, b, ev.Type, float64(e.G.Degree(a, st.Dir)))
+}
 
 // Poke overwrites u's estimate and residue, giving u a slot if it has none,
 // and leaves the membership and estimate sets alone: the write a forgotten

@@ -272,11 +272,14 @@ func (e *Engine) enqueue(u int32) {
 	}
 }
 
-// AdjustEvent applies the estimate/residue corrections of Algorithm 2
-// (lines 1-7) for a single edge event. The graph must already reflect the
-// event (degrees are read post-event, which keeps both the insert and the
-// delete formulas well-defined for positive degrees). Corrections with a
-// zero estimate at the event's tail are no-ops and skipped.
+// adjustWithDeg applies the estimate/residue corrections of Algorithm 2
+// (lines 1-7) for a single edge event a→b in st's traversal direction. d
+// is a's post-event traversal degree, supplied by the caller so batched
+// updates can record degrees while mutating the graph and replay the
+// per-source corrections in parallel afterwards (reading degrees
+// post-event keeps both the insert and the delete formulas well-defined
+// for positive degrees). Corrections with a zero estimate at the event's
+// tail are no-ops and skipped.
 //
 // Sink transitions are handled exactly under the self-loop convention the
 // push engine uses for dangling nodes. When a sink a (all arriving mass
@@ -288,21 +291,6 @@ func (e *Engine) enqueue(u int32) {
 //
 // Self-loop events (a == b) take a dedicated correction path — see
 // adjustSelfLoop; the a ≠ b formulas above are not valid for them.
-func (e *Engine) AdjustEvent(st *State, ev graph.Event) {
-	a, b := ev.U, ev.V
-	if st.Dir == graph.Reverse {
-		a, b = b, a
-	}
-	if int(a) >= e.G.NumNodes() || int(b) >= e.G.NumNodes() {
-		return
-	}
-	e.adjustWithDeg(st, a, b, ev.Type, float64(e.G.Degree(a, st.Dir)))
-}
-
-// adjustWithDeg is AdjustEvent with the post-event traversal degree of a
-// supplied by the caller, so batched updates can record degrees while
-// mutating the graph and replay the per-source corrections in parallel
-// afterwards.
 func (e *Engine) adjustWithDeg(st *State, a, b int32, typ graph.EventType, d float64) {
 	// a's traversal degree changed, so its existing residue may now
 	// violate the push threshold even if no estimate mass moves.

@@ -63,16 +63,25 @@ func TestSparseNearOptimal(t *testing.T) {
 	}
 }
 
+// identity returns the n×n identity matrix.
+func identity(n int) *linalg.Dense {
+	out := linalg.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		out.Set(i, i, 1)
+	}
+	return out
+}
+
 func TestSparseOrthonormalFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := lowRankCSR(rng, 15, 40, 4, 0.1)
 	res := mustSVD(Sparse(a, Options{Rank: 4, Seed: 5}))
 	gu := linalg.GramW(res.U, 1)
-	if d := linalg.MaxAbsDiff(gu, linalg.Identity(res.U.Cols)); d > 1e-8 {
+	if d := linalg.MaxAbsDiff(gu, identity(res.U.Cols)); d > 1e-8 {
 		t.Fatalf("U not orthonormal: %g", d)
 	}
 	gv := linalg.GramW(res.V, 1)
-	if d := linalg.MaxAbsDiff(gv, linalg.Identity(res.V.Cols)); d > 1e-8 {
+	if d := linalg.MaxAbsDiff(gv, identity(res.V.Cols)); d > 1e-8 {
 		t.Fatalf("V not orthonormal: %g", d)
 	}
 }
@@ -120,7 +129,7 @@ func TestFRPCANearOptimal(t *testing.T) {
 // Givens rotations over random disjoint index pairs. It has at most four
 // non-zeros per row and per column.
 func givensOrtho(rng *rand.Rand, n int) *linalg.Dense {
-	q := linalg.Identity(n)
+	q := identity(n)
 	for round := 0; round < 2; round++ {
 		perm := rng.Perm(n)
 		for i := 0; i+1 < n; i += 2 {
@@ -247,7 +256,7 @@ func TestSparseHostileSpectra(t *testing.T) {
 					t.Fatalf("%s: non-finite value %g", name, x)
 				}
 			}
-			if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), linalg.Identity(res.U.Cols)); d > 1e-10 {
+			if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), identity(res.U.Cols)); d > 1e-10 {
 				t.Errorf("%s: UᵀU departs from I by %g", name, d)
 			}
 			for i, x := range res.S {
@@ -304,7 +313,7 @@ func TestSparseFromWarmStart(t *testing.T) {
 	if got, best := relErr(res, a, 6); got > 1.01*best {
 		t.Fatalf("warm residual %g > 1.01× optimal %g", got, best)
 	}
-	if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), linalg.Identity(res.U.Cols)); d > 1e-10 {
+	if d := linalg.MaxAbsDiff(linalg.GramW(res.U, 1), identity(res.U.Cols)); d > 1e-10 {
 		t.Fatalf("warm U not orthonormal: %g", d)
 	}
 	frob := a.FrobNorm()
@@ -324,7 +333,7 @@ func TestSparseFromWarmStart(t *testing.T) {
 		{"no start", a, nil},
 		{"rank-0 start", a, linalg.NewDense(a.Rows, 0)},
 		{"narrow", lowRankCSR(rng, 40, 14, 3, 0.05), prev.U},
-		{"short", lowRankCSR(rng, 14, 120, 3, 0.05), linalg.Identity(14).SliceCols(0, 6)},
+		{"short", lowRankCSR(rng, 14, 120, 3, 0.05), identity(14).SliceCols(0, 6)},
 	} {
 		cold := mustSVD(Sparse(tc.a, Options{Rank: 6, Seed: 3, PowerIters: 1}))
 		warm := mustSVD(SparseFrom(tc.a, tc.u0, Options{Rank: 6, Seed: 3, PowerIters: 1}))

@@ -22,17 +22,6 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// At returns the (i,j) element (binary search within the row).
-func (m *CSR) At(i, j int) float64 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	idx := m.ColIdx[lo:hi]
-	k := sort.Search(len(idx), func(p int) bool { return idx[p] >= int32(j) })
-	if k < len(idx) && idx[k] == int32(j) {
-		return m.Val[int(lo)+k]
-	}
-	return 0
-}
-
 // FrobNorm returns the Frobenius norm.
 func (m *CSR) FrobNorm() float64 { return linalg.Norm2(m.Val) }
 

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,17 @@ func randCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
 		}
 	}
 	return b.Build()
+}
+
+// At returns the (i,j) element (binary search within the row).
+func (m *CSR) At(i, j int) float64 {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	idx := m.ColIdx[lo:hi]
+	k := sort.Search(len(idx), func(p int) bool { return idx[p] >= int32(j) })
+	if k < len(idx) && idx[k] == int32(j) {
+		return m.Val[int(lo)+k]
+	}
+	return 0
 }
 
 func randDense(rng *rand.Rand, r, c int) *linalg.Dense {

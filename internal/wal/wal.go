@@ -121,7 +121,8 @@ func HasState(fs FS, dir string) (bool, error) {
 // record at a time: every method first waits for the record in flight.
 // Any error from the filesystem poisons the writer — every later call
 // returns the same error — because a partially written record makes the
-// tail position untrustworthy. Recovery (a fresh Recover + NewWriter) is
+// tail position untrustworthy; the failed record is first cut back out,
+// best effort (see fail). Recovery (a fresh Recover + NewWriter) is
 // the only way forward, mirroring a process restart.
 type Writer struct {
 	fs   FS
@@ -279,20 +280,30 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 		}
 	}
 	if _, err := w.f.Write(encodeRecord(w.next, payload)); err != nil {
-		w.err = err
-		return 0, err
+		return 0, w.fail(err)
+	}
+	if err := syncTimed(w.f, w.opt.Met); err != nil {
+		return 0, w.fail(err)
 	}
 	w.size += recLen
-	if err := syncTimed(w.f, w.opt.Met); err != nil {
-		w.err = err
-		return 0, err
-	}
 	seq := w.next
 	w.next++
 	w.opt.Met.Appends.Inc()
 	w.opt.Met.AppendedBytes.Add(uint64(recLen))
 	w.opt.Met.AppendNanos.ObserveSince(start)
 	return seq, nil
+}
+
+// fail poisons the writer with err, the failure of the record at w.size,
+// after cutting the segment back to that record's start: a record whose
+// write or fsync failed must not be replayed by a later Open, since a
+// retried fsync after a failed one proves nothing. The cut is best
+// effort and err is returned whatever it does; a record a failed cut
+// leaves behind is cut by the durable layer's Reopen (Cut).
+func (w *Writer) fail(err error) error {
+	_ = w.fs.Truncate(w.name, w.size)
+	w.err = err
+	return err
 }
 
 // rotate seals the current segment (fsync + close) and opens the next

@@ -254,6 +254,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	})
 	return s.stopErr
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -2,9 +2,6 @@ package treesvd
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"path"
 	"path/filepath"
 	"slices"
@@ -85,28 +82,10 @@ func TestEveryPublicSettingHasACaller(t *testing.T) {
 	}
 
 	set := map[string]bool{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, f := range moduleSources(t) {
+		if !f.test {
+			markSetters(f.ast, importPathOf(f.dir), fields, set)
 		}
-		if d.IsDir() {
-			if p == "examples" || p == "testdata" || strings.HasPrefix(d.Name(), ".") && p != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		markSetters(f, importPathOf(filepath.Dir(p)), fields, set)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	sort.Strings(settings)
@@ -171,25 +150,6 @@ func parseOptionFuncs(t *testing.T, dir string) []string {
 		t.Fatalf("%s: no With* options found", dir)
 	}
 	return out
-}
-
-func parseNonTest(t *testing.T, dir string) []*ast.File {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, p := range paths {
-		if strings.HasSuffix(p, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	return files
 }
 
 // markSetters records in set every setting file f sets; pkg is f's

@@ -4,7 +4,7 @@
 //
 // The typical lifecycle is:
 //
-//	g := treesvd.NewGraph()                    // or load an event stream
+//	g := treesvd.NewGraphN(0)                  // or load an event stream
 //	g.InsertEdge(0, 1); ...
 //	emb, err := treesvd.New(g, subset, treesvd.Defaults())
 //	X := emb.Embedding()                       // |S|×d subset embedding
@@ -47,7 +47,7 @@ import (
 )
 
 // Graph is a dynamic directed graph. The zero value is not usable; call
-// NewGraph.
+// NewGraphN.
 type Graph = graph.Graph
 
 // Event is an edge insertion or deletion.
@@ -59,11 +59,8 @@ const (
 	Delete = graph.Delete
 )
 
-// NewGraph returns an empty dynamic graph; nodes are created on demand by
-// InsertEdge.
-func NewGraph() *Graph { return graph.New(0) }
-
-// NewGraphN returns a dynamic graph with n isolated nodes.
+// NewGraphN returns a dynamic graph with n isolated nodes; InsertEdge
+// creates further nodes on demand.
 func NewGraphN(n int) *Graph { return graph.New(n) }
 
 // Config bundles every knob of the pipeline. Zero values are replaced by
