@@ -49,11 +49,12 @@ cross:
 # docs_test.go (also part of `make test`): a package comment on every
 # package, a doc comment on every exported identifier of the public
 # packages (root, server, client), live make targets, cmd/ paths and
-# settings in the docs, README's and DESIGN's line budgets; and the two
+# settings in the docs, the docs' lists of the stage table's rows,
+# README's and DESIGN's line budgets; and the two
 # census tests: every public setting and every export has a non-test
 # caller or a stated reason.
 docs: vet
-	$(GO) test -count=1 -run 'TestDocsNameLiveTargets|TestReadmeWithinBudget|TestDesignWithinBudget|TestEveryPackageHasAComment|TestPublicExportsHaveDocComments|TestEveryPublicSettingHasACaller|TestEveryExportHasACaller|TestCensusCountsExcludedFiles' .
+	$(GO) test -count=1 -run 'TestDocsNameLiveTargets|TestDocsListTheStageTable|TestReadmeWithinBudget|TestDesignWithinBudget|TestEveryPackageHasAComment|TestPublicExportsHaveDocComments|TestEveryPublicSettingHasACaller|TestEveryExportHasACaller|TestCensusCountsExcludedFiles' .
 
 build:
 	$(GO) build ./...

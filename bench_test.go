@@ -80,7 +80,7 @@ func BenchmarkDynamicPushBatch(b *testing.B) {
 	_ = s
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must0tb(prox.ApplyEvents(bgt, events))
+		must0tb(prox.RepairApplied(bgt, ppr.ApplyAll(prox.Sub.Engine.G, events)))
 		b.StopTimer()
 		// Re-applying identical inserts is a no-op; flip to keep work real.
 		flipped := make([]graph.Event, len(events))

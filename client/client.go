@@ -263,7 +263,7 @@ func (c *Client) ApplyEventBatches(ctx context.Context, batches [][]treesvd.Even
 	if resp.StatusCode != http.StatusOK {
 		return ApplyResult{}, decodeError(resp)
 	}
-	payload, err := wire.ReadFrame(resp.Body)
+	payload, err := wire.ReadFrame(resp.Body, wire.MaxFrame)
 	if err != nil {
 		return ApplyResult{}, err
 	}
@@ -286,7 +286,7 @@ func (c *Client) getFrame(ctx context.Context, path string) ([]byte, error) {
 	var payload []byte
 	err := c.get(ctx, path, wire.ContentType, func(body io.Reader) error {
 		var err error
-		payload, err = wire.ReadFrame(body)
+		payload, err = wire.ReadFrame(body, wire.MaxFrame)
 		return err
 	})
 	return payload, err

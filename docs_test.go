@@ -6,8 +6,11 @@ import (
 	"go/token"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/tree-svd/treesvd/internal/obs"
 )
 
 // The documents a reader follows to build, test and run the repository.
@@ -81,6 +84,41 @@ func TestDocsNameLiveTargets(t *testing.T) {
 		for _, m := range programPath.FindAllString(text, -1) {
 			if fi, err := os.Stat(m); err != nil || !fi.IsDir() {
 				t.Errorf("%s: names %s, which is not a directory", doc, m)
+			}
+		}
+	}
+}
+
+// stageList matches a doc's list of the stage table's rows: the label key
+// in backticks, "∈", then the names as code spans, braced or not.
+var stageList = regexp.MustCompile("`treesvd_stage`\\s*∈\\s*\\{?((?:\\s*`[a-z0-9_.]+`,?)+)")
+
+// TestDocsListTheStageTable fails when a live document's list of stages
+// (`treesvd_stage` ∈ {…}) names a stage the stage table lacks, omits one
+// it has, or orders them differently, and when README or DESIGN holds no
+// such list: the table in internal/obs is the one place the names are
+// spelled.
+func TestDocsListTheStageTable(t *testing.T) {
+	var table []string
+	for s := range obs.NumStages {
+		table = append(table, s.String())
+	}
+	for _, name := range liveDocs {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := stageList.FindAllStringSubmatch(string(b), -1)
+		if len(lists) == 0 && (name == "README.md" || name == "DESIGN.md") {
+			t.Errorf("%s: no `treesvd_stage` ∈ {…} list of the stage table", name)
+		}
+		for _, m := range lists {
+			var got []string
+			for _, span := range codeSpan.FindAllString(m[1], -1) {
+				got = append(got, strings.Trim(span, "`"))
+			}
+			if !slices.Equal(got, table) {
+				t.Errorf("%s lists the stages %v, want the table's %v", name, got, table)
 			}
 		}
 	}

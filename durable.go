@@ -52,13 +52,6 @@ type DurableConfig struct {
 	// damage degrades the log to its longest verifiable prefix and is
 	// reported in RecoveryInfo instead.
 	StrictRecovery bool
-	// Trace receives pipeline trace events (see TraceHook), covering the
-	// durable layer's TraceCheckpoint and TraceRecovery in addition to the
-	// per-batch bracket. Open installs it only after WAL replay, so
-	// recovery does not fire a batch event per replayed record — it fires
-	// one TraceRecovery instead. DurableConfig is never persisted, which
-	// is why the hook lives here and not on Config.
-	Trace TraceHook
 }
 
 // keepCheckpoints is how many committed checkpoints a store retains. Two
@@ -224,9 +217,6 @@ func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg Durabl
 		return nil, err
 	}
 	e.registerDurable(dm)
-	if cfg.Trace != nil {
-		e.SetTraceHook(cfg.Trace)
-	}
 	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm}, nil
 }
 
@@ -308,13 +298,6 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 		return nil, err
 	}
 	e.registerDurable(dm)
-	// The hook goes live only now, after replay: recovery is reported as
-	// one TraceRecovery instead of a batch bracket per replayed record.
-	if cfg.Trace != nil {
-		e.SetTraceHook(cfg.Trace)
-		cfg.Trace(TraceEvent{Kind: TraceRecovery, Seq: info.CheckpointSeq, Block: -1,
-			Rebuilt: info.ReplayedBatches})
-	}
 	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm, recovery: info}, nil
 }
 
@@ -403,9 +386,7 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 	}
 	rec := d.w.Append(graph.AppendEvents(nil, events))
 	rebuilt, err := d.e.applyEvents(context.WithoutCancel(ctx), events, func() error {
-		start := time.Now()
 		_, err := rec.Wait()
-		d.met.syncWait.ObserveSince(start)
 		return err
 	})
 	// An apply that failed before its barrier did not wait: wait here.
@@ -444,9 +425,6 @@ func (d *DurableEmbedder) sealLocked(cause error) {
 	d.sealedNext = d.w.NextSeq()
 	d.met.degraded.Set(1)
 	d.met.seals.Inc()
-	if h := d.cfg.Trace; h != nil {
-		h(TraceEvent{Kind: TraceDegraded, Seq: d.sealedNext, Block: -1, Err: cause})
-	}
 }
 
 // Degraded returns the WAL I/O failure that sealed the embedder into
@@ -503,9 +481,6 @@ func (d *DurableEmbedder) Reopen() error {
 	d.degraded = nil
 	d.met.degraded.Set(0)
 	d.met.reopens.Inc()
-	if h := d.cfg.Trace; h != nil {
-		h(TraceEvent{Kind: TraceDegraded, Seq: d.sealedNext + 1, Block: -1})
-	}
 	d.sealedNext = 0
 	return nil
 }
@@ -569,20 +544,17 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 // commitCheckpoint publishes one checkpoint and prunes: older checkpoints
 // beyond keepCheckpoints first, then WAL segments covered by the oldest
 // checkpoint that remains. Safe to run concurrently with Append — it only
-// touches checkpoint files and sealed segments. It records the commit in
-// the checkpoint metrics and fires TraceCheckpoint (from the background
-// checkpoint goroutine for a periodic checkpoint).
+// touches checkpoint files and sealed segments. It records the commit, or
+// its failure, in the checkpoint metrics.
 func (d *DurableEmbedder) commitCheckpoint(seq uint64, payload []byte) error {
 	start := time.Now()
-	err := d.writeCheckpointFiles(seq, payload)
-	if err == nil {
-		d.met.checkpoints.Inc()
-		d.met.ckptNanos.ObserveSince(start)
+	if err := d.writeCheckpointFiles(seq, payload); err != nil {
+		d.met.ckptFailures.Inc()
+		return err
 	}
-	if h := d.cfg.Trace; h != nil {
-		h(TraceEvent{Kind: TraceCheckpoint, Seq: seq, Block: -1, Dur: time.Since(start), Err: err})
-	}
-	return err
+	d.met.checkpoints.Inc()
+	d.met.ckptNanos.ObserveSince(start)
+	return nil
 }
 
 // writeCheckpointFiles is the I/O body of commitCheckpoint: commit the

@@ -503,30 +503,18 @@ func TestCloseReportsFirstCheckpointError(t *testing.T) {
 	createSyncs := probe.Ops()
 	must0tb(pd.Close())
 
-	var (
-		mu    sync.Mutex
-		ckpts []error
-	)
-	cfg.Trace = func(ev TraceEvent) {
-		if ev.Kind == TraceCheckpoint {
-			mu.Lock()
-			ckpts = append(ckpts, ev.Err)
-			mu.Unlock()
-		}
-	}
 	ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createSyncs + 2, Mode: faultfs.SyncError})
 	d := mustTB(CreateWithFS(ffs, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	// The failure shows in the counters as it happens, not only at Close:
+	// after the first batch one failed commit, after the second one of each.
 	for i, b := range fx.batches[:2] {
 		if _, err := d.ApplyEvents(bgt, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		d.ckptWG.Wait() // this batch's checkpoint has finished
-	}
-	mu.Lock()
-	got := slices.Clone(ckpts)
-	mu.Unlock()
-	if len(got) != 2 || got[0] == nil || got[1] != nil {
-		t.Fatalf("checkpoint outcomes %v, want a failure then a success", got)
+		if m := d.Metrics().WAL; m.CheckpointFailures != 1 || m.Checkpoints != uint64(i) {
+			t.Fatalf("after batch %d: %d failed and %d committed checkpoints, want 1 and %d", i, m.CheckpointFailures, m.Checkpoints, i)
+		}
 	}
 	if err := d.Close(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Close returned %v, want the first checkpoint's injected fsync error", err)
@@ -605,21 +593,7 @@ func runCrashMatrix(t *testing.T, fx *durableFixture) {
 // batch lost or applied twice anywhere in the sweep.
 func TestDiskFullDegradedReopen(t *testing.T) {
 	fx := newDurableFixture(t)
-	var traceMu sync.Mutex
-	seals, reopens := 0, 0
 	cfg := fx.cfg
-	cfg.Trace = func(ev TraceEvent) {
-		if ev.Kind != TraceDegraded {
-			return
-		}
-		traceMu.Lock()
-		if ev.Err != nil {
-			seals++
-		} else {
-			reopens++
-		}
-		traceMu.Unlock()
-	}
 	points, degradedPoints := 0, 0
 	for k := 1; ; k++ {
 		dir := t.TempDir()
@@ -716,8 +690,14 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 			}
 			t.Fatalf("%s: batch %d failed with %v, want a *DegradedError", label, applied, err)
 		}
+		// The seal and the Reopen each counted once, or neither happened.
+		n := uint64(0)
 		if sealed {
 			degradedPoints++
+			n = 1
+		}
+		if s, r, g := d.met.seals.Load(), d.met.reopens.Load(), d.met.degraded.Load(); s != n || r != n || g != 0 {
+			t.Fatalf("%s: degraded_seals_total %d, degraded_reopens_total %d, degraded %d; want %d, %d, 0", label, s, r, g, n, n)
 		}
 		fx.requireState(t, d.Embedder(), len(fx.batches), label+" final state")
 		// The sweep tail pushes the fault into the epilogue — shutdown
@@ -754,14 +734,6 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 	}
 	if points < 10 || degradedPoints < 3 {
 		t.Fatalf("sweep visited %d fault points, %d of them degraded — the workload shrank?", points, degradedPoints)
-	}
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	// Every mid-stream seal was Reopened; the epilogue probe can add seals
-	// that are closed out without a Reopen, so seals may exceed reopens.
-	if reopens != degradedPoints || seals < degradedPoints {
-		t.Fatalf("TraceDegraded fired %d seals / %d reopens, want >=%d seals and exactly %d reopens",
-			seals, reopens, degradedPoints, degradedPoints)
 	}
 	t.Logf("diskfull: %d fault points verified, %d sealed into degraded mode", points, degradedPoints)
 }

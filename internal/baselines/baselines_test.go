@@ -127,7 +127,7 @@ func TestSubsetSTRAPDynamicUpdates(t *testing.T) {
 			events = append(events, graph.Event{U: u, V: v, Type: graph.Insert})
 		}
 	}
-	must0t(prox.ApplyEvents(bgt, events))
+	must0t(prox.RepairApplied(bgt, ppr.ApplyAll(prox.Sub.Engine.G, events)))
 	after := mustBL(STRAP(prox.M.ToCSR(), 3, 1, 0))
 	if linalg.MaxAbsDiff(before.Left, after.Left) == 0 {
 		t.Fatal("embedding unchanged after 20 insertions")

@@ -62,7 +62,8 @@ func RunChurnStress(o Options) *Table {
 				prox.RefreshAll()
 				must0(tree.Build(bg))
 			} else {
-				must0(prox.ApplyEvents(bg, b))
+				must0(prox.Sub.ApplyEvents(bg, b))
+				prox.Refresh()
 				must(tree.Update(bg))
 			}
 			// The auditors Embedder.Audit runs, timed as part of the update.

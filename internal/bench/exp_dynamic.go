@@ -38,7 +38,8 @@ func RunExp3NC(o Options) []*Table {
 		for snap := 1; snap <= tau; snap++ {
 			if snap > 1 {
 				ev := ds.Stream.SnapshotEvents(snap)
-				must0(prox.ApplyEvents(bg, ev))
+				must0(prox.Sub.ApplyEvents(bg, ev))
+				prox.Refresh()
 				must0(dyn.ApplyEvents(bg, ev))
 			}
 			record := func(name string, emb *linalg.Dense) {

@@ -144,7 +144,7 @@ func (o Options) subsetSTRAP() method {
 		prox := o.buildProximity(g, s, maxNodes)
 		var r *baselines.STRAPResult
 		return streamed{
-			apply: func(b []graph.Event) { must0(prox.ApplyEvents(bg, b)) },
+			apply: func(b []graph.Event) { must0(prox.Sub.ApplyEvents(bg, b)); prox.Refresh() },
 			factor: func() int {
 				r = must(baselines.STRAP(prox.M.ToCSR(), o.Dim, o.Seed, o.Workers))
 				return 0
@@ -199,7 +199,7 @@ func (o Options) treeSVD(cfg core.Config, nnzTrigger bool) method {
 // maintenance, then factor on the tree.
 func treeStreamed(prox *ppr.Proximity, tree *core.Tree, factor func() int) streamed {
 	return streamed{
-		apply:  func(b []graph.Event) { must0(prox.ApplyEvents(bg, b)) },
+		apply:  func(b []graph.Event) { must0(prox.Sub.ApplyEvents(bg, b)); prox.Refresh() },
 		factor: factor,
 		left:   tree.Embedding,
 		right:  tree.RightEmbedding,

@@ -260,7 +260,7 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 			p.RefreshAll()
 			return nil
 		}
-		return p.ApplyEvents(ctx, batch)
+		return p.RepairApplied(ctx, ppr.ApplyAll(p.Sub.Engine.G, batch))
 	}
 	// frobDiff computes ‖A − B‖_F over equal-shaped dense materializations.
 	frobDiff := func(a, b *linalg.Dense) float64 {

@@ -68,7 +68,7 @@ func TestUpperGateNearOptimal(t *testing.T) {
 			merges0, projections0 := met.UpperMerges.Load(), met.UpperProjections.Load()
 			worst := 0.0
 			for b, batch := range stream {
-				if err := prox.ApplyEvents(ctx, batch); err != nil {
+				if err := prox.RepairApplied(ctx, ppr.ApplyAll(prox.Sub.Engine.G, batch)); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := tr.Update(ctx); err != nil {

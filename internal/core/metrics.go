@@ -22,9 +22,10 @@ type Metrics struct {
 	// nodes the gate let publish a refined copy of their cached factor.
 	UpperMerges, UpperProjections obs.Counter
 	// BlockFactorNanos records one observation per level-1 block
-	// factorization (the rsvd.SparseFrom call); MergeNanos one per upper
-	// merge pass; PassNanos one per whole Build/Update.
-	BlockFactorNanos, MergeNanos, PassNanos obs.Histogram
+	// factorization (the rsvd.SparseFrom call); PassNanos one per whole
+	// Build/Update. The upper merge sweep is timed by the stage table's
+	// tree.merge row (see Tree.Observe).
+	BlockFactorNanos, PassNanos obs.Histogram
 }
 
 // observeCommit folds one committed pass's Stats into the cumulative

@@ -85,7 +85,7 @@ func TestPassKeepsEveryBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetTrace(func(e obs.TraceEvent) {
+	tr.Observe(nil, func(e obs.TraceEvent) {
 		if e.Kind == obs.TraceBlockRecompute {
 			traced.Add(1)
 		}

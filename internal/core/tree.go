@@ -77,10 +77,10 @@ type Tree struct {
 	built  bool
 
 	// met accumulates lifetime work counters and timing spans (always
-	// non-nil); trace, when set, receives a TraceBlockRecompute event for
-	// every level-1 block a lazy Update re-factors.
-	met   *Metrics
-	trace obs.TraceHook
+	// non-nil); stages and trace are set by Observe.
+	met    *Metrics
+	trace  obs.TraceHook
+	stages *obs.Stages
 }
 
 // NewTree wraps a DynRow whose block partition was created with
@@ -97,12 +97,14 @@ func NewTree(m *sparse.DynRow, cfg Config) (*Tree, error) {
 // Metrics returns the tree's cumulative work counters; see Metrics.
 func (t *Tree) Metrics() *Metrics { return t.met }
 
-// SetTrace installs (or clears, with nil) the hook that receives a
-// TraceBlockRecompute event for every block a lazy Update re-factors. The
-// hook fires from worker goroutines; it must be fast and concurrency-safe.
-// Not safe to call concurrently with Build/Update — the facade serializes
-// it behind the update lock.
-func (t *Tree) SetTrace(h obs.TraceHook) { t.trace = h }
+// Observe hands the tree the clock of the stage table that runs its
+// passes — a pass that merges enters tree.merge there, closing the
+// tree.level1 row the table entered before the pass — and the hook (nil
+// for none) that receives a TraceBlockRecompute event for every block a
+// lazy Update re-factors, from worker goroutines: it must be fast and
+// concurrency-safe. Not safe to call concurrently with Build/Update — the
+// facade serializes it behind the update lock.
+func (t *Tree) Observe(s *obs.Stages, h obs.TraceHook) { t.stages, t.trace = s, h }
 
 // Stats returns the work counters of the last successful Build/Update.
 func (t *Tree) Stats() Stats { return t.stats }
@@ -223,23 +225,21 @@ func (t *Tree) pass(ctx context.Context, start time.Time, z []int, skipped int, 
 		}
 		w := par.Workers(t.cfg.Workers)
 		kb := par.SplitBudget(w, len(z))
-		if err := obs.Stage(ctx, "tree.level1", func(ctx context.Context) error {
-			return par.ForErr(ctx, len(z), w, func(i int) error {
-				bstart := time.Now()
-				var prev *node // levels[0] still holds the committed node
-				if !exact {
-					prev = levels[0][z[i]]
-				}
-				n, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], prev, kb)
-				if err != nil {
-					return err
-				}
-				levels[0][z[i]] = n
-				if trace != nil {
-					trace(obs.TraceEvent{Kind: obs.TraceBlockRecompute, Block: z[i], Dur: time.Since(bstart)})
-				}
-				return nil
-			})
+		if err := par.ForErr(ctx, len(z), w, func(i int) error {
+			bstart := time.Now()
+			var prev *node // levels[0] still holds the committed node
+			if !exact {
+				prev = levels[0][z[i]]
+			}
+			n, err := t.factorCSR(t.m.BlockCSR(z[i]), z[i], prev, kb)
+			if err != nil {
+				return err
+			}
+			levels[0][z[i]] = n
+			if trace != nil {
+				trace(obs.TraceEvent{Kind: obs.TraceBlockRecompute, Block: z[i], Dur: time.Since(bstart)})
+			}
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -331,50 +331,47 @@ func (t *Tree) nodeInput(kids []*node) *linalg.Dense {
 // are counted into stats. The tree itself is not modified: the caller
 // commits levels only when the whole pass succeeded.
 func (t *Tree) merge(ctx context.Context, levels [][]*node, dirty map[int]bool, exact bool, stats *Stats) error {
-	start := time.Now()
-	defer t.met.MergeNanos.ObserveSince(start)
+	t.stages.Enter(obs.StageMerge)
 	w := par.Workers(t.cfg.Workers)
 	k := t.cfg.Branch
-	return obs.Stage(ctx, "tree.merge", func(ctx context.Context) error {
-		for cl := 0; cl+1 < len(levels); cl++ {
-			parentDirty := make(map[int]bool)
-			for j := range dirty {
-				parentDirty[j/k] = true
-			}
-			parents := make([]int, 0, len(parentDirty))
-			for pj := range parentDirty {
-				parents = append(parents, pj)
-			}
-			sort.Ints(parents)
-			// Fan-out across dirty parents; each merge's kernels get the
-			// leftover budget (the root level has one parent, so its merge
-			// runs with the full budget — it is the serial bottleneck of
-			// every update pass).
-			kb := par.SplitBudget(w, len(parents))
-			projected := make([]bool, len(parents))
-			if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
-				pj := parents[pi]
-				var old []*node // the committed children, which prev.p projects
-				if !exact {
-					old = t.kids(t.levels[cl], pj)
-				}
-				// levels[cl+1][pj] is still the previous pass's node.
-				levels[cl+1][pj], projected[pi] = t.mergeNode(t.kids(levels[cl], pj), old, levels[cl+1][pj], kb)
-				return nil
-			}); err != nil {
-				return err
-			}
-			for _, ok := range projected {
-				if ok {
-					stats.UpperProjections++
-				} else {
-					stats.UpperRebuilt++
-				}
-			}
-			dirty = parentDirty
+	for cl := 0; cl+1 < len(levels); cl++ {
+		parentDirty := make(map[int]bool)
+		for j := range dirty {
+			parentDirty[j/k] = true
 		}
-		return nil
-	})
+		parents := make([]int, 0, len(parentDirty))
+		for pj := range parentDirty {
+			parents = append(parents, pj)
+		}
+		sort.Ints(parents)
+		// Fan-out across dirty parents; each merge's kernels get the
+		// leftover budget (the root level has one parent, so its merge
+		// runs with the full budget — it is the serial bottleneck of
+		// every update pass).
+		kb := par.SplitBudget(w, len(parents))
+		projected := make([]bool, len(parents))
+		if err := par.ForErr(ctx, len(parents), w, func(pi int) error {
+			pj := parents[pi]
+			var old []*node // the committed children, which prev.p projects
+			if !exact {
+				old = t.kids(t.levels[cl], pj)
+			}
+			// levels[cl+1][pj] is still the previous pass's node.
+			levels[cl+1][pj], projected[pi] = t.mergeNode(t.kids(levels[cl], pj), old, levels[cl+1][pj], kb)
+			return nil
+		}); err != nil {
+			return err
+		}
+		for _, ok := range projected {
+			if ok {
+				stats.UpperProjections++
+			} else {
+				stats.UpperRebuilt++
+			}
+		}
+		dirty = parentDirty
+	}
+	return nil
 }
 
 // mergeNode derives a dirty upper node's factor from its new children

@@ -48,7 +48,7 @@ func TestLevel1WarmTailNearOptimal(t *testing.T) {
 	var warm, cold, exact float64
 	blocks := 0
 	for _, batch := range stream {
-		must0t(prox.ApplyEvents(ctx, batch))
+		must0t(prox.RepairApplied(ctx, ppr.ApplyAll(prox.Sub.Engine.G, batch)))
 		before := slices.Clone(tr.levels[0])
 		mustCore(tr.Update(ctx))
 		for j, n := range tr.levels[0] {

@@ -3,8 +3,9 @@
 // hot paths update with single atomic operations, a Registry that exposes
 // every registered metric in the Prometheus text format over HTTP, a
 // pluggable TraceHook fired at the pipeline's structural events (batch
-// start/end, block recompute, rebuild, checkpoint, recovery), and pprof
-// label helpers that attribute CPU profile samples to pipeline stages.
+// start/end, block recompute, rebuild), and the stage table's clock
+// (Stages), which times each stage of an update and labels its CPU
+// profile samples.
 //
 // Design rules, enforced by the benchmarks in this package and the
 // churnstress overhead experiment in EXPERIMENTS.md:
@@ -12,9 +13,9 @@
 //   - Recording a metric never allocates and never takes a lock: counters
 //     and gauges are one atomic RMW, a histogram observation is three
 //     atomic RMWs plus one atomic store into a fixed ring.
-//   - Reading (Snapshot, ServeHTTP) may allocate freely — it is the cold
+//   - Reading (Histogram.Snapshot, ServeHTTP) may allocate freely — it is the cold
 //     path — and sees each field atomically, though not the whole set as
-//     of one instant (metrics keep moving while a snapshot walks them).
+//     of one instant (metrics keep moving while a read walks them).
 //   - A nil TraceHook costs one predictable branch at each fire site.
 //
 // The metric structs of the instrumented packages (ppr.Metrics,

@@ -158,7 +158,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestTraceKindStrings(t *testing.T) {
 	kinds := []TraceKind{TraceBatchStart, TraceBlockRecompute, TraceBatchEnd,
-		TraceRebuild, TraceCheckpoint, TraceRecovery, TraceKind(99)}
+		TraceRebuild, TraceKind(99)}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -2,12 +2,13 @@ package obs
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildRegistry registers one metric of every kind with live values.
@@ -43,13 +44,12 @@ func prometheusPage(t *testing.T, r *Registry) string {
 func TestEveryRegisteredMetricAppears(t *testing.T) {
 	r := buildRegistry()
 	prom := prometheusPage(t, r)
-	snap := gather(r)
-	if len(snap) != 5 {
-		t.Fatalf("snapshot has %d entries, want 5", len(snap))
+	if len(r.entries) != 5 {
+		t.Fatalf("registry has %d entries, want 5", len(r.entries))
 	}
-	for _, v := range snap {
-		if !strings.Contains(prom, "\n"+v.Name) && !strings.HasPrefix(prom, "# HELP "+v.Name) {
-			t.Errorf("metric %s missing from prometheus output", v.Name)
+	for _, e := range r.entries {
+		if !strings.Contains(prom, "\n"+e.name) && !strings.HasPrefix(prom, "# HELP "+e.name) {
+			t.Errorf("metric %s missing from prometheus output", e.name)
 		}
 	}
 }
@@ -99,24 +99,49 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
-// TestStageSetsLabel verifies the pprof label is visible inside the stage
-// and gone after it, and that Stage returns the error of its function.
+// TestStageSetsLabel runs a stage table of two rows and checks that a
+// goroutine spawned inside a stage carries that stage's pprof label, that
+// one spawned after Stop carries none, that each row is timed from its
+// boundary to the next, and that a row the run did not enter is absent.
 func TestStageSetsLabel(t *testing.T) {
-	ctx := context.Background()
-	var inside string
-	Stage(ctx, "unit-test", func(ctx context.Context) error {
-		inside, _ = pprof.Label(ctx, StageLabel)
-		return nil
-	})
-	if inside != "unit-test" {
-		t.Fatalf("label inside stage = %q, want unit-test", inside)
+	labelled := func(st Stage) bool {
+		release := make(chan struct{})
+		started := make(chan struct{})
+		done := make(chan struct{})
+		go func() { close(started); <-release; close(done) }()
+		<-started
+		var b strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&b, 1)
+		close(release)
+		<-done
+		return strings.Contains(b.String(), fmt.Sprintf("%q:%q", StageLabel, st.String()))
 	}
-	if v, ok := pprof.Label(ctx, StageLabel); ok {
-		t.Fatalf("label leaked outside stage: %q", v)
+	var s Stages
+	s.Enter(StageRepair) // idle: no run is open
+	var none *Stages
+	none.Enter(StageRepair)
+	none.Stop()
+
+	s.Start(context.Background())
+	s.Enter(StageRepair)
+	if !labelled(StageRepair) {
+		t.Fatal("a goroutine spawned inside ppr.repair does not carry its label")
 	}
-	want := errors.New("stage failed")
-	if err := Stage(ctx, "unit-test", func(context.Context) error { return want }); err != want {
-		t.Fatalf("Stage returned %v, want f's error", err)
+	time.Sleep(2 * time.Millisecond)
+	s.Enter(StageMerge)
+	s.Stop()
+	if labelled(StageMerge) {
+		t.Fatal("the stage label outlived Stop")
+	}
+	times := s.Times()
+	if len(times) != 2 || times[0].Stage != "ppr.repair" || times[1].Stage != "tree.merge" {
+		t.Fatalf("Times() = %v, want ppr.repair then tree.merge", times)
+	}
+	if times[0].Dur < 2*time.Millisecond {
+		t.Fatalf("ppr.repair timed %v across a 2ms sleep", times[0].Dur)
+	}
+	if _, ran := s.Dur(StageAdvance); ran {
+		t.Fatal("a stage the run never entered reports that it ran")
 	}
 }
 

@@ -7,35 +7,22 @@ type TraceKind uint8
 
 // Trace event kinds, in the order a typical update emits them.
 const (
-	// TraceBatchStart fires at the top of ApplyEvents, before any state
-	// is touched. Seq is the snapshot version the batch will publish,
-	// Events the batch size.
+	// TraceBatchStart fires at the top of ApplyEvents, after validation
+	// and before any state is touched. Seq numbers the batch, Events is
+	// its size.
 	TraceBatchStart TraceKind = iota + 1
 	// TraceBlockRecompute fires once per level-1 block re-factored by the
 	// lazy update, from the worker goroutine that factored it. Block is
 	// the block index, Dur the factorization time.
 	TraceBlockRecompute
-	// TraceBatchEnd fires when ApplyEvents finishes, success or not. Dur
-	// is the whole batch, Rebuilt the number of blocks re-factored, Err
-	// the batch's error (nil on success).
+	// TraceBatchEnd fires when ApplyEvents finishes, success or not. Seq
+	// and Events repeat the start's; Dur is the whole batch, Stages its
+	// stage table, Rebuilt the number of blocks re-factored, Err the
+	// batch's error (nil on success).
 	TraceBatchEnd
 	// TraceRebuild fires when a full Rebuild finishes (the Tree-SVD-S
-	// fallback path), with Dur and Err.
+	// fallback path), with Dur, Stages and Err.
 	TraceRebuild
-	// TraceCheckpoint fires when a durable checkpoint commit finishes —
-	// from the background checkpoint goroutine for a periodic checkpoint,
-	// inline for an explicit Checkpoint call. Seq is the batch sequence
-	// the checkpoint covers.
-	TraceCheckpoint
-	// TraceRecovery fires once at the end of a successful Open, after
-	// replay and audit. Seq is the recovered checkpoint's sequence,
-	// Rebuilt the number of WAL batches replayed on top of it.
-	TraceRecovery
-	// TraceDegraded fires on both edges of the durable layer's read-only
-	// degraded mode: sealing (Err is the WAL I/O failure that caused it)
-	// and reopening (Err nil). Seq is the WAL sequence the transition
-	// happened at.
-	TraceDegraded
 	// TraceBlockUpdate is retired and never fired; named by
 	// benchmark/trace.go, delete with ROADMAP item 1's seam.
 	TraceBlockUpdate
@@ -52,12 +39,6 @@ func (k TraceKind) String() string {
 		return "batch-end"
 	case TraceRebuild:
 		return "rebuild"
-	case TraceCheckpoint:
-		return "checkpoint"
-	case TraceRecovery:
-		return "recovery"
-	case TraceDegraded:
-		return "degraded"
 	}
 	return "unknown"
 }
@@ -66,23 +47,28 @@ func (k TraceKind) String() string {
 // documented on the respective TraceKind are meaningful; the rest are
 // zero.
 type TraceEvent struct {
-	Kind    TraceKind
-	Seq     uint64        // snapshot version / batch or checkpoint sequence
+	Kind TraceKind
+	// Seq is the embedder's batch-attempt counter: each ApplyEvents past
+	// validation advances it, failed batches and the batches Open replays
+	// included, and Rebuild does not. It is not the snapshot version.
+	Seq     uint64
 	Block   int           // block index (TraceBlockRecompute), else -1
-	Events  int           // batch size (TraceBatchStart)
-	Rebuilt int           // blocks re-factored / batches replayed
+	Events  int           // batch size
+	Rebuilt int           // blocks re-factored
 	Dur     time.Duration // duration of the completed phase
-	Err     error         // terminal error of the phase, nil on success
+	// Stages lists every stage the update ran, in table order, with its
+	// wall time (see Stages); a stage it did not reach is absent.
+	Stages []StageTime
+	Err    error // terminal error of the phase, nil on success
 }
 
 // TraceHook receives pipeline trace events. A nil hook costs one branch
 // per fire site; a non-nil hook runs inline on the pipeline's goroutines
 // — including worker goroutines (TraceBlockRecompute fires concurrently
-// from the factorization pool) and the background checkpoint goroutine —
-// so implementations must be fast and safe for concurrent use.
+// from the factorization pool) — so implementations must be fast and
+// safe for concurrent use.
 //
 // Ordering contract per update: exactly one TraceBatchStart, then zero or
 // more TraceBlockRecompute (concurrently), then exactly one
-// TraceBatchEnd. TraceCheckpoint and TraceRecovery are emitted by the
-// durable layer outside that bracket.
+// TraceBatchEnd. TraceRebuild fires outside that bracket.
 type TraceHook func(TraceEvent)

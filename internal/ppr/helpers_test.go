@@ -1,6 +1,10 @@
 package ppr
 
-import "context"
+import (
+	"context"
+
+	"github.com/tree-svd/treesvd/internal/graph"
+)
 
 // bgt is the test-wide context; cancellation paths build their own.
 var bgt = context.Background()
@@ -33,4 +37,11 @@ func content(st *State) (p, r map[int32]float64) {
 		}
 	})
 	return p, r
+}
+
+// applyEvents advances pr's graph through events and brings the states
+// and the proximity matrix level with it, as the facade's stage table
+// does.
+func applyEvents(pr *Proximity, events []graph.Event) error {
+	return pr.RepairApplied(bgt, ApplyAll(pr.Sub.Engine.G, events))
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
@@ -102,24 +101,12 @@ func (pr *Proximity) RefreshAll() {
 	}
 }
 
-// ApplyEvents advances the graph and the proximity matrix through a batch
-// of edge events: Algorithm 2 on the states they reach, then incremental M
-// refresh of those rows.
+// RepairApplied brings the states and M level with an already-advanced
+// graph: the caller applies the batch once (ppr.ApplyAll) and hands over
+// the applied slice, which repairs the states and refreshes the rows.
 // On error (context cancellation mid-repair) M has not absorbed the
 // changes; callers must recover with Sub.Rebuild + RefreshAll before
 // trusting the matrix again.
-func (pr *Proximity) ApplyEvents(ctx context.Context, events []graph.Event) error {
-	if err := pr.Sub.ApplyEvents(ctx, events); err != nil {
-		return err
-	}
-	pr.Refresh()
-	return nil
-}
-
-// RepairApplied is ApplyEvents for an already-advanced graph: the caller
-// applies the batch once (ppr.ApplyAll) and hands over the applied slice,
-// which repairs the states and refreshes the rows. Error semantics match
-// ApplyEvents.
 func (pr *Proximity) RepairApplied(ctx context.Context, applied []Applied) error {
 	if err := pr.Sub.Repair(ctx, applied); err != nil {
 		return err

@@ -83,7 +83,7 @@ func TestProximityIncrementalMatchesFull(t *testing.T) {
 				events = append(events, graph.Event{U: u, V: v, Type: graph.Delete})
 			}
 		}
-		must0t(pr.ApplyEvents(bgt, events))
+		must0t(applyEvents(pr, events))
 		checkProximityConsistent(t, pr)
 	}
 }
@@ -122,7 +122,7 @@ func TestProximityDynamicVsScratchClose(t *testing.T) {
 			events = append(events, graph.Event{U: u, V: v, Type: graph.Insert})
 		}
 	}
-	must0t(pr.ApplyEvents(bgt, events))
+	must0t(applyEvents(pr, events))
 
 	subScratch := mustPPR(NewSubset(g, s, params))
 	prScratch := NewProximity(subScratch, 40, 4)

@@ -183,7 +183,7 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 	live := NewProximity(mustPPR(NewSubset(g, subset, params)), 440, 8)
 	half := len(batches) / 2
 	for _, batch := range batches[:half] {
-		must0t(live.ApplyEvents(bgt, batch))
+		must0t(applyEvents(live, batch))
 	}
 
 	restore := func(in []*State) []*State {
@@ -214,8 +214,8 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 	}
 
 	for bi, batch := range batches[half:] {
-		must0t(live.ApplyEvents(bgt, batch))
-		must0t(loaded.ApplyEvents(bgt, batch))
+		must0t(applyEvents(live, batch))
+		must0t(applyEvents(loaded, batch))
 		requireSameProximity(t, fmt.Sprintf("tail batch %d", bi), loaded, live)
 	}
 }

@@ -122,8 +122,10 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads and verifies one frame from r, returning its payload.
 // A clean end of stream returns io.EOF; a stream that ends mid-frame
-// returns io.ErrUnexpectedEOF; a failed footer returns ErrCorruptFrame.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// returns io.ErrUnexpectedEOF; a failed footer returns ErrCorruptFrame,
+// and so does a length prefix past limit (capped at MaxFrame), before a
+// byte of the payload is read.
+func ReadFrame(r io.Reader, limit int) ([]byte, error) {
 	var prefix [prefixLen]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -132,8 +134,8 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err // io.EOF: clean end of stream
 	}
 	n := binary.LittleEndian.Uint32(prefix[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d-byte length prefix exceeds the %d-byte bound", ErrCorruptFrame, n, MaxFrame)
+	if limit = min(limit, MaxFrame); int64(n) > int64(limit) {
+		return nil, fmt.Errorf("%w: %d-byte length prefix exceeds the %d-byte bound", ErrCorruptFrame, n, limit)
 	}
 	// The buffer grows as bytes arrive instead of trusting the prefix: a
 	// four-byte stream claiming a gigabyte must not cost one.
@@ -194,10 +196,14 @@ func (r *reader) done() bool { return !r.fail && len(r.b) == 0 }
 // corrupt builds the uniform malformed-payload error.
 func corrupt(what string) error { return fmt.Errorf("%w: malformed %s payload", ErrCorruptFrame, what) }
 
+// EventsLen is the payload length of an n-event batch (EncodeEvents), the
+// frame bound of a reader that accepts at most n events a batch.
+func EventsLen(n int) int { return 5 + graph.EventLen*n }
+
 // EncodeEvents encodes one event batch: tag, count, then the batch in
 // graph.AppendEvents' 9-byte form.
 func EncodeEvents(events []graph.Event) []byte {
-	b := make([]byte, 0, 5+graph.EventLen*len(events))
+	b := make([]byte, 0, EventsLen(len(events)))
 	b = append(b, tagEvents)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(events)))
 	return graph.AppendEvents(b, events)

@@ -33,7 +33,7 @@ func TestEventsRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, EncodeEvents(events)); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := ReadFrame(&buf)
+		payload, err := ReadFrame(&buf, MaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestStreamOfFrames(t *testing.T) {
 		}
 	}
 	for i, want := range batches {
-		payload, err := ReadFrame(&buf)
+		payload, err := ReadFrame(&buf, MaxFrame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -93,7 +93,7 @@ func TestStreamOfFrames(t *testing.T) {
 			t.Fatalf("frame %d: %d events, want %d", i, len(got), len(want))
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := ReadFrame(&buf, MaxFrame); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestCorruptionDetection(t *testing.T) {
 	for i := range clean {
 		bad := append([]byte(nil), clean...)
 		bad[i] ^= 0x40
-		payload, err := ReadFrame(bytes.NewReader(bad))
+		payload, err := ReadFrame(bytes.NewReader(bad), MaxFrame)
 		if err == nil {
 			// A flip inside the length prefix can still frame-verify only if
 			// the CRC happens to match — it cannot, so decode must fail.
@@ -173,7 +173,7 @@ func TestCorruptionDetection(t *testing.T) {
 
 	// Truncation at every boundary short of the footer.
 	for cut := 1; cut < len(clean); cut++ {
-		_, err := ReadFrame(bytes.NewReader(clean[:cut]))
+		_, err := ReadFrame(bytes.NewReader(clean[:cut]), MaxFrame)
 		if err == nil {
 			t.Fatalf("truncation at %d went undetected", cut)
 		}
@@ -182,7 +182,7 @@ func TestCorruptionDetection(t *testing.T) {
 	// A hostile length prefix must be bounded, not allocated.
 	var hostile bytes.Buffer
 	hostile.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&hostile); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := ReadFrame(&hostile, MaxFrame); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("hostile length prefix: %v, want ErrCorruptFrame", err)
 	}
 
@@ -221,7 +221,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	hostile := []byte{0xf0, 0xff, 0xff, 0x3f, 1, 2, 3}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadFrame(bytes.NewReader(hostile))
+	_, err := ReadFrame(bytes.NewReader(hostile), MaxFrame)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn hostile frame: %v, want io.ErrUnexpectedEOF", err)
@@ -234,9 +234,26 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	got, err := ReadFrame(bytes.NewReader(frame(t, big)))
+	got, err := ReadFrame(bytes.NewReader(frame(t, big)), MaxFrame)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("3 MiB frame: %v, equal %t", err, bytes.Equal(got, big))
+	}
+}
+
+// TestReadFrameRefusesOverLimit: a length prefix past the caller's limit
+// is refused as corrupt before a byte of its payload is read, and one at
+// the limit reads whole.
+func TestReadFrameRefusesOverLimit(t *testing.T) {
+	f := frame(t, EncodeEvents([]graph.Event{{U: 1, V: 2}, {U: 3, V: 4}}))
+	r := bytes.NewReader(f)
+	if _, err := ReadFrame(r, EventsLen(1)); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("two-event frame under a one-event limit: %v, want ErrCorruptFrame", err)
+	}
+	if r.Len() != len(f)-4 {
+		t.Fatalf("ReadFrame read %d bytes past the length prefix of a refused frame", len(f)-4-r.Len())
+	}
+	if _, err := ReadFrame(bytes.NewReader(f), EventsLen(2)); err != nil {
+		t.Fatalf("two-event frame under a two-event limit: %v", err)
 	}
 }
 
@@ -262,7 +279,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{'E', 10, 0, 0, 0})
 	f.Add(append(EncodeEvents(corruptionEvents), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadFrame(bytes.NewReader(data))
+		payload, err := ReadFrame(bytes.NewReader(data), MaxFrame)
 		if err == nil {
 			if n := len(payload) + prefixLen + FooterLen; !bytes.Equal(frame(t, payload), data[:n]) {
 				t.Fatal("a frame that verifies does not re-frame to its own bytes")

@@ -9,8 +9,8 @@ import (
 	"github.com/tree-svd/treesvd/internal/wal"
 )
 
-// Registry is a named collection of metrics that can be snapshotted and
-// served over HTTP in the Prometheus text exposition format: a histogram
+// Registry is a named collection of metrics served over HTTP in the
+// Prometheus text exposition format: a histogram
 // shows its window quantiles, _sum and _count there, and its min, max
 // and mean in Metrics(). Every Embedder owns one — mount it wherever the
 // operator wants the endpoint:
@@ -19,18 +19,17 @@ import (
 type Registry = obs.Registry
 
 // TraceHook receives pipeline trace events; install one with
-// Embedder.SetTraceHook or DurableConfig.Trace. A nil hook costs one
-// branch per fire site; a non-nil hook runs inline on pipeline goroutines
-// (including factorization workers and the background checkpoint
-// goroutine), so implementations must be fast and safe for concurrent
-// use. See TraceEvent for the ordering contract.
+// Embedder.SetTraceHook. A nil hook costs one branch per fire site; a
+// non-nil hook runs inline on pipeline goroutines (including
+// factorization workers), so implementations must be fast and safe for
+// concurrent use. See TraceEvent for the ordering contract.
 type TraceHook = obs.TraceHook
 
 // TraceEvent is the payload handed to a TraceHook. Per update the hook
 // sees exactly one TraceBatchStart, then zero or more concurrent
 // TraceBlockRecompute, then exactly one TraceBatchEnd (Err non-nil on
-// failure); TraceRebuild, TraceCheckpoint and TraceRecovery fire outside
-// that bracket.
+// failure), whose Stages list the batch's stage table; TraceRebuild fires
+// outside that bracket.
 type TraceEvent = obs.TraceEvent
 
 // TraceKind identifies which pipeline event a TraceEvent reports.
@@ -42,17 +41,15 @@ const (
 	TraceBlockRecompute = obs.TraceBlockRecompute
 	TraceBatchEnd       = obs.TraceBatchEnd
 	TraceRebuild        = obs.TraceRebuild
-	TraceCheckpoint     = obs.TraceCheckpoint
-	TraceRecovery       = obs.TraceRecovery
-	TraceDegraded       = obs.TraceDegraded
 	// TraceBlockUpdate is retired and never fired; named by
 	// benchmark/trace.go, delete with ROADMAP item 1's seam.
 	TraceBlockUpdate = obs.TraceBlockUpdate
 )
 
-// StageLabel is the pprof label key the pipeline sets around every stage
-// (ppr.apply, tree.level1, tree.merge, publish). Profile a running
-// embedder and focus on one stage with
+// StageLabel is the pprof label key the stage table sets around each of
+// its rows; a row's name is its label value, its treesvd_stage_nanos
+// series and its TraceEvent.Stages entry. Profile a running embedder and
+// focus on one stage with
 //
 //	go tool pprof -tagfocus treesvd_stage=tree.level1 cpu.out
 const StageLabel = obs.StageLabel
@@ -89,12 +86,15 @@ type WALMetrics struct {
 	// Appends counts logged batches; AppendedBytes their on-disk record
 	// bytes. Fsyncs counts File.Sync calls (append, rotation, segment
 	// creation, close); Rotations counts segment rollovers; Checkpoints
-	// counts committed checkpoints.
-	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints uint64
+	// counts committed checkpoints and CheckpointFailures the commits
+	// that failed (a background one's error otherwise shows only at
+	// Close).
+	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints, CheckpointFailures uint64
 	// Append spans whole WAL appends (their fsync included), Fsync
 	// the fsync calls alone, SyncWait the part of a batch's append its
-	// publish waited for once the in-memory apply had finished,
-	// Checkpoint the full checkpoint commits (write + prune).
+	// publish waited for once the in-memory apply had finished (the
+	// stage table's publish.wait row), Checkpoint the full checkpoint
+	// commits (write + prune).
 	Append, Fsync, SyncWait, Checkpoint DurationStats
 }
 
@@ -125,7 +125,8 @@ type Metrics struct {
 	// delete with ROADMAP item 1's seam.
 	BlocksUpdated uint64
 	// BlockFactor spans one level-1 block factorization, Merge one upper
-	// merge sweep, TreePass one whole Build/Update.
+	// merge sweep of ApplyEvents or Rebuild (the stage table's tree.merge
+	// row), TreePass one whole Build/Update.
 	BlockFactor, Merge, TreePass DurationStats
 	// BatchesApplied counts successful ApplyEvents batches and
 	// EventsApplied their events; Rebuilds counts successful full
@@ -151,6 +152,7 @@ type pipelineMetrics struct {
 	batches, events  obs.Counter
 	rebuilds         obs.Counter
 	batchNanos       obs.Histogram
+	stages           [obs.NumStages]obs.Histogram // one per stage-table row
 	snapshots        obs.Counter
 	lastPublishNanos obs.Gauge // unix nanos of the last publish, 0 before
 	reg              *obs.Registry
@@ -159,15 +161,13 @@ type pipelineMetrics struct {
 // durableMetrics is the durability layer's instrumentation, owned by one
 // DurableEmbedder and linked into the wrapped embedder's Metrics/registry.
 type durableMetrics struct {
-	wal         wal.Metrics
-	checkpoints obs.Counter
-	ckptNanos   obs.Histogram
-	degraded    obs.Gauge // 1 while sealed read-only, else 0
-	seals       obs.Counter
-	reopens     obs.Counter
-	// syncWait spans the time a batch's publish blocked on its WAL fsync
-	// after the in-memory apply had finished.
-	syncWait obs.Histogram
+	wal          wal.Metrics
+	checkpoints  obs.Counter
+	ckptFailures obs.Counter
+	ckptNanos    obs.Histogram
+	degraded     obs.Gauge // 1 while sealed read-only, else 0
+	seals        obs.Counter
+	reopens      obs.Counter
 }
 
 // ageNanos returns nanoseconds since the last snapshot publish (0 before
@@ -209,8 +209,6 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 		"Dirty upper nodes that published a refined copy of their cached factor", &tm.UpperProjections)
 	r.Histogram("treesvd_tree_block_factor_nanos", "ns",
 		"Wall time per level-1 block factorization", &tm.BlockFactorNanos)
-	r.Histogram("treesvd_tree_merge_nanos", "ns",
-		"Wall time per upper merge sweep", &tm.MergeNanos)
 	r.Histogram("treesvd_tree_pass_nanos", "ns",
 		"Wall time per whole Build/Update pass", &tm.PassNanos)
 	r.Counter("treesvd_batches_applied_total", "batches",
@@ -220,6 +218,10 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 	r.Counter("treesvd_rebuilds_total", "rebuilds", "Successful full Rebuild calls", &p.rebuilds)
 	r.Histogram("treesvd_batch_nanos", "ns",
 		"Wall time per ApplyEvents attempt, end to end", &p.batchNanos)
+	for s := range obs.NumStages {
+		r.Histogram("treesvd_stage_nanos", "ns", "Wall time per stage-table row of ApplyEvents and Rebuild",
+			&p.stages[s], obs.Label{Key: "stage", Value: s.String()})
+	}
 	r.Counter("treesvd_snapshots_published_total", "snapshots",
 		"Snapshots published by New/ApplyEvents/Rebuild", &p.snapshots)
 	r.GaugeFunc("treesvd_snapshot_age_seconds", "s",
@@ -257,10 +259,10 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 	r.Histogram("treesvd_wal_append_nanos", "ns",
 		"Wall time per WAL append (its fsync included)", &dm.wal.AppendNanos)
 	r.Histogram("treesvd_wal_fsync_nanos", "ns", "Wall time per WAL fsync", &dm.wal.FsyncNanos)
-	r.Histogram("treesvd_wal_sync_wait_nanos", "ns",
-		"Wall time a batch's publish blocked on its WAL fsync after the apply finished", &dm.syncWait)
 	r.Counter("treesvd_checkpoints_total", "checkpoints",
 		"Committed durable checkpoints", &dm.checkpoints)
+	r.Counter("treesvd_checkpoint_failures_total", "checkpoints",
+		"Durable checkpoint commits that failed, background ones included", &dm.ckptFailures)
 	r.Histogram("treesvd_checkpoint_nanos", "ns",
 		"Wall time per checkpoint commit (write plus prune)", &dm.ckptNanos)
 	r.Gauge("treesvd_degraded", "state",
@@ -290,7 +292,7 @@ func (e *Embedder) Metrics() Metrics {
 		UpperMerges:        tm.UpperMerges.Load(),
 		UpperProjections:   tm.UpperProjections.Load(),
 		BlockFactor:        durStats(tm.BlockFactorNanos.Snapshot()),
-		Merge:              durStats(tm.MergeNanos.Snapshot()),
+		Merge:              durStats(e.met.stages[obs.StageMerge].Snapshot()),
 		TreePass:           durStats(tm.PassNanos.Snapshot()),
 		BatchesApplied:     e.met.batches.Load(),
 		EventsApplied:      e.met.events.Load(),
@@ -303,15 +305,16 @@ func (e *Embedder) Metrics() Metrics {
 	}
 	if dm := e.durMet.Load(); dm != nil {
 		m.WAL = &WALMetrics{
-			Appends:       dm.wal.Appends.Load(),
-			AppendedBytes: dm.wal.AppendedBytes.Load(),
-			Fsyncs:        dm.wal.Fsyncs.Load(),
-			Rotations:     dm.wal.Rotations.Load(),
-			Checkpoints:   dm.checkpoints.Load(),
-			Append:        durStats(dm.wal.AppendNanos.Snapshot()),
-			Fsync:         durStats(dm.wal.FsyncNanos.Snapshot()),
-			SyncWait:      durStats(dm.syncWait.Snapshot()),
-			Checkpoint:    durStats(dm.ckptNanos.Snapshot()),
+			Appends:            dm.wal.Appends.Load(),
+			AppendedBytes:      dm.wal.AppendedBytes.Load(),
+			Fsyncs:             dm.wal.Fsyncs.Load(),
+			Rotations:          dm.wal.Rotations.Load(),
+			Checkpoints:        dm.checkpoints.Load(),
+			CheckpointFailures: dm.ckptFailures.Load(),
+			Append:             durStats(dm.wal.AppendNanos.Snapshot()),
+			Fsync:              durStats(dm.wal.FsyncNanos.Snapshot()),
+			SyncWait:           durStats(e.met.stages[obs.StagePublishWait].Snapshot()),
+			Checkpoint:         durStats(dm.ckptNanos.Snapshot()),
 		}
 	}
 	return m
@@ -319,17 +322,16 @@ func (e *Embedder) Metrics() Metrics {
 
 // MetricsRegistry returns the embedder's metric registry — every counter
 // Metrics() reports, under stable treesvd_* names — ready to mount as an
-// HTTP handler or to read programmatically via its Snapshot method.
+// HTTP handler.
 func (e *Embedder) MetricsRegistry() *Registry { return e.met.reg }
 
 // SetTraceHook installs (or clears, with nil) the hook receiving pipeline
 // trace events; see TraceHook for the contract. It serializes with
 // updates, so it is safe to call at any time, but is typically set once
-// after New. For durable embedders prefer DurableConfig.Trace, which also
-// covers checkpoint and recovery events.
+// after New (on a durable store, on its Embedder()).
 func (e *Embedder) SetTraceHook(h TraceHook) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.trace = h
-	e.tree.SetTrace(h)
+	e.tree.Observe(&e.stages, h)
 }

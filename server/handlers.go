@@ -295,6 +295,7 @@ func (s *Server) writeMatrix(w http.ResponseWriter, r *http.Request, version uin
 // reports the typed cause, and a success is one ApplyResult frame.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !strings.Contains(r.Header.Get("Content-Type"), wire.ContentType) {
+		w.Header().Set("Connection", "close") // the body goes unread
 		writeError(w, badRequest("ingest body: Content-Type %q, want %s", r.Header.Get("Content-Type"), wire.ContentType))
 		return
 	}
@@ -305,6 +306,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.met.ingestBatches.Add(uint64(res.Batches))
 	s.met.ingestEvents.Add(uint64(res.Events))
 	if err != nil {
+		// Abandon the rest of the stream: net/http would drain it first.
+		w.Header().Set("Connection", "close")
 		writeError(w, err)
 		return
 	}
@@ -312,11 +315,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestFrames reads binary event frames off the request body and
-// applies each as one batch until the stream ends.
+// applies each as one batch until the stream ends. A frame whose length
+// prefix claims more than a batch of the per-batch cap is refused before
+// its body is read.
 func (s *Server) ingestFrames(r *http.Request) (wire.ApplyResult, error) {
 	var res wire.ApplyResult
 	for {
-		payload, err := wire.ReadFrame(r.Body)
+		payload, err := wire.ReadFrame(r.Body, wire.EventsLen(s.maxBatch))
 		if err == io.EOF {
 			return res, nil
 		}

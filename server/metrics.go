@@ -39,17 +39,17 @@ func newMetrics() *metrics {
 	for _, name := range endpointNames {
 		em := &endpointMetrics{}
 		m.endpoints[name] = em
-		ls := []obs.Label{{Key: "endpoint", Value: name}}
-		reg.CounterWith("treesvd_http_requests_total", ls, "requests",
-			"HTTP requests served, by endpoint", &em.requests)
-		reg.CounterWith("treesvd_http_errors_total", ls, "requests",
-			"HTTP requests answered with status >= 400, by endpoint", &em.errors)
-		reg.CounterWith("treesvd_http_shed_total", ls, "requests",
-			"HTTP requests shed by admission control, by endpoint", &em.shed)
-		reg.GaugeWith("treesvd_http_queued", ls, "requests",
-			"HTTP requests waiting in the admission queue, by endpoint", &em.queued)
-		reg.HistogramWith("treesvd_http_request_nanos", ls, "ns",
-			"Server-side wall time per HTTP request, by endpoint", &em.nanos)
+		l := obs.Label{Key: "endpoint", Value: name}
+		reg.Counter("treesvd_http_requests_total", "requests",
+			"HTTP requests served, by endpoint", &em.requests, l)
+		reg.Counter("treesvd_http_errors_total", "requests",
+			"HTTP requests answered with status >= 400, by endpoint", &em.errors, l)
+		reg.Counter("treesvd_http_shed_total", "requests",
+			"HTTP requests shed by admission control, by endpoint", &em.shed, l)
+		reg.Gauge("treesvd_http_queued", "requests",
+			"HTTP requests waiting in the admission queue, by endpoint", &em.queued, l)
+		reg.Histogram("treesvd_http_request_nanos", "ns",
+			"Server-side wall time per HTTP request, by endpoint", &em.nanos, l)
 	}
 	return m
 }

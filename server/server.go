@@ -62,8 +62,9 @@ const readHeaderTimeout = 10 * time.Second
 
 // Options configures a Server. The zero value is usable.
 type Options struct {
-	// MaxBatchEvents caps the events accepted per ingest batch (one JSON
-	// body or one binary frame). 0 means the default of 1<<20.
+	// MaxBatchEvents caps the events accepted per ingest batch (one event
+	// frame); a frame whose length prefix claims more is refused before
+	// its body is read. 0 means the default of 1<<20.
 	MaxBatchEvents int
 }
 

@@ -1,13 +1,17 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -269,6 +273,61 @@ func TestIngestRefusesJSONBody(t *testing.T) {
 	}
 	if n := scrapeCounter(t, srv.URL(), "treesvd_http_ingest_batches_total"); n != 0 {
 		t.Fatalf("treesvd_http_ingest_batches_total = %d after a refused body, want 0", n)
+	}
+}
+
+// TestIngestRefusesStalledBody sends ingest requests that the server
+// refuses from their first bytes — an event frame whose length prefix
+// claims more than a batch of 4 events to a server that takes 4, or a body
+// of another Content-Type — and then stalls. The server must answer 400
+// at once, not wait, ingest slot held, for a body it would refuse anyway:
+// whether the request declares its length (past or under net/http's
+// 256 KiB drain limit) or is chunked.
+func TestIngestRefusesStalledBody(t *testing.T) {
+	emb, err := treesvd.New(buildGraph(rand.New(rand.NewSource(11)), 40, 160), testSubset, treesvd.Config{Dim: 4, RMax: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(emb, server.Options{MaxBatchEvents: 4})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	for _, tc := range []struct {
+		name, contentType string
+		claim             uint32
+		chunked           bool
+	}{
+		{"frame-1MiB", wire.ContentType, 1 << 20, false},
+		{"frame-1000B", wire.ContentType, 1000, false},
+		{"frame-chunked", wire.ContentType, 1 << 20, true},
+		{"json-1000B", "application/json", 1000, false},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/events HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\n", srv.Addr(), tc.contentType)
+		prefix := binary.LittleEndian.AppendUint32(nil, tc.claim) // and nothing more
+		if tc.chunked {
+			fmt.Fprintf(conn, "Transfer-Encoding: chunked\r\n\r\n4\r\n%s\r\n", prefix)
+		} else {
+			fmt.Fprintf(conn, "Content-Length: %d\r\n\r\n%s", 4+int(tc.claim)+wire.FooterLen, prefix)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: no answer to a stalled refused body: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
+		}
 	}
 }
 

@@ -190,11 +190,13 @@ type Embedder struct {
 	// event out of a subset node, which may have moved that node's
 	// exclusion list; publish rebuilds the lists and clears it.
 	subsetOutChanged bool
-	// trace receives pipeline events when set (see SetTraceHook); guarded
-	// by mu. durMet links the durable layer's counters in when a
+	// trace receives pipeline events when set (see SetTraceHook), and
+	// stages is the clock of the stage table (see update.run); both are
+	// guarded by mu. durMet links the durable layer's counters in when a
 	// DurableEmbedder wraps this embedder; atomic, so Metrics never waits
 	// for mu, which the durable layer holds through a batch's fsync.
 	trace  obs.TraceHook
+	stages obs.Stages
 	durMet atomic.Pointer[durableMetrics]
 
 	met     *pipelineMetrics
@@ -274,6 +276,7 @@ func newEmbedder(cfg Config, subset []int32, g *graph.Graph, prox *ppr.Proximity
 		e.rowOf[v] = i
 	}
 	e.met = newPipelineMetrics(e)
+	tree.Observe(&e.stages, nil)
 	return e
 }
 
@@ -324,10 +327,10 @@ func (e *Embedder) applyEvents(ctx context.Context, events []Event, publish func
 // lists when a subset node's out-edges moved), then publish runs, and the
 // snapshot is stored only if it returns nil — else its error is the
 // batch's. A nil publish builds no snapshot, letting WAL replay fold many
-// batches and publish once at the end. It
-// wraps the batch in the trace bracket (one TraceBatchStart, one
-// TraceBatchEnd — including on error) and records the facade-level batch
-// metrics; the pipeline work itself runs in applyBatchLocked.
+// batches and publish once at the end. It wraps the batch in the trace
+// bracket (one TraceBatchStart, one TraceBatchEnd — including on error)
+// and records the facade-level batch metrics; the pipeline work itself
+// runs in the stage table (see update).
 func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publish func() error) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -339,67 +342,116 @@ func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publis
 	if err := e.validateEvents(events); err != nil {
 		return 0, err
 	}
-	start := time.Now()
 	e.met.seq++
 	seq := e.met.seq
 	if h := e.trace; h != nil {
 		h(obs.TraceEvent{Kind: obs.TraceBatchStart, Seq: seq, Block: -1, Events: len(events)})
 	}
-	rebuilt, err := e.applyBatchLocked(ctx, events, publish)
+	u := update{e: e, events: events, full: e.stale || e.prox.Sub.RebuildThreshold(len(events)), publish: publish}
+	start := time.Now()
+	rebuilt, err := 0, u.run(ctx)
+	dur := e.stages.Since(start)
 	if err == nil {
+		rebuilt = u.rebuilt
 		e.met.batches.Inc()
 		e.met.events.Add(uint64(len(events)))
 	}
-	e.met.batchNanos.ObserveSince(start)
+	e.met.batchNanos.Observe(int64(dur))
 	if h := e.trace; h != nil {
 		h(obs.TraceEvent{Kind: obs.TraceBatchEnd, Seq: seq, Block: -1, Events: len(events),
-			Rebuilt: rebuilt, Dur: time.Since(start), Err: err})
+			Rebuilt: rebuilt, Dur: dur, Stages: e.stages.Times(), Err: err})
 	}
 	return rebuilt, err
 }
 
-// applyBatchLocked runs the batch through the pipeline stages, each under
-// its pprof stage label, and publishes behind the barrier publish (see
-// applyEventsLocked). Caller holds e.mu.
-func (e *Embedder) applyBatchLocked(ctx context.Context, events []Event, publish func() error) (int, error) {
-	for _, ev := range events {
-		if _, ok := e.rowOf[ev.U]; ok {
-			e.subsetOutChanged = true
+// update is one run of the stage table: an ApplyEvents batch, or a
+// Rebuild. Its rows read and write these fields in table order.
+type update struct {
+	e      *Embedder
+	events []Event
+	// full recomputes PPR and proximity from scratch (the Theorem 3.7
+	// fallback, recovery from an interrupted update, or a Rebuild);
+	// rebuild also skips the graph advance and builds the whole tree.
+	full, rebuild bool
+	publish       func() error // the barrier (applyEventsLocked); nil publishes nothing
+	applied       []ppr.Applied
+	rebuilt       int
+	snap          *Snapshot
+}
+
+// run runs the stage table of Algorithm 4 — the rows of obs.Stage, in
+// order — and stops at the first error. One loop enters each row the
+// update takes (setting its pprof label, one clock read per boundary) and
+// runs it; a tree pass that merges enters tree.merge itself. Every row
+// that ran is observed into treesvd_stage_nanos, and e.stages keeps the
+// times for the trace. Caller holds e.mu.
+func (u *update) run(ctx context.Context) error {
+	st := &u.e.stages
+	st.Start(ctx)
+	var err error
+	for s := range obs.NumStages {
+		// core enters tree.merge; a Rebuild changes no graph; no barrier, no publish.
+		if s == obs.StageMerge || s == obs.StageAdvance && u.rebuild || s >= obs.StagePublishBuild && u.publish == nil {
+			continue
+		}
+		st.Enter(s)
+		if err = u.stage(ctx, s); err != nil {
 			break
 		}
 	}
-	if err := obs.Stage(ctx, "ppr.apply", func(ctx context.Context) error {
-		if e.stale || e.prox.Sub.RebuildThreshold(len(events)) {
-			// Large batch (the Theorem 3.7 fallback) or recovery from an
-			// interrupted update: advance the graph, then recompute PPR and
-			// proximity from scratch.
-			e.g.ApplyAll(events)
-			return e.resetPPRLocked(ctx)
+	st.Stop()
+	for s := range obs.NumStages {
+		if d, ran := st.Dur(s); ran {
+			u.e.met.stages[s].Observe(int64(d))
 		}
-		if err := e.prox.ApplyEvents(ctx, events); err != nil {
-			e.stale = true
-			return err
+	}
+	return err
+}
+
+// stage runs row s of the stage table.
+func (u *update) stage(ctx context.Context, s obs.Stage) (err error) {
+	e := u.e
+	switch s {
+	case obs.StageAdvance:
+		for _, ev := range u.events {
+			if _, ok := e.rowOf[ev.U]; ok {
+				e.subsetOutChanged = true
+				break
+			}
 		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	// The tree commit is transactional: on error its caches and the DynRow
-	// baselines are untouched, so the violating blocks re-trigger on the
-	// next update. No stale flag needed.
-	rebuilt, err := e.tree.Update(ctx)
-	if err != nil {
-		return 0, err
-	}
-	if publish != nil {
-		var snap *Snapshot
-		obs.Stage(ctx, "publish", func(context.Context) error { snap = e.buildSnapshotLocked(); return nil })
-		if err := publish(); err != nil {
-			return 0, err
+		u.applied = ppr.ApplyAll(e.g, u.events)
+	case obs.StageRepair:
+		// Algorithm 2 on the states the batch reached, or every state from
+		// scratch. stale stays set until the refresh: after an error the
+		// next update takes the from-scratch path.
+		e.stale = true
+		if u.full {
+			return e.prox.Sub.Rebuild(ctx)
 		}
-		e.storeSnapshotLocked(snap)
+		return e.prox.Sub.Repair(ctx, u.applied)
+	case obs.StageRefresh:
+		if u.full {
+			e.prox.RefreshAll()
+		} else {
+			e.prox.Refresh()
+		}
+		e.stale = false
+	case obs.StageLevel1:
+		// The tree's commit is transactional: on error its caches and the
+		// DynRow baselines are untouched, so the violating blocks
+		// re-trigger on the next update. No stale flag needed.
+		if u.rebuild {
+			return e.tree.Build(ctx)
+		}
+		u.rebuilt, err = e.tree.Update(ctx)
+	case obs.StagePublishBuild:
+		u.snap = e.buildSnapshotLocked()
+	case obs.StagePublishWait:
+		return u.publish()
+	case obs.StagePublishStore:
+		e.storeSnapshotLocked(u.snap)
 	}
-	return rebuilt, nil
+	return err
 }
 
 // validateEvents checks every event of a batch against the embedder's
@@ -432,40 +484,16 @@ func (e *Embedder) Rebuild(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	u := update{e: e, full: true, rebuild: true, publish: publishNow}
 	start := time.Now()
-	err := e.rebuildLocked(ctx)
+	err := u.run(ctx)
 	if err == nil {
 		e.met.rebuilds.Inc()
 	}
 	if h := e.trace; h != nil {
-		h(obs.TraceEvent{Kind: obs.TraceRebuild, Block: -1, Dur: time.Since(start), Err: err})
+		h(obs.TraceEvent{Kind: obs.TraceRebuild, Block: -1, Dur: e.stages.Since(start), Stages: e.stages.Times(), Err: err})
 	}
 	return err
-}
-
-// rebuildLocked is the body of Rebuild. Caller holds e.mu.
-func (e *Embedder) rebuildLocked(ctx context.Context) error {
-	if err := obs.Stage(ctx, "ppr.apply", e.resetPPRLocked); err != nil {
-		return err
-	}
-	if err := e.tree.Build(ctx); err != nil {
-		return err
-	}
-	obs.Stage(ctx, "publish", func(context.Context) error { e.publishLocked(); return nil })
-	return nil
-}
-
-// resetPPRLocked recomputes the PPR states and the proximity matrix from
-// scratch on the current graph. stale stays set until it succeeds: the
-// graph may be ahead of the estimates. Caller holds e.mu.
-func (e *Embedder) resetPPRLocked(ctx context.Context) error {
-	e.stale = true
-	if err := e.prox.Sub.Rebuild(ctx); err != nil {
-		return err
-	}
-	e.prox.RefreshAll()
-	e.stale = false
-	return nil
 }
 
 // auditLocked runs the cheap invariant auditors over every pipeline
