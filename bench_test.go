@@ -150,7 +150,8 @@ func BenchmarkFullMatrixFRPCA(b *testing.B) {
 // the times it reports the tree's work per batch from Metrics: level-1
 // re-factors, refined copies and exact merges (at a fixed -benchtime
 // these counts repeat exactly), the mean block factorization and the
-// merge sweep time.
+// merge sweep time. cpu-ms/batch is the process's CPU time over the timed
+// loop, so it covers each batch's first read too.
 func BenchmarkApplyEvents(b *testing.B) {
 	const nodes, warm = 8000, 16
 	subset := make([]int32, 128)
@@ -175,6 +176,7 @@ func BenchmarkApplyEvents(b *testing.B) {
 			var apply, read time.Duration
 			m0 := emb.Metrics()
 			b.ResetTimer()
+			cpu0 := cpuTime(b)
 			for i, ev := range batches[warm:] {
 				t0 := time.Now()
 				mustTB(emb.ApplyEvents(bgt, ev))
@@ -183,8 +185,10 @@ func BenchmarkApplyEvents(b *testing.B) {
 				apply += t1.Sub(t0)
 				read += time.Since(t1)
 			}
+			cpu := cpuTime(b) - cpu0
 			m1, n := emb.Metrics(), float64(b.N)
 			b.ReportMetric(apply.Seconds()*1e3/n, "ms/batch")
+			b.ReportMetric(cpu.Seconds()*1e3/n, "cpu-ms/batch")
 			b.ReportMetric(read.Seconds()*1e6/n, "first-read-us")
 			b.ReportMetric(float64(m1.BlocksRebuilt-m0.BlocksRebuilt)/n, "blocks/batch")
 			b.ReportMetric(float64(m1.UpperProjections-m0.UpperProjections)/n, "refines/batch")

@@ -213,11 +213,11 @@ func (c *Client) matrix(ctx context.Context, path string) (Matrix, error) {
 		if err != nil {
 			return Matrix{}, err
 		}
-		version, rows, err := wire.DecodeMatrix(payload)
+		version, nodes, rows, err := wire.DecodeMatrix(payload)
 		if err != nil {
 			return Matrix{}, err
 		}
-		return Matrix{Version: version, Rows: rows}, nil
+		return Matrix{Version: version, Nodes: nodes, Rows: rows}, nil
 	}
 	var dto wire.MatrixDTO
 	if err := c.getJSON(ctx, path, &dto); err != nil {

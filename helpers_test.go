@@ -1,6 +1,11 @@
 package treesvd
 
-import "context"
+import (
+	"context"
+	"syscall"
+	"testing"
+	"time"
+)
 
 // bgt is the test-wide context; cancellation tests build their own.
 var bgt = context.Background()
@@ -18,4 +23,16 @@ func must0tb(err error) {
 	if err != nil {
 		panic(err)
 	}
+}
+
+// cpuTime is the user and system CPU time the process has used so far,
+// every thread and the garbage collector included. The benchmarks report
+// it beside wall time: it counts work, so time the machine gives to other
+// processes does not move it.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -2,6 +2,9 @@ package ppr
 
 import (
 	"context"
+	"syscall"
+	"testing"
+	"time"
 
 	"github.com/tree-svd/treesvd/internal/graph"
 )
@@ -22,6 +25,18 @@ func must0t(err error) {
 	if err != nil {
 		panic(err)
 	}
+}
+
+// cpuTime is the user and system CPU time the process has used so far,
+// every thread and the garbage collector included. The benchmarks report
+// it beside wall time: it counts work, so time the machine gives to other
+// processes does not move it.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // content returns st's non-zero estimates and residues: what tests read of

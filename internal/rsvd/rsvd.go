@@ -30,9 +30,8 @@ type Options struct {
 	// seed.
 	Seed int64
 	// Workers is the kernel worker budget for the sparse products, QR and
-	// small SVD (0 or 1 = sequential). It does not affect the factorization
-	// result except through the documented O(ε) rounding of parallel
-	// sparse transpose-products.
+	// small SVD (0 or 1 = sequential). It does not change a bit of the
+	// factorization.
 	Workers int
 }
 

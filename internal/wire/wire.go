@@ -265,17 +265,24 @@ func DecodeRecs(payload []byte) (version uint64, source int32, recs []Rec, err e
 }
 
 // EncodeMatrix encodes a row-major matrix (an embedding) at one snapshot
-// version.
-func EncodeMatrix(version uint64, rows [][]float64) []byte {
+// version: the row count, the column count, the graph node each row
+// embeds, then the rows. nodes and rows must have the same length.
+func EncodeMatrix(version uint64, nodes []int32, rows [][]float64) []byte {
+	if len(nodes) != len(rows) {
+		panic(fmt.Sprintf("wire: EncodeMatrix got %d node ids for %d rows", len(nodes), len(rows)))
+	}
 	cols := 0
 	if len(rows) > 0 {
 		cols = len(rows[0])
 	}
-	b := make([]byte, 0, 17+8*len(rows)*cols)
+	b := make([]byte, 0, 17+(4+8*cols)*len(rows))
 	b = append(b, tagMatrix)
 	b = binary.LittleEndian.AppendUint64(b, version)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(cols))
+	for _, v := range nodes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
 	for _, row := range rows {
 		for _, x := range row {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
@@ -284,19 +291,24 @@ func EncodeMatrix(version uint64, rows [][]float64) []byte {
 	return b
 }
 
-// DecodeMatrix decodes a payload written by EncodeMatrix. Rows without
-// columns are refused: the payload carries no bytes for them, so a
-// seventeen-byte payload could otherwise claim two billion.
-func DecodeMatrix(payload []byte) (version uint64, rows [][]float64, err error) {
+// DecodeMatrix decodes a payload written by EncodeMatrix. A payload that
+// does not hold exactly one node id and one row for each counted row is
+// refused, and the count is checked against the payload's length before
+// anything is allocated.
+func DecodeMatrix(payload []byte) (version uint64, nodes []int32, rows [][]float64, err error) {
 	r := &reader{b: payload}
 	if r.u8() != tagMatrix {
-		return 0, nil, corrupt("matrix")
+		return 0, nil, nil, corrupt("matrix")
 	}
 	version = r.u64()
 	nr := int(r.u32())
 	nc := int(r.u32())
-	if r.fail || nc != 0 && nr > len(r.b)/(8*nc) || nc == 0 && nr != 0 {
-		return 0, nil, corrupt("matrix")
+	if r.fail || nr > len(r.b)/(4+8*nc) {
+		return 0, nil, nil, corrupt("matrix")
+	}
+	nodes = make([]int32, nr)
+	for i := range nodes {
+		nodes[i] = int32(r.u32())
 	}
 	rows = make([][]float64, nr)
 	flat := make([]float64, nr*nc)
@@ -307,9 +319,9 @@ func DecodeMatrix(payload []byte) (version uint64, rows [][]float64, err error) 
 		}
 	}
 	if !r.done() {
-		return 0, nil, corrupt("matrix")
+		return 0, nil, nil, corrupt("matrix")
 	}
-	return version, rows, nil
+	return version, nodes, rows, nil
 }
 
 // EncodeApplyResult encodes an ingest summary.

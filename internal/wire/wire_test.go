@@ -116,12 +116,15 @@ func TestRecsAndMatrixRoundTrip(t *testing.T) {
 	}
 
 	rows := [][]float64{{1, 2, 3}, {4, 5, math.NaN()}}
-	mv, mrows, err := DecodeMatrix(EncodeMatrix(9, rows))
+	mv, mnodes, mrows, err := DecodeMatrix(EncodeMatrix(9, []int32{17, -1}, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mv != 9 || len(mrows) != 2 || len(mrows[0]) != 3 {
 		t.Fatalf("matrix decoded to version=%d shape=%dx%d", mv, len(mrows), len(mrows[0]))
+	}
+	if !slices.Equal(mnodes, []int32{17, -1}) {
+		t.Fatalf("matrix decoded node ids %v, want [17 -1]", mnodes)
 	}
 	if math.Float64bits(mrows[1][2]) != math.Float64bits(math.NaN()) {
 		t.Fatal("NaN did not survive the round trip")
@@ -207,10 +210,19 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 	// Rows without columns: 17 bytes claiming 2³¹−1 rows, which would
 	// allocate 48 GB of row headers.
-	zeroWidth := EncodeMatrix(1, nil)
+	zeroWidth := EncodeMatrix(1, nil, nil)
 	binary.LittleEndian.PutUint32(zeroWidth[9:], math.MaxInt32)
-	if _, _, err := DecodeMatrix(zeroWidth); !errors.Is(err, ErrCorruptFrame) {
+	if _, _, _, err := DecodeMatrix(zeroWidth); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("rows without columns: %v, want ErrCorruptFrame", err)
+	}
+	// One node id short of the row count, and one over it.
+	m := EncodeMatrix(1, []int32{4, 5}, [][]float64{{1}, {2}})
+	short := slices.Concat(m[:17], m[21:])
+	long := slices.Concat(m[:21], []byte{6, 0, 0, 0}, m[21:])
+	for name, p := range map[string][]byte{"short": short, "long": long} {
+		if _, _, _, err := DecodeMatrix(p); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("node ids %s of the row count: %v, want ErrCorruptFrame", name, err)
+		}
 	}
 }
 
@@ -274,7 +286,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(frame(f, EncodeEvents(nil)))
 	f.Add(frame(f, EncodeRecs(42, 3, []Rec{{Node: 7, Score: 3.25}, {Node: 9, Score: math.Inf(1)}})))
-	f.Add(frame(f, EncodeMatrix(9, [][]float64{{1, 2, 3}, {4, 5, math.NaN()}})))
+	f.Add(frame(f, EncodeMatrix(9, []int32{17, -1}, [][]float64{{1, 2, 3}, {4, 5, math.NaN()}})))
+	f.Add(frame(f, EncodeMatrix(3, []int32{0, 1, 2}, [][]float64{{}, {}, {}})))
 	f.Add(frame(f, EncodeApplyResult(ApplyResult{Batches: 3, Events: 17, Rebuilt: 2, Version: 11})))
 	f.Add([]byte{'E', 10, 0, 0, 0})
 	f.Add(append(EncodeEvents(corruptionEvents), 0))
@@ -309,9 +322,9 @@ func checkDecodersRoundTrip(t *testing.T, payload []byte) {
 			t.Fatalf("recommendations re-encode: %v", err)
 		}
 	}
-	if v, rows, err := DecodeMatrix(payload); err == nil {
-		v2, back, err := DecodeMatrix(EncodeMatrix(v, rows))
-		if err != nil || v2 != v || !slices.EqualFunc(back, rows, func(a, b []float64) bool {
+	if v, nodes, rows, err := DecodeMatrix(payload); err == nil {
+		v2, backNodes, back, err := DecodeMatrix(EncodeMatrix(v, nodes, rows))
+		if err != nil || v2 != v || !slices.Equal(backNodes, nodes) || !slices.EqualFunc(back, rows, func(a, b []float64) bool {
 			return slices.EqualFunc(a, b, sameBits)
 		}) {
 			t.Fatalf("matrix re-encode: %v", err)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/sparse"
@@ -322,11 +323,14 @@ func recommendBenchSnapshot(b *testing.B, shape string) (emb *Embedder, fill flo
 
 // BenchmarkRecommendFresh measures the first Recommend on a snapshot —
 // each iteration re-publishes. There is no cold mode: it costs what
-// BenchmarkRecommendWarm does, plus cache misses.
+// BenchmarkRecommendWarm does, plus cache misses. cpu-us/op is the
+// process's CPU time inside the timed reads; its two reads sit in the
+// timed window.
 func BenchmarkRecommendFresh(b *testing.B) {
 	for _, shape := range []string{"sparse", "dense"} {
 		b.Run(shape, func(b *testing.B) {
 			emb, fill := recommendBenchSnapshot(b, shape)
+			var cpu time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -336,8 +340,11 @@ func BenchmarkRecommendFresh(b *testing.B) {
 				emb.mu.Unlock()
 				snap := emb.Snapshot()
 				b.StartTimer()
+				cpu0 := cpuTime(b)
 				mustTB(snap.Recommend(7, 10))
+				cpu += cpuTime(b) - cpu0
 			}
+			b.ReportMetric(cpu.Seconds()*1e6/float64(b.N), "cpu-us/op")
 			b.ReportMetric(fill, "fill")
 		})
 	}

@@ -252,23 +252,23 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 // ingest-side capacity contract.
 func (s *Server) handleRightEmbedding(w http.ResponseWriter, r *http.Request) {
 	snap := s.b.Snapshot()
-	y := snap.RightEmbedding()
-	n := snap.NumNodes()
-	if n < len(y) {
-		y = y[:n]
-	}
 	if raw := r.URL.Query().Get("node"); raw != "" {
 		node, err := nodeParam(r, "node")
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		if node < 0 || int(node) >= len(y) {
-			writeError(w, &treesvd.NodeRangeError{Node: node, MaxNodes: len(y)})
+		row, err := snap.RightEmbeddingRow(node)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
-		s.writeMatrix(w, r, snap.Version(), []int32{node}, y[node:node+1])
+		s.writeMatrix(w, r, snap.Version(), []int32{node}, [][]float64{row})
 		return
+	}
+	y := snap.RightEmbedding()
+	if n := snap.NumNodes(); n < len(y) {
+		y = y[:n]
 	}
 	nodes := make([]int32, len(y))
 	for i := range nodes {
@@ -280,7 +280,7 @@ func (s *Server) handleRightEmbedding(w http.ResponseWriter, r *http.Request) {
 // writeMatrix writes an embedding response in the negotiated codec.
 func (s *Server) writeMatrix(w http.ResponseWriter, r *http.Request, version uint64, nodes []int32, rows [][]float64) {
 	if wantsBinary(r) {
-		writeFrame(w, wire.EncodeMatrix(version, rows))
+		writeFrame(w, wire.EncodeMatrix(version, nodes, rows))
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.MatrixDTO{Version: version, Nodes: nodes, Rows: rows})

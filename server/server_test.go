@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -149,12 +150,8 @@ func roundTrip(t *testing.T, binary bool) {
 	if x.Version != snap.Version() || !sameMatrix(x.Rows, snap.Embedding()) {
 		t.Fatal("embedding mismatch with snapshot")
 	}
-	if !binary {
-		for i, v := range testSubset {
-			if x.Nodes[i] != v {
-				t.Fatalf("embedding nodes[%d] = %d, want %d", i, x.Nodes[i], v)
-			}
-		}
+	if !slices.Equal(x.Nodes, testSubset) {
+		t.Fatalf("embedding nodes %v, want %v", x.Nodes, testSubset)
 	}
 
 	// One embedding row.
@@ -164,6 +161,9 @@ func roundTrip(t *testing.T, binary bool) {
 	}
 	if len(row.Rows) != 1 || !sameMatrix(row.Rows, snap.Embedding()[2:3]) {
 		t.Fatal("embedding row mismatch")
+	}
+	if !slices.Equal(row.Nodes, testSubset[2:3]) {
+		t.Fatalf("embedding row nodes %v, want %v", row.Nodes, testSubset[2:3])
 	}
 
 	// Right embedding, full and one row.
@@ -175,12 +175,23 @@ func roundTrip(t *testing.T, binary bool) {
 	if y.Version != snap.Version() || !sameMatrix(y.Rows, wantY) {
 		t.Fatal("right embedding mismatch with snapshot")
 	}
+	if len(y.Nodes) != len(wantY) {
+		t.Fatalf("right embedding names %d nodes for %d rows", len(y.Nodes), len(wantY))
+	}
+	for i, v := range y.Nodes {
+		if v != int32(i) {
+			t.Fatalf("right embedding nodes[%d] = %d", i, v)
+		}
+	}
 	yrow, err := c.RightEmbeddingRow(ctx, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(yrow.Rows) != 1 || !sameMatrix(yrow.Rows, wantY[17:18]) {
 		t.Fatal("right embedding row mismatch")
+	}
+	if !slices.Equal(yrow.Nodes, []int32{17}) {
+		t.Fatalf("right embedding row nodes %v, want [17]", yrow.Nodes)
 	}
 
 	// Typed errors cross the wire.
@@ -199,6 +210,10 @@ func roundTrip(t *testing.T, binary bool) {
 	var nre *treesvd.NodeRangeError
 	if _, err := c.RightEmbeddingRow(ctx, 1000); !errors.As(err, &nre) || nre.Node != 1000 {
 		t.Fatalf("right embedding row out of range: want *NodeRangeError, got %v", err)
+	}
+	// A row the MaxNodes headroom reserves past the graph's nodes.
+	if _, err := c.RightEmbeddingRow(ctx, int32(snap.NumNodes())); !errors.As(err, &nre) || nre.MaxNodes != snap.NumNodes() {
+		t.Fatalf("right embedding row at NumNodes: want *NodeRangeError naming %d nodes, got %v", snap.NumNodes(), err)
 	}
 
 	// Ingest advances the version and the next read sees it.
@@ -246,6 +261,27 @@ func roundTrip(t *testing.T, binary bool) {
 
 func TestEndpointsRoundTripJSON(t *testing.T)   { roundTrip(t, false) }
 func TestEndpointsRoundTripBinary(t *testing.T) { roundTrip(t, true) }
+
+// TestRightEmbeddingRowReadCopiesOneRow: a one-row right-embedding read
+// allocates a bounded number of times, not once per graph node.
+func TestRightEmbeddingRowReadCopiesOneRow(t *testing.T) {
+	const n = 2000
+	_, srv := newTestServerOn(t, buildGraph(rand.New(rand.NewSource(12)), n, 4*n), treesvd.Config{Dim: 6, RMax: 1e-3})
+	h := srv.Handler()
+	read := func() {
+		req := httptest.NewRequest(http.MethodGet, "/v1/rightembedding?node=17", nil)
+		req.Header.Set("Accept", wire.ContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("one-row read: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	read() // materializes the snapshot's Y once
+	if allocs := testing.AllocsPerRun(20, read); allocs > n/20 {
+		t.Fatalf("one-row read of a %d-node embedding allocates %.0f times", n, allocs)
+	}
+}
 
 // TestIngestRefusesJSONBody pins ingest's one wire format: a body that is
 // not event frames is a typed 400 with nothing applied, so neither the

@@ -92,6 +92,16 @@ func (s *Snapshot) EmbeddingRow(v int32) ([]float64, error) {
 // a snapshot that only serves recommendations never holds the matrix.
 func (s *Snapshot) RightEmbedding() [][]float64 { return toRows(s.right()) }
 
+// RightEmbeddingRow returns a copy of row v of the right embedding, the
+// same bits as RightEmbedding()[v], without copying the other rows. A
+// negative v, or one at or past NumNodes, is a *NodeRangeError.
+func (s *Snapshot) RightEmbeddingRow(v int32) ([]float64, error) {
+	if n := min(s.numNodes, s.m.Cols); v < 0 || int(v) >= n {
+		return nil, &NodeRangeError{Node: v, MaxNodes: n}
+	}
+	return append([]float64(nil), s.right().Row(int(v))...), nil
+}
+
 // right materializes Y = Σ^{-1/2}·Uᵀ·M at most once (Theorem 3.2's
 // recovery of the right factor from the frozen proximity matrix), at
 // O(nnz·d).
