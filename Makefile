@@ -110,7 +110,8 @@ chaos:
 # decodes must re-encode to the same value), the WAL's segment recovery
 # and checkpoint reader (what is accepted must re-encode to its bytes),
 # graph.DecodeEvents (the 9-byte event form of WAL records and event
-# frames; FuzzRecover and FuzzReadFrame both cover it),
+# frames; FuzzRecover and FuzzReadFrame both cover it), the graph's gob
+# decoder (an error, or a graph whose every edge deletes cleanly),
 # the tree snapshot's decoder on its own (RestoreTree: an error, or a tree
 # that passes its shape audit and takes an Update), one PPR state's
 # decoder behind RestoreSubset (an error, or a state whose keys, membership
@@ -123,6 +124,7 @@ chaos:
 # default cap (60s) would spend the whole run shrinking the first find.
 fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzGraphGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzDynRowGobDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wal

@@ -14,11 +14,11 @@
 // replay decisions (or use the durable layer's WAL on the server side).
 //
 // Retries respect the caller's context deadline as a budget: the SDK
-// never sleeps a backoff past it, honors the server's Retry-After hint
-// when admission control sheds a request (503, *treesvd.OverloadError),
-// and does not retry a degraded server (503, *treesvd.DegradedError) —
-// that one needs an operator, not more traffic. See Client.get's policy
-// comment for the full contract.
+// never sleeps a backoff past it, honors the backoff hint of the error
+// body (RetryAfterMs) when admission control sheds a request (503,
+// *treesvd.OverloadError), and does not retry a degraded server (503,
+// *treesvd.DegradedError) — that one needs an operator, not more
+// traffic. See Client.get's policy comment for the full contract.
 package client
 
 import (
@@ -71,7 +71,7 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
 // The exponential retry backoff: retry i sleeps min(backoffBase<<i,
-// backoffCap), floored by a shed response's Retry-After hint.
+// backoffCap), floored by a shed response's RetryAfterMs hint.
 const (
 	backoffBase = 50 * time.Millisecond
 	backoffCap  = time.Second
@@ -306,7 +306,7 @@ func (c *Client) getFrame(ctx context.Context, path string) ([]byte, error) {
 // continue while it lasts, each backoff sleep is taken only if it fits,
 // and the loop fails fast with the last real error the moment the next
 // wait would cross the deadline; it never burns the caller's remaining
-// budget sleeping. A shed response's Retry-After hint floors the
+// budget sleeping. A shed response's RetryAfterMs hint floors the
 // backoff either way. The remaining budget also rides each request as
 // X-Timeout-Ms so the server abandons work the caller gave up on.
 func (c *Client) get(ctx context.Context, path, accept string, decode func(io.Reader) error) error {
@@ -417,30 +417,9 @@ func decodeError(resp *http.Response) error {
 	case wire.KindNodeRange:
 		return &treesvd.NodeRangeError{Index: dto.Index, Node: dto.Node, MaxNodes: dto.MaxNodes}
 	case wire.KindOverloaded:
-		ra := time.Duration(dto.RetryAfterMs) * time.Millisecond
-		if ra == 0 {
-			ra = retryAfterHint(resp)
-		}
-		return &treesvd.OverloadError{Endpoint: dto.Endpoint, RetryAfter: ra}
+		return &treesvd.OverloadError{Endpoint: dto.Endpoint, RetryAfter: time.Duration(dto.RetryAfterMs) * time.Millisecond}
 	case wire.KindDegraded:
 		return &treesvd.DegradedError{Reason: dto.Reason}
 	}
 	return &APIError{Status: resp.StatusCode, Kind: dto.Kind, Message: dto.Error}
-}
-
-// retryAfterHint reads the server's backoff hint off the response
-// headers: the sub-second X-Retry-After-Ms when present, else the
-// standard whole-second Retry-After. Zero when neither parses.
-func retryAfterHint(resp *http.Response) time.Duration {
-	if raw := resp.Header.Get(wire.RetryAfterHeader); raw != "" {
-		if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
-	}
-	if raw := resp.Header.Get("Retry-After"); raw != "" {
-		if s, err := strconv.ParseInt(raw, 10, 64); err == nil && s > 0 {
-			return time.Duration(s) * time.Second
-		}
-	}
-	return 0
 }

@@ -212,8 +212,8 @@ func TestRetriesZeroSingleAttempt(t *testing.T) {
 	}
 }
 
-// A shed 503 comes back as *treesvd.OverloadError and its Retry-After
-// hint floors the backoff before the retry.
+// A shed 503 comes back as *treesvd.OverloadError and its body's
+// RetryAfterMs hint floors the backoff before the retry.
 func TestOverloadRetryAfterHonored(t *testing.T) {
 	const hintMs = 120
 	var attempts atomic.Int64
@@ -226,7 +226,6 @@ func TestOverloadRetryAfterHonored(t *testing.T) {
 		}
 		if attempts.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
-			w.Header().Set(wire.RetryAfterHeader, "120")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			json.NewEncoder(w).Encode(wire.ErrorDTO{
 				Error: "shed", Kind: wire.KindOverloaded, Endpoint: "recommend", RetryAfterMs: hintMs,

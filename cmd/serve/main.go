@@ -43,7 +43,7 @@ func main() {
 		subset    = flag.Int("subset", 256, "synthetic: subset size |S|")
 		dim       = flag.Int("dim", 32, "synthetic: embedding dimension d")
 		rmax      = flag.Float64("rmax", 1e-3, "synthetic: Forward-Push threshold")
-		workers   = flag.Int("workers", 0, "synthetic: worker pool size (0 = sequential)")
+		workers   = flag.Int("workers", 0, "worker pool size (0 = sequential), for -load and -synthetic")
 		maxNodes  = flag.Int("maxnodes", 0, "synthetic: node capacity headroom (0 = 2x initial)")
 		seed      = flag.Int64("seed", 1, "synthetic: graph + subset seed")
 		batchCap  = flag.Int("batchcap", 0, "max events per ingest batch (0 = server default)")
@@ -55,7 +55,7 @@ func main() {
 	var err error
 	switch {
 	case *loadFrom != "":
-		emb, err = treesvd.LoadFile(*loadFrom)
+		emb, err = treesvd.LoadFile(*loadFrom, *workers)
 		if err != nil {
 			fail(err)
 		}

@@ -37,7 +37,7 @@ func main() {
 		out        = flag.String("out", "", "output prefix (omit to skip writing embeddings)")
 		saveTo     = flag.String("save", "", "write the final maintenance state to this file")
 		loadFrom   = flag.String("load", "", "resume from a state file written by -save (skips the initial build)")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = sequential)")
+		workers    = flag.Int("workers", 0, "worker pool size (0 = sequential), with or without -load")
 	)
 	flag.Parse()
 	if *events == "" {
@@ -60,7 +60,7 @@ func main() {
 	var emb *treesvd.Embedder
 	var subset []int32
 	if *loadFrom != "" {
-		emb, err = treesvd.LoadFile(*loadFrom)
+		emb, err = treesvd.LoadFile(*loadFrom, *workers)
 		if err != nil {
 			fail(err)
 		}

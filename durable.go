@@ -32,25 +32,24 @@ var errClosed = errors.New("treesvd: durable embedder is closed")
 // DurableConfig configures a durable embedder. The zero value is usable:
 // per-batch fsync, a checkpoint every 64 batches, two checkpoints kept.
 type DurableConfig struct {
-	// Config configures the embedder itself (only used by Create;
-	// Open restores the configuration stored in the checkpoint).
+	// Config configures the embedder itself. Create uses all of it; Open
+	// restores the configuration stored in the checkpoint and reads only
+	// Config.Workers here, since a checkpoint holds no worker count.
 	Config Config
 	// Sync is retired: every acknowledged batch is fsynced. Named by
 	// benchmark/run.go, delete with ROADMAP item 1's seam. Create and Open
 	// reject any value but SyncBatch (0).
 	Sync SyncPolicy
-	// SegmentSize rotates the WAL to a new segment file past this many
-	// bytes (default 4 MiB).
-	SegmentSize int64
 	// CheckpointEvery takes a checkpoint after this many applied batches
 	// (default 64): the state is captured inside ApplyEvents and written
 	// by a background goroutine. Negative disables automatic checkpoints;
 	// the Checkpoint method takes one synchronously.
 	CheckpointEvery int
-	// StrictRecovery makes Open fail with a *CorruptStateError on any WAL
-	// damage beyond a pure torn tail (a crash artifact). By default such
-	// damage degrades the log to its longest verifiable prefix and is
-	// reported in RecoveryInfo instead.
+	// StrictRecovery makes Open fail with a *CorruptStateError on any
+	// damage beyond a pure torn tail (a crash artifact) in the WAL it
+	// replays from its checkpoint on; log the checkpoint covers is not
+	// read. By default such damage degrades the log to its longest
+	// verifiable prefix and is reported in RecoveryInfo instead.
 	StrictRecovery bool
 }
 
@@ -68,13 +67,6 @@ func (c DurableConfig) withDefaults() (DurableConfig, error) {
 		c.CheckpointEvery = 64
 	}
 	return c, nil
-}
-
-func (c DurableConfig) walOptions(met *wal.Metrics) wal.Options {
-	return wal.Options{
-		SegmentSize: c.SegmentSize,
-		Met:         met,
-	}
 }
 
 // RecoveryInfo reports what Open found and repaired.
@@ -212,7 +204,7 @@ func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg Durabl
 		return nil, err
 	}
 	dm := &durableMetrics{}
-	w, err := wal.NewWriter(fsys, dir, 1, cfg.walOptions(&dm.wal))
+	w, err := wal.NewWriter(fsys, dir, 1, &dm.wal)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +244,7 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	for i := len(cks) - 1; i >= 0; i-- {
 		seq, payload, err := wal.ReadCheckpoint(fsys, dir, cks[i].Name)
 		if err == nil {
-			e, err = decodeEmbedder(payload, filepath.Join(dir, cks[i].Name))
+			e, err = decodeEmbedder(payload, filepath.Join(dir, cks[i].Name), cfg.Config.Workers)
 		}
 		if err == nil {
 			info.CheckpointSeq = seq
@@ -268,7 +260,9 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 		return nil, lastErr
 	}
 
-	rec, err := wal.Recover(fsys, dir, cfg.StrictRecovery)
+	// The log the checkpoint covers is not read: a damaged record there
+	// costs none of the batches after it.
+	rec, err := wal.Recover(fsys, dir, info.CheckpointSeq+1, cfg.StrictRecovery)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +287,7 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 	}
 
 	dm := &durableMetrics{}
-	w, err := wal.NewWriter(fsys, dir, next, cfg.walOptions(&dm.wal))
+	w, err := wal.NewWriter(fsys, dir, next, &dm.wal)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +453,9 @@ func (d *DurableEmbedder) Reopen() error {
 	// Repair the tail on disk first — NewWriter requires it: a torn
 	// record left by the failed append is truncated and a zero-record
 	// tail segment removed, so the fresh segment's name cannot collide.
-	if _, err := wal.Recover(d.fs, d.dir, false); err != nil {
+	// Only the last segment is read: every record before it was fsynced,
+	// and damage in log a checkpoint covers must not cost a later batch.
+	if _, err := wal.Recover(d.fs, d.dir, d.sealedNext, false); err != nil {
 		return err
 	}
 	// A record of the failed batch may have reached the file whole; its
@@ -468,7 +464,7 @@ func (d *DurableEmbedder) Reopen() error {
 	if err := wal.Cut(d.fs, d.dir, d.sealedNext); err != nil {
 		return err
 	}
-	w, err := wal.NewWriter(d.fs, d.dir, d.sealedNext, d.cfg.walOptions(&d.met.wal))
+	w, err := wal.NewWriter(d.fs, d.dir, d.sealedNext, &d.met.wal)
 	if err != nil {
 		return fmt.Errorf("treesvd: reopen: %w", err)
 	}
@@ -511,6 +507,7 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 		d.ckptMu.Unlock()
 		return err
 	}
+	d.w.MarkCheckpoint(seq)
 	d.sinceCkpt = 0
 	d.ckptWG.Add(1)
 	go func() {
@@ -534,6 +531,7 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 	if err != nil {
 		return err
 	}
+	d.w.MarkCheckpoint(seq)
 	if err := d.commitCheckpoint(seq, payload); err != nil {
 		return err
 	}

@@ -1,10 +1,11 @@
 package treesvd
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -51,8 +52,7 @@ func newDurableFixture(t testing.TB) *durableFixture {
 		batches: batches,
 		cfg: DurableConfig{
 			Config:          Config{Dim: 4, Branch: 4, Levels: 2, MaxNodes: 24, Seed: 5},
-			CheckpointEvery: -1,  // see checkpointAfter
-			SegmentSize:     256, // a few records per segment: rotation is on every crash path
+			CheckpointEvery: -1, // see checkpointAfter: a segment starts at each checkpoint
 		},
 	}
 	emb, err := New(initial.Clone(), subset, fx.cfg.Config)
@@ -75,8 +75,8 @@ func newDurableFixture(t testing.TB) *durableFixture {
 // published embedding and its live proximity matrix.
 func (fx *durableFixture) requireState(t testing.TB, e *Embedder, i int, label string) {
 	t.Helper()
-	requireMatClose(t, e.Embedding(), fx.shadow[i], label)
-	if got, want := e.ProximityFrobNorm(), fx.proxNorm[i]; math.Abs(got-want) > 1e-9*want {
+	requireMatEqual(t, e.Embedding(), fx.shadow[i], label)
+	if got, want := e.ProximityFrobNorm(), fx.proxNorm[i]; got != want {
 		t.Fatalf("%s: ‖M‖_F = %.12g, want %.12g, the state after %d batches", label, got, want, i)
 	}
 }
@@ -89,17 +89,16 @@ func copyMat(m [][]float64) [][]float64 {
 	return out
 }
 
-// requireMatClose asserts entrywise agreement at the persistence
-// tolerance (1e-9 relative — the save/load float-reassociation budget
-// documented in persist_test.go).
-func requireMatClose(t testing.TB, got, want [][]float64, label string) {
+// requireMatEqual asserts entrywise equality, bit for bit: a restored
+// state computes exactly what the never-saved one does.
+func requireMatEqual(t testing.TB, got, want [][]float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 	}
 	for i := range want {
 		for j := range want[i] {
-			if d := math.Abs(got[i][j] - want[i][j]); d > 1e-9*(1+math.Abs(want[i][j])) {
+			if got[i][j] != want[i][j] {
 				t.Fatalf("%s: entry (%d,%d) = %g, want %g", label, i, j, got[i][j], want[i][j])
 			}
 		}
@@ -127,8 +126,7 @@ func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, creat
 	}
 	for _, b := range fx.batches {
 		if _, err := d.ApplyEvents(nil, b); err != nil {
-			want := fx.proxNorm[acked+1]
-			return acked, false, math.Abs(d.e.ProximityFrobNorm()-want) <= 1e-9*want, err
+			return acked, false, d.e.ProximityFrobNorm() == fx.proxNorm[acked+1], err
 		}
 		acked++
 		if err := checkpointAfter(d, acked); err != nil {
@@ -155,7 +153,7 @@ func TestDurableCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("recovered prefix %d (checkpoint %d + replayed %d), want %d",
 			got, info.CheckpointSeq, info.ReplayedBatches, len(fx.batches))
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened embedding")
+	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened embedding")
 	names, err := wal.OS.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +221,11 @@ func TestDurableReplayWithoutCheckpoints(t *testing.T) {
 	if info.CheckpointSeq != 0 || info.ReplayedBatches != len(fx.batches) {
 		t.Fatalf("recovery = %+v, want all %d batches replayed from checkpoint 0", info, len(fx.batches))
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "replayed embedding")
+	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "replayed embedding")
 }
 
 // TestOpenStrictRecovery flips one payload byte of the first record in
-// the first of several WAL segments — damage a crash cannot leave. With
+// the first of two WAL segments — damage a crash cannot leave. With
 // StrictRecovery, Open must refuse with a *CorruptStateError and leave
 // every file as it was; without it, Open must truncate the log at the
 // fault, report the dropped batches and restore the checkpoint alone.
@@ -240,7 +238,12 @@ func TestOpenStrictRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	half := len(fx.batches) / 2
 	for i, b := range fx.batches {
+		if i == half { // the reopened writer starts the second segment
+			must0tb(d.Close())
+			d = mustTB(Open(dir, cfg))
+		}
 		if _, err := d.ApplyEvents(nil, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -311,36 +314,108 @@ func TestOpenStrictRecovery(t *testing.T) {
 	if info.DroppedBatches == 0 || info.DropReason == "" || info.ReplayedBatches != 0 {
 		t.Fatalf("recovery = %+v, want dropped batches with a reason and none replayed", info)
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[0], "checkpoint-only embedding")
+	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[0], "checkpoint-only embedding")
 }
 
+// TestDurableCheckpointPrunesWAL: every checkpoint starts a WAL segment
+// at its seq+1, and a commit removes the log the older kept checkpoint
+// covers, so the store ends with one segment per kept checkpoint.
 func TestDurableCheckpointPrunesWAL(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
 	if _, _, _, err := fx.runWorkload(wal.OS, dir); err != nil {
 		t.Fatal(err)
 	}
-	names, err := os.ReadDir(dir)
+	// Open's writer starts the segment the last checkpoint marked: no
+	// record followed that checkpoint before Close.
+	must0tb(mustTB(Open(dir, fx.cfg)).Close())
+	var ckpts, segs []string
+	for _, n := range dirNames(t, dir) {
+		switch filepath.Ext(n) {
+		case ".ckpt":
+			ckpts = append(ckpts, n)
+		case ".log":
+			segs = append(segs, n)
+		}
+	}
+	// Checkpoints after batches 2, 4 and 6; the two newest are kept.
+	wantCkpts := []string{"checkpoint-0000000000000004.ckpt", "checkpoint-0000000000000006.ckpt"}
+	wantSegs := []string{"wal-0000000000000005.log", "wal-0000000000000007.log"}
+	if !slices.Equal(ckpts, wantCkpts) || !slices.Equal(segs, wantSegs) {
+		t.Fatalf("store holds checkpoints %v and segments %v, want %v and %v", ckpts, segs, wantCkpts, wantSegs)
+	}
+}
+
+// TestOpenSkipsLogItsCheckpointCovers: a record damaged before the
+// checkpoint Open restores costs none of the acknowledged batches after
+// it. The checkpoint after batch 4 started the segment of batch 5, so
+// Open never reads the segment holding the damaged batch 2.
+func TestOpenSkipsLogItsCheckpointCovers(t *testing.T) {
+	fx := newDurableFixture(t)
+	dir := t.TempDir()
+	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
+	for i, b := range fx.batches {
+		mustTB(d.ApplyEvents(bgt, b))
+		if i+1 == 4 {
+			must0tb(d.Checkpoint())
+		}
+	}
+	must0tb(d.Close())
+	first := filepath.Join(dir, "wal-0000000000000001.log")
+	raw, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpts, segs []string
-	for _, n := range names {
-		if strings.HasSuffix(n.Name(), ".ckpt") {
-			ckpts = append(ckpts, n.Name())
-		}
-		if strings.HasSuffix(n.Name(), ".log") {
-			segs = append(segs, n.Name())
-		}
+	// Segment header, record 1 (header and payload), record 2's header,
+	// then one byte into record 2's payload.
+	raw[8+16+int(binary.LittleEndian.Uint32(raw[8:]))+16+1] ^= 0x40
+	must0tb(os.WriteFile(first, raw, 0o644))
+
+	d = mustTB(Open(dir, fx.cfg))
+	info := d.Recovery()
+	if info.CheckpointSeq != 4 || info.ReplayedBatches != 2 || info.DroppedBatches != 0 {
+		t.Fatalf("recovery = %+v, want checkpoint 4, 2 batches replayed, none dropped", info)
 	}
-	if len(ckpts) != keepCheckpoints {
-		t.Fatalf("store holds %d checkpoints %v, want %d", len(ckpts), ckpts, keepCheckpoints)
+	fx.requireState(t, d.Embedder(), len(fx.batches), "state after Open")
+	must0tb(d.Close())
+	if after, err := os.ReadFile(first); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("Open changed the segment its checkpoint covers (%v)", err)
 	}
-	// 6 batches ≈ 106 bytes each against 256-byte segments is ≥3 segments;
-	// pruning up to the oldest kept checkpoint (seq 4) must have removed
-	// the earliest of them.
-	if len(segs) >= 4 {
-		t.Fatalf("store still holds %d WAL segments %v — pruning never ran", len(segs), segs)
+
+	// Nor may Reopen touch it: a failed fsync seals the store on one more
+	// batch (batch 1's events again), Reopen logs that batch afresh, and
+	// the next Open still replays every acknowledged batch.
+	for k := 1; ; k++ {
+		label := fmt.Sprintf("syncerror@%d", k)
+		sdir := copyStore(t, dir)
+		ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: k, Mode: faultfs.SyncError})
+		s, err := OpenWithFS(ffs, sdir, fx.cfg)
+		if err != nil || ffs.Fired() {
+			if err == nil {
+				must0tb(s.Close())
+			}
+			continue // the fault hit Open itself
+		}
+		_, err = s.ApplyEvents(bgt, fx.batches[0])
+		if !ffs.Fired() {
+			t.Fatalf("%s: no fsync of the batch failed (%v)", label, err)
+		}
+		if !errors.As(err, new(*DegradedError)) {
+			t.Fatalf("%s: batch returned %v, want a *DegradedError", label, err)
+		}
+		must0tb(s.Reopen())
+		want := copyMat(s.Embedder().Embedding())
+		must0tb(s.Close())
+		if after, err := os.ReadFile(filepath.Join(sdir, filepath.Base(first))); err != nil || !bytes.Equal(after, raw) {
+			t.Fatalf("%s: Reopen changed the segment the checkpoint covers (%v)", label, err)
+		}
+		r := mustTB(Open(sdir, fx.cfg))
+		defer r.Close()
+		if info := r.Recovery(); info.CheckpointSeq != 4 || info.ReplayedBatches != 3 || info.DroppedBatches != 0 {
+			t.Fatalf("%s: recovery after Reopen = %+v, want checkpoint 4, 3 batches replayed, none dropped", label, info)
+		}
+		requireMatEqual(t, r.Embedder().Embedding(), want, label+" Open after Reopen")
+		return
 	}
 }
 
@@ -394,7 +469,7 @@ func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
 			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
 				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
 			}
-			requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
+			requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
 		})
 	}
 }
@@ -495,7 +570,7 @@ func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
 func TestCloseReportsFirstCheckpointError(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
-	cfg.CheckpointEvery, cfg.SegmentSize = 1, 0
+	cfg.CheckpointEvery = 1
 	// Size the plan with a probe: Create's fsyncs, then the first batch's
 	// WAL append, then the first background checkpoint's file fsync.
 	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.SyncError})
@@ -612,7 +687,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 			// first checkpoint (ErrNoState) or recovers to the empty prefix.
 			ffs.Clear()
 			if d2, err := OpenWithFS(ffs, dir, cfg); err == nil {
-				requireMatClose(t, d2.Embedder().Embedding(), fx.shadow[0], label+" post-create-fault embedding")
+				requireMatEqual(t, d2.Embedder().Embedding(), fx.shadow[0], label+" post-create-fault embedding")
 				d2.Close()
 			} else if !errors.Is(err, ErrNoState) {
 				t.Fatalf("%s: Open after cleared create fault: %v", label, err)
@@ -657,7 +732,7 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 				if got := d.Embedder().Version(); got != version {
 					t.Fatalf("%s: degraded store published version %d, want %d", label, got, version)
 				}
-				requireMatClose(t, d.Embedder().Embedding(), fx.shadow[applied], label+" degraded reads")
+				requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[applied], label+" degraded reads")
 				// Ingest stays sealed until Reopen, even after retrying.
 				if _, err := d.ApplyEvents(nil, fx.batches[applied]); !errors.As(err, &de) {
 					t.Fatalf("%s: ingest while degraded returned %v, want *DegradedError", label, err)
@@ -768,7 +843,7 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
 		t.Fatalf("recovered prefix %d, want %d", got, len(fx.batches))
 	}
-	requireMatClose(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened Shards 1 embedding")
+	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened Shards 1 embedding")
 }
 
 func (fx *durableFixture) verifyRecovery(t *testing.T, dir string, k, acked int, createFailed bool, mode faultfs.Mode) {
@@ -856,7 +931,6 @@ func (f gatedFile) Sync() error {
 func TestNothingVisibleBeforeDurable(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
-	cfg.SegmentSize = 0 // no rotation: the batch's one segment fsync is its record's
 	fsys := &gatedSyncFS{FS: wal.OS}
 	d := mustTB(CreateWithFS(fsys, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
 	defer d.Close()
@@ -889,7 +963,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 		if got := emb.Version(); got != version {
 			t.Fatalf("version %d published while the batch's fsync was held (want %d)", got, version)
 		}
-		requireMatClose(t, emb.Embedding(), fx.shadow[0], "embedding while the fsync is held")
+		requireMatEqual(t, emb.Embedding(), fx.shadow[0], "embedding while the fsync is held")
 		if n := emb.Snapshot().NumEdges(); n != edges {
 			t.Fatalf("snapshot reports %d edges while the batch's fsync was held, want %d", n, edges)
 		}
@@ -908,7 +982,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	if got := emb.Version(); got != version+1 {
 		t.Fatalf("version after the fsync = %d, want %d", got, version+1)
 	}
-	requireMatClose(t, emb.Embedding(), fx.shadow[1], "embedding after the fsync")
+	requireMatEqual(t, emb.Embedding(), fx.shadow[1], "embedding after the fsync")
 	if n := emb.Snapshot().NumEdges(); n == edges {
 		t.Fatalf("snapshot reads %d edges, the pre-batch count; want the batch's", n)
 	}
@@ -957,7 +1031,6 @@ func dirNames(t *testing.T, dir string) []string {
 func TestFailedAppendUnloggedBatch(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
-	cfg.SegmentSize = 0 // no rotation: the batch's I/O is its record's write, then its fsync
 	cases := []struct {
 		name   string
 		mode   faultfs.Mode
@@ -1003,7 +1076,7 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			if emb.Version() != version {
 				t.Fatalf("degraded store published version %d, want %d", emb.Version(), version)
 			}
-			requireMatClose(t, emb.Embedding(), fx.shadow[0], "degraded reads")
+			requireMatEqual(t, emb.Embedding(), fx.shadow[0], "degraded reads")
 			files := dirNames(t, dir)
 			if err := d.Checkpoint(); !errors.As(err, &de) {
 				t.Fatalf("Checkpoint while degraded: %v, want *DegradedError", err)
@@ -1050,7 +1123,6 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 func TestOpenAfterFailedFsyncReplaysNothing(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
-	cfg.SegmentSize = 0 // no rotation: the batch's I/O is its record's write, then its fsync
 	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.SyncError})
 	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
 	createOps := probe.Ops()
@@ -1086,7 +1158,6 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 	t.Helper()
 	const never = 1 << 30 // a FailAt that counts operations but never fires
 	cfg := fx.cfg
-	cfg.SegmentSize = 0 // no rotation: the segments are Create's and restart's
 	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: never, Mode: outerMode})
 	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
 	mustTB(pd.ApplyEvents(bgt, fx.batches[0]))
@@ -1152,8 +1223,55 @@ func TestPowerLossAfterCrashBeforeFsyncAndOpen(t *testing.T) {
 	fx.powerLossAfterFailedFsync(t, faultfs.Crash, 2, // the record's write, then its fsync
 		func(d *DurableEmbedder, inner wal.FS, dir string) *DurableEmbedder {
 			d.Close() // the process is dead: this only releases its descriptors
-			cfg := fx.cfg
-			cfg.SegmentSize = 0
-			return mustTB(OpenWithFS(inner, dir, cfg))
+			return mustTB(OpenWithFS(inner, dir, fx.cfg))
 		})
+}
+
+// TestSaveHoldsNoWorkerCount: the worker count changes no bit of the
+// state, so a save does not store it. Saves of one state computed at
+// Workers 1 and 2 are the same bytes; a store created at Workers 2 and
+// opened with Workers 1 runs at 1, and Load runs sequentially.
+func TestSaveHoldsNoWorkerCount(t *testing.T) {
+	fx := newDurableFixture(t)
+	saves := map[int][]byte{}
+	var dir2 string
+	for _, workers := range []int{1, 2} {
+		cfg := fx.cfg
+		cfg.Config.Workers = workers
+		dir := t.TempDir()
+		d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, cfg))
+		for _, b := range fx.batches {
+			mustTB(d.ApplyEvents(bgt, b))
+		}
+		var buf bytes.Buffer
+		must0tb(d.Embedder().Save(&buf))
+		saves[workers] = buf.Bytes()
+		must0tb(d.Close())
+		dir2 = dir
+	}
+	if !bytes.Equal(saves[1], saves[2]) {
+		t.Fatal("saves of one state at Workers 1 and 2 differ")
+	}
+	runsAt := func(e *Embedder) []int {
+		return []int{e.cfg.Workers, e.prox.Sub.Engine.Params.Workers}
+	}
+	cfg := fx.cfg
+	cfg.Config.Workers = 1
+	d := mustTB(Open(dir2, cfg))
+	defer d.Close()
+	if got := runsAt(d.Embedder()); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("a store created at Workers 2 and opened with Workers 1 runs at %v (config, PPR), want 1", got)
+	}
+	fx.requireState(t, d.Embedder(), len(fx.batches), "opened state")
+	if got := runsAt(mustTB(Load(bytes.NewReader(saves[2])))); !slices.Equal(got, []int{0, 0}) {
+		t.Fatalf("a save loaded without a worker count runs at %v (config, PPR), want 0", got)
+	}
+	path := filepath.Join(t.TempDir(), "state.tsvd")
+	must0tb(os.WriteFile(path, saves[1], 0o644))
+	if got := runsAt(mustTB(LoadFile(path, 2))); !slices.Equal(got, []int{2, 2}) {
+		t.Fatalf("a save written at Workers 1 and loaded with 2 runs at %v (config, PPR), want 2", got)
+	}
+	if _, err := Load(bytes.NewReader(saves[1]), 1, 2); err == nil {
+		t.Fatal("Load accepted two worker counts")
+	}
 }

@@ -33,9 +33,9 @@ const fingerprintGolden = "testdata/fingerprint.golden"
 // work counters.
 //
 // testdata/fingerprint.golden is the set of lines that Workers 1 and 2
-// produce between them. A save records the configuration, worker count
-// included, so its line names the worker count; every other line must
-// come out the same at both, or the set gains a line and the test fails.
+// produce between them. Every line, the saves' included (a save stores
+// no worker count), must come out the same at both, or the set gains a
+// line and the test fails.
 // A change that moves a line on purpose regenerates the golden with
 // -update and names each moved line, and why it moved, in CHANGES.md.
 func TestProgramFingerprint(t *testing.T) {
@@ -118,26 +118,25 @@ func programFingerprint(t *testing.T, workers int) []string {
 			mustTB(d.ApplyEvents(bgt, ev))
 		}
 		fmt.Fprintf(&out, "%s.wal_bytes %d\n", stream.name, d.Metrics().WAL.AppendedBytes)
-		writeFingerprint(t, &out, stream.name+".live", d.Embedder(), workers)
+		writeFingerprint(t, &out, stream.name+".live", d.Embedder())
 		must0tb(d.Close())
 
-		d = mustTB(Open(dir, DurableConfig{CheckpointEvery: -1}))
+		d = mustTB(Open(dir, DurableConfig{Config: Config{Workers: workers}, CheckpointEvery: -1}))
 		fmt.Fprintf(&out, "%s.replayed_batches %d\n", stream.name, d.Recovery().ReplayedBatches)
-		writeFingerprint(t, &out, stream.name+".reopened", d.Embedder(), workers)
+		writeFingerprint(t, &out, stream.name+".reopened", d.Embedder())
 		must0tb(d.Close())
 	}
 	return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 }
 
-// writeFingerprint appends emb's lines under key: the hashes of its save
-// (under the worker count it records), embedding and Recommend answers,
-// then its work counters. A reopened store's counters cover its replay
-// only.
-func writeFingerprint(t *testing.T, out *bytes.Buffer, key string, emb *Embedder, workers int) {
+// writeFingerprint appends emb's lines under key: the hashes of its save,
+// embedding and Recommend answers, then its work counters. A reopened
+// store's counters cover its replay only.
+func writeFingerprint(t *testing.T, out *bytes.Buffer, key string, emb *Embedder) {
 	t.Helper()
 	var save bytes.Buffer
 	must0tb(emb.Save(&save))
-	fmt.Fprintf(out, "%s.save[workers=%d] sha256:%x\n", key, workers, sha256.Sum256(save.Bytes()))
+	fmt.Fprintf(out, "%s.save sha256:%x\n", key, sha256.Sum256(save.Bytes()))
 
 	snap := emb.Snapshot()
 	h := sha256.New()

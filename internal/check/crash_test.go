@@ -12,7 +12,6 @@ package check_test
 import (
 	"context"
 	"errors"
-	"math"
 	"strconv"
 	"testing"
 
@@ -31,16 +30,16 @@ func cloneMat(m [][]float64) [][]float64 {
 	return out
 }
 
-// requireClose asserts entrywise agreement at the persistence tolerance
-// (1e-9 relative — the save/load float-reassociation budget).
-func requireClose(t *testing.T, got, want [][]float64, label string) {
+// requireEqual asserts entrywise equality, bit for bit: a recovered
+// store computes exactly what the never-crashed shadow does.
+func requireEqual(t *testing.T, got, want [][]float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 	}
 	for i := range want {
 		for j := range want[i] {
-			if d := math.Abs(got[i][j] - want[i][j]); d > 1e-9*(1+math.Abs(want[i][j])) {
+			if got[i][j] != want[i][j] {
 				t.Fatalf("%s: entry (%d,%d) = %g, want %g", label, i, j, got[i][j], want[i][j])
 			}
 		}
@@ -69,9 +68,9 @@ func runCrashSeed(t *testing.T, seed int64) {
 			MaxNodes: maxNodes, Seed: seed + 1,
 		},
 		// Checkpoints are taken explicitly, after every 2nd acknowledged
-		// batch, so the fault points fall at the same operations every run.
+		// batch, so the fault points fall at the same operations every run;
+		// each starts a WAL segment, so rotation is on the crash path.
 		CheckpointEvery: -1,
-		SegmentSize:     256, // a few records per segment: rotation is on the crash path
 	}
 	initial, batches := dataset.GenerateChurn(dataset.ChurnProfile{
 		Nodes: nodes, MaxNodes: maxNodes, Degree: 3,
@@ -155,7 +154,7 @@ func runCrashSeed(t *testing.T, seed int64) {
 	if plan.Mode != faultfs.BitFlip && prefix < acked {
 		t.Fatalf("seed %d: recovered prefix %d < %d acknowledged batches", seed, prefix, acked)
 	}
-	requireClose(t, rec.Embedder().Embedding(), shadow[prefix], "recovered embedding")
+	requireEqual(t, rec.Embedder().Embedding(), shadow[prefix], "recovered embedding")
 
 	// The recovered store must pick the stream back up and track the
 	// never-crashed shadow for every remaining prefix.
@@ -166,6 +165,6 @@ func runCrashSeed(t *testing.T, seed int64) {
 		if err := rec.Embedder().Audit(); err != nil {
 			t.Fatalf("seed %d: post-recovery batch %d: audit: %v", seed, prefix+i, err)
 		}
-		requireClose(t, rec.Embedder().Embedding(), shadow[prefix+i+1], "post-recovery embedding")
+		requireEqual(t, rec.Embedder().Embedding(), shadow[prefix+i+1], "post-recovery embedding")
 	}
 }

@@ -269,13 +269,6 @@ func (f *FS) ReadDir(dir string) ([]string, error) {
 	return f.inner.ReadDir(dir)
 }
 
-func (f *FS) Stat(name string) (int64, error) {
-	if err := f.guard(); err != nil {
-		return 0, err
-	}
-	return f.inner.Stat(name)
-}
-
 func (f *FS) Rename(oldpath, newpath string) error {
 	if inject, err := f.arm(opOther); err != nil {
 		return err

@@ -72,6 +72,46 @@ func (g *Graph) GobDecode(data []byte) error {
 			g.m++
 		}
 	}
+	if len(g.edges) != g.m {
+		return fmt.Errorf("graph: gob out-lists repeat %d edges", g.m-len(g.edges))
+	}
+	return checkTranspose(wire)
+}
+
+// checkTranspose verifies that the in-lists hold each out-list edge u→v
+// exactly once, as u in v's in-list: DeleteEdge panics on an edge missing
+// from either side. It runs in O(n + edges) on arrays, not on the edge
+// set: the out-list sources of the edges into v fill into[InPtr[v]:
+// InPtr[v+1]], which must come out exactly full, and v's in-list must
+// then name each of them once, checked by marking them.
+func checkTranspose(w gobGraph) error {
+	if len(w.OutAdj) != len(w.InAdj) {
+		return fmt.Errorf("graph: gob in-lists hold %d edges, out-lists %d: not their transpose", len(w.InAdj), len(w.OutAdj))
+	}
+	next := append([]int32(nil), w.InPtr[:w.N]...)
+	into := make([]int32, len(w.InAdj))
+	for u := 0; u < w.N; u++ {
+		for _, v := range w.OutAdj[w.OutPtr[u]:w.OutPtr[u+1]] {
+			if next[v] == w.InPtr[v+1] {
+				return fmt.Errorf("graph: gob in-list of node %d is shorter than the out-lists' edges into it: not their transpose", v)
+			}
+			into[next[v]] = int32(u)
+			next[v]++
+		}
+	}
+	mark := make([]int, w.N) // v+1 on the sources of v's edges not yet named
+	for v := 0; v < w.N; v++ {
+		lo, hi := w.InPtr[v], w.InPtr[v+1]
+		for _, u := range into[lo:hi] {
+			mark[u] = v + 1
+		}
+		for _, u := range w.InAdj[lo:hi] {
+			if mark[u] != v+1 {
+				return fmt.Errorf("graph: gob in-list of node %d names %d, but the out-lists hold no further edge %d→%d: not their transpose", v, u, u, v)
+			}
+			mark[u] = 0
+		}
+	}
 	return nil
 }
 

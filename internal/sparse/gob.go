@@ -65,8 +65,7 @@ func (m *DynRow) GobEncode() ([]byte, error) {
 // shape, length, index and value is validated before it is used, and the
 // restored bookkeeping must pass AuditRecount, so a decode either returns
 // an error or yields a consistent matrix — it never panics. Entries may
-// arrive in any order (files written before cells were sorted are in map
-// order).
+// arrive in any order.
 func (m *DynRow) GobDecode(data []byte) error {
 	var wire gobDynRow
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {

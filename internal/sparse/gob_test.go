@@ -127,10 +127,9 @@ func encodeWire(t testing.TB, w gobDynRow) []byte {
 	return buf.Bytes()
 }
 
-// TestDynRowGobDecodeAnyEntryOrder stands in for a file written before
-// cells were sorted: the map-based encoder emitted each cell's entries and
-// each block's baseline keys in map order. Such a file must load to the
-// same matrix.
+// TestDynRowGobDecodeAnyEntryOrder: GobDecode takes a cell's entries and
+// a block's baseline keys in any order, so a file with them shuffled
+// loads to the same matrix.
 func TestDynRowGobDecodeAnyEntryOrder(t *testing.T) {
 	m := churnedForGob()
 	w := wireOf(t, m)

@@ -43,8 +43,6 @@ type FS interface {
 	Open(name string) (File, error)
 	// ReadDir lists the file names in dir in lexical order.
 	ReadDir(dir string) ([]string, error)
-	// Stat returns the size of name in bytes.
-	Stat(name string) (int64, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes name.
@@ -79,14 +77,6 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 		names = append(names, e.Name())
 	}
 	return names, nil
-}
-
-func (osFS) Stat(name string) (int64, error) {
-	fi, err := os.Stat(name)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

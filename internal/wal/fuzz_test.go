@@ -10,11 +10,11 @@ import (
 	"github.com/tree-svd/treesvd/internal/graph"
 )
 
-// segmentBytes appends payloads through a Writer starting at seq 1 and
-// returns the one segment file it produced.
-func segmentBytes(f *testing.F, payloads ...[]byte) []byte {
+// segmentBytes appends payloads through a Writer starting at seq first
+// and returns the one segment file it produced.
+func segmentBytes(f *testing.F, first uint64, payloads ...[]byte) []byte {
 	dir := f.TempDir()
-	w, err := NewWriter(OS, dir, 1, Options{})
+	w, err := NewWriter(OS, dir, first, &Metrics{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func segmentBytes(f *testing.F, payloads ...[]byte) []byte {
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	data, err := os.ReadFile(filepath.Join(dir, segName(first)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -40,16 +40,23 @@ func recoverBytes(t *testing.T, seg []byte, strict bool) (string, *RecoverResult
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recover(OS, dir, strict)
+	res, err := Recover(OS, dir, 0, strict)
 	return dir, res, err
 }
+
+// coveredSeq is the first seq of the clean segment FuzzRecover puts after
+// the fuzzed one, far past any seq the fuzzed one can chain to.
+const coveredSeq = 1 << 40
 
 // FuzzRecover feeds arbitrary bytes to Recover as a one-segment log. It
 // must never panic; strict mode fails only with a *CorruptError. Every
 // record lenient mode keeps must re-encode to the bytes it came from,
 // with seqs 1, 2, …; the repaired log must recover again cleanly in
 // strict mode; and an event payload either fails graph.DecodeEvents or
-// round-trips through graph.AppendEvents.
+// round-trips through graph.AppendEvents. Followed by a clean segment and
+// recovered from that segment's first seq, the fuzzed segment is never
+// read: strict mode returns the clean segment's records and leaves the
+// fuzzed bytes as they were.
 func FuzzRecover(f *testing.F) {
 	var payloads, events [][]byte
 	for i := 0; i < 8; i++ {
@@ -59,9 +66,10 @@ func FuzzRecover(f *testing.F) {
 			{U: int32(2 * i), V: 3, Type: graph.Delete},
 		}))
 	}
-	clean := segmentBytes(f, payloads...)
+	clean := segmentBytes(f, 1, payloads...)
 	f.Add(clean)
-	f.Add(segmentBytes(f, events...))
+	f.Add(segmentBytes(f, 1, events...))
+	after := segmentBytes(f, coveredSeq, payloads[:2]...)
 	f.Add(clean[:segHdrLen])
 	for _, cut := range []int{1, 5, recHdrLen - 1, recHdrLen + 3} {
 		f.Add(clean[:len(clean)-cut])
@@ -88,9 +96,24 @@ func FuzzRecover(f *testing.F) {
 				t.Fatalf("record %d: events decode but do not re-encode", i)
 			}
 		}
-		again, err := Recover(OS, dir, true)
+		again, err := Recover(OS, dir, 0, true)
 		if err != nil || again.TornTail || again.Dropped != 0 || len(again.Records) != len(res.Records) {
 			t.Fatalf("repaired log recovers as %+v, %v; want %d clean records", again, err, len(res.Records))
+		}
+
+		covered := t.TempDir()
+		if err := os.WriteFile(filepath.Join(covered, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(covered, segName(coveredSeq)), after, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tail, err := Recover(OS, covered, coveredSeq, true)
+		if err != nil || len(tail.Records) != 2 || tail.Records[0].Seq != coveredSeq {
+			t.Fatalf("Recover from the clean segment: %+v, %v; want its 2 records", tail, err)
+		}
+		if back, err := os.ReadFile(filepath.Join(covered, segName(1))); err != nil || !bytes.Equal(back, seg) {
+			t.Fatalf("Recover changed a segment it was to skip (%v)", err)
 		}
 
 		_, strict, err := recoverBytes(t, seg, true)

@@ -8,7 +8,8 @@ import (
 	"path/filepath"
 )
 
-// Record is one recovered WAL entry.
+// Record is one recovered WAL entry. Payload points into the segment's
+// bytes as read; it is not a copy.
 type Record struct {
 	Seq     uint64
 	Payload []byte
@@ -41,8 +42,9 @@ const (
 	faultCorrupt                  // bytes present but checksum/length invalid
 )
 
-// Recover scans the log in dir, validates every record checksum and the
-// sequence chain, and repairs the log so a Writer can resume:
+// Recover scans the log in dir from the segment holding seq from on,
+// validates every record checksum and the sequence chain, and repairs
+// the log so a Writer can resume:
 //
 //   - a physically torn record at the end of the last segment is
 //     truncated away (TornTail) — a crash mid-append, nothing lost,
@@ -55,10 +57,18 @@ const (
 // A last segment left with zero records (a crash during its creation, a
 // writer closed before its first append, a torn first record) is removed
 // so NewWriter can recreate its name without colliding.
-func Recover(fs FS, dir string, strict bool) (*RecoverResult, error) {
+//
+// A segment followed by one that starts at or before from is never read,
+// checked or repaired: Open passes the seq after its checkpoint, so
+// damage in log the checkpoint covers costs no later record. From 0
+// scans the whole log; the last segment is always scanned.
+func Recover(fs FS, dir string, from uint64, strict bool) (*RecoverResult, error) {
 	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return nil, err
+	}
+	for len(segs) > 1 && segs[1] <= from {
+		segs = segs[1:]
 	}
 	res := &RecoverResult{}
 	var expect uint64
@@ -243,9 +253,7 @@ func parseRecord(buf []byte, name string, off int64) (Record, int, faultKind, *C
 		return Record{}, 0, faultCorrupt, &CorruptError{Path: name, Offset: off,
 			Reason: fmt.Sprintf("record checksum mismatch: computed %08x, stored %08x", crc, want)}
 	}
-	payload := make([]byte, plen)
-	copy(payload, buf[recHdrLen:total])
-	return Record{Seq: seq, Payload: payload}, total, faultNone, nil
+	return Record{Seq: seq, Payload: buf[recHdrLen:total:total]}, total, faultNone, nil
 }
 
 // countParseable counts structurally valid records in buf — a

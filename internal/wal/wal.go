@@ -43,27 +43,6 @@ const (
 // on-disk structure in this package).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Options configures a Writer.
-type Options struct {
-	// SegmentSize rotates to a new segment file once the current one
-	// exceeds this many bytes (default 4 MiB).
-	SegmentSize int64
-	// Met receives the writer's durability counters. Pass the same
-	// instance across writer re-creations to accumulate over the log's
-	// lifetime; nil allocates a private one.
-	Met *Metrics
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = 4 << 20
-	}
-	if o.Met == nil {
-		o.Met = &Metrics{}
-	}
-	return o
-}
-
 // segName returns the file name of the segment whose first record is seq.
 func segName(seq uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, seq, segSuffix) }
 
@@ -115,8 +94,10 @@ func HasState(fs FS, dir string) (bool, error) {
 	return false, nil
 }
 
-// Writer appends checksummed records to a segmented log. It is not safe
-// for concurrent use; the durable embedder serializes appends. Each
+// Writer appends checksummed records to a segmented log. A segment ends
+// only where a checkpoint was taken (MarkCheckpoint), so PruneSegments
+// removes exactly the log a checkpoint covers. It is not safe for
+// concurrent use; the durable embedder serializes appends. Each
 // record's write and fsync run on a helper goroutine (see Append), one
 // record at a time: every method first waits for the record in flight.
 // Any error from the filesystem poisons the writer — every later call
@@ -127,12 +108,14 @@ func HasState(fs FS, dir string) (bool, error) {
 type Writer struct {
 	fs   FS
 	dir  string
-	opt  Options
+	met  *Metrics
 	f    File
 	name string
 	size int64
 	next uint64
-	err  error
+	// segAt is the seq whose record starts a new segment (MarkCheckpoint).
+	segAt uint64
+	err   error
 	// inflight is the last Append's record until a method waits it out.
 	inflight *Pending
 }
@@ -160,9 +143,11 @@ func (p *Pending) Wait() (uint64, error) {
 // NewWriter fsyncs the newest segment already in dir: a record a crash
 // left written but never fsynced, or a truncation by Recover or Cut, is
 // durable before any record follows it, so a power loss cannot take it
-// and leave a broken sequence chain behind.
-func NewWriter(fs FS, dir string, nextSeq uint64, opt Options) (*Writer, error) {
-	w := &Writer{fs: fs, dir: dir, opt: opt.withDefaults(), next: nextSeq}
+// and leave a broken sequence chain behind. met receives the writer's
+// durability counters: pass the same instance across writer re-creations
+// to accumulate over the log's lifetime.
+func NewWriter(fs FS, dir string, nextSeq uint64, met *Metrics) (*Writer, error) {
+	w := &Writer{fs: fs, dir: dir, met: met, next: nextSeq}
 	if err := w.syncNewest(); err != nil {
 		return nil, err
 	}
@@ -184,7 +169,7 @@ func (w *Writer) syncNewest() error {
 	if err != nil {
 		return err
 	}
-	err = syncTimed(f, w.opt.Met)
+	err = syncTimed(f, w.met)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -206,7 +191,7 @@ func (w *Writer) openSegment() error {
 		f.Close()
 		return err
 	}
-	if err := syncTimed(f, w.opt.Met); err != nil {
+	if err := syncTimed(f, w.met); err != nil {
 		f.Close()
 		return err
 	}
@@ -273,7 +258,7 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 	}
 	start := time.Now()
 	recLen := int64(recHdrLen + len(payload))
-	if w.size > segHdrLen && w.size+recLen > w.opt.SegmentSize {
+	if w.next == w.segAt && w.size > segHdrLen {
 		if err := w.rotate(); err != nil {
 			w.err = err
 			return 0, err
@@ -282,15 +267,15 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 	if _, err := w.f.Write(encodeRecord(w.next, payload)); err != nil {
 		return 0, w.fail(err)
 	}
-	if err := syncTimed(w.f, w.opt.Met); err != nil {
+	if err := syncTimed(w.f, w.met); err != nil {
 		return 0, w.fail(err)
 	}
 	w.size += recLen
 	seq := w.next
 	w.next++
-	w.opt.Met.Appends.Inc()
-	w.opt.Met.AppendedBytes.Add(uint64(recLen))
-	w.opt.Met.AppendNanos.ObserveSince(start)
+	w.met.Appends.Inc()
+	w.met.AppendedBytes.Add(uint64(recLen))
+	w.met.AppendNanos.ObserveSince(start)
 	return seq, nil
 }
 
@@ -306,18 +291,26 @@ func (w *Writer) fail(err error) error {
 	return err
 }
 
-// rotate seals the current segment (fsync + close) and opens the next
-// one. The old segment is complete on disk before the new name appears.
+// rotate closes the current segment and opens the next one. The old
+// segment needs no fsync of its own: its header was fsynced when it was
+// opened and every record by its append (a failed one poisons the
+// writer), so it is complete on disk before the new name appears.
 func (w *Writer) rotate() error {
-	if err := syncTimed(w.f, w.opt.Met); err != nil {
-		w.f.Close()
-		return err
-	}
 	if err := w.f.Close(); err != nil {
 		return err
 	}
-	w.opt.Met.Rotations.Inc()
+	w.met.Rotations.Inc()
 	return w.openSegment()
+}
+
+// MarkCheckpoint records that a checkpoint holds the state after batch
+// seq, the last record appended: the record of seq+1 starts a new
+// segment, rotated on that record's helper goroutine. A current segment
+// that holds no record already starts at seq+1 and is kept. It first
+// waits for the record in flight.
+func (w *Writer) MarkCheckpoint(seq uint64) {
+	w.settle()
+	w.segAt = seq + 1
 }
 
 // NextSeq returns the sequence number the next Append will assign,
@@ -336,7 +329,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.err = fmt.Errorf("wal: writer closed")
-	if err := syncTimed(w.f, w.opt.Met); err != nil {
+	if err := syncTimed(w.f, w.met); err != nil {
 		w.f.Close()
 		return err
 	}

@@ -23,16 +23,21 @@ func payloadFor(i int) []byte {
 	return bytes.Repeat([]byte{byte(i)}, 10+i%7)
 }
 
-// writeLog appends n records starting at seq 1 and closes the writer.
-func writeLog(t *testing.T, dir string, n int, opt Options) {
+// writeLog appends n records starting at seq 1, marks a checkpoint after
+// every every-th record (never when every is 0), so a segment starts at
+// seqs 1, every+1, 2·every+1, …, and closes the writer.
+func writeLog(t *testing.T, dir string, n, every int) {
 	t.Helper()
-	w, err := NewWriter(OS, dir, 1, opt)
+	w, err := NewWriter(OS, dir, 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		if got := mustAppend(t, w, payloadFor(i)); got != uint64(i+1) {
 			t.Fatalf("append %d assigned seq %d", i, got)
+		}
+		if every > 0 && (i+1)%every == 0 {
+			w.MarkCheckpoint(uint64(i + 1))
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -60,8 +65,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	// synced before it returns.
 	t.Run("batch", func(t *testing.T) {
 		dir := t.TempDir()
-		writeLog(t, dir, 25, Options{})
-		res, err := Recover(OS, dir, true)
+		writeLog(t, dir, 25, 0)
+		res, err := Recover(OS, dir, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,33 +77,82 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	})
 }
 
+// TestSegmentRotation: the record after a marked checkpoint starts a
+// segment, and a mark on a segment that holds no record starts none (its
+// name would collide with the current one).
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	// ~26 bytes per record; rotate every ~3 records.
-	writeLog(t, dir, 20, Options{SegmentSize: 90})
-	segs, err := listSegments(OS, dir)
+	w, err := NewWriter(OS, dir, 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 4 {
-		t.Fatalf("expected several segments, got %d", len(segs))
+	w.MarkCheckpoint(0) // the empty first segment already starts at 1
+	for i := 0; i < 7; i++ {
+		mustAppend(t, w, payloadFor(i))
+		if i == 2 || i == 4 {
+			w.MarkCheckpoint(uint64(i + 1))
+		}
 	}
-	res, err := Recover(OS, dir, true)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := listSegments(OS, dir); err != nil || fmt.Sprint(segs) != "[1 4 6]" {
+		t.Fatalf("segments %v (%v), want [1 4 6]", segs, err)
+	}
+	if got := w.met.Rotations.Load(); got != 2 {
+		t.Fatalf("%d rotations, want 2", got)
+	}
+	res, err := Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecords(t, res.Records, 20)
+	checkRecords(t, res.Records, 7)
+}
+
+// TestRecoverSkipsCoveredSegments: Recover from a seq never reads a
+// segment that the next one starting at or before that seq follows, so
+// damage there neither drops a later record nor changes the file; the
+// last segment is scanned whatever from is.
+func TestRecoverSkipsCoveredSegments(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir, 9, 3) // segments 1, 4, 7
+	first := filepath.Join(dir, segName(1))
+	flipByteAt(t, first, segHdrLen+recHdrLen+2)
+	damaged, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		from      uint64
+		firstSeq  uint64
+		recovered int
+	}{{4, 4, 6}, {5, 4, 6}, {7, 7, 3}, {20, 7, 3}} {
+		res, err := Recover(OS, dir, tc.from, true)
+		if err != nil {
+			t.Fatalf("from %d: %v", tc.from, err)
+		}
+		if len(res.Records) != tc.recovered || res.Records[0].Seq != tc.firstSeq || res.Dropped != 0 {
+			t.Fatalf("from %d: %d records from seq %d, %d dropped; want %d from %d, none dropped",
+				tc.from, len(res.Records), res.Records[0].Seq, res.Dropped, tc.recovered, tc.firstSeq)
+		}
+	}
+	if after, err := os.ReadFile(first); err != nil || !bytes.Equal(after, damaged) {
+		t.Fatalf("a skipped segment changed (%v)", err)
+	}
+	if _, err := Recover(OS, dir, 3, true); err == nil {
+		t.Fatal("strict Recover from 3 accepted the damaged first segment")
+	}
 }
 
 func TestWriterResumesAfterRecover(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 5, Options{})
-	res, err := Recover(OS, dir, true)
+	writeLog(t, dir, 5, 0)
+	res, err := Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := res.Records[len(res.Records)-1].Seq + 1
-	w, err := NewWriter(OS, dir, next, Options{})
+	w, err := NewWriter(OS, dir, next, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +162,7 @@ func TestWriterResumesAfterRecover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = Recover(OS, dir, true)
+	res, err = Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +174,15 @@ func TestWriterResumesAfterRecover(t *testing.T) {
 // Recover removes it as it does a segment a torn header left empty.
 func TestRecoverRemovesEmptyLastSegment(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 2, Options{})
-	w, err := NewWriter(OS, dir, 3, Options{})
+	writeLog(t, dir, 2, 0)
+	w, err := NewWriter(OS, dir, 3, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recover(OS, dir, true)
+	res, err := Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +206,17 @@ func TestCut(t *testing.T) {
 	for _, from := range []uint64{1, 2, 4, 5, 21, 30} {
 		t.Run(fmt.Sprint(from), func(t *testing.T) {
 			dir := t.TempDir()
-			writeLog(t, dir, 20, Options{SegmentSize: 90}) // 3 records a segment
+			writeLog(t, dir, 20, 3) // a segment every 3 records
 			if err := Cut(OS, dir, from); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Recover(OS, dir, true)
+			res, err := Recover(OS, dir, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			kept := int(min(from-1, 20))
 			checkRecords(t, res.Records, kept)
-			w, err := NewWriter(OS, dir, uint64(kept+1), Options{})
+			w, err := NewWriter(OS, dir, uint64(kept+1), &Metrics{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +224,7 @@ func TestCut(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if res, err = Recover(OS, dir, true); err != nil {
+			if res, err = Recover(OS, dir, 0, true); err != nil {
 				t.Fatal(err)
 			}
 			checkRecords(t, res.Records, kept+1)
@@ -192,7 +246,7 @@ func TestTornTailTruncated(t *testing.T) {
 	for _, cut := range []int64{1, 5, recHdrLen - 1, recHdrLen + 3} {
 		t.Run(fmt.Sprint(cut), func(t *testing.T) {
 			dir := t.TempDir()
-			writeLog(t, dir, 8, Options{})
+			writeLog(t, dir, 8, 0)
 			name := lastSegment(t, dir)
 			fi, err := os.Stat(name)
 			if err != nil {
@@ -203,7 +257,7 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			// A torn tail is a crash artifact, not corruption: even strict
 			// mode repairs it silently.
-			res, err := Recover(OS, dir, true)
+			res, err := Recover(OS, dir, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +269,7 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			checkRecords(t, res.Records, 7)
 			// The log must now be clean: recover again, nothing torn.
-			res, err = Recover(OS, dir, true)
+			res, err = Recover(OS, dir, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,11 +296,11 @@ func flipByteAt(t *testing.T, name string, off int64) {
 
 func TestBitFlipStrictFails(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 8, Options{})
+	writeLog(t, dir, 8, 0)
 	// Flip inside the payload of the third record (header 8 + two 26-byte
 	// records + a few bytes in).
 	flipByteAt(t, lastSegment(t, dir), segHdrLen+2*26+recHdrLen+2)
-	_, err := Recover(OS, dir, true)
+	_, err := Recover(OS, dir, 0, true)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("strict recovery returned %v, want *CorruptError", err)
@@ -255,9 +309,9 @@ func TestBitFlipStrictFails(t *testing.T) {
 
 func TestBitFlipLenientTruncates(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 8, Options{})
+	writeLog(t, dir, 8, 0)
 	flipByteAt(t, lastSegment(t, dir), segHdrLen+2*26+recHdrLen+2)
-	res, err := Recover(OS, dir, false)
+	res, err := Recover(OS, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +320,7 @@ func TestBitFlipLenientTruncates(t *testing.T) {
 		t.Fatalf("lenient recovery dropped %d (%q), want a reported loss", res.Dropped, res.DropReason)
 	}
 	// The surviving prefix must be a valid log a writer can resume.
-	w, err := NewWriter(OS, dir, 3, Options{})
+	w, err := NewWriter(OS, dir, 3, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +328,7 @@ func TestBitFlipLenientTruncates(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = Recover(OS, dir, true)
+	res, err = Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +337,17 @@ func TestBitFlipLenientTruncates(t *testing.T) {
 
 func TestDamagedMiddleSegment(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 20, Options{SegmentSize: 90})
+	writeLog(t, dir, 20, 3)
 	segs, err := listSegments(OS, dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("need ≥3 segments, got %d (%v)", len(segs), err)
 	}
 	mid := filepath.Join(dir, segName(segs[1]))
 	flipByteAt(t, mid, segHdrLen+recHdrLen+1)
-	if _, err := Recover(OS, dir, true); err == nil {
+	if _, err := Recover(OS, dir, 0, true); err == nil {
 		t.Fatal("strict recovery accepted a damaged middle segment")
 	}
-	res, err := Recover(OS, dir, false)
+	res, err := Recover(OS, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +367,7 @@ func TestDamagedMiddleSegment(t *testing.T) {
 
 func TestPruneSegments(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 20, Options{SegmentSize: 90})
+	writeLog(t, dir, 20, 3)
 	segs, err := listSegments(OS, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +384,7 @@ func TestPruneSegments(t *testing.T) {
 		t.Fatalf("prune(upTo=%d) left %v, want suffix from %d", upTo, left, segs[2])
 	}
 	// The pruned log must still recover: records seq > upTo all present.
-	res, err := Recover(OS, dir, true)
+	res, err := Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +517,7 @@ func TestHasState(t *testing.T) {
 
 func TestWriterPoisonsOnError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(OS, dir, 1, Options{})
+	w, err := NewWriter(OS, dir, 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +572,7 @@ func (f hookFile) Sync() error {
 // record's seq is handed out only once the fsync returns.
 func TestNextSeqAdvancesOnlyAfterSync(t *testing.T) {
 	fsys := &hookFS{FS: OS}
-	w, err := NewWriter(fsys, t.TempDir(), 1, Options{})
+	w, err := NewWriter(fsys, t.TempDir(), 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +608,7 @@ func TestNextSeqAdvancesOnlyAfterSync(t *testing.T) {
 // every later call of the writer returns that same error.
 func TestFailedSyncPoisonsWriter(t *testing.T) {
 	fsys := &hookFS{FS: OS}
-	w, err := NewWriter(fsys, t.TempDir(), 1, Options{})
+	w, err := NewWriter(fsys, t.TempDir(), 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,9 +633,10 @@ func TestFailedSyncPoisonsWriter(t *testing.T) {
 	}
 }
 
-// TestRotationSealsBeforeNewName: a rotation fsyncs the old segment before
-// the next segment's file is created, so the new name never appears while
-// the old segment's records could still be lost.
+// TestRotationSealsBeforeNewName: the old segment's last record is fsynced
+// before the next segment's file is created, so the new name never
+// appears while the old segment's records could still be lost; the
+// rotation adds no fsync of the old segment, which holds nothing unsynced.
 func TestRotationSealsBeforeNewName(t *testing.T) {
 	var ops []string
 	fsys := &hookFS{FS: OS,
@@ -592,11 +647,12 @@ func TestRotationSealsBeforeNewName(t *testing.T) {
 		},
 	}
 	dir := t.TempDir()
-	w, err := NewWriter(fsys, dir, 1, Options{SegmentSize: 40})
+	w, err := NewWriter(fsys, dir, 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, w, payloadFor(0)) // 16 + 10 bytes: fills the segment
+	mustAppend(t, w, payloadFor(0))
+	w.MarkCheckpoint(1)
 	mustAppend(t, w, payloadFor(1)) // rotates to the segment of seq 2
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -605,7 +661,6 @@ func TestRotationSealsBeforeNewName(t *testing.T) {
 	want := []string{
 		"create " + old, "sync " + old, // NewWriter: header
 		"sync " + old,                    // record 1
-		"sync " + old,                    // rotation seals the old segment
 		"create " + next, "sync " + next, // then the new name appears
 		"sync " + next, // record 2
 		"sync " + next, // Close
@@ -613,7 +668,7 @@ func TestRotationSealsBeforeNewName(t *testing.T) {
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Fatalf("file operations\n got %v\nwant %v", ops, want)
 	}
-	res, err := Recover(OS, dir, true)
+	res, err := Recover(OS, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,6 @@ const (
 	KindDegraded = "degraded"
 )
 
-// RetryAfterHeader is the sub-second companion of the standard
-// Retry-After response header (which RFC 9110 limits to whole seconds):
-// the server sends both on a shed, and the client prefers this one.
-const RetryAfterHeader = "X-Retry-After-Ms"
-
 // TimeoutHeader carries the caller's remaining deadline budget in
 // milliseconds; the server folds it into the handler context so
 // server-side work is abandoned once the caller has given up.

@@ -84,11 +84,11 @@ func durStats(h obs.HistStats) DurationStats {
 // embedders managed by a DurableEmbedder.
 type WALMetrics struct {
 	// Appends counts logged batches; AppendedBytes their on-disk record
-	// bytes. Fsyncs counts File.Sync calls (append, rotation, segment
-	// creation, close); Rotations counts segment rollovers; Checkpoints
-	// counts committed checkpoints and CheckpointFailures the commits
-	// that failed (a background one's error otherwise shows only at
-	// Close).
+	// bytes. Fsyncs counts File.Sync calls (append, segment creation,
+	// close); Rotations counts segments started at a checkpoint;
+	// Checkpoints counts committed checkpoints and CheckpointFailures the
+	// commits that failed (a background one's error otherwise shows only
+	// at Close).
 	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints, CheckpointFailures uint64
 	// Append spans whole WAL appends (their fsync included), Fsync
 	// the fsync calls alone, SyncWait the part of a batch's append its
@@ -255,7 +255,7 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 	r.Counter("treesvd_wal_appended_bytes_total", "bytes",
 		"On-disk bytes of appended WAL records", &dm.wal.AppendedBytes)
 	r.Counter("treesvd_wal_fsyncs_total", "calls", "WAL fsync calls, all paths", &dm.wal.Fsyncs)
-	r.Counter("treesvd_wal_rotations_total", "segments", "WAL segment rollovers", &dm.wal.Rotations)
+	r.Counter("treesvd_wal_rotations_total", "segments", "WAL segments started at a checkpoint", &dm.wal.Rotations)
 	r.Histogram("treesvd_wal_append_nanos", "ns",
 		"Wall time per WAL append (its fsync included)", &dm.wal.AppendNanos)
 	r.Histogram("treesvd_wal_fsync_nanos", "ns", "Wall time per WAL fsync", &dm.wal.FsyncNanos)

@@ -29,7 +29,9 @@ const persistVersion = 8
 // proximity matrix with its lazy-update bookkeeping, and the tree's
 // cached factorizations. Loading restores the exact maintenance state —
 // subsequent ApplyEvents behave as if the process had never restarted. A
-// durable checkpoint carries the same bytes.
+// durable checkpoint carries the same bytes. Config.Workers is stored as
+// 0: a save holds the state, not the machine that computed it, and the
+// worker count changes no bit of it.
 type savedEmbedder struct {
 	Version int
 	Config  Config
@@ -64,9 +66,11 @@ func (e *Embedder) Save(w io.Writer) error {
 func (e *Embedder) saveBytes() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	cfg := e.cfg
+	cfg.Workers = 0
 	saved := savedEmbedder{
 		Version: persistVersion,
-		Config:  e.cfg,
+		Config:  cfg,
 		Subset:  e.subset,
 		Graph:   e.g,
 		Fwd:     e.prox.Sub.Fwd,
@@ -84,18 +88,28 @@ func (e *Embedder) saveBytes() ([]byte, error) {
 // Load restores an Embedder previously written by Save at the current
 // format version; any other version is refused with an error naming both.
 // Integrity, structural-consistency and invariant-audit failures are
-// reported as a *CorruptStateError.
-func Load(r io.Reader) (*Embedder, error) {
+// reported as a *CorruptStateError. A save holds no worker count: the
+// restored embedder runs on workers (Config.Workers; at most one value),
+// sequentially when none is given.
+func Load(r io.Reader, workers ...int) (*Embedder, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("treesvd: read save: %w", err)
 	}
-	return load(data, "")
+	return load(data, "", workers)
 }
 
 // load is the shared body of Load and LoadFile.
-func load(data []byte, path string) (*Embedder, error) {
-	e, err := decodeEmbedder(data, path)
+func load(data []byte, path string, workers []int) (*Embedder, error) {
+	n := 0
+	switch len(workers) {
+	case 0:
+	case 1:
+		n = workers[0]
+	default:
+		return nil, fmt.Errorf("treesvd: load: %d worker counts given, want at most one", len(workers))
+	}
+	e, err := decodeEmbedder(data, path, n)
 	if err != nil {
 		return nil, err
 	}
@@ -142,13 +156,13 @@ func (e *Embedder) SaveFile(path string) error {
 
 // LoadFile restores an Embedder from a file written by SaveFile (or any
 // complete Save stream). Corruption is reported as a *CorruptStateError
-// carrying the path.
-func LoadFile(path string) (*Embedder, error) {
+// carrying the path. workers is as for Load.
+func LoadFile(path string, workers ...int) (*Embedder, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return load(data, path)
+	return load(data, path, workers)
 }
 
 // corruptErr builds the uniform corruption error for decode failures.
@@ -158,13 +172,13 @@ func corruptErr(path, format string, args ...any) error {
 
 // decodeEmbedder verifies the footer, decodes the gob payload, checks
 // the version and structurally validates the result, returning a fully
-// wired but unpublished embedder (see finishRestore). The checksum only
-// guarantees the bytes, not that the pieces agree with each other, so the
-// cross-field invariants New establishes are re-checked before anything
-// is assembled: a hand-edited save errors here instead of panicking on
-// first use. RestoreSubset and RestoreTree re-check their own pieces
-// (state shapes, tree cache dims).
-func decodeEmbedder(data []byte, path string) (*Embedder, error) {
+// wired but unpublished embedder (see finishRestore) that runs on the
+// caller's worker count. The checksum only guarantees the bytes, not that
+// the pieces agree with each other, so the cross-field invariants New
+// establishes are re-checked before anything is assembled: a hand-edited
+// save errors here instead of panicking on first use. RestoreSubset and
+// RestoreTree re-check their own pieces (state shapes, tree cache dims).
+func decodeEmbedder(data []byte, path string, workers int) (*Embedder, error) {
 	payload, err := wire.SplitFooter(data)
 	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "save failed its integrity footer", Err: err}
@@ -192,6 +206,7 @@ func decodeEmbedder(data []byte, path string) (*Embedder, error) {
 	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "invalid saved configuration", Err: err}
 	}
+	cfg.Workers = workers
 	switch {
 	case saved.M == nil:
 		return nil, corruptErr(path, "missing proximity matrix")

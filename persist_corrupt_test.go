@@ -69,6 +69,18 @@ type rawState struct {
 	PVals, RVals        []float64
 }
 
+// repeatOutEdge overwrites the second out-neighbour of the first node with
+// two of them by its first, so that node's out-list names one edge twice.
+func repeatOutEdge(w *rawGraph) {
+	for v := 0; v < w.N; v++ {
+		if lo := w.OutPtr[v]; w.OutPtr[v+1]-lo >= 2 {
+			w.OutAdj[lo+1] = w.OutAdj[lo]
+			return
+		}
+	}
+	panic("healthy save has no node with two out-neighbours")
+}
+
 // addAt adds delta to the value keys stores under k, appending k if absent.
 func addAt(keys *[]int32, vals *[]float64, k int32, delta float64) {
 	for i, key := range *keys {
@@ -251,6 +263,21 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 			var w rawGraph
 			s.Graph.edit(&w, func() { w.InAdj[0] = int32(w.N) })
 		}, "in-neighbour"},
+		// Adjacency that used to load and panic at the first DeleteEdge of
+		// the edge it lost, in the update stage nothing recovers.
+		{"graph in-list lacks an edge", func(s *rawSaved) {
+			var w rawGraph
+			s.Graph.edit(&w, func() {
+				w.InAdj = w.InAdj[:len(w.InAdj)-1]
+				for i := range w.InPtr {
+					w.InPtr[i] = min(w.InPtr[i], int32(len(w.InAdj)))
+				}
+			})
+		}, "transpose"},
+		{"graph repeats an edge", func(s *rawSaved) {
+			var w rawGraph
+			s.Graph.edit(&w, func() { repeatOutEdge(&w) })
+		}, "repeat 1 edges"},
 		{"state values shorter than keys", func(s *rawSaved) {
 			var w rawState
 			s.Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })

@@ -66,10 +66,9 @@ func writeError(w http.ResponseWriter, err error) int {
 		if ra := ove.RetryAfter; ra > 0 {
 			dto.RetryAfterMs = max(ra.Milliseconds(), 1)
 			// RFC 9110 Retry-After is whole seconds; round up so a naive
-			// client never retries early. X-Retry-After-Ms keeps the
-			// sub-second hint for our own SDK.
+			// client never retries early. The body's RetryAfterMs keeps
+			// the sub-second hint for our own SDK.
 			w.Header().Set("Retry-After", strconv.FormatInt(int64((ra+time.Second-1)/time.Second), 10))
-			w.Header().Set(wire.RetryAfterHeader, strconv.FormatInt(dto.RetryAfterMs, 10))
 		}
 	case errors.As(err, &dge):
 		status = http.StatusServiceUnavailable

@@ -101,8 +101,9 @@ func TestIngestShedsWhenSaturated(t *testing.T) {
 	if resp.Header.Get("Retry-After") != "1" {
 		t.Fatalf("Retry-After = %q, want the 80ms hint rounded up to 1s", resp.Header.Get("Retry-After"))
 	}
-	if resp.Header.Get(wire.RetryAfterHeader) != "80" {
-		t.Fatalf("%s = %q, want 80", wire.RetryAfterHeader, resp.Header.Get(wire.RetryAfterHeader))
+	var dto wire.ErrorDTO
+	if err := json.NewDecoder(resp.Body).Decode(&dto); err != nil || dto.RetryAfterMs != 80 {
+		t.Fatalf("body RetryAfterMs = %d (%v), want 80", dto.RetryAfterMs, err)
 	}
 
 	// Typed form through the SDK (retries off so the shed surfaces).

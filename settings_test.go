@@ -26,7 +26,6 @@ var settingStructs = map[string][]string{
 // sets, each kept on purpose for the reason given.
 var settingsWithoutCaller = map[string]string{
 	"treesvd.DurableConfig.StrictRecovery": "the only Open that keeps the log bytes after a corrupt record; without it Open deletes them",
-	"treesvd.DurableConfig.SegmentSize":    "internal/check's crash matrix needs segment rotation on its crash path and cannot use an export_test seam",
 	"treesvd.Config.Shards":                "retired stub named by benchmark/; ROADMAP item 1b deletes it",
 	"treesvd.Config.SVDUpdate":             "retired stub named by benchmark/; ROADMAP item 1b deletes it",
 	"treesvd.Config.UpdateMaxRel":          "retired stub named by benchmark/; ROADMAP item 1b deletes it",
