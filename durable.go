@@ -105,12 +105,13 @@ type RecoveryInfo struct {
 // the wrapped Embedder and stay lock-free.
 //
 // A WAL append failure (full disk, fsync error) seals the embedder into
-// read-only degraded mode: ingest and Checkpoint return a *DegradedError,
-// reads keep serving the last published snapshot, Degraded reports the
-// cause, and Reopen re-arms the WAL once the operator has cleared the
-// fault. The failed batch was applied in memory while its record was
-// being written; nothing of it is readable before Reopen has logged it
-// afresh and published it.
+// read-only degraded mode until Close: ingest and Checkpoint return a
+// *DegradedError, reads keep serving the last published snapshot, and
+// Degraded reports the cause. The failed batch was applied in memory
+// while its record was being written but is never published. The one way
+// back is a restart: once the fault is cleared, Close (which cuts the
+// failed record out of the log) and Open land on the acknowledged prefix,
+// and the caller resends the batch that failed.
 type DurableEmbedder struct {
 	fs  wal.FS
 	dir string
@@ -123,24 +124,16 @@ type DurableEmbedder struct {
 	sinceCkpt int
 
 	// degraded is the WAL I/O failure that sealed the embedder read-only
-	// (nil while healthy); sealedNext is the writer's next sequence at
-	// seal time, the point Reopen resumes the log from. Guarded by mu.
-	degraded   error
-	sealedNext uint64
-	// unlogged is the batch whose WAL append failed while it was applied
-	// in memory (set exactly while degraded): memory is one batch ahead of
-	// the log, and Reopen makes the log catch up before anything is
-	// published. Guarded by mu.
-	unlogged []Event
+	// (nil while healthy). Guarded by mu.
+	degraded error
 
 	ckptWG   sync.WaitGroup
 	ckptMu   sync.Mutex // guards the fields below; never held with mu
 	ckptBusy bool
 	ckptErr  error // the first background checkpoint failure
 
-	// met holds the WAL and checkpoint counters; it outlives writer
-	// re-creation and is linked into the wrapped embedder's Metrics/
-	// registry at construction.
+	// met holds the WAL and checkpoint counters; it is linked into the
+	// wrapped embedder's Metrics/registry at construction.
 	met *durableMetrics
 
 	recovery RecoveryInfo
@@ -356,7 +349,7 @@ func (d *DurableEmbedder) Dir() string { return d.dir }
 // the batch was neither logged nor applied. Once the record is on its way
 // to disk the apply is owed either way and ignores cancellation. If the
 // append fails, the embedder seals into degraded mode with the batch
-// applied in memory but unpublished; Reopen logs and publishes it.
+// applied in memory but never published; see DurableEmbedder.
 // (Another error from the apply itself is an internal fault: the batch
 // stays logged and in the graph, and the next update catches the rest
 // of the pipeline up, as for Embedder.ApplyEvents.)
@@ -386,7 +379,6 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 	// An apply that failed before its barrier did not wait: wait here.
 	seq, werr := rec.Wait()
 	if werr != nil {
-		d.unlogged = append([]Event(nil), events...)
 		d.sealLocked(werr)
 		return 0, d.degradedErrLocked()
 	}
@@ -412,11 +404,10 @@ func (d *DurableEmbedder) degradedErrLocked() error {
 
 // sealLocked flips the embedder into read-only degraded mode after a WAL
 // append failure. Reads keep serving the published snapshot; every
-// further ApplyEvents returns a *DegradedError until Reopen. Caller
-// holds d.mu.
+// further ApplyEvents returns a *DegradedError until Close. Caller holds
+// d.mu.
 func (d *DurableEmbedder) sealLocked(cause error) {
 	d.degraded = cause
-	d.sealedNext = d.w.NextSeq()
 	d.met.degraded.Set(1)
 	d.met.seals.Inc()
 }
@@ -428,57 +419,6 @@ func (d *DurableEmbedder) Degraded() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.degraded
-}
-
-// Reopen re-arms the WAL after the fault behind degraded mode has been
-// cleared (disk space freed, volume remounted) and makes the log catch up
-// with memory: it repairs the log tail, cuts any record of the failed
-// batch that reached the file (its fsync failed, and a retried fsync
-// proves nothing), opens a fresh writer at that batch's sequence and logs
-// the batch there afresh, and only then publishes it. On success ingest
-// works again; on failure the embedder stays degraded and Reopen can be
-// retried. A no-op when not degraded.
-func (d *DurableEmbedder) Reopen() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errClosed
-	}
-	if d.degraded == nil {
-		return nil
-	}
-	// Best effort: the poisoned writer reports the sealing error again;
-	// what matters is releasing its file handle.
-	d.w.Close()
-	// Repair the tail on disk first — NewWriter requires it: a torn
-	// record left by the failed append is truncated and a zero-record
-	// tail segment removed, so the fresh segment's name cannot collide.
-	// Only the last segment is read: every record before it was fsynced,
-	// and damage in log a checkpoint covers must not cost a later batch.
-	if _, err := wal.Recover(d.fs, d.dir, d.sealedNext, false); err != nil {
-		return err
-	}
-	// A record of the failed batch may have reached the file whole; its
-	// fsync failed, so it proves nothing. Cut it: NewWriter makes the cut
-	// durable before its own segment appears.
-	if err := wal.Cut(d.fs, d.dir, d.sealedNext); err != nil {
-		return err
-	}
-	w, err := wal.NewWriter(d.fs, d.dir, d.sealedNext, &d.met.wal)
-	if err != nil {
-		return fmt.Errorf("treesvd: reopen: %w", err)
-	}
-	d.w = w // the next Reopen closes it, should the append below fail
-	if _, err := w.Append(graph.AppendEvents(nil, d.unlogged)).Wait(); err != nil {
-		return fmt.Errorf("treesvd: reopen: logging batch %d: %w", d.sealedNext, err)
-	}
-	d.unlogged = nil
-	d.e.publish()
-	d.degraded = nil
-	d.met.degraded.Set(0)
-	d.met.reopens.Inc()
-	d.sealedNext = 0
-	return nil
 }
 
 // maybeCheckpointLocked takes the periodic checkpoint. Caller holds d.mu
@@ -577,8 +517,8 @@ func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error
 
 // Checkpoint synchronously commits a checkpoint of the current state and
 // prunes the WAL behind it. While degraded it returns a *DegradedError and
-// writes nothing: memory holds the unlogged batch, and a checkpoint of it
-// would be labelled with the log's last seq.
+// writes nothing: memory holds the batch whose append failed, and a
+// checkpoint of it would be labelled with the log's last seq.
 func (d *DurableEmbedder) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -591,10 +531,13 @@ func (d *DurableEmbedder) Checkpoint() error {
 	return d.checkpointLocked(d.w.NextSeq() - 1)
 }
 
-// Close flushes and closes the WAL and waits for any in-flight background
-// checkpoint. It reports the first deferred checkpoint error, if any; the
-// store recovers regardless — the WAL still holds everything past the
-// last committed checkpoint.
+// Close closes the WAL and waits for any in-flight background checkpoint.
+// It reports the first deferred checkpoint error, if any; the store
+// recovers regardless — the WAL still holds everything past the last
+// committed checkpoint. On a degraded embedder it also cuts the record
+// of the batch whose append failed out of the log, and reports that
+// cut's failure too (the disk is still full, say): the batch may then
+// come back at Open, like a batch in flight at a crash.
 func (d *DurableEmbedder) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -606,10 +549,5 @@ func (d *DurableEmbedder) Close() error {
 	d.ckptMu.Lock()
 	err := d.ckptErr
 	d.ckptMu.Unlock()
-	// A degraded store's poisoned writer reports its sealing error again
-	// on Close; that failure already reached the caller when it happened.
-	if werr := d.w.Close(); err == nil && d.degraded == nil {
-		err = werr
-	}
-	return err
+	return errors.Join(err, d.w.Close())
 }

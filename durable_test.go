@@ -382,9 +382,10 @@ func TestOpenSkipsLogItsCheckpointCovers(t *testing.T) {
 		t.Fatalf("Open changed the segment its checkpoint covers (%v)", err)
 	}
 
-	// Nor may Reopen touch it: a failed fsync seals the store on one more
-	// batch (batch 1's events again), Reopen logs that batch afresh, and
-	// the next Open still replays every acknowledged batch.
+	// Nor may a restart after a seal touch it: a failed fsync seals the
+	// store on one more batch (batch 1's events again), Close cuts that
+	// batch's record out, and the next Open replays every acknowledged
+	// batch and no other.
 	for k := 1; ; k++ {
 		label := fmt.Sprintf("syncerror@%d", k)
 		sdir := copyStore(t, dir)
@@ -403,20 +404,48 @@ func TestOpenSkipsLogItsCheckpointCovers(t *testing.T) {
 		if !errors.As(err, new(*DegradedError)) {
 			t.Fatalf("%s: batch returned %v, want a *DegradedError", label, err)
 		}
-		must0tb(s.Reopen())
-		want := copyMat(s.Embedder().Embedding())
 		must0tb(s.Close())
 		if after, err := os.ReadFile(filepath.Join(sdir, filepath.Base(first))); err != nil || !bytes.Equal(after, raw) {
-			t.Fatalf("%s: Reopen changed the segment the checkpoint covers (%v)", label, err)
+			t.Fatalf("%s: the restart changed the segment the checkpoint covers (%v)", label, err)
 		}
 		r := mustTB(Open(sdir, fx.cfg))
 		defer r.Close()
-		if info := r.Recovery(); info.CheckpointSeq != 4 || info.ReplayedBatches != 3 || info.DroppedBatches != 0 {
-			t.Fatalf("%s: recovery after Reopen = %+v, want checkpoint 4, 3 batches replayed, none dropped", label, info)
+		if info := r.Recovery(); info.CheckpointSeq != 4 || info.ReplayedBatches != 2 || info.DroppedBatches != 0 {
+			t.Fatalf("%s: recovery after the restart = %+v, want checkpoint 4, 2 batches replayed, none dropped", label, info)
 		}
-		requireMatEqual(t, r.Embedder().Embedding(), want, label+" Open after Reopen")
+		fx.requireState(t, r.Embedder(), len(fx.batches), label+" Open after the restart")
 		return
 	}
+}
+
+// TestOpenCountsEveryDroppedBatch: a checksum fault in an early record
+// of the replayed log cuts it and every record after it, and recovery
+// counts each of them, not only the faulted one.
+func TestOpenCountsEveryDroppedBatch(t *testing.T) {
+	fx := newDurableFixture(t)
+	dir := t.TempDir()
+	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
+	for _, b := range fx.batches {
+		mustTB(d.ApplyEvents(bgt, b))
+	}
+	must0tb(d.Close())
+	// One byte into record 2's payload, as in
+	// TestOpenSkipsLogItsCheckpointCovers; here its segment is replayed.
+	seg := filepath.Join(dir, "wal-0000000000000001.log")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8+16+int(binary.LittleEndian.Uint32(raw[8:]))+16+1] ^= 0x40
+	must0tb(os.WriteFile(seg, raw, 0o644))
+
+	d = mustTB(Open(dir, fx.cfg))
+	defer d.Close()
+	info := d.Recovery()
+	if info.CheckpointSeq != 0 || info.ReplayedBatches != 1 || info.DroppedBatches != len(fx.batches)-1 {
+		t.Fatalf("recovery = %+v, want checkpoint 0, 1 batch replayed, %d dropped", info, len(fx.batches)-1)
+	}
+	fx.requireState(t, d.Embedder(), 1, "state after Open")
 }
 
 // TestOpenFallsBackPastCorruptCheckpoint damages the newest checkpoint:
@@ -656,17 +685,18 @@ func runCrashMatrix(t *testing.T, fx *durableFixture) {
 	}
 }
 
-// TestDiskFullDegradedReopen sweeps an injected ENOSPC across every
+// TestDiskFullDegradedRestart sweeps an injected ENOSPC across every
 // write and fsync of the workload. At each fault point the store must
 // either seal into read-only degraded mode (a WAL append failed: reads
 // keep serving the pre-fault snapshot, further ingest returns a typed
 // *DegradedError) or surface a plain checkpoint error with the batch
-// still applied. After the operator clears the fault, Reopen must
-// restore ingest and publish the failed batch, which was applied in
-// memory while its append ran; the rest of the stream must apply, and a
-// final Close/Open round trip must land on the full-stream shadow — no
-// batch lost or applied twice anywhere in the sweep.
-func TestDiskFullDegradedReopen(t *testing.T) {
+// still applied. After the operator clears the fault, Close (which cuts
+// the failed record out) and Open must land exactly on the acknowledged
+// prefix, without the failed batch, which was applied in memory while
+// its append ran; resending it and the rest of the stream, and a final
+// Close/Open round trip, must land on the full-stream shadow — no batch
+// lost or applied twice anywhere in the sweep.
+func TestDiskFullDegradedRestart(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
 	points, degradedPoints := 0, 0
@@ -733,46 +763,36 @@ func TestDiskFullDegradedReopen(t *testing.T) {
 					t.Fatalf("%s: degraded store published version %d, want %d", label, got, version)
 				}
 				requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[applied], label+" degraded reads")
-				// Ingest stays sealed until Reopen, even after retrying.
+				// Ingest stays sealed until Close, even after retrying.
 				if _, err := d.ApplyEvents(nil, fx.batches[applied]); !errors.As(err, &de) {
 					t.Fatalf("%s: ingest while degraded returned %v, want *DegradedError", label, err)
 				}
-				// Reopen before the fault clears fails and stays degraded.
-				if err := d.Reopen(); err == nil {
-					t.Fatalf("%s: Reopen succeeded while the disk is still full", label)
+				if s, g := d.met.seals.Load(), d.met.degraded.Load(); s != 1 || g != 1 {
+					t.Fatalf("%s: degraded_seals_total %d, degraded %d; want 1, 1", label, s, g)
 				}
-				if d.Degraded() == nil {
-					t.Fatalf("%s: failed Reopen cleared degraded mode", label)
-				}
+				// The one way back is a restart: the failed batch was applied
+				// in memory while its append ran, Close cuts its record out,
+				// and Open lands on the acknowledged prefix without it. The
+				// loop then resends it.
 				ffs.Clear()
-				if err := d.Reopen(); err != nil {
-					t.Fatalf("%s: Reopen after clearing the fault: %v", label, err)
+				if err := d.Close(); err != nil {
+					t.Fatalf("%s: Close of the sealed store after clearing the fault: %v", label, err)
 				}
-				if d.Degraded() != nil {
-					t.Fatalf("%s: Reopen left the store degraded", label)
+				if d, err = OpenWithFS(ffs, dir, cfg); err != nil {
+					t.Fatalf("%s: Open after clearing the fault: %v", label, err)
 				}
-				// The failed batch was applied in memory while its append
-				// ran; Reopen cuts any record of it, logs it afresh and
-				// publishes it: it is applied exactly once.
-				applied++
-				fx.requireState(t, d.Embedder(), applied, label+" reopened state")
-				// The log caught up with memory: a copy of the directory
-				// opens on the same state.
-				copied := mustTB(Open(copyStore(t, dir), fx.cfg))
-				fx.requireState(t, copied.Embedder(), applied, label+" Open of a copy after Reopen")
-				must0tb(copied.Close())
+				fx.requireState(t, d.Embedder(), applied, label+" state after the restart")
 				continue
 			}
 			t.Fatalf("%s: batch %d failed with %v, want a *DegradedError", label, applied, err)
 		}
-		// The seal and the Reopen each counted once, or neither happened.
-		n := uint64(0)
 		if sealed {
 			degradedPoints++
-			n = 1
 		}
-		if s, r, g := d.met.seals.Load(), d.met.reopens.Load(), d.met.degraded.Load(); s != n || r != n || g != 0 {
-			t.Fatalf("%s: degraded_seals_total %d, degraded_reopens_total %d, degraded %d; want %d, %d, 0", label, s, r, g, n, n)
+		// The store that finished the stream never sealed: a sealed one
+		// was closed and replaced by an Open.
+		if s, g := d.met.seals.Load(), d.met.degraded.Load(); s != 0 || g != 0 {
+			t.Fatalf("%s: degraded_seals_total %d, degraded %d; want 0, 0", label, s, g)
 		}
 		fx.requireState(t, d.Embedder(), len(fx.batches), label+" final state")
 		// The sweep tail pushes the fault into the epilogue — shutdown
@@ -1022,12 +1042,13 @@ func dirNames(t *testing.T, dir string) []string {
 // TestFailedAppendUnloggedBatch fails the first batch's WAL append at its
 // write or its fsync. The batch was applied in memory meanwhile, but the
 // store seals with nothing published and refuses a checkpoint, which
-// would label that state with the wrong seq. Reopen cuts whatever of the
-// record reached the file, logs the batch afresh (exactly one append in
-// every case) and publishes it: the live state then equals an Open of a
-// copy of the directory, the batch applied exactly once, and the stream
-// goes on. A cancellation while the record's fsync is held changes
-// nothing: the apply was owed once the record was on its way.
+// would label that state with the wrong seq. Once the fault is cleared,
+// Close cuts whatever of the record reached the file — in the
+// diskfull-at-fsync case the failed append's own cut failed too — and
+// Open lands on the state before the batch; resending it applies it
+// exactly once, and the stream goes on. A cancellation while the
+// record's fsync is held changes nothing: the apply was owed once the
+// record was on its way.
 func TestFailedAppendUnloggedBatch(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
@@ -1086,27 +1107,16 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			}
 
 			ffs.Clear()
-			if err := d.Reopen(); err != nil {
-				t.Fatal(err)
+			must0tb(d.Close())
+			d = mustTB(Open(dir, cfg))
+			if info := d.Recovery(); info.ReplayedBatches != 0 {
+				t.Fatalf("Open after the failed append recovered %+v, want no replayed batch", info)
 			}
-			if emb.Version() != version+1 {
-				t.Fatalf("version after Reopen = %d, want %d", emb.Version(), version+1)
+			fx.requireState(t, d.Embedder(), 0, "state after the restart")
+			for i, b := range fx.batches[:2] { // the failed batch resent, then the next
+				mustTB(d.ApplyEvents(bgt, b))
+				fx.requireState(t, d.Embedder(), i+1, fmt.Sprintf("state after batch %d", i))
 			}
-			fx.requireState(t, emb, 1, "state after Reopen")
-			if got := d.Metrics().WAL.Appends; got != 1 {
-				t.Fatalf("records appended through Reopen = %d, want 1", got)
-			}
-			opened := mustTB(Open(copyStore(t, dir), cfg))
-			if info := opened.Recovery(); info.CheckpointSeq+uint64(info.ReplayedBatches) != 1 {
-				t.Fatalf("copy of the reopened store recovered %+v, want the one batch", info)
-			}
-			fx.requireState(t, opened.Embedder(), 1, "Open of a copy after Reopen")
-			must0tb(opened.Close())
-
-			if _, err := d.ApplyEvents(bgt, fx.batches[1]); err != nil {
-				t.Fatal(err)
-			}
-			fx.requireState(t, emb, 2, "state after the next batch")
 			must0tb(d.Close())
 			reopened := mustTB(Open(dir, cfg))
 			defer reopened.Close()
@@ -1115,11 +1125,43 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 	}
 }
 
+// TestCloseOnFullDiskReportsTheCut: the first batch's record is written
+// whole, but its fsync fails on a full disk and so does the failed
+// append's cut. Close of the sealed store, with the disk still full,
+// retries the cut and reports its failure; the record then stays, and an
+// Open once the disk has space replays it, like a batch in flight at a
+// crash.
+func TestCloseOnFullDiskReportsTheCut(t *testing.T) {
+	fx := newDurableFixture(t)
+	cfg := fx.cfg
+	probe := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: 1 << 30, Mode: faultfs.DiskFull})
+	pd := mustTB(CreateWithFS(probe, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
+	createOps := probe.Ops()
+	must0tb(pd.Close())
+
+	dir := t.TempDir()
+	ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createOps + 2, Mode: faultfs.DiskFull}) // the record's fsync
+	d := mustTB(CreateWithFS(ffs, dir, fx.initial.Clone(), fx.subset, cfg))
+	if _, err := d.ApplyEvents(bgt, fx.batches[0]); !errors.As(err, new(*DegradedError)) || !ffs.Fired() {
+		t.Fatalf("ApplyEvents with its record's fsync failing: %v (fault fired %v), want *DegradedError", err, ffs.Fired())
+	}
+	if err := d.Close(); !errors.Is(err, faultfs.ErrDiskFull) {
+		t.Fatalf("Close of the sealed store on a full disk: %v, want an error wrapping ErrDiskFull", err)
+	}
+	ffs.Clear()
+	opened := mustTB(Open(dir, cfg))
+	defer opened.Close()
+	if info := opened.Recovery(); info.ReplayedBatches != 1 {
+		t.Fatalf("Open after the failed cut recovered %+v, want the failed batch replayed", info)
+	}
+	fx.requireState(t, opened.Embedder(), 1, "state after Open")
+}
+
 // TestOpenAfterFailedFsyncReplaysNothing: a record whose fsync failed
 // proves nothing, and a retried fsync after a failed one may report
-// success without its bytes. The failed append cuts the record, so a
-// process that restarts instead of calling Reopen opens the store without
-// it: Open replays nothing and lands on the state before the batch.
+// success without its bytes. The failed append cuts the record, so the
+// restart opens the store without it: Open replays nothing and lands on
+// the state before the batch.
 func TestOpenAfterFailedFsyncReplaysNothing(t *testing.T) {
 	fx := newDurableFixture(t)
 	cfg := fx.cfg
@@ -1148,13 +1190,13 @@ func TestOpenAfterFailedFsyncReplaysNothing(t *testing.T) {
 // powerLossAfterFailedFsync drives the fixture's first batch, then fails
 // the second batch's record fsync through an outer faultfs in outerMode
 // (outerOffset places that fsync among the operations outerMode counts
-// after the first batch), lets restart bring the store back, acknowledges
-// two more batches and cuts the power: the inner faultfs, under the outer
+// after the first batch), closes the store and opens it on the inner
+// faultfs, which must land on the first kept batches (the failed one
+// included when its record survived), acknowledges the next two batches,
+// closes the store and cuts the power: the inner faultfs, under the outer
 // one, crashes at its next operation and drops every byte never fsynced.
-// An Open of the directory must then recover all four batches — the
-// failed one included, which restart made visible.
-func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faultfs.Mode, outerOffset int,
-	restart func(d *DurableEmbedder, inner wal.FS, dir string) *DurableEmbedder) {
+// An Open of the directory must then recover all kept+2 batches.
+func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faultfs.Mode, outerOffset, kept int) {
 	t.Helper()
 	const never = 1 << 30 // a FailAt that counts operations but never fires
 	cfg := fx.cfg
@@ -1164,7 +1206,7 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 	failAt := probe.Ops() + outerOffset
 	must0tb(pd.Close())
 
-	scenario := func(dir string, powerAt int) (*DurableEmbedder, *faultfs.FS) {
+	scenario := func(dir string, powerAt int) *faultfs.FS {
 		inner := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: powerAt, Mode: faultfs.Crash, DropUnsynced: true})
 		outer := faultfs.Wrap(inner, faultfs.Plan{FailAt: failAt, Mode: outerMode})
 		d := mustTB(CreateWithFS(outer, dir, fx.initial.Clone(), fx.subset, cfg))
@@ -1172,20 +1214,18 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 		if _, err := d.ApplyEvents(bgt, fx.batches[1]); err == nil || !outer.Fired() {
 			t.Fatalf("second batch with its fsync failing: %v (fault fired %v), want an error", err, outer.Fired())
 		}
-		d = restart(d, inner, dir)
-		fx.requireState(t, d.Embedder(), 2, "state after restart")
-		for _, b := range fx.batches[2:4] {
+		d.Close() // cuts the failed record; after a crash it only releases descriptors
+		d = mustTB(OpenWithFS(inner, dir, cfg))
+		fx.requireState(t, d.Embedder(), kept, "state after restart")
+		for _, b := range fx.batches[kept : kept+2] {
 			mustTB(d.ApplyEvents(bgt, b))
 		}
-		return d, inner
+		must0tb(d.Close())
+		return inner
 	}
-	d, inner := scenario(t.TempDir(), never)
-	powerAt := inner.Ops() + 1
-	must0tb(d.Close())
-
 	dir := t.TempDir()
-	d, inner = scenario(dir, powerAt)
-	d.Close() // its fsync is the inner's powerAt-th operation: the power fails
+	inner := scenario(dir, scenario(t.TempDir(), never).Ops()+1)
+	inner.SyncDir(dir) // the inner's next operation: the power fails
 	if !inner.Crashed() {
 		t.Fatal("the power loss never fired")
 	}
@@ -1194,37 +1234,26 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 		t.Fatalf("Open after the power loss: %v", err)
 	}
 	defer rd.Close()
-	if info := rd.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != 4 || info.DroppedBatches != 0 {
-		t.Fatalf("after the power loss Open recovered %+v, want all 4 acknowledged batches", info)
+	if info := rd.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != kept+2 || info.DroppedBatches != 0 {
+		t.Fatalf("after the power loss Open recovered %+v, want all %d batches", info, kept+2)
 	}
-	fx.requireState(t, rd.Embedder(), 4, "state after the power loss")
+	fx.requireState(t, rd.Embedder(), kept+2, "state after the power loss")
 }
 
-// TestPowerLossAfterFailedFsyncAndReopen: a failed record fsync proves
+// TestPowerLossAfterFailedFsyncAndRestart: a failed record fsync proves
 // nothing about the record's bytes, and a retried fsync after a failed
-// one may report success without them. Reopen must cut the record and log
-// the batch afresh, so that a power loss cannot take the record while the
-// segments after it survive.
-func TestPowerLossAfterFailedFsyncAndReopen(t *testing.T) {
-	newDurableFixture(t).powerLossAfterFailedFsync(t, faultfs.SyncError, 1,
-		func(d *DurableEmbedder, _ wal.FS, _ string) *DurableEmbedder {
-			if err := d.Reopen(); err != nil {
-				t.Fatalf("Reopen: %v", err)
-			}
-			return d
-		})
+// one may report success without them. The restart must open the store
+// without the record, so that a power loss cannot take it while the
+// records after it survive: the three acknowledged batches come back.
+func TestPowerLossAfterFailedFsyncAndRestart(t *testing.T) {
+	newDurableFixture(t).powerLossAfterFailedFsync(t, faultfs.SyncError, 1, 1)
 }
 
 // TestPowerLossAfterCrashBeforeFsyncAndOpen: a process crash between a
 // record's write and its fsync leaves the record in the page cache. Open
 // replays it, so it must be durable before the writer appends past it.
 func TestPowerLossAfterCrashBeforeFsyncAndOpen(t *testing.T) {
-	fx := newDurableFixture(t)
-	fx.powerLossAfterFailedFsync(t, faultfs.Crash, 2, // the record's write, then its fsync
-		func(d *DurableEmbedder, inner wal.FS, dir string) *DurableEmbedder {
-			d.Close() // the process is dead: this only releases its descriptors
-			return mustTB(OpenWithFS(inner, dir, fx.cfg))
-		})
+	newDurableFixture(t).powerLossAfterFailedFsync(t, faultfs.Crash, 2, 2) // the record's write, then its fsync
 }
 
 // TestSaveHoldsNoWorkerCount: the worker count changes no bit of the

@@ -95,11 +95,12 @@ func (e *OverloadError) Error() string {
 // DegradedError reports an update rejected because the durable embedder
 // sealed itself into read-only degraded mode after a persistent WAL I/O
 // failure (a full disk, an fsync error). Reads keep serving the last
-// published snapshot; ingest returns this error until the operator
-// clears the underlying fault and calls DurableEmbedder.Reopen. The
-// server maps it to HTTP 503 (kind "degraded") and the client SDK
-// reconstructs it, unlike an OverloadError it is not worth retrying
-// without operator action:
+// published snapshot; ingest returns this error until DurableEmbedder.Close.
+// The way back is a restart: the operator clears the underlying fault,
+// closes and reopens the store (Close, then Open), and resends the batch
+// that failed. The server maps it to HTTP 503 (kind "degraded") and the
+// client SDK reconstructs it, unlike an OverloadError it is not worth
+// retrying without operator action:
 //
 //	var de *treesvd.DegradedError
 //	if errors.As(err, &de) { page the operator }

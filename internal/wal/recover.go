@@ -78,7 +78,7 @@ func Recover(fs FS, dir string, from uint64, strict bool) (*RecoverResult, error
 		if i == 0 {
 			expect = first
 		} else if first != expect {
-			return res, res.fault(fs, dir, segs[i:], name, -1, 0, strict, &CorruptError{
+			return res, res.fault(fs, dir, segs[i:], -1, 0, 0, strict, &CorruptError{
 				Path: name, Offset: -1,
 				Reason: fmt.Sprintf("segment starts at seq %d, want %d: broken sequence chain", first, expect),
 			})
@@ -96,7 +96,7 @@ func Recover(fs FS, dir string, from uint64, strict bool) (*RecoverResult, error
 				res.TornTail = true
 				return res, nil
 			}
-			return res, res.fault(fs, dir, segs[i:], name, 0, 0, strict, &CorruptError{
+			return res, res.fault(fs, dir, segs[i:], -1, 0, 0, strict, &CorruptError{
 				Path: name, Offset: 0, Reason: "bad segment header",
 			})
 		}
@@ -119,7 +119,7 @@ func Recover(fs FS, dir string, from uint64, strict bool) (*RecoverResult, error
 					Reason: fmt.Sprintf("record seq %d, want %d: broken sequence chain", rec.Seq, expect)}
 			}
 			if ferr != nil {
-				return res, res.fault(fs, dir, segs[i:], name, off, segRecords, strict, ferr)
+				return res, res.fault(fs, dir, segs[i:], off, n, segRecords, strict, ferr)
 			}
 			res.Records = append(res.Records, rec)
 			segRecords++
@@ -136,55 +136,16 @@ func Recover(fs FS, dir string, from uint64, strict bool) (*RecoverResult, error
 	return res, nil
 }
 
-// Cut removes every record from seq from on from the end of the log in
-// dir, which Recover has repaired: segments that start at or past from
-// are deleted (and the deletion made durable), and the segment holding
-// from is truncated just before it. A no-op when the log ends before
-// from. The truncation is made durable by the next NewWriter, which
-// fsyncs the newest segment before it creates its own.
-func Cut(fs FS, dir string, from uint64) error {
-	segs, err := listSegments(fs, dir)
-	if err != nil {
-		return err
-	}
-	n := len(segs)
-	for n > 0 && segs[n-1] >= from {
-		n--
-		if err := fs.Remove(filepath.Join(dir, segName(segs[n]))); err != nil {
-			return err
-		}
-	}
-	if n < len(segs) {
-		if err := fs.SyncDir(dir); err != nil {
-			return err
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	name := filepath.Join(dir, segName(segs[n-1]))
-	data, err := readAll(fs, name)
-	if err != nil {
-		return err
-	}
-	for off := min(int64(len(data)), segHdrLen); ; {
-		rec, adv, kind, _ := parseRecord(data[off:], name, off)
-		if kind != faultNone {
-			return nil
-		}
-		if rec.Seq >= from {
-			return fs.Truncate(name, off)
-		}
-		off += int64(adv)
-	}
-}
-
-// fault handles a non-torn fault at offset off of segment segs[0]:
+// fault handles a non-torn fault at offset off of segment segs[0], in a
+// record n bytes long (0 when its length prefix is implausible), or in
+// segs[0] as a whole (off -1: its header or its place in the chain):
 // strict mode propagates ferr; lenient mode deletes everything from the
 // fault on (the rest of the faulted segment and all later segments),
-// counts the structurally parseable records it discarded, and returns nil
-// so recovery lands on the verified prefix.
-func (res *RecoverResult) fault(fs FS, dir string, segs []uint64, name string, off int64, keep int, strict bool, ferr *CorruptError) error {
+// counts the faulted record and the structurally parseable records it
+// discarded, and returns nil so recovery lands on the verified prefix.
+// Nothing can resync past an implausible length, so such a fault counts
+// 1 there.
+func (res *RecoverResult) fault(fs FS, dir string, segs []uint64, off int64, n, keep int, strict bool, ferr *CorruptError) error {
 	if strict {
 		return ferr
 	}
@@ -193,7 +154,7 @@ func (res *RecoverResult) fault(fs FS, dir string, segs []uint64, name string, o
 		segPath := filepath.Join(dir, segName(first))
 		if i == 0 && off >= 0 {
 			if data, err := readAll(fs, segPath); err == nil && off <= int64(len(data)) {
-				dropped += max(1, countParseable(data[off:]))
+				dropped += 1 + countParseable(data[off+int64(n):])
 			}
 			if err := truncateAt(fs, segPath, off, keep); err != nil {
 				return err
@@ -226,8 +187,10 @@ func validSegHeader(data []byte) bool {
 // parseRecord decodes one record at buf[0:]; name and off only label
 // errors. Torn faults (bytes missing) and corrupt faults (bytes present
 // but invalid) are distinguished so the caller can tell a crash artifact
-// from bit rot. A corrupt fault carries a non-nil *CorruptError; a seq
-// check is left to the caller (the record decodes fine in isolation).
+// from bit rot. A corrupt fault carries a non-nil *CorruptError, and a
+// checksum fault the record's length, so the caller can count the
+// records past it; a seq check is left to the caller (the record decodes
+// fine in isolation).
 func parseRecord(buf []byte, name string, off int64) (Record, int, faultKind, *CorruptError) {
 	if len(buf) == 0 {
 		return Record{}, 0, faultEOF, nil
@@ -250,7 +213,7 @@ func parseRecord(buf []byte, name string, off int64) (Record, int, faultKind, *C
 	crc := crc32.Update(0, castagnoli, buf[4:12])
 	crc = crc32.Update(crc, castagnoli, buf[recHdrLen:total])
 	if crc != want {
-		return Record{}, 0, faultCorrupt, &CorruptError{Path: name, Offset: off,
+		return Record{}, total, faultCorrupt, &CorruptError{Path: name, Offset: off,
 			Reason: fmt.Sprintf("record checksum mismatch: computed %08x, stored %08x", crc, want)}
 	}
 	return Record{Seq: seq, Payload: buf[recHdrLen:total:total]}, total, faultNone, nil

@@ -100,11 +100,11 @@ func HasState(fs FS, dir string) (bool, error) {
 // concurrent use; the durable embedder serializes appends. Each
 // record's write and fsync run on a helper goroutine (see Append), one
 // record at a time: every method first waits for the record in flight.
-// Any error from the filesystem poisons the writer — every later call
+// Any error from the filesystem poisons the writer — every later Append
 // returns the same error — because a partially written record makes the
-// tail position untrustworthy; the failed record is first cut back out,
-// best effort (see fail). Recovery (a fresh Recover + NewWriter) is
-// the only way forward, mirroring a process restart.
+// tail position untrustworthy; the failed record is cut back out (see
+// fail and Close). Recovery (a fresh Recover + NewWriter) is the only way
+// forward, mirroring a process restart.
 type Writer struct {
 	fs   FS
 	dir  string
@@ -141,11 +141,10 @@ func (p *Pending) Wait() (uint64, error) {
 // zero-record tail segment removed — the new segment's name is derived
 // from nextSeq and must not collide with a live one. Before creating it,
 // NewWriter fsyncs the newest segment already in dir: a record a crash
-// left written but never fsynced, or a truncation by Recover or Cut, is
-// durable before any record follows it, so a power loss cannot take it
-// and leave a broken sequence chain behind. met receives the writer's
-// durability counters: pass the same instance across writer re-creations
-// to accumulate over the log's lifetime.
+// left written but never fsynced, or a truncation by Recover or by a
+// poisoned writer's Close, is durable before any record follows it, so a
+// power loss cannot take it and leave a broken sequence chain behind.
+// met receives the writer's durability counters.
 func NewWriter(fs FS, dir string, nextSeq uint64, met *Metrics) (*Writer, error) {
 	w := &Writer{fs: fs, dir: dir, met: met, next: nextSeq}
 	if err := w.syncNewest(); err != nil {
@@ -283,8 +282,7 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 // after cutting the segment back to that record's start: a record whose
 // write or fsync failed must not be replayed by a later Open, since a
 // retried fsync after a failed one proves nothing. The cut is best
-// effort and err is returned whatever it does; a record a failed cut
-// leaves behind is cut by the durable layer's Reopen (Cut).
+// effort and err is returned whatever it does; Close retries it.
 func (w *Writer) fail(err error) error {
 	_ = w.fs.Truncate(w.name, w.size)
 	w.err = err
@@ -320,19 +318,18 @@ func (w *Writer) NextSeq() uint64 {
 	return w.next
 }
 
-// Close waits for the record in flight, then fsyncs and closes the
-// current segment. The writer is unusable afterwards.
+// Close waits for the record in flight and closes the current segment,
+// with no fsync: openSegment fsynced its header and append each record.
+// On a poisoned writer it retries fail's cut, which a full disk may have
+// failed, and returns the cut's error or nil; the next NewWriter makes
+// the cut durable. The writer is unusable afterwards.
 func (w *Writer) Close() error {
 	w.settle()
 	if w.err != nil {
 		w.f.Close()
-		return w.err
+		return w.fs.Truncate(w.name, w.size)
 	}
 	w.err = fmt.Errorf("wal: writer closed")
-	if err := syncTimed(w.f, w.met); err != nil {
-		w.f.Close()
-		return err
-	}
 	return w.f.Close()
 }
 

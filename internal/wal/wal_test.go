@@ -199,39 +199,6 @@ func TestRecoverRemovesEmptyLastSegment(t *testing.T) {
 	}
 }
 
-// TestCut: Cut drops every record from a seq on, across segments — the
-// segments starting at or past it are deleted, the one holding it is
-// truncated — and a writer resumes at that seq.
-func TestCut(t *testing.T) {
-	for _, from := range []uint64{1, 2, 4, 5, 21, 30} {
-		t.Run(fmt.Sprint(from), func(t *testing.T) {
-			dir := t.TempDir()
-			writeLog(t, dir, 20, 3) // a segment every 3 records
-			if err := Cut(OS, dir, from); err != nil {
-				t.Fatal(err)
-			}
-			res, err := Recover(OS, dir, 0, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept := int(min(from-1, 20))
-			checkRecords(t, res.Records, kept)
-			w, err := NewWriter(OS, dir, uint64(kept+1), &Metrics{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustAppend(t, w, payloadFor(kept))
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if res, err = Recover(OS, dir, 0, true); err != nil {
-				t.Fatal(err)
-			}
-			checkRecords(t, res.Records, kept+1)
-		})
-	}
-}
-
 // lastSegment returns the path of the newest segment file.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
@@ -316,8 +283,9 @@ func TestBitFlipLenientTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecords(t, res.Records, 2)
-	if res.Dropped == 0 || res.DropReason == "" {
-		t.Fatalf("lenient recovery dropped %d (%q), want a reported loss", res.Dropped, res.DropReason)
+	// The faulted record and the five whole ones after it are cut.
+	if res.Dropped != 6 || res.DropReason == "" {
+		t.Fatalf("lenient recovery dropped %d (%q), want 6 records reported", res.Dropped, res.DropReason)
 	}
 	// The surviving prefix must be a valid log a writer can resume.
 	w, err := NewWriter(OS, dir, 3, &Metrics{})
@@ -335,33 +303,38 @@ func TestBitFlipLenientTruncates(t *testing.T) {
 	checkRecords(t, res.Records, 3)
 }
 
+// TestDamagedMiddleSegment damages the second segment, in its first
+// record or in its header: lenient recovery keeps the first segment and
+// counts every record it cuts.
 func TestDamagedMiddleSegment(t *testing.T) {
-	dir := t.TempDir()
-	writeLog(t, dir, 20, 3)
-	segs, err := listSegments(OS, dir)
-	if err != nil || len(segs) < 3 {
-		t.Fatalf("need ≥3 segments, got %d (%v)", len(segs), err)
-	}
-	mid := filepath.Join(dir, segName(segs[1]))
-	flipByteAt(t, mid, segHdrLen+recHdrLen+1)
-	if _, err := Recover(OS, dir, 0, true); err == nil {
-		t.Fatal("strict recovery accepted a damaged middle segment")
-	}
-	res, err := Recover(OS, dir, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRecords(t, res.Records, int(segs[1]-1))
-	if res.Dropped == 0 {
-		t.Fatal("lenient recovery reported no loss")
-	}
-	// Later segments must be gone: the prefix is the whole log now.
-	left, err := listSegments(OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) >= len(segs) {
-		t.Fatalf("still %d segments after truncating at segment 2 of %d", len(left), len(segs))
+	for _, tc := range []struct {
+		name string
+		off  int64
+	}{{"record", segHdrLen + recHdrLen + 1}, {"header", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLog(t, dir, 20, 3)
+			segs, err := listSegments(OS, dir)
+			if err != nil || len(segs) < 3 {
+				t.Fatalf("need ≥3 segments, got %d (%v)", len(segs), err)
+			}
+			flipByteAt(t, filepath.Join(dir, segName(segs[1])), tc.off)
+			if _, err := Recover(OS, dir, 0, true); err == nil {
+				t.Fatal("strict recovery accepted a damaged middle segment")
+			}
+			res, err := Recover(OS, dir, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecords(t, res.Records, int(segs[1]-1))
+			if want := 20 - int(segs[1]-1); res.Dropped != want {
+				t.Fatalf("lenient recovery dropped %d records, want %d", res.Dropped, want)
+			}
+			// Later segments must be gone: the prefix is the whole log now.
+			if left, err := listSegments(OS, dir); err != nil || len(left) != 1 {
+				t.Fatalf("segments %v (%v) after truncating at segment 2, want the first alone", left, err)
+			}
+		})
 	}
 }
 
@@ -605,10 +578,12 @@ func TestNextSeqAdvancesOnlyAfterSync(t *testing.T) {
 }
 
 // TestFailedSyncPoisonsWriter: a failed record fsync assigns no seq, and
-// every later call of the writer returns that same error.
+// every later append of the writer returns that same error. Close cuts
+// the failed record out and reports the cut, which succeeds here.
 func TestFailedSyncPoisonsWriter(t *testing.T) {
 	fsys := &hookFS{FS: OS}
-	w, err := NewWriter(fsys, t.TempDir(), 1, &Metrics{})
+	dir := t.TempDir()
+	w, err := NewWriter(fsys, dir, 1, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,15 +603,20 @@ func TestFailedSyncPoisonsWriter(t *testing.T) {
 	if got := w.NextSeq(); got != 2 {
 		t.Fatalf("NextSeq on the poisoned writer = %d, want 2", got)
 	}
-	if err := w.Close(); !errors.Is(err, injected) {
-		t.Fatalf("Close on the poisoned writer: %v, want the sealing error", err)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close on the poisoned writer: %v, want its cut to succeed", err)
+	}
+	res, err := Recover(OS, dir, 0, true)
+	if err != nil || len(res.Records) != 1 {
+		t.Fatalf("Recover after the failed fsync: %d records (%v), want the one acknowledged", len(res.Records), err)
 	}
 }
 
 // TestRotationSealsBeforeNewName: the old segment's last record is fsynced
 // before the next segment's file is created, so the new name never
-// appears while the old segment's records could still be lost; the
-// rotation adds no fsync of the old segment, which holds nothing unsynced.
+// appears while the old segment's records could still be lost; neither
+// the rotation nor Close adds an fsync of a segment, which holds nothing
+// unsynced.
 func TestRotationSealsBeforeNewName(t *testing.T) {
 	var ops []string
 	fsys := &hookFS{FS: OS,
@@ -662,8 +642,7 @@ func TestRotationSealsBeforeNewName(t *testing.T) {
 		"create " + old, "sync " + old, // NewWriter: header
 		"sync " + old,                    // record 1
 		"create " + next, "sync " + next, // then the new name appears
-		"sync " + next, // record 2
-		"sync " + next, // Close
+		"sync " + next, // record 2; Close fsyncs nothing
 	}
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Fatalf("file operations\n got %v\nwant %v", ops, want)

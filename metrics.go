@@ -84,11 +84,11 @@ func durStats(h obs.HistStats) DurationStats {
 // embedders managed by a DurableEmbedder.
 type WALMetrics struct {
 	// Appends counts logged batches; AppendedBytes their on-disk record
-	// bytes. Fsyncs counts File.Sync calls (append, segment creation,
-	// close); Rotations counts segments started at a checkpoint;
-	// Checkpoints counts committed checkpoints and CheckpointFailures the
-	// commits that failed (a background one's error otherwise shows only
-	// at Close).
+	// bytes. Fsyncs counts File.Sync calls (append, segment creation, the
+	// newest segment at Open); Rotations counts segments started at a
+	// checkpoint; Checkpoints counts committed checkpoints and
+	// CheckpointFailures the commits that failed (a background one's
+	// error otherwise shows only at Close).
 	Appends, AppendedBytes, Fsyncs, Rotations, Checkpoints, CheckpointFailures uint64
 	// Append spans whole WAL appends (their fsync included), Fsync
 	// the fsync calls alone, SyncWait the part of a batch's append its
@@ -167,7 +167,6 @@ type durableMetrics struct {
 	ckptNanos    obs.Histogram
 	degraded     obs.Gauge // 1 while sealed read-only, else 0
 	seals        obs.Counter
-	reopens      obs.Counter
 }
 
 // ageNanos returns nanoseconds since the last snapshot publish (0 before
@@ -269,8 +268,6 @@ func (e *Embedder) registerDurable(dm *durableMetrics) {
 		"1 while the durable embedder is sealed read-only after a WAL I/O failure", &dm.degraded)
 	r.Counter("treesvd_degraded_seals_total", "transitions",
 		"Transitions into read-only degraded mode", &dm.seals)
-	r.Counter("treesvd_degraded_reopens_total", "transitions",
-		"Successful Reopen calls restoring ingest after degraded mode", &dm.reopens)
 }
 
 // Metrics returns a point-in-time view of the pipeline's cumulative work

@@ -7,9 +7,9 @@ import (
 )
 
 // degrader is implemented by *treesvd.DurableEmbedder: a non-nil
-// Degraded() means ingest is sealed read-only (see the degraded-mode
-// contract there). A plain *treesvd.Embedder has no durability to lose
-// and never degrades.
+// Degraded() means ingest is sealed read-only until the store is closed
+// and reopened (see the degraded-mode contract there). A plain
+// *treesvd.Embedder has no durability to lose and never degrades.
 type degrader interface {
 	Degraded() error
 }

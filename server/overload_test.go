@@ -249,7 +249,8 @@ func TestHealthAndReadiness(t *testing.T) {
 // TestDegradedEndToEnd drives the whole degradation story over HTTP: a
 // disk-full WAL append seals the durable embedder; ingest answers a
 // typed 503, reads keep serving, /readyz reports degraded; after the
-// operator clears the fault and calls Reopen, everything recovers.
+// operator clears the fault and restarts (Close, then Open, then a new
+// server), the failed batch is ingested again.
 func TestDegradedEndToEnd(t *testing.T) {
 	g := buildGraph(rand.New(rand.NewSource(11)), 40, 160)
 	cfg := treesvd.DurableConfig{Config: treesvd.Config{Dim: 4, MaxNodes: 256}}
@@ -265,16 +266,21 @@ func TestDegradedEndToEnd(t *testing.T) {
 	d0.Close()
 
 	ffs := faultfs.Wrap(wal.OS, faultfs.Plan{FailAt: createOps + 1, Mode: faultfs.DiskFull})
-	d, err := treesvd.CreateWithFS(ffs, t.TempDir(), g.Clone(), testSubset, cfg)
+	dir := t.TempDir()
+	d, err := treesvd.CreateWithFS(ffs, dir, g.Clone(), testSubset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	srv := server.New(d, server.Options{})
+	defer func() { // the server and store current at exit: the restarted ones once restarted
+		srv.Shutdown(context.Background())
+		if d != nil {
+			d.Close()
+		}
+	}()
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Shutdown(context.Background())
 	c := client.New(srv.URL(), client.WithRetries(0))
 	ctx := context.Background()
 
@@ -309,18 +315,29 @@ func TestDegradedEndToEnd(t *testing.T) {
 		t.Fatalf("readyz = %d %+v, want 503 degraded with a reason", resp.StatusCode, dto)
 	}
 
-	// Operator runbook: free space, Reopen, back in business.
-	ffs.Clear()
-	if err := d.Reopen(); err != nil {
-		t.Fatalf("Reopen: %v", err)
+	// Operator runbook: free space, restart, resend the failed batch.
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
+	ffs.Clear()
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d, err = treesvd.Open(dir, cfg); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	srv = server.New(d, server.Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c = client.New(srv.URL(), client.WithRetries(0))
 	if resp, err := http.Get(srv.URL() + "/readyz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz after Reopen: %v %v", resp.StatusCode, err)
+		t.Fatalf("readyz after the restart: %v %v", resp, err)
 	} else {
 		resp.Body.Close()
 	}
 	if _, err := c.ApplyEvents(ctx, batch); err != nil {
-		t.Fatalf("ingest after Reopen: %v", err)
+		t.Fatalf("ingest after the restart: %v", err)
 	}
 }
 

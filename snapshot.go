@@ -306,13 +306,6 @@ func dot(a, b []float64) float64 {
 // snapshot and publishes it. Caller holds e.mu; the tree must be built.
 func (e *Embedder) publishLocked() { e.storeSnapshotLocked(e.buildSnapshotLocked()) }
 
-// publish is publishLocked for a caller that does not hold e.mu.
-func (e *Embedder) publish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.publishLocked()
-}
-
 // buildSnapshotLocked freezes the current pipeline state into a new
 // immutable snapshot, which nobody can read until storeSnapshotLocked
 // publishes it. Caller holds e.mu; the tree must be built.
