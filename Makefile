@@ -8,7 +8,7 @@
 # correctness harness, ten seconds of coverage fuzzing on each decoder of
 # untrusted bytes, the fault-injection crash matrix of the durable
 # wrapper, the chaos suite, the doc tests, and one-iteration smokes of the
-# apply, recommend and repair benchmarks. Serving latency is measured by
+# apply, save/load, recommend and repair benchmarks. Serving latency is measured by
 # the benchmark's serve-mixed workload (bash benchmark/run.sh --workload
 # serve-mixed), not here.
 
@@ -21,9 +21,9 @@ FUZZTIME ?= 10s
 # driven through the differential harness (internal/check).
 SEEDS ?= 16
 
-.PHONY: ci vet cross build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-recommend-short bench-repair-short serve-race fmt docs lines
+.PHONY: ci vet cross build bench-module test race differential crash chaos fuzz fuzz-decoders bench bench-kernels bench-apply-short bench-save-short bench-recommend-short bench-repair-short serve-race fmt docs lines
 
-ci: fmt vet cross build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-recommend-short bench-repair-short
+ci: fmt vet cross build bench-module test race differential fuzz-decoders crash chaos docs bench-apply-short bench-save-short bench-recommend-short bench-repair-short
 
 vet:
 	$(GO) vet ./...
@@ -105,21 +105,22 @@ chaos:
 	$(GO) test -race -count=1 -run TestDiskFullDegradedReopen .
 
 # Coverage-guided fuzzing of the decoders that read bytes the process did
-# not write: the event-stream parser, the proximity matrix's gob codec,
+# not write: the event-stream parser, the proximity matrix's saved form,
 # the serving layer's binary frames and their payload decoders (what
 # decodes must re-encode to the same value), the WAL's segment recovery
 # and checkpoint reader (what is accepted must re-encode to its bytes),
 # graph.DecodeEvents (the 9-byte event form of WAL records and event
-# frames; FuzzRecover and FuzzReadFrame both cover it), the graph's gob
-# decoder (an error, or a graph whose every edge deletes cleanly),
-# the tree snapshot's decoder on its own (RestoreTree: an error, or a tree
-# that passes its shape audit and takes an Update), one PPR state's
-# decoder behind RestoreSubset (an error, or a state whose keys, membership
-# and values pass check.PPRState, that re-encodes to the same bytes and
-# takes a Repair), and Load — the whole
-# save format, graph and PPR-state gob decoders included, behind a
-# re-sealed checksum (a decode returns an error or a value that passes its
-# audit, never a panic). go test takes one -fuzz target per run. Minimizing a new input
+# frames; FuzzRecover and FuzzReadFrame both cover it), the graph's saved
+# form (an error, or a graph whose every edge deletes cleanly), the tree
+# snapshot's on its own (DecodeTreeSnapshot then RestoreTree: an error, or
+# a tree that passes its shape audit and takes an Update), one PPR state's
+# behind RestoreSubset (an error, or a state whose keys, membership and
+# values pass check.PPRState, that re-encodes to the same bytes and takes
+# a Repair), and Load — the whole save format, every part's column codec
+# included, behind a re-sealed checksum (a decode returns an error or a
+# value that passes its audit, never a panic). Three fuzzers keep the
+# "Gob" names they had when those parts were gob. go test takes one -fuzz
+# target per run. Minimizing a new input
 # is capped well below the budget — the seeds are kilobytes long and the
 # default cap (60s) would spend the whole run shrinking the first find.
 fuzz-decoders:
@@ -153,6 +154,13 @@ bench-kernels:
 # first-read-us). For numbers: -benchtime 300x -count 5.
 bench-apply-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyEvents$$' -benchtime 1x .
+
+# Smoke for `make ci`: one iteration of BenchmarkSave and BenchmarkLoad
+# (the save a checkpoint captures, and the Load a recovery starts from,
+# at the system benchmark's shape; ms/op, B/op and save-bytes). For
+# numbers: -benchtime 20x -count 5.
+bench-save-short:
+	$(GO) test -run '^$$' -bench 'Benchmark(Save|Load)$$' -benchtime 1x .
 
 # Smoke for `make ci`: one iteration of the fresh/warm Recommend
 # benchmarks on both sides of the nnz(M) = n·d crossover (DESIGN.md §5),

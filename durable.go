@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/tree-svd/treesvd/internal/graph"
+	"github.com/tree-svd/treesvd/internal/obs"
 	"github.com/tree-svd/treesvd/internal/wal"
 )
 
@@ -386,7 +387,7 @@ func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int,
 		return 0, err
 	}
 	d.sinceCkpt++
-	if err := d.maybeCheckpointLocked(seq); err != nil {
+	if err := d.maybeCheckpointLocked(ctx, seq); err != nil {
 		return rebuilt, err
 	}
 	return rebuilt, nil
@@ -424,7 +425,7 @@ func (d *DurableEmbedder) Degraded() error {
 // maybeCheckpointLocked takes the periodic checkpoint. Caller holds d.mu
 // and has just acknowledged batch seq, so memory equals the log (the
 // embedder is not degraded).
-func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
+func (d *DurableEmbedder) maybeCheckpointLocked(ctx context.Context, seq uint64) error {
 	if d.cfg.CheckpointEvery < 0 || d.sinceCkpt < d.cfg.CheckpointEvery {
 		return nil
 	}
@@ -437,10 +438,10 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	if busy {
 		return nil // one in flight; the next batch re-triggers
 	}
-	// Capture the state synchronously — saveBytes takes e.mu, which is
-	// free here — so the checkpoint is exactly the state after batch seq;
-	// only the file I/O runs in the background.
-	payload, err := d.e.saveBytes()
+	// Capture the state synchronously, so the checkpoint is exactly the
+	// state after batch seq; only the file I/O runs in the background. The
+	// capture is the part of a checkpoint the calling batch waits for.
+	payload, err := d.captureLocked(ctx)
 	if err != nil {
 		d.ckptMu.Lock()
 		d.ckptBusy = false
@@ -463,11 +464,20 @@ func (d *DurableEmbedder) maybeCheckpointLocked(seq uint64) error {
 	return nil
 }
 
+// captureLocked is a checkpoint's synchronous save of the state, timed
+// as the checkpoint.capture row of treesvd_stage_nanos. saveBytes takes
+// e.mu, which is free here. Caller holds d.mu.
+func (d *DurableEmbedder) captureLocked(ctx context.Context) (payload []byte, err error) {
+	dur := obs.StageCheckpointCapture.Do(ctx, func() { payload, err = d.e.saveBytes() })
+	d.e.met.stages[obs.StageCheckpointCapture].Observe(int64(dur))
+	return payload, err
+}
+
 // checkpointLocked takes a synchronous checkpoint of the state after
 // batch seq. Caller holds d.mu.
 func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 	d.ckptWG.Wait() // never two checkpoint writers at once
-	payload, err := d.e.saveBytes()
+	payload, err := d.captureLocked(context.Background())
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,11 @@
 package check
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"github.com/tree-svd/treesvd/internal/column"
 	"github.com/tree-svd/treesvd/internal/graph"
 	"github.com/tree-svd/treesvd/internal/ppr"
 )
@@ -40,13 +39,31 @@ func TestPPRAuditorsAcceptHealthyState(t *testing.T) {
 	}
 }
 
-// wireState mirrors ppr.State's wire form (gob matches fields by name), so
-// a test can edit a state the way a damaged file would without a setter.
+// wireState mirrors ppr.State's saved layout, so a test can edit a state
+// the way a damaged file would without a setter.
 type wireState struct {
 	Source              int32
 	Dir                 uint8
 	PKeys, RKeys, TKeys []int32
 	PVals, RVals        []float64
+}
+
+// readWireState reads a saved state's columns.
+func readWireState(b []byte) (wireState, error) {
+	r := column.NewReader(b)
+	w := wireState{Source: r.Int32(), Dir: r.Byte()}
+	w.PKeys, w.PVals, w.RKeys, w.RVals, w.TKeys = r.Int32s(), r.Float64s(), r.Int32s(), r.Float64s(), r.Int32s()
+	return w, r.Done()
+}
+
+// encode lays w out as ppr.State.AppendEncoded does.
+func (w wireState) encode() []byte {
+	b := append(column.AppendUint32(nil, uint32(w.Source)), w.Dir)
+	b = column.AppendInt32s(b, w.PKeys)
+	b = column.AppendFloat64s(b, w.PVals)
+	b = column.AppendInt32s(b, w.RKeys)
+	b = column.AppendFloat64s(b, w.RVals)
+	return column.AppendInt32s(b, w.TKeys)
 }
 
 // addAt adds delta to the value stored under key k, appending k if absent.
@@ -69,22 +86,14 @@ func TestPPRExactDetectsEstimateDrift(t *testing.T) {
 	st := sub.Fwd[0]
 	// Move estimate mass between two nodes: Σp unchanged, residues
 	// untouched — PPRState accepts, the exact audit must not.
-	raw, err := st.GobEncode()
+	w, err := readWireState(st.AppendEncoded(nil))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var w wireState
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 		t.Fatal(err)
 	}
 	addAt(&w.PKeys, &w.PVals, st.Source, -5e-3)
 	addAt(&w.PKeys, &w.PVals, (st.Source+1)%20, 5e-3)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
-	}
-	drifted := new(ppr.State)
-	if err := drifted.GobDecode(buf.Bytes()); err != nil {
+	drifted, err := ppr.DecodeState(w.encode())
+	if err != nil {
 		t.Fatal(err)
 	}
 	sub.Fwd[0] = drifted

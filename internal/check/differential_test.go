@@ -22,7 +22,7 @@
 //   - a shadow core.Tree over the same proximity matrix at d = |S|/2 must
 //     pass core.Tree.Certify (the certificate, every node at every level) and
 //     stay under a measured ceiling on its error over the optimal rank-d
-//     error (check.Optimality); restored from a gob round trip of its
+//     error (check.Optimality); restored from a save round trip of its
 //     snapshot mid-stream, it must track an un-restored twin bit for bit.
 //
 // Batches also interleave a poisoned batch (node id beyond MaxNodes) that
@@ -34,7 +34,6 @@ package check_test
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"math"
 	"os"
 	"slices"
@@ -220,7 +219,7 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 	// on the system benchmark's blocks.
 	//
 	// At the batch where the embedder saves and loads, the shadow tree is
-	// replaced by a gob round trip of its snapshot, certified at once, and
+	// replaced by a save round trip of its snapshot, certified at once, and
 	// the stream continues on it. The twin, a second shadow pipeline whose
 	// tree is never restored, must then hold the same root bits to the end.
 	shadowCfg := core.Config{Rank: len(subset) / 2, Branch: cfg.Branch, Levels: cfg.Levels, Delta: delta, Seed: cfg.Seed}
@@ -438,19 +437,15 @@ func runDifferentialSeed(t *testing.T, seed int64, batches int) {
 	}
 }
 
-// restoreTree round-trips tr through Snapshot, gob and RestoreTree over
-// p's matrix, as a save and load of the tree alone would.
+// restoreTree round-trips tr through Snapshot, its saved form and
+// RestoreTree over p's matrix, as a save and load of the tree alone would.
 func restoreTree(t *testing.T, tr *core.Tree, p *ppr.Proximity, cfg core.Config) *core.Tree {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr.Snapshot()); err != nil {
+	snap, err := core.DecodeTreeSnapshot(tr.Snapshot().AppendEncoded(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var snap core.TreeSnapshot
-	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.RestoreTree(p.M, cfg, &snap)
+	restored, err := core.RestoreTree(p.M, cfg, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

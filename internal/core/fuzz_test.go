@@ -2,10 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tree-svd/treesvd/internal/linalg"
@@ -29,17 +29,11 @@ func fuzzMatrix() *sparse.DynRow {
 	return m
 }
 
-// encodeSnapshot is the gob form of a tree snapshot.
-func encodeSnapshot(t testing.TB, snap *TreeSnapshot) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// encodeSnapshot is the saved form of a tree snapshot.
+func encodeSnapshot(_ testing.TB, snap *TreeSnapshot) []byte { return snap.AppendEncoded(nil) }
 
-// FuzzRestoreTree is the tree decoder's property on its own: for any gob
-// bytes that decode to a TreeSnapshot, RestoreTree over fuzzMatrix
+// FuzzRestoreTree is the tree decoder's property on its own: for any
+// bytes that DecodeTreeSnapshot reads, RestoreTree over fuzzMatrix
 // returns an error or a tree that passes AuditShapes and survives an
 // Update that re-factors block 0 and merges its ancestors over the
 // restored nodes — never a panic or an error. The seeds are an unbuilt
@@ -82,12 +76,15 @@ func FuzzRestoreTree(f *testing.F) {
 		f.Add(encodeSnapshot(f, snap))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap TreeSnapshot
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&snap) != nil {
+		snap, err := DecodeTreeSnapshot(data)
+		if err != nil {
 			return
 		}
+		if !bytes.Equal(snap.AppendEncoded(nil), data) || snap.EncodedLen() != len(data) {
+			t.Fatal("a decoded snapshot does not encode back to its bytes")
+		}
 		m := fuzzMatrix()
-		tr, err := RestoreTree(m, fuzzConfig, &snap)
+		tr, err := RestoreTree(m, fuzzConfig, snap)
 		if err != nil {
 			return
 		}
@@ -116,4 +113,37 @@ func widenNode(n *SavedNode, cols int) {
 		}
 	}
 	n.U, n.S = u, s
+}
+
+// TestDecodeTreeSnapshotRefusesBadFraming: a count that runs past the
+// bytes behind it, a truncated snapshot, bytes after its last column, a
+// matrix whose shape disagrees with its values and an unknown matrix tag
+// are refused before anything is sized from them.
+func TestDecodeTreeSnapshotRefusesBadFraming(t *testing.T) {
+	tr := mustCore(NewTree(fuzzMatrix(), fuzzConfig))
+	must0t(tr.Build(bgt))
+	clean := encodeSnapshot(t, tr.Snapshot())
+	past := slices.Clone(clean)
+	past[9+7] = 0x7f // the top byte of the level count, after Seq and Built
+	snap := tr.Snapshot()
+	n := &snap.Levels[0][0]
+	u := *n.U
+	u.Rows++
+	n.U = &u
+	tag := slices.Clone(clean)
+	tag[9+8+8] = 2 // the first node's U tag, after the level and node counts
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"count past the end": {past, "column: "},
+		"truncated":          {clean[:len(clean)-1], "column: "},
+		"trailing bytes":     {append(slices.Clone(clean), 0), "column: "},
+		"shape over values":  {encodeSnapshot(t, snap), "matrix over"},
+		"matrix tag":         {tag, "matrix tag 2"},
+	} {
+		if _, err := DecodeTreeSnapshot(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeTreeSnapshot = %v, want an error containing %q", name, err, tc.want)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/tree-svd/treesvd/internal/column"
 	"github.com/tree-svd/treesvd/internal/linalg"
 	"github.com/tree-svd/treesvd/internal/sparse"
 )
@@ -42,6 +43,119 @@ func (t *Tree) Snapshot() *TreeSnapshot {
 		}
 	}
 	return snap
+}
+
+// A snapshot's saved form, in column's little-endian layout:
+//
+//	int64 Seq | byte Built | count, then per level: count, then per node:
+//	    U | S | P | float64 Tail
+//
+// where a matrix is a byte, 0 for none, else 1 and then int32 Rows |
+// int32 Cols | Data in row-major order.
+
+// minNodeLen is the size of the smallest saved node: no U, no S, no P.
+const minNodeLen = 1 + column.CountLen + 1 + 8
+
+// denseLen is the size of a saved matrix.
+func denseLen(d *linalg.Dense) int {
+	if d == nil {
+		return 1
+	}
+	return 9 + column.Float64sLen(len(d.Data))
+}
+
+// EncodedLen is the size of the snapshot's saved form.
+func (s *TreeSnapshot) EncodedLen() int {
+	n := 9 + column.CountLen
+	for _, level := range s.Levels {
+		n += column.CountLen
+		for _, nd := range level {
+			n += denseLen(nd.U) + column.Float64sLen(len(nd.S)) + denseLen(nd.P) + 8
+		}
+	}
+	return n
+}
+
+// AppendEncoded appends the snapshot's saved form to b.
+func (s *TreeSnapshot) AppendEncoded(b []byte) []byte {
+	b = column.AppendUint64(b, uint64(s.Seq))
+	built := byte(0)
+	if s.Built {
+		built = 1
+	}
+	b = append(b, built)
+	b = column.AppendUint64(b, uint64(len(s.Levels)))
+	for _, level := range s.Levels {
+		b = column.AppendUint64(b, uint64(len(level)))
+		for _, nd := range level {
+			b = appendDense(b, nd.U)
+			b = column.AppendFloat64s(b, nd.S)
+			b = appendDense(b, nd.P)
+			b = column.AppendFloat64(b, nd.Tail)
+		}
+	}
+	return b
+}
+
+func appendDense(b []byte, d *linalg.Dense) []byte {
+	if d == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = column.AppendUint32(b, uint32(d.Rows))
+	b = column.AppendUint32(b, uint32(d.Cols))
+	return column.AppendFloat64s(b, d.Data)
+}
+
+// DecodeTreeSnapshot reads a snapshot from its saved form. It checks the
+// layout only — every count against the bytes behind it, every matrix's
+// shape against its values; RestoreTree checks the nodes against the
+// matrix and the tree's geometry.
+func DecodeTreeSnapshot(data []byte) (*TreeSnapshot, error) {
+	r := column.NewReader(data)
+	s := &TreeSnapshot{Seq: int64(r.Uint64())}
+	built := r.Byte()
+	s.Levels = make([][]SavedNode, r.Count(column.CountLen))
+	var err error
+	for l := range s.Levels {
+		s.Levels[l] = make([]SavedNode, r.Count(minNodeLen))
+		for j := range s.Levels[l] {
+			nd := &s.Levels[l][j]
+			if nd.U, err = readDense(r); err != nil {
+				return nil, err
+			}
+			nd.S = r.Float64s()
+			if nd.P, err = readDense(r); err != nil {
+				return nil, err
+			}
+			nd.Tail = r.Float64()
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: decode snapshot: %w", err)
+	}
+	if built > 1 {
+		return nil, fmt.Errorf("core: decode snapshot: built flag %d", built)
+	}
+	s.Built = built == 1
+	return s, nil
+}
+
+// readDense reads one saved matrix. It reports a bad tag or shape; a
+// framing error stays with r.
+func readDense(r *column.Reader) (*linalg.Dense, error) {
+	switch tag := r.Byte(); {
+	case r.Err() != nil || tag == 0:
+		return nil, nil
+	case tag != 1:
+		return nil, fmt.Errorf("core: decode snapshot: matrix tag %d", tag)
+	}
+	d := &linalg.Dense{Rows: int(r.Int32()), Cols: int(r.Int32())}
+	d.Data = r.Float64s()
+	if r.Err() == nil && (d.Rows < 0 || d.Cols < 0 || d.Rows*d.Cols != len(d.Data)) {
+		return nil, fmt.Errorf("core: decode snapshot: %d×%d matrix over %d values", d.Rows, d.Cols, len(d.Data))
+	}
+	return d, nil
 }
 
 // RestoreTree rebuilds a Tree over matrix m from a snapshot taken with the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -394,7 +395,17 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	fillLowRank(rng, m, 4, 0.05, 0.7)
 	tr := mustCore(NewTree(m, cfg))
 	must0t(tr.Build(bgt))
-	snap := tr.Snapshot()
+	data := tr.Snapshot().AppendEncoded(nil)
+	if n := tr.Snapshot().EncodedLen(); len(data) != n {
+		t.Fatalf("encoded %d bytes, EncodedLen says %d", len(data), n)
+	}
+	snap, err := DecodeTreeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.AppendEncoded(nil), data) {
+		t.Fatal("decode then encode is not the identity")
+	}
 	tr2, err := RestoreTree(m, cfg, snap)
 	if err != nil {
 		t.Fatal(err)

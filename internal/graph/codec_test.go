@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/tree-svd/treesvd/internal/column"
 )
 
 func TestGraphGobRoundTrip(t *testing.T) {
@@ -22,13 +23,16 @@ func TestGraphGobRoundTrip(t *testing.T) {
 			g.DeleteEdge(u, nbrs[rng.Intn(len(nbrs))])
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+	data := g.AppendEncoded(nil)
+	if len(data) != g.EncodedLen() {
+		t.Fatalf("encoded %d bytes, EncodedLen says %d", len(data), g.EncodedLen())
+	}
+	g2, err := Decode(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := &Graph{}
-	if err := gob.NewDecoder(&buf).Decode(g2); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(g2.AppendEncoded(nil), data) {
+		t.Fatal("decode then encode is not the identity")
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("shape mismatch: %d/%d nodes, %d/%d edges",
@@ -61,14 +65,13 @@ func TestGraphGobRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeGobGraph encodes a wire form as GobEncode would.
-func encodeGobGraph(t testing.TB, w gobGraph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
+// encodeFlat lays a flattened adjacency out as AppendEncoded does.
+func encodeFlat(w flatAdj) []byte {
+	b := column.AppendUint32(nil, uint32(w.N))
+	for _, col := range [][]int32{w.OutPtr, w.OutAdj, w.InPtr, w.InAdj} {
+		b = column.AppendInt32s(b, col)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestGobDecodeRefusesInconsistentAdjacency: in-lists that are not the
@@ -78,50 +81,93 @@ func encodeGobGraph(t testing.TB, w gobGraph) []byte {
 func TestGobDecodeRefusesInconsistentAdjacency(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		wire    gobGraph
+		wire    flatAdj
 		wantSub string
 	}{
-		{"in-list lacks an edge", gobGraph{Version: gobGraphVersion, N: 2,
+		{"in-list lacks an edge", flatAdj{N: 2,
 			OutPtr: []int32{0, 1, 1}, OutAdj: []int32{1},
 			InPtr: []int32{0, 0, 0}}, "not their transpose"},
-		{"in-list names another edge", gobGraph{Version: gobGraphVersion, N: 2,
+		{"in-list names another edge", flatAdj{N: 2,
 			OutPtr: []int32{0, 1, 1}, OutAdj: []int32{1},
 			InPtr: []int32{0, 1, 1}, InAdj: []int32{1}}, "not their transpose"},
-		{"in-list repeats an edge", gobGraph{Version: gobGraphVersion, N: 3,
+		{"in-list repeats an edge", flatAdj{N: 3,
 			OutPtr: []int32{0, 1, 1, 2}, OutAdj: []int32{1, 1},
 			InPtr: []int32{0, 0, 2, 2}, InAdj: []int32{0, 0}}, "not their transpose"},
-		{"out-list repeats an edge", gobGraph{Version: gobGraphVersion, N: 2,
+		{"out-list repeats an edge", flatAdj{N: 2,
 			OutPtr: []int32{0, 2, 2}, OutAdj: []int32{1, 1},
 			InPtr: []int32{0, 0, 2}, InAdj: []int32{0, 0}}, "repeat 1 edges"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := new(Graph).GobDecode(encodeGobGraph(t, tc.wire))
+			_, err := Decode(encodeFlat(tc.wire))
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("GobDecode = %v, want an error naming %q", err, tc.wantSub)
+				t.Fatalf("Decode = %v, want an error naming %q", err, tc.wantSub)
 			}
 		})
 	}
 }
 
-// FuzzGraphGobDecode feeds arbitrary bytes to Graph.GobDecode. It must
-// never panic, and any graph it accepts must delete every one of its
-// edges without a panic and end with none.
-func FuzzGraphGobDecode(f *testing.F) {
+// TestDecodeRefusesBadFraming: a column count that runs past the bytes
+// behind it, a truncated part and bytes after the last column are all
+// refused, before anything is sized from them.
+func TestDecodeRefusesBadFraming(t *testing.T) {
+	clean := fuzzGraph().AppendEncoded(nil)
+	past := slices.Clone(clean)
+	past[4] = 0xff // OutPtr's count, after the 4-byte node count
+	for name, data := range map[string][]byte{
+		"column past the end": past,
+		"truncated":           clean[:len(clean)-3],
+		"trailing bytes":      append(slices.Clone(clean), 0),
+	} {
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "column: ") {
+			t.Errorf("%s: Decode = %v, want a column framing error", name, err)
+		}
+	}
+}
+
+// TestDecodedListsStayApart: a decoded graph's lists are windows of one
+// decoded column, so growing one must not write into its neighbour's:
+// the same inserts and deletes on the original and the decoded graph
+// leave equal encodings.
+func TestDecodedListsStayApart(t *testing.T) {
+	g := fuzzGraph()
+	g2, err := Decode(g.AppendEncoded(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Graph{g, g2} {
+		h.DeleteEdge(0, 4)
+		for u := int32(0); int(u) < h.NumNodes(); u++ {
+			h.InsertEdge(u, (u+3)%6)
+			h.InsertEdge((u+2)%6, u)
+		}
+	}
+	if !bytes.Equal(g.AppendEncoded(nil), g2.AppendEncoded(nil)) {
+		t.Fatal("the decoded graph diverged from the original under the same edits")
+	}
+}
+
+// fuzzGraph is a small graph with a self-loop and one swap-removed edge.
+func fuzzGraph() *Graph {
 	g := New(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 0}, {2, 2}, {3, 1}, {0, 4}, {4, 5}, {5, 0}} {
 		g.InsertEdge(e[0], e[1])
 	}
 	g.DeleteEdge(0, 1)
-	clean, err := g.GobEncode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(clean)
-	f.Add(encodeGobGraph(f, gobGraph{Version: gobGraphVersion, N: 2,
+	return g
+}
+
+// FuzzGraphGobDecode feeds arbitrary bytes to Decode, the graph's saved
+// form (the name is the one the fuzzer had when that form was gob). It
+// must never panic, and any graph it accepts must delete every one of its
+// edges without a panic and end with none. The seeds are a clean graph
+// and one whose in-lists lack its edge.
+func FuzzGraphGobDecode(f *testing.F) {
+	f.Add(fuzzGraph().AppendEncoded(nil))
+	f.Add(encodeFlat(flatAdj{N: 2,
 		OutPtr: []int32{0, 1, 1}, OutAdj: []int32{1}, InPtr: []int32{0, 0, 0}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var g Graph
-		if err := g.GobDecode(data); err != nil {
+		g, err := Decode(data)
+		if err != nil {
 			return
 		}
 		for u := int32(0); int(u) < g.NumNodes(); u++ {

@@ -17,7 +17,10 @@ const StageLabel = "treesvd_stage"
 // re-factors the level-1 blocks the Eqn. 2 trigger flags, re-derives the
 // upper nodes above them, and publishes: it builds the next snapshot,
 // waits on the publish barrier (a durable batch's WAL fsync) and stores
-// the snapshot for readers.
+// the snapshot for readers. The last row, checkpoint.capture, runs
+// outside the batch's run (Do): a durable embedder's synchronous save of
+// the state for a checkpoint, after the batch it follows is acknowledged,
+// so it is in neither that batch's wall time nor its trace.
 type Stage uint8
 
 // The rows of the stage table, in order; NumStages counts them.
@@ -30,6 +33,7 @@ const (
 	StagePublishBuild
 	StagePublishWait
 	StagePublishStore
+	StageCheckpointCapture
 	NumStages
 )
 
@@ -37,7 +41,7 @@ const (
 // treesvd_stage_nanos series and their TraceEvent.Stages entries.
 var stageNames = [NumStages]string{
 	"graph.advance", "ppr.repair", "ppr.refresh", "tree.level1", "tree.merge",
-	"publish.build", "publish.wait", "publish.store",
+	"publish.build", "publish.wait", "publish.store", "checkpoint.capture",
 }
 
 // stageLabels holds each row's label set, built once so that entering a
@@ -48,6 +52,15 @@ func init() {
 	for s, name := range stageNames {
 		stageLabels[s] = pprof.WithLabels(context.Background(), pprof.Labels(StageLabel, name))
 	}
+}
+
+// Do runs f as row st outside a run of the stage table, under st's
+// StageLabel added to ctx's labels (restored after), and returns f's wall
+// time.
+func (st Stage) Do(ctx context.Context, f func()) time.Duration {
+	start := time.Now()
+	pprof.Do(ctx, pprof.Labels(StageLabel, st.String()), func(context.Context) { f() })
+	return time.Since(start)
 }
 
 // String returns the row's name.

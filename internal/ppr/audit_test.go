@@ -121,14 +121,15 @@ func TestPPRStateDetectsUnmarkedEstimate(t *testing.T) {
 	}
 }
 
-// FuzzStateGobDecode is the PPR-state decoder's property: any bytes decode
+// FuzzStateGobDecode is the PPR-state decoder's property (the name is the
+// one the fuzzer had when a state's saved form was gob): any bytes decode
 // to an error, or to a state that RestoreSubset refuses, or to one whose
 // every key is a node of the graph inside its membership set with finite
 // values and every estimate inside its estimate set, that encodes to the
 // same bytes twice and again after a round trip, and that takes one Repair
 // without a panic. Only a state that also passes the full audit is
-// repaired, as Load audits before any batch. The seeds are the wire forms
-// the decoder must refuse and two states saved mid-stream.
+// repaired, as Load audits before any batch. The seeds are the forms the
+// decoder must refuse and two states saved mid-stream.
 func FuzzStateGobDecode(f *testing.F) {
 	for _, raw := range ppr.NonCanonicalWires() {
 		f.Add(raw)
@@ -139,19 +140,15 @@ func FuzzStateGobDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, st := range []*ppr.State{live.Fwd[1], live.Rev[2]} {
-		raw, err := st.GobEncode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+		f.Add(st.AppendEncoded(nil))
 	}
 	params := live.Engine.Params
 	// At this r_max no residue can break the push invariant, so the audit
 	// refuses only broken mass accounting besides what the property bans.
 	loose := ppr.Params{Alpha: params.Alpha, RMax: math.MaxFloat64}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := new(ppr.State)
-		if st.GobDecode(data) != nil {
+		st, err := ppr.DecodeState(data)
+		if err != nil {
 			return
 		}
 		g := live.Engine.G.Clone()
@@ -168,23 +165,15 @@ func FuzzStateGobDecode(f *testing.F) {
 		if err := check.PPRState(g, loose, st); err != nil && !strings.Contains(err.Error(), "mass accounting") {
 			t.Fatalf("restored state fails its audit: %v", err)
 		}
-		once, err := st.GobEncode()
-		if err != nil {
-			t.Fatal(err)
+		once, twice := st.AppendEncoded(nil), st.AppendEncoded(nil)
+		if len(once) != st.EncodedLen() {
+			t.Fatalf("encoded %d bytes, EncodedLen says %d", len(once), st.EncodedLen())
 		}
-		twice, err := st.GobEncode()
+		again, err := ppr.DecodeState(once)
 		if err != nil {
-			t.Fatal(err)
-		}
-		again := new(ppr.State)
-		if err := again.GobDecode(once); err != nil {
 			t.Fatalf("re-encoded state does not decode: %v", err)
 		}
-		thrice, err := again.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once, twice) || !bytes.Equal(once, thrice) {
+		if !bytes.Equal(once, twice) || !bytes.Equal(once, again.AppendEncoded(nil)) {
 			t.Fatal("encoding is not a function of the state")
 		}
 		if check.PPRState(g, params, st) != nil {

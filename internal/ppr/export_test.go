@@ -1,9 +1,7 @@
 package ppr
 
 import (
-	"bytes"
-	"encoding/gob"
-
+	"github.com/tree-svd/treesvd/internal/column"
 	"github.com/tree-svd/treesvd/internal/graph"
 )
 
@@ -33,16 +31,34 @@ func Poke(st *State, u int32, p, r float64) {
 	st.tab.vals[i] = entry{p, r}
 }
 
-// NonCanonicalWires returns the encoded wire form of every state
+// stateCols is a state's saved layout as plain columns, so a test can
+// write forms no encoder emits.
+type stateCols struct {
+	Source int32
+	Dir    uint8
+	PKeys  []int32
+	PVals  []float64
+	RKeys  []int32
+	RVals  []float64
+	TKeys  []int32
+}
+
+// encode lays w out as AppendEncoded does.
+func (w stateCols) encode() []byte {
+	b := append(column.AppendUint32(nil, uint32(w.Source)), w.Dir)
+	b = column.AppendInt32s(b, w.PKeys)
+	b = column.AppendFloat64s(b, w.PVals)
+	b = column.AppendInt32s(b, w.RKeys)
+	b = column.AppendFloat64s(b, w.RVals)
+	return column.AppendInt32s(b, w.TKeys)
+}
+
+// NonCanonicalWires returns the encoded form of every state
 // TestStateGobDecodeRejectsNonCanonical feeds the decoder.
 func NonCanonicalWires() [][]byte {
 	var out [][]byte
 	for _, tc := range nonCanonical {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tc.wire); err != nil {
-			panic(err)
-		}
-		out = append(out, buf.Bytes())
+		out = append(out, tc.wire.encode())
 	}
 	return out
 }

@@ -1,8 +1,6 @@
 package ppr
 
 import (
-	"bytes"
-	"encoding/gob"
 	"maps"
 	"math/rand"
 	"testing"
@@ -28,14 +26,7 @@ func TestStateGobRoundTripBehaviour(t *testing.T) {
 	}
 	e.Push(st)
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	st2 := &State{}
-	if err := gob.NewDecoder(&buf).Decode(st2); err != nil {
-		t.Fatal(err)
-	}
+	_, st2 := roundTrip(t, st)
 
 	// Same future: identical adjustments and pushes.
 	g2 := g // shared graph; apply events once, adjust both states

@@ -2,7 +2,6 @@ package ppr
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"maps"
 	"math"
@@ -158,18 +157,19 @@ func TestRepairMatchesAdjustEverywhere(t *testing.T) {
 	}
 }
 
-// gobRoundTrip encodes v and decodes it into out.
-func gobRoundTrip(t *testing.T, v, out any) []byte {
+// roundTrip encodes st, checks the bytes against EncodedLen, and
+// decodes them.
+func roundTrip(t *testing.T, st *State) ([]byte, *State) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	raw := st.AppendEncoded(nil)
+	if len(raw) != st.EncodedLen() {
+		t.Fatalf("source %d %v: encoded %d bytes, EncodedLen says %d", st.Source, st.Dir, len(raw), st.EncodedLen())
+	}
+	out, err := DecodeState(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return raw, out
 }
 
 // TestSubsetGobRoundTripBehaviour extends TestStateGobRoundTripBehaviour
@@ -190,17 +190,18 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 	restore := func(in []*State) []*State {
 		out := make([]*State, len(in))
 		for i, st := range in {
-			out[i] = &State{}
-			raw := gobRoundTrip(t, st, out[i])
-			var again State
-			if !bytes.Equal(raw, gobRoundTrip(t, st, &again)) || !bytes.Equal(raw, gobRoundTrip(t, out[i], &again)) {
+			var raw []byte
+			raw, out[i] = roundTrip(t, st)
+			if !bytes.Equal(raw, st.AppendEncoded(nil)) || !bytes.Equal(raw, out[i].AppendEncoded(nil)) {
 				t.Fatalf("source %d %v: encoding is not deterministic", st.Source, st.Dir)
 			}
 		}
 		return out
 	}
-	m := &sparse.DynRow{}
-	gobRoundTrip(t, live.M, m)
+	m, err := sparse.DecodeDynRow(live.M.AppendEncoded(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sub, err := RestoreSubset(g.Clone(), subset, params, restore(live.Sub.Fwd), restore(live.Sub.Rev))
 	if err != nil {
 		t.Fatal(err)
@@ -225,19 +226,19 @@ func TestSubsetGobRoundTripBehaviour(t *testing.T) {
 // error the decoder must refuse it with.
 var nonCanonical = []struct {
 	name, want string
-	wire       gobState
+	wire       stateCols
 }{
-	{"duplicate estimate key", "repeats 1 of its 2 estimate keys", gobState{PKeys: []int32{3, 3}, PVals: []float64{0.1, 0.2}}},
-	{"duplicate residue key", "repeats 1 of its 3 residue keys", gobState{RKeys: []int32{5, 2, 5}, RVals: []float64{0.1, 0.2, 0.3}}},
-	{"stored zero estimate", "non-canonical estimate value 0", gobState{PKeys: []int32{3}, PVals: []float64{0}}},
-	{"stored zero residue", "non-canonical residue value 0", gobState{RKeys: []int32{3}, RVals: []float64{0}}},
-	{"infinite estimate", "non-canonical estimate value +Inf", gobState{PKeys: []int32{3}, PVals: []float64{math.Inf(1)}}},
-	{"NaN residue", "non-canonical residue value NaN", gobState{RKeys: []int32{3}, RVals: []float64{math.NaN()}}},
-	{"values shorter", "2/1 estimate keys/values", gobState{PKeys: []int32{3, 4}, PVals: []float64{0.1}}},
+	{"duplicate estimate key", "repeats 1 of its 2 estimate keys", stateCols{PKeys: []int32{3, 3}, PVals: []float64{0.1, 0.2}}},
+	{"duplicate residue key", "repeats 1 of its 3 residue keys", stateCols{RKeys: []int32{5, 2, 5}, RVals: []float64{0.1, 0.2, 0.3}}},
+	{"stored zero estimate", "non-canonical estimate value 0", stateCols{PKeys: []int32{3}, PVals: []float64{0}}},
+	{"stored zero residue", "non-canonical residue value 0", stateCols{RKeys: []int32{3}, RVals: []float64{0}}},
+	{"infinite estimate", "non-canonical estimate value +Inf", stateCols{PKeys: []int32{3}, PVals: []float64{math.Inf(1)}}},
+	{"NaN residue", "non-canonical residue value NaN", stateCols{RKeys: []int32{3}, RVals: []float64{math.NaN()}}},
+	{"values shorter", "2/1 estimate keys/values", stateCols{PKeys: []int32{3, 4}, PVals: []float64{0.1}}},
 	// -1 marks a free table slot; any negative id is refused before the
 	// table sees it.
-	{"free-slot marker as key", "negative estimate key -1", gobState{PKeys: []int32{2, -1}, PVals: []float64{0.1, 0.2}}},
-	{"negative residue key", "negative residue key -3", gobState{RKeys: []int32{-3}, RVals: []float64{0.1}}},
+	{"free-slot marker as key", "negative estimate key -1", stateCols{PKeys: []int32{2, -1}, PVals: []float64{0.1, 0.2}}},
+	{"negative residue key", "negative residue key -3", stateCols{RKeys: []int32{-3}, RVals: []float64{0.1}}},
 }
 
 // TestStateGobDecodeRejectsNonCanonical: the decoder accepts only the
@@ -247,7 +248,7 @@ var nonCanonical = []struct {
 func TestStateGobDecodeRejectsNonCanonical(t *testing.T) {
 	for i, raw := range NonCanonicalWires() {
 		tc := nonCanonical[i]
-		if err := new(State).GobDecode(raw); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := DecodeState(raw); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decoder returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -360,5 +361,26 @@ func BenchmarkRepair(b *testing.B) {
 			}
 			b.ReportMetric(float64(size)/float64(len(all)), "table_bytes/state")
 		})
+	}
+}
+
+// TestDecodeStateRefusesBadFraming: a column count that runs past the
+// bytes behind it, a truncated state and bytes after its last column are
+// refused before anything is sized from them.
+func TestDecodeStateRefusesBadFraming(t *testing.T) {
+	clean := stateCols{Source: 3, PKeys: []int32{3}, PVals: []float64{0.2}, RKeys: []int32{3, 5}, RVals: []float64{0.1, 0.3}}.encode()
+	if _, err := DecodeState(clean); err != nil {
+		t.Fatal(err)
+	}
+	past := bytes.Clone(clean)
+	past[5+7] = 0x7f // the top byte of PKeys' count, after Source and Dir
+	for name, data := range map[string][]byte{
+		"column past the end": past,
+		"truncated":           clean[:len(clean)-1],
+		"trailing bytes":      append(bytes.Clone(clean), 0),
+	} {
+		if _, err := DecodeState(data); err == nil || !strings.Contains(err.Error(), "column: ") {
+			t.Errorf("%s: DecodeState = %v, want a column framing error", name, err)
+		}
 	}
 }

@@ -372,7 +372,7 @@ func (m *DynRow) sortedBaseKeys(j int) []int64 {
 // the integer counters must match exactly. The maintained quantities feed
 // the Eqn. 2 lazy-update trigger, so drift here silently turns into missed
 // (or spurious) block rebuilds. O(nnz): the correctness harness,
-// Embedder.Audit, Load and GobDecode run it, hot paths do not.
+// Embedder.Audit, Load and DecodeDynRow run it, hot paths do not.
 func (m *DynRow) AuditRecount() error {
 	const tol = 1e-7
 	total := 0

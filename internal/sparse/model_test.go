@@ -159,7 +159,7 @@ func cloneCSR(a *CSR) *CSR {
 
 // TestDynRowToCSRIncremental runs 0–8 random writes between ToCSR calls —
 // overwrites, deletes to zero, inserts, same-value no-ops — with
-// MarkRebuilt mixed in and one gob round trip mid-stream. Every ToCSR must
+// MarkRebuilt mixed in and one save round trip mid-stream. Every ToCSR must
 // equal the model's CSR, and every CSR returned earlier must still equal
 // the copy taken when it was returned: ToCSR copies unchanged rows out of
 // its previous result, and a published matrix must never be aliased.
@@ -200,12 +200,8 @@ func TestDynRowToCSRIncremental(t *testing.T) {
 					mod.markRebuilt(m, j)
 				}
 				if step == steps/2 {
-					data, err := m.GobEncode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					m = &DynRow{}
-					if err := m.GobDecode(data); err != nil {
+					var err error
+					if m, err = DecodeDynRow(m.AppendEncoded(nil)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -325,10 +325,11 @@ func TestTraceHookOrdering(t *testing.T) {
 }
 
 // TestDurableMetricsAndTrace covers the durability slice: WAL counters,
-// the fsync wait (the stage table's publish.wait row) and the checkpoint
-// counters in Metrics().WAL and on /metrics, the publish.wait row on every
-// traced durable batch, and a reopen that replays through the table
-// without publishing per batch.
+// the fsync wait (the stage table's publish.wait row), the checkpoint
+// counters and each checkpoint's synchronous save (the checkpoint.capture
+// row, in no batch's trace) in Metrics().WAL and on /metrics, the
+// publish.wait row on every traced durable batch, and a reopen that
+// replays through the table without publishing per batch.
 func TestDurableMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	cfg := treesvd.DurableConfig{
@@ -373,6 +374,9 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 		waited := false
 		for _, st := range ev.Stages {
 			waited = waited || st.Stage == "publish.wait"
+			if st.Stage == "checkpoint.capture" {
+				t.Fatalf("durable batch %d traced the checkpoint capture that follows it", ev.Seq)
+			}
 		}
 		if !waited {
 			t.Fatalf("durable batch %d traced no publish.wait: %v", ev.Seq, ev.Stages)
@@ -387,6 +391,7 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 	for _, series := range []string{
 		"treesvd_wal_appends_total 5",
 		`treesvd_stage_nanos_count{stage="publish.wait"} 5`,
+		`treesvd_stage_nanos_count{stage="checkpoint.capture"} 2`,
 		"treesvd_checkpoints_total 2",
 		"treesvd_checkpoint_failures_total 0",
 	} {

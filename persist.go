@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"github.com/tree-svd/treesvd/internal/column"
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/graph"
+	"github.com/tree-svd/treesvd/internal/par"
 	"github.com/tree-svd/treesvd/internal/ppr"
 	"github.com/tree-svd/treesvd/internal/sparse"
 	"github.com/tree-svd/treesvd/internal/wal"
@@ -20,33 +23,110 @@ import (
 // Load, LoadFile and Open accept this version only — there is no upgrade
 // reader. Every save ends in wire's integrity footer (wire.Footer: the
 // 4-byte magic "TSV2" followed by a little-endian CRC32C of the entire
-// gob payload), so bit rot that still decodes as structurally plausible
-// gob is rejected deterministically.
-const persistVersion = 8
+// payload), so bit rot that still decodes as a structurally plausible
+// save is rejected deterministically.
+const persistVersion = 9
 
-// savedEmbedder is the gob wire form of an Embedder: configuration,
-// subset, the dynamic graph, the subset's forward/reverse PPR states, the
-// proximity matrix with its lazy-update bookkeeping, and the tree's
-// cached factorizations. Loading restores the exact maintenance state —
-// subsequent ApplyEvents behave as if the process had never restarted. A
-// durable checkpoint carries the same bytes. Config.Workers is stored as
-// 0: a save holds the state, not the machine that computed it, and the
-// worker count changes no bit of it.
-type savedEmbedder struct {
+// saveHeader opens a save's payload as a gob stream: the format version,
+// the configuration (Config.Workers stored as 0: a save holds the state,
+// not the machine that computed it, and the worker count changes no bit
+// of it) and the subset. Gob matches fields by name, so a retired Config
+// field in an older header is dropped, and the header of any earlier
+// format, whose gob stream opened with the same three fields, reads far
+// enough to be refused by its version.
+type saveHeader struct {
 	Version int
 	Config  Config
 	Subset  []int32
-	Graph   *graph.Graph
-	Fwd     []*ppr.State
-	Rev     []*ppr.State
-	M       *sparse.DynRow
-	Tree    *core.TreeSnapshot
 }
 
-// Save serializes the embedder's complete state to w: a gob payload
-// followed by the integrity footer. It takes the update lock, so it is
-// safe to call concurrently with ApplyEvents/Rebuild and always writes a
-// fully committed state.
+// savedEmbedder is an Embedder's saved state: the header, then the bulk
+// parts — the dynamic graph, the subset's forward and reverse PPR states,
+// the proximity matrix with its lazy-update bookkeeping, and the tree's
+// cached factorizations. Each part has its own codec of little-endian
+// columns in its own package (internal/column); after the header the
+// payload is
+//
+//	count of Fwd | count of Rev | graph | Fwd states | Rev states | M | tree
+//
+// each part a section behind its 8-byte length. Loading restores the
+// exact maintenance state — subsequent ApplyEvents behave as if the
+// process had never restarted. A durable checkpoint carries the same
+// bytes.
+type savedEmbedder struct {
+	saveHeader
+	Graph *graph.Graph
+	Fwd   []*ppr.State
+	Rev   []*ppr.State
+	M     *sparse.DynRow
+	Tree  *core.TreeSnapshot
+}
+
+// savedPart is one bulk part's codec.
+type savedPart interface {
+	EncodedLen() int
+	AppendEncoded([]byte) []byte
+}
+
+// parts lists the bulk parts in payload order.
+func (s *savedEmbedder) parts() []savedPart {
+	parts := make([]savedPart, 0, 3+len(s.Fwd)+len(s.Rev))
+	parts = append(parts, s.Graph)
+	for _, st := range slices.Concat(s.Fwd, s.Rev) {
+		parts = append(parts, st)
+	}
+	return append(parts, s.M, s.Tree)
+}
+
+// encode writes the save once into one buffer sized up front from the
+// parts' lengths: the header, the sections, the integrity footer. Each
+// part's place follows from the lengths before it, so workers encode the
+// parts in parallel, each straight into its place, and the bytes do not
+// depend on their number.
+func (s *savedEmbedder) encode(workers int) ([]byte, error) {
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(&s.saveHeader); err != nil {
+		return nil, fmt.Errorf("treesvd: encode: %w", err)
+	}
+	parts := s.parts()
+	lens := make([]int, len(parts))
+	if err := par.ForErr(nil, len(parts), workers, func(i int) error {
+		lens[i] = parts[i].EncodedLen()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	size := hdr.Len() + 2*column.CountLen + wire.FooterLen
+	for _, n := range lens {
+		size += column.SectionLen(n)
+	}
+	b := make([]byte, size)
+	at := copy(b, hdr.Bytes())
+	at = column.PutCount(b, at, len(s.Fwd))
+	at = column.PutCount(b, at, len(s.Rev))
+	starts := make([]int, len(parts))
+	for i, n := range lens {
+		starts[i] = column.PutCount(b, at, n)
+		at = starts[i] + n
+	}
+	err := par.ForErr(nil, len(parts), workers, func(i int) error {
+		lo, hi := starts[i], starts[i]+lens[i]
+		if n := len(parts[i].AppendEncoded(b[lo:lo:hi])); n != lens[i] {
+			return fmt.Errorf("treesvd: encode: a %T part wrote %d bytes, its EncodedLen %d", parts[i], n, lens[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	copy(b[at:], wire.Footer(b[:at]))
+	return b, nil
+}
+
+// Save serializes the embedder's complete state to w: the payload
+// savedEmbedder describes, followed by the integrity footer. It takes the
+// update lock, so it is safe to call concurrently with ApplyEvents/Rebuild
+// and always writes a fully committed state.
 //
 // Save alone is not crash-atomic: a crash mid-write leaves a truncated
 // stream that Load will reject but nothing will repair. Use SaveFile for
@@ -61,28 +141,22 @@ func (e *Embedder) Save(w io.Writer) error {
 	return err
 }
 
-// saveBytes is Save into memory: the gob payload and its footer, the
-// bytes of a SaveFile and the payload of a durable checkpoint.
+// saveBytes is Save into memory: the payload and its footer, the bytes
+// of a SaveFile and the payload of a durable checkpoint.
 func (e *Embedder) saveBytes() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cfg := e.cfg
 	cfg.Workers = 0
 	saved := savedEmbedder{
-		Version: persistVersion,
-		Config:  cfg,
-		Subset:  e.subset,
-		Graph:   e.g,
-		Fwd:     e.prox.Sub.Fwd,
-		Rev:     e.prox.Sub.Rev,
-		M:       e.prox.M,
-		Tree:    e.tree.Snapshot(),
+		saveHeader: saveHeader{Version: persistVersion, Config: cfg, Subset: e.subset},
+		Graph:      e.g,
+		Fwd:        e.prox.Sub.Fwd,
+		Rev:        e.prox.Sub.Rev,
+		M:          e.prox.M,
+		Tree:       e.tree.Snapshot(),
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&saved); err != nil {
-		return nil, fmt.Errorf("treesvd: encode: %w", err)
-	}
-	return append(buf.Bytes(), wire.Footer(buf.Bytes())...), nil
+	return saved.encode(e.cfg.Workers)
 }
 
 // Load restores an Embedder previously written by Save at the current
@@ -170,11 +244,101 @@ func corruptErr(path, format string, args ...any) error {
 	return &CorruptStateError{Path: path, Offset: -1, Reason: fmt.Sprintf(format, args...)}
 }
 
-// decodeEmbedder verifies the footer, decodes the gob payload, checks
-// the version and structurally validates the result, returning a fully
-// wired but unpublished embedder (see finishRestore) that runs on the
-// caller's worker count. The checksum only guarantees the bytes, not that
-// the pieces agree with each other, so the cross-field invariants New
+// saveSections is a payload split at its sections, before any part is
+// decoded: a missing part is an empty section.
+type saveSections struct {
+	saveHeader
+	Graph    []byte
+	Fwd, Rev [][]byte
+	M, Tree  []byte
+}
+
+// splitSave reads the header and splits the rest of the payload into its
+// sections. Another format version is refused here, with a plain error
+// naming both, before any section is read.
+func splitSave(payload []byte, path string) (*saveSections, error) {
+	rd := bytes.NewReader(payload)
+	var s saveSections
+	// A bytes.Reader is an io.ByteReader, so gob reads exactly the header
+	// and leaves rd at the first section.
+	if err := gob.NewDecoder(rd).Decode(&s.saveHeader); err != nil {
+		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "save header failed to decode", Err: err}
+	}
+	if s.Version != persistVersion {
+		return nil, fmt.Errorf("treesvd: save format version %d, want %d", s.Version, persistVersion)
+	}
+	r := column.NewReader(payload[len(payload)-rd.Len():])
+	nFwd, nRev := r.Count(column.CountLen), r.Count(column.CountLen)
+	s.Graph = r.Section()
+	for _, dir := range []struct {
+		states *[][]byte
+		n      int
+	}{{&s.Fwd, nFwd}, {&s.Rev, nRev}} {
+		for range dir.n {
+			*dir.states = append(*dir.states, r.Section())
+		}
+	}
+	s.M, s.Tree = r.Section(), r.Section()
+	if err := r.Done(); err != nil {
+		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "save sections do not span the payload", Err: err}
+	}
+	return &s, nil
+}
+
+// decodeSaved decodes each part of a split save with its own codec; each
+// refuses bytes that are not a well-formed part.
+func decodeSaved(sec *saveSections, path string) (*savedEmbedder, error) {
+	switch {
+	case len(sec.Graph) == 0:
+		return nil, corruptErr(path, "missing graph")
+	case len(sec.M) == 0:
+		return nil, corruptErr(path, "missing proximity matrix")
+	case len(sec.Tree) == 0:
+		return nil, corruptErr(path, "missing tree snapshot")
+	}
+	saved := &savedEmbedder{saveHeader: sec.saveHeader}
+	var err error
+	if saved.Graph, err = graph.Decode(sec.Graph); err != nil {
+		return nil, partErr(path, "graph", err)
+	}
+	if saved.Fwd, err = decodeStates(sec.Fwd); err != nil {
+		return nil, partErr(path, "PPR state", err)
+	}
+	if saved.Rev, err = decodeStates(sec.Rev); err != nil {
+		return nil, partErr(path, "PPR state", err)
+	}
+	if saved.M, err = sparse.DecodeDynRow(sec.M); err != nil {
+		return nil, partErr(path, "proximity matrix", err)
+	}
+	if saved.Tree, err = core.DecodeTreeSnapshot(sec.Tree); err != nil {
+		return nil, partErr(path, "tree snapshot", err)
+	}
+	return saved, nil
+}
+
+// decodeStates decodes one direction's states; none decodes as nil.
+func decodeStates(raw [][]byte) ([]*ppr.State, error) {
+	var out []*ppr.State
+	for _, b := range raw {
+		st, err := ppr.DecodeState(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, st)
+	}
+	return out, nil
+}
+
+// partErr reports a part its codec refused.
+func partErr(path, part string, err error) error {
+	return &CorruptStateError{Path: path, Offset: -1, Reason: part + " failed to decode", Err: err}
+}
+
+// decodeEmbedder verifies the footer, splits and decodes the payload and
+// structurally validates the result, returning a fully wired but
+// unpublished embedder (see finishRestore) that runs on the caller's
+// worker count. The checksum only guarantees the bytes, not that the
+// pieces agree with each other, so the cross-field invariants New
 // establishes are re-checked before anything is assembled: a hand-edited
 // save errors here instead of panicking on first use. RestoreSubset and
 // RestoreTree re-check their own pieces (state shapes, tree cache dims).
@@ -183,17 +347,16 @@ func decodeEmbedder(data []byte, path string, workers int) (*Embedder, error) {
 	if err != nil {
 		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "save failed its integrity footer", Err: err}
 	}
-	var saved savedEmbedder
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&saved); err != nil {
-		return nil, &CorruptStateError{Path: path, Offset: -1, Reason: "gob decode failed", Err: err}
+	sec, err := splitSave(payload, path)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case saved.Version != persistVersion:
-		return nil, fmt.Errorf("treesvd: save format version %d, want %d", saved.Version, persistVersion)
-	case saved.Graph == nil:
-		return nil, corruptErr(path, "missing graph")
-	case len(saved.Subset) == 0:
+	if len(sec.Subset) == 0 {
 		return nil, corruptErr(path, "empty subset")
+	}
+	saved, err := decodeSaved(sec, path)
+	if err != nil {
+		return nil, err
 	}
 	seen := make(map[int32]bool, len(saved.Subset))
 	for _, v := range saved.Subset {
@@ -208,10 +371,6 @@ func decodeEmbedder(data []byte, path string, workers int) (*Embedder, error) {
 	}
 	cfg.Workers = workers
 	switch {
-	case saved.M == nil:
-		return nil, corruptErr(path, "missing proximity matrix")
-	case saved.Tree == nil:
-		return nil, corruptErr(path, "missing tree snapshot")
 	case saved.M.Rows() != len(saved.Subset):
 		return nil, corruptErr(path, "proximity matrix has %d rows for %d subset nodes",
 			saved.M.Rows(), len(saved.Subset))

@@ -7,59 +7,70 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/tree-svd/treesvd/internal/column"
 	"github.com/tree-svd/treesvd/internal/core"
 	"github.com/tree-svd/treesvd/internal/linalg"
-	"github.com/tree-svd/treesvd/internal/sparse"
 	"github.com/tree-svd/treesvd/internal/wal"
 	"github.com/tree-svd/treesvd/internal/wire"
 )
 
-// appendFooter seals buf's gob payload with the integrity footer.
+// appendFooter seals buf's payload with the integrity footer.
 func appendFooter(buf *bytes.Buffer) {
 	buf.Write(wire.Footer(buf.Bytes()))
 }
 
-// rawGob carries a GobEncoder field's bytes through a decode/encode round
-// trip untouched, so a test can edit the wire form of a type whose own
-// encoder only ever emits well-formed bytes.
-type rawGob []byte
-
-func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
-func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
-
-// edit decodes the carried bytes into wire, lets mutate change it, and
-// carries the re-encoded result instead.
-func (r *rawGob) edit(wire any, mutate func()) {
-	must0tb(gob.NewDecoder(bytes.NewReader(*r)).Decode(wire))
-	mutate()
+// joinSave lays a save out from a header value and raw sections, as
+// savedEmbedder.encode does, and seals it: hdr may be any struct gob can
+// encode, so a test can write a header no encoder emits.
+func joinSave(t testing.TB, hdr any, sec *saveSections) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	must0tb(gob.NewEncoder(&buf).Encode(wire))
-	*r = buf.Bytes()
+	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	b := column.AppendUint64(buf.Bytes(), uint64(len(sec.Fwd)))
+	b = column.AppendUint64(b, uint64(len(sec.Rev)))
+	for _, part := range slices.Concat([][]byte{sec.Graph}, sec.Fwd, sec.Rev, [][]byte{sec.M, sec.Tree}) {
+		b = append(column.AppendUint64(b, uint64(len(part))), part...)
+	}
+	return append(b, wire.Footer(b)...)
 }
 
-// rawSaved is savedEmbedder with the graph and the PPR states left as
-// their encoders' bytes.
-type rawSaved struct {
-	Version int
-	Config  Config
-	Subset  []int32
-	Graph   rawGob
-	Fwd     []rawGob
-	Rev     []rawGob
-	M       *sparse.DynRow
-	Tree    *core.TreeSnapshot
+// sectionsOf splits a save into its header and raw sections.
+func sectionsOf(t testing.TB, data []byte) *saveSections {
+	t.Helper()
+	sec, err := splitSave(data[:len(data)-wire.FooterLen], "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
 }
 
-// rawGraph and rawState mirror the wire structs of graph.Graph and
-// ppr.State (gob matches fields by name).
+// rawGraph and rawState mirror the saved layouts of graph.Graph and
+// ppr.State, so a test can write a part no encoder emits.
 type rawGraph struct {
-	Version                      uint8
-	N                            int
+	N                            int32
 	OutPtr, OutAdj, InPtr, InAdj []int32
+}
+
+func readRawGraph(t testing.TB, b []byte) rawGraph {
+	r := column.NewReader(b)
+	w := rawGraph{N: r.Int32(), OutPtr: r.Int32s(), OutAdj: r.Int32s(), InPtr: r.Int32s(), InAdj: r.Int32s()}
+	must0tb(r.Done())
+	return w
+}
+
+func (w rawGraph) encode() []byte {
+	b := column.AppendUint32(nil, uint32(w.N))
+	for _, col := range [][]int32{w.OutPtr, w.OutAdj, w.InPtr, w.InAdj} {
+		b = column.AppendInt32s(b, col)
+	}
+	return b
 }
 
 type rawState struct {
@@ -69,10 +80,41 @@ type rawState struct {
 	PVals, RVals        []float64
 }
 
+func readRawState(t testing.TB, b []byte) rawState {
+	r := column.NewReader(b)
+	w := rawState{Source: r.Int32(), Dir: r.Byte()}
+	w.PKeys, w.PVals, w.RKeys, w.RVals, w.TKeys = r.Int32s(), r.Float64s(), r.Int32s(), r.Float64s(), r.Int32s()
+	must0tb(r.Done())
+	return w
+}
+
+func (w rawState) encode() []byte {
+	b := append(column.AppendUint32(nil, uint32(w.Source)), w.Dir)
+	b = column.AppendInt32s(b, w.PKeys)
+	b = column.AppendFloat64s(b, w.PVals)
+	b = column.AppendInt32s(b, w.RKeys)
+	b = column.AppendFloat64s(b, w.RVals)
+	return column.AppendInt32s(b, w.TKeys)
+}
+
+// editGraph and editState rewrite one part of a split save through its
+// mirror.
+func editGraph(t testing.TB, sec *saveSections, mutate func(*rawGraph)) {
+	w := readRawGraph(t, sec.Graph)
+	mutate(&w)
+	sec.Graph = w.encode()
+}
+
+func editState(t testing.TB, raw *[]byte, mutate func(*rawState)) {
+	w := readRawState(t, *raw)
+	mutate(&w)
+	*raw = w.encode()
+}
+
 // repeatOutEdge overwrites the second out-neighbour of the first node with
 // two of them by its first, so that node's out-list names one edge twice.
 func repeatOutEdge(w *rawGraph) {
-	for v := 0; v < w.N; v++ {
+	for v := 0; v < int(w.N); v++ {
 		if lo := w.OutPtr[v]; w.OutPtr[v+1]-lo >= 2 {
 			w.OutAdj[lo+1] = w.OutAdj[lo]
 			return
@@ -92,7 +134,7 @@ func addAt(keys *[]int32, vals *[]float64, k int32, delta float64) {
 	*keys, *vals = append(*keys, k), append(*vals, delta)
 }
 
-// nonCanonicalStates are the wire forms of a PPR state that no encoder
+// nonCanonicalStates are the saved forms of a PPR state that no encoder
 // emits and the decoder must refuse, because the repair skip reads an
 // unset membership bit as "estimate and residue are zero here": a key
 // stored twice, a stored zero, a non-finite value.
@@ -119,27 +161,33 @@ func healthySave() []byte {
 	return buf.Bytes()
 }
 
-// corruptSave decodes a healthy embedder's save into the wire
-// struct W (savedEmbedder, or rawSaved to reach below the nested
-// encoders), lets mutate corrupt it, and re-encodes. The result is a
-// structurally valid gob stream carrying inconsistent state — exactly
-// what a hand-edited or partially overwritten save file looks like.
-func corruptSave[W any](t testing.TB, mutate func(*W)) []byte {
+// corruptSave decodes a healthy embedder's save, lets mutate corrupt the
+// decoded parts, and re-encodes them. The result is a well-formed save,
+// footer included, carrying inconsistent state — exactly what a
+// hand-edited or partially overwritten save file looks like: the
+// integrity layer must pass it and the structural validation must do the
+// rejecting.
+func corruptSave(t testing.TB, mutate func(*savedEmbedder)) []byte {
 	t.Helper()
-	var saved W
-	if err := gob.NewDecoder(bytes.NewReader(healthySave())).Decode(&saved); err != nil {
+	saved, err := decodeSaved(sectionsOf(t, healthySave()), "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	mutate(&saved)
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&saved); err != nil {
+	mutate(saved)
+	out, err := saved.encode(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-seal with a valid footer: these cases model semantic corruption
-	// that a checksum cannot catch, so the integrity layer must pass and
-	// the structural validation must do the rejecting.
-	appendFooter(&out)
-	return out.Bytes()
+	return out
+}
+
+// corruptSections is corruptSave one level down: mutate edits the raw
+// sections, to reach forms no part's encoder emits.
+func corruptSections(t testing.TB, mutate func(*saveSections)) []byte {
+	t.Helper()
+	sec := sectionsOf(t, healthySave())
+	mutate(sec)
+	return joinSave(t, &sec.saveHeader, sec)
 }
 
 // blockNode returns the first level-1 node of a save's tree that holds a
@@ -200,9 +248,6 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 		{"subset id out of range", func(s *savedEmbedder) { s.Subset[0] = 999 }, "subset node 999"},
 		{"negative subset id", func(s *savedEmbedder) { s.Subset[1] = -2 }, "subset node -2"},
 		{"duplicate subset ids", func(s *savedEmbedder) { s.Subset[1] = s.Subset[0] }, "duplicate subset node"},
-		{"missing graph", func(s *savedEmbedder) { s.Graph = nil }, "missing graph"},
-		{"missing proximity matrix", func(s *savedEmbedder) { s.M = nil }, "missing proximity"},
-		{"missing tree snapshot", func(s *savedEmbedder) { s.Tree = nil }, "missing tree"},
 		{"empty subset", func(s *savedEmbedder) { s.Subset = nil }, "empty subset"},
 		{"forward state count mismatch", func(s *savedEmbedder) { s.Fwd = s.Fwd[:2] }, "states for a subset"},
 		{"state source mismatch", func(s *savedEmbedder) {
@@ -245,81 +290,103 @@ func TestLoadRejectsCorruptedSaves(t *testing.T) {
 	} {
 		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
 	}
-	// The decoder panics fuzzing found: wire forms no encoder emits.
+	// Forms no part's encoder emits: parts left out, and the decoder
+	// panics fuzzing found.
 	for _, tc := range []struct {
 		name    string
-		mutate  func(*rawSaved)
+		mutate  func(*saveSections)
 		wantSub string
 	}{
-		{"graph offsets out of range", func(s *rawSaved) {
-			var w rawGraph
-			s.Graph.edit(&w, func() { w.OutPtr[1] = -26 })
+		{"missing graph", func(s *saveSections) { s.Graph = nil }, "missing graph"},
+		{"missing proximity matrix", func(s *saveSections) { s.M = nil }, "missing proximity"},
+		{"missing tree snapshot", func(s *saveSections) { s.Tree = nil }, "missing tree"},
+		{"graph offsets out of range", func(s *saveSections) {
+			editGraph(t, s, func(w *rawGraph) { w.OutPtr[1] = -26 })
 		}, "out-offsets"},
-		{"graph negative node count", func(s *rawSaved) {
-			var w rawGraph
-			s.Graph.edit(&w, func() { w.N = -1 })
+		{"graph negative node count", func(s *saveSections) {
+			editGraph(t, s, func(w *rawGraph) { w.N = -1 })
 		}, "node count -1"},
-		{"graph neighbour out of range", func(s *rawSaved) {
-			var w rawGraph
-			s.Graph.edit(&w, func() { w.InAdj[0] = int32(w.N) })
+		{"graph neighbour out of range", func(s *saveSections) {
+			editGraph(t, s, func(w *rawGraph) { w.InAdj[0] = w.N })
 		}, "in-neighbour"},
 		// Adjacency that used to load and panic at the first DeleteEdge of
 		// the edge it lost, in the update stage nothing recovers.
-		{"graph in-list lacks an edge", func(s *rawSaved) {
-			var w rawGraph
-			s.Graph.edit(&w, func() {
+		{"graph in-list lacks an edge", func(s *saveSections) {
+			editGraph(t, s, func(w *rawGraph) {
 				w.InAdj = w.InAdj[:len(w.InAdj)-1]
 				for i := range w.InPtr {
 					w.InPtr[i] = min(w.InPtr[i], int32(len(w.InAdj)))
 				}
 			})
 		}, "transpose"},
-		{"graph repeats an edge", func(s *rawSaved) {
-			var w rawGraph
-			s.Graph.edit(&w, func() { repeatOutEdge(&w) })
-		}, "repeat 1 edges"},
-		{"state values shorter than keys", func(s *rawSaved) {
-			var w rawState
-			s.Fwd[0].edit(&w, func() { w.PVals = w.PVals[:len(w.PVals)-1] })
+		{"graph repeats an edge", func(s *saveSections) { editGraph(t, s, repeatOutEdge) }, "repeat 1 edges"},
+		{"state values shorter than keys", func(s *saveSections) {
+			editState(t, &s.Fwd[0], func(w *rawState) { w.PVals = w.PVals[:len(w.PVals)-1] })
 		}, "keys/values"},
 		// RestoreSubset range-checks a key against the graph; the decoder
 		// refuses a negative one before it reaches the state's table.
-		{"estimate key out of range", func(s *rawSaved) {
-			var w rawState
-			s.Fwd[0].edit(&w, func() { addAt(&w.PKeys, &w.PVals, 500, 0.1) })
+		{"estimate key out of range", func(s *saveSections) {
+			editState(t, &s.Fwd[0], func(w *rawState) { addAt(&w.PKeys, &w.PVals, 500, 0.1) })
 		}, "estimate key 500"},
-		{"residue key out of range", func(s *rawSaved) {
-			var w rawState
-			s.Rev[1].edit(&w, func() { addAt(&w.RKeys, &w.RVals, -3, 0.1) })
+		{"residue key out of range", func(s *saveSections) {
+			editState(t, &s.Rev[1], func(w *rawState) { addAt(&w.RKeys, &w.RVals, -3, 0.1) })
 		}, "residue key -3"},
-		{"NaN residue", func(s *rawSaved) {
-			var w rawState
-			s.Fwd[0].edit(&w, func() { addAt(&w.RKeys, &w.RVals, w.Source, math.NaN()) })
+		{"NaN residue", func(s *saveSections) {
+			editState(t, &s.Fwd[0], func(w *rawState) { addAt(&w.RKeys, &w.RVals, w.Source, math.NaN()) })
 		}, "non-canonical residue value NaN"},
 		// A residue the decoders accept but the auditors do not: Load audits
 		// before it publishes, as Open always has.
-		{"residue above the push threshold", func(s *rawSaved) {
-			var w rawState
-			s.Fwd[0].edit(&w, func() {
+		{"residue above the push threshold", func(s *saveSections) {
+			editState(t, &s.Fwd[0], func(w *rawState) {
 				addAt(&w.RKeys, &w.RVals, w.Source, 0.5)
 				addAt(&w.PKeys, &w.PVals, w.Source, -0.5)
 			})
 		}, "invariant audit"},
 	} {
-		check(tc.name, corruptSave(t, tc.mutate), tc.wantSub, true)
+		check(tc.name, corruptSections(t, tc.mutate), tc.wantSub, true)
 	}
 	for _, tc := range nonCanonicalStates {
-		check(tc.name, corruptSave(t, func(s *rawSaved) {
-			var w rawState
-			s.Fwd[0].edit(&w, func() { tc.mutate(&w) })
+		check(tc.name, corruptSections(t, func(s *saveSections) {
+			editState(t, &s.Fwd[0], tc.mutate)
 		}), tc.wantSub, true)
 	}
+	// Each part's framing: a column count that runs past the part's bytes
+	// (the top byte of its first count, after the part's fixed-width
+	// fields), and a byte after its last column.
+	for _, tc := range []struct {
+		part, codec string
+		bytes       func(*saveSections) *[]byte
+		count       int
+	}{
+		{"graph", "graph: decode", func(s *saveSections) *[]byte { return &s.Graph }, 4},
+		{"PPR state", "ppr: decode state", func(s *saveSections) *[]byte { return &s.Rev[2] }, 5},
+		{"proximity matrix", "sparse: decode", func(s *saveSections) *[]byte { return &s.M }, 12},
+		{"tree snapshot", "core: decode snapshot", func(s *saveSections) *[]byte { return &s.Tree }, 9},
+	} {
+		want := tc.part + " failed to decode: " + tc.codec + ": column: "
+		check(tc.part+" column past the end", corruptSections(t, func(s *saveSections) {
+			b := tc.bytes(s)
+			*b = slices.Clone(*b)
+			(*b)[tc.count+column.CountLen-1] = 0x7f
+		}), want+"count", true)
+		check(tc.part+" trailing bytes", corruptSections(t, func(s *saveSections) {
+			b := tc.bytes(s)
+			*b = append(slices.Clone(*b), 0)
+		}), want+"1 trailing bytes", true)
+	}
+	payload := healthySave()
+	payload = append(slices.Clone(payload[:len(payload)-wire.FooterLen]), 0)
+	check("bytes after the last section", append(payload, wire.Footer(payload)...), "sections do not span the payload", true)
 	// Another format version is a refusal, not damage: a plain error that
 	// names both versions.
 	older := func(s *savedEmbedder) { s.Version = persistVersion - 1 }
 	bothVersions := fmt.Sprintf("version %d, want %d", persistVersion-1, persistVersion)
 	check("version mismatch", corruptSave(t, func(s *savedEmbedder) { s.Version = 99 }), "version 99", false)
 	check("older version", corruptSave(t, older), bothVersions, false)
+	// A save the last gob format (version 8) wrote: its gob stream opens
+	// with the header's fields, so it reads as far as its version.
+	check("version 8 save", mustTB(os.ReadFile("testdata/save-v8.bin")),
+		fmt.Sprintf("save format version 8, want %d", persistVersion), false)
 	// The same refusal through Open: a store whose only checkpoint carries
 	// another format version is not "no state" and not damage to fall back
 	// past — the version error comes back as is.
@@ -356,93 +423,9 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	}
 }
 
-// legacyTreeSave is a healthy save whose tree snapshot is encoded from a
-// struct that carries, beside the current layout, every field name an
-// earlier layout persisted, populated: the per-block factors of the
-// removed update path and the split level-1 / upper / root layout of
-// version 6.
-func legacyTreeSave(t testing.TB) []byte {
-	type legacyTree struct {
-		Levels                     [][]core.SavedNode
-		Seq                        int64
-		Built                      bool
-		Level1US, Level1U, Level1V []*linalg.Dense
-		Level1S                    [][]float64
-		Level1Tail, Level1UpdErr   []float64
-		Level1Seq                  []int64
-		UpperU                     [][]*linalg.Dense
-		UpperS                     [][][]float64
-		UpperTail                  [][]float64
-		RootU, RootV               *linalg.Dense
-		RootS                      []float64
-		RootTail                   float64
-	}
-	type legacySaved struct {
-		Version int
-		Config  Config
-		Subset  []int32
-		Graph   rawGob
-		Fwd     []rawGob
-		Rev     []rawGob
-		M       *sparse.DynRow
-		Tree    *legacyTree
-	}
-	return corruptSave(t, func(s *legacySaved) {
-		tr := s.Tree
-		for _, n := range tr.Levels[0] {
-			tr.Level1US, tr.Level1U, tr.Level1V = append(tr.Level1US, n.U), append(tr.Level1U, n.U), append(tr.Level1V, n.U)
-			tr.Level1S, tr.Level1Tail = append(tr.Level1S, n.S), append(tr.Level1Tail, n.Tail)
-			tr.Level1UpdErr, tr.Level1Seq = append(tr.Level1UpdErr, 0.5), append(tr.Level1Seq, tr.Seq)
-		}
-		top := len(tr.Levels) - 1
-		for _, level := range tr.Levels[1:top] {
-			var us []*linalg.Dense
-			var ss [][]float64
-			var tails []float64
-			for _, n := range level {
-				us, ss, tails = append(us, n.U), append(ss, n.S), append(tails, n.Tail)
-			}
-			tr.UpperU, tr.UpperS, tr.UpperTail = append(tr.UpperU, us), append(tr.UpperS, ss), append(tr.UpperTail, tails)
-		}
-		root := tr.Levels[top][0]
-		tr.RootU, tr.RootV, tr.RootS, tr.RootTail = root.U, root.U, root.S, root.Tail
-	})
-}
-
-// TestLoadIgnoresRetiredTreeFields: gob drops the fields the snapshot no
-// longer declares, so a save that still carries them loads to the same
-// embedder as one without them. No current field reuses a retired name.
-func TestLoadIgnoresRetiredTreeFields(t *testing.T) {
-	legacy := legacyTreeSave(t)
-	if plain := healthySave(); len(legacy) <= len(plain) {
-		t.Fatalf("legacy save is %d bytes, plain %d: the retired fields were not encoded", len(legacy), len(plain))
-	}
-	got := mustTB(Load(bytes.NewReader(legacy)))
-	want := mustTB(Load(bytes.NewReader(healthySave())))
-	if !reflect.DeepEqual(got.Embedding(), want.Embedding()) {
-		t.Fatal("embedding differs from the save without the retired fields")
-	}
-	if err := got.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	current := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeOf(core.TreeSnapshot{}), reflect.TypeOf(core.SavedNode{})} {
-		for i := 0; i < typ.NumField(); i++ {
-			current[typ.Field(i).Name] = true
-		}
-	}
-	for _, name := range []string{"Level1US", "Level1U", "Level1V", "Level1S", "Level1Tail", "Level1UpdErr", "Level1Seq",
-		"UpperU", "UpperS", "UpperTail", "RootU", "RootV", "RootS", "RootTail"} {
-		if current[name] {
-			t.Errorf("the tree snapshot reuses the retired field name %s", name)
-		}
-	}
-}
-
-// TestLoadIgnoresRetiredSelfCheck: a save whose Config still carries the
-// removed SelfCheck field, set, loads to the same embedder and saves back
-// to the bytes of a save that never had it.
-func TestLoadIgnoresRetiredSelfCheck(t *testing.T) {
+// retiredSelfCheckSave is a healthy save whose header's Config still
+// carries the removed SelfCheck field, set.
+func retiredSelfCheckSave(t testing.TB) []byte {
 	type legacyConfig struct {
 		Dim                          int
 		Alpha, RMax                  float64
@@ -456,17 +439,26 @@ func TestLoadIgnoresRetiredSelfCheck(t *testing.T) {
 		UpdateMaxRel, UpdateTailFrac float64
 		PushAccel                    PushAccel
 	}
-	type legacySaved struct {
+	sec := sectionsOf(t, healthySave())
+	hdr := struct {
 		Version int
 		Config  legacyConfig
 		Subset  []int32
-		Graph   rawGob
-		Fwd     []rawGob
-		Rev     []rawGob
-		M       *sparse.DynRow
-		Tree    *core.TreeSnapshot
-	}
-	legacy := corruptSave(t, func(s *legacySaved) { s.Config.SelfCheck = true })
+	}{Version: sec.Version, Subset: sec.Subset}
+	// Gob matches fields by name: the round trip carries every field the
+	// two configs share.
+	var buf bytes.Buffer
+	must0tb(gob.NewEncoder(&buf).Encode(sec.Config))
+	must0tb(gob.NewDecoder(&buf).Decode(&hdr.Config))
+	hdr.Config.SelfCheck = true
+	return joinSave(t, &hdr, sec)
+}
+
+// TestLoadIgnoresRetiredSelfCheck: a save whose Config still carries the
+// removed SelfCheck field, set, loads to the same embedder and saves back
+// to the bytes of a save that never had it.
+func TestLoadIgnoresRetiredSelfCheck(t *testing.T) {
+	legacy := retiredSelfCheckSave(t)
 	if len(legacy) <= len(healthySave()) {
 		t.Fatal("the legacy save does not encode SelfCheck")
 	}
@@ -482,17 +474,16 @@ func TestLoadIgnoresRetiredSelfCheck(t *testing.T) {
 // payload whose checksum verifies, Load returns an error or an embedder
 // whose Audit is clean and that serves a read — one Recommend and the
 // whole Embedding — never a panic. The seeds are a healthy save, one
-// carrying the retired tree-snapshot fields, one with an infinite root
+// whose header Config carries a retired field, one with an infinite root
 // singular value and the three non-canonical PPR states, without their
 // footers; every mutated payload is re-sealed with a valid one, since
 // otherwise the CRC would reject them all and nothing behind it would run.
 func FuzzLoad(f *testing.F) {
-	seeds := [][]byte{healthySave(), legacyTreeSave(f),
+	seeds := [][]byte{healthySave(), retiredSelfCheckSave(f),
 		corruptSave(f, func(s *savedEmbedder) { rootNode(s).S[0] = math.Inf(1) })}
 	for _, tc := range nonCanonicalStates {
-		seeds = append(seeds, corruptSave(f, func(s *rawSaved) {
-			var w rawState
-			s.Rev[1].edit(&w, func() { tc.mutate(&w) })
+		seeds = append(seeds, corruptSections(f, func(s *saveSections) {
+			editState(f, &s.Rev[1], tc.mutate)
 		}))
 	}
 	for _, save := range seeds {

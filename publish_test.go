@@ -50,12 +50,8 @@ func checkPublished(t *testing.T, e *Embedder, label string) {
 		!slices.EqualFunc(snap.x.Data, x.Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		t.Fatalf("%s: X differs from root.USqrtS()", label)
 	}
-	data, err := e.prox.M.GobEncode()
+	fresh, err := sparse.DecodeDynRow(e.prox.M.AppendEncoded(nil))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh sparse.DynRow
-	if err := fresh.GobDecode(data); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap.m, fresh.ToCSR()) {

@@ -2,6 +2,7 @@ package treesvd
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,15 +11,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"github.com/tree-svd/treesvd/internal/core"
-	"github.com/tree-svd/treesvd/internal/sparse"
 )
 
 // TestRetiredOptionsRejected: the knobs of the removed dynamic path and
 // of the removed subset sharding still compile (benchmark/ names them)
 // but every entry point that takes a Config — New, FactorizeMatrix, and
-// Load of a save whose gob Config carries the value — refuses a set one
+// Load of a save whose header's Config carries the value — refuses a set one
 // with an error that names it. TestShardConfigErrors checks that Shards 1,
 // which always meant one tree, is still accepted.
 func TestRetiredOptionsRejected(t *testing.T) {
@@ -44,29 +42,23 @@ func TestRetiredOptionsRejected(t *testing.T) {
 		}
 	}
 
-	// A save in the sharded layout persistVersion 4 wrote — the payloads
-	// in a per-shard slice — is refused with the plain version error.
+	// A save in the sharded layout persistVersion 4 wrote — a gob stream
+	// with the payloads in a per-shard slice — is refused with the plain
+	// version error.
 	type v4Shard struct {
-		Fwd, Rev []rawGob
-		M        *sparse.DynRow
-		Tree     *core.TreeSnapshot
+		Fwd, Rev [][]byte
+		M, Tree  []byte
 	}
-	type v4Saved struct {
-		Version  int
-		Config   Config
-		Subset   []int32
-		Graph    rawGob
-		Fwd, Rev []rawGob
-		M        *sparse.DynRow
-		Tree     *core.TreeSnapshot
-		Shards   []v4Shard
-	}
-	v4 := corruptSave(t, func(s *v4Saved) {
-		s.Version, s.Config.Shards = 4, 1
-		s.Shards = []v4Shard{{s.Fwd, s.Rev, s.M, s.Tree}}
-		s.Fwd, s.Rev, s.M, s.Tree = nil, nil, nil, nil
-	})
-	_, err := Load(bytes.NewReader(v4))
+	var v4 bytes.Buffer
+	must0tb(gob.NewEncoder(&v4).Encode(struct {
+		Version int
+		Config  Config
+		Subset  []int32
+		Graph   []byte
+		Shards  []v4Shard
+	}{Version: 4, Config: Config{Dim: 4, Shards: 1}, Subset: []int32{1, 3}, Graph: []byte{1}, Shards: []v4Shard{{M: []byte{1}}}}))
+	appendFooter(&v4)
+	_, err := Load(&v4)
 	want := fmt.Sprintf("version 4, want %d", persistVersion)
 	var corrupt *CorruptStateError
 	if err == nil || !strings.Contains(err.Error(), want) || errors.As(err, &corrupt) {

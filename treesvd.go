@@ -390,8 +390,10 @@ func (u *update) run(ctx context.Context) error {
 	st.Start(ctx)
 	var err error
 	for s := range obs.NumStages {
-		// core enters tree.merge; a Rebuild changes no graph; no barrier, no publish.
-		if s == obs.StageMerge || s == obs.StageAdvance && u.rebuild || s >= obs.StagePublishBuild && u.publish == nil {
+		// core enters tree.merge; a Rebuild changes no graph; no barrier, no
+		// publish; a durable checkpoint captures after the run (obs.Stage.Do).
+		if s == obs.StageMerge || s == obs.StageAdvance && u.rebuild || s >= obs.StagePublishBuild && u.publish == nil ||
+			s == obs.StageCheckpointCapture {
 			continue
 		}
 		st.Enter(s)
