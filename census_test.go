@@ -141,8 +141,6 @@ var exportsWithoutCaller = map[string]string{
 	"treesvd.Embedder.Version":        "the one-call form of Snapshot().Version() a poller needs",
 	"treesvd.Embedder.RightEmbedding": "the one-call form of Snapshot().RightEmbedding()",
 	"treesvd.Snapshot.Spectrum":       "the root's singular values, for a caller choosing d",
-	"treesvd.DurableEmbedder.Dir":     "the store's directory, for a caller that opened several",
-	"treesvd.DurableEmbedder.Metrics": "Embedder.Metrics on the durable wrapper, with its WAL counters",
 	"treesvd.StageLabel":              "the pprof label key a CPU profile is filtered by",
 	"treesvd.TraceKind":               "the type a trace hook switches on",
 	"treesvd.TraceBatchStart":         "a trace kind a hook switches on",

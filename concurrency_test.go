@@ -3,6 +3,7 @@ package treesvd
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -41,22 +42,39 @@ func equalRows(a, b [][]float64) bool {
 
 // TestSnapshotStressRace races ≥8 concurrent readers against a writer
 // applying event batches. Run with -race: the readers exercise Snapshot,
-// Embedding, RightEmbedding, Recommend and Version while ApplyEvents
-// mutates the pipeline underneath, and each reader checks that the
-// versions it observes never go backwards.
+// Embedding, RightEmbedding, Recommend, Version, Metrics, Degraded and
+// Save while ApplyEvents mutates the pipeline underneath, and each reader
+// checks that the versions it observes never go backwards. It runs on an
+// embedder in memory and on a durable store checkpointing every 2nd
+// batch, whose background checkpoints overlap the writer.
 func TestSnapshotStressRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
 	const n = 80
-	g := buildGraph(rng, n, 320)
 	subset := []int32{2, 5, 9, 14, 23, 31, 47, 58, 66, 71}
-	emb := mustTB(New(g, subset, Config{Dim: 8, RMax: 1e-3, Workers: 2}))
-
-	const readers = 8
-	batches := make([][]Event, 6)
-	for i := range batches {
-		batches[i] = insertBatch(rng, n, 25)
+	cfg := Config{Dim: 8, RMax: 1e-3, Workers: 2}
+	for name, start := range map[string]func(*Graph) (*Embedder, error){
+		"memory": func(g *Graph) (*Embedder, error) { return New(g, subset, cfg) },
+		"logged": func(g *Graph) (*Embedder, error) {
+			return Create(t.TempDir(), g, subset, DurableConfig{Config: cfg, CheckpointEvery: 2})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(40))
+			emb := mustTB(start(buildGraph(rng, n, 320)))
+			defer func() { must0tb(emb.Close()) }()
+			batches := make([][]Event, 6)
+			for i := range batches {
+				batches[i] = insertBatch(rng, n, 25)
+			}
+			snapshotStress(t, emb, n, batches)
+		})
 	}
+}
 
+// snapshotStress is TestSnapshotStressRace on one embedder over an
+// n-node graph.
+func snapshotStress(t *testing.T, emb *Embedder, n int, batches [][]Event) {
+	subset := emb.Subset()
+	const readers = 8
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers)
@@ -103,6 +121,18 @@ func TestSnapshotStressRace(t *testing.T) {
 						fail(errors.New("recommendations not sorted by descending score"))
 						return
 					}
+				}
+				if m := emb.Metrics(); (m.WAL != nil) != (emb.log != nil) {
+					fail(errors.New("Metrics().WAL present without a log, or missing with one"))
+					return
+				}
+				if err := emb.Degraded(); err != nil {
+					fail(err)
+					return
+				}
+				if err := emb.Save(io.Discard); err != nil {
+					fail(err)
+					return
 				}
 			}
 		}(r)

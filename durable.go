@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tree-svd/treesvd/internal/graph"
@@ -27,8 +28,16 @@ const SyncBatch SyncPolicy = 0
 // new store.
 var ErrNoState = errors.New("treesvd: no durable state in directory")
 
-// errClosed reports use after Close.
-var errClosed = errors.New("treesvd: durable embedder is closed")
+var (
+	// errClosed reports an update or checkpoint after Close.
+	errClosed = errors.New("treesvd: durable store is closed")
+	// errNoLog is Checkpoint's answer on an embedder New or Load made.
+	errNoLog = errors.New("treesvd: no log: only a store made by Create or Open checkpoints")
+	// errRebuildLogged is Rebuild's answer on a durable store: the log
+	// holds edge events only, so replay could not repeat a rebuild and
+	// Open would come back to a state other than the one served.
+	errRebuildLogged = errors.New("treesvd: Rebuild on a durable store: the log holds edge events only, so a rebuild would be lost at the next Open")
+)
 
 // DurableConfig configures a durable embedder. The zero value is usable:
 // per-batch fsync, a checkpoint every 64 batches, two checkpoints kept.
@@ -89,23 +98,57 @@ type RecoveryInfo struct {
 	DropReason     string
 }
 
-// DurableEmbedder wraps an Embedder with write-ahead logging and
-// crash-safe checkpointing in a single directory. Every ApplyEvents batch
-// is appended to the WAL — checksummed and fsynced — while it is applied
-// in memory, and its snapshot is published, and the call returns, only
-// once that record is durable: no reader and no caller ever sees a batch
-// the log could still lose. A checkpoint (a full atomic save) is
-// committed every CheckpointEvery batches, after which older WAL segments
-// are pruned. Open recovers the directory to a
-// committed prefix of the acknowledged stream no matter where a previous
-// process stopped.
+// durableLog is what a durable store adds to its Embedder (the log
+// field, set by Create and Open before they return and never changed):
+// the directory, the WAL writer, the checkpoint state and the durability
+// metrics. Every field but the background checkpoint's is guarded by
+// e.mu, so a logged batch takes one lock through its apply, its fsync
+// and its checkpoint capture.
+type durableLog struct {
+	fs  wal.FS
+	dir string
+	cfg DurableConfig
+	w   *wal.Writer
+
+	closed    bool
+	sinceCkpt int
+	// degraded is the WAL I/O failure that sealed the store read-only
+	// (nil while healthy).
+	degraded error
+
+	// ckptBusy is set while a background checkpoint, which ckptWG
+	// tracks, is in flight. ckptErr is the first background checkpoint
+	// failure: only that goroutine writes it, one at a time (ckptBusy),
+	// and Close reads it after ckptWG.Wait.
+	ckptWG   sync.WaitGroup
+	ckptBusy atomic.Bool
+	ckptErr  error
+
+	met      durableMetrics
+	recovery RecoveryInfo
+}
+
+// DurableEmbedder is retired: Create and Open return an *Embedder with a
+// log attached. Named by benchmark/run.go, delete with ROADMAP item 1's
+// seam.
+type DurableEmbedder = Embedder
+
+// Create initializes a durable store in dir and returns its embedder:
+// it builds the initial state with New(g, subset, cfg.Config), commits it
+// as the first checkpoint, and opens the write-ahead log. It fails if dir
+// already holds durable state.
 //
-// Route every update through the DurableEmbedder; calling ApplyEvents or
-// Rebuild directly on the wrapped Embedder would mutate state the log
-// knows nothing about. Reads (Embedding, Snapshot, Recommend, ...) go to
-// the wrapped Embedder and stay lock-free.
+// Every ApplyEvents batch of the returned embedder is appended to the WAL
+// — checksummed and fsynced — while it is applied in memory, and its
+// snapshot is published, and the call returns, only once that record is
+// durable: no reader and no caller ever sees a batch the log could still
+// lose. A checkpoint (a full atomic save) is committed every
+// CheckpointEvery batches, after which older WAL segments are pruned.
+// Open recovers the directory to a committed prefix of the acknowledged
+// stream no matter where a previous process stopped. Rebuild is refused:
+// the log holds edge events only.
 //
-// A WAL append failure (full disk, fsync error) seals the embedder into
+// A WAL append failure (full disk, fsync error) seals the store into
 // read-only degraded mode until Close: ingest and Checkpoint return a
 // *DegradedError, reads keep serving the last published snapshot, and
 // Degraded reports the cause. The failed batch was applied in memory
@@ -113,65 +156,36 @@ type RecoveryInfo struct {
 // back is a restart: once the fault is cleared, Close (which cuts the
 // failed record out of the log) and Open land on the acknowledged prefix,
 // and the caller resends the batch that failed.
-type DurableEmbedder struct {
-	fs  wal.FS
-	dir string
-	cfg DurableConfig
-
-	mu        sync.Mutex // serializes updates; ordered before e.mu
-	e         *Embedder
-	w         *wal.Writer
-	closed    bool
-	sinceCkpt int
-
-	// degraded is the WAL I/O failure that sealed the embedder read-only
-	// (nil while healthy). Guarded by mu.
-	degraded error
-
-	ckptWG   sync.WaitGroup
-	ckptMu   sync.Mutex // guards the fields below; never held with mu
-	ckptBusy bool
-	ckptErr  error // the first background checkpoint failure
-
-	// met holds the WAL and checkpoint counters; it is linked into the
-	// wrapped embedder's Metrics/registry at construction.
-	met *durableMetrics
-
-	recovery RecoveryInfo
-}
-
-// Create initializes a new durable embedder in dir: it builds the initial
-// state with New(g, subset, cfg.Config), commits it as the first
-// checkpoint, and opens the WAL. It fails if dir already holds durable
-// state.
-func Create(dir string, g *Graph, subset []int32, cfg DurableConfig) (*DurableEmbedder, error) {
+func Create(dir string, g *Graph, subset []int32, cfg DurableConfig) (*Embedder, error) {
 	return createDurable(wal.OS, dir, g, subset, cfg)
 }
 
-// Open recovers the durable embedder stored in dir: it restores the
+// Open recovers the durable store in dir (see Create): it restores the
 // newest checkpoint that verifies (falling back past corrupt ones),
 // repairs the WAL tail, replays every logged batch past the checkpoint,
 // audits the result with the internal invariant checkers, and only then
-// publishes the first readable snapshot. It returns ErrNoState when dir
-// was never initialized with Create, and a *CorruptStateError when the
-// store cannot be brought to a verified state.
-func Open(dir string, cfg DurableConfig) (*DurableEmbedder, error) {
+// publishes the first readable snapshot, under the version the store
+// served before it stopped (one more than the last batch's seq). It
+// returns ErrNoState when dir was never initialized with Create, and a
+// *CorruptStateError when the store cannot be brought to a verified
+// state.
+func Open(dir string, cfg DurableConfig) (*Embedder, error) {
 	return openDurable(wal.OS, dir, cfg)
 }
 
 // CreateWithFS is Create on an explicit filesystem. It exists for the
 // internal fault-injection harness — the FS type lives in an internal
 // package, so code outside this module cannot supply one; use Create.
-func CreateWithFS(fsys wal.FS, dir string, g *Graph, subset []int32, cfg DurableConfig) (*DurableEmbedder, error) {
+func CreateWithFS(fsys wal.FS, dir string, g *Graph, subset []int32, cfg DurableConfig) (*Embedder, error) {
 	return createDurable(fsys, dir, g, subset, cfg)
 }
 
 // OpenWithFS is Open on an explicit filesystem; see CreateWithFS.
-func OpenWithFS(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, error) {
+func OpenWithFS(fsys wal.FS, dir string, cfg DurableConfig) (*Embedder, error) {
 	return openDurable(fsys, dir, cfg)
 }
 
-func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg DurableConfig) (*DurableEmbedder, error) {
+func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg DurableConfig) (*Embedder, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -197,16 +211,13 @@ func createDurable(fsys wal.FS, dir string, g *Graph, subset []int32, cfg Durabl
 	if err := wal.WriteCheckpoint(fsys, dir, 0, payload); err != nil {
 		return nil, err
 	}
-	dm := &durableMetrics{}
-	w, err := wal.NewWriter(fsys, dir, 1, &dm.wal)
-	if err != nil {
+	if err := e.attachLog(&durableLog{fs: fsys, dir: dir, cfg: cfg}, 1); err != nil {
 		return nil, err
 	}
-	e.registerDurable(dm)
-	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm}, nil
+	return e, nil
 }
 
-func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, error) {
+func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*Embedder, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -275,18 +286,31 @@ func openDurable(fsys wal.FS, dir string, cfg DurableConfig) (*DurableEmbedder, 
 			info.ReplayedBatches++
 			return nil
 		})
+		// The first publish serves version next, as before the restart:
+		// New publishes version 1, and each acknowledged batch one more.
+		e.version.Store(next - 1)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-
-	dm := &durableMetrics{}
-	w, err := wal.NewWriter(fsys, dir, next, &dm.wal)
-	if err != nil {
+	if err := e.attachLog(&durableLog{fs: fsys, dir: dir, cfg: cfg, recovery: info}, next); err != nil {
 		return nil, err
 	}
-	e.registerDurable(dm)
-	return &DurableEmbedder{fs: fsys, dir: dir, cfg: cfg, e: e, w: w, met: dm, recovery: info}, nil
+	return e, nil
+}
+
+// attachLog opens the WAL at batch seq next and makes l e's log, with its
+// metrics in Metrics().WAL and the registry. Create and Open call it last,
+// before any other goroutine can reach e.
+func (e *Embedder) attachLog(l *durableLog, next uint64) error {
+	w, err := wal.NewWriter(l.fs, l.dir, next, &l.met.wal)
+	if err != nil {
+		return err
+	}
+	l.w = w
+	e.log = l
+	e.registerDurable(&l.met)
+	return nil
 }
 
 // replay decodes each logged batch from next on and hands it to apply.
@@ -314,179 +338,125 @@ func replay(dir string, recs []wal.Record, next uint64, apply func(seq uint64, e
 	return next, nil
 }
 
-// Embedder returns the wrapped embedder for reads (Embedding, Snapshot,
-// Recommend, ...). Do not call its update methods directly — see the
-// DurableEmbedder contract.
-func (d *DurableEmbedder) Embedder() *Embedder { return d.e }
+// Embedder is retired with DurableEmbedder and returns its receiver.
+// Named by benchmark/run.go, delete with ROADMAP item 1's seam.
+func (e *Embedder) Embedder() *Embedder { return e }
 
-// Snapshot returns the wrapped embedder's published snapshot; see
-// Embedder.Snapshot.
-func (d *DurableEmbedder) Snapshot() *Snapshot { return d.e.Snapshot() }
-
-// Recovery reports what Open found and repaired; the zero value after
-// Create.
-func (d *DurableEmbedder) Recovery() RecoveryInfo { return d.recovery }
-
-// Metrics returns the wrapped embedder's work counters; for a durable
-// embedder the WAL field is populated with the durability counters.
-func (d *DurableEmbedder) Metrics() Metrics { return d.e.Metrics() }
-
-// MetricsRegistry returns the wrapped embedder's metric registry,
-// including the treesvd_wal_* and treesvd_checkpoint* series.
-func (d *DurableEmbedder) MetricsRegistry() *Registry { return d.e.MetricsRegistry() }
-
-// Dir returns the managed directory.
-func (d *DurableEmbedder) Dir() string { return d.dir }
-
-// ApplyEvents durably applies one batch: the batch is validated, then its
-// WAL record is written and fsynced on a helper goroutine while the
-// in-memory embedder applies the batch and builds its snapshot. The
-// snapshot is published, and ApplyEvents returns, only after the fsync
-// has succeeded, so once ApplyEvents returns nil the batch will survive a
-// crash, and no reader saw it earlier. ApplyEvents never returns with the
-// fsync still in flight.
-//
-// ctx is checked once, before the record is written: a ctx error means
-// the batch was neither logged nor applied. Once the record is on its way
-// to disk the apply is owed either way and ignores cancellation. If the
-// append fails, the embedder seals into degraded mode with the batch
-// applied in memory but never published; see DurableEmbedder.
-// (Another error from the apply itself is an internal fault: the batch
-// stays logged and in the graph, and the next update catches the rest
-// of the pipeline up, as for Embedder.ApplyEvents.)
-func (d *DurableEmbedder) ApplyEvents(ctx context.Context, events []Event) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Recovery reports what Open found and repaired: the zero value after
+// Create, New or Load.
+func (e *Embedder) Recovery() RecoveryInfo {
+	if e.log == nil {
+		return RecoveryInfo{}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	return e.log.recovery
+}
+
+// applyLoggedLocked is ApplyEvents on a durable store (see Create); the
+// fsync runs on a helper goroutine while the batch is applied. Caller
+// holds e.mu. Once the record is on its way to disk the apply is owed and
+// ignores cancellation. (An apply error after a good fsync is an internal
+// fault: the batch stays logged and in the graph, and the next update
+// catches the rest of the pipeline up.)
+func (e *Embedder) applyLoggedLocked(ctx context.Context, events []Event) (int, error) {
+	l := e.log
+	if l.closed {
 		return 0, errClosed
 	}
-	if err := d.degradedErrLocked(); err != nil {
+	if err := l.degradedErr(); err != nil {
 		return 0, err
 	}
-	if err := d.e.validateEvents(events); err != nil {
+	if err := e.validateEvents(events); err != nil {
 		return 0, err // never logged: an invalid batch must not reach replay
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	rec := d.w.Append(graph.AppendEvents(nil, events))
-	rebuilt, err := d.e.applyEvents(context.WithoutCancel(ctx), events, func() error {
+	rec := l.w.Append(graph.AppendEvents(nil, events))
+	rebuilt, err := e.applyEventsLocked(context.WithoutCancel(ctx), events, func() error {
 		_, err := rec.Wait()
 		return err
 	})
 	// An apply that failed before its barrier did not wait: wait here.
 	seq, werr := rec.Wait()
 	if werr != nil {
-		d.sealLocked(werr)
-		return 0, d.degradedErrLocked()
+		l.seal(werr)
+		return 0, l.degradedErr()
 	}
 	if err != nil {
 		return 0, err
 	}
-	d.sinceCkpt++
-	if err := d.maybeCheckpointLocked(ctx, seq); err != nil {
-		return rebuilt, err
-	}
-	return rebuilt, nil
+	l.sinceCkpt++
+	return rebuilt, e.maybeCheckpointLocked(ctx, seq)
 }
 
-// degradedErrLocked returns the *DegradedError every update and
-// checkpoint gets while the embedder is sealed, else nil. Caller holds
-// d.mu.
-func (d *DurableEmbedder) degradedErrLocked() error {
-	if d.degraded == nil {
+// degradedErr returns the *DegradedError every update and checkpoint
+// gets while the store is sealed, else nil. Caller holds e.mu.
+func (l *durableLog) degradedErr() error {
+	if l.degraded == nil {
 		return nil
 	}
-	return &DegradedError{Reason: "wal append failed", Err: d.degraded}
+	return &DegradedError{Reason: "wal append failed", Err: l.degraded}
 }
 
-// sealLocked flips the embedder into read-only degraded mode after a WAL
-// append failure. Reads keep serving the published snapshot; every
-// further ApplyEvents returns a *DegradedError until Close. Caller holds
-// d.mu.
-func (d *DurableEmbedder) sealLocked(cause error) {
-	d.degraded = cause
-	d.met.degraded.Set(1)
-	d.met.seals.Inc()
+// seal flips the store into read-only degraded mode after a WAL append
+// failure. Reads keep serving the published snapshot; every further
+// ApplyEvents returns a *DegradedError until Close. Caller holds e.mu.
+func (l *durableLog) seal(cause error) {
+	l.degraded = cause
+	l.met.degraded.Set(1)
+	l.met.seals.Inc()
 }
 
-// Degraded returns the WAL I/O failure that sealed the embedder into
-// read-only degraded mode, or nil while ingest is healthy. The serving
-// layer's /readyz probes it.
-func (d *DurableEmbedder) Degraded() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.degraded
+// Degraded returns the WAL I/O failure that sealed a durable store into
+// read-only degraded mode, or nil while ingest is healthy and always on
+// an embedder without a log. The serving layer's /readyz probes it.
+func (e *Embedder) Degraded() error {
+	if e.log == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.log.degraded
 }
 
-// maybeCheckpointLocked takes the periodic checkpoint. Caller holds d.mu
+// maybeCheckpointLocked takes the periodic checkpoint. Caller holds e.mu
 // and has just acknowledged batch seq, so memory equals the log (the
-// embedder is not degraded).
-func (d *DurableEmbedder) maybeCheckpointLocked(ctx context.Context, seq uint64) error {
-	if d.cfg.CheckpointEvery < 0 || d.sinceCkpt < d.cfg.CheckpointEvery {
+// store is not degraded).
+func (e *Embedder) maybeCheckpointLocked(ctx context.Context, seq uint64) error {
+	l := e.log
+	if l.cfg.CheckpointEvery < 0 || l.sinceCkpt < l.cfg.CheckpointEvery {
 		return nil
 	}
-	d.ckptMu.Lock()
-	busy := d.ckptBusy
-	if !busy {
-		d.ckptBusy = true
-	}
-	d.ckptMu.Unlock()
-	if busy {
+	if !l.ckptBusy.CompareAndSwap(false, true) {
 		return nil // one in flight; the next batch re-triggers
 	}
 	// Capture the state synchronously, so the checkpoint is exactly the
 	// state after batch seq; only the file I/O runs in the background. The
 	// capture is the part of a checkpoint the calling batch waits for.
-	payload, err := d.captureLocked(ctx)
+	payload, err := e.captureLocked(ctx)
 	if err != nil {
-		d.ckptMu.Lock()
-		d.ckptBusy = false
-		d.ckptMu.Unlock()
+		l.ckptBusy.Store(false)
 		return err
 	}
-	d.w.MarkCheckpoint(seq)
-	d.sinceCkpt = 0
-	d.ckptWG.Add(1)
+	l.w.MarkCheckpoint(seq)
+	l.sinceCkpt = 0
+	l.ckptWG.Add(1)
 	go func() {
-		defer d.ckptWG.Done()
-		err := d.commitCheckpoint(seq, payload)
-		d.ckptMu.Lock()
-		if d.ckptErr == nil {
-			d.ckptErr = err
+		defer l.ckptWG.Done()
+		if err := l.commitCheckpoint(seq, payload); err != nil && l.ckptErr == nil {
+			l.ckptErr = err
 		}
-		d.ckptBusy = false
-		d.ckptMu.Unlock()
+		l.ckptBusy.Store(false)
 	}()
 	return nil
 }
 
 // captureLocked is a checkpoint's synchronous save of the state, timed
-// as the checkpoint.capture row of treesvd_stage_nanos. saveBytes takes
-// e.mu, which is free here. Caller holds d.mu.
-func (d *DurableEmbedder) captureLocked(ctx context.Context) (payload []byte, err error) {
-	dur := obs.StageCheckpointCapture.Do(ctx, func() { payload, err = d.e.saveBytes() })
-	d.e.met.stages[obs.StageCheckpointCapture].Observe(int64(dur))
+// as the checkpoint.capture row of treesvd_stage_nanos. Caller holds e.mu.
+func (e *Embedder) captureLocked(ctx context.Context) (payload []byte, err error) {
+	dur := obs.StageCheckpointCapture.Do(ctx, func() { payload, err = e.saveBytesLocked() })
+	e.met.stages[obs.StageCheckpointCapture].Observe(int64(dur))
 	return payload, err
-}
-
-// checkpointLocked takes a synchronous checkpoint of the state after
-// batch seq. Caller holds d.mu.
-func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
-	d.ckptWG.Wait() // never two checkpoint writers at once
-	payload, err := d.captureLocked(context.Background())
-	if err != nil {
-		return err
-	}
-	d.w.MarkCheckpoint(seq)
-	if err := d.commitCheckpoint(seq, payload); err != nil {
-		return err
-	}
-	d.sinceCkpt = 0
-	return nil
 }
 
 // commitCheckpoint publishes one checkpoint and prunes: older checkpoints
@@ -494,70 +464,89 @@ func (d *DurableEmbedder) checkpointLocked(seq uint64) error {
 // checkpoint that remains. Safe to run concurrently with Append — it only
 // touches checkpoint files and sealed segments. It records the commit, or
 // its failure, in the checkpoint metrics.
-func (d *DurableEmbedder) commitCheckpoint(seq uint64, payload []byte) error {
+func (l *durableLog) commitCheckpoint(seq uint64, payload []byte) error {
 	start := time.Now()
-	if err := d.writeCheckpointFiles(seq, payload); err != nil {
-		d.met.ckptFailures.Inc()
+	if err := l.writeCheckpointFiles(seq, payload); err != nil {
+		l.met.ckptFailures.Inc()
 		return err
 	}
-	d.met.checkpoints.Inc()
-	d.met.ckptNanos.ObserveSince(start)
+	l.met.checkpoints.Inc()
+	l.met.ckptNanos.ObserveSince(start)
 	return nil
 }
 
 // writeCheckpointFiles is the I/O body of commitCheckpoint: commit the
 // checkpoint (its rename is the commit point), retire old ones, and prune
 // covered WAL segments.
-func (d *DurableEmbedder) writeCheckpointFiles(seq uint64, payload []byte) error {
-	if err := wal.WriteCheckpoint(d.fs, d.dir, seq, payload); err != nil {
+func (l *durableLog) writeCheckpointFiles(seq uint64, payload []byte) error {
+	if err := wal.WriteCheckpoint(l.fs, l.dir, seq, payload); err != nil {
 		return err
 	}
-	if err := wal.PruneCheckpoints(d.fs, d.dir, keepCheckpoints); err != nil {
+	if err := wal.PruneCheckpoints(l.fs, l.dir, keepCheckpoints); err != nil {
 		return err
 	}
-	cks, err := wal.ListCheckpoints(d.fs, d.dir)
+	cks, err := wal.ListCheckpoints(l.fs, l.dir)
 	if err != nil {
 		return err
 	}
 	if len(cks) == 0 {
 		return nil // unreachable: the checkpoint just committed is listed
 	}
-	return wal.PruneSegments(d.fs, d.dir, cks[0].Seq)
+	return wal.PruneSegments(l.fs, l.dir, cks[0].Seq)
 }
 
-// Checkpoint synchronously commits a checkpoint of the current state and
-// prunes the WAL behind it. While degraded it returns a *DegradedError and
+// Checkpoint synchronously commits a checkpoint of a durable store's
+// current state and prunes the WAL behind it; on an embedder without a
+// log it returns an error. While degraded it returns a *DegradedError and
 // writes nothing: memory holds the batch whose append failed, and a
 // checkpoint of it would be labelled with the log's last seq.
-func (d *DurableEmbedder) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+func (e *Embedder) Checkpoint() error {
+	l := e.log
+	if l == nil {
+		return errNoLog
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if l.closed {
 		return errClosed
 	}
-	if err := d.degradedErrLocked(); err != nil {
+	if err := l.degradedErr(); err != nil {
 		return err
 	}
-	return d.checkpointLocked(d.w.NextSeq() - 1)
+	l.ckptWG.Wait() // never two checkpoint writers at once
+	seq := l.w.NextSeq() - 1
+	payload, err := e.captureLocked(context.Background())
+	if err != nil {
+		return err
+	}
+	l.w.MarkCheckpoint(seq)
+	if err := l.commitCheckpoint(seq, payload); err != nil {
+		return err
+	}
+	l.sinceCkpt = 0
+	return nil
 }
 
-// Close closes the WAL and waits for any in-flight background checkpoint.
+// Close closes a durable store's WAL and waits for any in-flight
+// background checkpoint; on an embedder without a log it does nothing.
 // It reports the first deferred checkpoint error, if any; the store
 // recovers regardless — the WAL still holds everything past the last
-// committed checkpoint. On a degraded embedder it also cuts the record
-// of the batch whose append failed out of the log, and reports that
-// cut's failure too (the disk is still full, say): the batch may then
-// come back at Open, like a batch in flight at a crash.
-func (d *DurableEmbedder) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+// committed checkpoint. On a degraded store it also cuts the record of
+// the batch whose append failed out of the log, and reports that cut's
+// failure too (the disk is still full, say): the batch may then come back
+// at Open, like a batch in flight at a crash. Reads keep serving the last
+// snapshot after Close; updates return an error.
+func (e *Embedder) Close() error {
+	l := e.log
+	if l == nil {
 		return nil
 	}
-	d.closed = true
-	d.ckptWG.Wait()
-	d.ckptMu.Lock()
-	err := d.ckptErr
-	d.ckptMu.Unlock()
-	return errors.Join(err, d.w.Close())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	l.ckptWG.Wait()
+	return errors.Join(l.ckptErr, l.w.Close())
 }

@@ -108,7 +108,7 @@ func requireMatEqual(t testing.TB, got, want [][]float64, label string) {
 // checkpointAfter takes the fixture's checkpoint after every 2nd
 // acknowledged batch. It is synchronous, so a fault sweep meets every
 // checkpoint operation at the same point of every run.
-func checkpointAfter(d *DurableEmbedder, acked int) error {
+func checkpointAfter(d *Embedder, acked int) error {
 	if acked%2 != 0 {
 		return nil
 	}
@@ -126,7 +126,7 @@ func (fx *durableFixture) runWorkload(fsys wal.FS, dir string) (acked int, creat
 	}
 	for _, b := range fx.batches {
 		if _, err := d.ApplyEvents(nil, b); err != nil {
-			return acked, false, d.e.ProximityFrobNorm() == fx.proxNorm[acked+1], err
+			return acked, false, d.ProximityFrobNorm() == fx.proxNorm[acked+1], err
 		}
 		acked++
 		if err := checkpointAfter(d, acked); err != nil {
@@ -153,7 +153,7 @@ func TestDurableCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("recovered prefix %d (checkpoint %d + replayed %d), want %d",
 			got, info.CheckpointSeq, info.ReplayedBatches, len(fx.batches))
 	}
-	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened embedding")
+	requireMatEqual(t, d.Embedding(), fx.shadow[len(fx.batches)], "reopened embedding")
 	names, err := wal.OS.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +164,73 @@ func TestDurableCreateOpenRoundTrip(t *testing.T) {
 		if !ck && !seg {
 			t.Errorf("store holds %q: neither a checkpoint nor a WAL segment", n)
 		}
+	}
+}
+
+// TestDurableRebuildRefused: a durable store refuses Rebuild and changes
+// nothing, since its log holds edge events only. After 3 batches, the
+// refused Rebuild and 3 more, the store serves the no-rebuild state bit
+// for bit, before Close and after Open. A rebuild that was served but
+// never logged would be lost at the restart: the reopened embedding would
+// differ from the one served before it.
+func TestDurableRebuildRefused(t *testing.T) {
+	fx := newDurableFixture(t)
+	dir := t.TempDir()
+	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
+	for _, b := range fx.batches[:3] {
+		mustTB(d.ApplyEvents(bgt, b))
+	}
+	version, rebuilds := d.Version(), d.Metrics().Rebuilds
+	if err := d.Rebuild(bgt); err == nil {
+		t.Fatal("Rebuild on a durable store succeeded, want an error")
+	}
+	if got := d.Version(); got != version {
+		t.Fatalf("refused Rebuild published version %d, want %d", got, version)
+	}
+	if got := d.Metrics().Rebuilds; got != rebuilds {
+		t.Fatalf("refused Rebuild counted: %d rebuilds, want %d", got, rebuilds)
+	}
+	fx.requireState(t, d, 3, "state after the refused Rebuild")
+	for _, b := range fx.batches[3:] {
+		mustTB(d.ApplyEvents(bgt, b))
+	}
+	fx.requireState(t, d, len(fx.batches), "state served before Close")
+	must0tb(d.Close())
+	d = mustTB(Open(dir, fx.cfg))
+	defer d.Close()
+	fx.requireState(t, d, len(fx.batches), "reopened state")
+}
+
+// TestOpenServesTheVersionBeforeClose: a reopened store publishes the
+// version it served before Close, one more than the seq of its last
+// batch, counted from the checkpoint's seq (4 here) plus the batches
+// replayed (2), so a version names one state across a restart.
+func TestOpenServesTheVersionBeforeClose(t *testing.T) {
+	fx := newDurableFixture(t)
+	dir := t.TempDir()
+	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
+	for i, b := range fx.batches {
+		mustTB(d.ApplyEvents(bgt, b))
+		if i+1 == 4 {
+			must0tb(d.Checkpoint())
+		}
+	}
+	want := uint64(len(fx.batches) + 1)
+	if got := d.Version(); got != want {
+		t.Fatalf("version before Close = %d, want %d", got, want)
+	}
+	must0tb(d.Close())
+	d = mustTB(Open(dir, fx.cfg))
+	defer d.Close()
+	if info := d.Recovery(); info.CheckpointSeq != 4 || info.ReplayedBatches != 2 {
+		t.Fatalf("recovery %+v, want checkpoint 4 and 2 batches replayed", info)
+	}
+	if got := d.Version(); got != want {
+		t.Fatalf("version after Open = %d, want %d, the version served before Close", got, want)
+	}
+	mustTB(d.ApplyEvents(bgt, fx.batches[0]))
+	if got := d.Version(); got != want+1 {
+		t.Fatalf("version after one more batch = %d, want %d", got, want+1)
 	}
 }
 
@@ -221,7 +288,7 @@ func TestDurableReplayWithoutCheckpoints(t *testing.T) {
 	if info.CheckpointSeq != 0 || info.ReplayedBatches != len(fx.batches) {
 		t.Fatalf("recovery = %+v, want all %d batches replayed from checkpoint 0", info, len(fx.batches))
 	}
-	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "replayed embedding")
+	requireMatEqual(t, d.Embedding(), fx.shadow[len(fx.batches)], "replayed embedding")
 }
 
 // TestOpenStrictRecovery flips one payload byte of the first record in
@@ -314,7 +381,7 @@ func TestOpenStrictRecovery(t *testing.T) {
 	if info.DroppedBatches == 0 || info.DropReason == "" || info.ReplayedBatches != 0 {
 		t.Fatalf("recovery = %+v, want dropped batches with a reason and none replayed", info)
 	}
-	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[0], "checkpoint-only embedding")
+	requireMatEqual(t, d.Embedding(), fx.shadow[0], "checkpoint-only embedding")
 }
 
 // TestDurableCheckpointPrunesWAL: every checkpoint starts a WAL segment
@@ -376,7 +443,7 @@ func TestOpenSkipsLogItsCheckpointCovers(t *testing.T) {
 	if info.CheckpointSeq != 4 || info.ReplayedBatches != 2 || info.DroppedBatches != 0 {
 		t.Fatalf("recovery = %+v, want checkpoint 4, 2 batches replayed, none dropped", info)
 	}
-	fx.requireState(t, d.Embedder(), len(fx.batches), "state after Open")
+	fx.requireState(t, d, len(fx.batches), "state after Open")
 	must0tb(d.Close())
 	if after, err := os.ReadFile(first); err != nil || !bytes.Equal(after, raw) {
 		t.Fatalf("Open changed the segment its checkpoint covers (%v)", err)
@@ -413,7 +480,7 @@ func TestOpenSkipsLogItsCheckpointCovers(t *testing.T) {
 		if info := r.Recovery(); info.CheckpointSeq != 4 || info.ReplayedBatches != 2 || info.DroppedBatches != 0 {
 			t.Fatalf("%s: recovery after the restart = %+v, want checkpoint 4, 2 batches replayed, none dropped", label, info)
 		}
-		fx.requireState(t, r.Embedder(), len(fx.batches), label+" Open after the restart")
+		fx.requireState(t, r, len(fx.batches), label+" Open after the restart")
 		return
 	}
 }
@@ -445,7 +512,7 @@ func TestOpenCountsEveryDroppedBatch(t *testing.T) {
 	if info.CheckpointSeq != 0 || info.ReplayedBatches != 1 || info.DroppedBatches != len(fx.batches)-1 {
 		t.Fatalf("recovery = %+v, want checkpoint 0, 1 batch replayed, %d dropped", info, len(fx.batches)-1)
 	}
-	fx.requireState(t, d.Embedder(), 1, "state after Open")
+	fx.requireState(t, d, 1, "state after Open")
 }
 
 // TestOpenFallsBackPastCorruptCheckpoint damages the newest checkpoint:
@@ -498,7 +565,7 @@ func TestOpenFallsBackPastCorruptCheckpoint(t *testing.T) {
 			if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
 				t.Fatalf("fallback recovered prefix %d, want %d", got, len(fx.batches))
 			}
-			requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
+			requireMatEqual(t, d.Embedding(), fx.shadow[len(fx.batches)], "fallback embedding")
 		})
 	}
 }
@@ -542,8 +609,7 @@ func TestDurableCancelledBatchNeitherLoggedNorApplied(t *testing.T) {
 	fx := newDurableFixture(t)
 	dir := t.TempDir()
 	d := mustTB(Create(dir, fx.initial.Clone(), fx.subset, fx.cfg))
-	emb := d.Embedder()
-	version := emb.Version()
+	version := d.Version()
 	cancelled, cancel := context.WithCancel(bgt)
 	cancel()
 	if _, err := d.ApplyEvents(cancelled, fx.batches[0]); !errors.Is(err, context.Canceled) {
@@ -552,12 +618,12 @@ func TestDurableCancelledBatchNeitherLoggedNorApplied(t *testing.T) {
 	if got := d.Metrics().WAL.Appends; got != 0 {
 		t.Fatalf("a cancelled batch appended %d WAL records, want 0", got)
 	}
-	if got := emb.Version(); got != version {
+	if got := d.Version(); got != version {
 		t.Fatalf("a cancelled batch published version %d, want %d", got, version)
 	}
-	fx.requireState(t, emb, 0, "state after a cancelled batch")
+	fx.requireState(t, d, 0, "state after a cancelled batch")
 	mustTB(d.ApplyEvents(bgt, fx.batches[0]))
-	fx.requireState(t, emb, 1, "state after the batch is sent again")
+	fx.requireState(t, d, 1, "state after the batch is sent again")
 	must0tb(d.Close())
 	// And the log agrees: the batch is logged once.
 	d = mustTB(Open(dir, fx.cfg))
@@ -565,7 +631,7 @@ func TestDurableCancelledBatchNeitherLoggedNorApplied(t *testing.T) {
 	if info := d.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != 1 {
 		t.Fatalf("recovered %+v, want the one batch", info)
 	}
-	fx.requireState(t, d.Embedder(), 1, "reopened state")
+	fx.requireState(t, d, 1, "reopened state")
 }
 
 func TestDurableRejectsInvalidBatchBeforeLogging(t *testing.T) {
@@ -615,7 +681,7 @@ func TestCloseReportsFirstCheckpointError(t *testing.T) {
 		if _, err := d.ApplyEvents(bgt, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		d.ckptWG.Wait() // this batch's checkpoint has finished
+		d.log.ckptWG.Wait() // this batch's checkpoint has finished
 		if m := d.Metrics().WAL; m.CheckpointFailures != 1 || m.Checkpoints != uint64(i) {
 			t.Fatalf("after batch %d: %d failed and %d committed checkpoints, want 1 and %d", i, m.CheckpointFailures, m.Checkpoints, i)
 		}
@@ -717,7 +783,7 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 			// first checkpoint (ErrNoState) or recovers to the empty prefix.
 			ffs.Clear()
 			if d2, err := OpenWithFS(ffs, dir, cfg); err == nil {
-				requireMatEqual(t, d2.Embedder().Embedding(), fx.shadow[0], label+" post-create-fault embedding")
+				requireMatEqual(t, d2.Embedding(), fx.shadow[0], label+" post-create-fault embedding")
 				d2.Close()
 			} else if !errors.Is(err, ErrNoState) {
 				t.Fatalf("%s: Open after cleared create fault: %v", label, err)
@@ -729,7 +795,7 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 		applied := 0
 		sealed := false
 		for applied < len(fx.batches) {
-			version := d.Embedder().Version()
+			version := d.Version()
 			_, err := d.ApplyEvents(nil, fx.batches[applied])
 			if err == nil {
 				applied++
@@ -759,15 +825,15 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 					t.Fatalf("%s: DegradedError returned but Degraded() is nil", label)
 				}
 				// Reads keep serving the last published snapshot.
-				if got := d.Embedder().Version(); got != version {
+				if got := d.Version(); got != version {
 					t.Fatalf("%s: degraded store published version %d, want %d", label, got, version)
 				}
-				requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[applied], label+" degraded reads")
+				requireMatEqual(t, d.Embedding(), fx.shadow[applied], label+" degraded reads")
 				// Ingest stays sealed until Close, even after retrying.
 				if _, err := d.ApplyEvents(nil, fx.batches[applied]); !errors.As(err, &de) {
 					t.Fatalf("%s: ingest while degraded returned %v, want *DegradedError", label, err)
 				}
-				if s, g := d.met.seals.Load(), d.met.degraded.Load(); s != 1 || g != 1 {
+				if s, g := d.log.met.seals.Load(), d.log.met.degraded.Load(); s != 1 || g != 1 {
 					t.Fatalf("%s: degraded_seals_total %d, degraded %d; want 1, 1", label, s, g)
 				}
 				// The one way back is a restart: the failed batch was applied
@@ -781,7 +847,7 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 				if d, err = OpenWithFS(ffs, dir, cfg); err != nil {
 					t.Fatalf("%s: Open after clearing the fault: %v", label, err)
 				}
-				fx.requireState(t, d.Embedder(), applied, label+" state after the restart")
+				fx.requireState(t, d, applied, label+" state after the restart")
 				continue
 			}
 			t.Fatalf("%s: batch %d failed with %v, want a *DegradedError", label, applied, err)
@@ -791,10 +857,10 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 		}
 		// The store that finished the stream never sealed: a sealed one
 		// was closed and replaced by an Open.
-		if s, g := d.met.seals.Load(), d.met.degraded.Load(); s != 0 || g != 0 {
+		if s, g := d.log.met.seals.Load(), d.log.met.degraded.Load(); s != 0 || g != 0 {
 			t.Fatalf("%s: degraded_seals_total %d, degraded %d; want 0, 0", label, s, g)
 		}
-		fx.requireState(t, d.Embedder(), len(fx.batches), label+" final state")
+		fx.requireState(t, d, len(fx.batches), label+" final state")
 		// The sweep tail pushes the fault into the epilogue — shutdown
 		// checkpoint, directory reopen, the post-recovery probe. An ENOSPC
 		// there is operator-visible but must not lose acked data either.
@@ -817,7 +883,7 @@ func TestDiskFullDegradedRestart(t *testing.T) {
 				t.Fatalf("%s: reopen directory after clearing the fault: %v", label, err)
 			}
 		}
-		fx.requireState(t, d2.Embedder(), len(fx.batches), label+" recovered state")
+		fx.requireState(t, d2, len(fx.batches), label+" recovered state")
 		if _, err := d2.ApplyEvents(nil, []Event{{U: 1, V: 2, Type: Insert}}); err != nil {
 			tolerateDiskFull("post-recovery ApplyEvents", err)
 		}
@@ -863,7 +929,7 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	if got := int(info.CheckpointSeq) + info.ReplayedBatches; got != len(fx.batches) {
 		t.Fatalf("recovered prefix %d, want %d", got, len(fx.batches))
 	}
-	requireMatEqual(t, d.Embedder().Embedding(), fx.shadow[len(fx.batches)], "reopened Shards 1 embedding")
+	requireMatEqual(t, d.Embedding(), fx.shadow[len(fx.batches)], "reopened Shards 1 embedding")
 }
 
 func (fx *durableFixture) verifyRecovery(t *testing.T, dir string, k, acked int, createFailed bool, mode faultfs.Mode) {
@@ -892,7 +958,7 @@ func (fx *durableFixture) verifyRecovery(t *testing.T, dir string, k, acked int,
 	if mode != faultfs.BitFlip && prefix < acked {
 		t.Fatalf("%s: recovered prefix %d < %d acknowledged batches", label, prefix, acked)
 	}
-	fx.requireState(t, d.Embedder(), prefix, label+" state")
+	fx.requireState(t, d, prefix, label+" state")
 	// The recovered store must stay serviceable.
 	extra := []Event{{U: 1, V: 2, Type: Insert}, {U: 2, V: 4, Type: Insert}}
 	if _, err := d.ApplyEvents(nil, extra); err != nil {
@@ -954,9 +1020,8 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	fsys := &gatedSyncFS{FS: wal.OS}
 	d := mustTB(CreateWithFS(fsys, t.TempDir(), fx.initial.Clone(), fx.subset, cfg))
 	defer d.Close()
-	emb := d.Embedder()
-	version, edges := emb.Version(), emb.Snapshot().NumEdges()
-	updates := emb.tree.Metrics().Updates.Load()
+	version, edges := d.Version(), d.Snapshot().NumEdges()
+	updates := d.tree.Metrics().Updates.Load()
 
 	entered, release := fsys.arm()
 	released := false
@@ -973,18 +1038,18 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	<-entered
 	// Let the in-memory apply run to its end: the tree update, then the
 	// snapshot build, which a wrong order would publish right away.
-	for deadline := time.Now().Add(5 * time.Second); emb.tree.Metrics().Updates.Load() == updates; {
+	for deadline := time.Now().Add(5 * time.Second); d.tree.Metrics().Updates.Load() == updates; {
 		if time.Now().After(deadline) {
 			t.Fatal("the in-memory apply did not finish while the fsync was held")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
-		if got := emb.Version(); got != version {
+		if got := d.Version(); got != version {
 			t.Fatalf("version %d published while the batch's fsync was held (want %d)", got, version)
 		}
-		requireMatEqual(t, emb.Embedding(), fx.shadow[0], "embedding while the fsync is held")
-		if n := emb.Snapshot().NumEdges(); n != edges {
+		requireMatEqual(t, d.Embedding(), fx.shadow[0], "embedding while the fsync is held")
+		if n := d.Snapshot().NumEdges(); n != edges {
 			t.Fatalf("snapshot reports %d edges while the batch's fsync was held, want %d", n, edges)
 		}
 		select {
@@ -999,11 +1064,11 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	if err := <-applied; err != nil {
 		t.Fatal(err)
 	}
-	if got := emb.Version(); got != version+1 {
+	if got := d.Version(); got != version+1 {
 		t.Fatalf("version after the fsync = %d, want %d", got, version+1)
 	}
-	requireMatEqual(t, emb.Embedding(), fx.shadow[1], "embedding after the fsync")
-	if n := emb.Snapshot().NumEdges(); n == edges {
+	requireMatEqual(t, d.Embedding(), fx.shadow[1], "embedding after the fsync")
+	if n := d.Snapshot().NumEdges(); n == edges {
 		t.Fatalf("snapshot reads %d edges, the pre-batch count; want the batch's", n)
 	}
 }
@@ -1075,8 +1140,7 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			gated := &gatedSyncFS{FS: ffs}
 			d := mustTB(CreateWithFS(gated, dir, fx.initial.Clone(), fx.subset, cfg))
 			defer d.Close()
-			emb := d.Embedder()
-			version := emb.Version()
+			version := d.Version()
 			ctx, cancel := context.WithCancel(bgt)
 			defer cancel()
 			applied := make(chan error, 1)
@@ -1094,10 +1158,10 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			if err := <-applied; !errors.As(err, &de) || !ffs.Fired() {
 				t.Fatalf("ApplyEvents with a failing append: %v (fault fired %v), want *DegradedError", err, ffs.Fired())
 			}
-			if emb.Version() != version {
-				t.Fatalf("degraded store published version %d, want %d", emb.Version(), version)
+			if d.Version() != version {
+				t.Fatalf("degraded store published version %d, want %d", d.Version(), version)
 			}
-			requireMatEqual(t, emb.Embedding(), fx.shadow[0], "degraded reads")
+			requireMatEqual(t, d.Embedding(), fx.shadow[0], "degraded reads")
 			files := dirNames(t, dir)
 			if err := d.Checkpoint(); !errors.As(err, &de) {
 				t.Fatalf("Checkpoint while degraded: %v, want *DegradedError", err)
@@ -1112,15 +1176,15 @@ func TestFailedAppendUnloggedBatch(t *testing.T) {
 			if info := d.Recovery(); info.ReplayedBatches != 0 {
 				t.Fatalf("Open after the failed append recovered %+v, want no replayed batch", info)
 			}
-			fx.requireState(t, d.Embedder(), 0, "state after the restart")
+			fx.requireState(t, d, 0, "state after the restart")
 			for i, b := range fx.batches[:2] { // the failed batch resent, then the next
 				mustTB(d.ApplyEvents(bgt, b))
-				fx.requireState(t, d.Embedder(), i+1, fmt.Sprintf("state after batch %d", i))
+				fx.requireState(t, d, i+1, fmt.Sprintf("state after batch %d", i))
 			}
 			must0tb(d.Close())
 			reopened := mustTB(Open(dir, cfg))
 			defer reopened.Close()
-			fx.requireState(t, reopened.Embedder(), 2, "recovered state")
+			fx.requireState(t, reopened, 2, "recovered state")
 		})
 	}
 }
@@ -1154,7 +1218,7 @@ func TestCloseOnFullDiskReportsTheCut(t *testing.T) {
 	if info := opened.Recovery(); info.ReplayedBatches != 1 {
 		t.Fatalf("Open after the failed cut recovered %+v, want the failed batch replayed", info)
 	}
-	fx.requireState(t, opened.Embedder(), 1, "state after Open")
+	fx.requireState(t, opened, 1, "state after Open")
 }
 
 // TestOpenAfterFailedFsyncReplaysNothing: a record whose fsync failed
@@ -1184,7 +1248,7 @@ func TestOpenAfterFailedFsyncReplaysNothing(t *testing.T) {
 	if info := opened.Recovery(); info.ReplayedBatches != 0 {
 		t.Fatalf("Open after the failed fsync recovered %+v, want no replayed batch", info)
 	}
-	fx.requireState(t, opened.Embedder(), 0, "state after Open")
+	fx.requireState(t, opened, 0, "state after Open")
 }
 
 // powerLossAfterFailedFsync drives the fixture's first batch, then fails
@@ -1216,7 +1280,7 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 		}
 		d.Close() // cuts the failed record; after a crash it only releases descriptors
 		d = mustTB(OpenWithFS(inner, dir, cfg))
-		fx.requireState(t, d.Embedder(), kept, "state after restart")
+		fx.requireState(t, d, kept, "state after restart")
 		for _, b := range fx.batches[kept : kept+2] {
 			mustTB(d.ApplyEvents(bgt, b))
 		}
@@ -1237,7 +1301,7 @@ func (fx *durableFixture) powerLossAfterFailedFsync(t *testing.T, outerMode faul
 	if info := rd.Recovery(); int(info.CheckpointSeq)+info.ReplayedBatches != kept+2 || info.DroppedBatches != 0 {
 		t.Fatalf("after the power loss Open recovered %+v, want all %d batches", info, kept+2)
 	}
-	fx.requireState(t, rd.Embedder(), kept+2, "state after the power loss")
+	fx.requireState(t, rd, kept+2, "state after the power loss")
 }
 
 // TestPowerLossAfterFailedFsyncAndRestart: a failed record fsync proves
@@ -1273,7 +1337,7 @@ func TestSaveHoldsNoWorkerCount(t *testing.T) {
 			mustTB(d.ApplyEvents(bgt, b))
 		}
 		var buf bytes.Buffer
-		must0tb(d.Embedder().Save(&buf))
+		must0tb(d.Save(&buf))
 		saves[workers] = buf.Bytes()
 		must0tb(d.Close())
 		dir2 = dir
@@ -1288,10 +1352,10 @@ func TestSaveHoldsNoWorkerCount(t *testing.T) {
 	cfg.Config.Workers = 1
 	d := mustTB(Open(dir2, cfg))
 	defer d.Close()
-	if got := runsAt(d.Embedder()); !slices.Equal(got, []int{1, 1}) {
+	if got := runsAt(d); !slices.Equal(got, []int{1, 1}) {
 		t.Fatalf("a store created at Workers 2 and opened with Workers 1 runs at %v (config, PPR), want 1", got)
 	}
-	fx.requireState(t, d.Embedder(), len(fx.batches), "opened state")
+	fx.requireState(t, d, len(fx.batches), "opened state")
 	if got := runsAt(mustTB(Load(bytes.NewReader(saves[2])))); !slices.Equal(got, []int{0, 0}) {
 		t.Fatalf("a save loaded without a worker count runs at %v (config, PPR), want 0", got)
 	}

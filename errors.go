@@ -92,10 +92,10 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("treesvd: overloaded: endpoint %q shed the request", e.Endpoint)
 }
 
-// DegradedError reports an update rejected because the durable embedder
+// DegradedError reports an update rejected because a durable store
 // sealed itself into read-only degraded mode after a persistent WAL I/O
 // failure (a full disk, an fsync error). Reads keep serving the last
-// published snapshot; ingest returns this error until DurableEmbedder.Close.
+// published snapshot; ingest returns this error until Embedder.Close.
 // The way back is a restart: the operator clears the underlying fault,
 // closes and reopens the store (Close, then Open), and resends the batch
 // that failed. The server maps it to HTTP 503 (kind "degraded") and the

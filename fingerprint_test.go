@@ -118,12 +118,12 @@ func programFingerprint(t *testing.T, workers int) []string {
 			mustTB(d.ApplyEvents(bgt, ev))
 		}
 		fmt.Fprintf(&out, "%s.wal_bytes %d\n", stream.name, d.Metrics().WAL.AppendedBytes)
-		writeFingerprint(t, &out, stream.name+".live", d.Embedder())
+		writeFingerprint(t, &out, stream.name+".live", d)
 		must0tb(d.Close())
 
 		d = mustTB(Open(dir, DurableConfig{Config: Config{Workers: workers}, CheckpointEvery: -1}))
 		fmt.Fprintf(&out, "%s.replayed_batches %d\n", stream.name, d.Recovery().ReplayedBatches)
-		writeFingerprint(t, &out, stream.name+".reopened", d.Embedder())
+		writeFingerprint(t, &out, stream.name+".reopened", d)
 		must0tb(d.Close())
 	}
 	return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")

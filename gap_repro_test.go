@@ -65,7 +65,7 @@ func TestGapAfterLenientDropBelowCheckpoint(t *testing.T) {
 			t.Fatalf("extra batch %d: %v", i, err)
 		}
 	}
-	want := copyMat(d.Embedder().Embedding())
+	want := copyMat(d.Embedding())
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +79,5 @@ func TestGapAfterLenientDropBelowCheckpoint(t *testing.T) {
 		t.Fatalf("second open dropped %d acknowledged batches (reason: %s)",
 			d2.Recovery().DroppedBatches, d2.Recovery().DropReason)
 	}
-	requireMatEqual(t, d2.Embedder().Embedding(), want, "state after reopen")
+	requireMatEqual(t, d2.Embedding(), want, "state after reopen")
 }

@@ -119,7 +119,7 @@ func runCrashSeed(t *testing.T, seed int64) {
 				break
 			}
 			acked++
-			if err := d.Embedder().Audit(); err != nil {
+			if err := d.Audit(); err != nil {
 				t.Fatalf("seed %d: batch %d: audit: %v", seed, acked-1, err)
 			}
 			if acked%2 == 0 && d.Checkpoint() != nil {
@@ -140,7 +140,7 @@ func runCrashSeed(t *testing.T, seed int64) {
 		t.Fatalf("seed %d (plan %+v): Open after fault: %v (createFailed=%v)", seed, plan, err, createFailed)
 	}
 	defer rec.Close()
-	if err := rec.Embedder().Audit(); err != nil {
+	if err := rec.Audit(); err != nil {
 		t.Fatalf("seed %d: recovered state failed the audit: %v", seed, err)
 	}
 	info := rec.Recovery()
@@ -154,7 +154,7 @@ func runCrashSeed(t *testing.T, seed int64) {
 	if plan.Mode != faultfs.BitFlip && prefix < acked {
 		t.Fatalf("seed %d: recovered prefix %d < %d acknowledged batches", seed, prefix, acked)
 	}
-	requireEqual(t, rec.Embedder().Embedding(), shadow[prefix], "recovered embedding")
+	requireEqual(t, rec.Embedding(), shadow[prefix], "recovered embedding")
 
 	// The recovered store must pick the stream back up and track the
 	// never-crashed shadow for every remaining prefix.
@@ -162,9 +162,9 @@ func runCrashSeed(t *testing.T, seed int64) {
 		if _, err := rec.ApplyEvents(ctx, b); err != nil {
 			t.Fatalf("seed %d: post-recovery batch %d: %v", seed, prefix+i, err)
 		}
-		if err := rec.Embedder().Audit(); err != nil {
+		if err := rec.Audit(); err != nil {
 			t.Fatalf("seed %d: post-recovery batch %d: audit: %v", seed, prefix+i, err)
 		}
-		requireEqual(t, rec.Embedder().Embedding(), shadow[prefix+i+1], "post-recovery embedding")
+		requireEqual(t, rec.Embedding(), shadow[prefix+i+1], "post-recovery embedding")
 	}
 }

@@ -80,8 +80,8 @@ func durStats(h obs.HistStats) DurationStats {
 	}
 }
 
-// WALMetrics is the durability slice of Metrics, present only for
-// embedders managed by a DurableEmbedder.
+// WALMetrics is the durability slice of Metrics, present only for a
+// durable store (Create, Open).
 type WALMetrics struct {
 	// Appends counts logged batches; AppendedBytes their on-disk record
 	// bytes. Fsyncs counts File.Sync calls (append, segment creation, the
@@ -140,7 +140,7 @@ type Metrics struct {
 	// PoolHits/PoolMisses are the process-wide linalg scratch-pool
 	// counters (shared across embedders in the same process).
 	PoolHits, PoolMisses uint64
-	// WAL is nil unless this embedder is managed by a DurableEmbedder.
+	// WAL is nil unless the embedder has a log (Create, Open).
 	WAL *WALMetrics
 }
 
@@ -158,8 +158,8 @@ type pipelineMetrics struct {
 	reg              *obs.Registry
 }
 
-// durableMetrics is the durability layer's instrumentation, owned by one
-// DurableEmbedder and linked into the wrapped embedder's Metrics/registry.
+// durableMetrics is a durable store's instrumentation, held by its log
+// and reported in Metrics().WAL and the registry.
 type durableMetrics struct {
 	wal          wal.Metrics
 	checkpoints  obs.Counter
@@ -244,11 +244,9 @@ func newPipelineMetrics(e *Embedder) *pipelineMetrics {
 	return p
 }
 
-// registerDurable links the durable layer's metrics into the embedder:
-// they appear in Metrics().WAL and in the registry. Called once, before
-// the durable embedder is returned to the caller.
+// registerDurable adds a durable store's metrics to the registry (see
+// attachLog); Metrics().WAL reads them through e.log.
 func (e *Embedder) registerDurable(dm *durableMetrics) {
-	e.durMet.Store(dm)
 	r := e.met.reg
 	r.Counter("treesvd_wal_appends_total", "records", "WAL records appended", &dm.wal.Appends)
 	r.Counter("treesvd_wal_appended_bytes_total", "bytes",
@@ -300,7 +298,8 @@ func (e *Embedder) Metrics() Metrics {
 		PoolHits:           hits,
 		PoolMisses:         misses,
 	}
-	if dm := e.durMet.Load(); dm != nil {
+	if e.log != nil {
+		dm := &e.log.met
 		m.WAL = &WALMetrics{
 			Appends:            dm.wal.Appends.Load(),
 			AppendedBytes:      dm.wal.AppendedBytes.Load(),
@@ -325,7 +324,7 @@ func (e *Embedder) MetricsRegistry() *Registry { return e.met.reg }
 // SetTraceHook installs (or clears, with nil) the hook receiving pipeline
 // trace events; see TraceHook for the contract. It serializes with
 // updates, so it is safe to call at any time, but is typically set once
-// after New (on a durable store, on its Embedder()).
+// after New or Open.
 func (e *Embedder) SetTraceHook(h TraceHook) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -253,27 +253,25 @@ func TestTraceHookOrdering(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := treesvd.Config{Dim: 4, Workers: 4, RMax: 1e-6, Delta: tc.delta}
 			var emb *treesvd.Embedder
-			var apply func(context.Context, []treesvd.Event) (int, error)
 			if tc.durable {
 				d, err := treesvd.Create(t.TempDir(), ringGraph(48), subset, treesvd.DurableConfig{Config: cfg, CheckpointEvery: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer d.Close()
-				emb, apply = d.Embedder(), d.ApplyEvents
+				emb = d
 			} else {
 				var err error
 				if emb, err = treesvd.New(ringGraph(48), subset, cfg); err != nil {
 					t.Fatal(err)
 				}
-				apply = emb.ApplyEvents
 			}
 			log := &traceLog{}
 			emb.SetTraceHook(log.hook)
 			const nb = 3
 			rebuilt := 0
 			for _, b := range chordBatches(48, nb) {
-				n, err := apply(context.Background(), b)
+				n, err := emb.ApplyEvents(context.Background(), b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -341,7 +339,7 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &traceLog{}
-	d.Embedder().SetTraceHook(log.hook)
+	d.SetTraceHook(log.hook)
 	for i, b := range chordBatches(32, 5) {
 		if _, err := d.ApplyEvents(context.Background(), b); err != nil {
 			t.Fatal(err)
@@ -382,7 +380,7 @@ func TestDurableMetricsAndTrace(t *testing.T) {
 			t.Fatalf("durable batch %d traced no publish.wait: %v", ev.Seq, ev.Stages)
 		}
 	}
-	prom := func(d *treesvd.DurableEmbedder) string {
+	prom := func(d *treesvd.Embedder) string {
 		rec := httptest.NewRecorder()
 		d.MetricsRegistry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		return rec.Body.String()

@@ -146,6 +146,11 @@ func (e *Embedder) Save(w io.Writer) error {
 func (e *Embedder) saveBytes() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.saveBytesLocked()
+}
+
+// saveBytesLocked is saveBytes under the caller's e.mu.
+func (e *Embedder) saveBytesLocked() ([]byte, error) {
 	cfg := e.cfg
 	cfg.Workers = 0
 	saved := savedEmbedder{

@@ -65,14 +65,14 @@ type publishTally struct {
 	fromSubset, sharedLists, triggered, sharedX int
 }
 
-// applyChecked applies batch through apply and checks the snapshot it
+// applyChecked applies batch to e and checks the snapshot it
 // publishes: it matches a publish from scratch, a batch with no event out
 // of a subset node shares its predecessor's exclusion arrays, and a batch
 // that re-factored nothing shares its X.
-func (tl *publishTally) applyChecked(t *testing.T, e *Embedder, batch []Event, apply func([]Event) (int, error), label string) {
+func (tl *publishTally) applyChecked(t *testing.T, e *Embedder, batch []Event, label string) {
 	t.Helper()
 	prev := e.Snapshot()
-	rebuilt, err := apply(batch)
+	rebuilt, err := e.ApplyEvents(bgt, batch)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -108,7 +108,7 @@ func TestPublishSharesWhatNothingMoved(t *testing.T) {
 		checkPublished(t, e, "build")
 		var tl publishTally
 		for i, b := range batches {
-			tl.applyChecked(t, e, b, func(b []Event) (int, error) { return e.ApplyEvents(bgt, b) }, fmt.Sprint("batch ", i))
+			tl.applyChecked(t, e, b, fmt.Sprint("batch ", i))
 		}
 		if tl.fromSubset == 0 || tl.sharedLists == 0 || tl.triggered == 0 || tl.sharedX == 0 {
 			t.Fatalf("stream does not cover every case: %+v", tl)
@@ -131,11 +131,10 @@ func TestPublishSharesWhatNothingMoved(t *testing.T) {
 		if got := d.Recovery().ReplayedBatches; got != replayed {
 			t.Fatalf("replayed %d batches, want %d", got, replayed)
 		}
-		e := d.Embedder()
-		checkPublished(t, e, "open")
+		checkPublished(t, d, "open")
 		var tl publishTally
 		for i, b := range batches[replayed:] {
-			tl.applyChecked(t, e, b, func(b []Event) (int, error) { return d.ApplyEvents(bgt, b) }, fmt.Sprint("batch ", replayed+i))
+			tl.applyChecked(t, d, b, fmt.Sprint("batch ", replayed+i))
 		}
 		if tl.sharedLists == 0 || tl.sharedX == 0 {
 			t.Fatalf("no publish after the reopen shared anything: %+v", tl)

@@ -144,6 +144,8 @@ var retiredStubs = []struct{ stub, spelling string }{
 	{"treesvd.DurableConfig.Sync", `\bSync\s*:`},
 	{"treesvd.SyncPolicy", `\btreesvd\.SyncBatch\b`},
 	{"treesvd.SyncBatch", `\btreesvd\.SyncBatch\b`},
+	{"treesvd.DurableEmbedder", `\btreesvd\.DurableEmbedder\b`},
+	{"treesvd.Embedder.Embedder", `\.Embedder\(\)`},
 }
 
 // TestRetiredNamesStillNamedByBenchmark keeps the retired stubs honest:

@@ -6,14 +6,6 @@ import (
 	"github.com/tree-svd/treesvd/internal/wire"
 )
 
-// degrader is implemented by *treesvd.DurableEmbedder: a non-nil
-// Degraded() means ingest is sealed read-only until the store is closed
-// and reopened (see the degraded-mode contract there). A plain
-// *treesvd.Embedder has no durability to lose and never degrades.
-type degrader interface {
-	Degraded() error
-}
-
 // handleHealthz is the liveness probe: the process is up and the mux is
 // answering. It stays 200 while draining or degraded — restarting a
 // process that is still serving reads would make either condition worse.
@@ -31,10 +23,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if s.draining.Load() {
 		dto.Status, status = "draining", http.StatusServiceUnavailable
-	} else if d, ok := s.b.(degrader); ok {
-		if err := d.Degraded(); err != nil {
-			dto.Status, dto.Reason, status = "degraded", err.Error(), http.StatusServiceUnavailable
-		}
+	} else if err := s.b.Degraded(); err != nil {
+		dto.Status, dto.Reason, status = "degraded", err.Error(), http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, dto)
 }

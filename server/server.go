@@ -1,4 +1,4 @@
-// Package server exposes a treesvd.Embedder (or a DurableEmbedder) over
+// Package server exposes a treesvd.Embedder, in memory or durable, over
 // HTTP: the snapshot-isolated read path (Recommend, Embedding,
 // RightEmbedding, Version) plus a streaming ApplyEvents ingest endpoint,
 // with the embedder's metric registry, the server's own HTTP series and
@@ -46,15 +46,19 @@ import (
 	"github.com/tree-svd/treesvd/internal/obs"
 )
 
-// Backend is the one handle a Server fronts: *treesvd.Embedder, or a
-// *treesvd.DurableEmbedder to log every ingested batch to the WAL before
-// it applies. Reads answer from Snapshot alone. The server validates no
-// batch itself — the backend's up-front validation (Config.MaxNodes) is
-// the contract, and its *NodeRangeError maps to HTTP 400.
+// Backend is the one handle a Server fronts: a *treesvd.Embedder, whose
+// ApplyEvents logs every ingested batch to the WAL first when Create or
+// Open made it (tests substitute fakes that embed one). Reads answer from
+// Snapshot alone. The server validates no batch itself — the backend's
+// up-front validation (Config.MaxNodes) is the contract, and its
+// *NodeRangeError maps to HTTP 400. A non-nil Degraded means ingest is
+// sealed read-only until the store is closed and reopened; /readyz
+// answers 503 meanwhile.
 type Backend interface {
 	Snapshot() *treesvd.Snapshot
 	ApplyEvents(ctx context.Context, events []treesvd.Event) (int, error)
 	MetricsRegistry() *treesvd.Registry
+	Degraded() error
 }
 
 // readHeaderTimeout bounds header parsing per request.

@@ -161,7 +161,10 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Embedder maintains subset embeddings over a dynamic graph.
+// Embedder maintains subset embeddings over a dynamic graph. New and Load
+// return one that lives in memory; Create and Open return one with a
+// write-ahead log attached, which logs every batch before it is published
+// (see Create).
 //
 // Concurrency contract: ApplyEvents, Rebuild and Save serialize on an
 // internal mutex (safe from any goroutine); Snapshot, Embedding,
@@ -192,12 +195,12 @@ type Embedder struct {
 	subsetOutChanged bool
 	// trace receives pipeline events when set (see SetTraceHook), and
 	// stages is the clock of the stage table (see update.run); both are
-	// guarded by mu. durMet links the durable layer's counters in when a
-	// DurableEmbedder wraps this embedder; atomic, so Metrics never waits
-	// for mu, which the durable layer holds through a batch's fsync.
+	// guarded by mu.
 	trace  obs.TraceHook
 	stages obs.Stages
-	durMet atomic.Pointer[durableMetrics]
+	// log is the write-ahead log of a store Create or Open made, nil for
+	// New and Load; set before the embedder is returned, never changed.
+	log *durableLog
 
 	met     *pipelineMetrics
 	version atomic.Uint64
@@ -301,24 +304,24 @@ func (e *Embedder) Subset() []int32 { return append([]int32(nil), e.subset...) }
 // A batch containing an event whose node id is negative or at/beyond the
 // embedder's capacity (see Config.MaxNodes) is rejected whole with a
 // *NodeRangeError before any state is mutated.
+//
+// On a durable store (Create, Open) the batch is published, and the call
+// returns, only once its WAL record is fsynced; a ctx error then means the
+// batch was neither logged nor applied (see Create).
 func (e *Embedder) ApplyEvents(ctx context.Context, events []Event) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return e.applyEvents(ctx, events, publishNow)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.log != nil {
+		return e.applyLoggedLocked(ctx, events)
+	}
+	return e.applyEventsLocked(ctx, events, publishNow)
 }
 
 // publishNow is the publish barrier of a batch nothing else waits on.
 func publishNow() error { return nil }
-
-// applyEvents is ApplyEvents behind the caller's publish barrier (see
-// applyEventsLocked); the durable layer's barrier waits for the batch's
-// WAL fsync.
-func (e *Embedder) applyEvents(ctx context.Context, events []Event, publish func() error) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.applyEventsLocked(ctx, events, publish)
-}
 
 // applyEventsLocked is the body of ApplyEvents. Caller holds e.mu.
 // publish is the barrier the batch's snapshot waits on: once the batch is
@@ -458,8 +461,8 @@ func (u *update) stage(ctx context.Context, s obs.Stage) (err error) {
 
 // validateEvents checks every event of a batch against the embedder's
 // fixed capacity (see Config.MaxNodes). The capacity is immutable after
-// New, so this needs no lock; the durable layer calls it before logging
-// a batch so nothing unreplayable ever reaches the WAL.
+// New; a durable store calls it before logging a batch so nothing
+// unreplayable ever reaches the WAL.
 func (e *Embedder) validateEvents(events []Event) error {
 	capacity := e.prox.M.Cols()
 	for i, ev := range events {
@@ -476,8 +479,13 @@ func (e *Embedder) validateEvents(events []Event) error {
 // Rebuild recomputes PPR, proximity and the full tree from scratch on the
 // current graph — the Tree-SVD-S path, useful after massive changes
 // (Theorem 3.7's O(|S|/r_max) fallback). On success a new snapshot is
-// published; on error/cancellation the last snapshot stays intact.
+// published; on error/cancellation the last snapshot stays intact. A
+// durable store (Create, Open) refuses it and changes nothing: its log
+// holds edge events only, so the rebuild would be lost at the next Open.
 func (e *Embedder) Rebuild(ctx context.Context) error {
+	if e.log != nil {
+		return errRebuildLogged
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
