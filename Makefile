@@ -150,8 +150,9 @@ bench-kernels:
 	BENCH_KERNELS_OUT=$(CURDIR)/BENCH_KERNELS.json $(GO) test -run TestEmitKernelBench -v ./internal/linalg
 
 # Smoke for `make ci`: one batch of each row of BenchmarkApplyEvents
-# (4- and 48-event batches at the system benchmark's shape; ms/batch and
-# first-read-us). For numbers: -benchtime 300x -count 5.
+# (4- and 48-event batches at the system benchmark's shape; ms/batch,
+# first-read-us, and B/op and allocs/op, which show whether a publish
+# still allocates its matrix). For numbers: -benchtime 300x -count 5.
 bench-apply-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyEvents$$' -benchtime 1x .
 

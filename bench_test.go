@@ -151,7 +151,8 @@ func BenchmarkFullMatrixFRPCA(b *testing.B) {
 // re-factors, refined copies and exact merges (at a fixed -benchtime
 // these counts repeat exactly), the mean block factorization and the
 // merge sweep time. cpu-ms/batch is the process's CPU time over the timed
-// loop, so it covers each batch's first read too.
+// loop, so it covers each batch's first read too, and so do B/op and
+// allocs/op.
 func BenchmarkApplyEvents(b *testing.B) {
 	const nodes, warm = 8000, 16
 	subset := make([]int32, 128)
@@ -175,6 +176,7 @@ func BenchmarkApplyEvents(b *testing.B) {
 			}
 			var apply, read time.Duration
 			m0 := emb.Metrics()
+			b.ReportAllocs()
 			b.ResetTimer()
 			cpu0 := cpuTime(b)
 			for i, ev := range batches[warm:] {

@@ -113,8 +113,9 @@ type durableLog struct {
 	closed    bool
 	sinceCkpt int
 	// degraded is the WAL I/O failure that sealed the store read-only
-	// (nil while healthy).
-	degraded error
+	// (nil while healthy): set once under e.mu by seal, read without it,
+	// so a readiness probe never waits behind a batch's fsync.
+	degraded atomic.Pointer[error]
 
 	// ckptBusy is set while a background checkpoint, which ckptWG
 	// tracks, is in flight. ckptErr is the first background checkpoint
@@ -372,7 +373,7 @@ func (e *Embedder) applyLoggedLocked(ctx context.Context, events []Event) (int, 
 		return 0, err
 	}
 	rec := l.w.Append(graph.AppendEvents(nil, events))
-	rebuilt, err := e.applyEventsLocked(context.WithoutCancel(ctx), events, func() error {
+	rebuilt, err := e.applyValidLocked(context.WithoutCancel(ctx), events, func() error {
 		_, err := rec.Wait()
 		return err
 	})
@@ -392,31 +393,34 @@ func (e *Embedder) applyLoggedLocked(ctx context.Context, events []Event) (int, 
 // degradedErr returns the *DegradedError every update and checkpoint
 // gets while the store is sealed, else nil. Caller holds e.mu.
 func (l *durableLog) degradedErr() error {
-	if l.degraded == nil {
+	cause := l.degraded.Load()
+	if cause == nil {
 		return nil
 	}
-	return &DegradedError{Reason: "wal append failed", Err: l.degraded}
+	return &DegradedError{Reason: "wal append failed", Err: *cause}
 }
 
 // seal flips the store into read-only degraded mode after a WAL append
 // failure. Reads keep serving the published snapshot; every further
 // ApplyEvents returns a *DegradedError until Close. Caller holds e.mu.
 func (l *durableLog) seal(cause error) {
-	l.degraded = cause
+	l.degraded.Store(&cause)
 	l.met.degraded.Set(1)
 	l.met.seals.Inc()
 }
 
 // Degraded returns the WAL I/O failure that sealed a durable store into
 // read-only degraded mode, or nil while ingest is healthy and always on
-// an embedder without a log. The serving layer's /readyz probes it.
+// an embedder without a log. The serving layer's /readyz probes it. It
+// takes no lock, so it answers while a batch waits on its fsync.
 func (e *Embedder) Degraded() error {
 	if e.log == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.log.degraded
+	if cause := e.log.degraded.Load(); cause != nil {
+		return *cause
+	}
+	return nil
 }
 
 // maybeCheckpointLocked takes the periodic checkpoint. Caller holds e.mu

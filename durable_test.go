@@ -1073,6 +1073,30 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	}
 }
 
+// TestDegradedAnswersDuringFsync holds a batch's record fsync and requires
+// Degraded, what /readyz asks, to answer nil within 50 ms meanwhile: a
+// reader never waits on the writer's lock.
+func TestDegradedAnswersDuringFsync(t *testing.T) {
+	fx := newDurableFixture(t)
+	fsys := &gatedSyncFS{FS: wal.OS}
+	d := mustTB(CreateWithFS(fsys, t.TempDir(), fx.initial.Clone(), fx.subset, fx.cfg))
+	defer d.Close()
+	entered, release := fsys.arm()
+	defer close(release) // before d.Close waits for the held batch
+	go d.ApplyEvents(bgt, fx.batches[0])
+	<-entered
+	answered := make(chan error, 1)
+	go func() { answered <- d.Degraded() }()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("Degraded = %v on a healthy store", err)
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("Degraded did not answer within 50 ms while a record fsync was held")
+	}
+}
+
 // copyStore copies the files of a durable store to a fresh directory, the
 // way an operator would snapshot it.
 func copyStore(t *testing.T, dir string) string {

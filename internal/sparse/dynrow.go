@@ -248,11 +248,29 @@ func (m *DynRow) RowColumns(r int) []int32 {
 // output is the same as a full gather's, bit for bit. ToCSR updates that
 // bookkeeping, so like Set it must not run concurrently with other calls
 // on m.
-func (m *DynRow) ToCSR() *CSR {
-	out := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int32, m.rows+1)}
-	colIdx := make([]int32, 0, m.totalNNZ)
-	val := make([]float64, 0, m.totalNNZ)
+func (m *DynRow) ToCSR() *CSR { return m.ToCSRInto(nil) }
+
+// ToCSRInto is ToCSR writing into the arrays of spare, a CSR of m's shape
+// that nobody reads any more, when they are large enough; otherwise, or
+// with a nil spare, it allocates, with an eighth of headroom so that a
+// later spare still fits as nnz grows. spare must not be the CSR the last
+// ToCSR returned: the clean rows are copied from it.
+func (m *DynRow) ToCSRInto(spare *CSR) *CSR {
+	nnz := m.totalNNZ
+	out := &CSR{Rows: m.rows, Cols: m.cols}
+	var colIdx []int32
+	var val []float64
+	if spare != nil && len(spare.RowPtr) == m.rows+1 && cap(spare.ColIdx) >= nnz && cap(spare.Val) >= nnz {
+		out.RowPtr, colIdx, val = spare.RowPtr, spare.ColIdx[:0], spare.Val[:0]
+	} else {
+		out.RowPtr = make([]int32, m.rows+1)
+		colIdx = make([]int32, 0, nnz+nnz/8)
+		val = make([]float64, 0, nnz+nnz/8)
+	}
 	prev := m.frozen
+	if spare != nil && spare == prev {
+		panic("sparse: ToCSRInto reusing the CSR it copies clean rows from")
+	}
 	for r := 0; r < m.rows; {
 		if prev != nil && !m.dirty[r] {
 			end := r + 1

@@ -159,10 +159,12 @@ func cloneCSR(a *CSR) *CSR {
 
 // TestDynRowToCSRIncremental runs 0–8 random writes between ToCSR calls —
 // overwrites, deletes to zero, inserts, same-value no-ops — with
-// MarkRebuilt mixed in and one save round trip mid-stream. Every ToCSR must
-// equal the model's CSR, and every CSR returned earlier must still equal
-// the copy taken when it was returned: ToCSR copies unchanged rows out of
-// its previous result, and a published matrix must never be aliased.
+// MarkRebuilt mixed in and one save round trip mid-stream; every other
+// call hands ToCSRInto the CSR returned two calls before as its spare.
+// Every ToCSR must equal the model's CSR, and every CSR returned earlier
+// and not handed back must still equal the copy taken when it was
+// returned: ToCSR copies unchanged rows out of its previous result, and a
+// published matrix must never be aliased.
 func TestDynRowToCSRIncremental(t *testing.T) {
 	steps := 400
 	if testing.Short() {
@@ -205,7 +207,14 @@ func TestDynRowToCSRIncremental(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := m.ToCSR()
+				// Every other step writes into the CSR returned two steps
+				// before, which from then on nobody may read.
+				var spare *CSR
+				if n := len(returned); step%2 == 1 && n >= 2 {
+					spare = returned[n-2]
+					returned, copies = slices.Delete(returned, n-2, n-1), slices.Delete(copies, n-2, n-1)
+				}
+				got := m.ToCSRInto(spare)
 				if !equalCSR(got, mod.csrOf(mod.live, 0, mod.cols)) {
 					t.Fatalf("step %d: ToCSR differs from the model", step)
 				}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"slices"
 
@@ -171,11 +172,34 @@ func (e *Embedder) saveBytesLocked() ([]byte, error) {
 // restored embedder runs on workers (Config.Workers; at most one value),
 // sequentially when none is given.
 func Load(r io.Reader, workers ...int) (*Embedder, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("treesvd: read save: %w", err)
 	}
 	return load(data, "", workers)
+}
+
+// readAll reads r to its end. A reader that reports its size (Len, as a
+// *bytes.Reader does, or Stat on a regular file) is read into one buffer
+// of that size; any other goes through io.ReadAll, which grows its buffer
+// by doubling.
+func readAll(r io.Reader) ([]byte, error) {
+	size := int64(-1)
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	// MinRead spare bytes let the read that reports EOF land without a grow.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // load is the shared body of Load and LoadFile.

@@ -16,7 +16,11 @@ import (
 // toward 9 000, degree 5, |S| = 128, 4-event batches) with batch 40
 // inflated past RebuildThreshold (1/r_max = 1 000 events at r_max 1e-3),
 // so one batch takes the ApplyAll path.
-func publishStream() (*Graph, []int32, [][]Event, Config) {
+func publishStream() (*Graph, []int32, [][]Event, Config) { return trickleStream(120, 40) }
+
+// trickleStream is that shape's stream of n 4-event batches, batch big
+// inflated to 1 200 events (none when big is -1).
+func trickleStream(n, big int) (*Graph, []int32, [][]Event, Config) {
 	const nodes = 8000
 	subset := make([]int32, 128)
 	for i, v := range rand.New(rand.NewSource(1)).Perm(nodes)[:len(subset)] {
@@ -25,8 +29,8 @@ func publishStream() (*Graph, []int32, [][]Event, Config) {
 	slices.Sort(subset)
 	g, batches := dataset.GenerateChurn(dataset.ChurnProfile{
 		Nodes: nodes, MaxNodes: 9000, Degree: 5,
-		Batches: 120, BatchSize: 4,
-		DeleteFrac: 0.2, GrowFrac: 0.02, BigBatch: 40, BigBatchSize: 1200,
+		Batches: n, BatchSize: 4,
+		DeleteFrac: 0.2, GrowFrac: 0.02, BigBatch: big, BigBatchSize: 1200,
 		Protect: subset, Seed: 1,
 	})
 	cfg := Defaults()

@@ -27,6 +27,10 @@ type Snapshot struct {
 	x       *linalg.Dense // frozen U√Σ
 	root    *linalg.SVDResult
 	m       *sparse.CSR // frozen proximity matrix
+	// pins counts the reads that may still reach m: each read method of
+	// the Embedder holds one for its call, and Snapshot takes one for
+	// life. A publish recycles the arrays of a retired m only at zero.
+	pins *atomic.Int64
 	// excluded[excludedOff[i]:excludedOff[i+1]] lists the nodes Recommend
 	// never returns for subset row i: the source and its out-neighbors at
 	// publish time, ascending without duplicates, all rows in one backing
@@ -312,7 +316,8 @@ func (e *Embedder) publishLocked() { e.storeSnapshotLocked(e.buildSnapshotLocked
 // The proximity matrix is captured as a CSR copy, because the DynRow
 // keeps mutating afterwards: rows the batches since the last publish
 // changed are gathered from the live cells, and the rest are copied
-// whole from the previous snapshot's matrix. Each subset node's exclusion
+// whole from the previous snapshot's matrix, into the arrays of the
+// retired matrix when no read holds a pin on it. Each subset node's exclusion
 // list (itself and its out-neighbors, sorted) is copied out of the graph
 // for the same reason, all lists into one array, but only when an event
 // since then left a subset node; otherwise the previous snapshot's
@@ -321,6 +326,13 @@ func (e *Embedder) publishLocked() { e.storeSnapshotLocked(e.buildSnapshotLocked
 func (e *Embedder) buildSnapshotLocked() *Snapshot {
 	g := e.g
 	prev := e.snap.Load()
+	var spare *sparse.CSR
+	if r := e.retired; r.m != nil && r.pins.Load() == 0 {
+		spare = r.m
+	}
+	// Dropped either way: if this snapshot is never stored, the spare's
+	// arrays stay the DynRow's last CSR, which the next build copies from.
+	e.retired = retiredMatrix{}
 	var excluded, off []int32
 	if prev != nil && !e.subsetOutChanged {
 		excluded, off = prev.excluded, prev.excludedOff
@@ -340,7 +352,8 @@ func (e *Embedder) buildSnapshotLocked() *Snapshot {
 		rowOf:       e.rowOf,
 		x:           x,
 		root:        root,
-		m:           e.prox.M.ToCSR(),
+		m:           e.prox.M.ToCSRInto(spare),
+		pins:        new(atomic.Int64),
 		excluded:    excluded,
 		excludedOff: off,
 		stats:       Stats{Level1Rebuilt: ts.Level1Rebuilt, Skipped: ts.Skipped, UpperRebuilt: ts.UpperRebuilt},
@@ -350,13 +363,40 @@ func (e *Embedder) buildSnapshotLocked() *Snapshot {
 }
 
 // storeSnapshotLocked publishes snap, a snapshot of the current state,
-// under the next version. Caller holds e.mu. Until it runs, the exclusion
-// lists snap rebuilt are not yet the published ones, so subsetOutChanged
-// is cleared only here.
+// under the next version, and keeps the matrix and pin count of the one
+// it replaces for the next build to recycle. Caller holds e.mu. Until it
+// runs, the exclusion lists snap rebuilt are not yet the published ones,
+// so subsetOutChanged is cleared only here.
 func (e *Embedder) storeSnapshotLocked(snap *Snapshot) {
 	snap.version = e.version.Add(1)
 	e.subsetOutChanged = false
-	e.snap.Store(snap)
+	if old := e.snap.Swap(snap); old != nil {
+		e.retired = retiredMatrix{m: old.m, pins: old.pins}
+	}
 	e.met.snapshots.Inc()
 	e.met.lastPublishNanos.Set(time.Now().UnixNano())
+}
+
+// retiredMatrix is the proximity matrix of the snapshot the last publish
+// replaced, with that snapshot's pin count; it holds no pointer to the
+// snapshot, so the rest of it is garbage once no caller holds it.
+type retiredMatrix struct {
+	m    *sparse.CSR
+	pins *atomic.Int64
+}
+
+// pin returns the current snapshot with one more pin on its matrix. A pin
+// counts only if the snapshot is still the published one after it is
+// taken: once a publish has swapped a snapshot out, no new pin on it
+// succeeds, so the pin count the next publish reads is final but for
+// releases.
+func (e *Embedder) pin() *Snapshot {
+	for {
+		s := e.snap.Load()
+		s.pins.Add(1)
+		if e.snap.Load() == s {
+			return s
+		}
+		s.pins.Add(-1)
+	}
 }

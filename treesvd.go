@@ -205,6 +205,9 @@ type Embedder struct {
 	met     *pipelineMetrics
 	version atomic.Uint64
 	snap    atomic.Pointer[Snapshot]
+	// retired is the matrix the last publish swapped out, which the next
+	// build writes into if no read still pins it (see pin); guarded by mu.
+	retired retiredMatrix
 }
 
 // pipeline derives the PPR parameters and tree configuration from a
@@ -345,6 +348,12 @@ func (e *Embedder) applyEventsLocked(ctx context.Context, events []Event, publis
 	if err := e.validateEvents(events); err != nil {
 		return 0, err
 	}
+	return e.applyValidLocked(ctx, events, publish)
+}
+
+// applyValidLocked is applyEventsLocked on a batch validateEvents has
+// accepted: a durable store validates before it logs, and only once.
+func (e *Embedder) applyValidLocked(ctx context.Context, events []Event, publish func() error) (int, error) {
 	e.met.seq++
 	seq := e.met.seq
 	if h := e.trace; h != nil {
@@ -549,26 +558,37 @@ func (e *Embedder) ProximityFrobNorm() float64 {
 }
 
 // Snapshot returns the currently published immutable snapshot. Safe from
-// any goroutine; never nil.
-func (e *Embedder) Snapshot() *Snapshot { return e.snap.Load() }
+// any goroutine; never nil. The snapshot is pinned for life: the caller
+// may hold it forever, so its arrays are never recycled.
+func (e *Embedder) Snapshot() *Snapshot { return e.pin() }
 
 // Version returns the version counter of the current snapshot; it
 // increases by one with every published update.
-func (e *Embedder) Version() uint64 { return e.Snapshot().Version() }
+func (e *Embedder) Version() uint64 { return e.snap.Load().Version() }
 
 // Embedding returns the |S|×d subset embedding X = U√Σ of the current
 // snapshot as a row-major matrix: row i embeds Subset()[i].
-func (e *Embedder) Embedding() [][]float64 { return e.Snapshot().Embedding() }
+func (e *Embedder) Embedding() [][]float64 {
+	s := e.pin()
+	defer s.pins.Add(-1)
+	return s.Embedding()
+}
 
 // RightEmbedding returns the n×d right-factor embedding Y = Ṽ√Σ of the
 // current snapshot (row v embeds graph node v); score candidate links
 // from subset node s to any node v as dot(X[s], Y[v]).
-func (e *Embedder) RightEmbedding() [][]float64 { return e.Snapshot().RightEmbedding() }
+func (e *Embedder) RightEmbedding() [][]float64 {
+	s := e.pin()
+	defer s.pins.Add(-1)
+	return s.RightEmbedding()
+}
 
 // Recommend returns the top-k candidate targets for subset node s from
 // the current snapshot; see Snapshot.Recommend.
 func (e *Embedder) Recommend(s int32, k int) ([]Recommendation, error) {
-	return e.Snapshot().Recommend(s, k)
+	snap := e.pin()
+	defer snap.pins.Add(-1)
+	return snap.Recommend(s, k)
 }
 
 // Stats reports the work done by the last ApplyEvents/Rebuild.
@@ -580,4 +600,4 @@ type Stats struct {
 
 // LastStats returns the factorization work counters of the update that
 // published the current snapshot.
-func (e *Embedder) LastStats() Stats { return e.Snapshot().Stats() }
+func (e *Embedder) LastStats() Stats { return e.snap.Load().Stats() }
